@@ -27,9 +27,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import degeneration
-from .exactalg import MultiPoly
 from .kovalevskaya import NoLocusFound, find_loci, k_exponents, numeric_exponents
-from .laurent import TruncationBelowResonance, build_series, classify, series_json
+from .laurent import (
+    TruncationBelowResonance,
+    build_series,
+    classify,
+    poly_json,
+    series_json,
+)
 from .vfmodel import (
     WeightCertificate,
     check_zero_set,
@@ -117,19 +122,6 @@ def _value(v):
 
 def _point_json(point) -> list:
     return [_value(x) for x in point]
-
-
-def _poly_json(poly: MultiPoly, parameters) -> dict[str, str]:
-    """Same wire format as the series export: comma-joined exponents."""
-    position = {v: k for k, v in enumerate(parameters)}
-    out = {}
-    for exps, c in sorted(poly.terms.items()):
-        full = [0] * len(parameters)
-        for v, e in zip(poly.vars, exps):
-            if e:
-                full[position[v]] = e
-        out[",".join(str(e) for e in full)] = str(Fraction(c))
-    return out
 
 
 def _rootset_json(roots) -> dict:
@@ -431,13 +423,14 @@ def _flow_locus_report(field, g_field, cert, sol, args):
         lines.append(f"  parameter flow unavailable: {exc}")
         return section, violations, lines
 
+    position = {v: k for k, v in enumerate(flow.parameters)}
     section["shift_rate"] = {
         "text": str(flow.ghat0),
-        "polynomial": _poly_json(flow.ghat0, flow.parameters),
+        "polynomial": poly_json(flow.ghat0, position),
     }
     section["velocities"] = [
         {"parameter": name, "kappa": kappa, "text": str(g),
-         "polynomial": _poly_json(g, flow.parameters)}
+         "polynomial": poly_json(g, position)}
         for name, kappa, g in zip(flow.parameters, flow.kappa, flow.ghat)]
     lines.append(f"  alpha0' = {flow.ghat0}")
     for name, g in zip(flow.parameters, flow.ghat):

@@ -44,7 +44,7 @@ from .kovalevskaya import (
     kovalevskaya_matrix,
     numeric_exponents,
 )
-from .laurent import LaurentSolution, _field_orders, classify
+from .laurent import LaurentSolution, _PrefixSeries, classify
 from .vfmodel import VectorField, WeightCertificate, field_degree
 
 __all__ = [
@@ -132,10 +132,8 @@ def g_expansion(g_field: VectorField, sol: LaurentSolution,
             f"expansion through order {count - 1} needs the series "
             f"authoritative through that order (it stops at "
             f"{sol.authoritative_through})")
-    partials = [list(row) for row in sol.coefficients]
-    orders = _field_orders(g_field, partials, count - 1)
-    vectors = tuple(tuple(orders[i][k] for i in range(g_field.dim))
-                    for k in range(count))
+    prefixes = _PrefixSeries(g_field, sol.coefficients)
+    vectors = tuple(tuple(prefixes.advance(k)) for k in range(count))
     return GExpansion(vectors=vectors, gamma=gamma)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -70,6 +71,22 @@ class MultiPoly:
     # -- constructors
 
     @classmethod
+    def _trusted(cls, vars: tuple[str, ...],
+                 terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Wrap arithmetic output without re-validating it.
+
+        The caller guarantees distinct variable names, exponent tuples of
+        matching length with nonnegative entries, and nonzero Fraction
+        coefficients.  Every arithmetic result below is clean by
+        construction, and revalidating it took about a quarter of the
+        Laurent-series profile.
+        """
+        poly = object.__new__(cls)
+        poly.vars = vars
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, vars: Sequence[str] = ()) -> "MultiPoly":
         return cls(vars)
 
@@ -103,7 +120,7 @@ class MultiPoly:
             for v, x in zip(self.vars, exps):
                 e[pos[v]] = x
             out[tuple(e)] = c
-        return MultiPoly(nv, out)
+        return MultiPoly._trusted(nv, out)
 
     def _aligned(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
         if self.vars == other.vars:
@@ -128,17 +145,22 @@ class MultiPoly:
         a, b = self._aligned(other)
         out = dict(a.terms)
         for e, c in b.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return MultiPoly(a.vars, out)
+                del out[e]
+        return MultiPoly._trusted(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars,
+                                  {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -157,18 +179,25 @@ class MultiPoly:
                 c = as_fraction(other)
             except TypeError:
                 return NotImplemented
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            if not c:
+                return MultiPoly._trusted(self.vars, {})
+            return MultiPoly._trusted(
+                self.vars, {e: k * c for e, k in self.terms.items()})
         a, b = self._aligned(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
+                e = tuple(map(operator.add, ea, eb))
+                s = out.get(e)
+                if s is None:
+                    out[e] = ca * cb
                 else:
-                    out.pop(e, None)
-        return MultiPoly(a.vars, out)
+                    s += ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return MultiPoly._trusted(a.vars, out)
 
     __rmul__ = __mul__
 

@@ -12,6 +12,20 @@ first obstruction is marked non-authoritative).
 Everything is exact: coefficients are polynomials over Q in the parameters
 alpha1, alpha2, ... introduced at the resonances, and the pole position
 never appears in them.
+
+The recursion is incremental, as in Taylor-series integrators.  Every
+monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
+...), and one truncated series per distinct prefix is kept for the length
+of a call.  At order j each prefix gains one Cauchy coefficient, first
+with the unknown d_j taken as 0, which yields N_j, and then corrected by
+its part linear in d_j once d_j is solved.  An order costs O(j) parameter
+polynomial products per prefix, so a series through N costs O(N^2) of
+them, where re-expanding every monomial from order 0 at every order cost
+O(N^3) per factor.  g_expansion drives the same cache in one forward pass.
+
+residual_order deliberately keeps the from-scratch expansion
+(_field_orders): it is the oracle that checks the recursion, so it must
+not share the code it checks.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ __all__ = [
     "qh_coefficient_check",
     "residual_order",
     "initial_value_map",
+    "poly_json",
     "series_json",
 ]
 
@@ -108,6 +123,97 @@ class LaurentSolution:
         return tuple(r.order for r in self.resonances)
 
 
+class _PrefixSeries:
+    """Truncated series of every monomial prefix of a field, order by order.
+
+    A monomial prod_l y_l^{e_l} is multiplied out one factor at a time,
+    lowest variable first.  Each partial product (a prefix) is keyed by its
+    exponent vector, so q1, q1^2, q1^3, ... are expanded once and shared
+    by every monomial and component that starts with them.  series[l] is
+    the pole-stripped coefficient list of y_l; the caller may append to it
+    between orders.
+    """
+
+    def __init__(self, field: VectorField,
+                 series: Sequence[Sequence[MultiPoly]]):
+        self.series = series
+        self.root = (0,) * field.dim
+        # prefix -> (parent prefix, variable multiplied in); insertion
+        # order puts every parent before its children
+        self.links: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        self.monomials: list[list[tuple[tuple[int, ...], Fraction]]] = []
+        for comp in field.components:
+            idx = [field.variables.index(v) for v in comp.vars]
+            row = []
+            for exps, c in comp.terms.items():
+                full = [0] * field.dim
+                for k, v_i in enumerate(idx):
+                    full[v_i] = exps[k]
+                row.append((self._register(full), c))
+            self.monomials.append(row)
+        self.coeffs: dict[tuple[int, ...], list[MultiPoly]] = {
+            key: [] for key in self.links}
+        self.coeffs[self.root] = [MultiPoly.constant(1)]
+
+    def _register(self, exps: Sequence[int]) -> tuple[int, ...]:
+        key = [0] * len(exps)
+        parent = tuple(key)
+        for l, e in enumerate(exps):
+            for _ in range(e):
+                key[l] += 1
+                child = tuple(key)
+                self.links.setdefault(child, (parent, l))
+                parent = child
+        return parent
+
+    def advance(self, j: int) -> list[MultiPoly]:
+        """Append coefficient j of every prefix; return order j of each f_i.
+
+        Coefficients of y missing from series count as zero, so with
+        series[l] ending at order j-1 this is the order-j coefficient with
+        the unknown d_j taken as 0 (settle adds its part afterwards); with
+        order j known it is the full Cauchy coefficient.
+        """
+        coeffs = self.coeffs
+        for key, (parent, l) in self.links.items():
+            left, right = coeffs[parent], self.series[l]
+            lo, hi = max(0, j - len(right) + 1), min(j, len(left) - 1)
+            total = MultiPoly.zero()
+            for i in range(lo, hi + 1):
+                a, b = left[i], right[j - i]
+                if a and b:
+                    total = total + a * b
+            coeffs[key].append(total)
+        out = []
+        for row in self.monomials:
+            total = MultiPoly.zero()
+            for key, c in row:
+                prefix = coeffs[key]
+                # only the root (a constant monomial) stops at order 0
+                if len(prefix) > j:
+                    total = total + prefix[j] * c
+            out.append(total)
+        return out
+
+    def settle(self, j: int) -> None:
+        """Add the d_j part to coefficient j of every prefix.
+
+        Call after advance(j) ran without d_j and d_j has been appended to
+        series.  Coefficient j of a prefix P = Q y_l is linear in d_j:
+        P_j - P_j|_{d_j=0} = Q_0 d_{l,j} + (Q_j - Q_j|_{d_j=0}) c_l.
+        """
+        coeffs = self.coeffs
+        delta = {self.root: MultiPoly.zero()}
+        for key, (parent, l) in self.links.items():
+            right = self.series[l]
+            change = coeffs[parent][0] * right[j]
+            if delta[parent] and right[0]:
+                change = change + delta[parent] * right[0]
+            delta[key] = change
+            if change:
+                coeffs[key][j] = coeffs[key][j] + change
+
+
 def _mul_trunc(a: list, b: list, cap: int) -> list:
     out: list = [MultiPoly.zero() for _ in range(cap + 1)]
     for i, left in enumerate(a[:cap + 1]):
@@ -132,7 +238,12 @@ def _monomial_series(coefficient: Fraction, exps: Sequence[int],
 
 def _field_orders(field: VectorField, partials: list[list],
                   cap: int) -> list[list]:
-    """Coefficients of T^{a_i+1} f_i(y) through T^cap, one list per i."""
+    """Coefficients of T^{a_i+1} f_i(y) through T^cap, one list per i.
+
+    Expands every monomial from order 0 with full truncated products.
+    Only residual_order uses it: it is the independent oracle for the
+    incremental recursion in _PrefixSeries and shares no code with it.
+    """
     out = []
     for comp in field.components:
         total = [MultiPoly.zero() for _ in range(cap + 1)]
@@ -196,11 +307,12 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     coeffs: list[list[MultiPoly]] = [[MultiPoly.constant(c)] for c in point]
     resonances: list[ResonanceRecord] = []
     obstructions: list[int] = []
+    prefixes = _PrefixSeries(field, coeffs)
+    prefixes.advance(0)
 
     for j in range(1, truncation + 1):
-        partials = [coeffs[i] for i in range(m)]
-        orders = _field_orders(field, partials, j)
-        rhs = [orders[i][j] * -1 for i in range(m)]
+        # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
+        rhs = [n * -1 for n in prefixes.advance(j)]
         shifted = report.matrix - ExactMatrix.identity(m) * j
 
         kernel = shifted.kernel()
@@ -246,6 +358,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
             obstructions.append(j)
         for i in range(m):
             coeffs[i].append(d_j[i])
+        prefixes.settle(j)
 
     return LaurentSolution(
         locus=point,
@@ -360,26 +473,29 @@ def initial_value_map(sol: LaurentSolution, values: Mapping[str, object], z):
     return tuple(out)
 
 
+def poly_json(poly: MultiPoly, position: Mapping[str, int]) -> dict[str, str]:
+    """One parameter polynomial in the exact wire format.
+
+    position maps each parameter name to its slot; keys are the
+    comma-joined exponent vectors over all slots, values rational strings.
+    """
+    out = {}
+    for exps, c in sorted(poly.terms.items()):
+        full = [0] * len(position)
+        for v, e in zip(poly.vars, exps):
+            if e:
+                full[position[v]] = e
+        out[",".join(str(e) for e in full)] = str(Fraction(c))
+    return out
+
+
 def series_json(sol: LaurentSolution) -> list[dict]:
     """Coefficients in a stable, exact wire format.
 
     One entry per nonzero d_{i,j} with 1-based component index; the
-    polynomial maps comma-joined exponent vectors (over sol.parameters,
-    in order) to rational strings.
+    polynomial is poly_json over sol.parameters, in order.
     """
-    out = []
-    for i, row in enumerate(sol.coefficients):
-        for j, poly in enumerate(row):
-            if not poly:
-                continue
-            position = {v: k for k, v in enumerate(sol.parameters)}
-            entries = {}
-            for exps, c in sorted(poly.terms.items()):
-                full = [0] * len(sol.parameters)
-                for v, e in zip(poly.vars, exps):
-                    if e:
-                        full[position[v]] = e
-                key = ",".join(str(e) for e in full)
-                entries[key] = str(Fraction(c))
-            out.append({"i": i + 1, "j": j, "polynomial": entries})
-    return out
+    position = {v: k for k, v in enumerate(sol.parameters)}
+    return [{"i": i + 1, "j": j, "polynomial": poly_json(poly, position)}
+            for i, row in enumerate(sol.coefficients)
+            for j, poly in enumerate(row) if poly]

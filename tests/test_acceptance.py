@@ -1,4 +1,4 @@
-"""The acceptance gate: seven criteria, one test and one verdict line each.
+"""The acceptance gate: eight criteria, one test and one verdict line each.
 
 Run with -v and pytest's own PASSED/FAILED column is the per-criterion
 verdict; each test additionally prints a "criterion n: PASS (t)" line
@@ -212,3 +212,17 @@ def test_criterion_7_parser_survives_arbitrary_bytes():
                 parse_problem(text)
             except ParseError:
                 pass
+
+
+def test_criterion_8_deep_series_and_expansion_within_budget(pair4d_deg3):
+    # N=48 is far past the default truncation of 16; the budget guards
+    # the incremental recursion against falling back to re-expanding
+    # every monomial at every order
+    with _criterion(8, budget=12.0):
+        field, g_field, cert = pair4d_deg3
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=48)
+        expansion = dg.g_expansion(g_field, sol)
+        assert sol.truncation == 48 and sol.obstructions == ()
+        assert sol.resonance_orders() == (2, 5, 8)
+        assert expansion.count == 49
+        assert expansion.vector(0) == (0, 0, 0, 0)

@@ -99,6 +99,18 @@ class TestMultiPoly:
         with pytest.raises(TypeError):
             MultiPoly(("x",), {(1,): 0.5})
 
+    def test_public_constructor_still_validates(self):
+        # arithmetic skips validation internally; direct construction
+        # must not
+        with pytest.raises(ValueError, match="duplicate"):
+            MultiPoly(("x", "x"), {(1, 0): 1})
+        with pytest.raises(ValueError, match="negative"):
+            MultiPoly(("x", "y"), {(1, -1): 1})
+        with pytest.raises(ValueError, match="does not match"):
+            MultiPoly(("x", "y"), {(1,): 1})
+        with pytest.raises(ValueError, match="does not match"):
+            MultiPoly(("x",), {(1, 0): 1})
+
 
 @st.composite
 def small_polys(draw):
@@ -118,6 +130,19 @@ def test_poly_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert p + MultiPoly.zero() == p
+
+
+@settings(max_examples=100)
+@given(small_polys(), small_polys(),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_arithmetic_results_are_already_clean(p, q, c):
+    # results bypass the validating constructor, so re-validating them
+    # must change nothing: no zero coefficients, exact values, exponent
+    # tuples aligned with vars
+    for r in (p + q, p - q, -p, p * q, p * c, c * p, p.embed(("a", "u", "v"))):
+        revalidated = MultiPoly(r.vars, r.terms)
+        assert list(revalidated.terms.items()) == list(r.terms.items())
+        assert all(type(v) is Fraction for v in r.terms.values())
 
 
 @settings(max_examples=100)

@@ -8,17 +8,21 @@ feeds alpha1^2 into it, which forces the inconsistency by inspection.
 """
 
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kovex.degeneration import g_expansion
 from kovex.exactalg import MultiPoly
 from kovex.kovalevskaya import InexactLocusError
 from kovex.laurent import (
     OutsideHeuristicRadius,
     TruncationBelowResonance,
+    _field_orders,
     build_series,
     classify,
     initial_value_map,
@@ -30,6 +34,20 @@ from kovex.vfmodel import WeightCertificate, fields_from_problem
 from kovex.vfparse import parse_problem
 
 ALPHA = MultiPoly.variable("alpha1")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _golden_loci(*stems):
+    """(stem, exact locus) for every golden locus that carries a series."""
+    cases = []
+    for stem in stems:
+        report = json.loads((ROOT / "tests" / "golden" / f"{stem}.json").read_text())
+        cases.extend(
+            pytest.param(stem, tuple(Fraction(c) for c in entry["point"]),
+                         id=f"{stem}@{','.join(entry['point'])}")
+            for entry in report["loci"]
+            if entry["exactness"] == "exact" and "series" in entry)
+    return cases
 
 
 def _field(text):
@@ -309,3 +327,29 @@ class TestEvaluationWarning:
         sol = build_series(field, cert, (1, -2))
         with pytest.warns(OutsideHeuristicRadius):
             initial_value_map(sol, {"alpha1": 1000}, Fraction(1, 2))
+
+
+class TestDeepSeriesAtGoldenLoci:
+    """The incremental recursion against its from-scratch oracles at N=32.
+
+    residual_order and the reference expansion multiply every monomial
+    out again from order 0, sharing no code with the prefix cache that
+    build_series and g_expansion run on.
+    """
+
+    @pytest.mark.parametrize(
+        "stem, point", _golden_loci("cubic_pair", "painleve1_coupled_4d"))
+    def test_deep_series_satisfies_the_field_exactly(self, stem, point):
+        spec = parse_problem((ROOT / "problems" / f"{stem}.kov").read_text())
+        field, g_field = fields_from_problem(spec)
+        cert = WeightCertificate(spec.weights, 1)
+        sol = build_series(field, cert, point, truncation=32)
+        assert sol.obstructions == ()
+        assert residual_order(field, cert, sol) is None
+        assert qh_coefficient_check(sol) == ()
+        expansion = g_expansion(g_field, sol)
+        reference = _field_orders(
+            g_field, [list(row) for row in sol.coefficients], 32)
+        assert expansion.vectors == tuple(
+            tuple(reference[i][k] for i in range(sol.dim))
+            for k in range(33))

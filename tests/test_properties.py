@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
-from kovex.degeneration import hamiltonian_pairing_check
+from kovex.degeneration import g_expansion, hamiltonian_pairing_check
 from kovex.exactalg import MultiPoly
 from kovex.kovalevskaya import (
     NoLocusFound,
@@ -26,7 +26,12 @@ from kovex.kovalevskaya import (
     transform_check,
     verify_locus,
 )
-from kovex.laurent import build_series, qh_coefficient_check, residual_order
+from kovex.laurent import (
+    _field_orders,
+    build_series,
+    qh_coefficient_check,
+    residual_order,
+)
 from kovex.vfmodel import (
     VectorField,
     WeightCertificate,
@@ -170,6 +175,37 @@ def test_residual_vanishes_through_the_trustworthy_orders(case, truncation):
         sol = build_series(field, cert, point, truncation=truncation)
         first = residual_order(field, cert, sol)
         assert first is None or first > truncation - max(cert.weights)
+
+
+@given(scaled_problems(), st.integers(10, 13))
+@settings(max_examples=40, deadline=None)
+def test_cached_expansion_matches_the_from_scratch_oracle(case, truncation):
+    # the field expanded along its own series: g_expansion runs on the
+    # shared prefix cache, _field_orders re-multiplies every monomial
+    field, cert, loci = case
+    for point in loci:
+        sol = build_series(field, cert, point, truncation=truncation)
+        expansion = g_expansion(field, sol)
+        reference = _field_orders(
+            field, [list(row) for row in sol.coefficients], expansion.count - 1)
+        assert expansion.vectors == tuple(
+            tuple(reference[i][k] for i in range(field.dim))
+            for k in range(expansion.count))
+
+
+@given(scaled_problems(), st.integers(10, 13))
+@settings(max_examples=40, deadline=None)
+def test_deeper_truncation_extends_the_series_exactly(case, truncation):
+    field, cert, loci = case
+    for point in loci:
+        short = build_series(field, cert, point, truncation=truncation)
+        long = build_series(field, cert, point, truncation=truncation + 3)
+        assert all(row[:truncation + 1] == head
+                   for row, head in zip(long.coefficients, short.coefficients))
+        assert short.resonances == tuple(
+            r for r in long.resonances if r.order <= truncation)
+        assert short.obstructions == tuple(
+            j for j in long.obstructions if j <= truncation)
 
 
 # one degree of freedom, weights, weighted degree of H
