@@ -299,6 +299,7 @@ def _locus_stage(field, cert, spec, args):
     except NoLocusFound:
         loci = ()
     entries = []
+    spectra = []
     for locus in loci:
         entry: dict = {
             "point": _point_json(locus.point),
@@ -307,6 +308,7 @@ def _locus_stage(field, cert, spec, args):
         }
         if locus.is_exact:
             report = k_exponents(field, cert, locus.point)
+            spectra.append((locus.point, report))
             entry["exponents"] = _rootset_json(report.exponents)
             entry["classification"] = report.classification
             entry["eigenpair_verified"] = report.eigenpair_verified
@@ -321,6 +323,7 @@ def _locus_stage(field, cert, spec, args):
                     f"universal eigenpair fails at {_fmt_point(locus.point)}")
         else:
             values = numeric_exponents(field, cert, locus.point)
+            spectra.append((locus.point, values))
             entry["numeric_spectrum"] = [_num(v) for v in values]
             lines.append(f"locus {_fmt_point(locus.point)}  "
                          f"[numeric, {locus.source}]")
@@ -328,7 +331,7 @@ def _locus_stage(field, cert, spec, args):
         entries.append(entry)
     if not entries:
         lines.append("no indicial loci found")
-    return entries, loci, violations, lines
+    return entries, loci, spectra, violations, lines
 
 
 def _series_stage(field, cert, loci, entries, args):
@@ -374,9 +377,9 @@ def _series_stage(field, cert, loci, entries, args):
     return solutions, violations, lines
 
 
-def _flow_locus_report(field, g_field, cert, sol, args):
+def _flow_locus_report(field, g_field, cert, sol, pool, args):
     """Flow section for one principal balance; returns (section, violations,
-    lines)."""
+    lines).  pool is F's lower_spectra, shared by every principal balance."""
     violations: list[str] = []
     lines: list[str] = []
     point = sol.locus
@@ -472,10 +475,10 @@ def _flow_locus_report(field, g_field, cert, sol, args):
             warnings.simplefilter("always")
             if flow.gamma == 1:
                 report = degeneration.degenerate_gamma1(
-                    field, cert, flow, **deg_kwargs)
+                    pool, flow, **deg_kwargs)
             else:
                 report = degeneration.degenerate_gamma_ge2(
-                    field, cert, flow, **deg_kwargs)
+                    pool, flow, **deg_kwargs)
     except degeneration.G0IdenticallyZero as exc:
         section["degeneration"] = {"error": str(exc)}
         lines.append(f"  degeneration unavailable: {exc}")
@@ -597,7 +600,8 @@ def _run(args):
         lines += more
 
     if cert is not None and "loci" in stages:
-        entries, loci, found, more = _locus_stage(field, cert, spec, args)
+        entries, loci, spectra, found, more = _locus_stage(
+            field, cert, spec, args)
         report["loci"] = entries
         violations += found
         lines += more
@@ -617,12 +621,13 @@ def _run(args):
                 lines.append("flow analysis skipped "
                              "(needs a commuting quasi-homogeneous field)")
             else:
+                pool = degeneration.lower_spectra(spectra)
                 flow_sections = []
                 for idx, sol in sorted(solutions.items()):
                     if classify(sol).kind != "principal":
                         continue
                     section, found, more = _flow_locus_report(
-                        field, g_field, cert, sol, args)
+                        field, g_field, cert, sol, pool, args)
                     flow_sections.append(section)
                     violations += found
                     lines += more

@@ -30,15 +30,14 @@ import numpy as np
 from .exactalg import (
     ExactMatrix,
     MultiPoly,
-    RootSet,
     as_fraction,
     roots_exact_first,
     snap_rational,
     solve_poly_system,
 )
 from .kovalevskaya import (
+    KExponentReport,
     NoLocusFound,
-    exact_point,
     find_loci,
     k_exponents,
     kovalevskaya_matrix,
@@ -66,6 +65,7 @@ __all__ = [
     "g0_nonzero_certificate",
     "hamiltonian_pairing_check",
     "kernel_identity_check",
+    "lower_spectra",
     "param_flow",
 ]
 
@@ -360,15 +360,6 @@ def g0_nonzero_certificate(g_field: VectorField, sol: LaurentSolution,
 # exponent multisets and matching
 
 
-def _rootset_values(roots: RootSet) -> list:
-    out: list = []
-    for r, mult in roots.rational_roots:
-        out.extend([r] * mult)
-    for z, mult, _ in roots.numeric_roots:
-        out.extend([z] * mult)
-    return out
-
-
 def _sorted_multiset(values) -> tuple:
     return tuple(sorted(values, key=lambda v: (complex(v).real, complex(v).imag)))
 
@@ -403,29 +394,22 @@ def _contains(values, target, tol: float) -> bool:
     return any(abs(complex(v) - zt) <= tol * max(1.0, abs(zt)) for v in values)
 
 
-def _lower_spectra(field: VectorField, certificate: WeightCertificate, *,
-                   rng_seed: int, tolerance: float) -> tuple:
-    """(point, exponent multiset) for every lower locus the search finds.
+def lower_spectra(spectra: Sequence[tuple[tuple, object]]) -> tuple:
+    """(point, exponent multiset) for every lower locus of the ambient field.
 
-    Exact loci are classified exactly and only the lower ones kept;
-    numeric loci go in unfiltered since a principal multiset can never
-    collide with a lower prediction anyway.
+    spectra pairs each point of F's locus search with its spectrum there:
+    the KExponentReport at an exact locus, the numeric exponents
+    (numeric_exponents) at a numeric one.  Exact loci are kept only when
+    classified lower; numeric loci go in unfiltered since a principal
+    multiset can never collide with a lower prediction anyway.
     """
-    try:
-        search = find_loci(field, certificate, rng_seed=rng_seed)
-    except NoLocusFound:
-        return ()
     pool = []
-    for locus in search.loci:
-        if locus.is_exact:
-            report = k_exponents(field, certificate, locus.point)
-            if report.classification != "lower":
-                continue
-            pool.append((locus.point,
-                         _sorted_multiset(_rootset_values(report.exponents))))
+    for point, spectrum in spectra:
+        if isinstance(spectrum, KExponentReport):
+            if spectrum.classification == "lower":
+                pool.append((point, spectrum.exponents.multiset()))
         else:
-            vals = numeric_exponents(field, certificate, locus.point)
-            pool.append((locus.point, _sorted_multiset(vals)))
+            pool.append((point, _sorted_multiset(spectrum)))
     return tuple(pool)
 
 
@@ -475,16 +459,15 @@ def _assemble(gamma: int, entries: list, pool: tuple,
     )
 
 
-def degenerate_gamma1(field: VectorField, certificate: WeightCertificate,
-                      flow: ParamFlow, *, seeds: Sequence = (),
-                      rng_seed: int = 0,
+def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
                       tolerance: float = 1e-8) -> DegenerationReport:
     """Lower-family prediction for a degree-1 commuting flow.
 
     With gamma = 1 the pole position drifts at the constant rate ghat0
     and drops out of the indicial analysis: each locus xi of the
     parameter subsystem contributes the multiset {-1} union spec(K(xi)),
-    the extra -1 coming from the pole direction itself.
+    the extra -1 coming from the pole direction itself.  The predictions
+    are matched against pool, the ambient field's lower_spectra.
     """
     if flow.gamma != 1:
         raise ValueError("this route needs a degree-1 commuting flow")
@@ -493,23 +476,20 @@ def degenerate_gamma1(field: VectorField, certificate: WeightCertificate,
     entries: list = []
     if not sub.is_zero():
         try:
-            search = find_loci(sub, sub_cert, seeds=seeds, rng_seed=rng_seed)
+            search = find_loci(sub, sub_cert, rng_seed=rng_seed)
         except NoLocusFound:
             search = None
         for locus in (search.loci if search else ()):
             if locus.is_exact:
                 report = k_exponents(sub, sub_cert, locus.point)
-                vals = _rootset_values(report.exponents)
-                predicted = _sorted_multiset([Fraction(-1)] + vals)
+                vals = report.exponents.multiset()
+                predicted = _sorted_multiset((Fraction(-1),) + vals)
                 diag = {"universal_eigenpair": report.eigenpair_verified}
             else:
-                vals = list(numeric_exponents(sub, sub_cert, locus.point))
-                predicted = _sorted_multiset([complex(-1)] + vals)
+                vals = numeric_exponents(sub, sub_cert, locus.point)
+                predicted = _sorted_multiset((complex(-1),) + vals)
                 diag = {}
-            entries.append((locus.point, "pole_shift",
-                            _sorted_multiset(vals), predicted, diag))
-    pool = _lower_spectra(field, certificate,
-                          rng_seed=rng_seed, tolerance=tolerance)
+            entries.append((locus.point, "pole_shift", vals, predicted, diag))
     return _assemble(1, entries, pool, tolerance)
 
 
@@ -608,9 +588,7 @@ def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value,
     return _multisets_match(spectrum, target, tol)
 
 
-def degenerate_gamma_ge2(field: VectorField, certificate: WeightCertificate,
-                         flow: ParamFlow, *, seeds: Sequence = (),
-                         rng_seed: int = 0,
+def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
                          tolerance: float = 1e-8) -> DegenerationReport:
     """Lower-family prediction for commuting degree two or more, dual route.
 
@@ -621,7 +599,8 @@ def degenerate_gamma_ge2(field: VectorField, certificate: WeightCertificate,
     route: the subsystem's own indicial loci (typically irrational, found
     numerically), the full exponent matrix with the pole row, and the
     prediction gamma times its spectrum.  Both routes land in the same
-    report; neither is allowed to stand in for the other.
+    report, matched against pool, the ambient field's lower_spectra;
+    neither is allowed to stand in for the other.
     """
     gamma = flow.gamma
     if gamma < 2:
@@ -643,22 +622,21 @@ def degenerate_gamma_ge2(field: VectorField, certificate: WeightCertificate,
             continue
         exact_points.append(point)
         matrix = _rescaled_matrix(flow, point, value)
-        vals = _rootset_values(roots_exact_first(matrix.charpoly()))
-        predicted = _sorted_multiset(vals + [Fraction(-gamma)])
+        vals = roots_exact_first(matrix.charpoly()).multiset()
+        predicted = _sorted_multiset(vals + (Fraction(-gamma),))
         diag = {
             "g0_value": value,
             "minus_one_present": _contains(vals, Fraction(-1), tolerance),
             "search_complete": solved.complete,
         }
-        entries.append((point, "rescale_exact",
-                        _sorted_multiset(vals), predicted, diag))
+        entries.append((point, "rescale_exact", vals, predicted, diag))
 
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
     search = None
     if not sub.is_zero():
         try:
-            search = find_loci(sub, sub_cert, seeds=seeds, rng_seed=rng_seed)
+            search = find_loci(sub, sub_cert, rng_seed=rng_seed)
         except NoLocusFound:
             search = None
     for locus in (search.loci if search else ()):
@@ -672,7 +650,7 @@ def degenerate_gamma_ge2(field: VectorField, certificate: WeightCertificate,
             continue
         if locus.is_exact:
             matrix = _flow_matrix_exact(flow, locus.point)
-            vals = _rootset_values(roots_exact_first(matrix.charpoly()))
+            vals = roots_exact_first(matrix.charpoly()).multiset()
             shift = gamma * g0_value
             rescaled = tuple(shift ** k * x
                              for k, x in zip(flow.kappa, locus.point))
@@ -701,9 +679,6 @@ def degenerate_gamma_ge2(field: VectorField, certificate: WeightCertificate,
         }
         entries.append((locus.point, "flow_direct",
                         _sorted_multiset(vals), predicted, diag))
-
-    pool = _lower_spectra(field, certificate,
-                          rng_seed=rng_seed, tolerance=tolerance)
     return _assemble(gamma, entries, pool, tolerance)
 
 
@@ -770,7 +745,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
             if not locus.is_exact:
                 continue
             report = k_exponents(deformed, certificate, locus.point)
-            collected.append(_sorted_multiset(_rootset_values(report.exponents)))
+            collected.append(report.exponents.multiset())
         collected.sort(key=lambda ms: tuple((complex(v).real, complex(v).imag)
                                             for v in ms))
         per_eps.append(tuple(collected))

@@ -708,24 +708,19 @@ class RootSet:
     def is_fully_rational(self) -> bool:
         return len(self.residual_factor) == 1
 
-    def total_multiplicity(self) -> int:
-        return (sum(m for _, m in self.rational_roots)
-                + sum(m for _, m, _ in self.numeric_roots))
+    def multiset(self) -> tuple:
+        """Every root repeated by multiplicity, sorted by (re, im).
 
-    def values(self) -> list[tuple[object, int, bool]]:
-        """All roots as (value, multiplicity, is_exact), exact ones first."""
-        out: list[tuple[object, int, bool]] = [(r, m, True) for r, m in self.rational_roots]
-        out.extend((z, m, False) for z, m, _ in self.numeric_roots)
-        return out
-
-    def approximate_multiset(self) -> list[complex]:
-        """Every root as a complex number, repeated by multiplicity, sorted."""
-        out: list[complex] = []
+        Rational roots stay Fractions and numeric ones stay complex; on a
+        tie the rational root comes first.
+        """
+        out: list = []
         for r, m in self.rational_roots:
-            out.extend([complex(r)] * m)
+            out.extend([r] * m)
         for z, m, _ in self.numeric_roots:
             out.extend([z] * m)
-        return sorted(out, key=lambda v: (v.real, v.imag))
+        return tuple(sorted(out, key=lambda v: (complex(v).real,
+                                                complex(v).imag)))
 
 
 def roots_exact_first(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL,

@@ -119,9 +119,14 @@ def indicial_system(field: VectorField,
 def verify_locus(field: VectorField, certificate: WeightCertificate,
                  point: Sequence) -> bool:
     """Exact residual test of the indicial equations at a rational point."""
-    values = {v: as_fraction(p) for v, p in zip(field.variables, point)}
-    return all(eq.evaluate(values) == 0
-               for eq in indicial_system(field, certificate))
+    return _vanishes(indicial_system(field, certificate), field.variables,
+                     point)
+
+
+def _vanishes(eqs: Sequence[MultiPoly], variables: Sequence[str],
+              point: Sequence) -> bool:
+    values = {v: as_fraction(p) for v, p in zip(variables, point)}
+    return all(eq.evaluate(values) == 0 for eq in eqs)
 
 
 def exact_point(locus) -> tuple[Fraction, ...]:
@@ -351,8 +356,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     numeric: list[tuple[tuple[complex, ...], str]] = []
     strategies: list[str] = []
 
+    degree = max((eq.total_degree() or 1) for eq in eqs)
+
     def residual_ok(z: np.ndarray) -> bool:
-        degree = max((eq.total_degree() or 1) for eq in eqs)
         scale = max(1.0, float(np.max(np.abs(z))) ** degree)
         return float(np.max(np.abs(eval_f(z)))) <= tolerance * scale
 
@@ -364,7 +370,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         if float(np.max(np.abs(z))) <= dedup_tol:
             return
         snapped = _snap_point(z)
-        if snapped is not None and verify_locus(field, certificate, snapped):
+        if snapped is not None and _vanishes(eqs, field.variables, snapped):
             register_exact(snapped, source)
             return
         if not residual_ok(z):
@@ -382,7 +388,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                     f"seed has {len(seed)} coordinates, field has {m}")
             start = np.asarray(seed, dtype=complex)
             snapped = _snap_point(start)
-            if snapped is not None and verify_locus(field, certificate, snapped):
+            if (snapped is not None
+                    and _vanishes(eqs, field.variables, snapped)):
                 register_exact(snapped, "user_seed")
                 continue
             for refined in _newton_refine(eval_f, eval_jac, start[np.newaxis],
@@ -404,7 +411,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         for partial in result.points:
             filled = dict(zip(free_vars, partial))
             point = tuple(filled.get(v, Fraction(0)) for v in field.variables)
-            if verify_locus(field, certificate, point):
+            if _vanishes(eqs, field.variables, point):
                 register_exact(point, "structured_search")
 
     if newton_starts > 0:

@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import CUBIC_2D, PAIR_4D_DEG3
+from conftest import CUBIC_2D, PAIR_4D_DEG3, lower_pool
 import test_properties as props
 from kovex import degeneration as dg
 from kovex.exactalg import MultiPoly
@@ -47,8 +47,7 @@ def _criterion(n, budget=None):
 def _flat_exponents(field, cert, point):
     roots = k_exponents(field, cert, point).exponents
     assert roots.is_fully_rational
-    return tuple(sorted(r for r, mult in roots.rational_roots
-                        for _ in range(mult)))
+    return roots.multiset()
 
 
 def test_criterion_1_exact_series_for_the_cubic(cubic2d):
@@ -106,7 +105,7 @@ def test_criterion_3_uncoupled_pair_flow_and_prediction(pair4d_deg1):
         assert flow.ghat[0] == A2 * -1
         assert flow.ghat[1] == A1 * A1 * -6
         assert not flow.ghat[2]
-        report = dg.degenerate_gamma1(field, cert, flow)
+        report = dg.degenerate_gamma1(lower_pool(field, cert), flow)
         assert report.predicted_lower_exponents == ((-1, -1, 6, 6),)
         assert report.matched_lower_loci == (((1, -2, 1, -2),),)
 
@@ -145,7 +144,7 @@ def test_criterion_4_coupled_pair_flow_and_prediction(pair4d_deg3):
             flow, ghat=(flow.ghat[0], A1 ** 4 * -54, flow.ghat[2]))
         assert dg.flow_ladder_check(expansion, sol, bare) is not None
 
-        report = dg.degenerate_gamma_ge2(field, cert, flow)
+        report = dg.degenerate_gamma_ge2(lower_pool(field, cert), flow)
         i = report.routes.index("rescale_exact")
         assert report.flow_loci[i] == (F(1, 3), F(4, 9), F(-7, 81))
         predicted = report.predicted_lower_exponents[i]

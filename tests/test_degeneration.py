@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import lower_pool
 from kovex import degeneration as dg
 from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import k_exponents
@@ -58,13 +59,13 @@ def deg3(pair4d_deg3):
 @pytest.fixture(scope="session")
 def deg1_report(deg1):
     field, _, cert, _, _, flow = deg1
-    return dg.degenerate_gamma1(field, cert, flow)
+    return dg.degenerate_gamma1(lower_pool(field, cert), flow)
 
 
 @pytest.fixture(scope="session")
 def deg3_report(deg3):
     field, _, cert, _, _, flow = deg3
-    return dg.degenerate_gamma_ge2(field, cert, flow)
+    return dg.degenerate_gamma_ge2(lower_pool(field, cert), flow)
 
 
 class TestExpansionDeg1:
@@ -192,7 +193,7 @@ class TestFlowDeg1:
         flow = dg.param_flow(expansion, sol)
         assert flow.ghat0 == -1
         assert not any(flow.ghat)
-        report = dg.degenerate_gamma1(field, cert, flow)
+        report = dg.degenerate_gamma1(lower_pool(field, cert), flow)
         assert report.routes == ()
         assert report.flow_loci == ()
 
@@ -320,9 +321,9 @@ class TestPoleShiftRoute:
         assert deg1_report.diagnostics == ({"universal_eigenpair": True},)
 
     def test_wrong_degree_is_rejected(self, deg3):
-        field, _, cert, _, _, flow = deg3
+        _, _, _, _, _, flow = deg3
         with pytest.raises(ValueError, match="degree-1"):
-            dg.degenerate_gamma1(field, cert, flow)
+            dg.degenerate_gamma1((), flow)
 
 
 class TestDeformedField:
@@ -446,15 +447,15 @@ class TestRescaleRoutes:
         assert values == [F(-1), F(-1, 3), F(8, 3), F(10, 3)]
 
     def test_zero_shift_rate_is_rejected(self, deg3):
-        field, _, cert, _, _, flow = deg3
+        _, _, _, _, _, flow = deg3
         halted = dataclasses.replace(flow, ghat0=MultiPoly.zero())
         with pytest.raises(dg.G0IdenticallyZero):
-            dg.degenerate_gamma_ge2(field, cert, halted)
+            dg.degenerate_gamma_ge2((), halted)
 
     def test_wrong_degree_is_rejected(self, deg1):
-        field, _, cert, _, _, flow = deg1
+        _, _, _, _, _, flow = deg1
         with pytest.raises(ValueError, match="at least"):
-            dg.degenerate_gamma_ge2(field, cert, flow)
+            dg.degenerate_gamma_ge2((), flow)
 
 
 class TestUnrescalableLocus:
@@ -470,7 +471,7 @@ class TestUnrescalableLocus:
         flow = dg.ParamFlow(ghat0=a2, ghat=(a1 ** 3, a2 ** 3),
                             kappa=(1, 1), gamma=2, parameters=pvars)
         with pytest.warns(dg.UnrescalableLocus):
-            report = dg.degenerate_gamma_ge2(field, cert, flow)
+            report = dg.degenerate_gamma_ge2(lower_pool(field, cert), flow)
         exact = [p for p, r in zip(report.flow_loci, report.routes)
                  if r == "rescale_exact"]
         assert sorted(exact) == [(-1, -1), (0, -1), (1, -1)]

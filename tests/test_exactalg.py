@@ -259,8 +259,13 @@ def test_solve_singular_residual_is_exactly_zero(m, data):
 @settings(max_examples=100)
 @given(small_matrices())
 def test_root_multiset_matches_trace_and_det(m):
-    roots = roots_exact_first(m.charpoly()).approximate_multiset()
+    rs = roots_exact_first(m.charpoly())
+    roots = rs.multiset()
     assert len(roots) == m.nrows
+    assert (sum(type(r) is Fraction for r in roots)
+            == sum(mult for _, mult in rs.rational_roots))
+    assert list(roots) == sorted(roots, key=lambda r: (complex(r).real,
+                                                       complex(r).imag))
     assert math.isclose(sum(r.real for r in roots), float(m.trace()), abs_tol=1e-6)
     assert abs(sum(r.imag for r in roots)) < 1e-6
     prod = complex(1)
@@ -327,16 +332,31 @@ class TestRoots:
         rs = roots_exact_first([1, 0, -4, 0, 4])
         assert rs.rational_roots == ()
         assert sorted(m for _, m, _ in rs.numeric_roots) == [2, 2]
-        assert rs.total_multiplicity() == 4
+        assert len(rs.multiset()) == 4
 
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):
             roots_exact_first([0, 1, 1])
 
     def test_values_order(self):
-        rs = roots_exact_first([1, -1, -2, 2])
-        flags = [exact for _, _, exact in rs.values()]
-        assert flags == sorted(flags, reverse=True)
+        # multiset(): roots repeated by multiplicity, sorted by (re, im),
+        # rational ones kept exact
+        r2 = math.sqrt(2)
+        cases = [
+            ([1, -1, -2, 2], [-r2, F(1), r2]),            # (x - 1)(x^2 - 2)
+            ([1, -1, -8, 12], [F(-3), F(2), F(2)]),       # (x + 3)(x - 2)^2
+            ([1, 0, -4, 0, 4], [-r2, -r2, r2, r2]),       # (x^2 - 2)^2
+            ([1, 1, 1, 1], [F(-1), -1j, 1j]),             # (x + 1)(x^2 + 1)
+        ]
+        for coeffs, expected in cases:
+            values = roots_exact_first(coeffs).multiset()
+            assert len(values) == len(expected)
+            for got, want in zip(values, expected):
+                if isinstance(want, Fraction):
+                    assert type(got) is Fraction and got == want
+                else:
+                    assert not isinstance(got, Fraction)
+                    assert abs(got - want) < 1e-9
 
 
 @settings(max_examples=100)

@@ -226,12 +226,10 @@ def _pairing_at_every_locus(field, cert, h_degree):
         report = k_exponents(field, cert, exact_point(locus))
         roots = report.exponents
         if roots.is_fully_rational:
-            flat = [r for r, mult in roots.rational_roots
-                    for _ in range(mult)]
-            assert hamiltonian_pairing_check(flat, cert.weights,
+            assert hamiltonian_pairing_check(roots.multiset(), cert.weights,
                                              h_degree) == ()
         else:
-            values = roots.approximate_multiset()
+            values = roots.multiset()
             mirrored = sorted((span - v for v in values),
                               key=lambda z: (z.real, z.imag))
             assert all(abs(a - b) <= 1e-9
