@@ -334,11 +334,10 @@ def _locus_stage(field, cert, spec, args):
     return entries, loci, spectra, violations, lines
 
 
-def _series_stage(field, cert, loci, entries, args):
+def _series_stage(field, cert, loci, entries, truncation):
     violations: list[str] = []
     lines: list[str] = []
     solutions: dict[int, object] = {}
-    truncation = args.truncation
     for idx, locus in enumerate(loci):
         if not locus.is_exact:
             continue
@@ -608,8 +607,11 @@ def _run(args):
 
         solutions: dict[int, object] = {}
         if "series" in stages:
+            # --truncation wins over the problem file's truncation = N
+            truncation = (args.truncation if args.truncation is not None
+                          else spec.truncation)
             solutions, found, more = _series_stage(
-                field, cert, loci, entries, args)
+                field, cert, loci, entries, truncation)
             violations += found
             lines += more
 

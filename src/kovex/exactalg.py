@@ -337,18 +337,6 @@ class MultiPoly:
 # dense exact matrices
 
 
-@dataclass(frozen=True)
-class Inconsistent:
-    """Returned (not raised) when a singular linear system has no solution."""
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Particular solution (free coordinates pinned to zero) plus kernel basis."""
-    particular: tuple[Fraction, ...]
-    kernel: tuple[tuple[Fraction, ...], ...]
-
-
 class ExactMatrix:
     """Dense matrix over Q."""
 
@@ -487,24 +475,40 @@ class ExactMatrix:
             basis.append(tuple(v))
         return tuple(basis)
 
-    def solve_singular(self, rhs: Sequence[Scalar]) -> LinearSolution | Inconsistent:
-        """Solve A x = b allowing a singular A.
+    def solve_singular(self, rhs: Sequence) -> tuple[tuple, tuple]:
+        """Solve A x = b for any A, with b rational or MultiPoly entries.
 
-        Free coordinates of the particular solution are pinned to zero, so the
-        answer is deterministic.  Inconsistency is a value, not an exception:
-        callers in the series recursion treat it as data.
+        One elimination of [A | I] yields the row transform T that brings A
+        to reduced row echelon form; T b is read off in two parts.  The
+        pivot rows give the particular solution, free coordinates pinned to
+        zero so the answer is deterministic.  The rows past the rank give
+        the residue, one entry per direction of the left kernel, so a square
+        A is singular exactly when the residue is nonempty.  The system is
+        consistent exactly when every residue entry vanishes; for aligned
+        polynomial entries, the monomials of the residue are the ones whose
+        coefficient system has no solution.  Inconsistency is a value, not
+        an exception: the series recursion records it as data.
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
-        b = [as_fraction(x) for x in rhs]
-        augmented = ExactMatrix([list(row) + [bv] for row, bv in zip(self.data, b)])
-        reduced, pivots = augmented.rref()
-        if self.ncols in pivots:
-            return Inconsistent()
-        x = [Fraction(0)] * self.ncols
-        for row, pc in enumerate(pivots):
-            x[pc] = reduced.data[row][self.ncols]
-        return LinearSolution(tuple(x), self.kernel())
+        n = self.ncols
+        b = [x if isinstance(x, MultiPoly) else as_fraction(x) for x in rhs]
+        zero = b[0] * 0
+        reduced, pivots = ExactMatrix(
+            [list(row) + [int(i == k) for k in range(self.nrows)]
+             for i, row in enumerate(self.data)]).rref()
+        transformed = []
+        for row in reduced.data:
+            total = zero
+            for t, value in zip(row[n:], b):
+                if t:
+                    total = total + value * t
+            transformed.append(total)
+        rank = sum(1 for pc in pivots if pc < n)
+        x = [zero] * n
+        for row, pc in enumerate(pivots[:rank]):
+            x[pc] = transformed[row]
+        return tuple(x), tuple(transformed[rank:])
 
     def charpoly(self) -> list[Fraction]:
         """Monic characteristic polynomial det(tI - A), descending coefficients.

@@ -331,19 +331,23 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
               tolerance: float = DEFAULT_TOL,
               dedup_tol: float = _DEDUP_TOL,
               max_branches: int = 512) -> LocusSearch:
-    """Hunt for indicial loci with three stacked strategies.
+    """Hunt for indicial loci with three stacked strategies, in this order.
 
     1. User seeds are snapped to rationals and verified exactly; failing
        that they start a Newton run.
-    2. Newton multistart: per zero pattern (a choice of coordinates clamped
-       to zero), ``newton_starts`` pseudo-random complex starts, refined to
-       ``tolerance``, then snapped and re-verified exactly.  Reproducible
-       through ``rng_seed``.
-    3. Structured search: the same zero patterns, but the clamped system is
-       handed to the exact solver; every returned point is certified.
+    2. Structured search: per zero pattern (a choice of coordinates clamped
+       to zero), the clamped system is handed to the exact solver; every
+       returned point is certified.
+    3. Newton multistart: the same zero patterns, ``newton_starts``
+       pseudo-random complex starts each, refined to ``tolerance``, then
+       snapped and re-verified exactly.  Reproducible through ``rng_seed``.
 
-    Numeric loci that snap and verify are upgraded to exact.  No claim of
-    completeness is made; strategies that ran are listed in the result.
+    A point is recorded with the first strategy that finds it, so an exact
+    locus that both the structured search and Newton reach is reported as
+    ``structured_search``: the certified route runs before the numeric
+    one.  Numeric loci that snap and verify are upgraded to exact.  No
+    claim of completeness is made; strategies that ran are listed in the
+    result.
     """
     m = field.dim
     eqs = indicial_system(field, certificate)

@@ -11,7 +11,10 @@ first obstruction is marked non-authoritative).
 
 Everything is exact: coefficients are polynomials over Q in the parameters
 alpha1, alpha2, ... introduced at the resonances, and the pole position
-never appears in them.
+never appears in them.  Each order costs one elimination of K(c) - jI,
+whose row transform is applied to the polynomial vector N_j as a whole;
+the same solve yields d_j and, on the rows past the rank, exactly the
+alpha-monomials of N_j that make the system inconsistent.
 
 The recursion is incremental, as in Taylor-series integrators.  Every
 monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactalg import ExactMatrix, Inconsistent, MultiPoly, as_fraction
+from .exactalg import ExactMatrix, MultiPoly, as_fraction
 from .kovalevskaya import exact_point, k_exponents
 from .vfmodel import VectorField, WeightCertificate, verify_weight
 
@@ -258,29 +261,17 @@ def _field_orders(field: VectorField, partials: list[list],
     return out
 
 
-def _monomials_of(polys: Sequence[MultiPoly]):
-    """Align a coefficient vector and split it into shared alpha-monomials."""
-    union = tuple(sorted(set().union(*(p.vars for p in polys))))
-    aligned = [p.embed(union) if p.vars != union else p for p in polys]
-    exponents = sorted(set().union(*(p.terms.keys() for p in aligned)))
-    for e in exponents:
-        yield union, e, [p.terms.get(e, Fraction(0)) for p in aligned]
-
-
-def _alpha_monomial(union: tuple[str, ...], e: tuple[int, ...]) -> MultiPoly:
-    return MultiPoly(union, {e: Fraction(1)})
-
-
 def build_series(field: VectorField, certificate: WeightCertificate, locus,
                  truncation: int | None = None) -> LaurentSolution:
     """Run the order-by-order recursion at an exact locus.
 
-    The right-hand side at order j is split into alpha-monomials and each
-    one is solved against K(c) - jI separately, which keeps the linear
-    algebra over plain rationals.  Free parameters are introduced at
-    consistent resonances with the anchor gauge described on
-    ResonanceRecord; inconsistencies are recorded as obstructions and the
-    recursion keeps going so later structure stays visible.
+    Each order is one exact solve of (K(c) - jI) d_j = -N_j with the
+    polynomial right-hand side taken whole (ExactMatrix.solve_singular).
+    The residue of that solve names the alpha-monomials whose system is
+    inconsistent: they are dropped from d_j and the order is recorded as
+    an obstruction, and the recursion keeps going so later structure
+    stays visible.  Where K(c) - jI is singular, free parameters enter
+    along its kernel with the anchor gauge described on ResonanceRecord.
     """
     if certificate.degree != 1:
         raise ValueError("series construction needs a degree-1 field")
@@ -313,49 +304,28 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
         rhs = [n * -1 for n in prefixes.advance(j)]
+        union = tuple(sorted(set().union(*(p.vars for p in rhs))))
         shifted = report.matrix - ExactMatrix.identity(m) * j
-
-        kernel = shifted.kernel()
-        d_j = [MultiPoly.zero() for _ in range(m)]
-        anchors: list[int] = []
-        directions: list[tuple[Fraction, ...]] = []
-        if kernel:
-            # Reduced row echelon form of the kernel gives the anchor
-            # gauge directly: each direction is 1 at its own anchor and
-            # 0 at every other direction's anchor.
-            reduced, pivots = ExactMatrix(list(kernel)).rref()
-            for row, anchor in zip(reduced.data, pivots):
-                anchors.append(anchor)
-                directions.append(tuple(row))
-
-        obstructed_here = False
-        if any(rhs):
-            for union, e, values in _monomials_of(rhs):
-                solved = shifted.solve_singular(values)
-                if isinstance(solved, Inconsistent):
-                    obstructed_here = True
-                    continue
-                particular = list(solved.particular)
-                for anchor, direction in zip(anchors, directions):
-                    if particular[anchor]:
-                        shift = particular[anchor]
-                        particular = [x - shift * d
-                                      for x, d in zip(particular, direction)]
-                mono = _alpha_monomial(union, e)
-                for i in range(m):
-                    if particular[i]:
-                        d_j[i] = d_j[i] + mono * particular[i]
-
-        for anchor, direction in zip(anchors, directions):
-            name = f"alpha{len(resonances) + 1}"
-            resonances.append(ResonanceRecord(j, name, anchor, direction))
-            alpha = MultiPoly.variable(name)
-            for i in range(m):
-                if direction[i]:
-                    d_j[i] = d_j[i] + alpha * direction[i]
-
-        if obstructed_here:
+        d_j, residue = shifted.solve_singular([p.embed(union) for p in rhs])
+        inconsistent = set().union(*(r.terms for r in residue))
+        if inconsistent:
             obstructions.append(j)
+            d_j = [MultiPoly(union, {e: c for e, c in p.terms.items()
+                                     if e not in inconsistent})
+                   for p in d_j]
+        if residue:
+            # K(c) - jI is singular.  Reduced row echelon form of its
+            # kernel gives the anchor gauge directly: each direction is 1
+            # at its own anchor and 0 at every other direction's anchor,
+            # so each step leaves the bare parameter at its anchor.
+            reduced, anchors = ExactMatrix(list(shifted.kernel())).rref()
+            for anchor, direction in zip(anchors, reduced.data):
+                name = f"alpha{len(resonances) + 1}"
+                resonances.append(ResonanceRecord(j, name, anchor, direction))
+                step = MultiPoly.variable(name) - d_j[anchor]
+                d_j = [x + step * d if d else x
+                       for x, d in zip(d_j, direction)]
+
         for i in range(m):
             coeffs[i].append(d_j[i])
         prefixes.settle(j)

@@ -97,6 +97,18 @@ def test_truncation_flag_reaches_the_series(tmp_path):
     assert report["loci"][0]["series"]["truncation"] == 6
 
 
+def test_problem_file_truncation_applies_unless_the_flag_overrides(tmp_path):
+    problem = tmp_path / "weierstrass.kov"
+    problem.write_text((PROBLEMS / "weierstrass.kov").read_text(encoding="utf-8")
+                       + "truncation = 5\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    for flag, expected in (([], 5), (["--truncation", "7"], 7)):
+        assert main(["series", str(problem), "--json", str(out)] + flag) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["options"]["truncation"] == (7 if flag else None)
+        assert report["loci"][0]["series"]["truncation"] == expected
+
+
 def test_weight_inference_is_echoed(tmp_path):
     out = tmp_path / "report.json"
     assert main(["analyze", str(PROBLEMS / "painleve1_auto.kov"),

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from kovex.exactalg import (
     ExactMatrix,
-    Inconsistent,
-    LinearSolution,
     MultiPoly,
     NumericNonConvergence,
     poly_eval,
@@ -200,22 +198,44 @@ class TestExactMatrix:
 
     def test_solve_singular_consistent(self):
         m = ExactMatrix([[1, 2], [2, 4]])
-        sol = m.solve_singular([1, 2])
-        assert isinstance(sol, LinearSolution)
-        assert sol.particular == (F(1), F(0))
-        assert sol.kernel == ((F(-2), F(1)),)
-        assert m.matvec(sol.particular) == (F(1), F(2))
+        particular, residue = m.solve_singular([1, 2])
+        assert particular == (F(1), F(0))
+        assert residue == (F(0),)
+        assert m.matvec(particular) == (F(1), F(2))
 
     def test_solve_singular_inconsistent(self):
         m = ExactMatrix([[1, 2], [2, 4]])
-        assert m.solve_singular([1, 3]) == Inconsistent()
+        _, residue = m.solve_singular([1, 3])
+        assert len(residue) == 1 and residue[0] != 0
 
     def test_solve_regular(self):
         m = ExactMatrix([[2, 1], [12, 3]])
-        sol = m.solve_singular([1, 0])
-        assert isinstance(sol, LinearSolution)
-        assert sol.kernel == ()
-        assert m.matvec(sol.particular) == (F(1), F(0))
+        particular, residue = m.solve_singular([1, 0])
+        assert residue == ()
+        assert m.matvec(particular) == (F(1), F(0))
+
+    def test_solve_singular_polynomial_rhs_names_the_bad_monomial(self):
+        # a*(1, 2) is consistent, b*(1, 3) is not.  Per monomial e, the
+        # residue must flag exactly the inconsistent ones and the particular
+        # part must match a row reduction of [A | b_e] done here.
+        m = ExactMatrix([[1, 2], [2, 4]])
+        a = MultiPoly.variable("a", ("a", "b"))
+        b = MultiPoly.variable("b", ("a", "b"))
+        rhs = [a + b, a * 2 + b * 3]
+        particular, residue = m.solve_singular(rhs)
+        assert len(residue) == 1
+        assert set(residue[0].terms) == {(0, 1)}
+        for e in ((1, 0), (0, 1)):
+            values = [p.terms.get(e, F(0)) for p in rhs]
+            reduced, pivots = ExactMatrix(
+                [list(row) + [v] for row, v in zip(m.data, values)]).rref()
+            assert (m.ncols in pivots) == (e in residue[0].terms)
+            if m.ncols in pivots:
+                continue
+            expected = [F(0)] * m.ncols
+            for row, pc in enumerate(pivots):
+                expected[pc] = reduced.data[row][m.ncols]
+            assert [p.terms.get(e, F(0)) for p in particular] == expected
 
     def test_matmul(self):
         a = ExactMatrix([[1, 2], [3, 4]])
@@ -249,10 +269,11 @@ def test_charpoly_matches_det_and_trace(m):
 def test_solve_singular_residual_is_exactly_zero(m, data):
     x0 = [data.draw(st.integers(-5, 5)) for _ in range(m.ncols)]
     b = m.matvec(x0)
-    sol = m.solve_singular(b)
-    assert isinstance(sol, LinearSolution)  # constructed consistent
-    assert m.matvec(sol.particular) == b
-    for k in sol.kernel:
+    particular, residue = m.solve_singular(b)
+    assert not any(residue)  # constructed consistent
+    assert len(residue) == m.nrows - m.rank()
+    assert m.matvec(particular) == b
+    for k in m.kernel():
         assert m.matvec(k) == tuple([F(0)] * m.nrows)
 
 

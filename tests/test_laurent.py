@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kovex.degeneration import g_expansion
-from kovex.exactalg import MultiPoly
+from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import InexactLocusError
 from kovex.laurent import (
     OutsideHeuristicRadius,
@@ -232,6 +232,23 @@ class TestCoupledQuintic:
             assert not sol.coefficient(i, 3)
         assert any(sol.coefficient(i, 4) for i in range(4))
 
+    def test_one_elimination_per_order(self, pair4d_deg3, monkeypatch):
+        field, _, cert = pair4d_deg3
+        calls = []
+        rref = ExactMatrix.rref
+
+        def counted(matrix):
+            calls.append(matrix.nrows)
+            return rref(matrix)
+
+        monkeypatch.setattr(ExactMatrix, "rref", counted)
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=32)
+        # one solve per order, plus the kernel and its gauge at each
+        # resonant order (2, 5 and 8)
+        resonant = set(sol.resonance_orders())
+        assert resonant == {2, 5, 8}
+        assert len(calls) <= 32 + 2 * len(resonant)
+
     def test_lower_balance_keeps_two_parameters(self, pair4d_deg3):
         field, _, cert = pair4d_deg3
         sol = build_series(field, cert, (3, 27, 0, -3))
@@ -263,6 +280,17 @@ class TestObstructed:
 
     def test_dropped_monomial_shows_up_as_a_defect(self):
         assert residual_order(self.field, self.cert, self.sol) == 2
+
+    def test_inconsistent_monomial_is_dropped_from_every_component(self):
+        # with y^2 in F.2 too, alpha1^2 also reaches the pivot rows of
+        # K - 2I, whose solve would carry it into d_{3,2} via the gauge
+        field, cert = _field(OBSTRUCTED_3D.replace('F.2 = "x*z"',
+                                                   'F.2 = "x*z + y^2"'))
+        sol = build_series(field, cert, (1, 0, 0), truncation=4)
+        assert sol.obstructions == (2,)
+        alpha2 = MultiPoly.variable("alpha2")
+        assert sol.coefficient(1, 2) == alpha2
+        assert sol.coefficient(2, 2) == alpha2
 
 
 class TestInputChecks:
