@@ -616,51 +616,118 @@ def _padded(a: list[Fraction], b: list[Fraction]):
     return zip(pa, pb)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _integer_part(coeffs: Sequence[Fraction]) -> list[int]:
+    """The primitive integer multiple of a rational polynomial (same order)."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
-def _rational_root(coeffs: list[Fraction]) -> Fraction | None:
-    """One rational root of a monic rational polynomial, or None.
+def _sign_changes(coeffs: Sequence[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    Clears denominators and enumerates p/q by the rational root theorem, so the
-    search is complete: if None comes back, the polynomial has no rational root.
+
+def _shift_by_one(coeffs: Sequence[int]) -> list[int]:
+    """Ascending coefficients of p(x + 1) from those of p(x) (Taylor shift)."""
+    out = list(coeffs)
+    n = len(out) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
+
+
+def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
+    """Positive rational roots of an integer polynomial with p(0) != 0.
+
+    coeffs ascend.  Every positive rational root is k/lead for an integer
+    k, so an interval needs a closer look only while it holds two or more
+    such candidates and Descartes' rule of signs allows a root in it; an
+    interval holding one candidate is settled by evaluating p there
+    exactly.  Intervals are bisected at dyadic points, which are tested
+    for roots as they appear (Collins & Akritas 1976, on Python ints).
     """
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
-    a0 = ints[-1]
-    if a0 == 0:
-        return Fraction(0)
-    candidates = sorted({
-        sign * Fraction(p, q)
-        for p in _divisors(a0)
-        for q in _divisors(ints[0])
-        for sign in (1, -1)
-    })
-    for r in candidates:
-        if poly_eval(coeffs, r) == 0:
-            return r
-    return None
+    if _sign_changes(coeffs) == 0:
+        return []
+    # Fujiwara: every root has |z| < 2 max_i |a_{n-i}/a_n|^(1/i) <= 2^bound
+    top = coeffs[-1].bit_length()
+    bound = max(0, 1 + max(-((top - 1 - abs(c).bit_length()) // i)
+                           for i, c in enumerate(reversed(coeffs[:-1]), 1)
+                           if c))
+
+    def vanishes_at(k: int) -> bool:
+        # lead^n p(k/lead), by Horner on integers
+        acc, power = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            power *= lead
+            acc = acc * k + c * power
+        return acc == 0
+
+    found: list[Fraction] = []
+    # p(2^bound x) on (0, 1); an entry (q, num, e) stands for the interval
+    # 2^bound (num, num + 1) / 2^e, q being p mapped onto (0, 1)
+    pending = [([c << (bound * i) for i, c in enumerate(coeffs)], 0, 0)]
+    while pending:
+        poly, num, e = pending.pop()
+        first = ((lead * num) << bound >> e) + 1
+        last = (((lead * (num + 1)) << bound) - 1) >> e
+        if first > last:
+            continue
+        if first == last:
+            if vanishes_at(first):
+                found.append(Fraction(first, lead))
+            continue
+        if _sign_changes(_shift_by_one(poly[::-1])) == 0:
+            continue
+        d = len(poly) - 1
+        left = [c << (d - i) for i, c in enumerate(poly)]
+        right = _shift_by_one(left)
+        if right[0] == 0:
+            found.append(Fraction((2 * num + 1) << bound, 1 << (e + 1)))
+            while right[0] == 0:
+                right = right[1:]
+        pending.append((left, 2 * num, e + 1))
+        pending.append((right, 2 * num + 1, e + 1))
+    return found
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (x - root); the remainder must vanish."""
+def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """Every distinct rational root of a rational polynomial, ascending.
+
+    coeffs descend.  The search runs on the square-free integer part f of
+    the polynomial: by the rational root theorem each rational root of f
+    is k/lead with lead the leading coefficient of f, and exact real-root
+    isolation narrows every interval that may hold a root until it holds
+    at most one such candidate (at the latest once it is narrower than
+    1/lead), which exact evaluation then accepts or rejects.  The search
+    is complete, and its cost grows with the bit size of the coefficients
+    rather than with their magnitude.
+    """
+    exact = _trim([as_fraction(c) for c in coeffs])
+    found: list[Fraction] = []
+    while len(exact) > 1 and exact[-1] == 0:
+        exact.pop()
+        found = [Fraction(0)]
+    if len(exact) > 1:
+        squarefree = _poly_divmod(
+            exact, _poly_gcd(exact, poly_derivative(exact)))[0]
+        ascending = _integer_part(squarefree)[::-1]
+        lead = abs(ascending[-1])
+        found.extend(_positive_rational_roots(ascending, lead))
+        mirrored = [-c if i % 2 else c for i, c in enumerate(ascending)]
+        found.extend(-r for r in _positive_rational_roots(mirrored, lead))
+    return sorted(found)
+
+
+def _deflate(coeffs: list[Fraction],
+             root: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Exact synthetic division by (x - root): (quotient, remainder)."""
     out = [coeffs[0]]
     for c in coeffs[1:-1]:
         out.append(c + out[-1] * root)
-    remainder = coeffs[-1] + out[-1] * root
-    if remainder != 0:
-        raise ArithmeticError(f"{root} is not a root (remainder {remainder})")
-    return out
+    return out, coeffs[-1] + out[-1] * root
 
 
 def _aberth(coeffs: list[float], max_iter: int) -> list[complex]:
@@ -729,13 +796,15 @@ class RootSet:
 
 def roots_exact_first(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
-    """Find all roots: complete rational enumeration, then certified numerics.
+    """Find all roots: complete rational search, then certified numerics.
 
-    The rational stage (rational root theorem + exact deflation) is complete,
-    so every rational root lands in ``rational_roots`` with its exact
-    multiplicity.  The residual is split into squarefree factors exactly (Yun),
-    which hands the numeric stage only simple roots; each numeric root must
-    have backward error <= tol or NumericNonConvergence is raised.
+    The rational stage is complete: ``rational_roots`` isolates the real
+    roots once, without trial division, and finds every rational root;
+    exact deflation by each of them then gives its multiplicity, so every
+    rational root lands in ``rational_roots`` with its exact multiplicity.
+    The residual is split into squarefree factors exactly (Yun), which
+    hands the numeric stage only simple roots; each numeric root must have
+    backward error <= tol or NumericNonConvergence is raised.
     """
     exact = [as_fraction(c) for c in coeffs]
     if not exact or exact[0] == 0:
@@ -743,12 +812,14 @@ def roots_exact_first(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL,
     monic = [c / exact[0] for c in exact]
 
     rational: dict[Fraction, int] = {}
-    while len(monic) > 1:
-        root = _rational_root(monic)
-        if root is None:
-            break
-        rational[root] = rational.get(root, 0) + 1
-        monic = _deflate(monic, root)
+    for root in rational_roots(monic):
+        rational[root] = 0
+        while len(monic) > 1:
+            quotient, remainder = _deflate(monic, root)
+            if remainder:
+                break
+            monic = quotient
+            rational[root] += 1
 
     residual = tuple(monic)
     numeric: list[tuple[complex, int, float]] = []

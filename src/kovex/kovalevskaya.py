@@ -331,23 +331,29 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
               tolerance: float = DEFAULT_TOL,
               dedup_tol: float = _DEDUP_TOL,
               max_branches: int = 512) -> LocusSearch:
-    """Hunt for indicial loci with three stacked strategies, in this order.
+    """Hunt for indicial loci, exact strategies first, in this order.
 
     1. User seeds are snapped to rationals and verified exactly; failing
        that they start a Newton run.
     2. Structured search: per zero pattern (a choice of coordinates clamped
        to zero), the clamped system is handed to the exact solver; every
        returned point is certified.
-    3. Newton multistart: the same zero patterns, ``newton_starts``
-       pseudo-random complex starts each, refined to ``tolerance``, then
-       snapped and re-verified exactly.  Reproducible through ``rng_seed``.
+    3. Newton multistart, only on the zero patterns the exact solver left
+       incomplete: ``newton_starts`` pseudo-random complex starts each,
+       refined to ``tolerance``, then snapped and re-verified exactly.
+       Reproducible through ``rng_seed``.
 
-    A point is recorded with the first strategy that finds it, so an exact
-    locus that both the structured search and Newton reach is reported as
-    ``structured_search``: the certified route runs before the numeric
-    one.  Numeric loci that snap and verify are upgraded to exact.  No
-    claim of completeness is made; strategies that ran are listed in the
-    result.
+    A complete exact solve has listed every complex solution of its
+    clamped system, all of them rational and each nonzero one already
+    recorded, so Newton could only approximate those points again; such a
+    pattern gets no Newton run.  Its starts are still drawn, so the starts
+    of every other pattern stay the same.  A point is recorded with the
+    first strategy that finds it, so an exact locus that both the
+    structured search and Newton reach is reported as
+    ``structured_search``.  Numeric loci that snap and verify are upgraded
+    to exact.  No claim of completeness is made; the strategies that ran
+    are listed in the result, ``newton`` only when it ran on at least one
+    pattern.
     """
     m = field.dim
     eqs = indicial_system(field, certificate)
@@ -404,6 +410,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 if not all(p)]
 
     strategies.append("structured_search")
+    solved: list[bool] = []
     for pattern in patterns:
         clamped = []
         for eq in eqs:
@@ -412,6 +419,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             clamped.append(eq.substitute(zeroed) if zeroed else eq)
         free_vars = [v for v, z in zip(field.variables, pattern) if not z]
         result = solve_poly_system(clamped, free_vars, max_branches)
+        solved.append(result.complete)
         for partial in result.points:
             filled = dict(zip(free_vars, partial))
             point = tuple(filled.get(v, Fraction(0)) for v in field.variables)
@@ -419,14 +427,19 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 register_exact(point, "structured_search")
 
     if newton_starts > 0:
-        strategies.append("newton")
         rng = np.random.default_rng(rng_seed)
-        for pattern in patterns:
+        for pattern, complete in zip(patterns, solved):
             free = np.array([i for i, z in enumerate(pattern) if not z])
             starts = np.zeros((newton_starts, m), dtype=np.complex128)
+            # drawn for every pattern, so a pattern's starts do not depend
+            # on which earlier patterns the exact solver settled
             starts[:, free] = (rng.standard_normal((newton_starts, len(free)))
                                + 1j * rng.standard_normal((newton_starts,
                                                            len(free))))
+            if complete:
+                continue
+            if "newton" not in strategies:
+                strategies.append("newton")
             for refined in _newton_refine(eval_f, eval_jac, starts, free,
                                           tolerance):
                 register_numeric(refined, "newton")

@@ -1,4 +1,4 @@
-"""The acceptance gate: eight criteria, one test and one verdict line each.
+"""The acceptance gate: nine criteria, one test and one verdict line each.
 
 Run with -v and pytest's own PASSED/FAILED column is the per-criterion
 verdict; each test additionally prints a "criterion n: PASS (t)" line
@@ -8,15 +8,18 @@ number would.
 """
 
 import dataclasses
+import json
 import random
 import string
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 from conftest import CUBIC_2D, PAIR_4D_DEG3, lower_pool
 import test_properties as props
 from kovex import degeneration as dg
+from kovex.cli import main
 from kovex.exactalg import MultiPoly
 from kovex.kovalevskaya import exact_point, find_loci, k_exponents
 from kovex.laurent import build_series
@@ -225,3 +228,38 @@ def test_criterion_8_deep_series_and_expansion_within_budget(pair4d_deg3):
         assert sol.resonance_orders() == (2, 5, 8)
         assert expansion.count == 49
         assert expansion.vector(0) == (0, 0, 0, 0)
+
+
+# two uncoupled cubic blocks q' = a p, p' = b q^2 with coefficients of
+# height 10^5; a block's nonzero balance is (6/(ab), -12/(a^2 b)), with
+# exponents {-1, 6}, and its exponents at the zero balance are its weights
+CUBIC_BLOCKS_1E5 = ((F(90821, 94291), F(88811, 86249)),
+                    (F(-95731, 80177), F(87869, 91807)))
+
+
+def test_criterion_9_locus_search_at_coefficient_height_1e5(tmp_path):
+    # the rational-root step must not grow with the size of the constant
+    # terms: trial division of them took more than 45 s on this problem
+    (a1, b1), (a2, b2) = CUBIC_BLOCKS_1E5
+    problem = tmp_path / "cubic_blocks.kov"
+    problem.write_text(
+        "variables = [q1:2, p1:3, q2:2, p2:3]\n"
+        f'F.1 = "{a1}*p1"\nF.2 = "{b1}*q1^2"\n'
+        f'F.3 = "{a2}*p2"\nF.4 = "{b2}*q2^2"\n', encoding="utf-8")
+    out = tmp_path / "report.json"
+    with _criterion(9, budget=5.0):
+        assert main(["loci", str(problem), "--json", str(out)]) == 0
+    balances = [((F(0), F(0)), (6 / (a * b), -12 / (a * a * b)))
+                for a, b in CUBIC_BLOCKS_1E5]
+    expected = {}
+    for first, second in product(*balances):
+        spectrum = sorted([-1, 6] if any(first) else [2, 3])
+        spectrum += [-1, 6] if any(second) else [2, 3]
+        expected[first + second] = sorted(spectrum)
+    del expected[(F(0),) * 4]
+    loci = json.loads(out.read_text(encoding="utf-8"))["loci"]
+    assert all(locus["exactness"] == "exact" for locus in loci)
+    assert {tuple(F(c) for c in locus["point"]):
+            sorted(int(r["value"]) for r in locus["exponents"]["rational"]
+                   for _ in range(r["multiplicity"]))
+            for locus in loci} == expected

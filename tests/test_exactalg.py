@@ -12,6 +12,7 @@ from kovex.exactalg import (
     MultiPoly,
     NumericNonConvergence,
     poly_eval,
+    rational_roots,
     roots_exact_first,
     snap_rational,
 )
@@ -394,6 +395,140 @@ def test_rational_root_completeness_on_linear_products(roots):
     for r in roots:
         expected[r] = expected.get(r, 0) + 1
     assert dict(rs.rational_roots) == expected
+
+
+def _divisors(n):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _rational_root(coeffs):
+    """Oracle: one rational root of a monic rational polynomial, or None.
+
+    Clears denominators and tries each p/q with p | a0 and q | lead, as
+    the rational root theorem allows, so the search is complete; its cost
+    grows with the number of divisors of the constant term, which limits
+    it to small coefficients.
+    """
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom_lcm) for c in coeffs]
+    a0 = ints[-1]
+    if a0 == 0:
+        return F(0)
+    candidates = sorted({
+        sign * F(p, q)
+        for p in _divisors(a0)
+        for q in _divisors(ints[0])
+        for sign in (1, -1)
+    })
+    for r in candidates:
+        if poly_eval(coeffs, r) == 0:
+            return r
+    return None
+
+
+def _oracle_roots(coeffs):
+    """Every distinct rational root, ascending: trial division and deflation."""
+    monic = [F(c) / F(coeffs[0]) for c in coeffs]
+    found = set()
+    while len(monic) > 1:
+        root = _rational_root(monic)
+        if root is None:
+            break
+        found.add(root)
+        quotient = [monic[0]]
+        for c in monic[1:-1]:
+            quotient.append(c + quotient[-1] * root)
+        monic = quotient
+    return sorted(found)
+
+
+def _expand(lead, factors):
+    """Descending coefficients of lead * prod(factors), factors descending."""
+    coeffs = [F(lead)]
+    for factor in factors:
+        out = [F(0)] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        coeffs = out
+    return coeffs
+
+
+RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+# factors without a rational root: x^2 + b (b > 0), x^2 - 2 t^2 (t != 0)
+# and x^3 - 3 t^3 (t != 0)
+ROOTLESS = st.one_of(
+    st.fractions(min_value=0, max_value=9, max_denominator=4).filter(bool)
+    .map(lambda b: [F(1), F(0), b]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    .map(lambda t: [F(1), F(0), -2 * t * t]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    .map(lambda t: [F(1), F(0), F(0), -3 * t ** 3]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RATIONALS, max_size=4), st.lists(ROOTLESS, max_size=2),
+       st.fractions(min_value=-7, max_value=7, max_denominator=3).filter(bool))
+def test_rational_roots_match_trial_division(roots, rootless, lead):
+    coeffs = _expand(lead, [[F(1), -r] for r in roots] + rootless)
+    found = rational_roots(coeffs)
+    assert found == _oracle_roots(coeffs)
+    assert found == sorted(set(roots))
+
+
+class TestRationalRoots:
+    @pytest.mark.parametrize("roots", [
+        [F(1, 2)],                          # the first bisection point
+        [F(1), F(2), F(4), F(64)],          # dyadic points at every scale
+        [F(-1, 2), F(-1), F(-8)],           # the same, mirrored
+        [F(-3), F(-1, 7), F(5, 3)],
+        [F(2), F(2), F(2), F(-1, 3), F(-1, 3)],   # repeated roots
+        [F(1, 1000), F(1, 1001)],           # 1/lead apart, the least possible
+        [F(0), F(0), F(3)],
+        [F(2, 9)],                          # below 1 with an odd lead: the
+        [F(-4, 27), F(2, 9)],               # search starts on (0, 1) itself
+    ])
+    def test_pinned_roots(self, roots):
+        coeffs = _expand(3, [[F(1), -r] for r in roots])
+        assert rational_roots(coeffs) == sorted(set(roots))
+        expected = {r: roots.count(r) for r in roots}
+        assert dict(roots_exact_first(coeffs).rational_roots) == expected
+
+    def test_irrational_root_closer_than_one_over_lead_squared(self):
+        # x^2 - 1000x + 2990 has a root 0.001 below 3 (lead 1)
+        coeffs = _expand(1, [[F(1), F(-3)], [F(1), F(-1000), F(2990)]])
+        assert rational_roots(coeffs) == [F(3)]
+        rs = roots_exact_first(coeffs)
+        assert rs.rational_roots == ((F(3), 1),)
+        assert len(rs.numeric_roots) == 2
+
+    @pytest.mark.parametrize("coeffs", [
+        [1, 0, 1],                  # complex pair
+        [1, 0, -2],                 # irrational pair
+        [4, 0, -3, 0, 1, 0, 7],     # no real root at all
+        [1, -1, -1],                # golden ratio, straddles dyadic points
+        [F(1, 3), F(5, 7), F(-2, 11)],
+    ])
+    def test_no_rational_root(self, coeffs):
+        assert rational_roots(coeffs) == []
+        assert roots_exact_first(coeffs).rational_roots == ()
+
+    def test_large_constant_term(self):
+        # (x - p/q)(x + q/p) with 13-digit primes: trial division would
+        # need about 10^6.5 divisions per candidate side
+        p, q = 1000000000039, 999999999989
+        coeffs = _expand(1, [[F(1), F(-p, q)], [F(1), F(q, p)]])
+        assert rational_roots(coeffs) == [F(-q, p), F(p, q)]
 
 
 class TestSnapRational:

@@ -293,6 +293,32 @@ class TestObstructed:
         assert sol.coefficient(2, 2) == alpha2
 
 
+ANCHORED_3D = """
+variables = [x:1, y:1, z:1]
+F.1 = "-x^2"
+F.2 = "x*z + y^2"
+F.3 = "x*z"
+"""
+
+
+class TestAnchorGauge:
+    # at (1, 0, 0) the y, z block of K - 2I is [[-1, 1], [0, 0]], whose
+    # kernel (1, 1) has its anchor at y, a pivot column; y^2 feeds
+    # alpha1^2 into the consistent y row, so the particular solution is
+    # nonzero at the anchor and the gauge has to clear it
+    def test_anchor_carries_the_bare_parameter(self):
+        field, cert = _field(ANCHORED_3D)
+        sol = build_series(field, cert, (1, 0, 0), truncation=4)
+        alpha2 = MultiPoly.variable("alpha2")
+        assert [(r.order, r.anchor) for r in sol.resonances] == [(1, 1),
+                                                                 (2, 1)]
+        assert sol.coefficient(1, 1) == ALPHA
+        assert sol.coefficient(1, 2) == alpha2
+        assert sol.coefficient(2, 2) == alpha2 - ALPHA * ALPHA
+        assert sol.obstructions == ()
+        assert residual_order(field, cert, sol) is None
+
+
 class TestInputChecks:
     def test_commuting_field_degree_is_rejected(self, pair4d_deg3):
         _, g_field, cert = pair4d_deg3
