@@ -707,9 +707,10 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """
     exact = _trim([as_fraction(c) for c in coeffs])
     found: list[Fraction] = []
-    while len(exact) > 1 and exact[-1] == 0:
-        exact.pop()
-        found = [Fraction(0)]
+    if len(exact) > 1 and exact[-1] == 0:
+        found.append(Fraction(0))
+        while exact[-1] == 0:
+            exact.pop()
     if len(exact) > 1:
         squarefree = _poly_divmod(
             exact, _poly_gcd(exact, poly_derivative(exact)))[0]
