@@ -262,21 +262,53 @@ class MultiPoly:
         return Fraction(0) if total is None else total
 
     def substitute(self, mapping: Mapping[str, object]) -> "MultiPoly":
-        """Substitute polynomials (or exact scalars) for variables."""
+        """Substitute polynomials or exact scalars for variables, all at once.
+
+        One pass over the terms: a scalar value multiplies into the
+        coefficient (a zero drops the term), a variable left alone moves its
+        exponent into the new monomial, and only polynomial values are
+        multiplied out.  The result's variables are the sorted union of the
+        variables left alone and the variables of the polynomial values,
+        counting each only where its variable occurs.
+        """
         for name in mapping:
             if name not in self.vars:
                 raise KeyError(f"{name!r} is not a variable of this polynomial")
-        repl = {name: self._coerce(value, ()) for name, value in mapping.items()}
-        result = MultiPoly.zero()
+        polys = {name: value for name, value in mapping.items()
+                 if isinstance(value, MultiPoly)}
+        scalars = {name: as_fraction(value) for name, value in mapping.items()
+                   if name not in polys}
+        out_vars: set[str] = set()
+        for i, v in enumerate(self.vars):
+            if v not in scalars and any(e[i] for e in self.terms):
+                out_vars.update(polys[v].vars if v in polys else (v,))
+        vars_t = tuple(sorted(out_vars))
+        pos = {v: i for i, v in enumerate(vars_t)}
+        powers: dict[tuple[str, int], MultiPoly] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(c)
+            mono = [0] * len(vars_t)
+            factors = []
             for v, e in zip(self.vars, exps):
                 if not e:
                     continue
-                factor = repl.get(v, MultiPoly.variable(v))
-                term = term * factor ** e
-            result = result + term
-        return result
+                if v in scalars:
+                    c = c * scalars[v] ** e
+                    if not c:
+                        break
+                elif v in polys:
+                    if (v, e) not in powers:
+                        powers[v, e] = polys[v].embed(vars_t) ** e
+                    factors.append(powers[v, e])
+                else:
+                    mono[pos[v]] = e
+            else:
+                term = {tuple(mono): c}
+                for factor in factors:
+                    term = (MultiPoly._trusted(vars_t, term) * factor).terms
+                for e, k in term.items():
+                    out[e] = out.get(e, 0) + k
+        return MultiPoly._trusted(vars_t, {e: c for e, c in out.items() if c})
 
     # -- structure queries
 
@@ -513,19 +545,54 @@ class ExactMatrix:
     def charpoly(self) -> list[Fraction]:
         """Monic characteristic polynomial det(tI - A), descending coefficients.
 
-        Faddeev-LeVerrier over Q: the divisions by the step index are exact.
+        Exact similarity transforms bring A to upper Hessenberg form H (a
+        zero pivot is replaced by swapping a row and the matching column,
+        and a column already zero below the subdiagonal is left as it is);
+        the characteristic polynomials of H's leading blocks then follow
+        from a recurrence along the subdiagonal (Cohen, A Course in
+        Computational Algebraic Number Theory, Alg. 2.2.9).  Both steps
+        take O(n^3) operations.
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial needs a square matrix")
         n = self.nrows
-        coeffs = [Fraction(1)]
-        m = ExactMatrix.identity(n)
-        for k in range(1, n + 1):
-            m = self * m
-            ck = -m.trace() / k
-            coeffs.append(ck)
-            m = m + ExactMatrix.identity(n) * ck
-        return coeffs
+        h = [list(row) for row in self.data]
+        for m in range(1, n - 1):
+            pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+            if pivot is None:
+                continue
+            if pivot != m:
+                h[m], h[pivot] = h[pivot], h[m]
+                for row in h:
+                    row[m], row[pivot] = row[pivot], row[m]
+            t = h[m][m - 1]
+            for i in range(m + 1, n):
+                u = h[i][m - 1] / t
+                if not u:
+                    continue
+                # row i -= u * row m, then column m += u * column i
+                h[i] = [a - u * b for a, b in zip(h[i], h[m])]
+                for row in h:
+                    if row[i]:
+                        row[m] += u * row[i]
+        # polys[k] = det(tI - H[:k, :k]), descending coefficients
+        polys = [[Fraction(1)]]
+        for m in range(n):
+            prev = polys[-1]
+            p = [a - h[m][m] * b for a, b in zip(prev + [0], [0] + prev)]
+            t = Fraction(1)
+            for i in range(m - 1, -1, -1):
+                t *= h[i + 1][i]
+                if not t:
+                    break
+                c = h[i][m] * t
+                if c:
+                    lower = polys[i]
+                    offset = len(p) - len(lower)
+                    for k, b in enumerate(lower):
+                        p[offset + k] -= c * b
+            polys.append(p)
+        return polys[-1]
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)

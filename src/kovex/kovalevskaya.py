@@ -10,6 +10,7 @@ through x* can carry a full set of free parameters.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -325,6 +326,17 @@ def _close(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
     return max(abs(complex(x) - complex(y)) for x, y in zip(a, b)) <= tol
 
 
+def _divide_out_monomial(poly: MultiPoly) -> MultiPoly:
+    """poly divided by the largest monomial that divides it."""
+    if not poly:
+        return poly
+    low = tuple(map(min, zip(*poly.terms)))
+    if not any(low):
+        return poly
+    return MultiPoly(poly.vars, {tuple(map(operator.sub, e, low)): c
+                                 for e, c in poly.terms.items()})
+
+
 def find_loci(field: VectorField, certificate: WeightCertificate,
               seeds: Sequence[Sequence[float]] = (), *,
               newton_starts: int = 64, rng_seed: int = 0,
@@ -336,19 +348,26 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     1. User seeds are snapped to rationals and verified exactly; failing
        that they start a Newton run.
     2. Structured search: per zero pattern (a choice of coordinates clamped
-       to zero), the clamped system is handed to the exact solver; every
-       returned point is certified.
+       to zero, the others nonzero), each clamped equation is divided by
+       the largest monomial in the free coordinates that divides it (the
+       saturation by the coordinate monomials, so ``q + u q^2 + 2v pq``
+       becomes ``1 + u q + 2v p``), and the saturated system is handed to
+       the exact solver; every returned point is certified against the
+       full indicial system.  A solution with a free coordinate at zero
+       is dropped here and found by the pattern that clamps it.
     3. Newton multistart, only on the zero patterns the exact solver left
        incomplete: ``newton_starts`` pseudo-random complex starts each,
        refined to ``tolerance``, then snapped and re-verified exactly.
        Reproducible through ``rng_seed``.
 
     A complete exact solve has listed every complex solution of its
-    clamped system, all of them rational and each nonzero one already
-    recorded, so Newton could only approximate those points again; such a
-    pattern gets no Newton run.  Its starts are still drawn, so the starts
-    of every other pattern stay the same.  A point is recorded with the
-    first strategy that finds it, so an exact locus that both the
+    saturated system, that is every solution of the clamped system with
+    the free coordinates nonzero, all of them rational and already
+    recorded; a solution with more coordinates at zero belongs to another
+    pattern.  So Newton could only approximate recorded points again, and
+    such a pattern gets no Newton run.  Its starts are still drawn, so the
+    starts of every other pattern stay the same.  A point is recorded with
+    the first strategy that finds it, so an exact locus that both the
     structured search and Newton reach is reported as
     ``structured_search``.  Numeric loci that snap and verify are upgraded
     to exact.  No claim of completeness is made; the strategies that ran
@@ -416,7 +435,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         for eq in eqs:
             zeroed = {v: 0 for v, z in zip(field.variables, pattern)
                       if z and v in eq.vars}
-            clamped.append(eq.substitute(zeroed) if zeroed else eq)
+            clamped.append(_divide_out_monomial(
+                eq.substitute(zeroed) if zeroed else eq))
         free_vars = [v for v, z in zip(field.variables, pattern) if not z]
         result = solve_poly_system(clamped, free_vars, max_branches)
         solved.append(result.complete)
@@ -484,15 +504,19 @@ def _poly_adjugate(rows: list[list[MultiPoly]]) -> list[list[MultiPoly]]:
 
 
 def _exact_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
+    """The inverse of a square matrix, or None when it is singular.
+
+    Solving A x = (e_0, ..., e_{n-1}) with a symbol e_j per unit vector
+    gives x_i = sum_j (A^-1)_ij e_j in one elimination.
+    """
     n = matrix.nrows
-    augmented = ExactMatrix([list(matrix.data[i])
-                             + [1 if j == i else 0 for j in range(n)]
-                             for i in range(n)])
-    reduced, pivots = augmented.rref()
-    if pivots != tuple(range(n)):
+    names = tuple(f"e{j}" for j in range(n))
+    columns, residue = matrix.solve_singular(
+        [MultiPoly.variable(v, names) for v in names])
+    if residue:
         return None
-    return ExactMatrix([[reduced[(i, n + j)] for j in range(n)]
-                        for i in range(n)])
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return ExactMatrix([[x.coefficient(e) for e in units] for x in columns])
 
 
 def _same_spectrum(a: RootSet, b: RootSet) -> bool:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kovex.exactalg import (
@@ -161,6 +161,55 @@ def test_substitute_identity(p):
     assert p.substitute({v: MultiPoly.variable(v) for v in p.vars}) == p
 
 
+UVW = ("u", "v", "w")
+
+
+@st.composite
+def uvw_polys(draw, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, 3)) for _ in UVW)
+        terms[e] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+    return MultiPoly(UVW, terms)
+
+
+@st.composite
+def substitutions(draw):
+    """Per variable: left alone, a scalar (zero half the time), or a
+    polynomial that may use the substituted variables again."""
+    mapping = {}
+    for v in UVW:
+        kind = draw(st.sampled_from(["keep", "zero", "scalar", "poly"]))
+        if kind == "zero":
+            mapping[v] = draw(st.sampled_from([0, F(0)]))
+        elif kind == "scalar":
+            mapping[v] = draw(st.one_of(
+                st.integers(-3, 3),
+                st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+        elif kind == "poly":
+            mapping[v] = draw(uvw_polys(max_terms=3))
+    return mapping
+
+
+@settings(max_examples=200)
+@given(uvw_polys(), substitutions())
+def test_substitute_matches_evaluating_on_polynomials(p, mapping):
+    # evaluate() at polynomial values multiplies whole polynomials, the
+    # way substitute() once did; both substitute simultaneously
+    result = p.substitute(mapping)
+    expected = p.evaluate({v: mapping.get(v, MultiPoly.variable(v, UVW))
+                           for v in UVW})
+    assert result == expected
+    assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert all(len(e) == len(result.vars) for e in result.terms)
+    assert list(result.vars) == sorted(result.vars)
+    reachable = {v for v in UVW if v not in mapping}
+    for value in mapping.values():
+        if isinstance(value, MultiPoly):
+            reachable.update(value.vars)
+    assert set(result.vars) <= reachable
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -294,6 +343,65 @@ def test_root_multiset_matches_trace_and_det(m):
     for r in roots:
         prod *= r
     assert abs(prod - complex(m.det())) < 1e-5 * max(1.0, abs(float(m.det())))
+
+
+def _faddeev_leverrier(m):
+    """Oracle: det(tI - A), descending, by Faddeev-LeVerrier.
+
+    n dense matrix products over Q; the divisions by the step index are
+    exact.  It shares no step with the Hessenberg reduction under test.
+    """
+    n = m.nrows
+    coeffs = [F(1)]
+    power = ExactMatrix.identity(n)
+    for k in range(1, n + 1):
+        power = m * power
+        ck = -power.trace() / k
+        coeffs.append(ck)
+        power = power + ExactMatrix.identity(n) * ck
+    return coeffs
+
+
+@st.composite
+def charpoly_matrices(draw):
+    """Up to 8x8: dense, sparse, block-diagonal, or with columns zeroed
+    below the diagonal.  Column 0 is reduced first, on the entries drawn
+    here, so zeroing its subdiagonal entry forces a row and column swap
+    (when an entry below it is nonzero) and zeroing all of it leaves no
+    pivot; later columns meet both cases after earlier steps too."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(
+        ["dense", "sparse", "block_diagonal", "zero_subdiagonal"]))
+    entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        rows = [[x if draw(st.integers(0, 3)) == 0 else F(0) for x in row]
+                for row in rows]
+    elif kind == "block_diagonal":
+        cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        block = [sum(c <= i for c in cuts) for i in range(n)]
+        rows = [[x if block[i] == block[j] else F(0)
+                 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "zero_subdiagonal" and n > 1:
+        for c in draw(st.sets(st.integers(0, n - 2))):
+            below = [c + 1] if draw(st.booleans()) else range(c + 1, n)
+            for i in below:
+                rows[i][c] = F(0)
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(charpoly_matrices())
+# a swap in column 0; no pivot in column 0, then column 1 to reduce;
+# a nilpotent matrix; two 2x2 blocks
+@example(ExactMatrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]]))
+@example(ExactMatrix([[1, 2, 3, 4], [0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9]]))
+@example(ExactMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]))
+@example(ExactMatrix([[2, 1, 0, 0], [12, 3, 0, 0], [0, 0, 2, 1], [0, 0, 12, 3]]))
+def test_charpoly_matches_faddeev_leverrier(m):
+    coeffs = m.charpoly()
+    assert coeffs == _faddeev_leverrier(m)
+    assert all(type(c) is Fraction for c in coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,28 @@
 The CLI's locus stage computes F's loci and their spectra; the
 degeneration predictions are matched against a pool built from exactly
 those, so no later stage searches F again, and one search builds its
-indicial system once.  Within a search, Newton runs only on the zero
-patterns the exact solver could not settle completely.
+indicial system once.  Within a search, each zero pattern is saturated by
+its nonzero coordinates, and Newton runs only on the patterns the exact
+solver could not settle completely.
 """
 
 import dataclasses
+import itertools
 import json
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_properties as props
 from kovex import cli, degeneration, exactalg, kovalevskaya
 from kovex.cli import main
-from kovex.vfmodel import WeightCertificate, fields_from_problem
+from kovex.exactalg import MultiPoly
+from kovex.vfmodel import VectorField, WeightCertificate, fields_from_problem
 from kovex.vfparse import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -81,13 +87,14 @@ def test_lower_spectra_are_the_reported_lower_loci(stem, extra, tmp_path):
 
 
 @pytest.mark.parametrize("stem, batches", [("cubic_pair", 0),
-                                           ("painleve1_coupled_4d", 2),
-                                           ("painleve4_auto", 1)])
+                                           ("painleve1_coupled_4d", 1),
+                                           ("painleve4_auto", 0)])
 def test_newton_runs_only_on_incomplete_patterns(stem, batches, monkeypatch,
                                                  tmp_path):
     # every search of cubic_pair (F, two flow subsystems, six deformed
     # fields) is solved completely by the exact route; Newton once ran
-    # 119 batches there and 22 on painleve1_coupled_4d
+    # 119 batches there and 22 on painleve1_coupled_4d, then 2 there and
+    # 1 on painleve4_auto before the zero patterns were saturated
     calls = []
     original = kovalevskaya._newton_refine
 
@@ -134,3 +141,50 @@ def test_bundled_loci_match_newton_everywhere(stem):
     cert = WeightCertificate(spec.weights, 1)
     assert (kovalevskaya.find_loci(field, cert).loci
             == _newton_everywhere(field, cert).loci)
+
+
+def _p4_blocks(params):
+    """Uncoupled blocks q' = u q^2 + 2v pq, p' = -2u pq - v p^2, weights 1."""
+    names = tuple(f"{c}{k}" for k in range(len(params)) for c in "qp")
+    comps = []
+    for k, (u, v) in enumerate(params):
+        q = MultiPoly.variable(f"q{k}", names)
+        p = MultiPoly.variable(f"p{k}", names)
+        comps += [q * q * u + q * p * (2 * v), p * q * (-2 * u) - p * p * v]
+    return (VectorField(names, tuple(comps)),
+            WeightCertificate((1,) * len(names), 1))
+
+
+@given(st.lists(st.tuples(props.NONZERO_Q, props.NONZERO_Q),
+                min_size=1, max_size=2))
+@settings(max_examples=20, deadline=None)
+def test_saturation_settles_every_p4_pattern(params):
+    # the both-nonzero pattern clamps nothing, and neither equation of
+    # u q^2 + 2v pq + q = 0, -2u pq - v p^2 + p = 0 is univariate or has a
+    # variable with a constant linear coefficient; divided by q and p they
+    # are linear, with the balance (1/u, -1/v)
+    field, cert = _p4_blocks(params)
+    per_block = [[None, (-1 / u, Fraction(0)), (Fraction(0), 1 / v),
+                  (1 / u, -1 / v)] for u, v in params]
+    expected = {}
+    for choice in itertools.product(*per_block):
+        if all(b is None for b in choice):
+            continue
+        point = sum(((Fraction(0),) * 2 if b is None else b
+                     for b in choice), ())
+        spectrum = Counter()
+        for b in choice:
+            spectrum.update({1: 2} if b is None else {-1: 1, 3: 1})
+        expected[point] = sorted(spectrum.items())
+    with mock.patch.object(kovalevskaya, "_newton_refine",
+                           wraps=kovalevskaya._newton_refine) as newton:
+        search = kovalevskaya.find_loci(field, cert)
+    assert newton.call_count == 0
+    assert "newton" not in search.strategies
+    assert {locus.point: (locus.exactness, locus.source)
+            for locus in search.loci} == {
+        point: ("exact", "structured_search") for point in expected}
+    for point, spectrum in expected.items():
+        roots = kovalevskaya.k_exponents(field, cert, point).exponents
+        assert roots.is_fully_rational
+        assert list(roots.rational_roots) == spectrum
