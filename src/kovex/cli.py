@@ -1,4 +1,4 @@
-"""Command-line front end: parse a problem file, run the pipeline, report.
+"""The pipeline, ``analyze``, and the command-line front end around it.
 
 Five subcommands slice the same pipeline at different depths: ``check``
 stops after assumption verification, ``loci`` after the balance search,
@@ -23,12 +23,14 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import degeneration
 from .kovalevskaya import NoLocusFound, find_loci, k_exponents, numeric_exponents
 from .laurent import (
+    LaurentSolution,
     TruncationBelowResonance,
     build_series,
     classify,
@@ -58,8 +60,23 @@ _STAGES = {
 }
 
 
-class _InputError(Exception):
-    """Anything that makes the run impossible; message goes to stderr."""
+class AnalysisError(Exception):
+    """The input cannot be analyzed at all; the message says why."""
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One run: the report ``--json`` writes, the text summary and the exact
+    objects behind them.  loci pairs each locus of F with its KExponentReport
+    or numeric exponents, series maps a locus index to its LaurentSolution,
+    pool is F's lower_spectra (None when the locus stage did not run)."""
+
+    report: dict
+    lines: tuple[str, ...]
+    certificate: WeightCertificate | None
+    loci: tuple
+    series: dict[int, LaurentSolution]
+    pool: tuple | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,19 +194,6 @@ def _spectrum_text(roots) -> str:
 # pipeline stages
 
 
-def _load(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-        raise _InputError(f"cannot read {path}: {reason}") from None
-    try:
-        spec = parse_problem(text)
-    except ParseError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-    return text, spec
-
-
 def _resolve_weights(field, spec, max_weight: int):
     """Returns (certificate or None, weights section, violations, lines)."""
     violations: list[str] = []
@@ -225,13 +229,13 @@ def _resolve_weights(field, spec, max_weight: int):
 
     inference = infer_weights(field, max_weight=max_weight)
     if inference.degenerate:
-        raise _InputError("the field is identically zero; every weight "
-                          "vector fits and there is nothing to analyze")
+        raise AnalysisError("the field is identically zero; every weight "
+                            "vector fits and there is nothing to analyze")
     candidates = [member
                   for family in inference.families
                   for member in family.members if member.degree == 1]
     if not candidates:
-        raise _InputError(
+        raise AnalysisError(
             f"weight inference failed: no weight vector with entries up to "
             f"{max_weight} makes the field quasi-homogeneous of degree 1; "
             f"declare weights in the problem file or raise --max-weight")
@@ -287,19 +291,15 @@ def _assumptions(field, g_field, cert):
     return section, gamma, violations, lines
 
 
-def _locus_stage(field, cert, spec, args):
+def _locus_stage(field, cert, spec, search):
     violations: list[str] = []
     lines: list[str] = []
-    kwargs = {"rng_seed": args.seed}
-    if args.tolerance is not None:
-        kwargs["tolerance"] = args.tolerance
     try:
-        search = find_loci(field, cert, seeds=spec.seeds, **kwargs)
-        loci = search.loci
+        loci = find_loci(field, cert, seeds=spec.seeds, **search).loci
     except NoLocusFound:
         loci = ()
     entries = []
-    spectra = []
+    pairs = []
     for locus in loci:
         entry: dict = {
             "point": _point_json(locus.point),
@@ -308,7 +308,7 @@ def _locus_stage(field, cert, spec, args):
         }
         if locus.is_exact:
             report = k_exponents(field, cert, locus.point)
-            spectra.append((locus.point, report))
+            pairs.append((locus, report))
             entry["exponents"] = _rootset_json(report.exponents)
             entry["classification"] = report.classification
             entry["eigenpair_verified"] = report.eigenpair_verified
@@ -323,7 +323,7 @@ def _locus_stage(field, cert, spec, args):
                     f"universal eigenpair fails at {_fmt_point(locus.point)}")
         else:
             values = numeric_exponents(field, cert, locus.point)
-            spectra.append((locus.point, values))
+            pairs.append((locus, values))
             entry["numeric_spectrum"] = [_num(v) for v in values]
             lines.append(f"locus {_fmt_point(locus.point)}  "
                          f"[numeric, {locus.source}]")
@@ -331,14 +331,14 @@ def _locus_stage(field, cert, spec, args):
         entries.append(entry)
     if not entries:
         lines.append("no indicial loci found")
-    return entries, loci, spectra, violations, lines
+    return entries, tuple(pairs), violations, lines
 
 
 def _series_stage(field, cert, loci, entries, truncation):
     violations: list[str] = []
     lines: list[str] = []
     solutions: dict[int, object] = {}
-    for idx, locus in enumerate(loci):
+    for idx, (locus, _) in enumerate(loci):
         if not locus.is_exact:
             continue
         with warnings.catch_warnings(record=True) as caught:
@@ -376,9 +376,10 @@ def _series_stage(field, cert, loci, entries, truncation):
     return solutions, violations, lines
 
 
-def _flow_locus_report(field, g_field, cert, sol, pool, args):
+def _flow_locus_report(field, g_field, cert, sol, pool, search):
     """Flow section for one principal balance; returns (section, violations,
-    lines).  pool is F's lower_spectra, shared by every principal balance."""
+    lines).  pool is F's lower_spectra, shared by every principal balance;
+    search holds the numeric search options."""
     violations: list[str] = []
     lines: list[str] = []
     point = sol.locus
@@ -466,18 +467,14 @@ def _flow_locus_report(field, g_field, cert, sol, pool, args):
             f"shift-rate certificate contradiction at {_fmt_point(point)}: "
             f"{exc}")
 
-    deg_kwargs = {"rng_seed": args.seed}
-    if args.tolerance is not None:
-        deg_kwargs["tolerance"] = args.tolerance
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if flow.gamma == 1:
-                report = degeneration.degenerate_gamma1(
-                    pool, flow, **deg_kwargs)
+                report = degeneration.degenerate_gamma1(pool, flow, **search)
             else:
                 report = degeneration.degenerate_gamma_ge2(
-                    pool, flow, **deg_kwargs)
+                    pool, flow, **search)
     except degeneration.G0IdenticallyZero as exc:
         section["degeneration"] = {"error": str(exc)}
         lines.append(f"  degeneration unavailable: {exc}")
@@ -525,8 +522,7 @@ def _flow_locus_report(field, g_field, cert, sol, pool, args):
             predicted = report.predicted_lower_exponents[0]
         try:
             check = degeneration.deformed_field_check(
-                field, g_field, cert, flow, predicted=predicted,
-                rng_seed=args.seed)
+                field, g_field, cert, flow, predicted=predicted, **search)
         except ValueError as exc:
             section["deformation"] = {"error": str(exc)}
         else:
@@ -555,22 +551,37 @@ def _flow_locus_report(field, g_field, cert, sol, pool, args):
     return section, violations, lines
 
 
-def _run(args):
-    stages = _STAGES[args.command]
-    text, spec = _load(args.problem)
+def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
+            truncation: int | None = None, seed: int = 0,
+            tolerance: float | None = None, max_weight: int = 12) -> Analysis:
+    """Run the pipeline on the text of a problem file, as far as command goes.
+
+    name labels the input in the report and in error messages; the
+    keywords are the CLI's flags.  Raises AnalysisError when there is
+    nothing to analyze.
+    """
+    stages = _STAGES[command]
+    try:
+        spec = parse_problem(text)
+    except ParseError as exc:
+        raise AnalysisError(f"{name}: {exc}") from None
     field, g_field = fields_from_problem(spec)
-    if args.command == "flow" and g_field is None:
-        raise _InputError(
-            f"{args.problem}: no commuting field declared; 'flow' needs one")
+    if command == "flow" and g_field is None:
+        raise AnalysisError(
+            f"{name}: no commuting field declared; 'flow' needs one")
+    # numeric search options of F's search and the degeneration checks
+    search = {"rng_seed": seed}
+    if tolerance is not None:
+        search["tolerance"] = tolerance
 
     violations: list[str] = []
-    lines: list[str] = [f"problem: {Path(args.problem).name}",
+    lines: list[str] = [f"problem: {Path(name).name}",
                         f"variables: {', '.join(spec.variables)}"]
     report: dict = {
         "schema_version": SCHEMA_VERSION,
-        "command": args.command,
+        "command": command,
         "input": {
-            "file": Path(args.problem).name,
+            "file": Path(name).name,
             "text": text,
             "variables": list(spec.variables),
             "declared_weights": (list(spec.weights)
@@ -578,15 +589,15 @@ def _run(args):
             "has_commuting_field": g_field is not None,
         },
         "options": {
-            "truncation": args.truncation,
-            "seed": args.seed,
-            "tolerance": args.tolerance,
-            "max_weight": args.max_weight,
+            "truncation": truncation,
+            "seed": seed,
+            "tolerance": tolerance,
+            "max_weight": max_weight,
         },
     }
 
     cert, weight_section, weight_violations, weight_lines = _resolve_weights(
-        field, spec, args.max_weight)
+        field, spec, max_weight)
     report["weights"] = weight_section
     violations += weight_violations
     lines += weight_lines
@@ -598,20 +609,20 @@ def _run(args):
         violations += found
         lines += more
 
+    loci, solutions, pool = (), {}, None
     if cert is not None and "loci" in stages:
-        entries, loci, spectra, found, more = _locus_stage(
-            field, cert, spec, args)
+        entries, loci, found, more = _locus_stage(field, cert, spec, search)
+        pool = degeneration.lower_spectra(
+            [(locus.point, spectrum) for locus, spectrum in loci])
         report["loci"] = entries
         violations += found
         lines += more
 
-        solutions: dict[int, object] = {}
         if "series" in stages:
-            # --truncation wins over the problem file's truncation = N
-            truncation = (args.truncation if args.truncation is not None
-                          else spec.truncation)
+            # truncation wins over the problem file's truncation = N
             solutions, found, more = _series_stage(
-                field, cert, loci, entries, truncation)
+                field, cert, loci, entries,
+                truncation if truncation is not None else spec.truncation)
             violations += found
             lines += more
 
@@ -623,13 +634,12 @@ def _run(args):
                 lines.append("flow analysis skipped "
                              "(needs a commuting quasi-homogeneous field)")
             else:
-                pool = degeneration.lower_spectra(spectra)
                 flow_sections = []
                 for idx, sol in sorted(solutions.items()):
                     if classify(sol).kind != "principal":
                         continue
                     section, found, more = _flow_locus_report(
-                        field, g_field, cert, sol, pool, args)
+                        field, g_field, cert, sol, pool, search)
                     flow_sections.append(section)
                     violations += found
                     lines += more
@@ -645,27 +655,34 @@ def _run(args):
         lines += [f"  - {v}" for v in violations]
     else:
         lines.append("no violations detected")
-    return report, lines
+    return Analysis(report, tuple(lines), cert, loci, solutions, pool)
+
+
+def _fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report, lines = _run(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = Path(args.problem).read_text(encoding="utf-8")
+    except OSError as exc:
+        return _fail(f"cannot read {args.problem}: {exc.strerror or exc}")
+    try:
+        result = analyze(text, args.problem, command=args.command,
+                         truncation=args.truncation, seed=args.seed,
+                         tolerance=args.tolerance, max_weight=args.max_weight)
+    except AnalysisError as exc:
+        return _fail(str(exc))
     if args.json is not None:
+        payload = json.dumps(result.report, indent=2, sort_keys=True) + "\n"
         try:
             Path(args.json).write_text(payload, encoding="utf-8")
         except OSError as exc:
-            reason = exc.strerror or str(exc)
-            print(f"error: cannot write {args.json}: {reason}",
-                  file=sys.stderr)
-            return 1
-    print("\n".join(lines))
-    return 2 if report["violations"] else 0
+            return _fail(f"cannot write {args.json}: {exc.strerror or exc}")
+    print("\n".join(result.lines))
+    return 2 if result.report["violations"] else 0
 
 
 if __name__ == "__main__":

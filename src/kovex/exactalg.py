@@ -438,34 +438,10 @@ class ExactMatrix:
         v = [as_fraction(x) for x in vec]
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.data)))
-
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace needs a square matrix")
         return sum((self.data[i][i] for i in range(self.nrows)), Fraction(0))
-
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant needs a square matrix")
-        rows = [list(r) for r in self.data]
-        n = self.nrows
-        d = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                d = -d
-            pv = rows[c][c]
-            d *= pv
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] / pv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return d
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""

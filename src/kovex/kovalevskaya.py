@@ -38,16 +38,8 @@ class NoLocusFound(RuntimeError):
     """Every search strategy came back empty."""
 
 
-class SingularJacobian(ValueError):
-    """Coordinate change is not locally invertible where it needs to be."""
-
-
 class InexactLocusError(ValueError):
     """Operation needs exact rational coordinates but got a numeric locus."""
-
-
-class PreimageNotFound(RuntimeError):
-    """No exact preimage of the locus under the coordinate change."""
 
 
 @dataclass(frozen=True)
@@ -92,14 +84,6 @@ class KExponentReport:
     classification: str
     semisimple_at_resonances: bool
     degree: int
-
-
-@dataclass(frozen=True)
-class TransformReport:
-    route: str
-    preimages: tuple[tuple[Fraction, ...], ...]
-    transformed: VectorField | None
-    ok: bool
 
 
 def indicial_system(field: VectorField,
@@ -472,133 +456,3 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     if not loci:
         raise NoLocusFound("no indicial locus found by any strategy")
     return LocusSearch(tuple(loci), tuple(strategies))
-
-
-def _poly_det(rows: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = MultiPoly.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = entry * _poly_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
-def _poly_adjugate(rows: list[list[MultiPoly]]) -> list[list[MultiPoly]]:
-    n = len(rows)
-    if n == 1:
-        return [[MultiPoly.constant(1)]]
-    adj = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[rows[r][k] for k in range(n) if k != j]
-                     for r in range(n) if r != i]
-            cofactor = _poly_det(minor)
-            adj[j][i] = cofactor if (i + j) % 2 == 0 else -cofactor
-    return adj
-
-
-def _exact_inverse(matrix: ExactMatrix) -> ExactMatrix | None:
-    """The inverse of a square matrix, or None when it is singular.
-
-    Solving A x = (e_0, ..., e_{n-1}) with a symbol e_j per unit vector
-    gives x_i = sum_j (A^-1)_ij e_j in one elimination.
-    """
-    n = matrix.nrows
-    names = tuple(f"e{j}" for j in range(n))
-    columns, residue = matrix.solve_singular(
-        [MultiPoly.variable(v, names) for v in names])
-    if residue:
-        return None
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    return ExactMatrix([[x.coefficient(e) for e in units] for x in columns])
-
-
-def _same_spectrum(a: RootSet, b: RootSet) -> bool:
-    return (sorted(a.rational_roots) == sorted(b.rational_roots)
-            and a.residual_factor == b.residual_factor)
-
-
-def transform_check(field: VectorField, certificate: WeightCertificate,
-                    phi: Sequence[MultiPoly], locus, *,
-                    require_quasi_homogeneous: bool = True,
-                    tolerance: float = DEFAULT_TOL) -> TransformReport:
-    """Check exponent invariance under a polynomial change of coordinates.
-
-    phi sends new coordinates to old ones, component i carrying weighted
-    degree a_i.  For such maps the Jacobian determinant is automatically a
-    constant (each Leibniz term has weighted degree sum(a) - sum(a) = 0), so
-    the transformed field (Dphi)^{-1} f(phi(u)) is polynomial and the whole
-    comparison runs exactly.  A non-constant determinant can only arise when
-    quasi-homogeneity is waived; then the matrices Dphi(u*)^{-1} K Dphi(u*)
-    and K are compared through their characteristic polynomials instead.
-    """
-    m = field.dim
-    if len(phi) != m:
-        raise ValueError(f"phi has {len(phi)} components, field has {m}")
-    phi = tuple(p.embed(field.variables) if p.vars != field.variables else p
-                for p in phi)
-    if require_quasi_homogeneous:
-        weight_map = dict(zip(field.variables, certificate.weights))
-        for i, comp in enumerate(phi):
-            if not comp:
-                continue
-            degree = comp.quasi_homogeneous_degree(
-                [weight_map[v] for v in comp.vars])
-            if degree != certificate.weights[i]:
-                raise ValueError(
-                    f"phi component {i + 1} does not carry weighted degree "
-                    f"{certificate.weights[i]}")
-
-    point = exact_point(locus)
-    jac_phi = [[phi[i].diff(v) for v in field.variables] for i in range(m)]
-    det = _poly_det(jac_phi)
-    if not det:
-        raise SingularJacobian("coordinate change has zero Jacobian determinant")
-
-    target = solve_poly_system(
-        [phi[i] - point[i] for i in range(m)], field.variables)
-    preimages = [p for p in target.points if any(p)]
-    if not preimages:
-        raise PreimageNotFound("no exact preimage of the locus under phi")
-
-    base = k_exponents(field, certificate, point, tolerance=tolerance)
-
-    if det.total_degree() == 0:
-        adj = _poly_adjugate(jac_phi)
-        composed = field.substitute(dict(zip(field.variables, phi)))
-        scale = Fraction(1) / det.constant_term()
-        components = []
-        for i in range(m):
-            acc = MultiPoly.zero(field.variables)
-            for j in range(m):
-                acc = acc + adj[i][j] * composed[j]
-            components.append(acc * scale)
-        transformed = VectorField(field.variables, tuple(components))
-        ok = True
-        for pre in preimages:
-            if not verify_locus(transformed, certificate, pre):
-                ok = False
-                continue
-            report = k_exponents(transformed, certificate, pre,
-                                 tolerance=tolerance)
-            ok = ok and _same_spectrum(base.exponents, report.exponents)
-        return TransformReport("exact", tuple(preimages), transformed, ok)
-
-    ok = True
-    for pre in preimages:
-        values = dict(zip(field.variables, pre))
-        frame = ExactMatrix([[entry.evaluate(values) for entry in row]
-                             for row in jac_phi])
-        inverse = _exact_inverse(frame)
-        if inverse is None:
-            raise SingularJacobian(
-                "coordinate change is singular at the preimage")
-        conjugated = inverse * base.matrix * frame
-        ok = ok and conjugated.charpoly() == base.matrix.charpoly()
-    return TransformReport("similarity", tuple(preimages), None, ok)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactalg import ExactMatrix, MultiPoly, as_fraction
+from .exactalg import ExactMatrix, MultiPoly
 from .kovalevskaya import exact_point, k_exponents
 from .vfmodel import VectorField, WeightCertificate, verify_weight
 
@@ -47,12 +47,10 @@ __all__ = [
     "ResonanceRecord",
     "SeriesClass",
     "TruncationBelowResonance",
-    "OutsideHeuristicRadius",
     "build_series",
     "classify",
     "qh_coefficient_check",
     "residual_order",
-    "initial_value_map",
     "poly_json",
     "series_json",
 ]
@@ -60,10 +58,6 @@ __all__ = [
 
 class TruncationBelowResonance(UserWarning):
     """Truncation order cuts off before the largest resonance."""
-
-
-class OutsideHeuristicRadius(UserWarning):
-    """Requested evaluation point fails the tail-decay test."""
 
 
 @dataclass(frozen=True)
@@ -401,46 +395,6 @@ def residual_order(field: VectorField, certificate: WeightCertificate,
                     first = j
                 break
     return first
-
-
-def initial_value_map(sol: LaurentSolution, values: Mapping[str, object], z):
-    """Evaluate the truncated series at the point z.
-
-    values assigns numbers to the symbolic parameters plus the pole
-    position alpha0 (missing names default to 0, unknown names are
-    rejected).  With rational inputs the result is exact.  A crude tail
-    test compares the last two nonzero term magnitudes and warns when
-    they fail to decay.
-    """
-    unknown = set(values) - set(sol.parameters) - {"alpha0"}
-    if unknown:
-        raise KeyError(f"not series parameters: {sorted(unknown)}")
-    assignment = {name: values.get(name, 0) for name in sol.parameters}
-    try:
-        # keep int/Fraction inputs exact; negative int powers would go float
-        t = as_fraction(z) - as_fraction(values.get("alpha0", 0))
-    except TypeError:
-        t = z - values.get("alpha0", 0)
-    if not t:
-        raise ZeroDivisionError("evaluation point sits on the pole")
-    out = []
-    for i, row in enumerate(sol.coefficients):
-        a_i = sol.weights[i]
-        terms = []
-        for j, poly in enumerate(row):
-            needed = {v: assignment[v] for v in poly.vars}
-            c = poly.evaluate(needed) if poly else 0
-            terms.append(c)
-        tail = [abs(complex(c)) * abs(complex(t)) ** j
-                for j, c in enumerate(terms) if c]
-        if len(tail) >= 2 and tail[-1] > tail[-2]:
-            warnings.warn(
-                f"component {i + 1}: truncated terms are growing at "
-                f"|z - alpha0| = {abs(complex(t)):.3g}",
-                OutsideHeuristicRadius, stacklevel=2)
-        total = sum(c * t ** (j - a_i) for j, c in enumerate(terms) if c)
-        out.append(total)
-    return tuple(out)
 
 
 def poly_json(poly: MultiPoly, position: Mapping[str, int]) -> dict[str, str]:

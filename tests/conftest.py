@@ -2,8 +2,6 @@
 
 import pytest
 
-from kovex.degeneration import lower_spectra
-from kovex.kovalevskaya import find_loci, k_exponents, numeric_exponents
 from kovex.vfmodel import WeightCertificate, fields_from_problem
 from kovex.vfparse import parse_problem
 
@@ -51,16 +49,3 @@ def pair4d_deg3():
     spec = parse_problem(PAIR_4D_DEG3)
     f, g = fields_from_problem(spec)
     return f, g, WeightCertificate(spec.weights, 1)
-
-
-def lower_pool(field, cert):
-    """The pool degenerate_gamma1/_ge2 match against, built as the CLI does."""
-    spectra = []
-    for locus in find_loci(field, cert).loci:
-        if locus.is_exact:
-            spectra.append((locus.point,
-                            k_exponents(field, cert, locus.point)))
-        else:
-            spectra.append((locus.point,
-                            numeric_exponents(field, cert, locus.point)))
-    return lower_spectra(spectra)

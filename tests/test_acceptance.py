@@ -16,8 +16,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from conftest import CUBIC_2D, PAIR_4D_DEG3, lower_pool
+from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
 import test_properties as props
+from kovex import analyze
 from kovex import degeneration as dg
 from kovex.cli import main
 from kovex.exactalg import MultiPoly
@@ -108,7 +109,8 @@ def test_criterion_3_uncoupled_pair_flow_and_prediction(pair4d_deg1):
         assert flow.ghat[0] == A2 * -1
         assert flow.ghat[1] == A1 * A1 * -6
         assert not flow.ghat[2]
-        report = dg.degenerate_gamma1(lower_pool(field, cert), flow)
+        report = dg.degenerate_gamma1(
+            analyze(PAIR_4D_DEG1, command="loci").pool, flow)
         assert report.predicted_lower_exponents == ((-1, -1, 6, 6),)
         assert report.matched_lower_loci == (((1, -2, 1, -2),),)
 
@@ -147,7 +149,8 @@ def test_criterion_4_coupled_pair_flow_and_prediction(pair4d_deg3):
             flow, ghat=(flow.ghat[0], A1 ** 4 * -54, flow.ghat[2]))
         assert dg.flow_ladder_check(expansion, sol, bare) is not None
 
-        report = dg.degenerate_gamma_ge2(lower_pool(field, cert), flow)
+        report = dg.degenerate_gamma_ge2(
+            analyze(PAIR_4D_DEG3, command="loci").pool, flow)
         i = report.routes.index("rescale_exact")
         assert report.flow_loci[i] == (F(1, 3), F(4, 9), F(-7, 81))
         predicted = report.predicted_lower_exponents[i]

@@ -8,10 +8,12 @@ numeric drift must be intentional and go through scripts/refresh_goldens.
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from kovex import AnalysisError, analyze, degeneration
 from kovex.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +43,37 @@ def test_analyze_matches_golden_byte_for_byte(stem, tmp_path):
 def test_golden_reports_round_trip(stem):
     raw = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
+
+
+def test_analyze_returns_what_the_cli_prints(capsys):
+    text = (PROBLEMS / "cubic_pair.kov").read_text(encoding="utf-8")
+    result = analyze(text, "cubic_pair.kov")
+    assert (json.dumps(result.report, indent=2, sort_keys=True) + "\n"
+            == (GOLDEN / "cubic_pair.json").read_text(encoding="utf-8"))
+    assert main(["analyze", str(PROBLEMS / "cubic_pair.kov")]) == 0
+    assert capsys.readouterr().out == "\n".join(result.lines) + "\n"
+    assert [locus.point for locus, _ in result.loci] == [
+        tuple(Fraction(c) for c in entry["point"])
+        for entry in result.report["loci"]]
+    assert sorted(result.series) == [
+        k for k, entry in enumerate(result.report["loci"]) if "series" in entry]
+    with pytest.raises(AnalysisError, match="^x.kov: no commuting field"):
+        analyze((PROBLEMS / "weierstrass.kov").read_text(), "x.kov",
+                command="flow")
+
+
+def test_tolerance_reaches_the_deformation_check(monkeypatch, capsys):
+    seen = []
+    original = degeneration.deformed_field_check
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tolerance"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(degeneration, "deformed_field_check", spy)
+    assert main(["analyze", str(PROBLEMS / "cubic_pair.kov"),
+                 "--tolerance", "1e-6"]) == 0
+    assert seen and all(t == 1e-6 for t in seen)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lower_pool
+from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
+from kovex import analyze
 from kovex import degeneration as dg
 from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import k_exponents
@@ -58,14 +59,16 @@ def deg3(pair4d_deg3):
 
 @pytest.fixture(scope="session")
 def deg1_report(deg1):
-    field, _, cert, _, _, flow = deg1
-    return dg.degenerate_gamma1(lower_pool(field, cert), flow)
+    flow = deg1[-1]
+    return dg.degenerate_gamma1(analyze(PAIR_4D_DEG1, command="loci").pool,
+                                flow)
 
 
 @pytest.fixture(scope="session")
 def deg3_report(deg3):
-    field, _, cert, _, _, flow = deg3
-    return dg.degenerate_gamma_ge2(lower_pool(field, cert), flow)
+    flow = deg3[-1]
+    return dg.degenerate_gamma_ge2(analyze(PAIR_4D_DEG3, command="loci").pool,
+                                   flow)
 
 
 class TestExpansionDeg1:
@@ -188,12 +191,13 @@ class TestFlowDeg1:
             dg.param_flow(doctored, sol)
 
     def test_field_flowing_along_itself_shifts_the_pole_only(self, deg1):
-        field, _, cert, sol, _, _ = deg1
+        field, _, _, sol, _, _ = deg1
         expansion = dg.g_expansion(field, sol)
         flow = dg.param_flow(expansion, sol)
         assert flow.ghat0 == -1
         assert not any(flow.ghat)
-        report = dg.degenerate_gamma1(lower_pool(field, cert), flow)
+        report = dg.degenerate_gamma1(
+            analyze(PAIR_4D_DEG1, command="loci").pool, flow)
         assert report.routes == ()
         assert report.flow_loci == ()
 
@@ -459,19 +463,19 @@ class TestRescaleRoutes:
 
 
 class TestUnrescalableLocus:
-    def test_flow_loci_killing_the_shift_rate_are_skipped(self, cubic2d):
+    def test_flow_loci_killing_the_shift_rate_are_skipped(self):
         # hand-built degree-2 flow whose shift rate alpha2 vanishes on the
         # flow loci (+-i/sqrt 2, 0); those cannot be rescaled and must be
         # skipped with a warning, while the exact branch still finds the
         # three loci on the alpha2 = -1 line
-        field, cert = cubic2d
         pvars = ("alpha1", "alpha2")
         a1 = MultiPoly.variable("alpha1", pvars)
         a2 = MultiPoly.variable("alpha2", pvars)
         flow = dg.ParamFlow(ghat0=a2, ghat=(a1 ** 3, a2 ** 3),
                             kappa=(1, 1), gamma=2, parameters=pvars)
         with pytest.warns(dg.UnrescalableLocus):
-            report = dg.degenerate_gamma_ge2(lower_pool(field, cert), flow)
+            report = dg.degenerate_gamma_ge2(
+                analyze(CUBIC_2D, command="loci").pool, flow)
         exact = [p for p, r in zip(report.flow_loci, report.routes)
                  if r == "rescale_exact"]
         assert sorted(exact) == [(-1, -1), (0, -1), (1, -1)]

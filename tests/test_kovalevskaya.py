@@ -6,16 +6,12 @@ import pytest
 
 from kovex.exactalg import MultiPoly
 from kovex.kovalevskaya import (
-    IndicialLocus,
     NoLocusFound,
-    PreimageNotFound,
-    SingularJacobian,
     find_loci,
     indicial_system,
     k_exponents,
     kovalevskaya_matrix,
     numeric_exponents,
-    transform_check,
     verify_locus,
 )
 from kovex.vfmodel import VectorField, WeightCertificate
@@ -184,68 +180,3 @@ class TestPuiseuxVariant:
             report = k_exponents(g, cert, locus.point)
             assert report.eigenpair_verified
             assert any(r == -1 for r, _ in report.exponents.rational_roots)
-
-
-class TestTransformCheck:
-    def test_identity(self, cubic2d):
-        field, cert = cubic2d
-        phi = (MultiPoly.variable("x"), MultiPoly.variable("y"))
-        report = transform_check(field, cert, phi,
-                                 IndicialLocus((1, -2), "exact", "user_seed"))
-        assert report.route == "exact"
-        assert report.ok
-        assert report.preimages == ((1, -2),)
-
-    def test_diagonal_scaling(self, cubic2d):
-        field, cert = cubic2d
-        phi = (MultiPoly.variable("x") * 4, MultiPoly.variable("y") * 8)
-        report = transform_check(field, cert, phi, (1, -2))
-        assert report.ok
-        assert report.preimages == ((Fraction(1, 4), Fraction(-1, 4)),)
-
-    def test_pair_swap(self, pair4d_deg1):
-        f, _, cert = pair4d_deg1
-        q1, p1, q2, p2 = (MultiPoly.variable(v) for v in f.variables)
-        report = transform_check(f, cert, (q2, p2, q1, p1), (1, -2, 0, 0))
-        assert report.ok
-        assert report.preimages == ((0, 0, 1, -2),)
-
-    def test_sign_flip(self, cubic2d):
-        field, cert = cubic2d
-        phi = (MultiPoly.variable("x") * -1, MultiPoly.variable("y") * -1)
-        report = transform_check(field, cert, phi, (1, -2))
-        assert report.route == "exact"
-        assert report.ok
-        assert report.preimages == ((-1, 2),)
-
-    def test_zero_determinant_rejected(self, cubic2d):
-        field, cert = cubic2d
-        phi = (MultiPoly.variable("x"), MultiPoly.zero(("x", "y")))
-        with pytest.raises(SingularJacobian):
-            transform_check(field, cert, phi, (1, -2))
-
-    def test_wrong_weighted_degree_rejected(self, cubic2d):
-        field, cert = cubic2d
-        phi = (MultiPoly.variable("y"), MultiPoly.variable("x"))
-        with pytest.raises(ValueError, match="weighted degree"):
-            transform_check(field, cert, phi, (1, -2))
-
-    def test_similarity_route_for_general_maps(self, cubic2d):
-        # x + x*y has a non-constant Jacobian determinant 1 + y, so the
-        # exact pullback is unavailable and the conjugation route runs.
-        field, cert = cubic2d
-        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
-        phi = (x + x * y, y)
-        report = transform_check(field, cert, phi, (1, -2),
-                                 require_quasi_homogeneous=False)
-        assert report.route == "similarity"
-        assert report.ok
-        assert report.preimages == ((-1, -2),)
-
-    def test_unreachable_locus(self, cubic2d):
-        # the preimage would need x^2 = 1/3, which has no rational solution
-        field, cert = cubic2d
-        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
-        with pytest.raises(PreimageNotFound):
-            transform_check(field, cert, (x * x, y), (Fraction(1, 3), -2),
-                            require_quasi_homogeneous=False)

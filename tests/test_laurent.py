@@ -13,19 +13,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kovex.degeneration import g_expansion
 from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import InexactLocusError
 from kovex.laurent import (
-    OutsideHeuristicRadius,
     TruncationBelowResonance,
     _field_orders,
     build_series,
     classify,
-    initial_value_map,
     qh_coefficient_check,
     residual_order,
     series_json,
@@ -114,47 +110,6 @@ class TestCubicOscillator:
     def test_back_substitution_leaves_no_defect(self):
         assert residual_order(self.field, self.cert, self.sol) is None
 
-    def test_evaluation_with_parameter_off_terminates(self):
-        # alpha1 = 0 kills every term beyond the pole, so the value at
-        # z = -1 is the exact balance monomial
-        assert initial_value_map(self.sol, {}, -1) == (1, 2)
-
-    def test_evaluation_is_exact_for_rational_input(self):
-        value = initial_value_map(
-            self.sol, {"alpha1": Fraction(1, 100)}, -1)
-        assert value == (Fraction(131301, 130000), Fraction(25479, 13000))
-
-    def test_evaluation_near_truncation_satisfies_the_field(self):
-        a = Fraction(1, 100)
-        point = initial_value_map(self.sol, {"alpha1": a}, -1)
-        rhs = [comp.evaluate({"x": point[0], "y": point[1]})
-               for comp in self.field.components]
-        derivative = []
-        for i in range(2):
-            a_i = self.cert.weights[i]
-            total = Fraction(0)
-            for j in range(self.sol.truncation + 1):
-                c = self.sol.coefficient(i, j)
-                value = c.evaluate({v: a for v in c.vars})
-                total += (j - a_i) * value * Fraction(-1) ** (j - a_i - 1)
-            derivative.append(total)
-        # leading defect is cubic in alpha1, so 1e-5 has two decades of slack
-        for d, r in zip(derivative, rhs):
-            assert abs(float(d - r)) < 1e-5
-
-    def test_pole_shift_moves_the_evaluation_point(self):
-        shifted = initial_value_map(self.sol, {"alpha0": 1}, 0)
-        assert shifted == (1, 2)
-
-    def test_evaluating_on_the_pole_is_an_error(self):
-        with pytest.raises(ZeroDivisionError):
-            initial_value_map(self.sol, {"alpha0": Fraction(1, 2)},
-                              Fraction(1, 2))
-
-    def test_unknown_parameter_names_are_rejected(self):
-        with pytest.raises(KeyError):
-            initial_value_map(self.sol, {"alpha7": 1}, -1)
-
     def test_json_export_round_trips_the_exact_values(self):
         assert series_json(self.sol) == [
             {"i": 1, "j": 0, "polynomial": {"0": "1"}},
@@ -164,25 +119,6 @@ class TestCubicOscillator:
             {"i": 2, "j": 6, "polynomial": {"1": "4"}},
             {"i": 2, "j": 12, "polynomial": {"2": "10/13"}},
         ]
-
-    @given(
-        lam=st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
-                         max_denominator=8).filter(bool),
-        seed=st.fractions(min_value=Fraction(-2), max_value=Fraction(2),
-                          max_denominator=8),
-        z=st.fractions(min_value=Fraction(1, 4), max_value=Fraction(3),
-                       max_denominator=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore::kovex.laurent.OutsideHeuristicRadius")
-    def test_weighted_parameter_scaling(self, lam, seed, z):
-        # scaling alpha_l by lam^kappa_l while shrinking the pole distance
-        # by lam multiplies component i by lam^{a_i}
-        base = initial_value_map(self.sol, {"alpha1": seed}, z)
-        scaled = initial_value_map(
-            self.sol, {"alpha1": seed * lam ** 6}, z / lam)
-        assert scaled == tuple(lam ** a * v
-                               for a, v in zip(self.cert.weights, base))
 
 
 class TestUncoupledPair:
@@ -373,14 +309,6 @@ class TestCheckerSensitivity:
             sol, coefficients=tuple(tuple(r) for r in rows))
         assert residual_order(field, cert, sol) is None
         assert residual_order(field, cert, doctored) == 6
-
-
-class TestEvaluationWarning:
-    def test_growing_tail_triggers_the_radius_warning(self, cubic2d):
-        field, cert = cubic2d
-        sol = build_series(field, cert, (1, -2))
-        with pytest.warns(OutsideHeuristicRadius):
-            initial_value_map(sol, {"alpha1": 1000}, Fraction(1, 2))
 
 
 class TestDeepSeriesAtGoldenLoci:

@@ -1,8 +1,8 @@
 """F's balance search runs once per analysis and its results are reused.
 
-The CLI's locus stage computes F's loci and their spectra; the
-degeneration predictions are matched against a pool built from exactly
-those, so no later stage searches F again, and one search builds its
+The locus stage of kovex.analyze computes F's loci and their spectra; the
+degeneration predictions are matched against Analysis.pool, built from
+exactly those, so no later stage searches F again, and one search builds its
 indicial system once.  Within a search, each zero pattern is saturated by
 its nonzero coordinates, and Newton runs only on the patterns the exact
 solver could not settle completely.
