@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import degeneration
-from .kovalevskaya import NoLocusFound, find_loci, k_exponents, numeric_exponents
+from .kovalevskaya import NoLocusFound, find_loci, spectra
 from .laurent import (
     LaurentSolution,
     TruncationBelowResonance,
@@ -67,8 +67,8 @@ class AnalysisError(Exception):
 @dataclass(frozen=True)
 class Analysis:
     """One run: the report ``--json`` writes, the text summary and the exact
-    objects behind them.  loci pairs each locus of F with its KExponentReport
-    or numeric exponents, series maps a locus index to its LaurentSolution,
+    objects behind them.  loci pairs each locus of F with its spectrum
+    (kovalevskaya.spectra), series maps a locus index to its LaurentSolution,
     pool is F's lower_spectra (None when the locus stage did not run)."""
 
     report: dict
@@ -99,7 +99,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, metavar="S", default=0,
                         help="RNG seed for the numeric locus search")
     common.add_argument("--tolerance", type=float, metavar="T", default=None,
-                        help="numeric tolerance (default: per-stage)")
+                        help="numeric verification tolerance of every locus "
+                             "search (default 1e-12)")
     common.add_argument("--json", metavar="OUT", default=None,
                         help="write the full JSON report to this path")
     common.add_argument("--max-weight", type=int, metavar="W", default=12,
@@ -298,40 +299,36 @@ def _locus_stage(field, cert, spec, search):
         loci = find_loci(field, cert, seeds=spec.seeds, **search).loci
     except NoLocusFound:
         loci = ()
+    pairs = spectra(field, cert, loci)
     entries = []
-    pairs = []
-    for locus in loci:
+    for locus, spectrum in pairs:
         entry: dict = {
             "point": _point_json(locus.point),
             "exactness": locus.exactness,
             "source": locus.source,
         }
         if locus.is_exact:
-            report = k_exponents(field, cert, locus.point)
-            pairs.append((locus, report))
-            entry["exponents"] = _rootset_json(report.exponents)
-            entry["classification"] = report.classification
-            entry["eigenpair_verified"] = report.eigenpair_verified
-            entry["semisimple_at_resonances"] = report.semisimple_at_resonances
-            entry["has_zero_exponent"] = report.has_zero_exponent
+            entry["exponents"] = _rootset_json(spectrum.exponents)
+            entry["classification"] = spectrum.classification
+            entry["eigenpair_verified"] = spectrum.eigenpair_verified
+            entry["semisimple_at_resonances"] = spectrum.semisimple_at_resonances
+            entry["has_zero_exponent"] = spectrum.has_zero_exponent
             lines.append(f"locus {_fmt_point(locus.point)}  "
                          f"[exact, {locus.source}]")
-            lines.append(f"  exponents: {_spectrum_text(report.exponents)}")
-            lines.append(f"  spectrum classification: {report.classification}")
-            if not report.eigenpair_verified:
+            lines.append(f"  exponents: {_spectrum_text(spectrum.exponents)}")
+            lines.append(f"  spectrum classification: {spectrum.classification}")
+            if not spectrum.eigenpair_verified:
                 violations.append(
                     f"universal eigenpair fails at {_fmt_point(locus.point)}")
         else:
-            values = numeric_exponents(field, cert, locus.point)
-            pairs.append((locus, values))
-            entry["numeric_spectrum"] = [_num(v) for v in values]
+            entry["numeric_spectrum"] = [_num(v) for v in spectrum]
             lines.append(f"locus {_fmt_point(locus.point)}  "
                          f"[numeric, {locus.source}]")
-            lines.append(f"  exponents: {_fmt_values(values)}")
+            lines.append(f"  exponents: {_fmt_values(spectrum)}")
         entries.append(entry)
     if not entries:
         lines.append("no indicial loci found")
-    return entries, tuple(pairs), violations, lines
+    return entries, pairs, violations, lines
 
 
 def _series_stage(field, cert, loci, entries, truncation):
@@ -569,7 +566,7 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
     if command == "flow" and g_field is None:
         raise AnalysisError(
             f"{name}: no commuting field declared; 'flow' needs one")
-    # numeric search options of F's search and the degeneration checks
+    # options of every locus search: F, flow subsystems, deformed fields
     search = {"rng_seed": seed}
     if tolerance is not None:
         search["tolerance"] = tolerance
@@ -612,8 +609,7 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
     loci, solutions, pool = (), {}, None
     if cert is not None and "loci" in stages:
         entries, loci, found, more = _locus_stage(field, cert, spec, search)
-        pool = degeneration.lower_spectra(
-            [(locus.point, spectrum) for locus, spectrum in loci])
+        pool = degeneration.lower_spectra(loci)
         report["loci"] = entries
         violations += found
         lines += more

@@ -13,9 +13,10 @@ The prediction is computed along two independent routes and both are
 reported: an exact route on rescaled parameter coordinates, where the
 indicial system clears to a polynomial system over Q and the exponent
 matrix has a closed form, and a direct route that hunts the flow's own
-indicial loci numerically and reads the multiset off the full (pole
-position included) exponent matrix.  The routes see different
-coordinates, so agreement is a genuine cross-check, not a replay.
+indicial loci and reads the multiset off the Kovalevskaya matrix of the
+pole field (ParamFlow.pole_field, the flow with the pole position as an
+extra coordinate).  The routes see different coordinates, so agreement
+is a genuine cross-check, not a replay.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactalg import (
+    DEFAULT_TOL,
     ExactMatrix,
     MultiPoly,
     as_fraction,
@@ -36,12 +38,11 @@ from .exactalg import (
     solve_poly_system,
 )
 from .kovalevskaya import (
-    KExponentReport,
     NoLocusFound,
     find_loci,
-    k_exponents,
     kovalevskaya_matrix,
     numeric_exponents,
+    spectra,
 )
 from .laurent import LaurentSolution, _PrefixSeries, classify
 from .vfmodel import VectorField, WeightCertificate, field_degree
@@ -68,6 +69,9 @@ __all__ = [
     "lower_spectra",
     "param_flow",
 ]
+
+# float exponents match within this (relative); smaller shift rates vanish
+_MATCH_TOL = 1e-8
 
 
 class TruncationTooShort(ValueError):
@@ -196,7 +200,7 @@ class ParamFlow:
     drives alpha_l.  On the parameters alone the flow is again a
     quasi-homogeneous field: weights kappa (the resonance orders) and
     degree gamma, which subsystem_field() packages for reuse by the locus
-    and exponent machinery.
+    and exponent machinery; pole_field() adds the pole position.
     """
 
     ghat0: MultiPoly
@@ -207,6 +211,16 @@ class ParamFlow:
 
     def subsystem_field(self) -> VectorField:
         return VectorField(self.parameters, self.ghat)
+
+    def pole_field(self) -> tuple[VectorField, WeightCertificate]:
+        """The flow with the pole position alpha0 (weight -1) prepended.
+
+        Its Kovalevskaya matrix at (0,) + xi, for a subsystem locus xi, is
+        the flow's full exponent matrix, pole row included.
+        """
+        return (VectorField(("alpha0",) + self.parameters,
+                            (self.ghat0,) + self.ghat),
+                WeightCertificate((-1,) + self.kappa, self.gamma))
 
 
 def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
@@ -368,7 +382,7 @@ def _all_rational(values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _multisets_match(a, b, tol: float) -> bool:
+def _multisets_match(a, b) -> bool:
     if len(a) != len(b):
         return False
     if _all_rational(a) and _all_rational(b):
@@ -378,7 +392,7 @@ def _multisets_match(a, b, tol: float) -> bool:
         zv = complex(v)
         hit = None
         for idx, w in enumerate(remaining):
-            if abs(zv - w) <= tol * max(1.0, abs(w)):
+            if abs(zv - w) <= _MATCH_TOL * max(1.0, abs(w)):
                 hit = idx
                 break
         if hit is None:
@@ -387,29 +401,29 @@ def _multisets_match(a, b, tol: float) -> bool:
     return True
 
 
-def _contains(values, target, tol: float) -> bool:
+def _contains(values, target) -> bool:
     if _all_rational(values):
         return as_fraction(target) in values
     zt = complex(target)
-    return any(abs(complex(v) - zt) <= tol * max(1.0, abs(zt)) for v in values)
+    return any(abs(complex(v) - zt) <= _MATCH_TOL * max(1.0, abs(zt))
+               for v in values)
 
 
-def lower_spectra(spectra: Sequence[tuple[tuple, object]]) -> tuple:
+def lower_spectra(pairs: Sequence[tuple]) -> tuple:
     """(point, exponent multiset) for every lower locus of the ambient field.
 
-    spectra pairs each point of F's locus search with its spectrum there:
-    the KExponentReport at an exact locus, the numeric exponents
-    (numeric_exponents) at a numeric one.  Exact loci are kept only when
-    classified lower; numeric loci go in unfiltered since a principal
-    multiset can never collide with a lower prediction anyway.
+    pairs are the (locus, spectrum) pairs of kovalevskaya.spectra for F's
+    loci.  Exact loci are kept only when classified lower; numeric loci go
+    in unfiltered since a principal multiset can never collide with a
+    lower prediction anyway.
     """
     pool = []
-    for point, spectrum in spectra:
-        if isinstance(spectrum, KExponentReport):
+    for locus, spectrum in pairs:
+        if locus.is_exact:
             if spectrum.classification == "lower":
-                pool.append((point, spectrum.exponents.multiset()))
+                pool.append((locus.point, spectrum.exponents.multiset()))
         else:
-            pool.append((point, _sorted_multiset(spectrum)))
+            pool.append((locus.point, _sorted_multiset(spectrum)))
     return tuple(pool)
 
 
@@ -435,14 +449,13 @@ class DegenerationReport:
     diagnostics: tuple[dict, ...]
 
 
-def _assemble(gamma: int, entries: list, pool: tuple,
-              tol: float) -> DegenerationReport:
+def _assemble(gamma: int, entries: list, pool: tuple) -> DegenerationReport:
     matched = []
     unmatched = []
     for idx, entry in enumerate(entries):
         predicted = entry[3]
         hits = tuple(point for point, multiset in pool
-                     if _multisets_match(predicted, multiset, tol))
+                     if _multisets_match(predicted, multiset))
         matched.append(hits)
         if not hits:
             unmatched.append(idx)
@@ -459,8 +472,18 @@ def _assemble(gamma: int, entries: list, pool: tuple,
     )
 
 
+def _loci(field: VectorField, certificate: WeightCertificate, rng_seed: int,
+          tolerance: float) -> tuple:
+    """Loci of a flow subsystem or deformed field, () when none is found."""
+    try:
+        return find_loci(field, certificate, rng_seed=rng_seed,
+                         tolerance=tolerance).loci
+    except NoLocusFound:
+        return ()
+
+
 def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
-                      tolerance: float = 1e-8) -> DegenerationReport:
+                      tolerance: float = DEFAULT_TOL) -> DegenerationReport:
     """Lower-family prediction for a degree-1 commuting flow.
 
     With gamma = 1 the pole position drifts at the constant rate ghat0
@@ -468,29 +491,25 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     parameter subsystem contributes the multiset {-1} union spec(K(xi)),
     the extra -1 coming from the pole direction itself.  The predictions
     are matched against pool, the ambient field's lower_spectra.
+    rng_seed and tolerance go to the subsystem's locus search.
     """
     if flow.gamma != 1:
         raise ValueError("this route needs a degree-1 commuting flow")
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, 1)
     entries: list = []
-    if not sub.is_zero():
-        try:
-            search = find_loci(sub, sub_cert, rng_seed=rng_seed)
-        except NoLocusFound:
-            search = None
-        for locus in (search.loci if search else ()):
-            if locus.is_exact:
-                report = k_exponents(sub, sub_cert, locus.point)
-                vals = report.exponents.multiset()
-                predicted = _sorted_multiset((Fraction(-1),) + vals)
-                diag = {"universal_eigenpair": report.eigenpair_verified}
-            else:
-                vals = numeric_exponents(sub, sub_cert, locus.point)
-                predicted = _sorted_multiset((complex(-1),) + vals)
-                diag = {}
-            entries.append((locus.point, "pole_shift", vals, predicted, diag))
-    return _assemble(1, entries, pool, tolerance)
+    for locus, spectrum in spectra(sub, sub_cert,
+                                   _loci(sub, sub_cert, rng_seed, tolerance)):
+        if locus.is_exact:
+            vals = spectrum.exponents.multiset()
+            predicted = _sorted_multiset((Fraction(-1),) + vals)
+            diag = {"universal_eigenpair": spectrum.eigenpair_verified}
+        else:
+            vals = spectrum
+            predicted = _sorted_multiset((complex(-1),) + vals)
+            diag = {}
+        entries.append((locus.point, "pole_shift", vals, predicted, diag))
+    return _assemble(1, entries, pool)
 
 
 def _rescaled_matrix(flow: ParamFlow, point: tuple, g0_value: Fraction) -> ExactMatrix:
@@ -521,43 +540,7 @@ def _rescaled_matrix(flow: ParamFlow, point: tuple, g0_value: Fraction) -> Exact
     return ExactMatrix(rows)
 
 
-def _flow_matrix_exact(flow: ParamFlow, point: tuple) -> ExactMatrix:
-    """Full exponent matrix of the flow, pole row included, at a rational locus."""
-    params = flow.parameters
-    gamma = flow.gamma
-    assign = dict(zip(params, point))
-    top = [Fraction(-1, gamma)]
-    top.extend(flow.ghat0.diff(v).evaluate(assign) for v in params)
-    rows = [top]
-    for l, g in enumerate(flow.ghat):
-        row = [Fraction(0)]
-        for j, v in enumerate(params):
-            entry = g.diff(v).evaluate(assign)
-            if l == j:
-                entry += Fraction(flow.kappa[l], gamma)
-            row.append(entry)
-        rows.append(row)
-    return ExactMatrix(rows)
-
-
-def _flow_matrix_numeric(flow: ParamFlow, point: tuple) -> np.ndarray:
-    params = flow.parameters
-    gamma = flow.gamma
-    assign = {v: complex(p) for v, p in zip(params, point)}
-    n = len(params)
-    mat = np.zeros((n + 1, n + 1), dtype=complex)
-    mat[0, 0] = -1.0 / gamma
-    for j, v in enumerate(params):
-        mat[0, j + 1] = complex(flow.ghat0.diff(v).evaluate(assign))
-    for l, g in enumerate(flow.ghat):
-        for j, v in enumerate(params):
-            mat[l + 1, j + 1] = complex(g.diff(v).evaluate(assign))
-        mat[l + 1, l + 1] += flow.kappa[l] / gamma
-    return mat
-
-
-def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value,
-                  predicted, tol: float) -> bool:
+def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted) -> bool:
     """Spectral check tying the direct route to the rescaled one.
 
     A diagonal conjugation carries the rescaled exponent matrix onto
@@ -580,16 +563,16 @@ def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value,
     spectrum = [flow.gamma * z for z in np.linalg.eigvals(block)]
     target = list(predicted)
     for idx, value in enumerate(target):
-        if abs(complex(value) + flow.gamma) <= tol * max(1.0, flow.gamma):
+        if abs(complex(value) + flow.gamma) <= _MATCH_TOL * max(1.0, flow.gamma):
             del target[idx]
             break
     else:
         return False
-    return _multisets_match(spectrum, target, tol)
+    return _multisets_match(spectrum, target)
 
 
 def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
-                         tolerance: float = 1e-8) -> DegenerationReport:
+                         tolerance: float = DEFAULT_TOL) -> DegenerationReport:
     """Lower-family prediction for commuting degree two or more, dual route.
 
     Exact route first: in rescaled coordinates the flow's indicial system
@@ -597,10 +580,11 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     solution with nonvanishing ghat0 yields the closed-form exponent
     matrix and the prediction spec union {-gamma}.  Then the direct
     route: the subsystem's own indicial loci (typically irrational, found
-    numerically), the full exponent matrix with the pole row, and the
-    prediction gamma times its spectrum.  Both routes land in the same
-    report, matched against pool, the ambient field's lower_spectra;
-    neither is allowed to stand in for the other.
+    numerically), the pole field's Kovalevskaya matrix there (pole row
+    included), and the prediction gamma times its spectrum.  Both routes
+    land in the same report, matched against pool, the ambient field's
+    lower_spectra; neither is allowed to stand in for the other.  rng_seed
+    and tolerance go to the subsystem's locus search.
     """
     gamma = flow.gamma
     if gamma < 2:
@@ -615,71 +599,59 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     cleared = [g + MultiPoly.variable(v, params) * flow.ghat0 * k
                for g, v, k in zip(flow.ghat, params, flow.kappa)]
     solved = solve_poly_system(list(cleared), params)
-    exact_points = []
     for point in solved.points:
         value = flow.ghat0.evaluate(dict(zip(params, point)))
         if value == 0:
             continue
-        exact_points.append(point)
         matrix = _rescaled_matrix(flow, point, value)
         vals = roots_exact_first(matrix.charpoly()).multiset()
         predicted = _sorted_multiset(vals + (Fraction(-gamma),))
         diag = {
             "g0_value": value,
-            "minus_one_present": _contains(vals, Fraction(-1), tolerance),
+            "minus_one_present": _contains(vals, Fraction(-1)),
             "search_complete": solved.complete,
         }
         entries.append((point, "rescale_exact", vals, predicted, diag))
 
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
-    search = None
-    if not sub.is_zero():
-        try:
-            search = find_loci(sub, sub_cert, rng_seed=rng_seed)
-        except NoLocusFound:
-            search = None
-    for locus in (search.loci if search else ()):
-        assign = dict(zip(params, locus.point))
-        g0_value = flow.ghat0.evaluate(assign)
-        if abs(complex(g0_value)) <= tolerance:
+    pole, pole_cert = flow.pole_field()
+    for locus in _loci(sub, sub_cert, rng_seed, tolerance):
+        g0_value = flow.ghat0.evaluate(dict(zip(params, locus.point)))
+        if abs(complex(g0_value)) <= _MATCH_TOL:
             warnings.warn(
                 "flow locus with vanishing shift coefficient skipped by "
                 "the direct route",
                 UnrescalableLocus, stacklevel=2)
             continue
+        at_pole = (0,) + locus.point
+        shift = gamma * g0_value
+        rescaled = tuple(shift ** k * x
+                         for k, x in zip(flow.kappa, locus.point))
         if locus.is_exact:
-            matrix = _flow_matrix_exact(flow, locus.point)
+            matrix = kovalevskaya_matrix(pole, pole_cert, at_pole)
             vals = roots_exact_first(matrix.charpoly()).multiset()
-            shift = gamma * g0_value
-            rescaled = tuple(shift ** k * x
-                             for k, x in zip(flow.kappa, locus.point))
         else:
-            vals = sorted(np.linalg.eigvals(_flow_matrix_numeric(flow, locus.point)),
-                          key=lambda z: (z.real, z.imag))
-            shift = gamma * complex(g0_value)
-            lifted = [shift ** k * complex(x)
-                      for k, x in zip(flow.kappa, locus.point)]
-            snapped = [snap_rational(x) for x in lifted]
-            rescaled = (tuple(snapped) if all(s is not None for s in snapped)
-                        else tuple(lifted))
+            vals = numeric_exponents(pole, pole_cert, at_pole)
+            snapped = tuple(snap_rational(x) for x in rescaled)
+            if all(s is not None for s in snapped):
+                rescaled = snapped
         predicted = _sorted_multiset([gamma * v for v in vals])
         verified = (all(isinstance(x, Fraction) for x in rescaled)
                     and all(eq.evaluate(dict(zip(params, rescaled))) == 0
                             for eq in cleared)
                     and flow.ghat0.evaluate(dict(zip(params, rescaled))) != 0)
         diag = {
-            "minus_one_present": _contains(vals, Fraction(-1), tolerance),
-            "inverse_degree_present": _contains(vals, Fraction(-1, gamma),
-                                                tolerance),
+            "minus_one_present": _contains(vals, Fraction(-1)),
+            "inverse_degree_present": _contains(vals, Fraction(-1, gamma)),
             "conjugacy_ok": _conjugacy_ok(flow, locus.point, g0_value,
-                                          predicted, tolerance),
+                                          predicted),
             "rescaled_point": rescaled,
             "matches_rescaled_exact": verified,
         }
         entries.append((locus.point, "flow_direct",
                         _sorted_multiset(vals), predicted, diag))
-    return _assemble(gamma, entries, pool, tolerance)
+    return _assemble(gamma, entries, pool)
 
 
 @dataclass(frozen=True)
@@ -707,12 +679,13 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
                                                Fraction(1, 3)), *,
                          predicted: Sequence | None = None,
                          rng_seed: int = 0,
-                         tolerance: float = 1e-8) -> DeformationCheck:
+                         tolerance: float = DEFAULT_TOL) -> DeformationCheck:
     """Probe the lower family by deforming F along the commuting direction.
 
     Only meaningful at commuting degree 1, where k1 = ghat0 is a constant
     and F + G/(eps + k1) is again degree-1 quasi-homogeneous.  An epsilon
     with eps + k1 = 0 makes the deformation undefined and is rejected.
+    rng_seed and tolerance go to each deformed field's locus search.
     """
     if flow.gamma != 1:
         raise ValueError("deformation check needs a degree-1 commuting flow")
@@ -736,21 +709,16 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
             field.variables,
             tuple(f + g * scale
                   for f, g in zip(field.components, g_field.components)))
-        collected = []
-        try:
-            search = find_loci(deformed, certificate, rng_seed=rng_seed)
-        except NoLocusFound:
-            search = None
-        for locus in (search.loci if search else ()):
-            if not locus.is_exact:
-                continue
-            report = k_exponents(deformed, certificate, locus.point)
-            collected.append(report.exponents.multiset())
-        collected.sort(key=lambda ms: tuple((complex(v).real, complex(v).imag)
-                                            for v in ms))
+        exact = [locus for locus in _loci(deformed, certificate, rng_seed,
+                                          tolerance) if locus.is_exact]
+        collected = sorted(
+            (report.exponents.multiset()
+             for _, report in spectra(deformed, certificate, exact)),
+            key=lambda ms: tuple((complex(v).real, complex(v).imag)
+                                 for v in ms))
         per_eps.append(tuple(collected))
         if want is not None:
-            realized.append(any(_multisets_match(want, ms, tolerance)
+            realized.append(any(_multisets_match(want, ms)
                                 for ms in collected))
 
     stable = all(ms == per_eps[0] for ms in per_eps[1:])

@@ -19,7 +19,10 @@ from typing import Mapping, Sequence, Union
 Scalar = Union[int, Fraction]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+_ABERTH_MAX_ITER = 200
+_MAX_BRANCHES = 512
+_SNAP_MAX_DENOMINATOR = 10 ** 6
+_SNAP_TOL = 1e-9
 
 
 def as_fraction(value: object) -> Fraction:
@@ -838,8 +841,7 @@ class RootSet:
                                                 complex(v).imag)))
 
 
-def roots_exact_first(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
+def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
     """Find all roots: complete rational search, then certified numerics.
 
     The rational stage is complete: ``rational_roots`` isolates the real
@@ -848,7 +850,7 @@ def roots_exact_first(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL,
     rational root lands in ``rational_roots`` with its exact multiplicity.
     The residual is split into squarefree factors exactly (Yun), which
     hands the numeric stage only simple roots; each numeric root must have
-    backward error <= tol or NumericNonConvergence is raised.
+    backward error <= DEFAULT_TOL or NumericNonConvergence is raised.
     """
     exact = [as_fraction(c) for c in coeffs]
     if not exact or exact[0] == 0:
@@ -869,7 +871,7 @@ def roots_exact_first(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL,
     numeric: list[tuple[complex, int, float]] = []
     if len(monic) > 1:
         for factor, multiplicity in _squarefree_factors(list(monic)):
-            approx = _aberth([float(c) for c in factor], max_iter)
+            approx = _aberth([float(c) for c in factor], _ABERTH_MAX_ITER)
             for z in approx:
                 scale = 1.0
                 power = 1.0
@@ -878,10 +880,11 @@ def roots_exact_first(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL,
                     power *= abs(z)
                 err = abs(poly_eval(factor, z)) / scale
                 numeric.append((z, multiplicity, err))
-        bad = [z for z, _, err in numeric if err > tol]
+        bad = [z for z, _, err in numeric if err > DEFAULT_TOL]
         if bad:
             raise NumericNonConvergence(
-                f"numeric roots {bad} exceed tolerance {tol} after {max_iter} iterations")
+                f"numeric roots {bad} exceed tolerance {DEFAULT_TOL} after "
+                f"{_ABERTH_MAX_ITER} iterations")
 
     return RootSet(
         rational_roots=tuple(sorted(rational.items())),
@@ -1026,8 +1029,8 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
     return [], False, False  # no handle on this system; numeric routes take over
 
 
-def solve_poly_system(eqs: Sequence[MultiPoly], variables: Sequence[str],
-                      max_branches: int = 512) -> ExactSolveResult:
+def solve_poly_system(eqs: Sequence[MultiPoly],
+                      variables: Sequence[str]) -> ExactSolveResult:
     """Solve a small polynomial system exactly where the structure allows.
 
     The strategy alternates two moves: branch on the complete set of rational
@@ -1038,7 +1041,7 @@ def solve_poly_system(eqs: Sequence[MultiPoly], variables: Sequence[str],
     """
     vars_t = tuple(variables)
     normalized = [eq.embed(vars_t) if eq.vars != vars_t else eq for eq in eqs]
-    budget = [max_branches]
+    budget = [_MAX_BRANCHES]
     raw, complete, has_free = _solve_branch(list(normalized), vars_t, budget)
 
     points: list[tuple[Fraction, ...]] = []
@@ -1049,12 +1052,11 @@ def solve_poly_system(eqs: Sequence[MultiPoly], variables: Sequence[str],
     return ExactSolveResult(tuple(points), complete, has_free)
 
 
-def snap_rational(value, max_denominator: int = 10 ** 6,
-                  tol: float = 1e-9) -> Fraction | None:
-    """Closest small-denominator rational within tol, or None.
+def snap_rational(value) -> Fraction | None:
+    """Closest rational with denominator at most 10^6 within 1e-9, or None.
 
-    Complex inputs qualify only when the imaginary part is below tol.  Being
-    within tol is not enough on its own: under a denominator cap D every real
+    Complex inputs qualify only when the imaginary part is below 1e-9.  Being
+    within 1e-9 is not enough on its own: under a denominator cap D every real
     has an approximant with error about 1/D^2, so the candidate must also beat
     the generic convergent quality 1/q^2 by a factor of 1000.  The caller is
     expected to re-verify the snapped value exactly; this function only
@@ -1065,14 +1067,14 @@ def snap_rational(value, max_denominator: int = 10 ** 6,
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, complex):
-        if abs(value.imag) > tol:
+        if abs(value.imag) > _SNAP_TOL:
             return None
         value = value.real
     if not math.isfinite(value):
         return None
-    candidate = Fraction(value).limit_denominator(max_denominator)
+    candidate = Fraction(value).limit_denominator(_SNAP_MAX_DENOMINATOR)
     err = abs(candidate - value)
-    if err > tol:
+    if err > _SNAP_TOL:
         return None
     if err * 1000 * candidate.denominator ** 2 > 1:
         return None

@@ -170,8 +170,8 @@ def _classify(matrix: ExactMatrix, roots: RootSet,
     return "lower", semisimple, has_zero
 
 
-def k_exponents(field: VectorField, certificate: WeightCertificate, locus, *,
-                tolerance: float = DEFAULT_TOL) -> KExponentReport:
+def k_exponents(field: VectorField, certificate: WeightCertificate,
+                locus) -> KExponentReport:
     """Spectrum of the Kovalevskaya matrix at an exact locus.
 
     Eigenvalues come from the characteristic polynomial with the rational
@@ -183,7 +183,7 @@ def k_exponents(field: VectorField, certificate: WeightCertificate, locus, *,
     if not verify_locus(field, certificate, point):
         raise ValueError("point does not satisfy the indicial equations")
     matrix = kovalevskaya_matrix(field, certificate, point)
-    roots = roots_exact_first(matrix.charpoly(), tol=tolerance)
+    roots = roots_exact_first(matrix.charpoly())
     vector = tuple(Fraction(a) * c
                    for a, c in zip(certificate.weights, point))
     verified = (any(vector)
@@ -214,6 +214,16 @@ def numeric_exponents(field: VectorField, certificate: WeightCertificate,
                      for j in range(m)] for i in range(m)])
     return tuple(sorted(np.linalg.eigvals(mat),
                         key=lambda z: (z.real, z.imag)))
+
+
+def spectra(field: VectorField, certificate: WeightCertificate,
+            loci: Sequence[IndicialLocus]) -> tuple[tuple, ...]:
+    """(locus, spectrum) pairs: the k_exponents report at an exact locus,
+    the numeric_exponents at a numeric one."""
+    return tuple(
+        (locus, k_exponents(field, certificate, locus.point) if locus.is_exact
+         else numeric_exponents(field, certificate, locus.point))
+        for locus in loci)
 
 
 def _compile_system(polys: Sequence[MultiPoly], variables: Sequence[str]):
@@ -306,8 +316,8 @@ def _snap_point(z: np.ndarray) -> tuple[Fraction, ...] | None:
     return tuple(snapped)
 
 
-def _close(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
-    return max(abs(complex(x) - complex(y)) for x, y in zip(a, b)) <= tol
+def _close(a: Sequence[complex], b: Sequence[complex]) -> bool:
+    return max(abs(complex(x) - complex(y)) for x, y in zip(a, b)) <= _DEDUP_TOL
 
 
 def _divide_out_monomial(poly: MultiPoly) -> MultiPoly:
@@ -324,9 +334,7 @@ def _divide_out_monomial(poly: MultiPoly) -> MultiPoly:
 def find_loci(field: VectorField, certificate: WeightCertificate,
               seeds: Sequence[Sequence[float]] = (), *,
               newton_starts: int = 64, rng_seed: int = 0,
-              tolerance: float = DEFAULT_TOL,
-              dedup_tol: float = _DEDUP_TOL,
-              max_branches: int = 512) -> LocusSearch:
+              tolerance: float = DEFAULT_TOL) -> LocusSearch:
     """Hunt for indicial loci, exact strategies first, in this order.
 
     1. User seeds are snapped to rationals and verified exactly; failing
@@ -380,7 +388,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             exact.append((point, source))
 
     def register_numeric(z: np.ndarray, source: str) -> None:
-        if float(np.max(np.abs(z))) <= dedup_tol:
+        if float(np.max(np.abs(z))) <= _DEDUP_TOL:
             return
         snapped = _snap_point(z)
         if snapped is not None and _vanishes(eqs, field.variables, snapped):
@@ -390,7 +398,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             return
         point = tuple(complex(v) for v in z)
         known = [p for p, _ in exact] + [p for p, _ in numeric]
-        if not any(_close(point, p, dedup_tol) for p in known):
+        if not any(_close(point, p) for p in known):
             numeric.append((point, source))
 
     if seeds:
@@ -422,7 +430,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             clamped.append(_divide_out_monomial(
                 eq.substitute(zeroed) if zeroed else eq))
         free_vars = [v for v, z in zip(field.variables, pattern) if not z]
-        result = solve_poly_system(clamped, free_vars, max_branches)
+        result = solve_poly_system(clamped, free_vars)
         solved.append(result.complete)
         for partial in result.points:
             filled = dict(zip(free_vars, partial))

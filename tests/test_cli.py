@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from kovex import AnalysisError, analyze, degeneration
+from kovex import AnalysisError, analyze, cli, degeneration
 from kovex.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +74,23 @@ def test_tolerance_reaches_the_deformation_check(monkeypatch, capsys):
     assert main(["analyze", str(PROBLEMS / "cubic_pair.kov"),
                  "--tolerance", "1e-6"]) == 0
     assert seen and all(t == 1e-6 for t in seen)
+
+
+@pytest.mark.parametrize("stem", ["cubic_pair", "painleve1_coupled_4d"])
+def test_tolerance_reaches_every_locus_search(stem, monkeypatch):
+    # F's search, the flow subsystems' and (cubic_pair) the deformed
+    # fields' all verify numeric loci to the one --tolerance
+    seen = []
+    for module in (cli, degeneration):
+        def spy(*args, _search=module.find_loci, _site=module.__name__,
+                **kwargs):
+            seen.append((_site, kwargs.get("tolerance")))
+            return _search(*args, **kwargs)
+        monkeypatch.setattr(module, "find_loci", spy)
+    analyze((PROBLEMS / f"{stem}.kov").read_text(), f"{stem}.kov",
+            tolerance=1e-10)
+    assert {site for site, _ in seen} == {"kovex.cli", "kovex.degeneration"}
+    assert all(tol == 1e-10 for _, tol in seen)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

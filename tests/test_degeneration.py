@@ -21,7 +21,7 @@ from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
 from kovex import analyze
 from kovex import degeneration as dg
 from kovex.exactalg import ExactMatrix, MultiPoly
-from kovex.kovalevskaya import k_exponents
+from kovex.kovalevskaya import k_exponents, kovalevskaya_matrix
 from kovex.laurent import build_series
 from kovex.vfmodel import VectorField, WeightCertificate
 
@@ -460,6 +460,45 @@ class TestRescaleRoutes:
         _, _, _, _, _, flow = deg1
         with pytest.raises(ValueError, match="at least"):
             dg.degenerate_gamma_ge2((), flow)
+
+
+class TestExactDirectRoute:
+    """The direct route at rational flow loci, checked by hand.
+
+    alpha1' = -alpha1^3 / 2 with shift rate alpha1, kappa (1,), degree 2:
+    the indicial equation alpha1 - alpha1^3 = 0 has the rational loci
+    +-1, where the pole field's Kovalevskaya matrix is
+    [[-1/2, 1], [0, -3/2 + 1/2]].  Rescaling by gamma * ghat0 = +-2 sends
+    both to 2, the one rescaled locus with nonzero shift rate.
+    """
+
+    @pytest.fixture(scope="class")
+    def flow(self):
+        return dg.ParamFlow(ghat0=A1, ghat=(A1 ** 3 * F(-1, 2),), kappa=(1,),
+                            gamma=2, parameters=("alpha1",))
+
+    def test_pole_field_matrix(self, flow):
+        field, cert = flow.pole_field()
+        for xi in (-1, 1):
+            assert kovalevskaya_matrix(field, cert, (0, xi)) == ExactMatrix(
+                [[F(-1, 2), F(1)], [F(0), F(-1)]])
+
+    def test_both_routes(self, flow):
+        report = dg.degenerate_gamma_ge2((), flow)
+        assert report.routes == ("rescale_exact", "flow_direct", "flow_direct")
+        assert report.flow_loci == ((2,), (-1,), (1,))
+        assert report.flow_exponents[0] == (-1,)
+        assert report.diagnostics[0]["g0_value"] == 2
+        for idx in (0, 1, 2):
+            assert report.predicted_lower_exponents[idx] == (-2, -1)
+        for idx in (1, 2):
+            vals = report.flow_exponents[idx]
+            assert vals == (-1, F(-1, 2))
+            assert all(isinstance(v, Fraction) for v in vals)
+            diag = report.diagnostics[idx]
+            assert diag["rescaled_point"] == (2,)
+            assert diag["matches_rescaled_exact"] is True
+            assert diag["conjugacy_ok"] is True
 
 
 class TestUnrescalableLocus:
