@@ -45,7 +45,7 @@ from .kovalevskaya import (
     spectra,
 )
 from .laurent import LaurentSolution, _PrefixSeries, classify
-from .vfmodel import VectorField, WeightCertificate, field_degree
+from .vfmodel import VectorField, WeightCertificate, field_degree, off_weight
 
 __all__ = [
     "DeformationCheck",
@@ -150,14 +150,10 @@ def expansion_support_check(expansion: GExpansion,
     (component, order, exponent) triples; empty means the law holds.
     """
     kappa = {r.parameter: r.order for r in sol.resonances}
-    violations = []
-    for k, vec in enumerate(expansion.vectors):
-        for i, poly in enumerate(vec):
-            for exps in poly.terms:
-                weight = sum(n * kappa[v] for n, v in zip(exps, poly.vars))
-                if weight != k:
-                    violations.append((i, k, exps))
-    return tuple(violations)
+    return tuple((i, k, exps)
+                 for k, vec in enumerate(expansion.vectors)
+                 for i, poly in enumerate(vec)
+                 for exps in off_weight(poly, kappa, k))
 
 
 def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
@@ -333,13 +329,8 @@ def flow_support_check(flow: ParamFlow) -> tuple[tuple[int, tuple[int, ...]], ..
     targets = [(0, flow.ghat0, flow.gamma - 1)]
     targets.extend((l + 1, g, flow.kappa[l] + flow.gamma)
                    for l, g in enumerate(flow.ghat))
-    violations = []
-    for label, poly, target in targets:
-        for exps in poly.terms:
-            weight = sum(n * kappa[v] for n, v in zip(exps, poly.vars))
-            if weight != target:
-                violations.append((label, exps))
-    return tuple(violations)
+    return tuple((label, exps) for label, poly, target in targets
+                 for exps in off_weight(poly, kappa, target))
 
 
 def g0_nonzero_certificate(g_field: VectorField, sol: LaurentSolution,

@@ -327,20 +327,6 @@ class MultiPoly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def weighted_degrees(self, weights: Sequence[Scalar]) -> set[Fraction]:
-        """Set of weighted degrees sum(w_i * e_i) over the support."""
-        ws = [as_fraction(w) for w in weights]
-        if len(ws) != len(self.vars):
-            raise ValueError("weight vector length must match variable count")
-        return {sum(w * e for w, e in zip(ws, exps)) for exps in self.terms}
-
-    def quasi_homogeneous_degree(self, weights: Sequence[Scalar]) -> Fraction | None:
-        """The common weighted degree of all terms, or None if mixed or zero."""
-        degs = self.weighted_degrees(weights)
-        if len(degs) != 1:
-            return None
-        return next(iter(degs))
-
     # -- presentation
 
     def __str__(self) -> str:
@@ -390,13 +376,11 @@ class ExactMatrix:
         self.nrows = len(data)
         self.ncols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+    def shifted(self, r: Scalar) -> "ExactMatrix":
+        """A - rI, built in one pass."""
+        r = as_fraction(r)
+        return ExactMatrix([[x - r if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(self.data)])
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key

@@ -142,8 +142,7 @@ def _semisimple_at(matrix: ExactMatrix, eigenvalue: Fraction,
                    algebraic: int) -> bool:
     if algebraic == 1:
         return True
-    shifted = matrix - ExactMatrix.identity(matrix.nrows) * eigenvalue
-    geometric = matrix.nrows - shifted.rank()
+    geometric = matrix.nrows - matrix.shifted(eigenvalue).rank()
     return geometric == algebraic
 
 
@@ -226,28 +225,19 @@ def spectra(field: VectorField, certificate: WeightCertificate,
         for locus in loci)
 
 
-def _compile_system(polys: Sequence[MultiPoly], variables: Sequence[str]):
+def _compile_system(polys: Sequence[MultiPoly]):
     """Closure evaluating the system on a batch of complex points via numpy.
 
-    The returned function maps an array of shape (batch, m) to residual
-    values of shape (batch, len(polys)).
+    Every polynomial is on the field's variables (VectorField embeds its
+    components there, and the indicial system and its derivatives keep
+    them), so exponent tuples are already the columns.  The returned
+    function maps an array of shape (batch, m) to residual values of shape
+    (batch, len(polys)).
     """
-    prepared = []
-    for poly in polys:
-        if not poly:
-            prepared.append(None)
-            continue
-        idx = [variables.index(v) for v in poly.vars]
-        exps = []
-        coefs = []
-        for e, c in poly.terms.items():
-            row = [0] * len(variables)
-            for k, v_i in enumerate(idx):
-                row[v_i] = e[k]
-            exps.append(row)
-            coefs.append(complex(c))
-        prepared.append((np.array(exps, dtype=np.int64),
-                         np.array(coefs, dtype=np.complex128)))
+    prepared = [(np.array(list(poly.terms), dtype=np.int64),
+                 np.array([complex(c) for c in poly.terms.values()],
+                          dtype=np.complex128)) if poly else None
+                for poly in polys]
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         batch = np.atleast_2d(points).astype(np.complex128)
@@ -316,10 +306,6 @@ def _snap_point(z: np.ndarray) -> tuple[Fraction, ...] | None:
     return tuple(snapped)
 
 
-def _close(a: Sequence[complex], b: Sequence[complex]) -> bool:
-    return max(abs(complex(x) - complex(y)) for x, y in zip(a, b)) <= _DEDUP_TOL
-
-
 def _divide_out_monomial(poly: MultiPoly) -> MultiPoly:
     """poly divided by the largest monomial that divides it."""
     if not poly:
@@ -368,16 +354,21 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     """
     m = field.dim
     eqs = indicial_system(field, certificate)
-    eval_f = _compile_system(eqs, field.variables)
+    eval_f = _compile_system(eqs)
     jac_polys = [entry for i in range(m)
                  for entry in (eqs[i].diff(v) for v in field.variables)]
-    eval_jac = _compile_system(jac_polys, field.variables)
+    eval_jac = _compile_system(jac_polys)
 
     exact: list[tuple[tuple[Fraction, ...], str]] = []
     numeric: list[tuple[tuple[complex, ...], str]] = []
     strategies: list[str] = []
 
     degree = max((eq.total_degree() or 1) for eq in eqs)
+    # Newton stops once the residual is below tolerance, so a point is
+    # only about that accurate, and a multiple root only about its square
+    # root: numeric points are merged, and dropped near the origin, within
+    # that distance
+    radius = max(_DEDUP_TOL, tolerance ** 0.5)
 
     def residual_ok(z: np.ndarray) -> bool:
         scale = max(1.0, float(np.max(np.abs(z))) ** degree)
@@ -388,7 +379,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             exact.append((point, source))
 
     def register_numeric(z: np.ndarray, source: str) -> None:
-        if float(np.max(np.abs(z))) <= _DEDUP_TOL:
+        if float(np.max(np.abs(z))) <= radius:
             return
         snapped = _snap_point(z)
         if snapped is not None and _vanishes(eqs, field.variables, snapped):
@@ -398,7 +389,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             return
         point = tuple(complex(v) for v in z)
         known = [p for p, _ in exact] + [p for p, _ in numeric]
-        if not any(_close(point, p) for p in known):
+        if not any(max(abs(x - complex(y)) for x, y in zip(point, p)) <= radius
+                   for p in known):
             numeric.append((point, source))
 
     if seeds:

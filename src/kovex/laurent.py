@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .exactalg import ExactMatrix, MultiPoly
 from .kovalevskaya import exact_point, k_exponents
-from .vfmodel import VectorField, WeightCertificate, verify_weight
+from .vfmodel import VectorField, WeightCertificate, off_weight, verify_weight
 
 __all__ = [
     "LaurentSolution",
@@ -140,14 +140,8 @@ class _PrefixSeries:
         self.links: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self.monomials: list[list[tuple[tuple[int, ...], Fraction]]] = []
         for comp in field.components:
-            idx = [field.variables.index(v) for v in comp.vars]
-            row = []
-            for exps, c in comp.terms.items():
-                full = [0] * field.dim
-                for k, v_i in enumerate(idx):
-                    full[v_i] = exps[k]
-                row.append((self._register(full), c))
-            self.monomials.append(row)
+            self.monomials.append([(self._register(exps), c)
+                                   for exps, c in comp.terms.items()])
         self.coeffs: dict[tuple[int, ...], list[MultiPoly]] = {
             key: [] for key in self.links}
         self.coeffs[self.root] = [MultiPoly.constant(1)]
@@ -244,12 +238,8 @@ def _field_orders(field: VectorField, partials: list[list],
     out = []
     for comp in field.components:
         total = [MultiPoly.zero() for _ in range(cap + 1)]
-        idx = [field.variables.index(v) for v in comp.vars]
         for exps, c in comp.terms.items():
-            full = [0] * field.dim
-            for k, v_i in enumerate(idx):
-                full[v_i] = exps[k]
-            term = _monomial_series(c, full, partials, cap)
+            term = _monomial_series(c, exps, partials, cap)
             total = [t + u for t, u in zip(total, term)]
         out.append(total)
     return out
@@ -299,7 +289,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
         rhs = [n * -1 for n in prefixes.advance(j)]
         union = tuple(sorted(set().union(*(p.vars for p in rhs))))
-        shifted = report.matrix - ExactMatrix.identity(m) * j
+        shifted = report.matrix.shifted(j)
         d_j, residue = shifted.solve_singular([p.embed(union) for p in rhs])
         inconsistent = set().union(*(r.terms for r in residue))
         if inconsistent:
@@ -360,16 +350,10 @@ def qh_coefficient_check(sol: LaurentSolution) -> tuple[tuple[int, int, tuple[in
     means the computed support matches the scaling structure.
     """
     kappa = {r.parameter: r.order for r in sol.resonances}
-    violations = []
-    for i, row in enumerate(sol.coefficients):
-        for j, poly in enumerate(row):
-            if j == 0 or not poly:
-                continue
-            for exps in poly.terms:
-                weight = sum(n * kappa[v] for n, v in zip(exps, poly.vars))
-                if weight != j:
-                    violations.append((i, j, exps))
-    return tuple(violations)
+    return tuple((i, j, exps)
+                 for i, row in enumerate(sol.coefficients)
+                 for j, poly in enumerate(row) if j
+                 for exps in off_weight(poly, kappa, j))
 
 
 def residual_order(field: VectorField, certificate: WeightCertificate,

@@ -8,13 +8,14 @@ what downstream analysis consumes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Mapping, Sequence
 
-from .exactalg import MultiPoly, solve_poly_system
+from .exactalg import ExactMatrix, MultiPoly, solve_poly_system
 from .vfparse import ProblemSpec
 
 
@@ -91,36 +92,39 @@ class WeightCheckResult:
     """(1-based component index, offending monomial exponent tuple) pairs."""
 
 
+def off_weight(poly: MultiPoly, weights_by_name: Mapping[str, int],
+               target: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of poly, sorted, whose weight is not target.
+
+    A monomial prod_v v^{e_v} weighs sum_v w_v e_v.  This is the monomial
+    law every weight check reads: f_i weighs a_i + degree under the field
+    weights, and a series or flow coefficient weighs its order under the
+    resonance orders.
+    """
+    ws = [weights_by_name[v] for v in poly.vars]
+    return tuple(e for e in sorted(poly.terms) if _weight(ws, e) != target)
+
+
+def _weight(weights: Sequence[int], exps: Sequence[int]) -> int:
+    return sum(map(operator.mul, weights, exps))
+
+
 def verify_weight(field: VectorField, certificate: WeightCertificate) -> WeightCheckResult:
     """Check the monomial law: every exponent tuple e of component i satisfies
-    sum_j a_j e_j = a_i + degree.  Zero components are vacuously fine."""
+    sum_j a_j e_j = a_i + degree.  Zero components are vacuously fine.
+
+    By Euler's theorem the differential form of the law,
+    sum_j a_j x_j df_i/dx_j = (a_i + degree) f_i, fails in exactly the
+    components listed here."""
     weights = certificate.weights
     if len(weights) != field.dim:
         raise DimensionMismatchError("weight vector length mismatches the field")
-    violations = []
-    for i, poly in enumerate(field.components):
-        target = weights[i] + certificate.degree
-        for exps in sorted(poly.terms):
-            if sum(w * e for w, e in zip(weights, exps)) != target:
-                violations.append((i + 1, exps))
-    return WeightCheckResult(not violations, tuple(violations))
-
-
-def euler_identity_check(field: VectorField, certificate: WeightCertificate) -> tuple[int, ...]:
-    """Indices (1-based) of components breaking the differential form of the
-    weight law: sum_j a_j x_j df_i/dx_j = (a_i + degree) f_i."""
-    weights = certificate.weights
-    if len(weights) != field.dim:
-        raise DimensionMismatchError("weight vector length mismatches the field")
-    failing = []
-    for i, poly in enumerate(field.components):
-        lhs = MultiPoly.zero(field.variables)
-        for w, v in zip(weights, field.variables):
-            lhs = lhs + MultiPoly.variable(v, field.variables) * poly.diff(v) * w
-        rhs = poly * (weights[i] + certificate.degree)
-        if lhs != rhs:
-            failing.append(i + 1)
-    return tuple(failing)
+    by_name = dict(zip(field.variables, weights))
+    violations = tuple(
+        (i + 1, exps)
+        for i, poly in enumerate(field.components)
+        for exps in off_weight(poly, by_name, weights[i] + certificate.degree))
+    return WeightCheckResult(not violations, violations)
 
 
 @dataclass(frozen=True)
@@ -138,36 +142,34 @@ class WeightInference:
     """degenerate means the zero field: every weight vector is admissible."""
 
 
-def infer_weights(field: VectorField, max_weight: int = 12,
-                  min_degree: int = 1) -> WeightInference:
-    """Enumerate weight vectors in [1..max_weight]^m admitting a uniform degree.
+def infer_weights(field: VectorField, max_weight: int = 12) -> WeightInference:
+    """Every weight vector in [1..max_weight]^m admitting a uniform degree >= 1.
 
-    Exhaustive search; cost grows as max_weight**m, fine for the small phase
-    spaces this tool targets.  Results are grouped by primitive (gcd-reduced)
-    direction since proportional weights certify the same scaling structure
-    with different degrees.
+    The monomial law w . e - w_i = degree is linear in (degree, w), one row
+    per monomial of f_i; eliminating the degree leaves the differences of
+    w . e - w_i between monomials.  ExactMatrix.kernel solves it with one
+    free coordinate per basis vector (the degree comes first and every row
+    has it, so it is never free).  A lattice point of the kernel lies in
+    [1..max_weight]^m only if its free coordinates do, so only those are
+    enumerated: max_weight^k candidates for a kernel of dimension k, and
+    k = 1 for uncoupled cubic, quartic and p4 blocks.  Results are grouped
+    by primitive (gcd-reduced) direction since proportional weights
+    certify the same scaling structure with different degrees.
     """
     if field.is_zero():
         return WeightInference((), True)
 
+    rows = {(-1,) + tuple(x - (j == i) for j, x in enumerate(exps))
+            for i, poly in enumerate(field.components) for exps in poly.terms}
+    basis = ExactMatrix(sorted(rows)).kernel()
     admissible: list[WeightCertificate] = []
-    for weights in product(range(1, max_weight + 1), repeat=field.dim):
-        degree = None
-        ok = True
-        for i, poly in enumerate(field.components):
-            if not poly:
-                continue
-            for exps in poly.terms:
-                d = sum(w * e for w, e in zip(weights, exps)) - weights[i]
-                if degree is None:
-                    degree = d
-                elif d != degree:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and degree is not None and degree >= min_degree:
-            admissible.append(WeightCertificate(weights, degree))
+    for free in product(range(1, max_weight + 1), repeat=len(basis)):
+        degree, *weights = (sum(t * v[c] for t, v in zip(free, basis))
+                            for c in range(field.dim + 1))
+        if degree >= 1 and all(w.denominator == 1 and 1 <= w <= max_weight
+                               for w in weights):
+            admissible.append(WeightCertificate(
+                tuple(int(w) for w in weights), int(degree)))
 
     grouped: dict[tuple[int, ...], list[WeightCertificate]] = {}
     for cert in admissible:
@@ -224,25 +226,19 @@ def commutes(f: VectorField, g: VectorField) -> bool:
 
 
 def field_degree(field: VectorField, weights: Sequence[int]) -> int | None:
-    """The uniform quasi-homogeneity degree for the given weights, or None."""
-    ws = tuple(weights)
-    degree = None
-    for i, poly in enumerate(field.components):
-        if not poly:
-            continue
-        d = poly.quasi_homogeneous_degree(ws)
-        if d is None:
-            return None
-        d -= ws[i]
-        if degree is None:
-            degree = d
-        elif d != degree:
-            return None
-    if degree is None:
+    """The uniform quasi-homogeneity degree for the given weights, or None.
+
+    The lowest monomial of the first nonzero component proposes the
+    degree, and off_weight checks every component against it."""
+    nonzero = [(w, poly) for w, poly in zip(weights, field.components) if poly]
+    if not nonzero:
         return None
-    if degree != int(degree):
+    w_first, first = nonzero[0]
+    degree = _weight(weights, min(first.terms)) - w_first
+    by_name = dict(zip(field.variables, weights))
+    if any(off_weight(poly, by_name, w + degree) for w, poly in nonzero):
         return None
-    return int(degree)
+    return degree
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,12 @@ from kovex.cli import main
 from kovex.exactalg import MultiPoly
 from kovex.kovalevskaya import exact_point, find_loci, k_exponents
 from kovex.laurent import build_series
-from kovex.vfmodel import WeightCertificate, field_degree, fields_from_problem
+from kovex.vfmodel import (
+    WeightCertificate,
+    field_degree,
+    fields_from_problem,
+    off_weight,
+)
 from kovex.vfparse import ParseError, parse_problem
 
 F = Fraction
@@ -119,8 +124,9 @@ def test_criterion_4_coupled_pair_flow_and_prediction(pair4d_deg3):
     with _criterion(4, budget=30.0):
         field, g_field, cert = pair4d_deg3
         spec = parse_problem(PAIR_4D_DEG3)
-        assert spec.h_f.quasi_homogeneous_degree(cert.weights) == 8
-        assert spec.h_g.quasi_homogeneous_degree(cert.weights) == 10
+        by_name = dict(zip(spec.variables, cert.weights))
+        assert spec.h_f and off_weight(spec.h_f, by_name, 8) == ()
+        assert spec.h_g and off_weight(spec.h_g, by_name, 10) == ()
         assert field_degree(g_field, cert.weights) == 3
 
         exact = sorted(exact_point(loc)

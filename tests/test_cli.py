@@ -93,6 +93,34 @@ def test_tolerance_reaches_every_locus_search(stem, monkeypatch):
     assert all(tol == 1e-10 for _, tol in seen)
 
 
+def test_loose_tolerance_keeps_one_entry_per_numeric_locus():
+    # at --tolerance 1e-6 Newton leaves the gamma = 3 flow subsystem's
+    # three cube-root loci only about 1e-6 accurate; merging within
+    # sqrt(tolerance) keeps one entry each and none near the origin, as at
+    # the default tolerance
+    stem = "painleve1_coupled_4d"
+    text = (PROBLEMS / f"{stem}.kov").read_text()
+    golden = json.loads((GOLDEN / f"{stem}.json").read_text())
+    report = analyze(text, f"{stem}.kov", tolerance=1e-6).report
+
+    def direct(rep):
+        return [e for e in rep["flow"][0]["degeneration"]["entries"]
+                if e["route"] == "flow_direct"]
+
+    def points(rep):
+        return [[complex(*x) for x in e["locus"]] for e in direct(rep)]
+
+    pinned = points(golden)
+    loose = points(report)
+    assert len(loose) == len(pinned) == 3
+    for point in loose:
+        # the order may differ: the points agree only to about 1e-6
+        near = [p for p in pinned
+                if max(abs(z - w) for z, w in zip(point, p)) < 1e-4]
+        assert len(near) == 1
+        assert max(map(abs, point)) > 1e-2
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

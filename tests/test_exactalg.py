@@ -16,6 +16,7 @@ from kovex.exactalg import (
     roots_exact_first,
     snap_rational,
 )
+from kovex.vfmodel import off_weight
 
 F = Fraction
 
@@ -76,12 +77,20 @@ class TestMultiPoly:
 
     def test_quasi_homogeneous_degree(self):
         # 6*x^2 has weighted degree 4 for weight (2, 3); y has 3
+        weights = {"x": 2, "y": 3}
         f2 = P({(2, 0): 6}, ("x", "y"))
         f1 = P({(0, 1): 1}, ("x", "y"))
-        assert f2.quasi_homogeneous_degree([2, 3]) == 4
-        assert f1.quasi_homogeneous_degree([2, 3]) == 3
+        assert off_weight(f2, weights, 4) == ()
+        assert off_weight(f2, weights, 3) == ((2, 0),)
+        assert off_weight(f1, weights, 3) == ()
         mixed = f1 + f2
-        assert mixed.quasi_homogeneous_degree([2, 3]) is None
+        assert off_weight(mixed, weights, 3) == ((2, 0),)
+        assert off_weight(mixed, weights, 4) == ((0, 1),)
+        # sorted, whatever order the terms were built in
+        assert off_weight(P({(2, 0): 6, (0, 1): 1}, ("x", "y")), weights,
+                          5) == ((0, 1), (2, 0))
+        # only the variables the polynomial has are looked up
+        assert off_weight(P({(3,): 1}, ("x",)), weights, 6) == ()
 
     def test_truediv_by_scalar(self):
         p = P({(1,): 3}, ("x",))
@@ -231,6 +240,14 @@ class TestExactMatrix:
         assert reduced.data[0] == (F(0), F(1), F(1, 2))
         assert reduced.data[1] == (F(0), F(0), F(0))
 
+    def test_shifted_subtracts_from_the_diagonal_only(self):
+        m = ExactMatrix([[2, 1], [12, 3]])
+        assert m.shifted(F(1, 2)) == ExactMatrix([[F(3, 2), 1], [12, F(5, 2)]])
+        assert m.shifted(-3) == ExactMatrix([[5, 1], [12, 6]])
+        assert m.shifted(0) == m
+        with pytest.raises(TypeError):
+            m.shifted(0.5)
+
     def test_kernel_of_rank_one(self):
         m = ExactMatrix([[1, 2], [2, 4]])
         assert m.kernel() == ((F(-2), F(1)),)
@@ -344,14 +361,12 @@ def _faddeev_leverrier(m):
     n dense matrix products over Q; the divisions by the step index are
     exact.  It shares no step with the Hessenberg reduction under test.
     """
-    n = m.nrows
     coeffs = [F(1)]
-    power = ExactMatrix.identity(n)
-    for k in range(1, n + 1):
-        power = m * power
+    power = m
+    for k in range(1, m.nrows + 1):
         ck = -power.trace() / k
         coeffs.append(ck)
-        power = power + ExactMatrix.identity(n) * ck
+        power = m * power.shifted(-ck)
     return coeffs
 
 

@@ -9,9 +9,10 @@ irrational spectra, which has to go through approximate roots.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
 from kovex.degeneration import g_expansion, hamiltonian_pairing_check
@@ -31,14 +32,17 @@ from kovex.laurent import (
     residual_order,
 )
 from kovex.vfmodel import (
+    DimensionMismatchError,
     VectorField,
     WeightCertificate,
-    euler_identity_check,
+    WeightFamily,
+    WeightInference,
     fields_from_problem,
     hamiltonian_to_field,
+    infer_weights,
     verify_weight,
 )
-from kovex.vfparse import parse_problem
+from kovex.vfparse import parse_expression, parse_problem
 
 
 def _monomial(names, exps):
@@ -128,6 +132,27 @@ def graded_fields(draw):
             WeightCertificate(weights, gamma), frozenset(offenders))
 
 
+def euler_identity_check(field, certificate):
+    """Oracle: indices (1-based) of components breaking the differential
+    form of the weight law, sum_j a_j x_j df_i/dx_j = (a_i + degree) f_i.
+
+    It works on the polynomials themselves (derivatives and products), so
+    it shares no step with the monomial law in verify_weight.
+    """
+    weights = certificate.weights
+    if len(weights) != field.dim:
+        raise DimensionMismatchError("weight vector length mismatches the field")
+    failing = []
+    for i, poly in enumerate(field.components):
+        lhs = MultiPoly.zero(field.variables)
+        for w, v in zip(weights, field.variables):
+            lhs = lhs + MultiPoly.variable(v, field.variables) * poly.diff(v) * w
+        rhs = poly * (weights[i] + certificate.degree)
+        if lhs != rhs:
+            failing.append(i + 1)
+    return tuple(failing)
+
+
 @given(graded_fields())
 @settings(max_examples=200)
 def test_euler_identity_agrees_with_the_monomial_law(case):
@@ -137,6 +162,75 @@ def test_euler_identity_agrees_with_the_monomial_law(case):
     assert {i for i, _ in law.violations} == set(offenders)
     assert set(euler) == set(offenders)
     assert law.ok == (euler == ())
+
+
+def _infer_by_enumeration(field, max_weight):
+    """Oracle: try every weight vector of [1..max_weight]^m in turn.
+
+    This is the exhaustive loop infer_weights ran before it solved the law
+    as a kernel.  It costs max_weight^m, so it serves small dimensions.
+    """
+    if field.is_zero():
+        return WeightInference((), True)
+    admissible = []
+    for weights in itertools.product(range(1, max_weight + 1),
+                                     repeat=field.dim):
+        degree = None
+        ok = True
+        for i, poly in enumerate(field.components):
+            for exps in poly.terms:
+                d = sum(w * e for w, e in zip(weights, exps)) - weights[i]
+                if degree is None:
+                    degree = d
+                elif d != degree:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok and degree is not None and degree >= 1:
+            admissible.append(WeightCertificate(weights, degree))
+    grouped = {}
+    for cert in admissible:
+        g = math.gcd(*cert.weights)
+        grouped.setdefault(tuple(w // g for w in cert.weights), []).append(cert)
+    return WeightInference(tuple(
+        WeightFamily(primitive, tuple(sorted(members, key=lambda c: c.weights)))
+        for primitive, members in sorted(grouped.items())), False)
+
+
+@st.composite
+def random_fields(draw):
+    """Zero to three arbitrary monomials per component, so zero components
+    occur and most fields admit no weight vector at all."""
+    m = draw(st.integers(1, 4))
+    names = tuple(f"x{k + 1}" for k in range(m))
+    grid = list(itertools.product(range(4), repeat=m))
+    comps = tuple(
+        MultiPoly(names, {draw(st.sampled_from(grid)): draw(NONZERO_Q)
+                          for _ in range(draw(st.integers(0, 3)))})
+        for _ in names)
+    return VectorField(names, comps)
+
+
+def _field(names, *exprs):
+    return VectorField(names, tuple(parse_expression(e, names) for e in exprs))
+
+
+@given(st.one_of(graded_fields().map(lambda case: case[0]), random_fields()),
+       st.integers(1, 6))
+# the law's kernel is empty: x^2 and x^3 need w = degree = 2w
+@example(_field(("x",), "x^2 + x^3"), 6)
+# a zero component leaves its variable's weight free: a 2-d kernel
+@example(_field(("x", "y"), "y^2", "0"), 6)
+@example(_field(("x", "y"), "0", "0"), 3)
+@settings(max_examples=200, deadline=None)
+def test_weight_inference_matches_enumeration(field, max_weight):
+    inferred = infer_weights(field, max_weight)
+    assert inferred == _infer_by_enumeration(field, max_weight)
+    for family in inferred.families:
+        for member in family.members:
+            assert all(type(x) is int
+                       for x in member.weights + (member.degree,))
 
 
 @given(scaled_problems())

@@ -1,11 +1,13 @@
 """Vector-field layer: Hamiltonian lifting, weights, brackets, zero sets."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kovex import analyze
 from kovex.exactalg import MultiPoly
 from kovex.vfmodel import (
     DimensionMismatchError,
@@ -14,7 +16,6 @@ from kovex.vfmodel import (
     WeightCertificate,
     check_zero_set,
     commutes,
-    euler_identity_check,
     field_degree,
     fields_from_problem,
     hamiltonian_to_field,
@@ -23,6 +24,7 @@ from kovex.vfmodel import (
     verify_weight,
 )
 from kovex.vfparse import parse_expression, parse_problem
+from test_properties import euler_identity_check
 
 
 def mk_field(variables, *exprs):
@@ -73,9 +75,16 @@ class TestWeights:
         assert result.violations == ((1, (0, 1)),)
 
     def test_euler_identity_matches(self, cubic2d):
-        field, cert = cubic2d
-        assert euler_identity_check(field, cert) == ()
-        assert euler_identity_check(field, WeightCertificate((1, 1), 1)) == (1,)
+        # the report's euler_identity is read from the monomial law by
+        # Euler's theorem; the oracle takes the differential form itself
+        field, _ = cubic2d
+        for weights, expected in (((2, 3), "ok"), ((1, 1), [1])):
+            text = (f"variables = [x:{weights[0]}, y:{weights[1]}]\n"
+                    'F.1 = "y"\nF.2 = "6*x^2"\n')
+            section = analyze(text, command="check").report["weights"]
+            assert section["euler_identity"] == expected
+            failing = euler_identity_check(field, WeightCertificate(weights, 1))
+            assert (list(failing) or "ok") == expected
 
     def test_infer_weights_single_family(self, cubic2d):
         field, _ = cubic2d
@@ -96,7 +105,23 @@ class TestWeights:
         # dx/dz = x has degree 0 for every weight, below the minimum of 1
         linear = mk_field(("x",), "x")
         assert infer_weights(linear).families == ()
-        assert infer_weights(linear, min_degree=0).families != ()
+        assert all(field_degree(linear, (w,)) == 0 for w in range(1, 13))
+
+    def test_four_cubic_blocks_infer_within_budget(self):
+        # uncoupled blocks share only the degree, so the law's kernel is
+        # one-dimensional and inference enumerates max_weight points, not
+        # max_weight^8 (about 30 minutes as an exhaustive loop)
+        names = [f"{c}{k}" for k in range(1, 5) for c in "qp"]
+        lines = ["variables = [" + ", ".join(names) + "]"]
+        for k in range(1, 5):
+            lines += [f'F.{2 * k - 1} = "p{k}"', f'F.{2 * k} = "6*q{k}^2"']
+        start = time.perf_counter()
+        report = analyze("\n".join(lines) + "\n", command="check").report
+        assert time.perf_counter() - start < 2.0
+        assert report["weights"]["source"] == "inferred"
+        assert report["weights"]["weights"] == [2, 3] * 4
+        assert report["weights"]["families"] == [
+            {"primitive": [2, 3] * 4, "degrees": [1, 2, 3, 4]}]
 
     def test_field_degree(self, pair4d_deg3):
         f, g, cert = pair4d_deg3
