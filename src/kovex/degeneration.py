@@ -44,7 +44,7 @@ from .kovalevskaya import (
     numeric_exponents,
     spectra,
 )
-from .laurent import LaurentSolution, _PrefixSeries, classify
+from .laurent import LaurentSolution, _expand_along, classify
 from .vfmodel import VectorField, WeightCertificate, field_degree, off_weight
 
 __all__ = [
@@ -70,7 +70,8 @@ __all__ = [
     "param_flow",
 ]
 
-# float exponents match within this (relative); smaller shift rates vanish
+# float exponents match within this (relative) at least; smaller shift
+# rates vanish
 _MATCH_TOL = 1e-8
 
 
@@ -136,9 +137,7 @@ def g_expansion(g_field: VectorField, sol: LaurentSolution,
             f"expansion through order {count - 1} needs the series "
             f"authoritative through that order (it stops at "
             f"{sol.authoritative_through})")
-    prefixes = _PrefixSeries(g_field, sol.coefficients)
-    vectors = tuple(tuple(prefixes.advance(k)) for k in range(count))
-    return GExpansion(vectors=vectors, gamma=gamma)
+    return GExpansion(vectors=_expand_along(g_field, sol, count), gamma=gamma)
 
 
 def expansion_support_check(expansion: GExpansion,
@@ -373,7 +372,17 @@ def _all_rational(values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _multisets_match(a, b) -> bool:
+def _match_radius(tolerance: float) -> float:
+    """Relative distance within which float exponents match.
+
+    A numeric locus found at a search tolerance is only about its square
+    root accurate, the radius find_loci merges points at, and so are the
+    exponents read off there.
+    """
+    return max(_MATCH_TOL, tolerance ** 0.5)
+
+
+def _multisets_match(a, b, radius: float) -> bool:
     if len(a) != len(b):
         return False
     if _all_rational(a) and _all_rational(b):
@@ -383,7 +392,7 @@ def _multisets_match(a, b) -> bool:
         zv = complex(v)
         hit = None
         for idx, w in enumerate(remaining):
-            if abs(zv - w) <= _MATCH_TOL * max(1.0, abs(w)):
+            if abs(zv - w) <= radius * max(1.0, abs(w)):
                 hit = idx
                 break
         if hit is None:
@@ -392,11 +401,11 @@ def _multisets_match(a, b) -> bool:
     return True
 
 
-def _contains(values, target) -> bool:
+def _contains(values, target, radius: float) -> bool:
     if _all_rational(values):
         return as_fraction(target) in values
     zt = complex(target)
-    return any(abs(complex(v) - zt) <= _MATCH_TOL * max(1.0, abs(zt))
+    return any(abs(complex(v) - zt) <= radius * max(1.0, abs(zt))
                for v in values)
 
 
@@ -440,13 +449,14 @@ class DegenerationReport:
     diagnostics: tuple[dict, ...]
 
 
-def _assemble(gamma: int, entries: list, pool: tuple) -> DegenerationReport:
+def _assemble(gamma: int, entries: list, pool: tuple,
+              radius: float) -> DegenerationReport:
     matched = []
     unmatched = []
     for idx, entry in enumerate(entries):
         predicted = entry[3]
         hits = tuple(point for point, multiset in pool
-                     if _multisets_match(predicted, multiset))
+                     if _multisets_match(predicted, multiset, radius))
         matched.append(hits)
         if not hits:
             unmatched.append(idx)
@@ -482,7 +492,8 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     parameter subsystem contributes the multiset {-1} union spec(K(xi)),
     the extra -1 coming from the pole direction itself.  The predictions
     are matched against pool, the ambient field's lower_spectra.
-    rng_seed and tolerance go to the subsystem's locus search.
+    rng_seed and tolerance go to the subsystem's locus search, and float
+    exponents match within _match_radius(tolerance).
     """
     if flow.gamma != 1:
         raise ValueError("this route needs a degree-1 commuting flow")
@@ -500,7 +511,7 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             predicted = _sorted_multiset((complex(-1),) + vals)
             diag = {}
         entries.append((locus.point, "pole_shift", vals, predicted, diag))
-    return _assemble(1, entries, pool)
+    return _assemble(1, entries, pool, _match_radius(tolerance))
 
 
 def _rescaled_matrix(flow: ParamFlow, point: tuple, g0_value: Fraction) -> ExactMatrix:
@@ -531,7 +542,8 @@ def _rescaled_matrix(flow: ParamFlow, point: tuple, g0_value: Fraction) -> Exact
     return ExactMatrix(rows)
 
 
-def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted) -> bool:
+def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted,
+                  radius: float) -> bool:
     """Spectral check tying the direct route to the rescaled one.
 
     A diagonal conjugation carries the rescaled exponent matrix onto
@@ -554,12 +566,12 @@ def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted) -> bool:
     spectrum = [flow.gamma * z for z in np.linalg.eigvals(block)]
     target = list(predicted)
     for idx, value in enumerate(target):
-        if abs(complex(value) + flow.gamma) <= _MATCH_TOL * max(1.0, flow.gamma):
+        if abs(complex(value) + flow.gamma) <= radius * max(1.0, flow.gamma):
             del target[idx]
             break
     else:
         return False
-    return _multisets_match(spectrum, target)
+    return _multisets_match(spectrum, target, radius)
 
 
 def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
@@ -575,7 +587,8 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     included), and the prediction gamma times its spectrum.  Both routes
     land in the same report, matched against pool, the ambient field's
     lower_spectra; neither is allowed to stand in for the other.  rng_seed
-    and tolerance go to the subsystem's locus search.
+    and tolerance go to the subsystem's locus search, and float exponents
+    match within _match_radius(tolerance).
     """
     gamma = flow.gamma
     if gamma < 2:
@@ -585,6 +598,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "shift coefficient is identically zero; the rescaled flow "
             "does not exist")
     params = flow.parameters
+    radius = _match_radius(tolerance)
     entries: list = []
 
     cleared = [g + MultiPoly.variable(v, params) * flow.ghat0 * k
@@ -599,7 +613,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
         predicted = _sorted_multiset(vals + (Fraction(-gamma),))
         diag = {
             "g0_value": value,
-            "minus_one_present": _contains(vals, Fraction(-1)),
+            "minus_one_present": _contains(vals, Fraction(-1), radius),
             "search_complete": solved.complete,
         }
         entries.append((point, "rescale_exact", vals, predicted, diag))
@@ -633,16 +647,17 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
                             for eq in cleared)
                     and flow.ghat0.evaluate(dict(zip(params, rescaled))) != 0)
         diag = {
-            "minus_one_present": _contains(vals, Fraction(-1)),
-            "inverse_degree_present": _contains(vals, Fraction(-1, gamma)),
+            "minus_one_present": _contains(vals, Fraction(-1), radius),
+            "inverse_degree_present": _contains(vals, Fraction(-1, gamma),
+                                                radius),
             "conjugacy_ok": _conjugacy_ok(flow, locus.point, g0_value,
-                                          predicted),
+                                          predicted, radius),
             "rescaled_point": rescaled,
             "matches_rescaled_exact": verified,
         }
         entries.append((locus.point, "flow_direct",
                         _sorted_multiset(vals), predicted, diag))
-    return _assemble(gamma, entries, pool)
+    return _assemble(gamma, entries, pool, radius)
 
 
 @dataclass(frozen=True)
@@ -676,7 +691,8 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
     Only meaningful at commuting degree 1, where k1 = ghat0 is a constant
     and F + G/(eps + k1) is again degree-1 quasi-homogeneous.  An epsilon
     with eps + k1 = 0 makes the deformation undefined and is rejected.
-    rng_seed and tolerance go to each deformed field's locus search.
+    rng_seed and tolerance go to each deformed field's locus search, and
+    float exponents match within _match_radius(tolerance).
     """
     if flow.gamma != 1:
         raise ValueError("deformation check needs a degree-1 commuting flow")
@@ -691,6 +707,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
                 f"epsilon {eps} hits the excluded value -k1 = {-k1}; "
                 f"the deformed field is undefined there")
 
+    radius = _match_radius(tolerance)
     per_eps = []
     realized = [] if predicted is not None else None
     want = _sorted_multiset(predicted) if predicted is not None else None
@@ -709,7 +726,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
                                  for v in ms))
         per_eps.append(tuple(collected))
         if want is not None:
-            realized.append(any(_multisets_match(want, ms)
+            realized.append(any(_multisets_match(want, ms, radius)
                                 for ms in collected))
 
     stable = all(ms == per_eps[0] for ms in per_eps[1:])

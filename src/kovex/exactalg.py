@@ -1,9 +1,11 @@
 """Exact rational arithmetic: multivariate polynomials, dense matrices, root isolation.
 
-The analysis pipeline runs on fractions.Fraction end to end.  There is deliberately
-no algebraic-number tower: when a quantity fails to be rational, we keep the exact
-residual factor together with certified numeric approximations of its roots instead
-of extending the scalar field.  Matrices are dense; every system in this problem
+The analysis pipeline runs on exact rational arithmetic end to end: Fraction,
+or integers over a common denominator where that is cheaper (the fraction-free
+rref, the series kernel in laurent).  There is deliberately no algebraic-number
+tower: when a quantity fails to be rational, we keep the exact residual factor
+together with certified numeric approximations of its roots instead of
+extending the scalar field.  Matrices are dense; every system in this problem
 class is tiny (dimension = number of phase-space variables).
 """
 
@@ -431,9 +433,25 @@ class ExactMatrix:
         return sum((self.data[i][i] for i in range(self.nrows)), Fraction(0))
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        rows = [list(r) for r in self.data]
+        """Reduced row echelon form and the pivot column indices.
+
+        Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+        1968, in the Gauss-Jordan form of Nakos, Turner & Williams, 1997):
+        each row is scaled to integers by the lcm of its denominators, each
+        step replaces every other row by (pivot * row - entry * pivot row)
+        divided by the previous pivot, and the pivot rows are divided by
+        their pivot once, at the end.  Every entry is then a minor of the
+        integer matrix, so the divisions are exact, and each pivot row's
+        pivot entry is the last pivot.  The reduced form is unique, so
+        this is the matrix rational elimination gives, without a gcd per
+        entry and step.
+        """
+        rows = []
+        for row in self.data:
+            scale = math.lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
         pivots: list[int] = []
+        previous = 1
         r = 0
         for c in range(self.ncols):
             if r == self.nrows:
@@ -442,15 +460,20 @@ class ExactMatrix:
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
+            top = rows[r]
+            pv = top[c]
             for i in range(self.nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f = rows[i][c]
+                if i == r or not f and pv == previous:
+                    continue
+                rows[i] = [(pv * a - f * b) // previous
+                           for a, b in zip(rows[i], top)]
             pivots.append(c)
+            previous = pv
             r += 1
-        return ExactMatrix(rows), tuple(pivots)
+        zero = Fraction(0)
+        return ExactMatrix([[Fraction(a, previous) if a else zero for a in row]
+                            for row in rows]), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -471,14 +494,17 @@ class ExactMatrix:
         return tuple(basis)
 
     def solve_singular(self, rhs: Sequence) -> tuple[tuple, tuple]:
-        """Solve A x = b for any A, with b rational or MultiPoly entries.
+        """Solve A x = b for any A, with b rational or polynomial entries.
 
-        One elimination of [A | I] yields the row transform T that brings A
-        to reduced row echelon form; T b is read off in two parts.  The
-        pivot rows give the particular solution, free coordinates pinned to
-        zero so the answer is deterministic.  The rows past the rank give
-        the residue, one entry per direction of the left kernel, so a square
-        A is singular exactly when the residue is nonempty.  The system is
+        Entries of b that are ints become Fractions; any other entry, a
+        Fraction or a polynomial such as MultiPoly, is used as it is and
+        needs only sums and multiples by a Fraction.  One elimination of
+        [A | I] yields the row transform T that brings A to reduced row
+        echelon form; T b is read off in two parts.  The pivot rows give
+        the particular solution, free coordinates pinned to zero so the
+        answer is deterministic.  The rows past the rank give the residue,
+        one entry per direction of the left kernel, so a square A is
+        singular exactly when the residue is nonempty.  The system is
         consistent exactly when every residue entry vanishes; for aligned
         polynomial entries, the monomials of the residue are the ones whose
         coefficient system has no solution.  Inconsistency is a value, not
@@ -487,7 +513,7 @@ class ExactMatrix:
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
         n = self.ncols
-        b = [x if isinstance(x, MultiPoly) else as_fraction(x) for x in rhs]
+        b = [Fraction(x) if isinstance(x, int) else x for x in rhs]
         zero = b[0] * 0
         reduced, pivots = ExactMatrix(
             [list(row) + [int(i == k) for k in range(self.nrows)]

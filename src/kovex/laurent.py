@@ -26,7 +26,24 @@ polynomial products per prefix, so a series through N costs O(N^2) of
 them, where re-expanding every monomial from order 0 at every order cost
 O(N^3) per factor.  g_expansion drives the same cache in one forward pass.
 
-residual_order deliberately keeps the from-scratch expansion
+The recursion runs on _IntPoly, not MultiPoly: integer numerators over
+one positive denominator, reduced by their gcd once per fused sum of
+products, with each monomial packed into one int that holds one bit field
+per parameter, in the order the parameters are introduced.  A product of
+monomials is then one integer addition, and a coefficient one integer
+multiply-add, where MultiPoly builds an exponent tuple and normalizes a
+Fraction per term.  The field width is a degree bound read off the
+inputs, so an exponent can never carry into the next field: in
+build_series every order-j coefficient has total degree at most j, so
+truncation.bit_length() bits hold any exponent; g_expansion takes the
+largest exponent of the series it is given times the largest monomial
+degree of G.  Conversion happens only at the boundary: the locus and the
+field coefficients enter as constants, solve_singular takes the _IntPoly
+right-hand side as it is, and the finished coefficients and expansion
+vectors leave as MultiPoly over the sorted parameter names (g_expansion
+packs the series' MultiPoly coefficients once, on entry).
+
+residual_order deliberately keeps the from-scratch MultiPoly expansion
 (_field_orders): it is the oracle that checks the recursion, so it must
 not share the code it checks.
 """
@@ -36,6 +53,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .exactalg import ExactMatrix, MultiPoly
@@ -120,6 +138,121 @@ class LaurentSolution:
         return tuple(r.order for r in self.resonances)
 
 
+class _IntPoly:
+    """A parameter polynomial as integer numerators over one denominator.
+
+    terms maps a packed monomial to a nonzero integer numerator and den is
+    a positive integer; the gcd of den and the numerators is 1, so every
+    value has one representation (zero has no terms and den 1).  A packed
+    monomial holds parameter k's exponent in bits [k*width, (k+1)*width),
+    parameters numbered in the order they were introduced, so a product of
+    monomials is a sum of ints as long as no exponent reaches 2**width.
+    Instances are treated as immutable.  The arithmetic is what the
+    recursion and ExactMatrix.solve_singular use: sums, negation, scalar
+    multiples, and products only through _dot.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict[int, int], den: int = 1):
+        self.terms = terms
+        self.den = den
+
+    @staticmethod
+    def reduced(terms: dict[int, int], den: int) -> "_IntPoly":
+        """Normalize a sum: drop zero numerators, divide out the gcd."""
+        terms = {k: v for k, v in terms.items() if v}
+        if not terms:
+            return _ZERO
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: v // g for k, v in terms.items()}
+                den //= g
+        return _IntPoly(terms, den)
+
+    @staticmethod
+    def constant(value: Fraction) -> "_IntPoly":
+        return _IntPoly.reduced({0: value.numerator}, value.denominator)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __neg__(self) -> "_IntPoly":
+        return _IntPoly({k: -v for k, v in self.terms.items()}, self.den)
+
+    def __add__(self, other: "_IntPoly") -> "_IntPoly":
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {k: v * s for k, v in self.terms.items()}
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v * t
+        return _IntPoly.reduced(out, den)
+
+    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+        return self + -other
+
+    def __mul__(self, scalar) -> "_IntPoly":
+        """Multiple by an int or Fraction."""
+        num = scalar.numerator
+        return _IntPoly.reduced({k: v * num for k, v in self.terms.items()},
+                                self.den * scalar.denominator)
+
+    def without(self, monomials: set[int]) -> "_IntPoly":
+        return _IntPoly.reduced({k: v for k, v in self.terms.items()
+                                 if k not in monomials}, self.den)
+
+
+_ZERO = _IntPoly({})
+_ONE = _IntPoly({0: 1})
+
+
+def _dot(pairs: list[tuple[_IntPoly, _IntPoly]]) -> _IntPoly:
+    """sum of a*b over the pairs, on one common denominator, reduced once."""
+    den = 1
+    for a, b in pairs:
+        den = lcm(den, a.den * b.den)
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        right = b.terms.items()
+        for ka, va in a.terms.items():
+            va *= scale
+            for kb, vb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+    return _IntPoly.reduced(out, den)
+
+
+def _pack(poly: MultiPoly, shift: Mapping[str, int]) -> _IntPoly:
+    """A MultiPoly in the named parameters as an _IntPoly; shift[v] is the
+    low bit of v's field."""
+    unknown = [v for v in poly.vars if v not in shift]
+    if unknown:
+        raise ValueError(f"{unknown!r} are not parameters of the series")
+    shifts = [shift[v] for v in poly.vars]
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    return _IntPoly.reduced(
+        {sum(e << s for e, s in zip(exps, shifts)):
+         c.numerator * (den // c.denominator)
+         for exps, c in poly.terms.items()}, den)
+
+
+def _unpack(poly: _IntPoly, names: Sequence[str], width: int) -> MultiPoly:
+    """Back to a MultiPoly over the sorted parameter names."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    shifts = [k * width for k in order]
+    mask = (1 << width) - 1
+    den = poly.den
+    # clean by construction: distinct names, nonnegative exponents of the
+    # right length, nonzero coefficients
+    return MultiPoly._trusted(
+        tuple(names[k] for k in order),
+        {tuple((key >> s) & mask for s in shifts): Fraction(v, den)
+         for key, v in poly.terms.items()})
+
+
 class _PrefixSeries:
     """Truncated series of every monomial prefix of a field, order by order.
 
@@ -127,24 +260,30 @@ class _PrefixSeries:
     lowest variable first.  Each partial product (a prefix) is keyed by its
     exponent vector, so q1, q1^2, q1^3, ... are expanded once and shared
     by every monomial and component that starts with them.  series[l] is
-    the pole-stripped coefficient list of y_l; the caller may append to it
-    between orders.
+    the pole-stripped _IntPoly coefficient list of y_l; the caller may
+    append to it between orders.  Only a prefix that another prefix
+    extends (a parent) keeps its coefficients: a leaf's order-j
+    coefficient is read once, by that order's component sum.
     """
 
     def __init__(self, field: VectorField,
-                 series: Sequence[Sequence[MultiPoly]]):
+                 series: Sequence[Sequence[_IntPoly]]):
         self.series = series
         self.root = (0,) * field.dim
         # prefix -> (parent prefix, variable multiplied in); insertion
         # order puts every parent before its children
         self.links: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        self.monomials: list[list[tuple[tuple[int, ...], Fraction]]] = []
+        self.monomials: list[list[tuple[tuple[int, ...], _IntPoly]]] = []
         for comp in field.components:
-            self.monomials.append([(self._register(exps), c)
+            self.monomials.append([(self._register(exps),
+                                    _IntPoly.constant(c))
                                    for exps, c in comp.terms.items()])
-        self.coeffs: dict[tuple[int, ...], list[MultiPoly]] = {
-            key: [] for key in self.links}
-        self.coeffs[self.root] = [MultiPoly.constant(1)]
+        parents = {parent for parent, _ in self.links.values()}
+        self.parents = [(key, link) for key, link in self.links.items()
+                        if key in parents]
+        self.history: dict[tuple[int, ...], list[_IntPoly]] = {
+            key: [] for key, _ in self.parents}
+        self.history[self.root] = [_ONE]
 
     def _register(self, exps: Sequence[int]) -> tuple[int, ...]:
         key = [0] * len(exps)
@@ -157,52 +296,75 @@ class _PrefixSeries:
                 parent = child
         return parent
 
-    def advance(self, j: int) -> list[MultiPoly]:
-        """Append coefficient j of every prefix; return order j of each f_i.
+    def advance(self, j: int) -> list[_IntPoly]:
+        """Coefficient j of every prefix (kept for parents); f_i at order j.
 
         Coefficients of y missing from series count as zero, so with
         series[l] ending at order j-1 this is the order-j coefficient with
         the unknown d_j taken as 0 (settle adds its part afterwards); with
         order j known it is the full Cauchy coefficient.
         """
-        coeffs = self.coeffs
+        history, series = self.history, self.series
+        # order j of every prefix; the constant monomial stops at order 0
+        current = {self.root: _ONE if j == 0 else _ZERO}
         for key, (parent, l) in self.links.items():
-            left, right = coeffs[parent], self.series[l]
+            left, right = history[parent], series[l]
+            pairs = []
             lo, hi = max(0, j - len(right) + 1), min(j, len(left) - 1)
-            total = MultiPoly.zero()
             for i in range(lo, hi + 1):
                 a, b = left[i], right[j - i]
-                if a and b:
-                    total = total + a * b
-            coeffs[key].append(total)
-        out = []
-        for row in self.monomials:
-            total = MultiPoly.zero()
-            for key, c in row:
-                prefix = coeffs[key]
-                # only the root (a constant monomial) stops at order 0
-                if len(prefix) > j:
-                    total = total + prefix[j] * c
-            out.append(total)
-        return out
+                if a.terms and b.terms:
+                    pairs.append((a, b))
+            value = _dot(pairs) if pairs else _ZERO
+            current[key] = value
+            if key in history:
+                history[key].append(value)
+        return [_dot([(current[key], c) for key, c in row
+                      if current[key].terms])
+                for row in self.monomials]
 
     def settle(self, j: int) -> None:
-        """Add the d_j part to coefficient j of every prefix.
+        """Add the d_j part to coefficient j of every parent prefix.
 
         Call after advance(j) ran without d_j and d_j has been appended to
         series.  Coefficient j of a prefix P = Q y_l is linear in d_j:
         P_j - P_j|_{d_j=0} = Q_0 d_{l,j} + (Q_j - Q_j|_{d_j=0}) c_l.
         """
-        coeffs = self.coeffs
-        delta = {self.root: MultiPoly.zero()}
-        for key, (parent, l) in self.links.items():
+        history = self.history
+        delta = {self.root: _ZERO}
+        for key, (parent, l) in self.parents:
             right = self.series[l]
-            change = coeffs[parent][0] * right[j]
-            if delta[parent] and right[0]:
-                change = change + delta[parent] * right[0]
+            pairs = []
+            if history[parent][0].terms and right[j].terms:
+                pairs.append((history[parent][0], right[j]))
+            if delta[parent].terms and right[0].terms:
+                pairs.append((delta[parent], right[0]))
+            change = _dot(pairs) if pairs else _ZERO
             delta[key] = change
-            if change:
-                coeffs[key][j] = coeffs[key][j] + change
+            if change.terms:
+                history[key][j] = history[key][j] + change
+
+
+def _expand_along(field: VectorField, sol: LaurentSolution,
+                  count: int) -> tuple[tuple[MultiPoly, ...], ...]:
+    """Orders 0..count-1 of each component of field along the family sol.
+
+    The series is packed once.  A prefix of degree at most the field's
+    largest monomial degree multiplies that many coefficients, so its
+    exponents stay at most that degree times the series' largest exponent,
+    which sets the field width.
+    """
+    names = sol.parameters
+    largest = max((e for row in sol.coefficients for p in row
+                   for exps in p.terms for e in exps), default=0)
+    degree = max((sum(exps) for comp in field.components
+                  for exps in comp.terms), default=0)
+    width = (degree * largest).bit_length()
+    shift = {v: k * width for k, v in enumerate(names)}
+    series = [[_pack(p, shift) for p in row] for row in sol.coefficients]
+    prefixes = _PrefixSeries(field, series)
+    return tuple(tuple(_unpack(p, names, width) for p in prefixes.advance(k))
+                 for k in range(count))
 
 
 def _mul_trunc(a: list, b: list, cap: int) -> list:
@@ -279,7 +441,12 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
             f"{max(resonant_orders)}; parameters beyond it are lost",
             TruncationBelowResonance, stacklevel=2)
 
-    coeffs: list[list[MultiPoly]] = [[MultiPoly.constant(c)] for c in point]
+    # every order-j coefficient has total degree at most j (order 0 is
+    # constant, a parameter enters with degree 1 at its own order, and the
+    # orders of the factors of every product sum to j), so no exponent
+    # reaches 2**width and packed monomials never carry into a neighbour
+    width = truncation.bit_length()
+    coeffs = [[_IntPoly.constant(c)] for c in point]
     resonances: list[ResonanceRecord] = []
     obstructions: list[int] = []
     prefixes = _PrefixSeries(field, coeffs)
@@ -287,16 +454,13 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
 
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
-        rhs = [n * -1 for n in prefixes.advance(j)]
-        union = tuple(sorted(set().union(*(p.vars for p in rhs))))
+        rhs = [-n for n in prefixes.advance(j)]
         shifted = report.matrix.shifted(j)
-        d_j, residue = shifted.solve_singular([p.embed(union) for p in rhs])
+        d_j, residue = shifted.solve_singular(rhs)
         inconsistent = set().union(*(r.terms for r in residue))
         if inconsistent:
             obstructions.append(j)
-            d_j = [MultiPoly(union, {e: c for e, c in p.terms.items()
-                                     if e not in inconsistent})
-                   for p in d_j]
+            d_j = [p.without(inconsistent) for p in d_j]
         if residue:
             # K(c) - jI is singular.  Reduced row echelon form of its
             # kernel gives the anchor gauge directly: each direction is 1
@@ -304,9 +468,10 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
             # so each step leaves the bare parameter at its anchor.
             reduced, anchors = ExactMatrix(list(shifted.kernel())).rref()
             for anchor, direction in zip(anchors, reduced.data):
+                bit = width * len(resonances)
                 name = f"alpha{len(resonances) + 1}"
                 resonances.append(ResonanceRecord(j, name, anchor, direction))
-                step = MultiPoly.variable(name) - d_j[anchor]
+                step = _IntPoly({1 << bit: 1}) - d_j[anchor]
                 d_j = [x + step * d if d else x
                        for x, d in zip(d_j, direction)]
 
@@ -314,12 +479,14 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
             coeffs[i].append(d_j[i])
         prefixes.settle(j)
 
+    names = [r.parameter for r in resonances]
     return LaurentSolution(
         locus=point,
         weights=tuple(certificate.weights),
         truncation=truncation,
-        parameters=tuple(r.parameter for r in resonances),
-        coefficients=tuple(tuple(row) for row in coeffs),
+        parameters=tuple(names),
+        coefficients=tuple(tuple(_unpack(p, names, width) for p in row)
+                           for row in coeffs),
         resonances=tuple(resonances),
         obstructions=tuple(obstructions),
     )

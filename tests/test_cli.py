@@ -121,6 +121,20 @@ def test_loose_tolerance_keeps_one_entry_per_numeric_locus():
         assert max(map(abs, point)) > 1e-2
 
 
+def test_loose_tolerance_still_matches_every_numeric_prediction():
+    # the same run: exponents read off loci about 1e-6 accurate are about
+    # that far from the exact -3 and 10 of the lower balance, so matching
+    # widens with the search tolerance as the merging does
+    result = analyze((PROBLEMS / "painleve1_coupled_4d.kov").read_text(),
+                     "painleve1_coupled_4d.kov", tolerance=1e-6)
+    assert not any("no matching lower locus" in line for line in result.lines)
+    entries = result.report["flow"][0]["degeneration"]["entries"]
+    direct = [e for e in entries if e["route"] == "flow_direct"]
+    assert len(direct) == 3
+    assert all(e["matched_lower_loci"] == [["3", "27", "0", "-3"]]
+               for e in direct)
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

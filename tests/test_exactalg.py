@@ -370,6 +370,71 @@ def _faddeev_leverrier(m):
     return coeffs
 
 
+def _fraction_rref(m):
+    """Oracle: Gauss-Jordan elimination over Q, reduced row echelon form
+    and pivot columns.
+
+    Every step divides the pivot row by its pivot and clears the column in
+    Fraction arithmetic; it shares no step with the fraction-free
+    elimination of ExactMatrix.rref.
+    """
+    rows = [list(r) for r in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        if r == m.nrows:
+            break
+        pivot_row = next((i for i in range(r, m.nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return ExactMatrix(rows), tuple(pivots)
+
+
+@st.composite
+def rref_matrices(draw):
+    """Up to 6x8, wide, tall or square: dense, rank-deficient (some rows
+    combinations of earlier ones) or with whole columns zero."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "rank_deficient", "zero_columns"]))
+    entries = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "rank_deficient" and nrows > 1:
+        for i in sorted(draw(st.sets(st.integers(1, nrows - 1), min_size=1))):
+            k = draw(st.integers(0, i - 1))
+            a, b = draw(entries), draw(entries)
+            rows[i] = [a * x + b * y for x, y in zip(rows[k], rows[0])]
+    elif kind == "zero_columns":
+        for c in draw(st.sets(st.integers(0, ncols - 1), min_size=1)):
+            for row in rows:
+                row[c] = F(0)
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_matrices())
+# the zero matrix; a wide and a tall rank-1 matrix; a pivot-free leading
+# column followed by a row swap; [K - 2I | I] of the cubic oscillator
+@example(ExactMatrix([[0, 0, 0], [0, 0, 0]]))
+@example(ExactMatrix([[1, 2, 3, 4, 5], [F(1, 2), 1, F(3, 2), 2, F(5, 2)]]))
+@example(ExactMatrix([[2], [-4], [6], [F(1, 3)]]))
+@example(ExactMatrix([[0, 0, 3], [0, 2, 1], [0, 4, 2]]))
+@example(ExactMatrix([[-2, -1, 1, 0], [-12, -5, 0, 1]]))
+def test_rref_matches_fraction_gauss_jordan(m):
+    reduced, pivots = m.rref()
+    assert (reduced, pivots) == _fraction_rref(m)
+    assert all(type(x) is Fraction for row in reduced.data for x in row)
+
+
 @st.composite
 def charpoly_matrices(draw):
     """Up to 8x8: dense, sparse, block-diagonal, or with columns zeroed

@@ -18,6 +18,7 @@ from kovex.degeneration import g_expansion
 from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import InexactLocusError
 from kovex.laurent import (
+    LaurentSolution,
     TruncationBelowResonance,
     _field_orders,
     build_series,
@@ -26,7 +27,7 @@ from kovex.laurent import (
     residual_order,
     series_json,
 )
-from kovex.vfmodel import WeightCertificate, fields_from_problem
+from kovex.vfmodel import VectorField, WeightCertificate, fields_from_problem
 from kovex.vfparse import parse_problem
 
 ALPHA = MultiPoly.variable("alpha1")
@@ -335,3 +336,48 @@ class TestDeepSeriesAtGoldenLoci:
         assert expansion.vectors == tuple(
             tuple(reference[i][k] for i in range(sol.dim))
             for k in range(33))
+
+
+class TestPackedExponentWidth:
+    """The series kernel packs each monomial into one int, one bit field
+    per parameter, as wide as a degree bound read off its inputs.  A bound
+    too small would carry an exponent into the next parameter's field;
+    these cases check the kernel against the MultiPoly oracles on both
+    sides of a width boundary and on inputs past the series' own bound.
+    """
+
+    @pytest.mark.parametrize("n", [15, 16, 31, 32])
+    def test_both_sides_of_a_width_boundary(self, pair4d_deg3, n):
+        field, g_field, cert = pair4d_deg3
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=n)
+        assert residual_order(field, cert, sol) is None
+        expansion = g_expansion(g_field, sol)
+        reference = _field_orders(
+            g_field, [list(row) for row in sol.coefficients], n)
+        assert expansion.vectors == tuple(
+            tuple(reference[i][k] for i in range(sol.dim))
+            for k in range(n + 1))
+
+    def test_expansion_width_comes_from_its_input(self):
+        # coefficients of degree up to 8 at orders 1 and 2 give an order-2
+        # expansion of degree 16 (alpha1^10 alpha2^6): a width read off
+        # the truncation (2 bits) would carry alpha1's exponent into
+        # alpha2's field
+        names = ("alpha1", "alpha2")
+        a, b = (MultiPoly.variable(v, names) for v in names)
+        x, y = (MultiPoly.variable(v, ("x", "y")) for v in ("x", "y"))
+        sol = LaurentSolution(
+            locus=(Fraction(1), Fraction(-2)), weights=(1, 1), truncation=2,
+            parameters=names,
+            coefficients=((MultiPoly.constant(1), a ** 5 * b ** 3,
+                           a ** 7 / 3 - b ** 5),
+                          (MultiPoly.constant(-2), b ** 4 / 5,
+                           a ** 3 * b ** 2 + a)),
+            resonances=(), obstructions=())
+        g_field = VectorField(("x", "y"), (x * y + x ** 2, y ** 2 * 3))
+        expansion = g_expansion(g_field, sol)
+        reference = _field_orders(
+            g_field, [list(row) for row in sol.coefficients], 2)
+        assert expansion.vectors == tuple(
+            tuple(reference[i][k] for i in range(2)) for k in range(3))
+        assert expansion.vectors[2][0].total_degree() == 16
