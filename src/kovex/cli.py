@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -550,9 +551,17 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
 
     name labels the input in the report and in error messages; the
     keywords are the CLI's flags.  Raises AnalysisError when there is
-    nothing to analyze.
+    nothing to analyze, or for a truncation below 1, a negative seed or a
+    tolerance that is not a positive finite number.
     """
     stages = _STAGES[command]
+    if truncation is not None and truncation < 1:
+        raise AnalysisError(f"truncation must be positive, got {truncation}")
+    if seed < 0:
+        raise AnalysisError(f"seed must be nonnegative, got {seed}")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise AnalysisError(
+            f"tolerance must be a positive finite number, got {tolerance}")
     try:
         spec = parse_problem(text)
     except ParseError as exc:

@@ -347,7 +347,7 @@ def g0_nonzero_certificate(g_field: VectorField, sol: LaurentSolution,
     if not sol.resonances:
         return "possibly_zero"
     point = dict(zip(g_field.variables, sol.locus))
-    jac = g_field.jacobian()
+    jac = g_field.jacobian
     v = sol.resonances[0].direction
     image = [sum((jac[i][j].evaluate(point) * v[j] for j in range(g_field.dim)),
                  Fraction(0))

@@ -1,12 +1,13 @@
 """Exact rational arithmetic: multivariate polynomials, dense matrices, root isolation.
 
 The analysis pipeline runs on exact rational arithmetic end to end: Fraction,
-or integers over a common denominator where that is cheaper (the fraction-free
-rref, the series kernel in laurent).  There is deliberately no algebraic-number
-tower: when a quantity fails to be rational, we keep the exact residual factor
-together with certified numeric approximations of its roots instead of
-extending the scalar field.  Matrices are dense; every system in this problem
-class is tiny (dimension = number of phase-space variables).
+or integers over a common denominator where that is cheaper (_eliminate, the
+one fraction-free elimination, and the series kernel in laurent).  There is
+deliberately no algebraic-number tower: when a quantity fails to be rational,
+we keep the exact residual factor together with certified numeric
+approximations of its roots instead of extending the scalar field.  Matrices
+are dense; every system in this problem class is tiny (dimension = number of
+phase-space variables).
 """
 
 from __future__ import annotations
@@ -360,6 +361,58 @@ class MultiPoly:
 # dense exact matrices
 
 
+def _eliminate(rows: Sequence[Sequence[Scalar]],
+               width: int) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """The package's one elimination: fraction-free Gauss-Jordan (Bareiss,
+    Math. Comp. 22, 1968, in the form of Nakos, Turner & Williams, 1997).
+
+    Rows are scaled to integers by the lcm of their denominators; pivots
+    are sought in the first width columns, and later columns (an identity
+    block) are carried along.  Each step replaces every other row by
+    (pivot * row - entry * pivot row) // previous pivot, an exact division
+    of minors, so each row ends as the last pivot times its reduced row.
+    Returns the integer rows, the pivot columns and the last pivot.
+    """
+    ints = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots: list[int] = []
+    previous = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(ints):
+            break
+        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
+        if pivot_row is None:
+            continue
+        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+        top = ints[r]
+        pv = top[c]
+        for i, row in enumerate(ints):
+            f = row[c]
+            if i == r or not f and pv == previous:
+                continue
+            ints[i] = [(pv * a - f * b) // previous for a, b in zip(row, top)]
+        pivots.append(c)
+        previous = pv
+    return ints, tuple(pivots), previous
+
+
+def _kernel(n: int, rows: list, pivots: tuple, last: int) -> tuple:
+    """Null-space basis of the first n columns of _eliminate's output."""
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[free], last)
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 class ExactMatrix:
     """Dense matrix over Q."""
 
@@ -384,10 +437,6 @@ class ExactMatrix:
         return ExactMatrix([[x - r if i == j else x for j, x in enumerate(row)]
                             for i, row in enumerate(self.data)])
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.data[i][j]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -395,141 +444,58 @@ class ExactMatrix:
 
     __hash__ = None
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, other: object) -> "ExactMatrix":
-        if isinstance(other, ExactMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch in matrix product")
-            cols = list(zip(*other.data))
-            return ExactMatrix([[sum(a * b for a, b in zip(row, col))
-                                 for col in cols] for row in self.data])
-        c = as_fraction(other)
-        return ExactMatrix([[x * c for x in row] for row in self.data])
-
-    def __rmul__(self, other: object) -> "ExactMatrix":
-        return self * other
-
     def matvec(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         v = [as_fraction(x) for x in vec]
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
-    def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.nrows)), Fraction(0))
-
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices.
-
-        Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-        1968, in the Gauss-Jordan form of Nakos, Turner & Williams, 1997):
-        each row is scaled to integers by the lcm of its denominators, each
-        step replaces every other row by (pivot * row - entry * pivot row)
-        divided by the previous pivot, and the pivot rows are divided by
-        their pivot once, at the end.  Every entry is then a minor of the
-        integer matrix, so the divisions are exact, and each pivot row's
-        pivot entry is the last pivot.  The reduced form is unique, so
-        this is the matrix rational elimination gives, without a gcd per
-        entry and step.
-        """
-        rows = []
-        for row in self.data:
-            scale = math.lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (scale // x.denominator) for x in row])
-        pivots: list[int] = []
-        previous = 1
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pivot_row = next((i for i in range(r, self.nrows) if rows[i][c]), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            top = rows[r]
-            pv = top[c]
-            for i in range(self.nrows):
-                f = rows[i][c]
-                if i == r or not f and pv == previous:
-                    continue
-                rows[i] = [(pv * a - f * b) // previous
-                           for a, b in zip(rows[i], top)]
-            pivots.append(c)
-            previous = pv
-            r += 1
-        zero = Fraction(0)
-        return ExactMatrix([[Fraction(a, previous) if a else zero for a in row]
-                            for row in rows]), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
+        """Reduced row echelon form and pivot columns, from _eliminate."""
+        rows, pivots, last = _eliminate(self.data, self.ncols)
+        return ExactMatrix([[Fraction(a, last) for a in row]
+                            for row in rows]), pivots
 
     def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the null space; one vector per free column, that entry 1."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free_col in range(self.ncols):
-            if free_col in pivot_set:
-                continue
-            v = [Fraction(0)] * self.ncols
-            v[free_col] = Fraction(1)
-            for row, pc in enumerate(pivots):
-                v[pc] = -reduced.data[row][free_col]
-            basis.append(tuple(v))
-        return tuple(basis)
+        return _kernel(self.ncols, *_eliminate(self.data, self.ncols))
 
-    def solve_singular(self, rhs: Sequence) -> tuple[tuple, tuple]:
+    def solve_singular(self, rhs: Sequence) -> tuple[tuple, tuple, tuple]:
         """Solve A x = b for any A, with b rational or polynomial entries.
 
-        Entries of b that are ints become Fractions; any other entry, a
-        Fraction or a polynomial such as MultiPoly, is used as it is and
-        needs only sums and multiples by a Fraction.  One elimination of
-        [A | I] yields the row transform T that brings A to reduced row
-        echelon form; T b is read off in two parts.  The pivot rows give
-        the particular solution, free coordinates pinned to zero so the
-        answer is deterministic.  The rows past the rank give the residue,
-        one entry per direction of the left kernel, so a square A is
-        singular exactly when the residue is nonempty.  The system is
-        consistent exactly when every residue entry vanishes; for aligned
-        polynomial entries, the monomials of the residue are the ones whose
-        coefficient system has no solution.  Inconsistency is a value, not
-        an exception: the series recursion records it as data.
+        Returns (particular, residue, kernel) from one _eliminate of [A | I]
+        that pivots in A only; it yields the row transform T that brings A
+        to reduced row echelon form.  Entries of b that are ints become
+        Fractions; any other entry, such as a MultiPoly, needs only sums and
+        multiples by an int or a Fraction.  The pivot rows of T b give the
+        particular solution, free coordinates pinned to zero.  The rows past
+        the rank give the residue, one entry per direction of the left
+        kernel; the system is consistent exactly when every entry vanishes,
+        and for polynomial entries the monomials of the residue are the
+        ones whose coefficient system has no solution.  Inconsistency is a
+        value, not an exception.  The kernel is kernel()'s basis, read off
+        the reduced A block of the pivot rows.
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
         n = self.ncols
         b = [Fraction(x) if isinstance(x, int) else x for x in rhs]
         zero = b[0] * 0
-        reduced, pivots = ExactMatrix(
-            [list(row) + [int(i == k) for k in range(self.nrows)]
-             for i, row in enumerate(self.data)]).rref()
+        rows, pivots, last = _eliminate(
+            [row + tuple(int(i == k) for k in range(self.nrows))
+             for i, row in enumerate(self.data)], n)
         transformed = []
-        for row in reduced.data:
+        for row in rows:
             total = zero
             for t, value in zip(row[n:], b):
                 if t:
                     total = total + value * t
-            transformed.append(total)
-        rank = sum(1 for pc in pivots if pc < n)
+            transformed.append(total * Fraction(1, last))
         x = [zero] * n
-        for row, pc in enumerate(pivots[:rank]):
+        for row, pc in enumerate(pivots):
             x[pc] = transformed[row]
-        return tuple(x), tuple(transformed[rank:])
+        return (tuple(x), tuple(transformed[len(pivots):]),
+                _kernel(n, rows, pivots, last))
 
     def charpoly(self) -> list[Fraction]:
         """Monic characteristic polynomial det(tI - A), descending coefficients.

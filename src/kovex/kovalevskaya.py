@@ -129,7 +129,7 @@ def kovalevskaya_matrix(field: VectorField, certificate: WeightCertificate,
     """Df at the locus plus diag(a_i / degree), all entries exact."""
     point = exact_point(locus)
     values = dict(zip(field.variables, point))
-    jac = field.jacobian()
+    jac = field.jacobian
     gamma = certificate.degree
     m = field.dim
     rows = [[jac[i][j].evaluate(values)
@@ -142,8 +142,7 @@ def _semisimple_at(matrix: ExactMatrix, eigenvalue: Fraction,
                    algebraic: int) -> bool:
     if algebraic == 1:
         return True
-    geometric = matrix.nrows - matrix.shifted(eigenvalue).rank()
-    return geometric == algebraic
+    return len(matrix.shifted(eigenvalue).kernel()) == algebraic
 
 
 def _classify(matrix: ExactMatrix, roots: RootSet,
@@ -205,7 +204,7 @@ def numeric_exponents(field: VectorField, certificate: WeightCertificate,
                       point: Sequence[complex]) -> tuple[complex, ...]:
     """Floating-point exponents at a numeric locus, sorted by (re, im)."""
     values = {v: complex(p) for v, p in zip(field.variables, point)}
-    jac = field.jacobian()
+    jac = field.jacobian
     m = field.dim
     mat = np.array([[complex(jac[i][j].evaluate(values))
                      + (certificate.weights[i] / certificate.degree

@@ -13,8 +13,9 @@ Everything is exact: coefficients are polynomials over Q in the parameters
 alpha1, alpha2, ... introduced at the resonances, and the pole position
 never appears in them.  Each order costs one elimination of K(c) - jI,
 whose row transform is applied to the polynomial vector N_j as a whole;
-the same solve yields d_j and, on the rows past the rank, exactly the
-alpha-monomials of N_j that make the system inconsistent.
+the same solve yields d_j, the alpha-monomials of N_j that make the system
+inconsistent (rows past the rank) and the kernel the parameters enter along.
+A resonant order also row-reduces that small kernel once, for the gauge.
 
 The recursion is incremental, as in Taylor-series integrators.  Every
 monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
@@ -417,7 +418,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     inconsistent: they are dropped from d_j and the order is recorded as
     an obstruction, and the recursion keeps going so later structure
     stays visible.  Where K(c) - jI is singular, free parameters enter
-    along its kernel with the anchor gauge described on ResonanceRecord.
+    along that solve's kernel, with the anchor gauge on ResonanceRecord.
     """
     if certificate.degree != 1:
         raise ValueError("series construction needs a degree-1 field")
@@ -455,18 +456,17 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
         rhs = [-n for n in prefixes.advance(j)]
-        shifted = report.matrix.shifted(j)
-        d_j, residue = shifted.solve_singular(rhs)
+        d_j, residue, kernel = report.matrix.shifted(j).solve_singular(rhs)
         inconsistent = set().union(*(r.terms for r in residue))
         if inconsistent:
             obstructions.append(j)
             d_j = [p.without(inconsistent) for p in d_j]
-        if residue:
+        if kernel:
             # K(c) - jI is singular.  Reduced row echelon form of its
             # kernel gives the anchor gauge directly: each direction is 1
             # at its own anchor and 0 at every other direction's anchor,
             # so each step leaves the bare parameter at its anchor.
-            reduced, anchors = ExactMatrix(list(shifted.kernel())).rref()
+            reduced, anchors = ExactMatrix(list(kernel)).rref()
             for anchor, direction in zip(anchors, reduced.data):
                 bit = width * len(resonances)
                 name = f"alpha{len(resonances) + 1}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -65,7 +66,9 @@ class VectorField:
         values = dict(zip(self.variables, point))
         return tuple(f.evaluate(values) for f in self.components)
 
+    @cached_property
     def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        """d components[i] / d variables[j], computed once per field."""
         return tuple(tuple(f.diff(v) for v in self.variables)
                      for f in self.components)
 

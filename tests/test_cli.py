@@ -220,6 +220,19 @@ def test_missing_file_is_an_input_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ["--truncation", "0"], ["--truncation", "-3"], ["--seed", "-1"],
+    ["--tolerance", "-1"], ["--tolerance", "0"], ["--tolerance", "nan"],
+    ["--tolerance", "inf"]])
+def test_bad_flag_value_is_an_input_error(flags, capsys):
+    code = main(["series", str(PROBLEMS / "weierstrass.kov"), *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_parse_error_names_the_position(tmp_path, capsys):
     bad = tmp_path / "bad.kov"
     bad.write_text("variables [x:2]\n", encoding="utf-8")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kovex.exactalg import MultiPoly
+from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import (
     NoLocusFound,
     find_loci,
@@ -42,8 +42,7 @@ class TestCubic2d:
     def test_matrix_value(self, cubic2d):
         field, cert = cubic2d
         k = kovalevskaya_matrix(field, cert, (1, -2))
-        assert [[k[(i, j)] for j in range(2)] for i in range(2)] == \
-            [[2, 1], [12, 3]]
+        assert k == ExactMatrix([[2, 1], [12, 3]])
 
     def test_exponents_and_classification(self, cubic2d):
         field, cert = cubic2d
@@ -92,7 +91,7 @@ class TestDegenerateWeightMatrix:
         cert = WeightCertificate((2, 3), 1)
         assert verify_locus(field, cert, (5, 7))
         k = kovalevskaya_matrix(field, cert, (5, 7))
-        assert all(k[(i, j)] == 0 for i in range(2) for j in range(2))
+        assert k == ExactMatrix([[0, 0], [0, 0]])
         report = k_exponents(field, cert, (5, 7))
         assert _rational_spectrum(report) == [0, 0]
         assert report.has_zero_exponent

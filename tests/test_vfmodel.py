@@ -209,7 +209,8 @@ class TestVectorField:
 
     def test_jacobian(self, cubic2d):
         field, _ = cubic2d
-        jac = field.jacobian()
+        jac = field.jacobian
+        assert field.jacobian is jac  # computed once per field
         assert jac[0][0] == 0
         assert jac[0][1] == 1
         assert jac[1][0] == parse_expression("12*x", ("x", "y"))
