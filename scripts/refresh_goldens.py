@@ -1,10 +1,13 @@
 """Regenerate the golden CLI reports under tests/golden/.
 
 Run from the repository root after an intentional schema or pipeline
-change, then review the diff before committing.  The test suite compares
-fresh runs byte for byte against these files.
+change, then review the diff before committing.  Each golden problem gets
+its JSON report (<stem>.json) and its text summary (<stem>.txt); the test
+suite compares fresh runs byte for byte against both.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 from kovex.cli import main as kovex_main
@@ -19,11 +22,14 @@ def main() -> int:
     for stem in GOLDEN:
         problem = root / "problems" / f"{stem}.kov"
         target = out_dir / f"{stem}.json"
-        code = kovex_main(["analyze", str(problem), "--json", str(target)])
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = kovex_main(["analyze", str(problem), "--json", str(target)])
         if code not in (0, 2):
             print(f"{problem.name}: unexpected exit {code}")
             return 1
-        print(f"wrote {target}")
+        (out_dir / f"{stem}.txt").write_text(text.getvalue(), encoding="utf-8")
+        print(f"wrote {target} and {stem}.txt")
     return 0
 
 

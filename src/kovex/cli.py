@@ -6,6 +6,10 @@ stops after assumption verification, ``loci`` after the balance search,
 the commuting-field machinery too (``analyze`` is ``flow`` plus the
 assumption checks on one pass).
 
+``analyze`` writes the report in one pass.  Each stage appends to the
+run's text lines and violations as it goes and returns only what a later
+stage needs; the stages run in the order their lines appear.
+
 Two output layers: a plain-text summary on standard output and, with
 ``--json``, a complete machine-readable report.  The JSON is
 deterministic byte for byte given the same input and flags: keys are
@@ -195,9 +199,8 @@ def _spectrum_text(roots) -> str:
 # pipeline stages
 
 
-def _resolve_weights(field, spec, max_weight: int):
-    """Returns (certificate or None, weights section, violations, lines)."""
-    violations: list[str] = []
+def _resolve_weights(field, spec, max_weight: int, lines, violations):
+    """Returns (certificate or None, weights section)."""
     if spec.weights is not None:
         cert = WeightCertificate(spec.weights, 1)
         law = verify_weight(field, cert)
@@ -213,7 +216,7 @@ def _resolve_weights(field, spec, max_weight: int):
                 for i, e in law.violations],
             "euler_identity": "ok" if law.ok else bad,
         }
-        lines = [f"weights: {tuple(spec.weights)}  degree 1  [declared]"]
+        lines.append(f"weights: {tuple(spec.weights)}  degree 1  [declared]")
         if not law.ok:
             actual = field_degree(field, spec.weights)
             hint = (f"; the field is uniform of degree {actual} instead"
@@ -222,7 +225,7 @@ def _resolve_weights(field, spec, max_weight: int):
                 f"declared weights {tuple(spec.weights)} fail the monomial "
                 f"law in component(s) {', '.join(str(i) for i in bad)}{hint}")
             cert = None
-        return cert, section, violations, lines
+        return cert, section
 
     inference = infer_weights(field, max_weight=max_weight)
     if inference.degenerate:
@@ -247,13 +250,12 @@ def _resolve_weights(field, spec, max_weight: int):
         "monomial_law": "ok",
         "euler_identity": "ok",
     }
-    lines = [f"weights: {cert.weights}  degree 1  [inferred]"]
-    return cert, section, violations, lines
+    lines.append(f"weights: {cert.weights}  degree 1  [inferred]")
+    return cert, section
 
 
-def _assumptions(field, g_field, cert):
-    violations: list[str] = []
-    lines: list[str] = []
+def _assumptions(field, g_field, cert, lines, violations):
+    """Returns (assumptions section, G's degree or None)."""
     zero = check_zero_set(field)
     section: dict = {"zero_set": zero.status}
     lines.append(f"zero set: {zero.status}")
@@ -285,12 +287,11 @@ def _assumptions(field, g_field, cert):
                 lines.append(f"commuting degree: {gamma}")
         else:
             section["commuting_degree"] = None
-    return section, gamma, violations, lines
+    return section, gamma
 
 
-def _locus_stage(field, cert, spec, search):
-    violations: list[str] = []
-    lines: list[str] = []
+def _locus_stage(field, cert, spec, search, lines, violations):
+    """Returns (loci entries of the report, (locus, spectrum) pairs)."""
     try:
         loci = find_loci(field, cert, seeds=spec.seeds, **search).loci
     except NoLocusFound:
@@ -324,12 +325,11 @@ def _locus_stage(field, cert, spec, search):
         entries.append(entry)
     if not entries:
         lines.append("no indicial loci found")
-    return entries, pairs, violations, lines
+    return entries, pairs
 
 
-def _series_stage(field, cert, loci, entries, truncation):
-    violations: list[str] = []
-    lines: list[str] = []
+def _series_stage(field, cert, loci, entries, truncation, lines, violations):
+    """Adds each exact locus's series to its entry; returns them by index."""
     solutions: dict[int, object] = {}
     for idx, (locus, _) in enumerate(loci):
         if not locus.is_exact:
@@ -366,23 +366,22 @@ def _series_stage(field, cert, loci, entries, truncation):
             violations.append(
                 f"series at {_fmt_point(locus.point)} obstructed at order "
                 f"{sol.obstructions[0]}")
-    return solutions, violations, lines
+    return solutions
 
 
-def _flow_locus_report(field, g_field, cert, sol, pool, search):
-    """Flow section for one principal balance; returns (section, violations,
-    lines).  pool is F's lower_spectra, shared by every principal balance;
-    search holds the numeric search options."""
-    violations: list[str] = []
-    lines: list[str] = []
+def _flow_locus_report(field, g_field, cert, sol, pool, search, lines,
+                       violations):
+    """Returns the flow section for one principal balance.  pool is F's
+    lower_spectra, shared by every principal balance; search holds the
+    numeric search options."""
     point = sol.locus
     section: dict = {"locus": _point_json(point)}
     try:
         expansion = degeneration.g_expansion(g_field, sol)
-    except (ValueError, degeneration.TruncationTooShort) as exc:
+    except ValueError as exc:
         section["error"] = str(exc)
         lines.append(f"flow at {_fmt_point(point)}: unavailable ({exc})")
-        return section, violations, lines
+        return section
     section["gamma"] = expansion.gamma
     section["expansion_orders"] = expansion.count
     lines.append(f"flow at locus {_fmt_point(point)}  [gamma {expansion.gamma}]")
@@ -409,15 +408,14 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search):
 
     try:
         flow = degeneration.param_flow(expansion, sol)
-    except (ValueError, degeneration.TruncationTooShort,
-            degeneration.InconsistentG0) as exc:
+    except ValueError as exc:
         if isinstance(exc, degeneration.InconsistentG0):
             violations.append(
                 f"leading expansion block at {_fmt_point(point)} is not a "
                 f"multiple of the universal eigenvector: {exc}")
         section["error"] = str(exc)
         lines.append(f"  parameter flow unavailable: {exc}")
-        return section, violations, lines
+        return section
 
     position = {v: k for k, v in enumerate(flow.parameters)}
     section["shift_rate"] = {
@@ -464,55 +462,50 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if flow.gamma == 1:
-                report = degeneration.degenerate_gamma1(pool, flow, **search)
+                predictions = degeneration.degenerate_gamma1(
+                    pool, flow, **search)
             else:
-                report = degeneration.degenerate_gamma_ge2(
+                predictions = degeneration.degenerate_gamma_ge2(
                     pool, flow, **search)
     except degeneration.G0IdenticallyZero as exc:
         section["degeneration"] = {"error": str(exc)}
         lines.append(f"  degeneration unavailable: {exc}")
-        return section, violations, lines
+        return section
 
-    deg: dict = {"gamma": report.gamma, "entries": []}
+    deg: dict = {"gamma": flow.gamma, "entries": []}
     skipped = sorted({str(w.message) for w in caught
                       if isinstance(w.message, degeneration.UnrescalableLocus)})
     if skipped:
         deg["skipped_loci"] = skipped
-    for k in range(len(report.routes)):
+    for pred in predictions:
         deg["entries"].append({
-            "route": report.routes[k],
-            "locus": _point_json(report.flow_loci[k]),
-            "exponents": [_value(v) for v in report.flow_exponents[k]],
-            "predicted_lower_exponents": [
-                _value(v) for v in report.predicted_lower_exponents[k]],
-            "matched_lower_loci": [
-                _point_json(p) for p in report.matched_lower_loci[k]],
-            "diagnostics": _diag_json(report.diagnostics[k]),
+            "route": pred.route,
+            "locus": _point_json(pred.locus),
+            "exponents": [_value(v) for v in pred.exponents],
+            "predicted_lower_exponents": [_value(v) for v in pred.predicted],
+            "matched_lower_loci": [_point_json(p) for p in pred.matches],
+            "diagnostics": _diag_json(pred.diagnostics),
         })
-        matches = report.matched_lower_loci[k]
-        tail = (" -> matches " + ", ".join(_fmt_point(p) for p in matches)
-                if matches else " -> no matching lower locus")
+        tail = (" -> matches " + ", ".join(_fmt_point(p) for p in pred.matches)
+                if pred.matches else " -> no matching lower locus")
         lines.append(
-            f"  degeneration [{report.routes[k]}] locus "
-            f"{_fmt_point(report.flow_loci[k])}: predicted "
-            f"{_fmt_values(report.predicted_lower_exponents[k])}{tail}")
-    deg["unmatched_indices"] = list(report.unmatched)
+            f"  degeneration [{pred.route}] locus {_fmt_point(pred.locus)}: "
+            f"predicted {_fmt_values(pred.predicted)}{tail}")
+    unmatched = [k for k, pred in enumerate(predictions) if not pred.matches]
+    deg["unmatched_indices"] = unmatched
     deg["lower_spectra"] = [
         {"point": _point_json(p), "exponents": [_value(v) for v in ms]}
-        for p, ms in report.lower_spectra]
-    if report.unmatched:
-        lines.append(
-            f"  note: {len(report.unmatched)} prediction(s) without a "
-            f"matching lower locus")
+        for p, ms in pool]
+    if unmatched:
+        lines.append(f"  note: {len(unmatched)} prediction(s) without a "
+                     f"matching lower locus")
     section["degeneration"] = deg
 
     if flow.gamma == 1 and not any(flow.ghat):
         lines.append("  parameter flow is trivial; no lower predictions")
 
     if flow.gamma == 1:
-        predicted = None
-        if len(report.routes) == 1:
-            predicted = report.predicted_lower_exponents[0]
+        predicted = predictions[0].predicted if len(predictions) == 1 else None
         try:
             check = degeneration.deformed_field_check(
                 field, g_field, cert, flow, predicted=predicted, **search)
@@ -541,7 +534,7 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search):
                 violations.append(
                     f"deformed field does not realize the predicted "
                     f"exponents at {_fmt_point(point)}")
-    return section, violations, lines
+    return section
 
 
 def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
@@ -597,34 +590,26 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
         },
     }
 
-    cert, weight_section, weight_violations, weight_lines = _resolve_weights(
-        field, spec, max_weight)
-    report["weights"] = weight_section
-    violations += weight_violations
-    lines += weight_lines
-
+    cert, report["weights"] = _resolve_weights(field, spec, max_weight,
+                                               lines, violations)
     gamma = None
     if "assumptions" in stages:
-        section, gamma, found, more = _assumptions(field, g_field, cert)
-        report["assumptions"] = section
-        violations += found
-        lines += more
+        report["assumptions"], gamma = _assumptions(field, g_field, cert,
+                                                    lines, violations)
 
     loci, solutions, pool = (), {}, None
     if cert is not None and "loci" in stages:
-        entries, loci, found, more = _locus_stage(field, cert, spec, search)
+        entries, loci = _locus_stage(field, cert, spec, search, lines,
+                                     violations)
         pool = degeneration.lower_spectra(loci)
         report["loci"] = entries
-        violations += found
-        lines += more
 
         if "series" in stages:
             # truncation wins over the problem file's truncation = N
-            solutions, found, more = _series_stage(
+            solutions = _series_stage(
                 field, cert, loci, entries,
-                truncation if truncation is not None else spec.truncation)
-            violations += found
-            lines += more
+                truncation if truncation is not None else spec.truncation,
+                lines, violations)
 
         if "flow" in stages and g_field is not None:
             flow_ok = (report.get("assumptions", {}).get("commutation") == "ok"
@@ -634,17 +619,12 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
                 lines.append("flow analysis skipped "
                              "(needs a commuting quasi-homogeneous field)")
             else:
-                flow_sections = []
-                for idx, sol in sorted(solutions.items()):
-                    if classify(sol).kind != "principal":
-                        continue
-                    section, found, more = _flow_locus_report(
-                        field, g_field, cert, sol, pool, search)
-                    flow_sections.append(section)
-                    violations += found
-                    lines += more
-                report["flow"] = flow_sections
-                if not flow_sections:
+                report["flow"] = [
+                    _flow_locus_report(field, g_field, cert, sol, pool,
+                                       search, lines, violations)
+                    for _, sol in sorted(solutions.items())
+                    if classify(sol).kind == "principal"]
+                if not report["flow"]:
                     lines.append("no principal balance; flow analysis skipped")
     elif cert is None:
         lines.append("analysis skipped: no usable weight certificate")
@@ -652,7 +632,7 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
     report["violations"] = violations
     if violations:
         lines.append("violations detected:")
-        lines += [f"  - {v}" for v in violations]
+        lines.extend(f"  - {v}" for v in violations)
     else:
         lines.append("no violations detected")
     return Analysis(report, tuple(lines), cert, loci, solutions, pool)

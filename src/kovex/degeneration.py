@@ -17,6 +17,9 @@ indicial loci and reads the multiset off the Kovalevskaya matrix of the
 pole field (ParamFlow.pole_field, the flow with the pole position as an
 extra coordinate).  The routes see different coordinates, so agreement
 is a genuine cross-check, not a replay.
+
+Each route returns one Prediction per flow locus, built with its matches
+against the ambient field's lower loci (lower_spectra) already in place.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from .vfmodel import VectorField, WeightCertificate, field_degree, off_weight
 
 __all__ = [
     "DeformationCheck",
-    "DegenerationReport",
     "GExpansion",
     "G0IdenticallyZero",
     "InconsistentG0",
     "ParamFlow",
+    "Prediction",
     "TruncationTooShort",
     "UnrescalableLocus",
     "deformed_field_check",
@@ -64,7 +67,6 @@ __all__ = [
     "flow_support_check",
     "g_expansion",
     "g0_nonzero_certificate",
-    "hamiltonian_pairing_check",
     "kernel_identity_check",
     "lower_spectra",
     "param_flow",
@@ -428,49 +430,22 @@ def lower_spectra(pairs: Sequence[tuple]) -> tuple:
 
 
 @dataclass(frozen=True)
-class DegenerationReport:
-    """Per-flow-locus predictions and how they match the lower loci.
+class Prediction:
+    """One flow locus: the route that found it, its own exponent multiset,
+    the multiset it predicts for the ambient field, and the pool points
+    (lower_spectra) whose multiset matches; none means unmatched."""
 
-    Parallel tuples, one entry per locus of the parameter flow: the route
-    that produced it, its own exponent multiset, the predicted multiset
-    for the ambient field, and the ambient lower loci whose multiset
-    matches.  unmatched lists the indices with no match; lower_spectra is
-    the pool of (point, multiset) pairs the predictions were held against.
-    """
-
-    gamma: int
-    routes: tuple[str, ...]
-    flow_loci: tuple[tuple, ...]
-    flow_exponents: tuple[tuple, ...]
-    predicted_lower_exponents: tuple[tuple, ...]
-    matched_lower_loci: tuple[tuple[tuple, ...], ...]
-    unmatched: tuple[int, ...]
-    lower_spectra: tuple
-    diagnostics: tuple[dict, ...]
+    route: str
+    locus: tuple
+    exponents: tuple
+    predicted: tuple
+    matches: tuple[tuple, ...]
+    diagnostics: dict
 
 
-def _assemble(gamma: int, entries: list, pool: tuple,
-              radius: float) -> DegenerationReport:
-    matched = []
-    unmatched = []
-    for idx, entry in enumerate(entries):
-        predicted = entry[3]
-        hits = tuple(point for point, multiset in pool
-                     if _multisets_match(predicted, multiset, radius))
-        matched.append(hits)
-        if not hits:
-            unmatched.append(idx)
-    return DegenerationReport(
-        gamma=gamma,
-        routes=tuple(e[1] for e in entries),
-        flow_loci=tuple(e[0] for e in entries),
-        flow_exponents=tuple(e[2] for e in entries),
-        predicted_lower_exponents=tuple(e[3] for e in entries),
-        matched_lower_loci=tuple(matched),
-        unmatched=tuple(unmatched),
-        lower_spectra=pool,
-        diagnostics=tuple(e[4] for e in entries),
-    )
+def _matches(predicted, pool: tuple, radius: float) -> tuple[tuple, ...]:
+    return tuple(point for point, multiset in pool
+                 if _multisets_match(predicted, multiset, radius))
 
 
 def _loci(field: VectorField, certificate: WeightCertificate, rng_seed: int,
@@ -484,7 +459,7 @@ def _loci(field: VectorField, certificate: WeightCertificate, rng_seed: int,
 
 
 def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
-                      tolerance: float = DEFAULT_TOL) -> DegenerationReport:
+                      tolerance: float = DEFAULT_TOL) -> tuple[Prediction, ...]:
     """Lower-family prediction for a degree-1 commuting flow.
 
     With gamma = 1 the pole position drifts at the constant rate ghat0
@@ -499,19 +474,19 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
         raise ValueError("this route needs a degree-1 commuting flow")
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, 1)
-    entries: list = []
+    radius = _match_radius(tolerance)
+    predictions = []
     for locus, spectrum in spectra(sub, sub_cert,
                                    _loci(sub, sub_cert, rng_seed, tolerance)):
         if locus.is_exact:
-            vals = spectrum.exponents.multiset()
-            predicted = _sorted_multiset((Fraction(-1),) + vals)
+            vals, pole = spectrum.exponents.multiset(), Fraction(-1)
             diag = {"universal_eigenpair": spectrum.eigenpair_verified}
         else:
-            vals = spectrum
-            predicted = _sorted_multiset((complex(-1),) + vals)
-            diag = {}
-        entries.append((locus.point, "pole_shift", vals, predicted, diag))
-    return _assemble(1, entries, pool, _match_radius(tolerance))
+            vals, pole, diag = spectrum, complex(-1), {}
+        predicted = _sorted_multiset((pole,) + vals)
+        predictions.append(Prediction("pole_shift", locus.point, vals, predicted,
+                                      _matches(predicted, pool, radius), diag))
+    return tuple(predictions)
 
 
 def _rescaled_matrix(flow: ParamFlow, point: tuple, g0_value: Fraction) -> ExactMatrix:
@@ -575,7 +550,7 @@ def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted,
 
 
 def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
-                         tolerance: float = DEFAULT_TOL) -> DegenerationReport:
+                         tolerance: float = DEFAULT_TOL) -> tuple[Prediction, ...]:
     """Lower-family prediction for commuting degree two or more, dual route.
 
     Exact route first: in rescaled coordinates the flow's indicial system
@@ -585,7 +560,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     route: the subsystem's own indicial loci (typically irrational, found
     numerically), the pole field's Kovalevskaya matrix there (pole row
     included), and the prediction gamma times its spectrum.  Both routes
-    land in the same report, matched against pool, the ambient field's
+    land in the same tuple, matched against pool, the ambient field's
     lower_spectra; neither is allowed to stand in for the other.  rng_seed
     and tolerance go to the subsystem's locus search, and float exponents
     match within _match_radius(tolerance).
@@ -599,7 +574,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "does not exist")
     params = flow.parameters
     radius = _match_radius(tolerance)
-    entries: list = []
+    predictions = []
 
     cleared = [g + MultiPoly.variable(v, params) * flow.ghat0 * k
                for g, v, k in zip(flow.ghat, params, flow.kappa)]
@@ -616,7 +591,8 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "minus_one_present": _contains(vals, Fraction(-1), radius),
             "search_complete": solved.complete,
         }
-        entries.append((point, "rescale_exact", vals, predicted, diag))
+        predictions.append(Prediction("rescale_exact", point, vals, predicted,
+                                      _matches(predicted, pool, radius), diag))
 
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
@@ -655,9 +631,10 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "rescaled_point": rescaled,
             "matches_rescaled_exact": verified,
         }
-        entries.append((locus.point, "flow_direct",
-                        _sorted_multiset(vals), predicted, diag))
-    return _assemble(gamma, entries, pool, radius)
+        predictions.append(Prediction("flow_direct", locus.point,
+                                      _sorted_multiset(vals), predicted,
+                                      _matches(predicted, pool, radius), diag))
+    return tuple(predictions)
 
 
 @dataclass(frozen=True)
@@ -738,36 +715,3 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
         stable=stable,
     )
 
-
-def hamiltonian_pairing_check(exponents: Sequence, weights: Sequence[int],
-                              h_degree: int) -> tuple[str, ...]:
-    """Symplectic pairing constraints on an exponent multiset.
-
-    For a canonical field of a quasi-homogeneous Hamiltonian the exponents
-    pair off: the multiset is closed under k -> deg(H) - 1 - k, and every
-    conjugate weight pair sums to deg(H) - 1.  Returns human-readable
-    violations; empty means both constraints hold.
-    """
-    span = h_degree - 1
-    violations = []
-    if len(weights) % 2:
-        violations.append(
-            f"odd number of weights ({len(weights)}); no conjugate pairing")
-    else:
-        for k in range(0, len(weights), 2):
-            if weights[k] + weights[k + 1] != span:
-                violations.append(
-                    f"conjugate pair {k // 2 + 1}: weights {weights[k]} + "
-                    f"{weights[k + 1]} != {span}")
-    values = [as_fraction(v) for v in exponents]
-    counts: dict[Fraction, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    for v in sorted(counts):
-        partner = span - v
-        if counts[v] != counts.get(partner, 0):
-            if v <= partner:
-                violations.append(
-                    f"exponent {v} occurs {counts[v]} times but its partner "
-                    f"{partner} occurs {counts.get(partner, 0)} times")
-    return tuple(violations)

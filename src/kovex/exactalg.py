@@ -432,10 +432,14 @@ class ExactMatrix:
         self.ncols = width
 
     def shifted(self, r: Scalar) -> "ExactMatrix":
-        """A - rI, built in one pass."""
+        """A - rI, built in one pass; the entries are exact already, so
+        they skip the constructor's validation."""
         r = as_fraction(r)
-        return ExactMatrix([[x - r if i == j else x for j, x in enumerate(row)]
-                            for i, row in enumerate(self.data)])
+        out = object.__new__(ExactMatrix)
+        out.data = tuple(tuple(x - r if i == j else x for j, x in enumerate(row))
+                         for i, row in enumerate(self.data))
+        out.nrows, out.ncols = self.nrows, self.ncols
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -817,16 +821,15 @@ class RootSet:
                                                 complex(v).imag)))
 
 
-def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
-    """Find all roots: complete rational search, then certified numerics.
+def _exact_roots(coeffs: Sequence[Scalar]) -> tuple[tuple[tuple[Fraction, int], ...],
+                                                     tuple[Fraction, ...]]:
+    """The rational stage of roots_exact_first, with no floating point.
 
-    The rational stage is complete: ``rational_roots`` isolates the real
-    roots once, without trial division, and finds every rational root;
-    exact deflation by each of them then gives its multiplicity, so every
-    rational root lands in ``rational_roots`` with its exact multiplicity.
-    The residual is split into squarefree factors exactly (Yun), which
-    hands the numeric stage only simple roots; each numeric root must have
-    backward error <= DEFAULT_TOL or NumericNonConvergence is raised.
+    Returns the sorted (rational root, multiplicity) pairs and the monic
+    residual left after dividing them out.  The stage is complete:
+    ``rational_roots`` isolates the real roots once, without trial
+    division, and finds every rational root; exact deflation by each of
+    them then gives its multiplicity.
     """
     exact = [as_fraction(c) for c in coeffs]
     if not exact or exact[0] == 0:
@@ -842,11 +845,22 @@ def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
                 break
             monic = quotient
             rational[root] += 1
+    return tuple(sorted(rational.items())), tuple(monic)
 
-    residual = tuple(monic)
+
+def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
+    """Find all roots: complete rational search, then certified numerics.
+
+    The rational stage (_exact_roots) finds every rational root with its
+    exact multiplicity.  The residual is split into squarefree factors
+    exactly (Yun), which hands the numeric stage only simple roots; each
+    numeric root must have backward error <= DEFAULT_TOL or
+    NumericNonConvergence is raised.
+    """
+    rational, residual = _exact_roots(coeffs)
     numeric: list[tuple[complex, int, float]] = []
-    if len(monic) > 1:
-        for factor, multiplicity in _squarefree_factors(list(monic)):
+    if len(residual) > 1:
+        for factor, multiplicity in _squarefree_factors(list(residual)):
             approx = _aberth([float(c) for c in factor], _ABERTH_MAX_ITER)
             for z in approx:
                 scale = 1.0
@@ -863,7 +877,7 @@ def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
                 f"{_ABERTH_MAX_ITER} iterations")
 
     return RootSet(
-        rational_roots=tuple(sorted(rational.items())),
+        rational_roots=rational,
         residual_factor=residual,
         numeric_roots=tuple(sorted(numeric, key=lambda t: (t[0].real, t[0].imag))),
     )
@@ -958,16 +972,12 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
         var = _univariate_profile(eq)
         if var is None:
             continue
-        coeffs = _coeff_list(eq, var)
-        try:
-            root_set = roots_exact_first(coeffs)
-        except NumericNonConvergence:
-            return [], False, False
+        rational, residual = _exact_roots(_coeff_list(eq, var))
         others = tuple(v for v in remaining if v != var)
         solutions: list[dict[str, Fraction]] = []
-        complete = root_set.is_fully_rational
+        complete = len(residual) == 1
         saw_free = False
-        for root, _mult in root_set.rational_roots:
+        for root, _mult in rational:
             reduced = [
                 e.substitute({var: root}) if var in e.vars else e
                 for e in live

@@ -59,7 +59,7 @@ from typing import Mapping, Sequence
 
 from .exactalg import ExactMatrix, MultiPoly
 from .kovalevskaya import exact_point, k_exponents
-from .vfmodel import VectorField, WeightCertificate, off_weight, verify_weight
+from .vfmodel import VectorField, WeightCertificate, verify_weight
 
 __all__ = [
     "LaurentSolution",
@@ -68,7 +68,6 @@ __all__ = [
     "TruncationBelowResonance",
     "build_series",
     "classify",
-    "qh_coefficient_check",
     "residual_order",
     "poly_json",
     "series_json",
@@ -506,21 +505,6 @@ def classify(sol: LaurentSolution) -> SeriesClass:
     if count == sol.dim:
         return SeriesClass("principal", count, None)
     return SeriesClass("lower", count, None)
-
-
-def qh_coefficient_check(sol: LaurentSolution) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Monomial support law: every alpha-monomial of d_{i,j} weighs j.
-
-    The weight of a parameter is its resonance order, so a monomial
-    alpha^n contributes sum_l n_l kappa_l and must land exactly at j.
-    Returns the violations as (component, order, exponent) triples; empty
-    means the computed support matches the scaling structure.
-    """
-    kappa = {r.parameter: r.order for r in sol.resonances}
-    return tuple((i, j, exps)
-                 for i, row in enumerate(sol.coefficients)
-                 for j, poly in enumerate(row) if j
-                 for exps in off_weight(poly, kappa, j))
 
 
 def residual_order(field: VectorField, certificate: WeightCertificate,

@@ -58,22 +58,11 @@ class VectorField:
     def is_zero(self) -> bool:
         return not any(self.components)
 
-    def evaluate(self, point: Sequence) -> tuple:
-        """Evaluate all components at a positional point."""
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point of length {len(point)} in dimension {self.dim}")
-        values = dict(zip(self.variables, point))
-        return tuple(f.evaluate(values) for f in self.components)
-
     @cached_property
     def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
         """d components[i] / d variables[j], computed once per field."""
         return tuple(tuple(f.diff(v) for v in self.variables)
                      for f in self.components)
-
-    def substitute(self, mapping: Mapping[str, object]) -> tuple[MultiPoly, ...]:
-        return tuple(f.substitute(mapping) for f in self.components)
 
     def __str__(self) -> str:
         lines = [f"d{v}/dz = {f}" for v, f in zip(self.variables, self.components)]

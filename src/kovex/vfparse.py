@@ -83,6 +83,7 @@ class _Token:
     col: int
 
 
+_DIGIT = re.compile(r"[0-9]")
 _IDENT_START = re.compile(r"[A-Za-z_]")
 _IDENT_BODY = re.compile(r"[A-Za-z0-9_]")
 
@@ -104,9 +105,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if _DIGIT.match(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _DIGIT.match(text[j]):
                 j += 1
             tokens.append(_Token("NUMBER", text[i:j], line, start_col))
             col += j - i
@@ -265,10 +266,6 @@ class ProblemSpec:
     seeds: tuple[tuple[float, ...], ...] = ()
     truncation: int | None = None
 
-    @property
-    def has_g(self) -> bool:
-        return self.g_components is not None or self.h_g is not None
-
 
 def _strip_comment(line: str) -> str:
     in_quote = False
@@ -320,25 +317,19 @@ def _parse_variables(value: str, line_no: int) -> tuple[tuple[str, ...], tuple[i
     return tuple(names), (tuple(weights) if weighted else None)
 
 
-def _unquote(value: str, key: str, line_no: int) -> tuple[str, int]:
-    """Strip surrounding quotes; returns (inner text, column offset of it)."""
-    stripped = value.strip()
-    if len(stripped) < 2 or not (stripped.startswith('"') and stripped.endswith('"')):
+def _parse_field_expression(value: str, variables: tuple[str, ...], key: str,
+                            line_no: int, col: int) -> MultiPoly:
+    """Parse a quoted expression whose opening quote is at column col."""
+    if len(value) < 2 or not (value.startswith('"') and value.endswith('"')):
         raise ProblemFormatError(f"{key} expects a quoted expression", line_no, 1)
-    inner = stripped[1:-1]
+    inner = value[1:-1]
     if '"' in inner:
         raise ProblemFormatError(f"{key}: stray quote inside expression", line_no, 1)
-    offset = value.index('"') + 1
-    return inner, offset
-
-
-def _parse_field_expression(raw: str, variables: tuple[str, ...], key: str,
-                            line_no: int, col_offset: int) -> MultiPoly:
     try:
-        return parse_expression(raw, variables)
+        return parse_expression(inner, variables)
     except ParseError as exc:
-        col = (exc.col or 1) + col_offset if exc.line in (None, 1) else exc.col
-        raise type(exc)(f"{key}: {exc.message}", line_no, col) from None
+        raise type(exc)(f"{key}: {exc.message}", line_no,
+                        (exc.col or 1) + col) from None
 
 
 def _parse_seeds(value: str, n_vars: int, line_no: int) -> tuple[tuple[float, ...], ...]:
@@ -361,18 +352,18 @@ def _parse_seeds(value: str, n_vars: int, line_no: int) -> tuple[tuple[float, ..
     return tuple(out)
 
 
-def _collect_components(entries: dict[str, tuple[str, int]], prefix: str,
+def _collect_components(entries: dict[str, tuple[str, int, int]], prefix: str,
                         variables: tuple[str, ...]) -> tuple[MultiPoly, ...] | None:
     pattern = re.compile(rf"^{prefix}\.(\d+)$")
-    found: dict[int, tuple[str, int]] = {}
-    for key, (value, line_no) in entries.items():
+    found: dict[int, tuple[str, int, int]] = {}
+    for key, (value, line_no, col) in entries.items():
         match = pattern.match(key)
         if match:
             idx = int(match.group(1))
             if idx in found:
                 raise ProblemFormatError(
                     f"component {prefix}.{idx} given twice", line_no, 1)
-            found[idx] = (value, line_no)
+            found[idx] = (value, line_no, col)
     if not found:
         return None
     m = len(variables)
@@ -387,14 +378,13 @@ def _collect_components(entries: dict[str, tuple[str, int]], prefix: str,
             + ", ".join(f"{prefix}.{i}" for i in missing))
     components = []
     for i in range(1, m + 1):
-        value, line_no = found[i]
-        raw, offset = _unquote(value, f"{prefix}.{i}", line_no)
-        components.append(_parse_field_expression(raw, variables, f"{prefix}.{i}",
-                                                  line_no, offset))
+        value, line_no, col = found[i]
+        components.append(_parse_field_expression(value, variables, f"{prefix}.{i}",
+                                                  line_no, col))
     return tuple(components)
 
 
-def _parse_hamiltonian(entries: dict[str, tuple[str, int]], key: str,
+def _parse_hamiltonian(entries: dict[str, tuple[str, int, int]], key: str,
                        variables: tuple[str, ...]) -> MultiPoly | None:
     if key not in entries:
         return None
@@ -402,9 +392,8 @@ def _parse_hamiltonian(entries: dict[str, tuple[str, int]], key: str,
         raise OddVariableCountError(
             f"{key} needs an even number of variables (got {len(variables)})",
             entries[key][1], 1)
-    value, line_no = entries[key]
-    raw, offset = _unquote(value, key, line_no)
-    return _parse_field_expression(raw, variables, key, line_no, offset)
+    value, line_no, col = entries[key]
+    return _parse_field_expression(value, variables, key, line_no, col)
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -415,7 +404,8 @@ def parse_problem(text: str) -> ProblemSpec:
     commuting field with ``G.k`` / ``H_G``.  For Hamiltonians the variables
     must be declared in conjugate pairs: (q1, p1, q2, p2, ...).
     """
-    entries: dict[str, tuple[str, int]] = {}
+    # key -> (value, line number, column of the value in its line)
+    entries: dict[str, tuple[str, int, int]] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         body = _strip_comment(line).strip()
         if not body:
@@ -423,21 +413,22 @@ def parse_problem(text: str) -> ProblemSpec:
         key, eq, value = body.partition("=")
         if not eq:
             raise ProblemFormatError("expected 'key = value'", line_no, 1)
+        col = line.index(body) + len(key) + 2 + len(value) - len(value.lstrip())
         key = key.strip()
         if not key:
             raise ProblemFormatError("empty key", line_no, 1)
         if key in entries:
             raise ProblemFormatError(f"duplicate key {key!r}", line_no, 1)
-        entries[key] = (value.strip(), line_no)
+        entries[key] = (value.strip(), line_no, col)
 
     known = re.compile(r"^(variables|seeds|truncation|H_F|H_G|F\.\d+|G\.\d+)$")
-    for key, (_, line_no) in entries.items():
+    for key, (_, line_no, _) in entries.items():
         if not known.match(key):
             raise ProblemFormatError(f"unknown key {key!r}", line_no, 1)
 
     if "variables" not in entries:
         raise MissingFieldError("missing required field 'variables'")
-    variables, weights = _parse_variables(*entries["variables"])
+    variables, weights = _parse_variables(*entries["variables"][:2])
 
     f_components = _collect_components(entries, "F", variables)
     h_f = _parse_hamiltonian(entries, "H_F", variables)
@@ -459,7 +450,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     truncation = None
     if "truncation" in entries:
-        value, line_no = entries["truncation"]
+        value, line_no, _ = entries["truncation"]
         try:
             truncation = int(value)
         except ValueError:

@@ -114,10 +114,10 @@ def test_criterion_3_uncoupled_pair_flow_and_prediction(pair4d_deg1):
         assert flow.ghat[0] == A2 * -1
         assert flow.ghat[1] == A1 * A1 * -6
         assert not flow.ghat[2]
-        report = dg.degenerate_gamma1(
+        (prediction,) = dg.degenerate_gamma1(
             analyze(PAIR_4D_DEG1, command="loci").pool, flow)
-        assert report.predicted_lower_exponents == ((-1, -1, 6, 6),)
-        assert report.matched_lower_loci == (((1, -2, 1, -2),),)
+        assert prediction.predicted == (-1, -1, 6, 6)
+        assert prediction.matches == ((1, -2, 1, -2),)
 
 
 def test_criterion_4_coupled_pair_flow_and_prediction(pair4d_deg3):
@@ -155,15 +155,14 @@ def test_criterion_4_coupled_pair_flow_and_prediction(pair4d_deg3):
             flow, ghat=(flow.ghat[0], A1 ** 4 * -54, flow.ghat[2]))
         assert dg.flow_ladder_check(expansion, sol, bare) is not None
 
-        report = dg.degenerate_gamma_ge2(
+        rescaled = next(p for p in dg.degenerate_gamma_ge2(
             analyze(PAIR_4D_DEG3, command="loci").pool, flow)
-        i = report.routes.index("rescale_exact")
-        assert report.flow_loci[i] == (F(1, 3), F(4, 9), F(-7, 81))
-        predicted = report.predicted_lower_exponents[i]
-        assert tuple(sorted(predicted)) == (-3, -1, 8, 10)
-        rho = sorted(F(p) / 3 for p in predicted)
+            if p.route == "rescale_exact")
+        assert rescaled.locus == (F(1, 3), F(4, 9), F(-7, 81))
+        assert tuple(sorted(rescaled.predicted)) == (-3, -1, 8, 10)
+        rho = sorted(F(p) / 3 for p in rescaled.predicted)
         assert rho == [F(-1), F(-1, 3), F(8, 3), F(10, 3)]
-        assert (3, 27, 0, -3) in report.matched_lower_loci[i]
+        assert (3, 27, 0, -3) in rescaled.matches
 
 
 def test_criterion_5_property_suites(pair4d_deg1, pair4d_deg3):

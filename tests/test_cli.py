@@ -40,6 +40,14 @@ def test_analyze_matches_golden_byte_for_byte(stem, tmp_path):
 
 @pytest.mark.parametrize("stem", ["weierstrass", "cubic_pair",
                                   "painleve1_coupled_4d"])
+def test_analyze_text_matches_golden_byte_for_byte(stem, capsys):
+    assert main(["analyze", str(PROBLEMS / f"{stem}.kov")]) == 0
+    assert (capsys.readouterr().out.encode("utf-8")
+            == (GOLDEN / f"{stem}.txt").read_bytes())
+
+
+@pytest.mark.parametrize("stem", ["weierstrass", "cubic_pair",
+                                  "painleve1_coupled_4d"])
 def test_golden_reports_round_trip(stem):
     raw = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
@@ -241,6 +249,20 @@ def test_parse_error_names_the_position(tmp_path, capsys):
     assert code == 1
     assert "line 1" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("expr", ["²*x^2", "x^²"])
+def test_non_ascii_digit_is_an_input_error(expr, tmp_path, capsys):
+    bad = tmp_path / "digits.kov"
+    bad.write_text(f'variables = [x:2, y:3]\nF.1 = "y"\nF.2 = "{expr}"\n',
+                   encoding="utf-8")
+    code = main(["analyze", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "line 3" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_unweightable_field_fails_with_guidance(tmp_path, capsys):

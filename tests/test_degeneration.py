@@ -24,6 +24,7 @@ from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import k_exponents, kovalevskaya_matrix
 from kovex.laurent import build_series
 from kovex.vfmodel import VectorField, WeightCertificate
+from test_properties import hamiltonian_pairing_check
 
 F = Fraction
 
@@ -58,17 +59,23 @@ def deg3(pair4d_deg3):
 
 
 @pytest.fixture(scope="session")
-def deg1_report(deg1):
-    flow = deg1[-1]
-    return dg.degenerate_gamma1(analyze(PAIR_4D_DEG1, command="loci").pool,
-                                flow)
+def deg1_pool():
+    return analyze(PAIR_4D_DEG1, command="loci").pool
 
 
 @pytest.fixture(scope="session")
-def deg3_report(deg3):
-    flow = deg3[-1]
-    return dg.degenerate_gamma_ge2(analyze(PAIR_4D_DEG3, command="loci").pool,
-                                   flow)
+def deg3_pool():
+    return analyze(PAIR_4D_DEG3, command="loci").pool
+
+
+@pytest.fixture(scope="session")
+def deg1_predictions(deg1, deg1_pool):
+    return dg.degenerate_gamma1(deg1_pool, deg1[-1])
+
+
+@pytest.fixture(scope="session")
+def deg3_predictions(deg3, deg3_pool):
+    return dg.degenerate_gamma_ge2(deg3_pool, deg3[-1])
 
 
 class TestExpansionDeg1:
@@ -196,10 +203,8 @@ class TestFlowDeg1:
         flow = dg.param_flow(expansion, sol)
         assert flow.ghat0 == -1
         assert not any(flow.ghat)
-        report = dg.degenerate_gamma1(
-            analyze(PAIR_4D_DEG1, command="loci").pool, flow)
-        assert report.routes == ()
-        assert report.flow_loci == ()
+        assert dg.degenerate_gamma1(
+            analyze(PAIR_4D_DEG1, command="loci").pool, flow) == ()
 
     def test_flow_at_the_other_principal_locus_is_the_block_dynamics(
             self, deg1):
@@ -306,23 +311,26 @@ class TestShiftRateCertificate:
 
 
 class TestPoleShiftRoute:
-    def test_single_flow_locus(self, deg1_report):
-        assert deg1_report.gamma == 1
-        assert deg1_report.routes == ("pole_shift",)
-        assert deg1_report.flow_loci == ((1, 2, 0),)
+    def test_single_flow_locus(self, deg1, deg1_predictions):
+        assert deg1[-1].gamma == 1
+        (prediction,) = deg1_predictions
+        assert prediction.route == "pole_shift"
+        assert prediction.locus == (1, 2, 0)
 
-    def test_flow_exponents_and_prediction(self, deg1_report):
-        assert deg1_report.flow_exponents == ((-1, 6, 6),)
-        assert deg1_report.predicted_lower_exponents == ((-1, -1, 6, 6),)
+    def test_flow_exponents_and_prediction(self, deg1_predictions):
+        (prediction,) = deg1_predictions
+        assert prediction.exponents == (-1, 6, 6)
+        assert prediction.predicted == (-1, -1, 6, 6)
 
-    def test_prediction_matches_the_double_blowup(self, deg1_report):
-        assert deg1_report.matched_lower_loci == ((P3_DEG1,),)
-        assert deg1_report.unmatched == ()
-        assert deg1_report.lower_spectra == (
-            (P3_DEG1, (F(-1), F(-1), F(6), F(6))),)
+    def test_prediction_matches_the_double_blowup(self, deg1_pool,
+                                                  deg1_predictions):
+        (prediction,) = deg1_predictions
+        assert prediction.matches == (P3_DEG1,)
+        assert deg1_pool == ((P3_DEG1, (F(-1), F(-1), F(6), F(6))),)
 
-    def test_subsystem_eigenpair_was_verified(self, deg1_report):
-        assert deg1_report.diagnostics == ({"universal_eigenpair": True},)
+    def test_subsystem_eigenpair_was_verified(self, deg1_predictions):
+        (prediction,) = deg1_predictions
+        assert prediction.diagnostics == {"universal_eigenpair": True}
 
     def test_wrong_degree_is_rejected(self, deg3):
         _, _, _, _, _, flow = deg3
@@ -332,11 +340,11 @@ class TestPoleShiftRoute:
 
 class TestDeformedField:
     def test_predictions_are_realized_at_every_epsilon(self, deg1,
-                                                       deg1_report):
+                                                       deg1_predictions):
         field, g_field, cert, _, _, flow = deg1
         check = dg.deformed_field_check(
             field, g_field, cert, flow,
-            predicted=deg1_report.predicted_lower_exponents[0])
+            predicted=deg1_predictions[0].predicted)
         assert check.k1 == -1
         assert check.epsilons == (F(1, 10), F(1, 7), F(1, 3))
         assert check.realized == (True, True, True)
@@ -374,20 +382,21 @@ class TestDeformedField:
 
 
 class TestRescaleRoutes:
-    def test_one_exact_and_three_numeric_branches(self, deg3_report):
-        assert deg3_report.gamma == 3
-        assert deg3_report.routes == (
+    def test_one_exact_and_three_numeric_branches(self, deg3,
+                                                  deg3_predictions):
+        assert deg3[-1].gamma == 3
+        assert tuple(p.route for p in deg3_predictions) == (
             "rescale_exact", "flow_direct", "flow_direct", "flow_direct")
 
-    def test_exact_rescaled_locus(self, deg3_report):
-        assert deg3_report.flow_loci[0] == (F(1, 3), F(4, 9), F(-7, 81))
+    def test_exact_rescaled_locus(self, deg3_predictions):
+        assert deg3_predictions[0].locus == (F(1, 3), F(4, 9), F(-7, 81))
 
-    def test_exact_route_exponents(self, deg3_report):
-        assert deg3_report.flow_exponents[0] == (-1, 8, 10)
-        assert deg3_report.predicted_lower_exponents[0] == (-3, -1, 8, 10)
+    def test_exact_route_exponents(self, deg3_predictions):
+        assert deg3_predictions[0].exponents == (-1, 8, 10)
+        assert deg3_predictions[0].predicted == (-3, -1, 8, 10)
 
-    def test_exact_route_diagnostics(self, deg3_report):
-        diag = deg3_report.diagnostics[0]
+    def test_exact_route_diagnostics(self, deg3_predictions):
+        diag = deg3_predictions[0].diagnostics
         assert diag["g0_value"] == 1
         assert diag["minus_one_present"] is True
         assert diag["search_complete"] is True
@@ -402,40 +411,39 @@ class TestRescaleRoutes:
         ])
 
     def test_numeric_branches_are_cube_roots_of_the_same_point(
-            self, deg3_report):
-        for idx in (1, 2, 3):
-            a1 = complex(deg3_report.flow_loci[idx][0])
+            self, deg3_predictions):
+        for prediction in deg3_predictions[1:]:
+            a1 = complex(prediction.locus[0])
             assert abs(a1 ** 3 - 1 / 243) < 1e-9
 
-    def test_numeric_branch_exponents(self, deg3_report):
+    def test_numeric_branch_exponents(self, deg3_predictions):
         targets = [-1.0, -1 / 3, 8 / 3, 10 / 3]
-        for idx in (1, 2, 3):
-            got = sorted(complex(v).real
-                         for v in deg3_report.flow_exponents[idx])
-            imag = max(abs(complex(v).imag)
-                       for v in deg3_report.flow_exponents[idx])
+        for prediction in deg3_predictions[1:]:
+            got = sorted(complex(v).real for v in prediction.exponents)
+            imag = max(abs(complex(v).imag) for v in prediction.exponents)
             assert imag < 1e-7
             assert all(abs(g - t) < 1e-6 for g, t in zip(got, targets))
 
-    def test_numeric_branches_snap_back_to_the_exact_locus(self, deg3_report):
-        for idx in (1, 2, 3):
-            diag = deg3_report.diagnostics[idx]
+    def test_numeric_branches_snap_back_to_the_exact_locus(
+            self, deg3_predictions):
+        for prediction in deg3_predictions[1:]:
+            diag = prediction.diagnostics
             assert diag["rescaled_point"] == (F(1, 3), F(4, 9), F(-7, 81))
             assert diag["matches_rescaled_exact"] is True
 
-    def test_numeric_branch_diagnostics(self, deg3_report):
-        for idx in (1, 2, 3):
-            diag = deg3_report.diagnostics[idx]
+    def test_numeric_branch_diagnostics(self, deg3_predictions):
+        for prediction in deg3_predictions[1:]:
+            diag = prediction.diagnostics
             assert diag["minus_one_present"] is True
             assert diag["inverse_degree_present"] is True
             assert diag["conjugacy_ok"] is True
 
-    def test_every_branch_predicts_the_lower_locus(self, deg3_report):
-        assert deg3_report.unmatched == ()
-        for hits in deg3_report.matched_lower_loci:
-            assert hits == (P2_DEG3,)
-        assert deg3_report.lower_spectra == (
-            (P2_DEG3, (F(-3), F(-1), F(8), F(10))),)
+    def test_every_branch_predicts_the_lower_locus(self, deg3_pool,
+                                                   deg3_predictions):
+        assert len(deg3_predictions) == 4
+        for prediction in deg3_predictions:
+            assert prediction.matches == (P2_DEG3,)
+        assert deg3_pool == ((P2_DEG3, (F(-3), F(-1), F(8), F(10))),)
 
     def test_commuting_field_sees_the_same_spectrum_at_its_own_locus(
             self, deg3):
@@ -484,18 +492,20 @@ class TestExactDirectRoute:
                 [[F(-1, 2), F(1)], [F(0), F(-1)]])
 
     def test_both_routes(self, flow):
-        report = dg.degenerate_gamma_ge2((), flow)
-        assert report.routes == ("rescale_exact", "flow_direct", "flow_direct")
-        assert report.flow_loci == ((2,), (-1,), (1,))
-        assert report.flow_exponents[0] == (-1,)
-        assert report.diagnostics[0]["g0_value"] == 2
-        for idx in (0, 1, 2):
-            assert report.predicted_lower_exponents[idx] == (-2, -1)
-        for idx in (1, 2):
-            vals = report.flow_exponents[idx]
+        predictions = dg.degenerate_gamma_ge2((), flow)
+        assert tuple(p.route for p in predictions) == (
+            "rescale_exact", "flow_direct", "flow_direct")
+        assert tuple(p.locus for p in predictions) == ((2,), (-1,), (1,))
+        assert predictions[0].exponents == (-1,)
+        assert predictions[0].diagnostics["g0_value"] == 2
+        for prediction in predictions:
+            assert prediction.predicted == (-2, -1)
+            assert prediction.matches == ()
+        for prediction in predictions[1:]:
+            vals = prediction.exponents
             assert vals == (-1, F(-1, 2))
             assert all(isinstance(v, Fraction) for v in vals)
-            diag = report.diagnostics[idx]
+            diag = prediction.diagnostics
             assert diag["rescaled_point"] == (2,)
             assert diag["matches_rescaled_exact"] is True
             assert diag["conjugacy_ok"] is True
@@ -513,33 +523,32 @@ class TestUnrescalableLocus:
         flow = dg.ParamFlow(ghat0=a2, ghat=(a1 ** 3, a2 ** 3),
                             kappa=(1, 1), gamma=2, parameters=pvars)
         with pytest.warns(dg.UnrescalableLocus):
-            report = dg.degenerate_gamma_ge2(
+            predictions = dg.degenerate_gamma_ge2(
                 analyze(CUBIC_2D, command="loci").pool, flow)
-        exact = [p for p, r in zip(report.flow_loci, report.routes)
-                 if r == "rescale_exact"]
+        exact = [p.locus for p in predictions if p.route == "rescale_exact"]
         assert sorted(exact) == [(-1, -1), (0, -1), (1, -1)]
 
 
 class TestHamiltonianPairing:
     def test_principal_exponents_pair_off(self):
-        assert dg.hamiltonian_pairing_check(
+        assert hamiltonian_pairing_check(
             (-1, 2, 5, 8), (2, 5, 4, 3), 8) == ()
 
     def test_lower_exponents_pair_off(self):
-        assert dg.hamiltonian_pairing_check(
+        assert hamiltonian_pairing_check(
             (-3, -1, 8, 10), (2, 5, 4, 3), 8) == ()
 
     def test_planar_oscillator_pairs_off(self):
-        assert dg.hamiltonian_pairing_check((-1, 6), (2, 3), 6) == ()
+        assert hamiltonian_pairing_check((-1, 6), (2, 3), 6) == ()
 
     def test_unpaired_exponent_is_reported_once(self):
-        assert dg.hamiltonian_pairing_check((-1, 5), (2, 3), 6) == (
+        assert hamiltonian_pairing_check((-1, 5), (2, 3), 6) == (
             "exponent -1 occurs 1 times but its partner 6 occurs 0 times",)
 
     def test_odd_variable_count_cannot_pair(self):
-        violations = dg.hamiltonian_pairing_check((-1,), (2,), 4)
+        violations = hamiltonian_pairing_check((-1,), (2,), 4)
         assert any("odd number of weights" in v for v in violations)
 
     def test_mismatched_conjugate_weights_are_reported(self):
-        violations = dg.hamiltonian_pairing_check((-1, 6), (2, 2), 6)
+        violations = hamiltonian_pairing_check((-1, 6), (2, 2), 6)
         assert violations == ("conjugate pair 1: weights 2 + 2 != 5",)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kovex import exactalg
 from kovex.exactalg import (
     ExactMatrix,
     MultiPoly,
@@ -15,6 +16,7 @@ from kovex.exactalg import (
     rational_roots,
     roots_exact_first,
     snap_rational,
+    solve_poly_system,
 )
 from kovex.vfmodel import off_weight
 
@@ -567,6 +569,20 @@ class TestRoots:
                 else:
                     assert not isinstance(got, Fraction)
                     assert abs(got - want) < 1e-9
+
+    def test_solver_keeps_rational_roots_when_the_numerics_fail(
+            self, monkeypatch):
+        # (x - 1)(x^2 - 2) with Aberth returning garbage: roots_exact_first
+        # refuses the residual's roots, but the exact solver needs only the
+        # rational root and the news that an irrational residual is left
+        monkeypatch.setattr(exactalg, "_aberth",
+                            lambda coeffs, max_iter: [7j] * (len(coeffs) - 1))
+        with pytest.raises(NumericNonConvergence):
+            roots_exact_first([1, -1, -2, 2])
+        x = MultiPoly.variable("x")
+        result = solve_poly_system([(x - 1) * (x * x - 2)], ("x",))
+        assert result.points == ((1,),)
+        assert result.complete is False
 
 
 @settings(max_examples=100)

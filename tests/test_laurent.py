@@ -24,12 +24,12 @@ from kovex.laurent import (
     _field_orders,
     build_series,
     classify,
-    qh_coefficient_check,
     residual_order,
     series_json,
 )
 from kovex.vfmodel import VectorField, WeightCertificate, fields_from_problem
 from kovex.vfparse import parse_problem
+from test_properties import qh_coefficient_check
 
 ALPHA = MultiPoly.variable("alpha1")
 ROOT = Path(__file__).resolve().parent.parent

@@ -15,8 +15,8 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
-from kovex.degeneration import g_expansion, hamiltonian_pairing_check
-from kovex.exactalg import MultiPoly
+from kovex.degeneration import g_expansion
+from kovex.exactalg import MultiPoly, as_fraction
 from kovex.kovalevskaya import (
     NoLocusFound,
     exact_point,
@@ -28,7 +28,6 @@ from kovex.kovalevskaya import (
 from kovex.laurent import (
     _field_orders,
     build_series,
-    qh_coefficient_check,
     residual_order,
 )
 from kovex.vfmodel import (
@@ -40,6 +39,7 @@ from kovex.vfmodel import (
     fields_from_problem,
     hamiltonian_to_field,
     infer_weights,
+    off_weight,
     verify_weight,
 )
 from kovex.vfparse import parse_expression, parse_problem
@@ -76,7 +76,8 @@ def _scaled(field, mus):
     names = field.variables
     table = {v: MultiPoly.variable(v, names) * mu
              for v, mu in zip(names, mus)}
-    comps = tuple(c / mu for c, mu in zip(field.substitute(table), mus))
+    comps = tuple(c.substitute(table) / mu
+                  for c, mu in zip(field.components, mus))
     return VectorField(names, comps)
 
 
@@ -151,6 +152,52 @@ def euler_identity_check(field, certificate):
         if lhs != rhs:
             failing.append(i + 1)
     return tuple(failing)
+
+
+def qh_coefficient_check(sol):
+    """Oracle: monomial support law, every alpha-monomial of d_{i,j} weighs j.
+
+    The weight of a parameter is its resonance order, so a monomial
+    alpha^n contributes sum_l n_l kappa_l and must land exactly at j.
+    Returns the violations as (component, order, exponent) triples; empty
+    means the computed support matches the scaling structure.
+    """
+    kappa = {r.parameter: r.order for r in sol.resonances}
+    return tuple((i, j, exps)
+                 for i, row in enumerate(sol.coefficients)
+                 for j, poly in enumerate(row) if j
+                 for exps in off_weight(poly, kappa, j))
+
+
+def hamiltonian_pairing_check(exponents, weights, h_degree):
+    """Oracle: symplectic pairing constraints on an exponent multiset.
+
+    For a canonical field of a quasi-homogeneous Hamiltonian the exponents
+    pair off: the multiset is closed under k -> deg(H) - 1 - k, and every
+    conjugate weight pair sums to deg(H) - 1.  Returns human-readable
+    violations; empty means both constraints hold.
+    """
+    span = h_degree - 1
+    violations = []
+    if len(weights) % 2:
+        violations.append(
+            f"odd number of weights ({len(weights)}); no conjugate pairing")
+    else:
+        for k in range(0, len(weights), 2):
+            if weights[k] + weights[k + 1] != span:
+                violations.append(
+                    f"conjugate pair {k // 2 + 1}: weights {weights[k]} + "
+                    f"{weights[k + 1]} != {span}")
+    counts: dict[Fraction, int] = {}
+    for v in map(as_fraction, exponents):
+        counts[v] = counts.get(v, 0) + 1
+    for v in sorted(counts):
+        partner = span - v
+        if counts[v] != counts.get(partner, 0) and v <= partner:
+            violations.append(
+                f"exponent {v} occurs {counts[v]} times but its partner "
+                f"{partner} occurs {counts.get(partner, 0)} times")
+    return tuple(violations)
 
 
 @given(graded_fields())

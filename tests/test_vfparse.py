@@ -180,7 +180,7 @@ def test_parse_problem_componentwise():
         MultiPoly(("x", "y"), {(2, 0): 6}),
     )
     assert spec.h_f is None
-    assert not spec.has_g
+    assert spec.g_components is None and spec.h_g is None
     assert spec.truncation == 14
 
 
@@ -194,7 +194,6 @@ def test_parse_problem_hamiltonian_pair():
     assert spec.variables == ("q1", "p1", "q2", "p2")
     assert spec.h_f is not None and spec.h_g is not None
     assert spec.f_components is None
-    assert spec.has_g
     assert spec.seeds == ((1.0, -2.0, 0.0, 0.0), (1.0, -2.0, 1.0, -2.0))
 
 
@@ -285,6 +284,25 @@ def test_expression_error_reports_file_line():
         parse_problem('variables = [x:1]\n\nF.1 = "x + qq"')
     assert err.value.line == 3
     assert "F.1" in err.value.message
+
+
+@pytest.mark.parametrize("text, col", [("²*x^2", 1), ("x^²", 3), ("x^٣", 3)])
+def test_only_ascii_digits_are_numbers(text, col):
+    # str.isdigit() holds for superscripts and other scripts' digits,
+    # which int() then rejects or reads as a different number
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text, XY)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("line, col", [('F.2 = "$*x^2"', 8),
+                                       ('F.2 = "x^²"', 10),
+                                       ('  F.2 =   "x^²"  # c', 14)])
+def test_expression_error_column_counts_from_the_line_start(line, col):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_problem(f'variables = [x:2, y:3]\nF.1 = "y"\n{line}\n')
+    assert (err.value.line, err.value.col) == (3, col)
+    assert err.value.message.startswith("F.2: unexpected character")
 
 
 def test_zero_weight_rejected():
