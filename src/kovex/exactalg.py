@@ -2,9 +2,10 @@
 
 The analysis pipeline runs on exact rational arithmetic end to end: Fraction,
 or integers over a common denominator where that is cheaper (_eliminate, the
-one fraction-free elimination, and the series kernel in laurent).  There is
-deliberately no algebraic-number tower: when a quantity fails to be rational,
-we keep the exact residual factor together with certified numeric
+one fraction-free elimination; _exact_roots, the rational roots and their
+multiplicities on the primitive integer part; the series kernel in laurent).
+There is deliberately no algebraic-number tower: when a quantity fails to be
+rational, we keep the exact residual factor together with certified numeric
 approximations of its roots instead of extending the scalar field.  Matrices
 are dense; every system in this problem class is tiny (dimension = number of
 phase-space variables).
@@ -674,6 +675,9 @@ def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
     interval holding one candidate is settled by evaluating p there
     exactly.  Intervals are bisected at dyadic points, which are tested
     for roots as they appear (Collins & Akritas 1976, on Python ints).
+    p need not be square-free: Descartes' rule only prunes, and the
+    candidate count alone ends the bisection, so a multiple root cannot
+    stall it.
     """
     if _sign_changes(coeffs) == 0:
         return []
@@ -719,42 +723,20 @@ def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
     return found
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Every distinct rational root of a rational polynomial, ascending.
+def _divide_linear(coeffs: list[int], p: int, q: int) -> list[int] | None:
+    """coeffs / (q x - p) on integers, coeffs descending; None if it does not divide.
 
-    coeffs descend.  The search runs on the square-free integer part f of
-    the polynomial: by the rational root theorem each rational root of f
-    is k/lead with lead the leading coefficient of f, and exact real-root
-    isolation narrows every interval that may hold a root until it holds
-    at most one such candidate (at the latest once it is narrower than
-    1/lead), which exact evaluation then accepts or rejects.  The search
-    is complete, and its cost grows with the bit size of the coefficients
-    rather than with their magnitude.
+    q x - p is primitive for p/q in lowest terms, so by Gauss's lemma every
+    step of a division that succeeds is an exact integer division.
     """
-    exact = _trim([as_fraction(c) for c in coeffs])
-    found: list[Fraction] = []
-    if len(exact) > 1 and exact[-1] == 0:
-        found.append(Fraction(0))
-        while exact[-1] == 0:
-            exact.pop()
-    if len(exact) > 1:
-        squarefree = _poly_divmod(
-            exact, _poly_gcd(exact, poly_derivative(exact)))[0]
-        ascending = _integer_part(squarefree)[::-1]
-        lead = abs(ascending[-1])
-        found.extend(_positive_rational_roots(ascending, lead))
-        mirrored = [-c if i % 2 else c for i, c in enumerate(ascending)]
-        found.extend(-r for r in _positive_rational_roots(mirrored, lead))
-    return sorted(found)
-
-
-def _deflate(coeffs: list[Fraction],
-             root: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Exact synthetic division by (x - root): (quotient, remainder)."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out, coeffs[-1] + out[-1] * root
+    out: list[int] = []
+    carry = 0
+    for c in coeffs[:-1]:
+        carry, rem = divmod(c + p * carry, q)
+        if rem:
+            return None
+        out.append(carry)
+    return out if coeffs[-1] + p * carry == 0 else None
 
 
 def _aberth(coeffs: list[float], max_iter: int) -> list[complex]:
@@ -826,26 +808,33 @@ def _exact_roots(coeffs: Sequence[Scalar]) -> tuple[tuple[tuple[Fraction, int], 
     """The rational stage of roots_exact_first, with no floating point.
 
     Returns the sorted (rational root, multiplicity) pairs and the monic
-    residual left after dividing them out.  The stage is complete:
-    ``rational_roots`` isolates the real roots once, without trial
-    division, and finds every rational root; exact deflation by each of
-    them then gives its multiplicity.
+    residual left after dividing them out.  It runs once on the primitive
+    integer part f: trailing zero coefficients count the root 0,
+    _positive_rational_roots finds every rational root of f(x) and f(-x),
+    and exact division by q x - p counts the multiplicity of each root p/q.
     """
     exact = [as_fraction(c) for c in coeffs]
     if not exact or exact[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    monic = [c / exact[0] for c in exact]
-
+    ints = _integer_part(exact)
     rational: dict[Fraction, int] = {}
-    for root in rational_roots(monic):
-        rational[root] = 0
-        while len(monic) > 1:
-            quotient, remainder = _deflate(monic, root)
-            if remainder:
-                break
-            monic = quotient
-            rational[root] += 1
-    return tuple(sorted(rational.items())), tuple(monic)
+    if ints[-1] == 0:
+        while ints[-1] == 0:
+            ints.pop()
+        rational[Fraction(0)] = len(exact) - len(ints)
+    ascending = ints[::-1]
+    mirrored = [-c if i % 2 else c for i, c in enumerate(ascending)]
+    lead = abs(ints[0])
+    for sign, poly in ((1, ascending), (-1, mirrored)):
+        for root in _positive_rational_roots(poly, lead):
+            p, q = sign * root.numerator, root.denominator
+            multiplicity = 0
+            while (quotient := _divide_linear(ints, p, q)) is not None:
+                ints = quotient
+                multiplicity += 1
+            rational[Fraction(p, q)] = multiplicity
+    return (tuple(sorted(rational.items())),
+            tuple(Fraction(c, ints[0]) for c in ints))
 
 
 def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:

@@ -258,40 +258,42 @@ def _newton_refine(eval_f, eval_jac, starts: np.ndarray, free: np.ndarray,
 
     Only the coordinates listed in ``free`` move, so zero-pattern clamps are
     preserved exactly.  Diverging starts (non-finite or beyond the blowup
-    radius) are dropped; the rest iterate until the residual max-norm falls
-    below tolerance or the iteration budget runs out.
+    radius) are dropped, and so is a start whose residual or Jacobian is
+    not finite, which cannot converge; the rest iterate until the residual
+    max-norm falls below tolerance or the iteration budget runs out.
     """
     points = np.atleast_2d(starts).astype(np.complex128).copy()
     m = points.shape[1]
     alive = np.ones(points.shape[0], dtype=bool)
     converged: list[np.ndarray] = []
-    for _ in range(_NEWTON_MAX_ITER):
-        if not alive.any():
-            break
-        batch = points[alive]
-        residual = eval_f(batch)
-        error = np.max(np.abs(residual), axis=1)
-        done = error <= tolerance
-        if done.any():
-            converged.extend(batch[done])
-            keep = np.where(alive)[0][done]
-            alive[keep] = False
-            batch = points[alive]
-            if batch.shape[0] == 0:
-                break
+    # a start far out overflows; the finiteness checks below drop it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            index = np.flatnonzero(alive)
+            batch = points[index]
             residual = eval_f(batch)
-        jac = eval_jac(batch).reshape(-1, m, m)[:, :, free]
-        step = -(np.linalg.pinv(jac) @ residual[:, :, np.newaxis])[:, :, 0]
-        batch[:, free] += step
-        points[alive] = batch
-        bad = (~np.all(np.isfinite(batch), axis=1)
-               | (np.max(np.abs(batch), axis=1) > _NEWTON_BLOWUP))
-        if bad.any():
-            alive[np.where(alive)[0][bad]] = False
-    if alive.any():
-        batch = points[alive]
-        error = np.max(np.abs(eval_f(batch)), axis=1)
-        converged.extend(batch[error <= tolerance])
+            done = np.max(np.abs(residual), axis=1) <= tolerance
+            converged.extend(batch[done])
+            alive[index[done]] = False
+            index, batch, residual = index[~done], batch[~done], residual[~done]
+            jac = eval_jac(batch).reshape(-1, m, m)[:, :, free]
+            ok = (np.all(np.isfinite(residual), axis=1)
+                  & np.all(np.isfinite(jac), axis=(1, 2)))
+            alive[index[~ok]] = False
+            index, batch = index[ok], batch[ok]
+            if index.size == 0:
+                break
+            step = -(np.linalg.pinv(jac[ok])
+                     @ residual[ok][:, :, np.newaxis])[:, :, 0]
+            batch[:, free] += step
+            points[index] = batch
+            bad = (~np.all(np.isfinite(batch), axis=1)
+                   | (np.max(np.abs(batch), axis=1) > _NEWTON_BLOWUP))
+            alive[index[bad]] = False
+        if alive.any():
+            batch = points[alive]
+            error = np.max(np.abs(eval_f(batch)), axis=1)
+            converged.extend(batch[error <= tolerance])
     return converged
 
 

@@ -84,6 +84,7 @@ class _Token:
 
 
 _DIGIT = re.compile(r"[0-9]")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _IDENT_START = re.compile(r"[A-Za-z_]")
 _IDENT_BODY = re.compile(r"[A-Za-z0-9_]")
 
@@ -277,6 +278,14 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits only; int() alone also reads other
+    scripts' digits and underscores."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_variables(value: str, line_no: int) -> tuple[tuple[str, ...], tuple[int, ...] | None]:
     body = value.strip()
     if not (body.startswith("[") and body.endswith("]")):
@@ -292,7 +301,7 @@ def _parse_variables(value: str, line_no: int) -> tuple[tuple[str, ...], tuple[i
             name, _, weight_text = item.partition(":")
             name = name.strip()
             try:
-                weight = int(weight_text.strip())
+                weight = _ascii_int(weight_text.strip())
             except ValueError:
                 raise ProblemFormatError(
                     f"bad weight {weight_text.strip()!r} for {name!r}", line_no, 1) from None
@@ -354,7 +363,7 @@ def _parse_seeds(value: str, n_vars: int, line_no: int) -> tuple[tuple[float, ..
 
 def _collect_components(entries: dict[str, tuple[str, int, int]], prefix: str,
                         variables: tuple[str, ...]) -> tuple[MultiPoly, ...] | None:
-    pattern = re.compile(rf"^{prefix}\.(\d+)$")
+    pattern = re.compile(rf"^{prefix}\.([0-9]+)$")
     found: dict[int, tuple[str, int, int]] = {}
     for key, (value, line_no, col) in entries.items():
         match = pattern.match(key)
@@ -421,7 +430,7 @@ def parse_problem(text: str) -> ProblemSpec:
             raise ProblemFormatError(f"duplicate key {key!r}", line_no, 1)
         entries[key] = (value.strip(), line_no, col)
 
-    known = re.compile(r"^(variables|seeds|truncation|H_F|H_G|F\.\d+|G\.\d+)$")
+    known = re.compile(r"^(variables|seeds|truncation|H_F|H_G|F\.[0-9]+|G\.[0-9]+)$")
     for key, (_, line_no, _) in entries.items():
         if not known.match(key):
             raise ProblemFormatError(f"unknown key {key!r}", line_no, 1)
@@ -452,7 +461,7 @@ def parse_problem(text: str) -> ProblemSpec:
     if "truncation" in entries:
         value, line_no, _ = entries["truncation"]
         try:
-            truncation = int(value)
+            truncation = _ascii_int(value)
         except ValueError:
             raise ProblemFormatError(f"truncation must be an integer, got {value!r}",
                                      line_no, 1) from None

@@ -265,6 +265,22 @@ def test_non_ascii_digit_is_an_input_error(expr, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("body", [
+    'variables = [q:1, p:2]\nF.1 = "p"\nF.2 = "q^3"\nseeds = [[1e308, 1e308]]\n',
+    'variables = [x:2, y:3]\nF.1 = "y"\nF.2 = "6*x^2"\n'
+    'seeds = [[1e308, -1e308]]\n',
+], ids=["quartic", "weierstrass"])
+def test_overflowing_seed_is_dropped_quietly(body, tmp_path):
+    # Newton from such a seed overflows at the first evaluation; the start
+    # is dropped without numpy warnings and without an SVD traceback
+    prob = tmp_path / "huge.kov"
+    prob.write_text(body, encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "kovex", "loci", str(prob)],
+                            capture_output=True, text=True, cwd=ROOT)
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def test_unweightable_field_fails_with_guidance(tmp_path, capsys):
     prob = tmp_path / "free.kov"
     prob.write_text('variables = [x, y]\nF.1 = "x^2 + y"\nF.2 = "x"\n',

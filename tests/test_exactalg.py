@@ -13,7 +13,6 @@ from kovex.exactalg import (
     MultiPoly,
     NumericNonConvergence,
     poly_eval,
-    rational_roots,
     roots_exact_first,
     snap_rational,
     solve_poly_system,
@@ -532,6 +531,11 @@ class TestRoots:
         rs = roots_exact_first([1, -1, -2, 2])
         assert rs.rational_roots == ((F(1), 1),)
         assert len(rs.numeric_roots) == 2
+        # (x^2 - 2)^3 (x - 1): the residual keeps the irrational power
+        rs = roots_exact_first(_expand(1, [[1, 0, -2]] * 3 + [[1, -1]]))
+        assert rs.rational_roots == ((F(1), 1),)
+        assert rs.residual_factor == tuple(_expand(1, [[1, 0, -2]] * 3))
+        assert sorted(m for _, m, _ in rs.numeric_roots) == [3, 3]
 
     def test_complex_pair(self):
         rs = roots_exact_first([1, 0, 1])
@@ -685,9 +689,13 @@ ROOTLESS = st.one_of(
        st.fractions(min_value=-7, max_value=7, max_denominator=3).filter(bool))
 def test_rational_roots_match_trial_division(roots, rootless, lead):
     coeffs = _expand(lead, [[F(1), -r] for r in roots] + rootless)
-    found = rational_roots(coeffs)
-    assert found == _oracle_roots(coeffs)
-    assert found == sorted(set(roots))
+    rational, residual = exactalg._exact_roots(coeffs)
+    assert [r for r, _ in rational] == _oracle_roots(coeffs)
+    assert dict(rational) == {r: roots.count(r) for r in roots}
+    # prod (x - r)^m times the residual rebuilds the monic input
+    factors = [[F(1), -r] for r, m in rational for _ in range(m)]
+    assert _expand(1, factors + [list(residual)]) == [
+        c / coeffs[0] for c in coeffs]
 
 
 class TestRationalRoots:
@@ -701,17 +709,18 @@ class TestRationalRoots:
         [F(0), F(0), F(3)],
         [F(2, 9)],                          # below 1 with an odd lead: the
         [F(-4, 27), F(2, 9)],               # search starts on (0, 1) itself
+        [F(2, 999983)] * 4 + [F(3)] * 2,    # a multiple root under a large lead
     ])
     def test_pinned_roots(self, roots):
         coeffs = _expand(3, [[F(1), -r] for r in roots])
-        assert rational_roots(coeffs) == sorted(set(roots))
         expected = {r: roots.count(r) for r in roots}
+        assert exactalg._exact_roots(coeffs) == (tuple(sorted(expected.items())),
+                                                  (F(1),))
         assert dict(roots_exact_first(coeffs).rational_roots) == expected
 
     def test_irrational_root_closer_than_one_over_lead_squared(self):
         # x^2 - 1000x + 2990 has a root 0.001 below 3 (lead 1)
         coeffs = _expand(1, [[F(1), F(-3)], [F(1), F(-1000), F(2990)]])
-        assert rational_roots(coeffs) == [F(3)]
         rs = roots_exact_first(coeffs)
         assert rs.rational_roots == ((F(3), 1),)
         assert len(rs.numeric_roots) == 2
@@ -724,7 +733,7 @@ class TestRationalRoots:
         [F(1, 3), F(5, 7), F(-2, 11)],
     ])
     def test_no_rational_root(self, coeffs):
-        assert rational_roots(coeffs) == []
+        assert exactalg._exact_roots(coeffs)[0] == ()
         assert roots_exact_first(coeffs).rational_roots == ()
 
     def test_large_constant_term(self):
@@ -732,7 +741,7 @@ class TestRationalRoots:
         # need about 10^6.5 divisions per candidate side
         p, q = 1000000000039, 999999999989
         coeffs = _expand(1, [[F(1), F(-p, q)], [F(1), F(q, p)]])
-        assert rational_roots(coeffs) == [F(-q, p), F(p, q)]
+        assert exactalg._exact_roots(coeffs)[0] == ((F(-q, p), 1), (F(p, q), 1))
 
 
 class TestSnapRational:

@@ -1,5 +1,6 @@
 """Expression grammar and problem-file format."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -308,6 +309,65 @@ def test_expression_error_column_counts_from_the_line_start(line, col):
 def test_zero_weight_rejected():
     with pytest.raises(ProblemFormatError):
         parse_problem('variables = [x:0]\nF.1 = "x"')
+
+
+WEIERSTRASS_2 = 'variables = [x:2, y:3]\nF.1 = "y"\nF.2 = "6*x^2"\n'
+CUBES_3 = ('variables = [x:1, y:1, z:1]\nF.1 = "x^2"\nF.2 = "y^2"\n'
+           'F.3 = "z^2"\nG.1 = "x^2"\nG.2 = "y^2"\n')
+
+
+@pytest.mark.parametrize("text, message", [
+    (WEIERSTRASS_2.replace("F.2", "F.\u0662"), "unknown key 'F.\u0662'"),
+    (CUBES_3 + 'G.\u0663 = "z^2"', "unknown key 'G.\u0663'"),
+    (WEIERSTRASS_2 + "truncation = \u0663", "truncation must be an integer"),
+    (WEIERSTRASS_2 + "truncation = 1_2", "truncation must be an integer"),
+    (WEIERSTRASS_2.replace("x:2", "x:\u0662"), "bad weight"),
+    (WEIERSTRASS_2.replace("x:2", "x:1_0"), "bad weight"),
+], ids=["key_F", "key_G", "truncation_digit", "truncation_underscore",
+        "weight_digit", "weight_underscore"])
+def test_only_ascii_digits_are_integers(text, message):
+    # int() reads the Arabic-Indic digits and the underscores that these
+    # lines carry in place of 2, 3, 10 and 12
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem(text)
+    assert err.value.message.startswith(message)
+
+
+# the file format's own delimiters stay out of the slots below, so that a
+# slot's text is all the parser reads for it
+_DELIMITERS = '"#\n,:=[]'
+_SLOT = st.text(st.one_of(
+    st.characters(categories=("Nd", "No")),
+    st.sampled_from("0123456789_+- "),
+    st.characters(exclude_characters=_DELIMITERS)), max_size=4)
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr=st.one_of(st.just("y"), st.text(
+           st.one_of(st.characters(categories=("Nd", "No")),
+                     st.characters(exclude_characters='"\n')), max_size=12)),
+       suffix=st.one_of(st.just("2"), _SLOT),
+       weight=st.one_of(st.just("2"), _SLOT),
+       truncation=st.one_of(st.just("14"), _SLOT))
+def test_fuzz_reaches_every_integer_and_the_tokenizer(expr, suffix, weight,
+                                                      truncation):
+    # a valid file with arbitrary Unicode in four places: the F.1
+    # expression, the suffix of the key F.2, the weight of x and the
+    # truncation; only a ParseError may escape, and every integer that is
+    # accepted was written in ASCII digits
+    text = (f"variables = [x:{weight}, y:3]\nF.1 = \"{expr}\"\n"
+            f"F.{suffix} = \"6*x^2\"\ntruncation = {truncation}\n")
+    try:
+        spec = parse_problem(text)
+    except ParseError:
+        return
+    assert all(ch.isascii() for ch in expr if ch.isnumeric())
+    assert re.fullmatch("[0-9]+", suffix.strip())
+    assert _ASCII_INT.fullmatch(weight.strip())
+    assert _ASCII_INT.fullmatch(truncation.strip())
+    assert spec.weights[0] == int(weight.strip())
+    assert spec.truncation == int(truncation.strip())
 
 
 @settings(max_examples=2000, deadline=None)
