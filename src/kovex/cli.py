@@ -51,7 +51,7 @@ from .vfmodel import (
     infer_weights,
     verify_weight,
 )
-from .vfparse import ParseError, parse_problem
+from .vfparse import ParseError, _ascii_int, parse_problem
 
 SCHEMA_VERSION = 1
 
@@ -91,23 +91,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _flag_int(text: str) -> int:
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _flag_float(text: str) -> float:
+    """float(text) for ASCII text without underscores; float() alone also
+    reads other scripts' digits and underscores."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kovex",
                      description="Exact Kovalevskaya-exponent analysis of "
                                  "quasi-homogeneous polynomial vector fields.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("problem", help="problem file (.kov)")
-    common.add_argument("--truncation", type=int, metavar="N", default=None,
+    common.add_argument("--truncation", type=_flag_int, metavar="N",
+                        default=None,
                         help="series truncation order (default: twice the "
                              "top resonance)")
-    common.add_argument("--seed", type=int, metavar="S", default=0,
+    common.add_argument("--seed", type=_flag_int, metavar="S", default=0,
                         help="RNG seed for the numeric locus search")
-    common.add_argument("--tolerance", type=float, metavar="T", default=None,
+    common.add_argument("--tolerance", type=_flag_float, metavar="T",
+                        default=None,
                         help="numeric verification tolerance of every locus "
                              "search (default 1e-12)")
     common.add_argument("--json", metavar="OUT", default=None,
                         help="write the full JSON report to this path")
-    common.add_argument("--max-weight", type=int, metavar="W", default=12,
+    common.add_argument("--max-weight", type=_flag_int, metavar="W",
+                        default=12,
                         help="weight-inference search bound (default 12)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     sub.add_parser("analyze", parents=[common],

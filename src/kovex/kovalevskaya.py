@@ -318,6 +318,51 @@ def _divide_out_monomial(poly: MultiPoly) -> MultiPoly:
                                  for e, c in poly.terms.items()})
 
 
+def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:
+    """Connected components of the variable-interaction graph, by union-find.
+
+    Variable i is linked with every variable that occurs in eqs[i].  Each
+    component lists its indices in increasing order, and the components
+    come in the order of their first index.
+    """
+    parent = list(range(len(eqs)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, eq in enumerate(eqs):
+        for j in {j for exps in eq.terms for j, e in enumerate(exps) if e}:
+            parent[root(j)] = root(i)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(eqs)):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+class _Found:
+    """Loci in the order found: an exact point once, with the source that
+    found it first, and a numeric point unless one is already within
+    radius."""
+
+    def __init__(self, radius: float):
+        self.radius = radius
+        self.loci: list[IndicialLocus] = []
+        self._exact: set[tuple] = set()
+
+    def add_exact(self, point: tuple[Fraction, ...], source: str) -> None:
+        if any(point) and point not in self._exact:
+            self._exact.add(point)
+            self.loci.append(IndicialLocus(point, "exact", source))
+
+    def add_numeric(self, point: tuple[complex, ...], source: str) -> None:
+        if not any(max(abs(x - complex(y)) for x, y in zip(point, known.point))
+                   <= self.radius for known in self.loci):
+            self.loci.append(IndicialLocus(point, "numeric", source))
+
+
 def find_loci(field: VectorField, certificate: WeightCertificate,
               seeds: Sequence[Sequence[float]] = (), *,
               newton_starts: int = 64, rng_seed: int = 0,
@@ -325,27 +370,46 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     """Hunt for indicial loci, exact strategies first, in this order.
 
     1. User seeds are snapped to rationals and verified exactly; failing
-       that they start a Newton run.
-    2. Structured search: per zero pattern (a choice of coordinates clamped
-       to zero, the others nonzero), each clamped equation is divided by
-       the largest monomial in the free coordinates that divides it (the
-       saturation by the coordinate monomials, so ``q + u q^2 + 2v pq``
-       becomes ``1 + u q + 2v p``), and the saturated system is handed to
-       the exact solver; every returned point is certified against the
-       full indicial system.  A solution with a free coordinate at zero
-       is dropped here and found by the pattern that clamps it.
-    3. Newton multistart, only on the zero patterns the exact solver left
-       incomplete: ``newton_starts`` pseudo-random complex starts each,
-       refined to ``tolerance``, then snapped and re-verified exactly.
-       Reproducible through ``rng_seed``.
+       that they start a Newton run on the whole field.
+    2. The variables are split into the connected components of the
+       indicial system (``_components``): two variables are linked when
+       one occurs in the other's equation.  The system is then the
+       product of its components' systems, and each component is searched
+       on its own, in steps 3 and 4.
+    3. Structured search: per zero pattern of the component (a choice of
+       its coordinates clamped to zero, the others nonzero; the all-zero
+       pattern is skipped, since the component's zero point always solves
+       a field without constant term), each clamped equation is divided
+       by the largest monomial in the free coordinates that divides it
+       (the saturation by the coordinate monomials, so ``q + u q^2 + 2v
+       pq`` becomes ``1 + u q + 2v p``), and the saturated system is handed
+       to the exact solver; every returned point is certified against the
+       full indicial system, with zeros outside the component.  A solution
+       with a free coordinate at zero is dropped here and found by the
+       pattern that clamps it.
+    4. Newton multistart, only on the component's patterns the exact
+       solver left incomplete: ``newton_starts`` pseudo-random complex
+       starts each on the component's free coordinates, refined to
+       ``tolerance``, then snapped and re-verified exactly.  One generator
+       seeded by ``rng_seed`` draws the starts of every pattern, complete
+       ones included, component after component and pattern after
+       pattern, so a pattern's starts do not depend on which patterns the
+       exact solver settled.
+    5. The loci are the products of the component results: a choice of
+       zero or one found point per component, the origin excluded.  A
+       product of exact points is exact and is certified again against
+       the full system; a product with a numeric part is numeric, kept if
+       its residual is below tolerance and it is not within the merge
+       radius of a known locus.  Its source is ``newton`` if any part came
+       from Newton, else ``structured_search``.
 
-    A complete exact solve has listed every complex solution of its
-    saturated system, that is every solution of the clamped system with
-    the free coordinates nonzero, all of them rational and already
-    recorded; a solution with more coordinates at zero belongs to another
-    pattern.  So Newton could only approximate recorded points again, and
-    such a pattern gets no Newton run.  Its starts are still drawn, so the
-    starts of every other pattern stay the same.  A point is recorded with
+    A connected field is one component, so its patterns, its starts and
+    its loci are those of a search over every zero pattern of the field;
+    a split field costs the sum of 2^(m_b) - 1 exact solves over its
+    components instead of 2^m - 1.  A complete exact solve has listed
+    every complex solution of its saturated system, all rational and
+    already recorded, so Newton could only approximate recorded points
+    again and such a pattern gets no Newton run.  A point is recorded with
     the first strategy that finds it, so an exact locus that both the
     structured search and Newton reach is reported as
     ``structured_search``.  Numeric loci that snap and verify are upgraded
@@ -359,9 +423,6 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     jac_polys = [entry for i in range(m)
                  for entry in (eqs[i].diff(v) for v in field.variables)]
     eval_jac = _compile_system(jac_polys)
-
-    exact: list[tuple[tuple[Fraction, ...], str]] = []
-    numeric: list[tuple[tuple[complex, ...], str]] = []
     strategies: list[str] = []
 
     degree = max((eq.total_degree() or 1) for eq in eqs)
@@ -375,25 +436,16 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         scale = max(1.0, float(np.max(np.abs(z))) ** degree)
         return float(np.max(np.abs(eval_f(z)))) <= tolerance * scale
 
-    def register_exact(point: tuple[Fraction, ...], source: str) -> None:
-        if any(point) and all(p != point for p, _ in exact):
-            exact.append((point, source))
-
-    def register_numeric(z: np.ndarray, source: str) -> None:
+    def register_numeric(found: _Found, z: np.ndarray, source: str) -> None:
         if float(np.max(np.abs(z))) <= radius:
             return
         snapped = _snap_point(z)
         if snapped is not None and _vanishes(eqs, field.variables, snapped):
-            register_exact(snapped, source)
-            return
-        if not residual_ok(z):
-            return
-        point = tuple(complex(v) for v in z)
-        known = [p for p, _ in exact] + [p for p, _ in numeric]
-        if not any(max(abs(x - complex(y)) for x, y in zip(point, p)) <= radius
-                   for p in known):
-            numeric.append((point, source))
+            found.add_exact(snapped, source)
+        elif residual_ok(z):
+            found.add_numeric(tuple(complex(v) for v in z), source)
 
+    found = _Found(radius)
     if seeds:
         strategies.append("user_seed")
         for seed in seeds:
@@ -404,56 +456,76 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             snapped = _snap_point(start)
             if (snapped is not None
                     and _vanishes(eqs, field.variables, snapped)):
-                register_exact(snapped, "user_seed")
+                found.add_exact(snapped, "user_seed")
                 continue
             for refined in _newton_refine(eval_f, eval_jac, start[np.newaxis],
                                           np.arange(m), tolerance):
-                register_numeric(refined, "user_seed")
-
-    patterns = [p for p in itertools.product((False, True), repeat=m)
-                if not all(p)]
+                register_numeric(found, refined, "user_seed")
 
     strategies.append("structured_search")
-    solved: list[bool] = []
-    for pattern in patterns:
-        clamped = []
-        for eq in eqs:
-            zeroed = {v: 0 for v, z in zip(field.variables, pattern)
-                      if z and v in eq.vars}
-            clamped.append(_divide_out_monomial(
-                eq.substitute(zeroed) if zeroed else eq))
-        free_vars = [v for v, z in zip(field.variables, pattern) if not z]
-        result = solve_poly_system(clamped, free_vars)
-        solved.append(result.complete)
-        for partial in result.points:
-            filled = dict(zip(free_vars, partial))
-            point = tuple(filled.get(v, Fraction(0)) for v in field.variables)
+    rng = np.random.default_rng(rng_seed)
+    components = _components(eqs)
+    owner = {i: b for b, component in enumerate(components) for i in component}
+    parts: list[list[IndicialLocus]] = []
+    for component in components:
+        names = [field.variables[i] for i in component]
+        patterns = [p for p in itertools.product((False, True),
+                                                 repeat=len(component))
+                    if not all(p)]
+        part = _Found(radius)
+        solved: list[bool] = []
+        for pattern in patterns:
+            free_vars = [v for v, z in zip(names, pattern) if not z]
+            # the variables outside the component do not occur in its
+            # equations; clamping them too leaves only the free ones
+            zeroed = {v: 0 for v in field.variables if v not in free_vars}
+            clamped = [_divide_out_monomial(
+                eqs[i].substitute(zeroed) if zeroed else eqs[i])
+                for i in component]
+            result = solve_poly_system(clamped, free_vars)
+            solved.append(result.complete)
+            for partial in result.points:
+                filled = dict(zip(free_vars, partial))
+                point = tuple(filled.get(v, Fraction(0))
+                              for v in field.variables)
+                if _vanishes(eqs, field.variables, point):
+                    part.add_exact(point, "structured_search")
+        if newton_starts > 0:
+            for pattern, complete in zip(patterns, solved):
+                free = np.array([i for i, z in zip(component, pattern)
+                                 if not z])
+                starts = np.zeros((newton_starts, m), dtype=np.complex128)
+                starts[:, free] = (
+                    rng.standard_normal((newton_starts, len(free)))
+                    + 1j * rng.standard_normal((newton_starts, len(free))))
+                if complete:
+                    continue
+                if "newton" not in strategies:
+                    strategies.append("newton")
+                for refined in _newton_refine(eval_f, eval_jac, starts, free,
+                                              tolerance):
+                    register_numeric(part, refined, "newton")
+        parts.append(part.loci)
+
+    for choice in itertools.product(*([None] + loci for loci in parts)):
+        chosen = [locus for locus in choice if locus is not None]
+        if not chosen:
+            continue
+        source = ("newton" if any(locus.source == "newton" for locus in chosen)
+                  else "structured_search")
+        point = tuple(Fraction(0) if choice[owner[i]] is None
+                      else choice[owner[i]].point[i] for i in range(m))
+        if all(locus.is_exact for locus in chosen):
             if _vanishes(eqs, field.variables, point):
-                register_exact(point, "structured_search")
+                found.add_exact(point, source)
+        else:
+            point = tuple(complex(x) for x in point)
+            if residual_ok(np.array(point)):
+                found.add_numeric(point, source)
 
-    if newton_starts > 0:
-        rng = np.random.default_rng(rng_seed)
-        for pattern, complete in zip(patterns, solved):
-            free = np.array([i for i, z in enumerate(pattern) if not z])
-            starts = np.zeros((newton_starts, m), dtype=np.complex128)
-            # drawn for every pattern, so a pattern's starts do not depend
-            # on which earlier patterns the exact solver settled
-            starts[:, free] = (rng.standard_normal((newton_starts, len(free)))
-                               + 1j * rng.standard_normal((newton_starts,
-                                                           len(free))))
-            if complete:
-                continue
-            if "newton" not in strategies:
-                strategies.append("newton")
-            for refined in _newton_refine(eval_f, eval_jac, starts, free,
-                                          tolerance):
-                register_numeric(refined, "newton")
-
-    loci = [IndicialLocus(p, "exact", src) for p, src in exact]
-    loci.extend(IndicialLocus(p, "numeric", src) for p, src in numeric)
-    loci.sort(key=lambda loc: (loc.exactness != "exact",
-                               tuple((complex(x).real, complex(x).imag)
-                                     for x in loc.point)))
+    loci = sorted(found.loci, key=lambda loc: (
+        loc.exactness != "exact",
+        tuple((complex(x).real, complex(x).imag) for x in loc.point)))
     if not loci:
         raise NoLocusFound("no indicial locus found by any strategy")
     return LocusSearch(tuple(loci), tuple(strategies))

@@ -241,6 +241,22 @@ def test_bad_flag_value_is_an_input_error(flags, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ["--truncation", "\u0663"], ["--seed", "\u0663"], ["--max-weight", "1_2"],
+    ["--tolerance", "\u0661e-6"], ["--tolerance", "1_0e-6"]],
+    ids=["arabic_truncation", "arabic_seed", "underscored_max_weight",
+         "arabic_tolerance", "underscored_tolerance"])
+def test_flag_numbers_read_ascii_digits_only(flags, capsys):
+    # int() and float() alone read other scripts' digits and underscores
+    with pytest.raises(SystemExit) as exc:
+        main(["series", str(PROBLEMS / "weierstrass.kov"), *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert f"error: argument {flags[0]}: not a" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_parse_error_names_the_position(tmp_path, capsys):
     bad = tmp_path / "bad.kov"
     bad.write_text("variables [x:2]\n", encoding="utf-8")

@@ -1,11 +1,20 @@
 """Locus finding, Kovalevskaya matrices and exponent classification."""
 
+import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kovex.exactalg import ExactMatrix, MultiPoly
+import test_properties as props
+from kovex import exactalg, kovalevskaya
+from kovex.exactalg import DEFAULT_TOL, ExactMatrix, MultiPoly
 from kovex.kovalevskaya import (
+    IndicialLocus,
     NoLocusFound,
     find_loci,
     indicial_system,
@@ -14,7 +23,12 @@ from kovex.kovalevskaya import (
     numeric_exponents,
     verify_locus,
 )
-from kovex.vfmodel import VectorField, WeightCertificate
+from kovex.vfmodel import (
+    VectorField,
+    WeightCertificate,
+    fields_from_problem,
+)
+from kovex.vfparse import parse_problem
 
 
 def _rational_spectrum(report):
@@ -179,3 +193,195 @@ class TestPuiseuxVariant:
             report = k_exponents(g, cert, locus.point)
             assert report.eigenpair_verified
             assert any(r == -1 for r, _ in report.exponents.rational_roots)
+
+
+def _search_all_patterns(field, cert, *, newton_starts=64, rng_seed=0,
+                         tolerance=DEFAULT_TOL):
+    """Oracle: the locus search over every zero pattern of the whole field,
+    2^m - 1 exact solves, as find_loci ran before it split the field into
+    components.  No user seeds."""
+    m = field.dim
+    eqs = indicial_system(field, cert)
+    eval_f = kovalevskaya._compile_system(eqs)
+    eval_jac = kovalevskaya._compile_system(
+        [eqs[i].diff(v) for i in range(m) for v in field.variables])
+    exact, numeric = [], []
+    degree = max((eq.total_degree() or 1) for eq in eqs)
+    radius = max(kovalevskaya._DEDUP_TOL, tolerance ** 0.5)
+
+    def register_exact(point, source):
+        if any(point) and all(p != point for p, _ in exact):
+            exact.append((point, source))
+
+    def register_numeric(z, source):
+        if float(np.max(np.abs(z))) <= radius:
+            return
+        snapped = kovalevskaya._snap_point(z)
+        if snapped is not None and kovalevskaya._vanishes(
+                eqs, field.variables, snapped):
+            register_exact(snapped, source)
+            return
+        scale = max(1.0, float(np.max(np.abs(z))) ** degree)
+        if float(np.max(np.abs(eval_f(z)))) > tolerance * scale:
+            return
+        point = tuple(complex(v) for v in z)
+        known = [p for p, _ in exact] + [p for p, _ in numeric]
+        if not any(max(abs(x - complex(y)) for x, y in zip(point, p)) <= radius
+                   for p in known):
+            numeric.append((point, source))
+
+    patterns = [p for p in itertools.product((False, True), repeat=m)
+                if not all(p)]
+    solved = []
+    for pattern in patterns:
+        zeroed = {v: 0 for v, z in zip(field.variables, pattern) if z}
+        clamped = [kovalevskaya._divide_out_monomial(
+            eq.substitute(zeroed) if zeroed else eq) for eq in eqs]
+        free_vars = [v for v, z in zip(field.variables, pattern) if not z]
+        result = exactalg.solve_poly_system(clamped, free_vars)
+        solved.append(result.complete)
+        for partial in result.points:
+            filled = dict(zip(free_vars, partial))
+            point = tuple(filled.get(v, Fraction(0)) for v in field.variables)
+            if kovalevskaya._vanishes(eqs, field.variables, point):
+                register_exact(point, "structured_search")
+    rng = np.random.default_rng(rng_seed)
+    for pattern, complete in zip(patterns if newton_starts else (), solved):
+        free = np.array([i for i, z in enumerate(pattern) if not z])
+        starts = np.zeros((newton_starts, m), dtype=np.complex128)
+        starts[:, free] = (rng.standard_normal((newton_starts, len(free)))
+                           + 1j * rng.standard_normal((newton_starts,
+                                                       len(free))))
+        if not complete:
+            for z in kovalevskaya._newton_refine(eval_f, eval_jac, starts,
+                                                 free, tolerance):
+                register_numeric(z, "newton")
+    loci = [IndicialLocus(p, "exact", s) for p, s in exact]
+    loci += [IndicialLocus(p, "numeric", s) for p, s in numeric]
+    return tuple(sorted(loci, key=lambda loc: (
+        loc.exactness != "exact",
+        tuple((complex(x).real, complex(x).imag) for x in loc.point))))
+
+
+# one degree of freedom each, degree 1: (weights, q', p') from two
+# coefficients; the quartic's are (a, s) with b = 2/(a s^2), so that its
+# balances (+-s, -+s/a) are rational
+_BLOCKS = {
+    "cubic": ((2, 3), lambda q, p, a, b: (p * a, q * q * b)),
+    "quartic": ((1, 2), lambda q, p, a, s: (p * a, q ** 3 * (2 / (a * s * s)))),
+    "p4": ((1, 1), lambda q, p, u, v: (q * q * u + q * p * (2 * v),
+                                       p * q * (-2 * u) - p * p * v)),
+}
+
+
+def _uncoupled(blocks):
+    """The field of uncoupled blocks [(kind, c0, c1), ...] on q1, p1, q2, ..."""
+    names = tuple(f"{c}{k + 1}" for k in range(len(blocks)) for c in "qp")
+    comps, weights = [], []
+    for k, (kind, c0, c1) in enumerate(blocks):
+        block_weights, components = _BLOCKS[kind]
+        q = MultiPoly.variable(f"q{k + 1}", names)
+        p = MultiPoly.variable(f"p{k + 1}", names)
+        comps += components(q, p, c0, c1)
+        weights += block_weights
+    return VectorField(names, tuple(comps)), WeightCertificate(tuple(weights), 1)
+
+
+def _counted_solves():
+    return mock.patch.object(kovalevskaya, "solve_poly_system",
+                             wraps=exactalg.solve_poly_system)
+
+
+class TestComponents:
+    @given(st.lists(st.tuples(st.sampled_from(sorted(_BLOCKS)),
+                              props.NONZERO_Q, props.NONZERO_Q),
+                    min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_product_search_matches_every_pattern(self, blocks):
+        field, cert = _uncoupled(blocks)
+        found = find_loci(field, cert)
+        oracle = _search_all_patterns(field, cert)
+        assert ({(loc.point, loc.source) for loc in found.loci if loc.is_exact}
+                == {(loc.point, loc.source) for loc in oracle if loc.is_exact})
+        per_block = {"cubic": 1, "quartic": 2, "p4": 3}
+        expected = math.prod(per_block[kind] + 1 for kind, _, _ in blocks) - 1
+        assert len(found.loci) == expected
+        assert all(loc.is_exact for loc in found.loci)
+
+    def test_six_cubic_blocks_solve_three_patterns_each(self):
+        # the search over every zero pattern makes 2^12 - 1 = 4095 solves
+        field, cert = _uncoupled([("cubic", 1, 6)] * 6)
+        assert len(kovalevskaya._components(indicial_system(field, cert))) == 6
+        with _counted_solves() as solves:
+            search = find_loci(field, cert)
+        assert solves.call_count == 6 * 3
+        assert len(search.loci) == 2 ** 6 - 1
+        assert {loc.source for loc in search.loci} == {"structured_search"}
+        assert {loc.point for loc in search.loci} == {
+            sum(block, ()) for block in itertools.product(
+                [(0, 0), (1, -2)], repeat=6) if any(sum(block, ()))}
+
+    def test_triangular_coupling_is_one_component(self):
+        # block B (cubic) gains p1^2 - q1^4, which lies in the ideal of
+        # block A's (quartic) indicial equations p1 + q1, 2 q1^3 + 2 p1:
+        # it vanishes at A's balances (1, -1), (-1, 1) and at A = 0, so the
+        # loci stay the products, but B's equation now holds q1 and p1
+        names = ("q1", "p1", "q2", "p2")
+        q1, p1, q2, p2 = (MultiPoly.variable(v, names) for v in names)
+        field = VectorField(names, (p1, q1 ** 3 * 2, p2,
+                                    q2 * q2 * 6 + p1 * p1 - q1 ** 4))
+        cert = WeightCertificate((1, 2, 2, 3), 1)
+        assert kovalevskaya._components(indicial_system(field, cert)) == [
+            [0, 1, 2, 3]]
+        with _counted_solves() as solves:
+            search = find_loci(field, cert)
+        assert solves.call_count == 2 ** 4 - 1
+        assert {loc.point for loc in search.loci} == {
+            a + b for a in [(0, 0), (1, -1), (-1, 1)]
+            for b in [(0, 0), (1, -2)] if any(a + b)}
+        assert search.loci == _search_all_patterns(field, cert)
+
+    @pytest.mark.parametrize("case", ["quartic", "pair_deg3_g"])
+    def test_connected_field_keeps_every_locus_and_start(self, pair4d_deg3,
+                                                         case):
+        # both searches leave patterns to Newton, and the quartic's
+        # balances (+-sqrt 2, -+sqrt 2) are numeric: the starts and the
+        # points they reach are those of the search over every pattern
+        if case == "quartic":
+            spec = parse_problem('variables = [q:1, p:2]\nF.1 = "p"\n'
+                                 'F.2 = "q^3"\n')
+            field, _ = fields_from_problem(spec)
+            cert = WeightCertificate(spec.weights, 1)
+        else:
+            _, field, _ = pair4d_deg3
+            cert = WeightCertificate((2, 5, 4, 3), 3)
+        assert len(kovalevskaya._components(indicial_system(field, cert))) == 1
+        search = find_loci(field, cert, rng_seed=5)
+        assert "newton" in search.strategies
+        assert search.loci == _search_all_patterns(field, cert, rng_seed=5)
+        if case == "quartic":
+            assert [loc.exactness for loc in search.loci] == ["numeric"] * 2
+
+    def test_newton_only_blocks_multiply_with_exact_zeros(self):
+        # two quartic blocks with balances (+-sqrt 2, -+sqrt 2) around a
+        # cubic one: the search over every pattern found 14 of the 17 loci,
+        # some with 1e-15 where a block is zero
+        spec = parse_problem(
+            "variables = [q1:1, p1:2, q2:2, p2:3, q3:1, p3:2]\n"
+            'F.1 = "p1"\nF.2 = "q1^3"\nF.3 = "p2"\nF.4 = "6*q2^2"\n'
+            'F.5 = "p3"\nF.6 = "q3^3"\n')
+        field, _ = fields_from_problem(spec)
+        search = find_loci(field, WeightCertificate(spec.weights, 1))
+        assert len(search.loci) == 3 * 2 * 3 - 1
+        assert [loc.point for loc in search.loci if loc.is_exact] == [
+            (0, 0, 1, -2, 0, 0)]
+        root = 2 ** 0.5
+        options = [[(0, 0), (root, -root), (-root, root)], [(0, 0), (1, -2)],
+                   [(0, 0), (root, -root), (-root, root)]]
+        expected = [sum(choice, ()) for choice in itertools.product(*options)]
+        for locus in search.loci:
+            assert any(all(x == 0 if y == 0 else abs(x - y) < 1e-9
+                           for x, y in zip(locus.point, point))
+                       for point in expected)
+        assert len({tuple(round(complex(x).real, 6) for x in loc.point)
+                    for loc in search.loci}) == 17
