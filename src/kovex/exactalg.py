@@ -432,15 +432,22 @@ class ExactMatrix:
         self.nrows = len(data)
         self.ncols = width
 
+    @classmethod
+    def _trusted(cls, data: tuple[tuple[Fraction, ...], ...]) -> "ExactMatrix":
+        """Wrap rows of Fractions without re-validating them; the caller
+        guarantees a nonempty rectangle."""
+        out = object.__new__(cls)
+        out.data = data
+        out.nrows, out.ncols = len(data), len(data[0])
+        return out
+
     def shifted(self, r: Scalar) -> "ExactMatrix":
         """A - rI, built in one pass; the entries are exact already, so
         they skip the constructor's validation."""
         r = as_fraction(r)
-        out = object.__new__(ExactMatrix)
-        out.data = tuple(tuple(x - r if i == j else x for j, x in enumerate(row))
-                         for i, row in enumerate(self.data))
-        out.nrows, out.ncols = self.nrows, self.ncols
-        return out
+        return ExactMatrix._trusted(
+            tuple(tuple(x - r if i == j else x for j, x in enumerate(row))
+                  for i, row in enumerate(self.data)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -583,6 +590,15 @@ def _trim(coeffs: list[Fraction]) -> list[Fraction]:
     while i < len(coeffs) - 1 and coeffs[i] == 0:
         i += 1
     return coeffs[i:]
+
+
+def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -841,12 +857,29 @@ def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
     """Find all roots: complete rational search, then certified numerics.
 
     The rational stage (_exact_roots) finds every rational root with its
-    exact multiplicity.  The residual is split into squarefree factors
-    exactly (Yun), which hands the numeric stage only simple roots; each
-    numeric root must have backward error <= DEFAULT_TOL or
-    NumericNonConvergence is raised.
+    exact multiplicity; roots_of_product runs the numeric stage on the
+    residual.
     """
-    rational, residual = _exact_roots(coeffs)
+    return roots_of_product([_exact_roots(coeffs)])
+
+
+def roots_of_product(factors: Sequence[tuple]) -> RootSet:
+    """The roots of a product of polynomials, from each factor's _exact_roots.
+
+    The rational roots are merged with their multiplicities summed, and
+    the residual is the product of the factors' monic residuals: both are
+    what _exact_roots returns on the product itself.  The residual is then
+    split into squarefree factors exactly (Yun), which hands the numeric
+    stage only simple roots; each numeric root must have backward error
+    <= DEFAULT_TOL or NumericNonConvergence is raised.
+    """
+    counts: dict[Fraction, int] = {}
+    residual: tuple[Fraction, ...] = (Fraction(1),)
+    for rational, factor in factors:
+        for r, multiplicity in rational:
+            counts[r] = counts.get(r, 0) + multiplicity
+        if len(factor) > 1:
+            residual = _poly_mul(residual, factor)
     numeric: list[tuple[complex, int, float]] = []
     if len(residual) > 1:
         for factor, multiplicity in _squarefree_factors(list(residual)):
@@ -866,7 +899,7 @@ def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
                 f"{_ABERTH_MAX_ITER} iterations")
 
     return RootSet(
-        rational_roots=rational,
+        rational_roots=tuple(sorted(counts.items())),
         residual_factor=residual,
         numeric_roots=tuple(sorted(numeric, key=lambda t: (t[0].real, t[0].imag))),
     )

@@ -22,8 +22,9 @@ from .exactalg import (
     ExactMatrix,
     MultiPoly,
     RootSet,
+    _exact_roots,
     as_fraction,
-    roots_exact_first,
+    roots_of_product,
     snap_rational,
     solve_poly_system,
 )
@@ -101,13 +102,6 @@ def indicial_system(field: VectorField,
     return tuple(out)
 
 
-def verify_locus(field: VectorField, certificate: WeightCertificate,
-                 point: Sequence) -> bool:
-    """Exact residual test of the indicial equations at a rational point."""
-    return _vanishes(indicial_system(field, certificate), field.variables,
-                     point)
-
-
 def _vanishes(eqs: Sequence[MultiPoly], variables: Sequence[str],
               point: Sequence) -> bool:
     values = {v: as_fraction(p) for v, p in zip(variables, point)}
@@ -124,48 +118,125 @@ def exact_point(locus) -> tuple[Fraction, ...]:
             "exact rational coordinates required; refine or snap the locus first")
 
 
+def _k_rows(field: VectorField, certificate: WeightCertificate,
+            indices: Sequence[int], values: dict) -> list[list[Fraction]]:
+    """The rows and columns ``indices`` of Df(c) + diag(a_i / degree)."""
+    jac = field.jacobian
+    gamma = certificate.degree
+    return [[jac[i][j].evaluate(values)
+             + (Fraction(certificate.weights[i], gamma) if i == j else 0)
+             for j in indices] for i in indices]
+
+
 def kovalevskaya_matrix(field: VectorField, certificate: WeightCertificate,
                         locus) -> ExactMatrix:
     """Df at the locus plus diag(a_i / degree), all entries exact."""
-    point = exact_point(locus)
-    values = dict(zip(field.variables, point))
-    jac = field.jacobian
-    gamma = certificate.degree
-    m = field.dim
-    rows = [[jac[i][j].evaluate(values)
-             + (Fraction(certificate.weights[i], gamma) if i == j else 0)
-             for j in range(m)] for i in range(m)]
-    return ExactMatrix(rows)
+    values = dict(zip(field.variables, exact_point(locus)))
+    return ExactMatrix(_k_rows(field, certificate, range(field.dim), values))
 
 
-def _semisimple_at(matrix: ExactMatrix, eigenvalue: Fraction,
-                   algebraic: int) -> bool:
-    if algebraic == 1:
-        return True
-    return len(matrix.shifted(eigenvalue).kernel()) == algebraic
-
-
-def _classify(matrix: ExactMatrix, roots: RootSet,
-              gamma: int) -> tuple[str, bool, bool]:
-    """(classification, semisimple at positive resonances, zero present)."""
-    has_zero = any(r == 0 for r, _ in roots.rational_roots)
-    semisimple = all(
-        _semisimple_at(matrix, r, mult)
-        for r, mult in roots.rational_roots
-        if r > 0 and (r * gamma).denominator == 1)
+def _classify(roots: RootSet, gamma: int, semisimple: bool) -> str:
     if not roots.is_fully_rational:
-        return "non_painleve", semisimple, has_zero
-    scaled = [(r * gamma, mult) for r, mult in roots.rational_roots]
-    if any(s.denominator != 1 for s, _ in scaled):
-        return "non_painleve", semisimple, has_zero
+        return "non_painleve"
+    if any((r * gamma).denominator != 1 for r, _ in roots.rational_roots):
+        return "non_painleve"
     minus_one = sum(mult for r, mult in roots.rational_roots if r == -1)
     if minus_one == 0:
-        return "non_painleve", semisimple, has_zero
+        return "non_painleve"
     others_nonneg = all(r >= 0 for r, _ in roots.rational_roots if r != -1)
     if minus_one == 1 and others_nonneg:
-        return ("principal" if semisimple else "non_painleve",
-                semisimple, has_zero)
-    return "lower", semisimple, has_zero
+        return "principal" if semisimple else "non_painleve"
+    return "lower"
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One component's share of K(c): its rows and columns, the rational
+    stage of their characteristic polynomial, and the exact checks on it."""
+
+    matrix: ExactMatrix
+    exact_roots: tuple
+    eigenpair: bool
+    semisimple: bool
+
+
+class _BlockSpectra:
+    """Exact spectra of one field, computed block by block.
+
+    The indicial system is built once and split by ``_components``.  An
+    entry of Df off the diagonal is nonzero only where its variable occurs
+    in the row's indicial equation, so K(c) is block-diagonal over the
+    components, and each block depends only on the component's own
+    coordinates of c.  A block is computed once per distinct (component,
+    coordinates): its indicial equations are checked exactly there, its
+    rational roots come from ``_exact_roots`` of its characteristic
+    polynomial, and the universal eigenpair and the semisimplicity at its
+    positive resonances are checked on the block.
+    """
+
+    def __init__(self, field: VectorField, certificate: WeightCertificate):
+        self.field = field
+        self.certificate = certificate
+        self.eqs = indicial_system(field, certificate)
+        self.components = _components(self.eqs)
+        self._blocks: dict[tuple, _Block] = {}
+
+    def _block(self, b: int, coords: tuple[Fraction, ...]) -> _Block:
+        block = self._blocks.get((b, coords))
+        if block is not None:
+            return block
+        field, cert = self.field, self.certificate
+        component = self.components[b]
+        values = {field.variables[i]: c for i, c in zip(component, coords)}
+        if any(self.eqs[i].evaluate(values) for i in component):
+            raise ValueError("point does not satisfy the indicial equations")
+        matrix = ExactMatrix(_k_rows(field, cert, component, values))
+        exact = _exact_roots(matrix.charpoly())
+        vector = tuple(Fraction(cert.weights[i]) * c
+                       for i, c in zip(component, coords))
+        gamma = cert.degree
+        block = self._blocks[b, coords] = _Block(
+            matrix, exact,
+            matrix.matvec(vector) == tuple(-v for v in vector),
+            all(mult == 1 or len(matrix.shifted(r).kernel()) == mult
+                for r, mult in exact[0]
+                if r > 0 and (r * gamma).denominator == 1))
+        return block
+
+    def report(self, point: tuple[Fraction, ...]) -> KExponentReport:
+        """The report at an exact point, assembled from its blocks.
+
+        K(c) is the blocks placed on the diagonal; the spectrum is
+        roots_of_product of the blocks' rational stages, so the numeric
+        roots are those of the whole characteristic polynomial.  The
+        eigenpair holds on K(c) exactly when it holds on every block, and
+        geometric equals algebraic multiplicity on K(c) exactly when it
+        does on every block.
+        """
+        m = self.field.dim
+        blocks = [(component, self._block(b, tuple(point[i] for i in component)))
+                  for b, component in enumerate(self.components)]
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for component, block in blocks:
+            for i, row in zip(component, block.matrix.data):
+                for j, x in zip(component, row):
+                    rows[i][j] = x
+        roots = roots_of_product([block.exact_roots for _, block in blocks])
+        vector = tuple(Fraction(a) * c
+                       for a, c in zip(self.certificate.weights, point))
+        semisimple = all(block.semisimple for _, block in blocks)
+        return KExponentReport(
+            matrix=ExactMatrix._trusted(tuple(map(tuple, rows))),
+            exponents=roots,
+            minus_one_eigenvector=vector,
+            eigenpair_verified=(any(vector)
+                                and all(block.eigenpair for _, block in blocks)),
+            has_zero_exponent=any(r == 0 for r, _ in roots.rational_roots),
+            classification=_classify(roots, self.certificate.degree,
+                                     semisimple),
+            semisimple_at_resonances=semisimple,
+            degree=self.certificate.degree,
+        )
 
 
 def k_exponents(field: VectorField, certificate: WeightCertificate,
@@ -176,28 +247,9 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     ones extracted exactly, so integrality questions are decided without
     floating-point doubt.  The universal eigenpair (eigenvalue -1,
     eigenvector (a_i x_i)) is re-verified by an exact matrix-vector product.
+    This is spectra at one locus: the same blocks, the same assembly.
     """
-    point = exact_point(locus)
-    if not verify_locus(field, certificate, point):
-        raise ValueError("point does not satisfy the indicial equations")
-    matrix = kovalevskaya_matrix(field, certificate, point)
-    roots = roots_exact_first(matrix.charpoly())
-    vector = tuple(Fraction(a) * c
-                   for a, c in zip(certificate.weights, point))
-    verified = (any(vector)
-                and matrix.matvec(vector) == tuple(-v for v in vector))
-    classification, semisimple, has_zero = _classify(
-        matrix, roots, certificate.degree)
-    return KExponentReport(
-        matrix=matrix,
-        exponents=roots,
-        minus_one_eigenvector=vector,
-        eigenpair_verified=verified,
-        has_zero_exponent=has_zero,
-        classification=classification,
-        semisimple_at_resonances=semisimple,
-        degree=certificate.degree,
-    )
+    return _BlockSpectra(field, certificate).report(exact_point(locus))
 
 
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
@@ -217,9 +269,16 @@ def numeric_exponents(field: VectorField, certificate: WeightCertificate,
 def spectra(field: VectorField, certificate: WeightCertificate,
             loci: Sequence[IndicialLocus]) -> tuple[tuple, ...]:
     """(locus, spectrum) pairs: the k_exponents report at an exact locus,
-    the numeric_exponents at a numeric one."""
+    the numeric_exponents at a numeric one.
+
+    The exact reports share one _BlockSpectra, so a field split into
+    components costs one block spectrum per distinct point of each
+    component, plus an O(m^2) assembly per locus; a connected field is one
+    block.
+    """
+    exact = _BlockSpectra(field, certificate)
     return tuple(
-        (locus, k_exponents(field, certificate, locus.point) if locus.is_exact
+        (locus, exact.report(exact_point(locus)) if locus.is_exact
          else numeric_exponents(field, certificate, locus.point))
         for locus in loci)
 

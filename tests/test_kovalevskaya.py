@@ -1,5 +1,6 @@
 """Locus finding, Kovalevskaya matrices and exponent classification."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import test_properties as props
 from kovex import exactalg, kovalevskaya
-from kovex.exactalg import DEFAULT_TOL, ExactMatrix, MultiPoly
+from kovex.exactalg import DEFAULT_TOL, ExactMatrix, MultiPoly, roots_exact_first
 from kovex.kovalevskaya import (
     IndicialLocus,
     NoLocusFound,
@@ -21,7 +22,7 @@ from kovex.kovalevskaya import (
     k_exponents,
     kovalevskaya_matrix,
     numeric_exponents,
-    verify_locus,
+    spectra,
 )
 from kovex.vfmodel import (
     VectorField,
@@ -103,7 +104,7 @@ class TestDegenerateWeightMatrix:
         x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
         field = VectorField(("x", "y"), (x * -2, y * -3))
         cert = WeightCertificate((2, 3), 1)
-        assert verify_locus(field, cert, (5, 7))
+        assert props.verify_locus(field, cert, (5, 7))
         k = kovalevskaya_matrix(field, cert, (5, 7))
         assert k == ExactMatrix([[0, 0], [0, 0]])
         report = k_exponents(field, cert, (5, 7))
@@ -273,17 +274,35 @@ _BLOCKS = {
                                        p * q * (-2 * u) - p * p * v)),
 }
 
+# three-variable blocks of weights (1, 1, 1), without coefficients
+_BLOCKS_3D = {
+    # at its balance (0, 1, 0) the spectrum is -1 and the roots of
+    # t^2 - 4t + 7, a complex pair
+    "complex3": lambda x, y, z: (y * z * 2 + x * y * 2, -(y * z) - y * y,
+                                 x * z * -2 - x * y * 2),
+    # its one balance (1, 0, 0) has K = [[-1, 0, 0], [0, 2, 1], [0, 0, 2]]:
+    # the resonance 2 is not semisimple
+    "jordan3": lambda x, y, z: (-(x * x), x * y + x * z, x * z),
+}
+
 
 def _uncoupled(blocks):
-    """The field of uncoupled blocks [(kind, c0, c1), ...] on q1, p1, q2, ..."""
-    names = tuple(f"{c}{k + 1}" for k in range(len(blocks)) for c in "qp")
+    """The field of uncoupled blocks [(kind, c0, c1), ...] on q1, p1, q2, ...;
+    a kind of _BLOCKS_3D ignores c0 and c1 and takes q_k, p_k, r_k."""
+    sizes = [3 if kind in _BLOCKS_3D else 2 for kind, _, _ in blocks]
+    names = tuple(f"{c}{k + 1}" for k, size in enumerate(sizes)
+                  for c in "qpr"[:size])
     comps, weights = [], []
-    for k, (kind, c0, c1) in enumerate(blocks):
-        block_weights, components = _BLOCKS[kind]
-        q = MultiPoly.variable(f"q{k + 1}", names)
-        p = MultiPoly.variable(f"p{k + 1}", names)
-        comps += components(q, p, c0, c1)
-        weights += block_weights
+    for k, ((kind, c0, c1), size) in enumerate(zip(blocks, sizes)):
+        variables = [MultiPoly.variable(f"{c}{k + 1}", names)
+                     for c in "qpr"[:size]]
+        if kind in _BLOCKS_3D:
+            comps += _BLOCKS_3D[kind](*variables)
+            weights += (1, 1, 1)
+        else:
+            block_weights, components = _BLOCKS[kind]
+            comps += components(*variables, c0, c1)
+            weights += block_weights
     return VectorField(names, tuple(comps)), WeightCertificate(tuple(weights), 1)
 
 
@@ -385,3 +404,96 @@ class TestComponents:
                        for point in expected)
         assert len({tuple(round(complex(x).real, 6) for x in loc.point)
                     for loc in search.loci}) == 17
+
+
+def _whole_matrix_report(field, cert, point):
+    """Oracle: the report computed on the whole m x m K(c), which is not
+    split into blocks."""
+    assert props.verify_locus(field, cert, point)
+    matrix = kovalevskaya_matrix(field, cert, point)
+    roots = roots_exact_first(matrix.charpoly())
+    vector = tuple(Fraction(a) * c for a, c in zip(cert.weights, point))
+    verified = (any(vector)
+                and matrix.matvec(vector) == tuple(-v for v in vector))
+    gamma = cert.degree
+    semisimple = all(
+        mult == 1 or len(matrix.shifted(r).kernel()) == mult
+        for r, mult in roots.rational_roots
+        if r > 0 and (r * gamma).denominator == 1)
+    scaled = [r * gamma for r, _ in roots.rational_roots]
+    minus_one = sum(mult for r, mult in roots.rational_roots if r == -1)
+    if (not roots.is_fully_rational or any(s.denominator != 1 for s in scaled)
+            or minus_one == 0):
+        classification = "non_painleve"
+    elif minus_one == 1 and all(r >= 0 for r, _ in roots.rational_roots
+                                if r != -1):
+        classification = "principal" if semisimple else "non_painleve"
+    else:
+        classification = "lower"
+    return kovalevskaya.KExponentReport(
+        matrix=matrix,
+        exponents=roots,
+        minus_one_eigenvector=vector,
+        eigenpair_verified=verified,
+        has_zero_exponent=any(r == 0 for r, _ in roots.rational_roots),
+        classification=classification,
+        semisimple_at_resonances=semisimple,
+        degree=gamma,
+    )
+
+
+def _assert_spectra_match_whole_matrix(field, cert):
+    """spectra at every exact locus equals the oracle, field by field;
+    returns the exact loci."""
+    exact = [loc for loc in find_loci(field, cert, newton_starts=0).loci
+             if loc.is_exact]
+    for locus, report in spectra(field, cert, exact):
+        oracle = _whole_matrix_report(field, cert, locus.point)
+        for name in (f.name for f in dataclasses.fields(report)):
+            assert getattr(report, name) == getattr(oracle, name), (
+                locus.point, name)
+    return exact
+
+
+class TestBlockSpectra:
+    @given(st.lists(st.tuples(st.sampled_from(sorted(_BLOCKS)
+                                              + sorted(_BLOCKS_3D)),
+                              props.NONZERO_Q, props.NONZERO_Q),
+                    min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_spectra_match_the_whole_matrix(self, blocks):
+        # repeated blocks put an irrational pair at multiplicity 2 (Yun on
+        # the product of the block residuals) and split a positive
+        # resonance's algebraic multiplicity across blocks, semisimple
+        # (p4) or not (jordan3)
+        _assert_spectra_match_whole_matrix(*_uncoupled(blocks))
+
+    def test_two_complex3_blocks_and_a_cubic(self):
+        field, cert = _uncoupled([("complex3", 1, 1), ("complex3", 1, 1),
+                                   ("cubic", 1, 6)])
+        exact = _assert_spectra_match_whole_matrix(field, cert)
+        assert len(exact) == 17
+        report = k_exponents(field, cert, (0, 1, 0, 0, 1, 0, 0, 0))
+        assert report.exponents.residual_factor == (1, -8, 30, -56, 49)
+        assert [mult for _, mult, _ in report.exponents.numeric_roots] == [2, 2]
+        assert report.exponents.rational_roots == ((-1, 2), (2, 1), (3, 1))
+
+    def test_jordan_block_is_not_semisimple(self):
+        field, cert = _uncoupled([("jordan3", 1, 1), ("cubic", 1, 6)])
+        report = k_exponents(field, cert, (1, 0, 0, 0, 0))
+        assert report.exponents.rational_roots == ((-1, 1), (2, 3), (3, 1))
+        assert not report.semisimple_at_resonances
+        assert report.classification == "non_painleve"
+
+    def test_eight_cubic_blocks_take_two_charpolys_each(self):
+        # 255 loci, but each block is at its zero or at its balance
+        field, cert = _uncoupled([("cubic", 1, 6)] * 8)
+        loci = find_loci(field, cert).loci
+        assert len(loci) == 255
+        with mock.patch.object(ExactMatrix, "charpoly", autospec=True,
+                               side_effect=ExactMatrix.charpoly) as charpoly:
+            pairs = spectra(field, cert, loci)
+        assert charpoly.call_count == 16
+        assert all(report.classification == (
+            "principal" if sum(map(bool, locus.point)) == 2 else "lower")
+            for locus, report in pairs)
