@@ -42,6 +42,7 @@ from .exactalg import (
 )
 from .kovalevskaya import (
     NoLocusFound,
+    _merge_radius,
     find_loci,
     kovalevskaya_matrix,
     numeric_exponents,
@@ -72,8 +73,7 @@ __all__ = [
     "param_flow",
 ]
 
-# float exponents match within this (relative) at least; smaller shift
-# rates vanish
+# a shift rate at a numeric locus at most this large counts as zero
 _MATCH_TOL = 1e-8
 
 
@@ -374,16 +374,6 @@ def _all_rational(values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _match_radius(tolerance: float) -> float:
-    """Relative distance within which float exponents match.
-
-    A numeric locus found at a search tolerance is only about its square
-    root accurate, the radius find_loci merges points at, and so are the
-    exponents read off there.
-    """
-    return max(_MATCH_TOL, tolerance ** 0.5)
-
-
 def _multisets_match(a, b, radius: float) -> bool:
     if len(a) != len(b):
         return False
@@ -468,13 +458,13 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     the extra -1 coming from the pole direction itself.  The predictions
     are matched against pool, the ambient field's lower_spectra.
     rng_seed and tolerance go to the subsystem's locus search, and float
-    exponents match within _match_radius(tolerance).
+    exponents match within _merge_radius(tolerance).
     """
     if flow.gamma != 1:
         raise ValueError("this route needs a degree-1 commuting flow")
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, 1)
-    radius = _match_radius(tolerance)
+    radius = _merge_radius(tolerance)
     predictions = []
     for locus, spectrum in spectra(sub, sub_cert,
                                    _loci(sub, sub_cert, rng_seed, tolerance)):
@@ -563,7 +553,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     land in the same tuple, matched against pool, the ambient field's
     lower_spectra; neither is allowed to stand in for the other.  rng_seed
     and tolerance go to the subsystem's locus search, and float exponents
-    match within _match_radius(tolerance).
+    match within _merge_radius(tolerance).
     """
     gamma = flow.gamma
     if gamma < 2:
@@ -573,7 +563,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "shift coefficient is identically zero; the rescaled flow "
             "does not exist")
     params = flow.parameters
-    radius = _match_radius(tolerance)
+    radius = _merge_radius(tolerance)
     predictions = []
 
     cleared = [g + MultiPoly.variable(v, params) * flow.ghat0 * k
@@ -599,7 +589,8 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     pole, pole_cert = flow.pole_field()
     for locus in _loci(sub, sub_cert, rng_seed, tolerance):
         g0_value = flow.ghat0.evaluate(dict(zip(params, locus.point)))
-        if abs(complex(g0_value)) <= _MATCH_TOL:
+        if (g0_value == 0 if locus.is_exact
+                else abs(complex(g0_value)) <= _MATCH_TOL):
             warnings.warn(
                 "flow locus with vanishing shift coefficient skipped by "
                 "the direct route",
@@ -669,7 +660,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
     and F + G/(eps + k1) is again degree-1 quasi-homogeneous.  An epsilon
     with eps + k1 = 0 makes the deformation undefined and is rejected.
     rng_seed and tolerance go to each deformed field's locus search, and
-    float exponents match within _match_radius(tolerance).
+    float exponents match within _merge_radius(tolerance).
     """
     if flow.gamma != 1:
         raise ValueError("deformation check needs a degree-1 commuting flow")
@@ -684,7 +675,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
                 f"epsilon {eps} hits the excluded value -k1 = {-k1}; "
                 f"the deformed field is undefined there")
 
-    radius = _match_radius(tolerance)
+    radius = _merge_radius(tolerance)
     per_eps = []
     realized = [] if predicted is not None else None
     want = _sorted_multiset(predicted) if predicted is not None else None

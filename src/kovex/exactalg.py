@@ -432,22 +432,11 @@ class ExactMatrix:
         self.nrows = len(data)
         self.ncols = width
 
-    @classmethod
-    def _trusted(cls, data: tuple[tuple[Fraction, ...], ...]) -> "ExactMatrix":
-        """Wrap rows of Fractions without re-validating them; the caller
-        guarantees a nonempty rectangle."""
-        out = object.__new__(cls)
-        out.data = data
-        out.nrows, out.ncols = len(data), len(data[0])
-        return out
-
     def shifted(self, r: Scalar) -> "ExactMatrix":
-        """A - rI, built in one pass; the entries are exact already, so
-        they skip the constructor's validation."""
+        """A - rI, built in one pass."""
         r = as_fraction(r)
-        return ExactMatrix._trusted(
-            tuple(tuple(x - r if i == j else x for j, x in enumerate(row))
-                  for i, row in enumerate(self.data)))
+        return ExactMatrix([[x - r if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(self.data)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):

@@ -77,7 +77,6 @@ class KExponentReport:
     downstream is the authority on the parameter count.
     """
 
-    matrix: ExactMatrix
     exponents: RootSet
     minus_one_eigenvector: tuple[Fraction, ...]
     eigenpair_verified: bool
@@ -151,10 +150,10 @@ def _classify(roots: RootSet, gamma: int, semisimple: bool) -> str:
 
 @dataclass(frozen=True)
 class _Block:
-    """One component's share of K(c): its rows and columns, the rational
-    stage of their characteristic polynomial, and the exact checks on it."""
+    """One component's share of K(c): the rational stage of the
+    characteristic polynomial of its rows and columns, and the exact checks
+    on them."""
 
-    matrix: ExactMatrix
     exact_roots: tuple
     eigenpair: bool
     semisimple: bool
@@ -196,7 +195,7 @@ class _BlockSpectra:
                        for i, c in zip(component, coords))
         gamma = cert.degree
         block = self._blocks[b, coords] = _Block(
-            matrix, exact,
+            exact,
             matrix.matvec(vector) == tuple(-v for v in vector),
             all(mult == 1 or len(matrix.shifted(r).kernel()) == mult
                 for r, mult in exact[0]
@@ -206,31 +205,23 @@ class _BlockSpectra:
     def report(self, point: tuple[Fraction, ...]) -> KExponentReport:
         """The report at an exact point, assembled from its blocks.
 
-        K(c) is the blocks placed on the diagonal; the spectrum is
-        roots_of_product of the blocks' rational stages, so the numeric
-        roots are those of the whole characteristic polynomial.  The
-        eigenpair holds on K(c) exactly when it holds on every block, and
-        geometric equals algebraic multiplicity on K(c) exactly when it
-        does on every block.
+        K(c) is block-diagonal, so the spectrum is roots_of_product of the
+        blocks' rational stages, and its numeric roots are those of the
+        whole characteristic polynomial.  The eigenpair holds on K(c)
+        exactly when it holds on every block, and geometric equals
+        algebraic multiplicity on K(c) exactly when it does on every block.
         """
-        m = self.field.dim
-        blocks = [(component, self._block(b, tuple(point[i] for i in component)))
+        blocks = [self._block(b, tuple(point[i] for i in component))
                   for b, component in enumerate(self.components)]
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for component, block in blocks:
-            for i, row in zip(component, block.matrix.data):
-                for j, x in zip(component, row):
-                    rows[i][j] = x
-        roots = roots_of_product([block.exact_roots for _, block in blocks])
+        roots = roots_of_product([block.exact_roots for block in blocks])
         vector = tuple(Fraction(a) * c
                        for a, c in zip(self.certificate.weights, point))
-        semisimple = all(block.semisimple for _, block in blocks)
+        semisimple = all(block.semisimple for block in blocks)
         return KExponentReport(
-            matrix=ExactMatrix._trusted(tuple(map(tuple, rows))),
             exponents=roots,
             minus_one_eigenvector=vector,
             eigenpair_verified=(any(vector)
-                                and all(block.eigenpair for _, block in blocks)),
+                                and all(block.eigenpair for block in blocks)),
             has_zero_exponent=any(r == 0 for r, _ in roots.rational_roots),
             classification=_classify(roots, self.certificate.degree,
                                      semisimple),
@@ -248,6 +239,7 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     floating-point doubt.  The universal eigenpair (eigenvalue -1,
     eigenvector (a_i x_i)) is re-verified by an exact matrix-vector product.
     This is spectra at one locus: the same blocks, the same assembly.
+    K(c) itself is kovalevskaya_matrix.
     """
     return _BlockSpectra(field, certificate).report(exact_point(locus))
 
@@ -273,8 +265,9 @@ def spectra(field: VectorField, certificate: WeightCertificate,
 
     The exact reports share one _BlockSpectra, so a field split into
     components costs one block spectrum per distinct point of each
-    component, plus an O(m^2) assembly per locus; a connected field is one
-    block.
+    component, plus the merge of the blocks' roots and the O(m) eigenvector
+    per locus; a connected field is one block.  K(c) itself comes from
+    kovalevskaya_matrix.
     """
     exact = _BlockSpectra(field, certificate)
     return tuple(
@@ -401,6 +394,16 @@ def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _merge_radius(tolerance: float) -> float:
+    """The distance within which numeric points merge and, relative to
+    their size, float exponents match.
+
+    Newton stops once the residual is below tolerance, so a point is only
+    about that accurate, and a multiple root only about its square root.
+    """
+    return max(_DEDUP_TOL, tolerance ** 0.5)
+
+
 class _Found:
     """Loci in the order found: an exact point once, with the source that
     found it first, and a numeric point unless one is already within
@@ -444,8 +447,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        pq`` becomes ``1 + u q + 2v p``), and the saturated system is handed
        to the exact solver; every returned point is certified against the
        full indicial system, with zeros outside the component.  A solution
-       with a free coordinate at zero is dropped here and found by the
-       pattern that clamps it.
+       with a free coordinate at zero is kept (painleve1_coupled_4d's
+       (3, 27, 0, -3) comes from the all-free pattern); only the origin is
+       dropped.
     4. Newton multistart, only on the component's patterns the exact
        solver left incomplete: ``newton_starts`` pseudo-random complex
        starts each on the component's free coordinates, refined to
@@ -456,11 +460,14 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        exact solver settled.
     5. The loci are the products of the component results: a choice of
        zero or one found point per component, the origin excluded.  A
-       product of exact points is exact and is certified again against
-       the full system; a product with a numeric part is numeric, kept if
-       its residual is below tolerance and it is not within the merge
-       radius of a known locus.  Its source is ``newton`` if any part came
-       from Newton, else ``structured_search``.
+       product of exact points is exact with no further check: each
+       indicial equation reads only its own component's coordinates, and
+       every part was certified against the full system, its component's
+       equations at its own coordinates and every other component's at
+       zero.  A product with a numeric part is numeric, kept if its
+       residual is below tolerance and it is not within the merge radius
+       of a known locus.  Its source is ``newton`` if any part came from
+       Newton, else ``structured_search``.
 
     A connected field is one component, so its patterns, its starts and
     its loci are those of a search over every zero pattern of the field;
@@ -485,11 +492,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     strategies: list[str] = []
 
     degree = max((eq.total_degree() or 1) for eq in eqs)
-    # Newton stops once the residual is below tolerance, so a point is
-    # only about that accurate, and a multiple root only about its square
-    # root: numeric points are merged, and dropped near the origin, within
-    # that distance
-    radius = max(_DEDUP_TOL, tolerance ** 0.5)
+    # numeric points are merged, and dropped near the origin, within this
+    radius = _merge_radius(tolerance)
 
     def residual_ok(z: np.ndarray) -> bool:
         scale = max(1.0, float(np.max(np.abs(z))) ** degree)
@@ -575,8 +579,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         point = tuple(Fraction(0) if choice[owner[i]] is None
                       else choice[owner[i]].point[i] for i in range(m))
         if all(locus.is_exact for locus in chosen):
-            if _vanishes(eqs, field.variables, point):
-                found.add_exact(point, source)
+            found.add_exact(point, source)
         else:
             point = tuple(complex(x) for x in point)
             if residual_ok(np.array(point)):

@@ -58,7 +58,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .exactalg import ExactMatrix, MultiPoly
-from .kovalevskaya import exact_point, k_exponents
+from .kovalevskaya import exact_point, k_exponents, kovalevskaya_matrix
 from .vfmodel import VectorField, WeightCertificate, verify_weight
 
 __all__ = [
@@ -425,6 +425,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
         raise ValueError("weight certificate does not match the field")
     point = exact_point(locus)
     report = k_exponents(field, certificate, point)
+    matrix = kovalevskaya_matrix(field, certificate, point)
     m = field.dim
 
     resonant_orders = sorted(
@@ -455,7 +456,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
         rhs = [-n for n in prefixes.advance(j)]
-        d_j, residue, kernel = report.matrix.shifted(j).solve_singular(rhs)
+        d_j, residue, kernel = matrix.shifted(j).solve_singular(rhs)
         inconsistent = set().union(*(r.terms for r in residue))
         if inconsistent:
             obstructions.append(j)

@@ -510,6 +510,25 @@ class TestExactDirectRoute:
             assert diag["matches_rescaled_exact"] is True
             assert diag["conjugacy_ok"] is True
 
+    def test_small_exact_shift_rate_is_kept(self):
+        # ghat0 = 1e-9 alpha1 is below the float match bound at the exact
+        # loci +-1, but it is not zero there, so neither is skipped
+        flow = dg.ParamFlow(ghat0=A1 * F(1, 10 ** 9),
+                            ghat=(A1 ** 3 * F(-1, 2),), kappa=(1,),
+                            gamma=2, parameters=("alpha1",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", dg.UnrescalableLocus)
+            predictions = dg.degenerate_gamma_ge2((), flow)
+        assert tuple(p.route for p in predictions) == (
+            "rescale_exact", "flow_direct", "flow_direct")
+        assert predictions[0].diagnostics["g0_value"] == F(2, 10 ** 18)
+        assert tuple(p.locus for p in predictions[1:]) == ((-1,), (1,))
+        for prediction in predictions[1:]:
+            assert prediction.exponents == (-1, F(-1, 2))
+            assert prediction.diagnostics["rescaled_point"] == (
+                F(2, 10 ** 9),)
+            assert prediction.diagnostics["matches_rescaled_exact"] is True
+
 
 class TestUnrescalableLocus:
     def test_flow_loci_killing_the_shift_rate_are_skipped(self):

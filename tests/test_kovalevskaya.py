@@ -431,7 +431,6 @@ def _whole_matrix_report(field, cert, point):
     else:
         classification = "lower"
     return kovalevskaya.KExponentReport(
-        matrix=matrix,
         exponents=roots,
         minus_one_eigenvector=vector,
         eigenpair_verified=verified,

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_properties as props
+from test_kovalevskaya import _uncoupled
 from kovex import cli, degeneration, exactalg, kovalevskaya
 from kovex.cli import main
 from kovex.exactalg import MultiPoly
@@ -188,3 +189,17 @@ def test_saturation_settles_every_p4_pattern(params):
         roots = kovalevskaya.k_exponents(field, cert, point).exponents
         assert roots.is_fully_rational
         assert list(roots.rational_roots) == spectrum
+
+
+def test_product_loci_are_not_checked_again():
+    # each block's structured search checks two points, the origin and the
+    # balance; the products of the certified balances are loci as they
+    # stand
+    field, cert = _uncoupled([("cubic", 1, 6)] * 10)
+    with mock.patch.object(kovalevskaya, "_vanishes",
+                           wraps=kovalevskaya._vanishes) as vanishes:
+        search = kovalevskaya.find_loci(field, cert)
+    assert vanishes.call_count == 20
+    assert len(search.loci) == 2 ** 10 - 1
+    assert all(locus.is_exact and props.verify_locus(field, cert, locus.point)
+               for locus in search.loci)
