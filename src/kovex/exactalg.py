@@ -2,7 +2,8 @@
 
 The analysis pipeline runs on exact rational arithmetic end to end: Fraction,
 or integers over a common denominator where that is cheaper (_eliminate, the
-one fraction-free elimination; _exact_roots, the rational roots and their
+one fraction-free elimination; ExactMatrix.resolvent, the adjugate of
+tI - A as integer polynomials; _exact_roots, the rational roots and their
 multiplicities on the primitive integer part; the series kernel in laurent).
 There is deliberately no algebraic-number tower: when a quantity fails to be
 rational, we keep the exact residual factor together with certified numeric
@@ -549,6 +550,39 @@ class ExactMatrix:
                         p[offset + k] -= c * b
             polys.append(p)
         return polys[-1]
+
+    def resolvent(self) -> tuple[int, list[int], list[list[list[int]]]]:
+        """(tI - A)^{-1} = adj(tI - A) / det(tI - A) as integer polynomials.
+
+        With s the lcm of A's denominators and B = sA an integer matrix,
+        returns s, det(tI - B) = t^n + c_1 t^{n-1} + ... + c_n as the
+        descending ints [1, c_1, ..., c_n], and adj(tI - B) entrywise as
+        descending int coefficient lists of length n.  By Faddeev-LeVerrier
+        (Householder, The Theory of Matrices in Numerical Analysis, 1964,
+        sec. 6.7) adj(tI - B) = sum_k B_k t^{n-1-k} with B_0 = I,
+        c_k = -tr(B B_{k-1}) / k and B_k = B B_{k-1} + c_k I; each division
+        is exact, as the c_k of an integer matrix are integers.
+        """
+        if self.nrows != self.ncols:
+            raise ValueError("resolvent needs a square matrix")
+        n = self.nrows
+        s = math.lcm(*(x.denominator for row in self.data for x in row))
+        b = [[x.numerator * (s // x.denominator) for x in row]
+             for row in self.data]
+        chi = [1]
+        step = [[int(i == k) for k in range(n)] for i in range(n)]  # B_0
+        adj = [[[x] for x in row] for row in step]
+        for k in range(1, n + 1):
+            cols = list(zip(*step))
+            step = [[sum(map(operator.mul, row, col)) for col in cols]
+                    for row in b]
+            chi.append(-sum(step[i][i] for i in range(n)) // k)
+            if k < n:
+                for i, row in enumerate(step):
+                    row[i] += chi[k]
+                    for entry, x in zip(adj[i], row):
+                        entry.append(x)
+        return s, chi, adj
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)

@@ -11,11 +11,14 @@ first obstruction is marked non-authoritative).
 
 Everything is exact: coefficients are polynomials over Q in the parameters
 alpha1, alpha2, ... introduced at the resonances, and the pole position
-never appears in them.  Each order costs one elimination of K(c) - jI,
-whose row transform is applied to the polynomial vector N_j as a whole;
-the same solve yields d_j, the alpha-monomials of N_j that make the system
-inconsistent (rows past the rank) and the kernel the parameters enter along.
-A resonant order also row-reduces that small kernel once, for the gauge.
+never appears in them.  K(c) - jI is inverted through one integer
+resolvent per series (ExactMatrix.resolvent: det and adjugate of
+tI - sK(c), with sK(c) integer) evaluated at t = sj, so a regular order
+costs one fused sum of products per component.  Only a resonant order,
+where det(sjI - sK(c)) = 0, eliminates K(c) - jI; that solve yields d_j,
+the alpha-monomials of N_j that make the system inconsistent (rows past
+the rank) and the kernel the parameters enter along, which is
+row-reduced once more, for the gauge.
 
 The recursion is incremental, as in Taylor-series integrators.  Every
 monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
@@ -225,6 +228,39 @@ def _dot(pairs: list[tuple[_IntPoly, _IntPoly]]) -> _IntPoly:
     return _IntPoly.reduced(out, den)
 
 
+def _regular_solve(resolvent: tuple, j: int,
+                   rhs: Sequence[_IntPoly]) -> list[_IntPoly] | None:
+    """The solution of (K - jI) x = rhs, or None where K - jI is singular.
+
+    resolvent is ExactMatrix.resolvent() of K: s, chi and adj with sK
+    integer.  (K - jI) x = rhs is (sjI - sK) x = -s rhs, so
+    x = -s adj(sjI - sK) rhs / chi(sj), with chi(sj) and each entry of
+    adj evaluated at sj by Horner.  Each component is one _dot; its
+    constant factors share the denominator |chi(sj)| and are left
+    unreduced, as _dot reduces the sum once.
+    """
+    s, chi, adj = resolvent
+    t = s * j
+    det = 0
+    for c in chi:
+        det = det * t + c
+    if not det:
+        return None
+    scale, den = (-s if det > 0 else s), abs(det)
+    out = []
+    for row in adj:
+        pairs = []
+        for coeffs, b in zip(row, rhs):
+            if b.terms:
+                v = 0
+                for c in coeffs:
+                    v = v * t + c
+                if v:
+                    pairs.append((_IntPoly({0: v * scale}, den), b))
+        out.append(_dot(pairs) if pairs else _ZERO)
+    return out
+
+
 def _pack(poly: MultiPoly, shift: Mapping[str, int]) -> _IntPoly:
     """A MultiPoly in the named parameters as an _IntPoly; shift[v] is the
     low bit of v's field."""
@@ -412,12 +448,14 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     """Run the order-by-order recursion at an exact locus.
 
     Each order is one exact solve of (K(c) - jI) d_j = -N_j with the
-    polynomial right-hand side taken whole (ExactMatrix.solve_singular).
+    polynomial right-hand side taken whole: by the series' resolvent
+    where its exact integer chi(sj) is nonzero (_regular_solve), by
+    ExactMatrix.solve_singular where it is zero and K(c) - jI singular.
     The residue of that solve names the alpha-monomials whose system is
     inconsistent: they are dropped from d_j and the order is recorded as
     an obstruction, and the recursion keeps going so later structure
-    stays visible.  Where K(c) - jI is singular, free parameters enter
-    along that solve's kernel, with the anchor gauge on ResonanceRecord.
+    stays visible.  Free parameters enter along that solve's kernel, with
+    the anchor gauge on ResonanceRecord.
     """
     if certificate.degree != 1:
         raise ValueError("series construction needs a degree-1 field")
@@ -453,19 +491,21 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     prefixes = _PrefixSeries(field, coeffs)
     prefixes.advance(0)
 
+    resolvent = matrix.resolvent()
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
         rhs = [-n for n in prefixes.advance(j)]
-        d_j, residue, kernel = matrix.shifted(j).solve_singular(rhs)
-        inconsistent = set().union(*(r.terms for r in residue))
-        if inconsistent:
-            obstructions.append(j)
-            d_j = [p.without(inconsistent) for p in d_j]
-        if kernel:
-            # K(c) - jI is singular.  Reduced row echelon form of its
-            # kernel gives the anchor gauge directly: each direction is 1
-            # at its own anchor and 0 at every other direction's anchor,
-            # so each step leaves the bare parameter at its anchor.
+        d_j = _regular_solve(resolvent, j, rhs)
+        if d_j is None:
+            d_j, residue, kernel = matrix.shifted(j).solve_singular(rhs)
+            inconsistent = set().union(*(r.terms for r in residue))
+            if inconsistent:
+                obstructions.append(j)
+                d_j = [p.without(inconsistent) for p in d_j]
+            # Reduced row echelon form of the kernel gives the anchor
+            # gauge directly: each direction is 1 at its own anchor and 0
+            # at every other direction's anchor, so each step leaves the
+            # bare parameter at its anchor.
             reduced, anchors = ExactMatrix(list(kernel)).rref()
             for anchor, direction in zip(anchors, reduced.data):
                 bit = width * len(resonances)

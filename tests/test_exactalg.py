@@ -17,6 +17,7 @@ from kovex.exactalg import (
     snap_rational,
     solve_poly_system,
 )
+from kovex.laurent import _IntPoly, _regular_solve
 from kovex.vfmodel import off_weight
 
 F = Fraction
@@ -483,6 +484,66 @@ def test_charpoly_matches_faddeev_leverrier(m):
     coeffs = m.charpoly()
     assert coeffs == _faddeev_leverrier(m)
     assert all(type(c) is Fraction for c in coeffs)
+
+
+@st.composite
+def resolvent_cases(draw):
+    """A rational m x m matrix (m <= 5) with a non-integer entry, an
+    integer shift j and a right-hand side of _IntPoly entries.  Half the
+    cases are upper triangular with j on the diagonal, so A - jI is
+    singular."""
+    n = draw(st.integers(1, 5))
+    j = draw(st.integers(-6, 6))
+    entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    rows[0][-1] = F(2 * draw(st.integers(-5, 5)) + 1, 2 * draw(st.integers(1, 3)))
+    if n > 1 and draw(st.booleans()):
+        rows = [[x if k >= i else F(0) for k, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+        rows[-1][-1] = F(j)
+    rhs = [_IntPoly.reduced(draw(st.dictionaries(st.integers(0, 7),
+                                                 st.integers(-9, 9),
+                                                 max_size=3)),
+                            draw(st.integers(1, 6))) for _ in range(n)]
+    return ExactMatrix(rows), j, rhs
+
+
+def _poly_matmul(a, b):
+    """Product of matrices whose entries are descending coefficient lists,
+    each row of a and each column of b of one length per factor."""
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for k, y in enumerate(q):
+                out[i + k] += x * y
+        return out
+
+    return [[[sum(c) for c in zip(*(times(x, y) for x, y in zip(row, col)))]
+             for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(resolvent_cases())
+def test_resolvent_inverts_every_regular_shift(case):
+    m, j, rhs = case
+    n = m.nrows
+    s, chi, adj = m.resolvent()
+    scaled = [[x * s for x in row] for row in m.data]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    # (tI - sA) adj(tI - sA) = chi(t) I as polynomials in t
+    pencil = [[[int(i == k), -x] for k, x in enumerate(row)]
+              for i, row in enumerate(scaled)]
+    assert _poly_matmul(pencil, adj) == [
+        [chi if i == k else [0] * (n + 1) for k in range(n)] for i in range(n)]
+    # det(tI - A) = s^-n chi(s t)
+    assert [F(c, s ** k) for k, c in enumerate(chi)] == m.charpoly()
+    particular, _, kernel = m.shifted(j).solve_singular(rhs)
+    solved = _regular_solve((s, chi, adj), j, rhs)
+    if kernel:
+        assert solved is None
+    else:
+        assert ([(p.terms, p.den) for p in solved]
+                == [(p.terms, p.den) for p in particular])
 
 
 # ---------------------------------------------------------------------------

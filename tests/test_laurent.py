@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from kovex import exactalg
 from kovex.degeneration import g_expansion
-from kovex.exactalg import MultiPoly
-from kovex.kovalevskaya import InexactLocusError
+from kovex.exactalg import ExactMatrix, MultiPoly
+from kovex.kovalevskaya import InexactLocusError, kovalevskaya_matrix
 from kovex.laurent import (
     LaurentSolution,
     TruncationBelowResonance,
@@ -59,6 +58,15 @@ variables = [x:1, y:1, z:1]
 F.1 = "-x^2"
 F.2 = "x*z"
 F.3 = "x*z + y^2"
+"""
+
+
+RESCALED_4D = """
+variables = [x1:2, x2:5, x3:4, x4:3]
+F.1 = "10*x4"
+F.2 = "-2*x1^3 + 3/2*x1*x3 - 75/2*x4^2"
+F.3 = "20*x1*x4 + 8/3*x2"
+F.4 = "1/5*x1^2 + 3/5*x3"
 """
 
 
@@ -170,23 +178,39 @@ class TestCoupledQuintic:
             assert not sol.coefficient(i, 3)
         assert any(sol.coefficient(i, 4) for i in range(4))
 
-    def test_one_elimination_per_order(self, pair4d_deg3, monkeypatch):
+    def test_solve_singular_only_at_resonant_orders(self, pair4d_deg3,
+                                                    monkeypatch):
         field, _, cert = pair4d_deg3
-        calls = []
-        eliminate = exactalg._eliminate
+        shifts = []
+        solve = ExactMatrix.solve_singular
 
-        def counted(rows, width):
-            calls.append(width)
-            return eliminate(rows, width)
+        def counted(matrix, rhs):
+            shifts.append(matrix)
+            return solve(matrix, rhs)
 
-        monkeypatch.setattr(exactalg, "_eliminate", counted)
+        monkeypatch.setattr(ExactMatrix, "solve_singular", counted)
         sol = build_series(field, cert, (1, 1, 1, -1), truncation=32)
-        # one solve per order, which returns the kernel too, plus the
-        # gauge's row reduction of that kernel at each resonant order
-        # (2, 5 and 8)
-        resonant = set(sol.resonance_orders())
-        assert resonant == {2, 5, 8}
-        assert len(calls) <= 32 + len(resonant)
+        # every regular order is one evaluation of the resolvent; only the
+        # resonant orders 2, 5 and 8, where K(c) - jI is singular, are
+        # eliminated
+        assert sol.resonance_orders() == (2, 5, 8)
+        matrix = kovalevskaya_matrix(field, cert, (1, 1, 1, -1))
+        assert shifts == [matrix.shifted(j) for j in (2, 5, 8)]
+
+    def test_rescaled_field_has_a_rational_matrix(self):
+        # PAIR_4D_DEG3 with (q1, p1, q2, p2) = (x1, 2 x2, 3/2 x3, 5 x4):
+        # x_i' = f_i(lambda x) / lambda_i, and the balance (1, 1, 1, -1)
+        # maps to (1, 1/2, 2/3, -1/5).  K(c) becomes the similar matrix
+        # L^-1 K L, L = diag(lambda), which has non-integer entries.
+        field, cert = _field(RESCALED_4D)
+        point = (1, Fraction(1, 2), Fraction(2, 3), Fraction(-1, 5))
+        matrix = kovalevskaya_matrix(field, cert, point)
+        assert any(x.denominator != 1 for row in matrix.data for x in row)
+        sol = build_series(field, cert, point, truncation=32)
+        assert sol.resonance_orders() == (2, 5, 8)
+        assert sol.obstructions == ()
+        assert residual_order(field, cert, sol) is None
+        assert qh_coefficient_check(sol) == ()
 
     def test_lower_balance_keeps_two_parameters(self, pair4d_deg3):
         field, _, cert = pair4d_deg3
