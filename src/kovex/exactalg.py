@@ -2,9 +2,11 @@
 
 The analysis pipeline runs on exact rational arithmetic end to end: Fraction,
 or integers over a common denominator where that is cheaper (_eliminate, the
-one fraction-free elimination; ExactMatrix.resolvent, the adjugate of
-tI - A as integer polynomials; _exact_roots, the rational roots and their
-multiplicities on the primitive integer part; the series kernel in laurent).
+one fraction-free elimination; ExactMatrix.resolvent, the one
+characteristic-polynomial recurrence, which yields det(tI - A) and the
+adjugate of tI - A as integer polynomials; _exact_roots, the rational roots
+and their multiplicities on the primitive integer part; the series kernel
+in laurent).
 There is deliberately no algebraic-number tower: when a quantity fails to be
 rational, we keep the exact residual factor together with certified numeric
 approximations of its roots instead of extending the scalar field.  Matrices
@@ -502,54 +504,13 @@ class ExactMatrix:
     def charpoly(self) -> list[Fraction]:
         """Monic characteristic polynomial det(tI - A), descending coefficients.
 
-        Exact similarity transforms bring A to upper Hessenberg form H (a
-        zero pivot is replaced by swapping a row and the matching column,
-        and a column already zero below the subdiagonal is left as it is);
-        the characteristic polynomials of H's leading blocks then follow
-        from a recurrence along the subdiagonal (Cohen, A Course in
-        Computational Algebraic Number Theory, Alg. 2.2.9).  Both steps
-        take O(n^3) operations.
+        Read off resolvent(): with B = sA, det(tI - A) = s^-n det(stI - B),
+        so its coefficient k is c_k / s^k.
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial needs a square matrix")
-        n = self.nrows
-        h = [list(row) for row in self.data]
-        for m in range(1, n - 1):
-            pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
-            if pivot is None:
-                continue
-            if pivot != m:
-                h[m], h[pivot] = h[pivot], h[m]
-                for row in h:
-                    row[m], row[pivot] = row[pivot], row[m]
-            t = h[m][m - 1]
-            for i in range(m + 1, n):
-                u = h[i][m - 1] / t
-                if not u:
-                    continue
-                # row i -= u * row m, then column m += u * column i
-                h[i] = [a - u * b for a, b in zip(h[i], h[m])]
-                for row in h:
-                    if row[i]:
-                        row[m] += u * row[i]
-        # polys[k] = det(tI - H[:k, :k]), descending coefficients
-        polys = [[Fraction(1)]]
-        for m in range(n):
-            prev = polys[-1]
-            p = [a - h[m][m] * b for a, b in zip(prev + [0], [0] + prev)]
-            t = Fraction(1)
-            for i in range(m - 1, -1, -1):
-                t *= h[i + 1][i]
-                if not t:
-                    break
-                c = h[i][m] * t
-                if c:
-                    lower = polys[i]
-                    offset = len(p) - len(lower)
-                    for k, b in enumerate(lower):
-                        p[offset + k] -= c * b
-            polys.append(p)
-        return polys[-1]
+        s, chi, _ = self.resolvent()
+        return [Fraction(c, s ** k) for k, c in enumerate(chi)]
 
     def resolvent(self) -> tuple[int, list[int], list[list[list[int]]]]:
         """(tI - A)^{-1} = adj(tI - A) / det(tI - A) as integer polynomials.
@@ -561,7 +522,9 @@ class ExactMatrix:
         (Householder, The Theory of Matrices in Numerical Analysis, 1964,
         sec. 6.7) adj(tI - B) = sum_k B_k t^{n-1-k} with B_0 = I,
         c_k = -tr(B B_{k-1}) / k and B_k = B B_{k-1} + c_k I; each division
-        is exact, as the c_k of an integer matrix are integers.
+        is exact, as the c_k of an integer matrix are integers.  It is the
+        package's one characteristic-polynomial algorithm: charpoly, the
+        spectra and the series all read chi from it.
         """
         if self.nrows != self.ncols:
             raise ValueError("resolvent needs a square matrix")

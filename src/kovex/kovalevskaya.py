@@ -151,8 +151,9 @@ def _classify(roots: RootSet, gamma: int, semisimple: bool) -> str:
 @dataclass(frozen=True)
 class _Block:
     """One component's share of K(c): the rational stage of the
-    characteristic polynomial of its rows and columns, and the exact checks
-    on them."""
+    characteristic polynomial of its rows and columns (ExactMatrix.charpoly,
+    read off the block's integer resolvent), and the exact checks on
+    them."""
 
     exact_roots: tuple
     eigenpair: bool
@@ -169,8 +170,9 @@ class _BlockSpectra:
     coordinates of c.  A block is computed once per distinct (component,
     coordinates): its indicial equations are checked exactly there, its
     rational roots come from ``_exact_roots`` of its characteristic
-    polynomial, and the universal eigenpair and the semisimplicity at its
-    positive resonances are checked on the block.
+    polynomial (charpoly, the integer Faddeev-LeVerrier recurrence of
+    ExactMatrix.resolvent), and the universal eigenpair and the
+    semisimplicity at its positive resonances are checked on the block.
     """
 
     def __init__(self, field: VectorField, certificate: WeightCertificate):
@@ -234,12 +236,13 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
                 locus) -> KExponentReport:
     """Spectrum of the Kovalevskaya matrix at an exact locus.
 
-    Eigenvalues come from the characteristic polynomial with the rational
-    ones extracted exactly, so integrality questions are decided without
-    floating-point doubt.  The universal eigenpair (eigenvalue -1,
-    eigenvector (a_i x_i)) is re-verified by an exact matrix-vector product.
-    This is spectra at one locus: the same blocks, the same assembly.
-    K(c) itself is kovalevskaya_matrix.
+    Eigenvalues come from each block's characteristic polynomial, read off
+    its integer resolvent, with the rational ones extracted exactly, so
+    integrality questions are decided without floating-point doubt.  The
+    universal eigenpair (eigenvalue -1, eigenvector (a_i x_i)) is
+    re-verified by an exact matrix-vector product.  This is spectra at one
+    locus: the same blocks, the same assembly.  K(c) itself is
+    kovalevskaya_matrix.
     """
     return _BlockSpectra(field, certificate).report(exact_point(locus))
 

@@ -14,11 +14,14 @@ alpha1, alpha2, ... introduced at the resonances, and the pole position
 never appears in them.  K(c) - jI is inverted through one integer
 resolvent per series (ExactMatrix.resolvent: det and adjugate of
 tI - sK(c), with sK(c) integer) evaluated at t = sj, so a regular order
-costs one fused sum of products per component.  Only a resonant order,
-where det(sjI - sK(c)) = 0, eliminates K(c) - jI; that solve yields d_j,
-the alpha-monomials of N_j that make the system inconsistent (rows past
-the rank) and the kernel the parameters enter along, which is
-row-reduced once more, for the gauge.
+costs one fused sum of products per component.  The resonant orders,
+which set the default truncation, are the positive integers among the
+rational roots of that same det divided by s, so a series runs no
+floating point.  Only a resonant order, where det(sjI - sK(c)) = 0,
+eliminates K(c) - jI; that solve yields d_j, the alpha-monomials of N_j
+that make the system inconsistent (rows past the rank) and the kernel
+the parameters enter along, which is row-reduced once more, for the
+gauge.
 
 The recursion is incremental, as in Taylor-series integrators.  Every
 monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
@@ -60,8 +63,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .exactalg import ExactMatrix, MultiPoly
-from .kovalevskaya import exact_point, k_exponents, kovalevskaya_matrix
+from .exactalg import ExactMatrix, MultiPoly, _exact_roots
+from .kovalevskaya import (
+    _vanishes,
+    exact_point,
+    indicial_system,
+    kovalevskaya_matrix,
+)
 from .vfmodel import VectorField, WeightCertificate, verify_weight
 
 __all__ = [
@@ -447,7 +455,11 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
                  truncation: int | None = None) -> LaurentSolution:
     """Run the order-by-order recursion at an exact locus.
 
-    Each order is one exact solve of (K(c) - jI) d_j = -N_j with the
+    The locus is checked against the indicial equations exactly, and
+    K(c)'s resolvent is built once, before the truncation is chosen: the
+    rational stage _exact_roots of its chi gives the resonant orders that
+    set the default truncation (twice the largest) and the warning.  Each
+    order is one exact solve of (K(c) - jI) d_j = -N_j with the
     polynomial right-hand side taken whole: by the series' resolvent
     where its exact integer chi(sj) is nonzero (_regular_solve), by
     ExactMatrix.solve_singular where it is zero and K(c) - jI singular.
@@ -462,13 +474,18 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     if not verify_weight(field, certificate).ok:
         raise ValueError("weight certificate does not match the field")
     point = exact_point(locus)
-    report = k_exponents(field, certificate, point)
+    if not _vanishes(indicial_system(field, certificate), field.variables,
+                     point):
+        raise ValueError("point does not satisfy the indicial equations")
     matrix = kovalevskaya_matrix(field, certificate, point)
     m = field.dim
 
+    # chi's roots are s times K(c)'s eigenvalues
+    resolvent = matrix.resolvent()
+    s, chi, _ = resolvent
     resonant_orders = sorted(
-        int(r) for r, _ in report.exponents.rational_roots
-        if r > 0 and r.denominator == 1)
+        int(r / s) for r, _ in _exact_roots(chi)[0]
+        if r > 0 and (r / s).denominator == 1)
     if truncation is None:
         truncation = (2 * max(resonant_orders) if resonant_orders
                       else max(certificate.weights) + 1)
@@ -491,7 +508,6 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     prefixes = _PrefixSeries(field, coeffs)
     prefixes.advance(0)
 
-    resolvent = matrix.resolvent()
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
         rhs = [-n for n in prefixes.advance(j)]

@@ -235,6 +235,10 @@ class TestExactMatrix:
         m = ExactMatrix([[3, 0], [0, -1]])
         assert m.charpoly() == [F(1), F(-2), F(-3)]
 
+    def test_charpoly_needs_a_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            ExactMatrix([[1, 2, 3], [4, 5, 6]]).charpoly()
+
     def test_rref_pivots(self):
         m = ExactMatrix([[0, 2, 1], [0, 4, 2]])
         reduced, pivots = m.rref()
@@ -314,11 +318,11 @@ def small_matrices(draw, n_max=4):
 @settings(max_examples=100)
 @given(small_matrices())
 def test_charpoly_matches_det_and_trace(m):
-    # the constant term is (-1)^n det, taken from the Faddeev-LeVerrier oracle
+    # the constant term is (-1)^n det, taken from the elimination oracle
     coeffs = m.charpoly()
     assert coeffs[0] == 1
     assert coeffs[1] == -_trace(m)
-    assert coeffs[-1] == _faddeev_leverrier(m)[-1]
+    assert coeffs[-1] == (-1) ** m.nrows * _det(m.data)
 
 
 @settings(max_examples=100)
@@ -350,7 +354,7 @@ def test_root_multiset_matches_trace_and_det(m):
     prod = complex(1)
     for r in roots:
         prod *= r
-    det = (-1) ** m.nrows * _faddeev_leverrier(m)[-1]
+    det = _det(m.data)
     assert abs(prod - complex(det)) < 1e-5 * max(1.0, abs(float(det)))
 
 
@@ -358,25 +362,46 @@ def _trace(m):
     return sum((m.data[i][i] for i in range(m.nrows)), F(0))
 
 
-def _matmul(a, b):
-    cols = list(zip(*b.data))
-    return ExactMatrix([[sum(x * y for x, y in zip(row, col))
-                         for col in cols] for row in a.data])
+def _det(rows):
+    """Oracle: the determinant by Gaussian elimination over Q.
 
-
-def _faddeev_leverrier(m):
-    """Oracle: det(tI - A), descending, by Faddeev-LeVerrier.
-
-    n dense matrix products over Q; the divisions by the step index are
-    exact.  It shares no step with the Hessenberg reduction under test.
+    Each column swaps in its first nonzero pivot and clears the entries
+    below it in Fraction arithmetic, the way _fraction_rref does; it shares
+    no step with the Faddeev-LeVerrier recurrence behind charpoly and
+    resolvent.
     """
-    coeffs = [F(1)]
-    power = m
-    for k in range(1, m.nrows + 1):
-        ck = -_trace(power) / k
-        coeffs.append(ck)
-        power = _matmul(m, power.shifted(-ck))
-    return coeffs
+    rows = [[F(x) for x in row] for row in rows]
+    n = len(rows)
+    det = F(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot_row is None:
+            return F(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        pv = rows[c][c]
+        det *= pv
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def _charpoly_values(m):
+    """Oracle: det(tI - A) at t = 0, 1, ..., n by _det.  Two monic
+    polynomials of degree n that agree at n + 1 points are equal."""
+    return [_det([[t * (i == k) - x for k, x in enumerate(row)]
+                  for i, row in enumerate(m.data)])
+            for t in range(m.nrows + 1)]
+
+
+def _values_at(coeffs, points):
+    """A descending coefficient list evaluated at each point, term by term."""
+    top = len(coeffs) - 1
+    return [sum(c * F(t) ** (top - k) for k, c in enumerate(coeffs))
+            for t in points]
 
 
 def _fraction_rref(m):
@@ -447,10 +472,11 @@ def test_rref_matches_fraction_gauss_jordan(m):
 @st.composite
 def charpoly_matrices(draw):
     """Up to 8x8: dense, sparse, block-diagonal, or with columns zeroed
-    below the diagonal.  Column 0 is reduced first, on the entries drawn
-    here, so zeroing its subdiagonal entry forces a row and column swap
-    (when an entry below it is nonzero) and zeroing all of it leaves no
-    pivot; later columns meet both cases after earlier steps too."""
+    below the diagonal.  Sparse matrices give the oracle zero pivots to
+    swap past; block-diagonal and partly triangular ones give
+    characteristic polynomials with repeated or rational factors, whose
+    roots among t = 0..n make tI - A singular where the oracle evaluates
+    it."""
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(
         ["dense", "sparse", "block_diagonal", "zero_subdiagonal"]))
@@ -474,15 +500,16 @@ def charpoly_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(charpoly_matrices())
-# a swap in column 0; no pivot in column 0, then column 1 to reduce;
-# a nilpotent matrix; two 2x2 blocks
+# a zero under the first diagonal entry; a first column zero below the
+# diagonal; a nilpotent matrix; two 2x2 blocks
 @example(ExactMatrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]]))
 @example(ExactMatrix([[1, 2, 3, 4], [0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9]]))
 @example(ExactMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]))
 @example(ExactMatrix([[2, 1, 0, 0], [12, 3, 0, 0], [0, 0, 2, 1], [0, 0, 12, 3]]))
-def test_charpoly_matches_faddeev_leverrier(m):
+def test_charpoly_matches_elimination_at_n_plus_one_points(m):
     coeffs = m.charpoly()
-    assert coeffs == _faddeev_leverrier(m)
+    assert len(coeffs) == m.nrows + 1 and coeffs[0] == 1
+    assert _values_at(coeffs, range(m.nrows + 1)) == _charpoly_values(m)
     assert all(type(c) is Fraction for c in coeffs)
 
 
@@ -536,7 +563,8 @@ def test_resolvent_inverts_every_regular_shift(case):
     assert _poly_matmul(pencil, adj) == [
         [chi if i == k else [0] * (n + 1) for k in range(n)] for i in range(n)]
     # det(tI - A) = s^-n chi(s t)
-    assert [F(c, s ** k) for k, c in enumerate(chi)] == m.charpoly()
+    scaled_values = _values_at(chi, [s * t for t in range(n + 1)])
+    assert [v / s ** n for v in scaled_values] == _charpoly_values(m)
     particular, _, kernel = m.shifted(j).solve_singular(rhs)
     solved = _regular_solve((s, chi, adj), j, rhs)
     if kernel:

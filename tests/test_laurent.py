@@ -14,9 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from kovex import exactalg, kovalevskaya
 from kovex.degeneration import g_expansion
 from kovex.exactalg import ExactMatrix, MultiPoly
-from kovex.kovalevskaya import InexactLocusError, kovalevskaya_matrix
+from kovex.kovalevskaya import (
+    InexactLocusError,
+    k_exponents,
+    kovalevskaya_matrix,
+)
 from kovex.laurent import (
     LaurentSolution,
     TruncationBelowResonance,
@@ -67,6 +72,15 @@ F.1 = "10*x4"
 F.2 = "-2*x1^3 + 3/2*x1*x3 - 75/2*x4^2"
 F.3 = "20*x1*x4 + 8/3*x2"
 F.4 = "1/5*x1^2 + 3/5*x3"
+"""
+
+# the complex3 block: at its balance (0, 1, 0) the spectrum is -1 and the
+# roots of t^2 - 4t + 7, an irrational pair
+COMPLEX3 = """
+variables = [x:1, y:1, z:1]
+F.1 = "2*y*z + 2*x*y"
+F.2 = "-y*z - y^2"
+F.3 = "-2*x*z - 2*x*y"
 """
 
 
@@ -218,6 +232,35 @@ class TestCoupledQuintic:
         assert sol.resonance_orders() == (8, 10)
         assert str(classify(sol)) == "lower(3)"
         assert qh_coefficient_check(sol) == ()
+
+
+class TestLeanSeries:
+    @pytest.mark.parametrize("truncation", [None, 8])
+    def test_one_resolvent_and_no_floating_point(self, monkeypatch,
+                                                 truncation):
+        # a spectrum here would run the numeric root stage on the pair;
+        # the series reads its resonant orders off its own resolvent
+        field, cert = _field(COMPLEX3)
+        report = k_exponents(field, cert, (0, 1, 0))
+        assert report.exponents.residual_factor == (1, -4, 7)
+
+        def refuse(*args):
+            raise AssertionError("the numeric root stage ran")
+
+        monkeypatch.setattr(exactalg, "_aberth", refuse)
+        monkeypatch.setattr(exactalg, "roots_of_product", refuse)
+        monkeypatch.setattr(kovalevskaya, "roots_of_product", refuse)
+        calls = {"charpoly": 0, "resolvent": 0}
+        for name in calls:
+            def counted(matrix, name=name, method=getattr(ExactMatrix, name)):
+                calls[name] += 1
+                return method(matrix)
+            monkeypatch.setattr(ExactMatrix, name, counted)
+        sol = build_series(field, cert, (0, 1, 0), truncation=truncation)
+        assert calls == {"charpoly": 0, "resolvent": 1}
+        assert sol.truncation == (truncation or 2)
+        assert sol.resonances == () and sol.obstructions == ()
+        assert residual_order(field, cert, sol) is None
 
 
 class TestObstructed:

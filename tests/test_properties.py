@@ -19,12 +19,14 @@ from kovex import kovalevskaya
 from kovex.degeneration import g_expansion
 from kovex.exactalg import MultiPoly, as_fraction
 from kovex.kovalevskaya import (
+    IndicialLocus,
     NoLocusFound,
     exact_point,
     find_loci,
     indicial_system,
     k_exponents,
     kovalevskaya_matrix,
+    spectra,
 )
 from kovex.laurent import (
     _field_orders,
@@ -76,6 +78,7 @@ BASES = {
 
 NONZERO_Q = st.fractions(min_value=-5, max_value=5,
                          max_denominator=6).filter(bool)
+NON_INTEGER_Q = NONZERO_Q.filter(lambda q: q.denominator != 1)
 
 
 def _scaled(field, mus):
@@ -447,3 +450,32 @@ def test_exponents_survive_diagonal_rescaling(case, pick, raw_mus):
     after = k_exponents(rescaled, cert, preimage).exponents
     assert sorted(after.rational_roots) == sorted(before.rational_roots)
     assert after.residual_factor == before.residual_factor
+
+
+@given(scaled_problems(), st.lists(NON_INTEGER_Q, min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_spectra_survive_non_integer_rescaling(case, raw_lambdas):
+    # x = lambda * u conjugates K(x*) by diag(lambda), so the report at
+    # x* / lambda carries every exact field over, the eigenvector mapped
+    # the same way.  The conjugated K(c) has non-integer entries wherever
+    # K_ij lambda_j / lambda_i is not an integer, so the blocks' resolvents
+    # run with s > 1.
+    field, cert, loci = case
+    lambdas = tuple(raw_lambdas[:field.dim])
+    rescaled = _scaled(field, lambdas)
+    pairs = zip(
+        spectra(field, cert, [IndicialLocus(tuple(map(Fraction, point)),
+                                            "exact", "user_seed")
+                              for point in loci]),
+        spectra(rescaled, cert, [
+            IndicialLocus(tuple(Fraction(c) / lam
+                                for c, lam in zip(point, lambdas)),
+                          "exact", "user_seed") for point in loci]))
+    for (_, before), (_, after) in pairs:
+        assert after.exponents == before.exponents
+        assert after.classification == before.classification
+        assert after.eigenpair_verified == before.eigenpair_verified
+        assert after.minus_one_eigenvector == tuple(
+            v / lam for v, lam in zip(before.minus_one_eigenvector, lambdas))
+        assert (after.semisimple_at_resonances
+                == before.semisimple_at_resonances)
