@@ -24,6 +24,7 @@ obstruction was detected.  A report is still written in the last case.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -109,6 +110,9 @@ def _flag_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
+# built once per process: parse_args leaves the parser as it was, and
+# building it cost about 1 ms per main call
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kovex",
                      description="Exact Kovalevskaya-exponent analysis of "

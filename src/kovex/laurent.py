@@ -25,13 +25,16 @@ gauge.
 
 The recursion is incremental, as in Taylor-series integrators.  Every
 monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
-...), and one truncated series per distinct prefix is kept for the length
-of a call.  At order j each prefix gains one Cauchy coefficient, first
-with the unknown d_j taken as 0, which yields N_j, and then corrected by
-its part linear in d_j once d_j is solved.  An order costs O(j) parameter
+...), and one truncated series per distinct prefix is kept in a prefix
+tree.  At order j each prefix gains one Cauchy coefficient, first with
+the unknown d_j taken as 0, which yields N_j, and then corrected by its
+part linear in d_j once d_j is solved.  An order costs O(j) parameter
 polynomial products per prefix, so a series through N costs O(N^2) of
 them, where re-expanding every monomial from order 0 at every order cost
-O(N^3) per factor.  g_expansion drives the same cache in one forward pass.
+O(N^3) per factor.  build_series leaves the finished tree on its solution,
+and the first g_expansion along that solution takes it over: it adds G's
+monomials to the tree and computes only the prefixes F did not have, so
+a prefix F and G share is expanded once.
 
 The recursion runs on _IntPoly, not MultiPoly: integer numerators over
 one positive denominator, reduced by their gcd once per fused sum of
@@ -40,15 +43,19 @@ per parameter, in the order the parameters are introduced.  A product of
 monomials is then one integer addition, and a coefficient one integer
 multiply-add, where MultiPoly builds an exponent tuple and normalizes a
 Fraction per term.  The field width is a degree bound read off the
-inputs, so an exponent can never carry into the next field: in
-build_series every order-j coefficient has total degree at most j, so
-truncation.bit_length() bits hold any exponent; g_expansion takes the
-largest exponent of the series it is given times the largest monomial
-degree of G.  Conversion happens only at the boundary: the locus and the
-field coefficients enter as constants, solve_singular takes the _IntPoly
-right-hand side as it is, and the finished coefficients and expansion
-vectors leave as MultiPoly over the sorted parameter names (g_expansion
-packs the series' MultiPoly coefficients once, on entry).
+inputs, so an exponent can never carry into the next field.  Every
+order-j coefficient of the series, and so of every prefix, has total
+degree at most j, so truncation.bit_length() bits hold any exponent of
+the series and of an expansion through the truncation; the tree keeps
+that width.  An expansion without the tree (a hand-built solution, a
+copy, a second expansion) packs the solution's MultiPoly coefficients on
+entry, at a width read off them: their largest exponent times the
+largest monomial degree of G.  Conversion happens only at the boundary:
+the locus and the field coefficients enter as constants, solve_singular
+takes the _IntPoly right-hand side as it is, and the finished
+coefficients and expansion vectors leave as MultiPoly over the sorted
+parameter names, each packed monomial decoded once per series or
+expansion.
 
 residual_order deliberately keeps the from-scratch MultiPoly expansion
 (_field_orders): it is the oracle that checks the recursion, so it must
@@ -57,6 +64,7 @@ not share the code it checks.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,6 +138,11 @@ class LaurentSolution:
     coefficients: tuple[tuple[MultiPoly, ...], ...]
     resonances: tuple[ResonanceRecord, ...]
     obstructions: tuple[int, ...]
+    # build_series' prefix tree, until the first expansion along this
+    # solution takes it over; not part of the value, and neither a
+    # hand-built solution nor a dataclasses.replace copy has one
+    _prefixes: _PrefixSeries | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -283,65 +296,87 @@ def _pack(poly: MultiPoly, shift: Mapping[str, int]) -> _IntPoly:
          for exps, c in poly.terms.items()}, den)
 
 
-def _unpack(poly: _IntPoly, names: Sequence[str], width: int) -> MultiPoly:
-    """Back to a MultiPoly over the sorted parameter names."""
+def _unpacker(names: Sequence[str], width: int):
+    """Back to MultiPoly over the sorted parameter names, one decode per
+    packed monomial: the returned function memoizes the exponent tuples,
+    so every polynomial of one series or expansion shares them."""
     order = sorted(range(len(names)), key=names.__getitem__)
+    sorted_names = tuple(names[k] for k in order)
     shifts = [k * width for k in order]
     mask = (1 << width) - 1
-    den = poly.den
-    # clean by construction: distinct names, nonnegative exponents of the
-    # right length, nonzero coefficients
-    return MultiPoly._trusted(
-        tuple(names[k] for k in order),
-        {tuple((key >> s) & mask for s in shifts): Fraction(v, den)
-         for key, v in poly.terms.items()})
+    exponents: dict[int, tuple[int, ...]] = {}
+
+    def unpack(poly: _IntPoly) -> MultiPoly:
+        den = poly.den
+        terms = {}
+        for key, v in poly.terms.items():
+            exps = exponents.get(key)
+            if exps is None:
+                exps = exponents[key] = tuple((key >> s) & mask
+                                              for s in shifts)
+            terms[exps] = Fraction(v) if den == 1 else Fraction(v, den)
+        # clean by construction: distinct names, nonnegative exponents of
+        # the right length, nonzero coefficients
+        return MultiPoly._trusted(sorted_names, terms)
+
+    return unpack
 
 
 class _PrefixSeries:
-    """Truncated series of every monomial prefix of a field, order by order.
+    """Truncated series of every monomial prefix of one or more fields.
 
     A monomial prod_l y_l^{e_l} is multiplied out one factor at a time,
     lowest variable first.  Each partial product (a prefix) is keyed by its
     exponent vector, so q1, q1^2, q1^3, ... are expanded once and shared
     by every monomial and component that starts with them.  series[l] is
     the pole-stripped _IntPoly coefficient list of y_l; the caller may
-    append to it between orders.  Only a prefix that another prefix
-    extends (a parent) keeps its coefficients: a leaf's order-j
-    coefficient is read once, by that order's component sum.
+    append to it between orders.  Every prefix keeps its coefficients,
+    leaves included, so a second field added later (add, then extend)
+    reads every prefix the first one had instead of recomputing it.
     """
 
-    def __init__(self, field: VectorField,
-                 series: Sequence[Sequence[_IntPoly]]):
+    def __init__(self, dim: int, series: Sequence[Sequence[_IntPoly]]):
         self.series = series
-        self.root = (0,) * field.dim
+        self.root = (0,) * dim
         # prefix -> (parent prefix, variable multiplied in); insertion
         # order puts every parent before its children
         self.links: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        self.monomials: list[list[tuple[tuple[int, ...], _IntPoly]]] = []
-        for comp in field.components:
-            self.monomials.append([(self._register(exps),
-                                    _IntPoly.constant(c))
-                                   for exps, c in comp.terms.items()])
-        parents = {parent for parent, _ in self.links.values()}
-        self.parents = [(key, link) for key, link in self.links.items()
-                        if key in parents]
+        # the constant prefix is 1: order 0 only
         self.history: dict[tuple[int, ...], list[_IntPoly]] = {
-            key: [] for key, _ in self.parents}
-        self.history[self.root] = [_ONE]
+            self.root: [_ONE]}
+
+    def add(self, field: VectorField) -> list[list[tuple]]:
+        """Register field's monomials: per component, (prefix, coefficient)."""
+        return [[(self._register(exps), _IntPoly.constant(c))
+                 for exps, c in comp.terms.items()]
+                for comp in field.components]
 
     def _register(self, exps: Sequence[int]) -> tuple[int, ...]:
         key = [0] * len(exps)
-        parent = tuple(key)
+        parent = self.root
         for l, e in enumerate(exps):
             for _ in range(e):
                 key[l] += 1
                 child = tuple(key)
-                self.links.setdefault(child, (parent, l))
+                if child not in self.links:
+                    self.links[child] = (parent, l)
+                    self.history[child] = []
                 parent = child
         return parent
 
-    def advance(self, j: int) -> list[_IntPoly]:
-        """Coefficient j of every prefix (kept for parents); f_i at order j.
+    @staticmethod
+    def _cauchy(left: Sequence[_IntPoly], right: Sequence[_IntPoly],
+                j: int) -> _IntPoly:
+        """Coefficient j of the product; missing coefficients count as 0."""
+        pairs = []
+        for i in range(max(0, j - len(right) + 1), min(j, len(left) - 1) + 1):
+            a, b = left[i], right[j - i]
+            if a.terms and b.terms:
+                pairs.append((a, b))
+        return _dot(pairs) if pairs else _ZERO
+
+    def advance(self, j: int) -> None:
+        """Append coefficient j to every prefix.
 
         Coefficients of y missing from series count as zero, so with
         series[l] ending at order j-1 this is the order-j coefficient with
@@ -349,26 +384,11 @@ class _PrefixSeries:
         order j known it is the full Cauchy coefficient.
         """
         history, series = self.history, self.series
-        # order j of every prefix; the constant monomial stops at order 0
-        current = {self.root: _ONE if j == 0 else _ZERO}
         for key, (parent, l) in self.links.items():
-            left, right = history[parent], series[l]
-            pairs = []
-            lo, hi = max(0, j - len(right) + 1), min(j, len(left) - 1)
-            for i in range(lo, hi + 1):
-                a, b = left[i], right[j - i]
-                if a.terms and b.terms:
-                    pairs.append((a, b))
-            value = _dot(pairs) if pairs else _ZERO
-            current[key] = value
-            if key in history:
-                history[key].append(value)
-        return [_dot([(current[key], c) for key, c in row
-                      if current[key].terms])
-                for row in self.monomials]
+            history[key].append(self._cauchy(history[parent], series[l], j))
 
     def settle(self, j: int) -> None:
-        """Add the d_j part to coefficient j of every parent prefix.
+        """Add the d_j part to coefficient j of every prefix.
 
         Call after advance(j) ran without d_j and d_j has been appended to
         series.  Coefficient j of a prefix P = Q y_l is linear in d_j:
@@ -376,7 +396,7 @@ class _PrefixSeries:
         """
         history = self.history
         delta = {self.root: _ZERO}
-        for key, (parent, l) in self.parents:
+        for key, (parent, l) in self.links.items():
             right = self.series[l]
             pairs = []
             if history[parent][0].terms and right[j].terms:
@@ -388,26 +408,62 @@ class _PrefixSeries:
             if change.terms:
                 history[key][j] = history[key][j] + change
 
+    def extend(self, count: int) -> None:
+        """Complete every prefix through order count-1 from the complete
+        series: a prefix registered since the last order has none yet."""
+        history, series = self.history, self.series
+        for key, (parent, l) in self.links.items():
+            values = history[key]
+            if len(values) < count:
+                left, right = history[parent], series[l]
+                values.extend(self._cauchy(left, right, k)
+                              for k in range(len(values), count))
+
+    def sums(self, rows: list[list[tuple]], k: int) -> list[_IntPoly]:
+        """Order k of each component: its coefficients times its prefixes."""
+        history = self.history
+        out = []
+        for row in rows:
+            pairs = []
+            for key, c in row:
+                values = history[key]
+                if k < len(values) and values[k].terms:
+                    pairs.append((values[k], c))
+            out.append(_dot(pairs))
+        return out
+
 
 def _expand_along(field: VectorField, sol: LaurentSolution,
                   count: int) -> tuple[tuple[MultiPoly, ...], ...]:
     """Orders 0..count-1 of each component of field along the family sol.
 
-    The series is packed once.  A prefix of degree at most the field's
-    largest monomial degree multiplies that many coefficients, so its
-    exponents stay at most that degree times the series' largest exponent,
-    which sets the field width.
+    The first call along a build_series result takes over its prefix tree
+    and adds field's monomials to it, at the series' own width.  Without
+    a tree the series is packed once: a prefix of degree at most the
+    field's largest monomial degree multiplies that many coefficients, so
+    its exponents stay at most that degree times the series' largest
+    exponent, which sets the field width.
     """
     names = sol.parameters
-    largest = max((e for row in sol.coefficients for p in row
-                   for exps in p.terms for e in exps), default=0)
-    degree = max((sum(exps) for comp in field.components
-                  for exps in comp.terms), default=0)
-    width = (degree * largest).bit_length()
-    shift = {v: k * width for k, v in enumerate(names)}
-    series = [[_pack(p, shift) for p in row] for row in sol.coefficients]
-    prefixes = _PrefixSeries(field, series)
-    return tuple(tuple(_unpack(p, names, width) for p in prefixes.advance(k))
+    prefixes = sol._prefixes
+    if prefixes is not None:
+        # hand-off: the solution drops the tree, which then lives no
+        # longer than this call
+        object.__setattr__(sol, "_prefixes", None)
+        width = sol.truncation.bit_length()
+    else:
+        largest = max((e for row in sol.coefficients for p in row
+                       for exps in p.terms for e in exps), default=0)
+        degree = max((sum(exps) for comp in field.components
+                      for exps in comp.terms), default=0)
+        width = (degree * largest).bit_length()
+        shift = {v: k * width for k, v in enumerate(names)}
+        prefixes = _PrefixSeries(field.dim, [[_pack(p, shift) for p in row]
+                                             for row in sol.coefficients])
+    rows = prefixes.add(field)
+    prefixes.extend(count)
+    unpack = _unpacker(names, width)
+    return tuple(tuple(unpack(p) for p in prefixes.sums(rows, k))
                  for k in range(count))
 
 
@@ -505,12 +561,14 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     coeffs = [[_IntPoly.constant(c)] for c in point]
     resonances: list[ResonanceRecord] = []
     obstructions: list[int] = []
-    prefixes = _PrefixSeries(field, coeffs)
+    prefixes = _PrefixSeries(m, coeffs)
+    rows = prefixes.add(field)
     prefixes.advance(0)
 
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
-        rhs = [-n for n in prefixes.advance(j)]
+        prefixes.advance(j)
+        rhs = [-n for n in prefixes.sums(rows, j)]
         d_j = _regular_solve(resolvent, j, rhs)
         if d_j is None:
             d_j, residue, kernel = matrix.shifted(j).solve_singular(rhs)
@@ -536,16 +594,18 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
         prefixes.settle(j)
 
     names = [r.parameter for r in resonances]
-    return LaurentSolution(
+    unpack = _unpacker(names, width)
+    sol = LaurentSolution(
         locus=point,
         weights=tuple(certificate.weights),
         truncation=truncation,
         parameters=tuple(names),
-        coefficients=tuple(tuple(_unpack(p, names, width) for p in row)
-                           for row in coeffs),
+        coefficients=tuple(tuple(unpack(p) for p in row) for row in coeffs),
         resonances=tuple(resonances),
         obstructions=tuple(obstructions),
     )
+    object.__setattr__(sol, "_prefixes", prefixes)
+    return sol
 
 
 def classify(sol: LaurentSolution) -> SeriesClass:

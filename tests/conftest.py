@@ -27,8 +27,12 @@ H_G = "p1^2 + 2*p1*p2*q1 - q1^5 + p2^2*q2 + 3*q1^3*q2 - 2*q1*q2^2"
 """
 
 
-# session scope is safe: every object handed out is a frozen dataclass
-# built from tuples, so no test can mutate what another one sees
+# session scope is safe: every object handed out here and in the suites'
+# own session fixtures is a frozen dataclass built from tuples.  The one
+# private state, the prefix tree a LaurentSolution from build_series keeps
+# for its first expansion, is no part of its value and leaves it on that
+# expansion; a later expansion packs the coefficients and gives the same
+# vectors, so no test can change what another one sees
 
 @pytest.fixture(scope="session")
 def cubic2d():

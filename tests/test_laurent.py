@@ -7,6 +7,7 @@ three-dimensional field whose order-2 row of K - 2I vanishes while y^2
 feeds alpha1^2 into it, which forces the inconsistency by inspection.
 """
 
+import copy
 import dataclasses
 import json
 from fractions import Fraction
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from kovex import exactalg, kovalevskaya
+from kovex import exactalg, kovalevskaya, laurent
 from kovex.degeneration import g_expansion
 from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.kovalevskaya import (
@@ -450,3 +451,61 @@ class TestPackedExponentWidth:
         assert expansion.vectors == tuple(
             tuple(reference[i][k] for i in range(2)) for k in range(3))
         assert expansion.vectors[2][0].total_degree() == 16
+
+
+class TestPrefixTreeHandOff:
+    """build_series leaves its prefix tree on the solution, and the first
+    expansion along it takes the tree over.  A later expansion, or one
+    along a copy, packs the coefficients instead; every route gives the
+    same vectors, and the tree is no part of the solution's value.
+    """
+
+    @staticmethod
+    def _refuse_to_pack(monkeypatch):
+        def refuse(poly, shift):
+            raise AssertionError("the series was packed again")
+        monkeypatch.setattr(laurent, "_pack", refuse)
+
+    def test_first_expansion_packs_nothing(self, pair4d_deg3, monkeypatch):
+        field, g_field, cert = pair4d_deg3
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=16)
+        self._refuse_to_pack(monkeypatch)
+        g_expansion(g_field, sol)
+        # handed off: the next expansion has no tree to read
+        with pytest.raises(AssertionError, match="packed again"):
+            g_expansion(g_field, sol)
+
+    def test_every_route_gives_the_same_vectors(self, pair4d_deg3):
+        field, g_field, cert = pair4d_deg3
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=16)
+        copy = dataclasses.replace(sol)
+        first = g_expansion(g_field, sol)
+        second = g_expansion(g_field, sol)
+        copied = g_expansion(g_field, copy)
+        assert first.vectors == second.vectors == copied.vectors
+        assert repr(first.vectors) == repr(second.vectors) == repr(
+            copied.vectors)
+
+    def test_a_shared_tree_is_completed_to_each_expansion(self, pair4d_deg3):
+        # a shallow copy shares the tree: the short first expansion leaves
+        # G's own prefixes at 5 orders, and the full one completes them
+        field, g_field, cert = pair4d_deg3
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=16)
+        twin = copy.copy(sol)
+        assert twin._prefixes is sol._prefixes
+        short = g_expansion(g_field, sol, count=5)
+        full = g_expansion(g_field, twin)
+        reference = _field_orders(
+            g_field, [list(row) for row in sol.coefficients], 16)
+        assert full.vectors == tuple(
+            tuple(reference[i][k] for i in range(sol.dim)) for k in range(17))
+        assert short.vectors == full.vectors[:5]
+
+    def test_the_tree_is_no_part_of_the_value(self, pair4d_deg3):
+        field, _, cert = pair4d_deg3
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=16)
+        copy = dataclasses.replace(sol)
+        assert sol._prefixes is not None and copy._prefixes is None
+        assert sol == copy
+        assert repr(sol) == repr(copy)
+        assert "_prefixes" not in repr(sol)

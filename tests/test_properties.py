@@ -329,14 +329,77 @@ def test_residual_vanishes_through_the_trustworthy_orders(case, truncation):
 @given(scaled_problems(), st.integers(10, 13))
 @settings(max_examples=40, deadline=None)
 def test_cached_expansion_matches_the_from_scratch_oracle(case, truncation):
-    # the field expanded along its own series: g_expansion runs on the
-    # shared prefix cache, _field_orders re-multiplies every monomial
+    # the field expanded along its own series: g_expansion reads every
+    # prefix from the series' tree, _field_orders re-multiplies every
+    # monomial
     field, cert, loci = case
     for point in loci:
         sol = build_series(field, cert, point, truncation=truncation)
         expansion = g_expansion(field, sol)
         reference = _field_orders(
             field, [list(row) for row in sol.coefficients], expansion.count - 1)
+        assert expansion.vectors == tuple(
+            tuple(reference[i][k] for i in range(field.dim))
+            for k in range(expansion.count))
+
+
+def _prefixes_of(field):
+    """Every partial product of the field's monomials, lowest variable first."""
+    out = set()
+    for comp in field.components:
+        for exps in comp.terms:
+            key = [0] * len(exps)
+            for l, e in enumerate(exps):
+                for _ in range(e):
+                    key[l] += 1
+                    out.add(tuple(key))
+    return out
+
+
+@st.composite
+def fields_along_series(draw):
+    """A scaled problem and a random G with F's weights and a degree d.
+
+    Component i of G draws up to two monomials of weighted degree a_i + d
+    among the partial products of F's monomials and up to two among the
+    other exponent vectors, so an expansion along F's series meets both
+    prefixes F already has and prefixes it lacks.
+    """
+    field, cert, loci = draw(scaled_problems())
+    names, weights = field.variables, cert.weights
+    d = draw(st.integers(1, 3))
+    shared = _prefixes_of(field)
+    grid = list(itertools.product(range(d + 4), repeat=len(names)))
+    comps = []
+    for a in weights:
+        on = [e for e in grid
+              if sum(w * x for w, x in zip(weights, e)) == a + d]
+        chosen = set()
+        for pool in ([e for e in on if e in shared],
+                     [e for e in on if e not in shared]):
+            if pool:
+                chosen.update(draw(st.lists(st.sampled_from(pool),
+                                            max_size=2)))
+        poly = MultiPoly.zero(names)
+        for e in sorted(chosen):
+            poly = poly + _monomial(names, e) * draw(NONZERO_Q)
+        comps.append(poly)
+    assume(any(comps))
+    return field, VectorField(names, tuple(comps)), cert, loci
+
+
+@given(fields_along_series(), st.integers(10, 13))
+@settings(max_examples=40, deadline=None)
+def test_expansion_of_another_field_matches_the_from_scratch_oracle(
+        case, truncation):
+    # G is not F: the expansion extends the series' prefix tree by the
+    # prefixes F lacks, _field_orders re-multiplies every monomial
+    field, g_field, cert, loci = case
+    for point in loci:
+        sol = build_series(field, cert, point, truncation=truncation)
+        expansion = g_expansion(g_field, sol)
+        reference = _field_orders(
+            g_field, [list(row) for row in sol.coefficients], expansion.count - 1)
         assert expansion.vectors == tuple(
             tuple(reference[i][k] for i in range(field.dim))
             for k in range(expansion.count))
