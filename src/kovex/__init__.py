@@ -5,7 +5,7 @@ __all__ = ["Analysis", "AnalysisError", "analyze"]
 
 
 def __getattr__(name):
-    # the pipeline imports numpy; a bare `import kovex` stays light
+    # the pipeline loads on first use; a bare `import kovex` stays light
     if name in __all__:
         from . import cli
         return getattr(cli, name)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .exactalg import (
     DEFAULT_TOL,
     ExactMatrix,
@@ -516,6 +514,7 @@ def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted,
     the raw locus; its spectrum must therefore reproduce the predicted
     multiset minus the one copy of -gamma the pole row contributes.
     """
+    import numpy as np
     params = flow.parameters
     assign = {v: complex(p) for v, p in zip(params, point)}
     n = len(params)

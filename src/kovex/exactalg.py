@@ -251,7 +251,8 @@ class MultiPoly:
             e = list(exps)
             e[i] -= 1
             out[tuple(e)] = c * exps[i]
-        return MultiPoly(self.vars, out)
+        # a nonzero Fraction times an exponent >= 1: clean by construction
+        return MultiPoly._trusted(self.vars, out)
 
     def evaluate(self, values: Mapping[str, object]):
         """Evaluate at a point; exact for Fraction/int inputs, numeric otherwise.

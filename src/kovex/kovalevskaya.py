@@ -13,9 +13,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import (
     DEFAULT_TOL,
@@ -29,6 +28,9 @@ from .exactalg import (
     solve_poly_system,
 )
 from .vfmodel import VectorField, WeightCertificate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NEWTON_MAX_ITER = 60
 _NEWTON_BLOWUP = 1e8
@@ -250,6 +252,7 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
                       point: Sequence[complex]) -> tuple[complex, ...]:
     """Floating-point exponents at a numeric locus, sorted by (re, im)."""
+    import numpy as np
     values = {v: complex(p) for v, p in zip(field.variables, point)}
     jac = field.jacobian
     m = field.dim
@@ -288,6 +291,7 @@ def _compile_system(polys: Sequence[MultiPoly]):
     function maps an array of shape (batch, m) to residual values of shape
     (batch, len(polys)).
     """
+    import numpy as np
     prepared = [(np.array(list(poly.terms), dtype=np.int64),
                  np.array([complex(c) for c in poly.terms.values()],
                           dtype=np.complex128)) if poly else None
@@ -317,6 +321,7 @@ def _newton_refine(eval_f, eval_jac, starts: np.ndarray, free: np.ndarray,
     not finite, which cannot converge; the rest iterate until the residual
     max-norm falls below tolerance or the iteration budget runs out.
     """
+    import numpy as np
     points = np.atleast_2d(starts).astype(np.complex128).copy()
     m = points.shape[1]
     alive = np.ones(points.shape[0], dtype=bool)
@@ -352,7 +357,7 @@ def _newton_refine(eval_f, eval_jac, starts: np.ndarray, free: np.ndarray,
     return converged
 
 
-def _snap_point(z: np.ndarray) -> tuple[Fraction, ...] | None:
+def _snap_point(z: Sequence[complex]) -> tuple[Fraction, ...] | None:
     snapped = []
     for value in z:
         candidate = snap_rational(complex(value))
@@ -428,6 +433,83 @@ class _Found:
             self.loci.append(IndicialLocus(point, "numeric", source))
 
 
+class _Newton:
+    """find_loci's float route, built on first use.
+
+    A search in which the exact solver settles every pattern, with no user
+    seed to refine, never uses it: it compiles no system, makes no
+    generator and imports no numpy.  The starts are still those of one
+    generator seeded by rng_seed that draws every pattern's starts in
+    order, component after component, settled patterns included: ``skip``
+    records a pattern that needs no starts, and the next ``starts`` makes
+    its two draws first.
+    """
+
+    def __init__(self, eqs: Sequence[MultiPoly], variables: Sequence[str],
+                 count: int, rng_seed: int, tolerance: float):
+        self.eqs = eqs
+        self.variables = variables
+        self.count = count
+        self.rng_seed = rng_seed
+        self.tolerance = tolerance
+        self._rng = None
+        self._skipped: list[int] = []
+
+    @cached_property
+    def _system(self):
+        """The compiled system, its Jacobian entries row by row, and the
+        degree that scales the residual check."""
+        return (_compile_system(self.eqs),
+                _compile_system([eq.diff(v) for eq in self.eqs
+                                 for v in self.variables]),
+                max((eq.total_degree() or 1) for eq in self.eqs))
+
+    def skip(self, free: int) -> None:
+        """A pattern with ``free`` free coordinates needs no starts."""
+        self._skipped.append(free)
+
+    def starts(self, free: Sequence[int]) -> np.ndarray:
+        """``count`` complex normal starts on the free coordinates, zero
+        elsewhere."""
+        import numpy as np
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.rng_seed)
+        rng, count = self._rng, self.count
+        for k in self._skipped:
+            rng.standard_normal((count, k))
+            rng.standard_normal((count, k))
+        self._skipped.clear()
+        starts = np.zeros((count, len(self.variables)), dtype=np.complex128)
+        starts[:, free] = (rng.standard_normal((count, len(free)))
+                           + 1j * rng.standard_normal((count, len(free))))
+        return starts
+
+    def residual_ok(self, z: Sequence[complex]) -> bool:
+        import numpy as np
+        eval_f, _, degree = self._system
+        scale = max(1.0, float(np.max(np.abs(z))) ** degree)
+        return float(np.max(np.abs(eval_f(z)))) <= self.tolerance * scale
+
+    def refine(self, found: _Found, starts, free: Sequence[int],
+               source: str) -> None:
+        """Newton from the starts, moving only the free coordinates.  A
+        converged point outside found's radius of the origin is recorded
+        exact if it snaps and verifies, else numeric if its residual
+        passes."""
+        import numpy as np
+        eval_f, eval_jac, _ = self._system
+        for z in _newton_refine(eval_f, eval_jac, starts, np.asarray(free),
+                                self.tolerance):
+            if float(np.max(np.abs(z))) <= found.radius:
+                continue
+            snapped = _snap_point(z)
+            if snapped is not None and _vanishes(self.eqs, self.variables,
+                                                 snapped):
+                found.add_exact(snapped, source)
+            elif self.residual_ok(z):
+                found.add_numeric(tuple(complex(v) for v in z), source)
+
+
 def find_loci(field: VectorField, certificate: WeightCertificate,
               seeds: Sequence[Sequence[float]] = (), *,
               newton_starts: int = 64, rng_seed: int = 0,
@@ -456,11 +538,16 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     4. Newton multistart, only on the component's patterns the exact
        solver left incomplete: ``newton_starts`` pseudo-random complex
        starts each on the component's free coordinates, refined to
-       ``tolerance``, then snapped and re-verified exactly.  One generator
-       seeded by ``rng_seed`` draws the starts of every pattern, complete
-       ones included, component after component and pattern after
-       pattern, so a pattern's starts do not depend on which patterns the
-       exact solver settled.
+       ``tolerance``, then snapped and re-verified exactly.  The starts
+       are those of one generator seeded by ``rng_seed`` drawing the
+       starts of every pattern, complete ones included, component after
+       component and pattern after pattern, so a pattern's starts do not
+       depend on which patterns the exact solver settled.  The Newton
+       machinery (the compiled system and Jacobian, the generator, numpy)
+       is built only once a pattern, a user seed or a product needs it;
+       the generator then makes the draws of the complete patterns before
+       it (``_Newton``), so a search the exact solver settles entirely
+       compiles nothing and draws nothing.
     5. The loci are the products of the component results: a choice of
        zero or one found point per component, the origin excluded.  A
        product of exact points is exact with no further check: each
@@ -488,28 +575,10 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     """
     m = field.dim
     eqs = indicial_system(field, certificate)
-    eval_f = _compile_system(eqs)
-    jac_polys = [entry for i in range(m)
-                 for entry in (eqs[i].diff(v) for v in field.variables)]
-    eval_jac = _compile_system(jac_polys)
+    newton = _Newton(eqs, field.variables, newton_starts, rng_seed, tolerance)
     strategies: list[str] = []
-
-    degree = max((eq.total_degree() or 1) for eq in eqs)
     # numeric points are merged, and dropped near the origin, within this
     radius = _merge_radius(tolerance)
-
-    def residual_ok(z: np.ndarray) -> bool:
-        scale = max(1.0, float(np.max(np.abs(z))) ** degree)
-        return float(np.max(np.abs(eval_f(z)))) <= tolerance * scale
-
-    def register_numeric(found: _Found, z: np.ndarray, source: str) -> None:
-        if float(np.max(np.abs(z))) <= radius:
-            return
-        snapped = _snap_point(z)
-        if snapped is not None and _vanishes(eqs, field.variables, snapped):
-            found.add_exact(snapped, source)
-        elif residual_ok(z):
-            found.add_numeric(tuple(complex(v) for v in z), source)
 
     found = _Found(radius)
     if seeds:
@@ -518,18 +587,15 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             if len(seed) != m:
                 raise ValueError(
                     f"seed has {len(seed)} coordinates, field has {m}")
-            start = np.asarray(seed, dtype=complex)
+            start = tuple(complex(x) for x in seed)
             snapped = _snap_point(start)
             if (snapped is not None
                     and _vanishes(eqs, field.variables, snapped)):
                 found.add_exact(snapped, "user_seed")
                 continue
-            for refined in _newton_refine(eval_f, eval_jac, start[np.newaxis],
-                                          np.arange(m), tolerance):
-                register_numeric(found, refined, "user_seed")
+            newton.refine(found, [start], range(m), "user_seed")
 
     strategies.append("structured_search")
-    rng = np.random.default_rng(rng_seed)
     components = _components(eqs)
     owner = {i: b for b, component in enumerate(components) for i in component}
     parts: list[list[IndicialLocus]] = []
@@ -558,19 +624,13 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                     part.add_exact(point, "structured_search")
         if newton_starts > 0:
             for pattern, complete in zip(patterns, solved):
-                free = np.array([i for i, z in zip(component, pattern)
-                                 if not z])
-                starts = np.zeros((newton_starts, m), dtype=np.complex128)
-                starts[:, free] = (
-                    rng.standard_normal((newton_starts, len(free)))
-                    + 1j * rng.standard_normal((newton_starts, len(free))))
+                free = [i for i, z in zip(component, pattern) if not z]
                 if complete:
+                    newton.skip(len(free))
                     continue
                 if "newton" not in strategies:
                     strategies.append("newton")
-                for refined in _newton_refine(eval_f, eval_jac, starts, free,
-                                              tolerance):
-                    register_numeric(part, refined, "newton")
+                newton.refine(part, newton.starts(free), free, "newton")
         parts.append(part.loci)
 
     for choice in itertools.product(*([None] + loci for loci in parts)):
@@ -585,7 +645,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             found.add_exact(point, source)
         else:
             point = tuple(complex(x) for x in point)
-            if residual_ok(np.array(point)):
+            if newton.residual_ok(point):
                 found.add_numeric(point, source)
 
     loci = sorted(found.loci, key=lambda loc: (

@@ -341,6 +341,8 @@ class _PrefixSeries:
         # prefix -> (parent prefix, variable multiplied in); insertion
         # order puts every parent before its children
         self.links: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        # the prefixes with children
+        self.parents: set[tuple[int, ...]] = set()
         # the constant prefix is 1: order 0 only
         self.history: dict[tuple[int, ...], list[_IntPoly]] = {
             self.root: [_ONE]}
@@ -360,6 +362,7 @@ class _PrefixSeries:
                 child = tuple(key)
                 if child not in self.links:
                     self.links[child] = (parent, l)
+                    self.parents.add(parent)
                     self.history[child] = []
                 parent = child
         return parent
@@ -393,16 +396,22 @@ class _PrefixSeries:
         Call after advance(j) ran without d_j and d_j has been appended to
         series.  Coefficient j of a prefix P = Q y_l is linear in d_j:
         P_j - P_j|_{d_j=0} = Q_0 d_{l,j} + (Q_j - Q_j|_{d_j=0}) c_l.
+        Only a parent's change is kept for its children; a leaf's is
+        summed with its old coefficient in the same _dot.
         """
-        history = self.history
+        history, series, parents = self.history, self.series, self.parents
         delta = {self.root: _ZERO}
         for key, (parent, l) in self.links.items():
-            right = self.series[l]
+            right = series[l]
             pairs = []
             if history[parent][0].terms and right[j].terms:
                 pairs.append((history[parent][0], right[j]))
             if delta[parent].terms and right[0].terms:
                 pairs.append((delta[parent], right[0]))
+            if key not in parents:
+                if pairs:
+                    history[key][j] = _dot([(history[key][j], _ONE)] + pairs)
+                continue
             change = _dot(pairs) if pairs else _ZERO
             delta[key] = change
             if change.terms:

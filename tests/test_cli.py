@@ -171,6 +171,34 @@ def test_flow_subcommand_prints_the_parameter_flow(tmp_path):
     assert routes.count("flow_direct") == 3
 
 
+_NUMPY_PROBE = """
+import sys
+from pathlib import Path
+import kovex.cli
+for stem in sys.argv[1:]:
+    path = Path("problems") / f"{stem}.kov"
+    kovex.cli.analyze(path.read_text(encoding="utf-8"), path.name)
+    print(stem, "numpy" in sys.modules)
+"""
+
+
+def test_only_a_newton_run_imports_numpy():
+    # the exact solver settles every locus search of these five problems,
+    # so their analyses compile no float system and load no numpy;
+    # painleve1_coupled_4d's gamma = 3 flow subsystem has irrational
+    # balances, and its Newton run brings numpy in
+    exact_only = ["weierstrass", "cubic_pair", "painleve1_auto",
+                  "painleve2_auto", "painleve4_auto"]
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *exact_only,
+         "painleve1_coupled_4d"],
+        capture_output=True, text=True, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:-1] == (
+        [f"{stem} False" for stem in exact_only]
+        + ["painleve1_coupled_4d True"])
+
+
 def test_check_subcommand_stops_at_assumptions(capsys):
     code = main(["check", str(PROBLEMS / "painleve1_coupled_4d.kov")])
     out = capsys.readouterr().out

@@ -406,6 +406,85 @@ class TestComponents:
                     for loc in search.loci}) == 17
 
 
+def _eager_starts(field, cert, *, newton_starts=64, rng_seed=0):
+    """Oracle: (free coordinates, starts) of every pattern the exact solver
+    leaves incomplete, with one generator drawing the starts of every
+    pattern, settled ones included, component after component, up front."""
+    eqs = indicial_system(field, cert)
+    rng = np.random.default_rng(rng_seed)
+    out = []
+    for component in kovalevskaya._components(eqs):
+        for pattern in itertools.product((False, True), repeat=len(component)):
+            if all(pattern):
+                continue
+            free = [i for i, z in zip(component, pattern) if not z]
+            starts = np.zeros((newton_starts, field.dim), dtype=np.complex128)
+            starts[:, free] = (
+                rng.standard_normal((newton_starts, len(free)))
+                + 1j * rng.standard_normal((newton_starts, len(free))))
+            free_vars = [field.variables[i] for i in free]
+            zeroed = {v: 0 for v in field.variables if v not in free_vars}
+            clamped = [kovalevskaya._divide_out_monomial(
+                eqs[i].substitute(zeroed) if zeroed else eqs[i])
+                for i in component]
+            if not exactalg.solve_poly_system(clamped, free_vars).complete:
+                out.append((free, starts))
+    return out
+
+
+def _chain(k):
+    """Block i is q_i' = p_i, p_i' = 6 q_i^2 + q_(i-1)^2, weights (2, 3):
+    one component with 2^k - 1 balances, most of them irrational."""
+    lines = ["variables = [" + ", ".join(f"q{i}:2, p{i}:3"
+                                        for i in range(1, k + 1)) + "]"]
+    for i in range(1, k + 1):
+        extra = f" + q{i - 1}^2" if i > 1 else ""
+        lines += [f'F.{2 * i - 1} = "p{i}"', f'F.{2 * i} = "6*q{i}^2{extra}"']
+    spec = parse_problem("\n".join(lines) + "\n")
+    return fields_from_problem(spec)[0], WeightCertificate(spec.weights, 1)
+
+
+class TestNewtonOnDemand:
+    """find_loci builds its Newton machinery only when a pattern needs it,
+    and its starts are still the eager draws."""
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    @pytest.mark.parametrize("case", ["split", "chain"])
+    def test_starts_are_the_eager_draws(self, case, rng_seed):
+        # split: the cubic block's three patterns are settled before the
+        # generator exists, and the quartic's all-free pattern (balances
+        # +-sqrt 2) is the first to need starts; chain: one component whose
+        # incomplete patterns lie between settled ones
+        if case == "split":
+            spec = parse_problem(
+                "variables = [q1:2, p1:3, q2:1, p2:2]\n"
+                'F.1 = "p1"\nF.2 = "6*q1^2"\nF.3 = "p2"\nF.4 = "q2^3"\n')
+            field, cert = (fields_from_problem(spec)[0],
+                           WeightCertificate(spec.weights, 1))
+        else:
+            field, cert = _chain(3)
+        eager = _eager_starts(field, cert, rng_seed=rng_seed)
+        with mock.patch.object(kovalevskaya, "_newton_refine",
+                               wraps=kovalevskaya._newton_refine) as newton:
+            find_loci(field, cert, rng_seed=rng_seed)
+        assert newton.call_count == len(eager) > 0
+        for call, (free, starts) in zip(newton.call_args_list, eager):
+            assert list(call.args[3]) == free
+            assert np.array_equal(call.args[2], starts)
+
+    def test_settled_search_compiles_and_draws_nothing(self):
+        # two cubic blocks and a p4 block: every pattern is settled exactly
+        field, cert = _uncoupled([("cubic", 1, 6), ("p4", 2, 3),
+                                  ("cubic", 3, 5)])
+        with mock.patch.object(kovalevskaya, "_compile_system",
+                               side_effect=AssertionError), \
+                mock.patch.object(np.random, "default_rng",
+                                  side_effect=AssertionError):
+            search = find_loci(field, cert)
+        assert len(search.loci) == 2 * 4 * 2 - 1
+        assert "newton" not in search.strategies
+
+
 def _whole_matrix_report(field, cert, point):
     """Oracle: the report computed on the whole m x m K(c), which is not
     split into blocks."""
