@@ -651,6 +651,10 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
                     if classify(sol).kind == "principal"]
                 if not report["flow"]:
                     lines.append("no principal balance; flow analysis skipped")
+        # the flow stage has taken over every prefix tree it continues; the
+        # rest would live as long as the result
+        for sol in solutions.values():
+            object.__setattr__(sol, "_prefixes", None)
     elif cert is None:
         lines.append("analysis skipped: no usable weight certificate")
 

@@ -257,12 +257,10 @@ class MultiPoly:
     def evaluate(self, values: Mapping[str, object]):
         """Evaluate at a point; exact for Fraction/int inputs, numeric otherwise.
 
-        Every variable that actually occurs must be assigned.  Returns
-        Fraction(0) for the zero polynomial regardless of input types.
+        Every variable that actually occurs must be assigned, else
+        KeyError.  Returns Fraction(0) for the zero polynomial regardless of
+        input types.
         """
-        for i, v in enumerate(self.vars):
-            if v not in values and any(e[i] for e in self.terms):
-                raise KeyError(f"no value supplied for {v!r}")
         total = None
         for exps, c in self.terms.items():
             term = c

@@ -120,8 +120,9 @@ def exact_point(locus) -> tuple[Fraction, ...]:
 
 
 def _k_rows(field: VectorField, certificate: WeightCertificate,
-            indices: Sequence[int], values: dict) -> list[list[Fraction]]:
-    """The rows and columns ``indices`` of Df(c) + diag(a_i / degree)."""
+            indices: Sequence[int], values: dict) -> list[list]:
+    """The rows and columns ``indices`` of Df(c) + diag(a_i / degree): exact
+    at rational values, complex at complex ones."""
     jac = field.jacobian
     gamma = certificate.degree
     return [[jac[i][j].evaluate(values)
@@ -254,12 +255,8 @@ def numeric_exponents(field: VectorField, certificate: WeightCertificate,
     """Floating-point exponents at a numeric locus, sorted by (re, im)."""
     import numpy as np
     values = {v: complex(p) for v, p in zip(field.variables, point)}
-    jac = field.jacobian
-    m = field.dim
-    mat = np.array([[complex(jac[i][j].evaluate(values))
-                     + (certificate.weights[i] / certificate.degree
-                        if i == j else 0.0)
-                     for j in range(m)] for i in range(m)])
+    mat = np.array(_k_rows(field, certificate, range(field.dim), values),
+                   dtype=np.complex128)
     return tuple(sorted(np.linalg.eigvals(mat),
                         key=lambda z: (z.real, z.imag)))
 
@@ -438,11 +435,10 @@ class _Newton:
 
     A search in which the exact solver settles every pattern, with no user
     seed to refine, never uses it: it compiles no system, makes no
-    generator and imports no numpy.  The starts are still those of one
-    generator seeded by rng_seed that draws every pattern's starts in
-    order, component after component, settled patterns included: ``skip``
-    records a pattern that needs no starts, and the next ``starts`` makes
-    its two draws first.
+    generator and imports no numpy.  Each pattern draws its starts from a
+    generator of its own, seeded by rng_seed and the pattern's index among
+    its component's patterns, so a component gets the same starts whatever
+    components come before it.
     """
 
     def __init__(self, eqs: Sequence[MultiPoly], variables: Sequence[str],
@@ -452,52 +448,32 @@ class _Newton:
         self.count = count
         self.rng_seed = rng_seed
         self.tolerance = tolerance
-        self._rng = None
-        self._skipped: list[int] = []
 
     @cached_property
     def _system(self):
-        """The compiled system, its Jacobian entries row by row, and the
-        degree that scales the residual check."""
+        """The compiled system and its Jacobian entries row by row."""
         return (_compile_system(self.eqs),
                 _compile_system([eq.diff(v) for eq in self.eqs
-                                 for v in self.variables]),
-                max((eq.total_degree() or 1) for eq in self.eqs))
+                                 for v in self.variables]))
 
-    def skip(self, free: int) -> None:
-        """A pattern with ``free`` free coordinates needs no starts."""
-        self._skipped.append(free)
-
-    def starts(self, free: Sequence[int]) -> np.ndarray:
+    def starts(self, free: Sequence[int], index: int) -> np.ndarray:
         """``count`` complex normal starts on the free coordinates, zero
-        elsewhere."""
+        elsewhere, drawn by the generator of pattern ``index``."""
         import numpy as np
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.rng_seed)
-        rng, count = self._rng, self.count
-        for k in self._skipped:
-            rng.standard_normal((count, k))
-            rng.standard_normal((count, k))
-        self._skipped.clear()
+        rng, count = np.random.default_rng([self.rng_seed, index]), self.count
         starts = np.zeros((count, len(self.variables)), dtype=np.complex128)
         starts[:, free] = (rng.standard_normal((count, len(free)))
                            + 1j * rng.standard_normal((count, len(free))))
         return starts
 
-    def residual_ok(self, z: Sequence[complex]) -> bool:
-        import numpy as np
-        eval_f, _, degree = self._system
-        scale = max(1.0, float(np.max(np.abs(z))) ** degree)
-        return float(np.max(np.abs(eval_f(z)))) <= self.tolerance * scale
-
     def refine(self, found: _Found, starts, free: Sequence[int],
                source: str) -> None:
         """Newton from the starts, moving only the free coordinates.  A
         converged point outside found's radius of the origin is recorded
-        exact if it snaps and verifies, else numeric if its residual
-        passes."""
+        exact if it snaps and verifies, else numeric: _newton_refine
+        returns only points whose residual is below tolerance."""
         import numpy as np
-        eval_f, eval_jac, _ = self._system
+        eval_f, eval_jac = self._system
         for z in _newton_refine(eval_f, eval_jac, starts, np.asarray(free),
                                 self.tolerance):
             if float(np.max(np.abs(z))) <= found.radius:
@@ -506,7 +482,7 @@ class _Newton:
             if snapped is not None and _vanishes(self.eqs, self.variables,
                                                  snapped):
                 found.add_exact(snapped, source)
-            elif self.residual_ok(z):
+            else:
                 found.add_numeric(tuple(complex(v) for v in z), source)
 
 
@@ -537,27 +513,25 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        dropped.
     4. Newton multistart, only on the component's patterns the exact
        solver left incomplete: ``newton_starts`` pseudo-random complex
-       starts each on the component's free coordinates, refined to
-       ``tolerance``, then snapped and re-verified exactly.  The starts
-       are those of one generator seeded by ``rng_seed`` drawing the
-       starts of every pattern, complete ones included, component after
-       component and pattern after pattern, so a pattern's starts do not
-       depend on which patterns the exact solver settled.  The Newton
-       machinery (the compiled system and Jacobian, the generator, numpy)
-       is built only once a pattern, a user seed or a product needs it;
-       the generator then makes the draws of the complete patterns before
-       it (``_Newton``), so a search the exact solver settles entirely
-       compiles nothing and draws nothing.
+       starts each on the pattern's free coordinates, refined until the
+       residual is below ``tolerance``, then snapped and re-verified
+       exactly.  Pattern p of a component (p = 0 leaves every coordinate
+       free) draws from ``np.random.default_rng([rng_seed, p])``, so its
+       starts depend neither on the components before it nor on which
+       patterns the exact solver settled.  The Newton machinery (the
+       compiled system and Jacobian, numpy) is built only once a pattern
+       or a user seed needs it (``_Newton``), so a search the exact solver
+       settles entirely compiles nothing and draws nothing.
     5. The loci are the products of the component results: a choice of
-       zero or one found point per component, the origin excluded.  A
-       product of exact points is exact with no further check: each
+       zero or one found point per component, the origin excluded.  Each
        indicial equation reads only its own component's coordinates, and
-       every part was certified against the full system, its component's
+       every part was checked against the full system, its component's
        equations at its own coordinates and every other component's at
-       zero.  A product with a numeric part is numeric, kept if its
-       residual is below tolerance and it is not within the merge radius
-       of a known locus.  Its source is ``newton`` if any part came from
-       Newton, else ``structured_search``.
+       zero.  So a product of exact points is exact, and a product with a
+       numeric part has the largest of its parts' residuals; both are
+       added as they stand, a numeric one unless it is within the merge
+       radius of a known locus.  The source is ``newton`` if any part
+       came from Newton, else ``structured_search``.
 
     A connected field is one component, so its patterns, its starts and
     its loci are those of a search over every zero pattern of the field;
@@ -600,14 +574,14 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     owner = {i: b for b, component in enumerate(components) for i in component}
     parts: list[list[IndicialLocus]] = []
     for component in components:
-        names = [field.variables[i] for i in component]
         patterns = [p for p in itertools.product((False, True),
                                                  repeat=len(component))
                     if not all(p)]
         part = _Found(radius)
-        solved: list[bool] = []
-        for pattern in patterns:
-            free_vars = [v for v, z in zip(names, pattern) if not z]
+        incomplete: list[tuple[int, list[int]]] = []
+        for index, pattern in enumerate(patterns):
+            free = [i for i, z in zip(component, pattern) if not z]
+            free_vars = [field.variables[i] for i in free]
             # the variables outside the component do not occur in its
             # equations; clamping them too leaves only the free ones
             zeroed = {v: 0 for v in field.variables if v not in free_vars}
@@ -615,22 +589,19 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 eqs[i].substitute(zeroed) if zeroed else eqs[i])
                 for i in component]
             result = solve_poly_system(clamped, free_vars)
-            solved.append(result.complete)
+            if not result.complete:
+                incomplete.append((index, free))
             for partial in result.points:
                 filled = dict(zip(free_vars, partial))
                 point = tuple(filled.get(v, Fraction(0))
                               for v in field.variables)
                 if _vanishes(eqs, field.variables, point):
                     part.add_exact(point, "structured_search")
-        if newton_starts > 0:
-            for pattern, complete in zip(patterns, solved):
-                free = [i for i, z in zip(component, pattern) if not z]
-                if complete:
-                    newton.skip(len(free))
-                    continue
-                if "newton" not in strategies:
-                    strategies.append("newton")
-                newton.refine(part, newton.starts(free), free, "newton")
+        if newton_starts > 0 and incomplete:
+            if "newton" not in strategies:
+                strategies.append("newton")
+            for index, free in incomplete:
+                newton.refine(part, newton.starts(free, index), free, "newton")
         parts.append(part.loci)
 
     for choice in itertools.product(*([None] + loci for loci in parts)):
@@ -644,9 +615,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         if all(locus.is_exact for locus in chosen):
             found.add_exact(point, source)
         else:
-            point = tuple(complex(x) for x in point)
-            if newton.residual_ok(point):
-                found.add_numeric(point, source)
+            found.add_numeric(tuple(complex(x) for x in point), source)
 
     loci = sorted(found.loci, key=lambda loc: (
         loc.exactness != "exact",

@@ -34,7 +34,8 @@ them, where re-expanding every monomial from order 0 at every order cost
 O(N^3) per factor.  build_series leaves the finished tree on its solution,
 and the first g_expansion along that solution takes it over: it adds G's
 monomials to the tree and computes only the prefixes F did not have, so
-a prefix F and G share is expanded once.
+a prefix F and G share is expanded once.  analyze drops every tree its
+flow stage did not take over; a later expansion packs the series afresh.
 
 The recursion runs on _IntPoly, not MultiPoly: integer numerators over
 one positive denominator, reduced by their gcd once per fused sum of
@@ -378,23 +379,11 @@ class _PrefixSeries:
                 pairs.append((a, b))
         return _dot(pairs) if pairs else _ZERO
 
-    def advance(self, j: int) -> None:
-        """Append coefficient j to every prefix.
-
-        Coefficients of y missing from series count as zero, so with
-        series[l] ending at order j-1 this is the order-j coefficient with
-        the unknown d_j taken as 0 (settle adds its part afterwards); with
-        order j known it is the full Cauchy coefficient.
-        """
-        history, series = self.history, self.series
-        for key, (parent, l) in self.links.items():
-            history[key].append(self._cauchy(history[parent], series[l], j))
-
     def settle(self, j: int) -> None:
         """Add the d_j part to coefficient j of every prefix.
 
-        Call after advance(j) ran without d_j and d_j has been appended to
-        series.  Coefficient j of a prefix P = Q y_l is linear in d_j:
+        Call after extend(j + 1) ran without d_j and d_j has been appended
+        to series.  Coefficient j of a prefix P = Q y_l is linear in d_j:
         P_j - P_j|_{d_j=0} = Q_0 d_{l,j} + (Q_j - Q_j|_{d_j=0}) c_l.
         Only a parent's change is kept for its children; a leaf's is
         summed with its old coefficient in the same _dot.
@@ -418,15 +407,18 @@ class _PrefixSeries:
                 history[key][j] = history[key][j] + change
 
     def extend(self, count: int) -> None:
-        """Complete every prefix through order count-1 from the complete
-        series: a prefix registered since the last order has none yet."""
-        history, series = self.history, self.series
+        """Complete every prefix through order count-1; a prefix
+        registered since the last order has none yet.
+
+        Coefficients of y missing from series count as zero, so with
+        series ending at order j-1, extend(j + 1) gives order j with the
+        unknown d_j taken as 0 (settle adds its part afterwards).
+        """
+        history, series, cauchy = self.history, self.series, self._cauchy
         for key, (parent, l) in self.links.items():
             values = history[key]
-            if len(values) < count:
-                left, right = history[parent], series[l]
-                values.extend(self._cauchy(left, right, k)
-                              for k in range(len(values), count))
+            for k in range(len(values), count):
+                values.append(cauchy(history[parent], series[l], k))
 
     def sums(self, rows: list[list[tuple]], k: int) -> list[_IntPoly]:
         """Order k of each component: its coefficients times its prefixes."""
@@ -572,11 +564,11 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     obstructions: list[int] = []
     prefixes = _PrefixSeries(m, coeffs)
     rows = prefixes.add(field)
-    prefixes.advance(0)
+    prefixes.extend(1)
 
     for j in range(1, truncation + 1):
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
-        prefixes.advance(j)
+        prefixes.extend(j + 1)
         rhs = [-n for n in prefixes.sums(rows, j)]
         d_j = _regular_solve(resolvent, j, rhs)
         if d_j is None:

@@ -70,6 +70,16 @@ def test_analyze_returns_what_the_cli_prints(capsys):
                 command="flow")
 
 
+@pytest.mark.parametrize("stem", sorted(p.stem for p in PROBLEMS.glob("*.kov")))
+def test_no_series_keeps_its_prefix_tree(stem):
+    # weierstrass has no G, and painleve1_coupled_4d's (3, 27, 0, -3)
+    # series is not principal, so no flow expansion takes their trees over
+    result = analyze((PROBLEMS / f"{stem}.kov").read_text(encoding="utf-8"),
+                     f"{stem}.kov")
+    assert result.series
+    assert all(sol._prefixes is None for sol in result.series.values())
+
+
 def test_tolerance_reaches_the_deformation_check(monkeypatch, capsys):
     seen = []
     original = degeneration.deformed_field_check

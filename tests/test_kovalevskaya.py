@@ -246,9 +246,10 @@ def _search_all_patterns(field, cert, *, newton_starts=64, rng_seed=0,
             point = tuple(filled.get(v, Fraction(0)) for v in field.variables)
             if kovalevskaya._vanishes(eqs, field.variables, point):
                 register_exact(point, "structured_search")
-    rng = np.random.default_rng(rng_seed)
-    for pattern, complete in zip(patterns if newton_starts else (), solved):
+    for index, (pattern, complete) in enumerate(
+            zip(patterns if newton_starts else (), solved)):
         free = np.array([i for i, z in enumerate(pattern) if not z])
+        rng = np.random.default_rng([rng_seed, index])
         starts = np.zeros((newton_starts, m), dtype=np.complex128)
         starts[:, free] = (rng.standard_normal((newton_starts, len(free)))
                            + 1j * rng.standard_normal((newton_starts,
@@ -406,30 +407,44 @@ class TestComponents:
                     for loc in search.loci}) == 17
 
 
-def _eager_starts(field, cert, *, newton_starts=64, rng_seed=0):
+def _pattern_starts(field, cert, *, newton_starts=64, rng_seed=0):
     """Oracle: (free coordinates, starts) of every pattern the exact solver
-    leaves incomplete, with one generator drawing the starts of every
-    pattern, settled ones included, component after component, up front."""
+    leaves incomplete, in search order; pattern p of a component draws
+    from its own generator, default_rng([rng_seed, p])."""
     eqs = indicial_system(field, cert)
-    rng = np.random.default_rng(rng_seed)
     out = []
     for component in kovalevskaya._components(eqs):
-        for pattern in itertools.product((False, True), repeat=len(component)):
-            if all(pattern):
-                continue
+        patterns = [p for p in itertools.product((False, True),
+                                                 repeat=len(component))
+                    if not all(p)]
+        for index, pattern in enumerate(patterns):
             free = [i for i, z in zip(component, pattern) if not z]
-            starts = np.zeros((newton_starts, field.dim), dtype=np.complex128)
-            starts[:, free] = (
-                rng.standard_normal((newton_starts, len(free)))
-                + 1j * rng.standard_normal((newton_starts, len(free))))
             free_vars = [field.variables[i] for i in free]
             zeroed = {v: 0 for v in field.variables if v not in free_vars}
             clamped = [kovalevskaya._divide_out_monomial(
                 eqs[i].substitute(zeroed) if zeroed else eqs[i])
                 for i in component]
-            if not exactalg.solve_poly_system(clamped, free_vars).complete:
-                out.append((free, starts))
+            if exactalg.solve_poly_system(clamped, free_vars).complete:
+                continue
+            rng = np.random.default_rng([rng_seed, index])
+            starts = np.zeros((newton_starts, field.dim), dtype=np.complex128)
+            starts[:, free] = (
+                rng.standard_normal((newton_starts, len(free)))
+                + 1j * rng.standard_normal((newton_starts, len(free))))
+            out.append((free, starts))
     return out
+
+
+def _split_quartic(cubic: bool):
+    """q' = p, p' = q^3 (balances (+-sqrt 2, -+sqrt 2), found by Newton
+    only), after the cubic block q1' = p1, p1' = 6 q1^2 if cubic."""
+    if cubic:
+        text = ("variables = [q1:2, p1:3, q2:1, p2:2]\n"
+                'F.1 = "p1"\nF.2 = "6*q1^2"\nF.3 = "p2"\nF.4 = "q2^3"\n')
+    else:
+        text = 'variables = [q2:1, p2:2]\nF.1 = "p2"\nF.2 = "q2^3"\n'
+    spec = parse_problem(text)
+    return fields_from_problem(spec)[0], WeightCertificate(spec.weights, 1)
 
 
 def _chain(k):
@@ -446,31 +461,51 @@ def _chain(k):
 
 class TestNewtonOnDemand:
     """find_loci builds its Newton machinery only when a pattern needs it,
-    and its starts are still the eager draws."""
+    and each pattern draws its starts from a generator of its own."""
 
     @pytest.mark.parametrize("rng_seed", range(4))
     @pytest.mark.parametrize("case", ["split", "chain"])
-    def test_starts_are_the_eager_draws(self, case, rng_seed):
-        # split: the cubic block's three patterns are settled before the
-        # generator exists, and the quartic's all-free pattern (balances
-        # +-sqrt 2) is the first to need starts; chain: one component whose
-        # incomplete patterns lie between settled ones
-        if case == "split":
-            spec = parse_problem(
-                "variables = [q1:2, p1:3, q2:1, p2:2]\n"
-                'F.1 = "p1"\nF.2 = "6*q1^2"\nF.3 = "p2"\nF.4 = "q2^3"\n')
-            field, cert = (fields_from_problem(spec)[0],
-                           WeightCertificate(spec.weights, 1))
-        else:
-            field, cert = _chain(3)
-        eager = _eager_starts(field, cert, rng_seed=rng_seed)
+    def test_starts_are_the_pattern_draws(self, case, rng_seed):
+        # split: the cubic block's three patterns are settled exactly, and
+        # the quartic's all-free pattern (balances +-sqrt 2) needs starts;
+        # chain: one component whose incomplete patterns lie between
+        # settled ones, at indices other than 0
+        field, cert = _split_quartic(True) if case == "split" else _chain(3)
+        expected = _pattern_starts(field, cert, rng_seed=rng_seed)
         with mock.patch.object(kovalevskaya, "_newton_refine",
                                wraps=kovalevskaya._newton_refine) as newton:
             find_loci(field, cert, rng_seed=rng_seed)
-        assert newton.call_count == len(eager) > 0
-        for call, (free, starts) in zip(newton.call_args_list, eager):
+        assert newton.call_count == len(expected) > 0
+        for call, (free, starts) in zip(newton.call_args_list, expected):
             assert list(call.args[3]) == free
             assert np.array_equal(call.args[2], starts)
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_a_component_searches_as_if_it_stood_alone(self, rng_seed):
+        # the quartic gets the same starts and the same points alone and
+        # after a cubic block, and the split field gets all 5 products
+        loci, starts = {}, {}
+        for cubic in (False, True):
+            field, cert = _split_quartic(cubic)
+            with mock.patch.object(kovalevskaya, "_newton_refine",
+                                   wraps=kovalevskaya._newton_refine) as newton:
+                loci[cubic] = find_loci(field, cert, rng_seed=rng_seed).loci
+            starts[cubic] = [call.args[2][:, -2:]
+                             for call in newton.call_args_list]
+        assert len(starts[True]) == len(starts[False]) > 0
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(starts[True], starts[False]))
+        assert len(loci[True]) == 5
+        alone = [loc for loc in loci[True] if not any(loc.point[:2])]
+        assert [loc.exactness for loc in alone] == [
+            loc.exactness for loc in loci[False]]
+        radius = kovalevskaya._merge_radius(DEFAULT_TOL)
+        for a, b in zip(alone, loci[False]):
+            if a.is_exact:
+                assert a.point[2:] == b.point
+            else:
+                assert max(abs(complex(x) - complex(y))
+                           for x, y in zip(a.point[2:], b.point)) <= radius
 
     def test_settled_search_compiles_and_draws_nothing(self):
         # two cubic blocks and a p4 block: every pattern is settled exactly
