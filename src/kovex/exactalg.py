@@ -671,14 +671,18 @@ def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
     """Positive rational roots of an integer polynomial with p(0) != 0.
 
     coeffs ascend.  Every positive rational root is k/lead for an integer
-    k, so an interval needs a closer look only while it holds two or more
-    such candidates and Descartes' rule of signs allows a root in it; an
-    interval holding one candidate is settled by evaluating p there
-    exactly.  Intervals are bisected at dyadic points, which are tested
-    for roots as they appear (Collins & Akritas 1976, on Python ints).
-    p need not be square-free: Descartes' rule only prunes, and the
-    candidate count alone ends the bisection, so a multiple root cannot
-    stall it.
+    k.  Intervals are bisected at dyadic points, which are tested for
+    roots as they appear (Collins & Akritas 1976, on Python ints), until
+    Descartes' rule of signs isolates: an interval with no sign variation
+    holds no root, and one with a single variation holds one simple root,
+    across which p changes sign.  Its candidates k/lead are then settled
+    by binary search on the sign of lead^n p(k/lead), p having just right
+    of the interval's left end the sign of the mapped polynomial's
+    constant term (nonzero: a root found at a bisection point is divided
+    out of the interval to its right).  An interval holding one candidate
+    is settled by evaluating p there.  p need not be square-free:
+    Descartes' rule only prunes, and the candidate count alone ends the
+    bisection, so a multiple root cannot stall it.
     """
     if _sign_changes(coeffs) == 0:
         return []
@@ -688,13 +692,13 @@ def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
                            for i, c in enumerate(reversed(coeffs[:-1]), 1)
                            if c))
 
-    def vanishes_at(k: int) -> bool:
+    def value(k: int) -> int:
         # lead^n p(k/lead), by Horner on integers
         acc, power = coeffs[-1], 1
         for c in reversed(coeffs[:-1]):
             power *= lead
             acc = acc * k + c * power
-        return acc == 0
+        return acc
 
     found: list[Fraction] = []
     # p(2^bound x) on (0, 1); an entry (q, num, e) stands for the interval
@@ -706,11 +710,22 @@ def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
         last = (((lead * (num + 1)) << bound) - 1) >> e
         if first > last:
             continue
-        if first == last:
-            if vanishes_at(first):
-                found.append(Fraction(first, lead))
+        # a lone candidate is evaluated, with no Descartes test
+        changes = (1 if first == last
+                   else _sign_changes(_shift_by_one(poly[::-1])))
+        if changes == 0:
             continue
-        if _sign_changes(_shift_by_one(poly[::-1])) == 0:
+        if changes == 1:
+            # one simple root: find the least candidate not left of it
+            sign = 1 if poly[0] > 0 else -1
+            while first < last:
+                mid = (first + last) // 2
+                if value(mid) * sign > 0:
+                    first = mid + 1
+                else:
+                    last = mid
+            if value(first) == 0:
+                found.append(Fraction(first, lead))
             continue
         d = len(poly) - 1
         left = [c << (d - i) for i, c in enumerate(poly)]

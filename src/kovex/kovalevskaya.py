@@ -171,11 +171,11 @@ class _BlockSpectra:
     in the row's indicial equation, so K(c) is block-diagonal over the
     components, and each block depends only on the component's own
     coordinates of c.  A block is computed once per distinct (component,
-    coordinates): its indicial equations are checked exactly there, its
-    rational roots come from ``_exact_roots`` of its characteristic
-    polynomial (charpoly, the integer Faddeev-LeVerrier recurrence of
-    ExactMatrix.resolvent), and the universal eigenpair and the
-    semisimplicity at its positive resonances are checked on the block.
+    coordinates): its rational roots come from ``_exact_roots`` of its
+    characteristic polynomial (charpoly, the integer Faddeev-LeVerrier
+    recurrence of ExactMatrix.resolvent), and the universal eigenpair and
+    the semisimplicity at its positive resonances are checked on the block.
+    The point is taken as a locus: its callers have certified it.
     """
 
     def __init__(self, field: VectorField, certificate: WeightCertificate):
@@ -192,8 +192,6 @@ class _BlockSpectra:
         field, cert = self.field, self.certificate
         component = self.components[b]
         values = {field.variables[i]: c for i, c in zip(component, coords)}
-        if any(self.eqs[i].evaluate(values) for i in component):
-            raise ValueError("point does not satisfy the indicial equations")
         matrix = ExactMatrix(_k_rows(field, cert, component, values))
         exact = _exact_roots(matrix.charpoly())
         vector = tuple(Fraction(cert.weights[i]) * c
@@ -244,10 +242,15 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     integrality questions are decided without floating-point doubt.  The
     universal eigenpair (eigenvalue -1, eigenvector (a_i x_i)) is
     re-verified by an exact matrix-vector product.  This is spectra at one
-    locus: the same blocks, the same assembly.  K(c) itself is
-    kovalevskaya_matrix.
+    locus: the same blocks, the same assembly, after one exact check that
+    the point solves the indicial equations (ValueError if not).  K(c)
+    itself is kovalevskaya_matrix.
     """
-    return _BlockSpectra(field, certificate).report(exact_point(locus))
+    point = exact_point(locus)
+    blocks = _BlockSpectra(field, certificate)
+    if not _vanishes(blocks.eqs, field.variables, point):
+        raise ValueError("point does not satisfy the indicial equations")
+    return blocks.report(point)
 
 
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
@@ -269,8 +272,10 @@ def spectra(field: VectorField, certificate: WeightCertificate,
     The exact reports share one _BlockSpectra, so a field split into
     components costs one block spectrum per distinct point of each
     component, plus the merge of the blocks' roots and the O(m) eigenvector
-    per locus; a connected field is one block.  K(c) itself comes from
-    kovalevskaya_matrix.
+    per locus; a connected field is one block.  An exact locus is taken
+    as certified and its indicial equations are not evaluated again: only
+    find_loci makes exact loci, each from a point it has checked exactly.
+    K(c) itself comes from kovalevskaya_matrix.
     """
     exact = _BlockSpectra(field, certificate)
     return tuple(
@@ -498,7 +503,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        indicial system (``_components``): two variables are linked when
        one occurs in the other's equation.  The system is then the
        product of its components' systems, and each component is searched
-       on its own, in steps 3 and 4.
+       on its own, in steps 3 and 4.  The product needs every indicial
+       equation to vanish at the origin, so a field with a constant term
+       is searched as one component.
     3. Structured search: per zero pattern of the component (a choice of
        its coordinates clamped to zero, the others nonzero; the all-zero
        pattern is skipped, since the component's zero point always solves
@@ -506,11 +513,13 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        by the largest monomial in the free coordinates that divides it
        (the saturation by the coordinate monomials, so ``q + u q^2 + 2v
        pq`` becomes ``1 + u q + 2v p``), and the saturated system is handed
-       to the exact solver; every returned point is certified against the
-       full indicial system, with zeros outside the component.  A solution
-       with a free coordinate at zero is kept (painleve1_coupled_4d's
-       (3, 27, 0, -3) comes from the all-free pattern); only the origin is
-       dropped.
+       to the exact solver, which certifies every point it returns against
+       that system.  No point is checked again: a clamped equation is a
+       monomial times its saturated one, and the other components'
+       equations read only their own coordinates, all zero, where they
+       vanish by the rule of step 2.  A solution with a free coordinate at
+       zero is kept (painleve1_coupled_4d's (3, 27, 0, -3) comes from the
+       all-free pattern); only the origin is dropped.
     4. Newton multistart, only on the component's patterns the exact
        solver left incomplete: ``newton_starts`` pseudo-random complex
        starts each on the pattern's free coordinates, refined until the
@@ -524,14 +533,14 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        settles entirely compiles nothing and draws nothing.
     5. The loci are the products of the component results: a choice of
        zero or one found point per component, the origin excluded.  Each
-       indicial equation reads only its own component's coordinates, and
-       every part was checked against the full system, its component's
-       equations at its own coordinates and every other component's at
-       zero.  So a product of exact points is exact, and a product with a
-       numeric part has the largest of its parts' residuals; both are
-       added as they stand, a numeric one unless it is within the merge
-       radius of a known locus.  The source is ``newton`` if any part
-       came from Newton, else ``structured_search``.
+       indicial equation reads only its own component's coordinates and
+       vanishes where they are all zero (step 2), so each part solves its
+       component's equations at its own coordinates and every other
+       component's at zero.  So a product of exact points is exact, and a
+       product with a numeric part has the largest of its parts'
+       residuals; both are added as they stand, a numeric one unless it is
+       within the merge radius of a known locus.  The source is ``newton``
+       if any part came from Newton, else ``structured_search``.
 
     A connected field is one component, so its patterns, its starts and
     its loci are those of a search over every zero pattern of the field;
@@ -570,7 +579,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             newton.refine(found, [start], range(m), "user_seed")
 
     strategies.append("structured_search")
-    components = _components(eqs)
+    components = ([list(range(m))] if any(eq.constant_term() for eq in eqs)
+                  else _components(eqs))
     owner = {i: b for b, component in enumerate(components) for i in component}
     parts: list[list[IndicialLocus]] = []
     for component in components:
@@ -593,10 +603,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 incomplete.append((index, free))
             for partial in result.points:
                 filled = dict(zip(free_vars, partial))
-                point = tuple(filled.get(v, Fraction(0))
-                              for v in field.variables)
-                if _vanishes(eqs, field.variables, point):
-                    part.add_exact(point, "structured_search")
+                part.add_exact(tuple(filled.get(v, Fraction(0))
+                                     for v in field.variables),
+                               "structured_search")
         if newton_starts > 0 and incomplete:
             if "newton" not in strategies:
                 strategies.append("newton")

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -799,6 +800,10 @@ class TestRationalRoots:
         [F(2, 9)],                          # below 1 with an odd lead: the
         [F(-4, 27), F(2, 9)],               # search starts on (0, 1) itself
         [F(2, 999983)] * 4 + [F(3)] * 2,    # a multiple root under a large lead
+        # 1/2 is a bisection point, divided out of (1/2, 1), where the
+        # simple root right of it is found by the sign of the stripped
+        # interval's constant term; with 5 the polynomial is positive there
+        [F(1, 2), F(700001, 1000003), F(5)],
     ])
     def test_pinned_roots(self, roots):
         coeffs = _expand(3, [[F(1), -r] for r in roots])
@@ -806,6 +811,18 @@ class TestRationalRoots:
         assert exactalg._exact_roots(coeffs) == (tuple(sorted(expected.items())),
                                                   (F(1),))
         assert dict(roots_exact_first(coeffs).rational_roots) == expected
+
+    def test_isolated_root_takes_no_more_shifts(self):
+        # the root of 3x - 677773639/3372764228 x^2 other than 0 is isolated
+        # by one Descartes test, and its candidates k/lead are searched by
+        # the sign of p; bisecting down to one candidate would take 106
+        # shifts
+        coeffs = [F(-677773639, 3372764228), F(3), F(0)]
+        with mock.patch.object(exactalg, "_shift_by_one",
+                               wraps=exactalg._shift_by_one) as shifts:
+            rational, _ = exactalg._exact_roots(coeffs)
+        assert rational == ((F(0), 1), (F(10118292684, 677773639), 1))
+        assert shifts.call_count <= 2
 
     def test_irrational_root_closer_than_one_over_lead_squared(self):
         # x^2 - 1000x + 2990 has a root 0.001 below 3 (lead 1)

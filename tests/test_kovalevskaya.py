@@ -326,7 +326,8 @@ class TestComponents:
         per_block = {"cubic": 1, "quartic": 2, "p4": 3}
         expected = math.prod(per_block[kind] + 1 for kind, _, _ in blocks) - 1
         assert len(found.loci) == expected
-        assert all(loc.is_exact for loc in found.loci)
+        assert all(loc.is_exact and props.verify_locus(field, cert, loc.point)
+                   for loc in found.loci)
 
     def test_six_cubic_blocks_solve_three_patterns_each(self):
         # the search over every zero pattern makes 2^12 - 1 = 4095 solves
@@ -381,6 +382,27 @@ class TestComponents:
         assert search.loci == _search_all_patterns(field, cert, rng_seed=5)
         if case == "quartic":
             assert [loc.exactness for loc in search.loci] == ["numeric"] * 2
+
+    def test_constant_term_keeps_the_field_whole(self):
+        # x' = x^2, y' = 4 - y^2: the indicial equations x^2 + x and
+        # -y^2 + y + 4 share no variable, but the second does not vanish
+        # at y = 0, so x = -1 alone is no balance and the search may not
+        # multiply components; it finds x in {-1, 0} with each root of
+        # y^2 - y - 4
+        names = ("x", "y")
+        x, y = (MultiPoly.variable(v, names) for v in names)
+        field = VectorField(names, (x * x, 4 - y * y))
+        cert = WeightCertificate((1, 1), 1)
+        assert kovalevskaya._components(indicial_system(field, cert)) == [
+            [0], [1]]
+        search = find_loci(field, cert)
+        assert [loc.exactness for loc in search.loci] == ["numeric"] * 4
+        root = 17 ** 0.5
+        for a, b in itertools.product((-1, 0), ((1 - root) / 2,
+                                                (1 + root) / 2)):
+            assert sum(abs(complex(loc.point[0]) - a) < 1e-9
+                       and abs(complex(loc.point[1]) - b) < 1e-9
+                       for loc in search.loci) == 1
 
     def test_newton_only_blocks_multiply_with_exact_zeros(self):
         # two quartic blocks with balances (+-sqrt 2, -+sqrt 2) around a
