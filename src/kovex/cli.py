@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import degeneration
-from .kovalevskaya import NoLocusFound, find_loci, spectra
+from .kovalevskaya import NoLocusFound, _ComponentTable, find_loci, spectra
 from .laurent import (
     LaurentSolution,
     TruncationBelowResonance,
@@ -321,7 +321,7 @@ def _locus_stage(field, cert, spec, search, lines, violations):
         loci = find_loci(field, cert, seeds=spec.seeds, **search).loci
     except NoLocusFound:
         loci = ()
-    pairs = spectra(field, cert, loci)
+    pairs = spectra(field, cert, loci, table=search["table"])
     entries = []
     for locus, spectrum in pairs:
         entry: dict = {
@@ -398,7 +398,7 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search, lines,
                        violations):
     """Returns the flow section for one principal balance.  pool is F's
     lower_spectra, shared by every principal balance; search holds the
-    numeric search options."""
+    numeric search options and the run's component table."""
     point = sol.locus
     section: dict = {"locus": _point_json(point)}
     try:
@@ -588,8 +588,9 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
     if command == "flow" and g_field is None:
         raise AnalysisError(
             f"{name}: no commuting field declared; 'flow' needs one")
-    # options of every locus search: F, flow subsystems, deformed fields
-    search = {"rng_seed": seed}
+    # options of every locus search: F, flow subsystems, deformed fields;
+    # they share one component table, which lives as long as this run
+    search = {"rng_seed": seed, "table": _ComponentTable()}
     if tolerance is not None:
         search["tolerance"] = tolerance
 

@@ -40,6 +40,7 @@ from .exactalg import (
 )
 from .kovalevskaya import (
     NoLocusFound,
+    _ComponentTable,
     _merge_radius,
     find_loci,
     kovalevskaya_matrix,
@@ -437,17 +438,19 @@ def _matches(predicted, pool: tuple, radius: float) -> tuple[tuple, ...]:
 
 
 def _loci(field: VectorField, certificate: WeightCertificate, rng_seed: int,
-          tolerance: float) -> tuple:
+          tolerance: float, table: _ComponentTable | None) -> tuple:
     """Loci of a flow subsystem or deformed field, () when none is found."""
     try:
         return find_loci(field, certificate, rng_seed=rng_seed,
-                         tolerance=tolerance).loci
+                         tolerance=tolerance, table=table).loci
     except NoLocusFound:
         return ()
 
 
 def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
-                      tolerance: float = DEFAULT_TOL) -> tuple[Prediction, ...]:
+                      tolerance: float = DEFAULT_TOL,
+                      table: _ComponentTable | None = None
+                      ) -> tuple[Prediction, ...]:
     """Lower-family prediction for a degree-1 commuting flow.
 
     With gamma = 1 the pole position drifts at the constant rate ghat0
@@ -455,7 +458,8 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     parameter subsystem contributes the multiset {-1} union spec(K(xi)),
     the extra -1 coming from the pole direction itself.  The predictions
     are matched against pool, the ambient field's lower_spectra.
-    rng_seed and tolerance go to the subsystem's locus search, and float
+    rng_seed, tolerance and table (kovalevskaya's component table, fresh
+    when None) go to the subsystem's locus search and spectra, and float
     exponents match within _merge_radius(tolerance).
     """
     if flow.gamma != 1:
@@ -464,8 +468,8 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     sub_cert = WeightCertificate(flow.kappa, 1)
     radius = _merge_radius(tolerance)
     predictions = []
-    for locus, spectrum in spectra(sub, sub_cert,
-                                   _loci(sub, sub_cert, rng_seed, tolerance)):
+    loci = _loci(sub, sub_cert, rng_seed, tolerance, table)
+    for locus, spectrum in spectra(sub, sub_cert, loci, table=table):
         if locus.is_exact:
             vals, pole = spectrum.exponents.multiset(), Fraction(-1)
             diag = {"universal_eigenpair": spectrum.eigenpair_verified}
@@ -539,7 +543,9 @@ def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted,
 
 
 def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
-                         tolerance: float = DEFAULT_TOL) -> tuple[Prediction, ...]:
+                         tolerance: float = DEFAULT_TOL,
+                         table: _ComponentTable | None = None
+                         ) -> tuple[Prediction, ...]:
     """Lower-family prediction for commuting degree two or more, dual route.
 
     Exact route first: in rescaled coordinates the flow's indicial system
@@ -550,9 +556,10 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     numerically), the pole field's Kovalevskaya matrix there (pole row
     included), and the prediction gamma times its spectrum.  Both routes
     land in the same tuple, matched against pool, the ambient field's
-    lower_spectra; neither is allowed to stand in for the other.  rng_seed
-    and tolerance go to the subsystem's locus search, and float exponents
-    match within _merge_radius(tolerance).
+    lower_spectra; neither is allowed to stand in for the other.  rng_seed,
+    tolerance and table (kovalevskaya's component table, fresh when None)
+    go to the subsystem's locus search, and float exponents match within
+    _merge_radius(tolerance).
     """
     gamma = flow.gamma
     if gamma < 2:
@@ -586,7 +593,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
     pole, pole_cert = flow.pole_field()
-    for locus in _loci(sub, sub_cert, rng_seed, tolerance):
+    for locus in _loci(sub, sub_cert, rng_seed, tolerance, table):
         g0_value = flow.ghat0.evaluate(dict(zip(params, locus.point)))
         if (g0_value == 0 if locus.is_exact
                 else abs(complex(g0_value)) <= _MATCH_TOL):
@@ -652,7 +659,9 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
                                                Fraction(1, 3)), *,
                          predicted: Sequence | None = None,
                          rng_seed: int = 0,
-                         tolerance: float = DEFAULT_TOL) -> DeformationCheck:
+                         tolerance: float = DEFAULT_TOL,
+                         table: _ComponentTable | None = None
+                         ) -> DeformationCheck:
     """Probe the lower family by deforming F along the commuting direction.
 
     Only meaningful at commuting degree 1, where k1 = ghat0 is a constant
@@ -660,6 +669,13 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
     with eps + k1 = 0 makes the deformation undefined and is rejected.
     rng_seed and tolerance go to each deformed field's locus search, and
     float exponents match within _merge_radius(tolerance).
+
+    Every deformed field is searched and its spectra computed with table,
+    kovalevskaya's component table (one for the whole call when None).
+    G/(eps + k1) changes only the components where G is nonzero, so a
+    component it leaves unchanged, the same at every epsilon and the
+    same as F's, is read from the table: its points are searched once, and
+    its block spectra computed once, per table.
     """
     if flow.gamma != 1:
         raise ValueError("deformation check needs a degree-1 commuting flow")
@@ -674,6 +690,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
                 f"epsilon {eps} hits the excluded value -k1 = {-k1}; "
                 f"the deformed field is undefined there")
 
+    table = _ComponentTable() if table is None else table
     radius = _merge_radius(tolerance)
     per_eps = []
     realized = [] if predicted is not None else None
@@ -685,10 +702,11 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
             tuple(f + g * scale
                   for f, g in zip(field.components, g_field.components)))
         exact = [locus for locus in _loci(deformed, certificate, rng_seed,
-                                          tolerance) if locus.is_exact]
+                                          tolerance, table) if locus.is_exact]
         collected = sorted(
             (report.exponents.multiset()
-             for _, report in spectra(deformed, certificate, exact)),
+             for _, report in spectra(deformed, certificate, exact,
+                                      table=table)),
             key=lambda ms: tuple((complex(v).real, complex(v).imag)
                                  for v in ms))
         per_eps.append(tuple(collected))

@@ -788,12 +788,13 @@ def _aberth(coeffs: list[float], max_iter: int) -> list[complex]:
 class RootSet:
     """Roots of a univariate rational polynomial, exact part separated.
 
-    rational_roots lists (root, multiplicity) pairs.  residual_factor is the
-    monic rational polynomial left after dividing them out (length 1 means
-    fully factored); numeric_roots approximate its roots as
-    (value, multiplicity, error).  The error is the backward error of the
-    squarefree factor f the root came from: |f(z)| / max(1, sum |f_i| |z|^i),
-    i.e. the relative coefficient perturbation under which z is an exact root.
+    rational_roots lists (root, multiplicity) pairs by increasing root.
+    residual_factor is the monic rational polynomial left after dividing
+    them out (length 1 means fully factored); numeric_roots approximate
+    its roots as (value, multiplicity, error).  The error is the backward
+    error of the squarefree factor f the root came from: |f(z)| / max(1,
+    sum |f_i| |z|^i), i.e. the relative coefficient perturbation under
+    which z is an exact root.
     """
 
     rational_roots: tuple[tuple[Fraction, int], ...]
@@ -808,11 +809,14 @@ class RootSet:
         """Every root repeated by multiplicity, sorted by (re, im).
 
         Rational roots stay Fractions and numeric ones stay complex; on a
-        tie the rational root comes first.
+        tie the rational root comes first.  Without numeric roots the
+        rational ones, already sorted, are the multiset as they stand.
         """
         out: list = []
         for r, m in self.rational_roots:
             out.extend([r] * m)
+        if not self.numeric_roots:
+            return tuple(out)
         for z, m, _ in self.numeric_roots:
             out.extend([z] * m)
         return tuple(sorted(out, key=lambda v: (complex(v).real,

@@ -163,62 +163,112 @@ class _Block:
     semisimple: bool
 
 
-class _BlockSpectra:
-    """Exact spectra of one field, computed block by block.
+def _block(field: VectorField, certificate: WeightCertificate,
+           component: Sequence[int], coords: tuple[Fraction, ...]) -> _Block:
+    """K(c)'s block on the component's rows and columns, where its
+    coordinates of c are coords: its rational roots, from ``_exact_roots``
+    of its characteristic polynomial (charpoly, the integer
+    Faddeev-LeVerrier recurrence of ExactMatrix.resolvent), the universal
+    eigenpair and the semisimplicity at its positive resonances.  The point
+    is taken as a locus: its callers have certified it."""
+    values = {field.variables[i]: c for i, c in zip(component, coords)}
+    matrix = ExactMatrix(_k_rows(field, certificate, component, values))
+    exact = _exact_roots(matrix.charpoly())
+    vector = tuple(Fraction(certificate.weights[i]) * c
+                   for i, c in zip(component, coords))
+    gamma = certificate.degree
+    return _Block(
+        exact,
+        matrix.matvec(vector) == tuple(-v for v in vector),
+        all(mult == 1 or len(matrix.shifted(r).kernel()) == mult
+            for r, mult in exact[0]
+            if r > 0 and (r * gamma).denominator == 1))
 
-    The indicial system is built once and split by ``_components``.  An
-    entry of Df off the diagonal is nonzero only where its variable occurs
-    in the row's indicial equation, so K(c) is block-diagonal over the
-    components, and each block depends only on the component's own
-    coordinates of c.  A block is computed once per distinct (component,
-    coordinates): its rational roots come from ``_exact_roots`` of its
-    characteristic polynomial (charpoly, the integer Faddeev-LeVerrier
-    recurrence of ExactMatrix.resolvent), and the universal eigenpair and
-    the semisimplicity at its positive resonances are checked on the block.
-    The point is taken as a locus: its callers have certified it.
+
+class _Component:
+    """What a component table knows of one component: its nonzero exact
+    points in its own coordinates (None until a search has settled every
+    zero pattern exactly) and its _Block at each local point computed so
+    far."""
+
+    __slots__ = ("points", "blocks")
+
+    def __init__(self):
+        self.points: tuple[tuple[Fraction, ...], ...] | None = None
+        self.blocks: dict[tuple[Fraction, ...], _Block] = {}
+
+
+class _ComponentTable:
+    """Locus search results and block spectra of components, shared by
+    every search and spectra call that is handed the same table.
+
+    A component is keyed by its canonical form: its indicial equations
+    re-indexed to its own coordinates 0..k-1, its weights and the degree.
+    Two components with the same form, in one field or in two, under any
+    variable names, are one entry.  The form fixes the component's system
+    and its rows and columns of K(c) = Df(c) + diag(a_i / degree), so an
+    exact solve of a pattern, which is positional in the equations and the
+    free coordinates, and a block spectrum are functions of the key.  Only
+    a search in which the exact solver settled every pattern is stored:
+    Newton's floats depend on the compiled system of the field searched,
+    so a component that needed Newton is searched afresh in every field.
+
+    ``analyze`` makes one table per run and hands it to every search of
+    the run; a call that passes none gets a fresh one, so identical
+    components within one field are still searched once.
     """
 
-    def __init__(self, field: VectorField, certificate: WeightCertificate):
-        self.field = field
-        self.certificate = certificate
-        self.eqs = indicial_system(field, certificate)
-        self.components = _components(self.eqs)
-        self._blocks: dict[tuple, _Block] = {}
+    def __init__(self):
+        self._entries: dict[tuple, _Component] = {}
 
-    def _block(self, b: int, coords: tuple[Fraction, ...]) -> _Block:
-        block = self._blocks.get((b, coords))
-        if block is not None:
-            return block
-        field, cert = self.field, self.certificate
-        component = self.components[b]
-        values = {field.variables[i]: c for i, c in zip(component, coords)}
-        matrix = ExactMatrix(_k_rows(field, cert, component, values))
-        exact = _exact_roots(matrix.charpoly())
-        vector = tuple(Fraction(cert.weights[i]) * c
-                       for i, c in zip(component, coords))
-        gamma = cert.degree
-        block = self._blocks[b, coords] = _Block(
-            exact,
-            matrix.matvec(vector) == tuple(-v for v in vector),
-            all(mult == 1 or len(matrix.shifted(r).kernel()) == mult
-                for r, mult in exact[0]
-                if r > 0 and (r * gamma).denominator == 1))
-        return block
+    def entry(self, eqs: Sequence[MultiPoly], component: Sequence[int],
+              certificate: WeightCertificate) -> _Component:
+        """The entry of the component of eqs (the indicial system) on the
+        coordinates ``component``, made empty on first use.  Each equation
+        of a component reads only the component's coordinates."""
+        key = (tuple(frozenset((tuple(exps[j] for j in component), c)
+                               for exps, c in eqs[i].terms.items())
+                     for i in component),
+               tuple(certificate.weights[i] for i in component),
+               certificate.degree)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _Component()
+        return entry
 
-    def report(self, point: tuple[Fraction, ...]) -> KExponentReport:
-        """The report at an exact point, assembled from its blocks.
 
-        K(c) is block-diagonal, so the spectrum is roots_of_product of the
-        blocks' rational stages, and its numeric roots are those of the
-        whole characteristic polynomial.  The eigenpair holds on K(c)
-        exactly when it holds on every block, and geometric equals
-        algebraic multiplicity on K(c) exactly when it does on every block.
-        """
-        blocks = [self._block(b, tuple(point[i] for i in component))
-                  for b, component in enumerate(self.components)]
+def _reports(field: VectorField, certificate: WeightCertificate,
+             eqs: Sequence[MultiPoly], table: _ComponentTable):
+    """The function mapping an exact point of the field to its
+    KExponentReport, assembled from the blocks of the field's components.
+
+    An entry of Df off the diagonal is nonzero only where its variable
+    occurs in the row's indicial equation, so K(c) is block-diagonal over
+    the components of eqs (``_components``), and each block depends only
+    on the component's own coordinates of c.  A block is computed once per
+    distinct (component form, local coordinates) in the table.  The
+    spectrum is roots_of_product of the blocks' rational stages, and its
+    numeric roots are those of the whole characteristic polynomial.  The
+    eigenpair holds on K(c) exactly when it holds on every block, and
+    geometric equals algebraic multiplicity on K(c) exactly when it does
+    on every block.
+    """
+    components = [(component,
+                   table.entry(eqs, component, certificate).blocks)
+                  for component in _components(eqs)]
+    weights, gamma = certificate.weights, certificate.degree
+
+    def report(point: tuple[Fraction, ...]) -> KExponentReport:
+        blocks = []
+        for component, known in components:
+            coords = tuple(point[i] for i in component)
+            block = known.get(coords)
+            if block is None:
+                block = known[coords] = _block(field, certificate, component,
+                                               coords)
+            blocks.append(block)
         roots = roots_of_product([block.exact_roots for block in blocks])
-        vector = tuple(Fraction(a) * c
-                       for a, c in zip(self.certificate.weights, point))
+        vector = tuple(Fraction(a) * c for a, c in zip(weights, point))
         semisimple = all(block.semisimple for block in blocks)
         return KExponentReport(
             exponents=roots,
@@ -226,11 +276,12 @@ class _BlockSpectra:
             eigenpair_verified=(any(vector)
                                 and all(block.eigenpair for block in blocks)),
             has_zero_exponent=any(r == 0 for r, _ in roots.rational_roots),
-            classification=_classify(roots, self.certificate.degree,
-                                     semisimple),
+            classification=_classify(roots, gamma, semisimple),
             semisimple_at_resonances=semisimple,
-            degree=self.certificate.degree,
+            degree=gamma,
         )
+
+    return report
 
 
 def k_exponents(field: VectorField, certificate: WeightCertificate,
@@ -247,10 +298,10 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     itself is kovalevskaya_matrix.
     """
     point = exact_point(locus)
-    blocks = _BlockSpectra(field, certificate)
-    if not _vanishes(blocks.eqs, field.variables, point):
+    eqs = indicial_system(field, certificate)
+    if not _vanishes(eqs, field.variables, point):
         raise ValueError("point does not satisfy the indicial equations")
-    return blocks.report(point)
+    return _reports(field, certificate, eqs, _ComponentTable())(point)
 
 
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
@@ -265,21 +316,25 @@ def numeric_exponents(field: VectorField, certificate: WeightCertificate,
 
 
 def spectra(field: VectorField, certificate: WeightCertificate,
-            loci: Sequence[IndicialLocus]) -> tuple[tuple, ...]:
+            loci: Sequence[IndicialLocus], *,
+            table: _ComponentTable | None = None) -> tuple[tuple, ...]:
     """(locus, spectrum) pairs: the k_exponents report at an exact locus,
     the numeric_exponents at a numeric one.
 
-    The exact reports share one _BlockSpectra, so a field split into
-    components costs one block spectrum per distinct point of each
-    component, plus the merge of the blocks' roots and the O(m) eigenvector
-    per locus; a connected field is one block.  An exact locus is taken
-    as certified and its indicial equations are not evaluated again: only
-    find_loci makes exact loci, each from a point it has checked exactly.
-    K(c) itself comes from kovalevskaya_matrix.
+    The exact reports read their blocks from table (a fresh one when none
+    is given), so a field split into components costs one block spectrum
+    per distinct point of each distinct component, plus the merge of the
+    blocks' roots and the O(m) eigenvector per locus; a connected field is
+    one block.  Blocks already in the table, from an earlier call on a
+    field with a component of the same form, are not computed again.  An
+    exact locus is taken as certified and its indicial equations are not
+    evaluated again: only find_loci makes exact loci, each from a point it
+    has checked exactly.  K(c) itself comes from kovalevskaya_matrix.
     """
-    exact = _BlockSpectra(field, certificate)
+    report = _reports(field, certificate, indicial_system(field, certificate),
+                      _ComponentTable() if table is None else table)
     return tuple(
-        (locus, exact.report(exact_point(locus)) if locus.is_exact
+        (locus, report(exact_point(locus)) if locus.is_exact
          else numeric_exponents(field, certificate, locus.point))
         for locus in loci)
 
@@ -404,6 +459,15 @@ def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _embed(local: Sequence[Fraction], component: Sequence[int],
+           m: int) -> tuple[Fraction, ...]:
+    """A component's point in the field's m coordinates, zero elsewhere."""
+    point = [Fraction(0)] * m
+    for i, x in zip(component, local):
+        point[i] = x
+    return tuple(point)
+
+
 def _merge_radius(tolerance: float) -> float:
     """The distance within which numeric points merge and, relative to
     their size, float exponents match.
@@ -494,7 +558,8 @@ class _Newton:
 def find_loci(field: VectorField, certificate: WeightCertificate,
               seeds: Sequence[Sequence[float]] = (), *,
               newton_starts: int = 64, rng_seed: int = 0,
-              tolerance: float = DEFAULT_TOL) -> LocusSearch:
+              tolerance: float = DEFAULT_TOL,
+              table: _ComponentTable | None = None) -> LocusSearch:
     """Hunt for indicial loci, exact strategies first, in this order.
 
     1. User seeds are snapped to rationals and verified exactly; failing
@@ -505,7 +570,12 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        product of its components' systems, and each component is searched
        on its own, in steps 3 and 4.  The product needs every indicial
        equation to vanish at the origin, so a field with a constant term
-       is searched as one component.
+       is searched as one component.  A component whose form (equations
+       in its own coordinates, weights, degree) is already in table, from
+       an earlier component of this field or of another field searched
+       with the same table, takes its points from there: only a component
+       the exact solver settled completely is stored, and its points are
+       a function of that form.  Every other component runs steps 3 and 4.
     3. Structured search: per zero pattern of the component (a choice of
        its coordinates clamped to zero, the others nonzero; the all-zero
        pattern is skipped, since the component's zero point always solves
@@ -531,26 +601,30 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        compiled system and Jacobian, numpy) is built only once a pattern
        or a user seed needs it (``_Newton``), so a search the exact solver
        settles entirely compiles nothing and draws nothing.
-    5. The loci are the products of the component results: a choice of
-       zero or one found point per component, the origin excluded.  Each
-       indicial equation reads only its own component's coordinates and
-       vanishes where they are all zero (step 2), so each part solves its
+    5. The loci are the products of the component results, read from the
+       table or searched: a choice of zero or one found point per
+       component, the origin excluded.  Each indicial equation reads only
+       its own component's coordinates and vanishes where they are all
+       zero (step 2), so each part solves its
        component's equations at its own coordinates and every other
        component's at zero.  So a product of exact points is exact, and a
        product with a numeric part has the largest of its parts'
        residuals; both are added as they stand, a numeric one unless it is
        within the merge radius of a known locus.  The source is ``newton``
-       if any part came from Newton, else ``structured_search``.
+       if any part came from Newton, else ``structured_search``.  The
+       exact loci come first, in the lexicographic order of their
+       coordinates, then the numeric ones by (re, im) of theirs, so the
+       order does not depend on the order of the parts.
 
     A connected field is one component, so its patterns, its starts and
     its loci are those of a search over every zero pattern of the field;
     a split field costs the sum of 2^(m_b) - 1 exact solves over its
-    components instead of 2^m - 1.  A complete exact solve has listed
-    every complex solution of its saturated system, all rational and
-    already recorded, so Newton could only approximate recorded points
-    again and such a pattern gets no Newton run.  A point is recorded with
-    the first strategy that finds it, so an exact locus that both the
-    structured search and Newton reach is reported as
+    distinct components not yet in table, instead of 2^m - 1.  A complete
+    exact solve has listed every complex solution of its saturated system,
+    all rational and already recorded, so Newton could only approximate
+    recorded points again and such a pattern gets no Newton run.  A point
+    is recorded with the first strategy that finds it, so an exact locus
+    that both the structured search and Newton reach is reported as
     ``structured_search``.  Numeric loci that snap and verify are upgraded
     to exact.  No claim of completeness is made; the strategies that ran
     are listed in the result, ``newton`` only when it ran on at least one
@@ -579,11 +653,19 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             newton.refine(found, [start], range(m), "user_seed")
 
     strategies.append("structured_search")
+    table = _ComponentTable() if table is None else table
     components = ([list(range(m))] if any(eq.constant_term() for eq in eqs)
                   else _components(eqs))
     owner = {i: b for b, component in enumerate(components) for i in component}
+    zero = Fraction(0)
     parts: list[list[IndicialLocus]] = []
     for component in components:
+        entry = table.entry(eqs, component, certificate)
+        if entry.points is not None:
+            parts.append([IndicialLocus(_embed(local, component, m),
+                                        "exact", "structured_search")
+                          for local in entry.points])
+            continue
         patterns = [p for p in itertools.product((False, True),
                                                  repeat=len(component))
                     if not all(p)]
@@ -603,10 +685,13 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 incomplete.append((index, free))
             for partial in result.points:
                 filled = dict(zip(free_vars, partial))
-                part.add_exact(tuple(filled.get(v, Fraction(0))
+                part.add_exact(tuple(filled.get(v, zero)
                                      for v in field.variables),
                                "structured_search")
-        if newton_starts > 0 and incomplete:
+        if not incomplete:
+            entry.points = tuple(tuple(locus.point[i] for i in component)
+                                 for locus in part.loci)
+        elif newton_starts > 0:
             if "newton" not in strategies:
                 strategies.append("newton")
             for index, free in incomplete:
@@ -619,16 +704,18 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             continue
         source = ("newton" if any(locus.source == "newton" for locus in chosen)
                   else "structured_search")
-        point = tuple(Fraction(0) if choice[owner[i]] is None
+        point = tuple(zero if choice[owner[i]] is None
                       else choice[owner[i]].point[i] for i in range(m))
         if all(locus.is_exact for locus in chosen):
             found.add_exact(point, source)
         else:
             found.add_numeric(tuple(complex(x) for x in point), source)
 
-    loci = sorted(found.loci, key=lambda loc: (
-        loc.exactness != "exact",
-        tuple((complex(x).real, complex(x).imag) for x in loc.point)))
+    loci = (sorted((loc for loc in found.loci if loc.is_exact),
+                   key=lambda loc: loc.point)
+            + sorted((loc for loc in found.loci if not loc.is_exact),
+                     key=lambda loc: tuple((complex(x).real, complex(x).imag)
+                                           for x in loc.point)))
     if not loci:
         raise NoLocusFound("no indicial locus found by any strategy")
     return LocusSearch(tuple(loci), tuple(strategies))

@@ -330,13 +330,28 @@ class TestComponents:
                    for loc in found.loci)
 
     def test_six_cubic_blocks_solve_three_patterns_each(self):
-        # the search over every zero pattern makes 2^12 - 1 = 4095 solves
-        field, cert = _uncoupled([("cubic", 1, 6)] * 6)
+        # the search over every zero pattern makes 2^12 - 1 = 4095 solves;
+        # q' = p, p' = b q^2 with weights (2, 3) balances at (6/b, -12/b),
+        # and six different b make six distinct blocks
+        field, cert = _uncoupled([("cubic", 1, 6 + k) for k in range(6)])
         assert len(kovalevskaya._components(indicial_system(field, cert))) == 6
         with _counted_solves() as solves:
             search = find_loci(field, cert)
         assert solves.call_count == 6 * 3
         assert len(search.loci) == 2 ** 6 - 1
+        assert {loc.source for loc in search.loci} == {"structured_search"}
+        assert {loc.point for loc in search.loci} == {
+            sum(block, ()) for block in itertools.product(
+                *[[(0, 0), (Fraction(6, 6 + k), Fraction(-12, 6 + k))]
+                  for k in range(6)]) if any(sum(block, ()))}
+
+    def test_six_identical_cubic_blocks_solve_three_patterns_in_all(self):
+        # the six blocks have one form: it is searched once, and the other
+        # five read its points from the search's component table
+        field, cert = _uncoupled([("cubic", 1, 6)] * 6)
+        with _counted_solves() as solves:
+            search = find_loci(field, cert)
+        assert solves.call_count == 3
         assert {loc.source for loc in search.loci} == {"structured_search"}
         assert {loc.point for loc in search.loci} == {
             sum(block, ()) for block in itertools.product(
@@ -620,15 +635,26 @@ class TestBlockSpectra:
         assert not report.semisimple_at_resonances
         assert report.classification == "non_painleve"
 
-    def test_eight_cubic_blocks_take_two_charpolys_each(self):
-        # 255 loci, but each block is at its zero or at its balance
-        field, cert = _uncoupled([("cubic", 1, 6)] * 8)
+    @staticmethod
+    def _charpolys(blocks):
+        """The charpoly calls of spectra at every locus of the uncoupled
+        blocks; each block is at its zero or at its balance."""
+        field, cert = _uncoupled(blocks)
         loci = find_loci(field, cert).loci
-        assert len(loci) == 255
+        assert len(loci) == 2 ** len(blocks) - 1
         with mock.patch.object(ExactMatrix, "charpoly", autospec=True,
                                side_effect=ExactMatrix.charpoly) as charpoly:
             pairs = spectra(field, cert, loci)
-        assert charpoly.call_count == 16
         assert all(report.classification == (
             "principal" if sum(map(bool, locus.point)) == 2 else "lower")
             for locus, report in pairs)
+        return charpoly.call_count
+
+    def test_eight_cubic_blocks_take_two_charpolys_each(self):
+        # 255 loci; eight different b make eight distinct blocks
+        assert self._charpolys([("cubic", 1, 6 + k) for k in range(8)]) == 16
+
+    def test_eight_identical_cubic_blocks_take_two_charpolys_in_all(self):
+        # eight equal blocks have one form, whose two block spectra the
+        # component table computes once
+        assert self._charpolys([("cubic", 1, 6)] * 8) == 2

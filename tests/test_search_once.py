@@ -5,7 +5,9 @@ degeneration predictions are matched against Analysis.pool, built from
 exactly those, so no later stage searches F again, and one search builds its
 indicial system once.  Within a search, each zero pattern is saturated by
 its nonzero coordinates, and Newton runs only on the patterns the exact
-solver could not settle completely.
+solver could not settle completely.  The searches and spectra of one run
+share a component table, so a component of a given form (F's second cubic_pair
+block, unchanged in every deformed field) is searched once per run.
 """
 
 import dataclasses
@@ -21,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_properties as props
-from test_kovalevskaya import _uncoupled
-from kovex import cli, degeneration, exactalg, kovalevskaya
+from test_kovalevskaya import _BLOCKS, _split_quartic, _uncoupled
+from kovex import cli, degeneration, exactalg, kovalevskaya, vfmodel
 from kovex.cli import main
-from kovex.exactalg import MultiPoly
+from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.vfmodel import VectorField, WeightCertificate, fields_from_problem
 from kovex.vfparse import parse_problem
 
@@ -203,3 +205,166 @@ def test_product_loci_are_not_checked_again():
     assert len(search.loci) == 2 ** 10 - 1
     assert all(locus.is_exact and props.verify_locus(field, cert, locus.point)
                for locus in search.loci)
+
+
+def _system_form(eqs, variables):
+    """A system handed to solve_poly_system up to renaming: each equation's
+    terms, with the exponents of the solve's variables in their order."""
+    form = []
+    for eq in eqs:
+        at = [eq.vars.index(v) if v in eq.vars else None for v in variables]
+        terms = set()
+        for exps, c in eq.terms.items():
+            local = tuple(0 if i is None else exps[i] for i in at)
+            assert sum(local) == sum(exps)
+            terms.add((local, c))
+        form.append(frozenset(terms))
+    return tuple(form)
+
+
+def _run_work(stem):
+    """The system forms solve_poly_system is handed, in order, and the
+    number of charpoly calls, in one analyze of a bundled problem."""
+    text = (PROBLEMS / f"{stem}.kov").read_text(encoding="utf-8")
+    forms = []
+
+    def counted(eqs, variables):
+        forms.append(_system_form(eqs, variables))
+        return exactalg.solve_poly_system(eqs, variables)
+
+    with mock.patch.object(kovalevskaya, "solve_poly_system", counted), \
+            mock.patch.object(degeneration, "solve_poly_system", counted), \
+            mock.patch.object(vfmodel, "solve_poly_system", counted), \
+            mock.patch.object(ExactMatrix, "charpoly", autospec=True,
+                              side_effect=ExactMatrix.charpoly) as charpoly:
+        cli.analyze(text, f"{stem}.kov")
+    return forms, charpoly.call_count
+
+
+def test_analyze_solves_each_system_once():
+    # 51 calls when each search had its own table: F's two blocks are one
+    # form, and each of the six deformed fields searched F's second block
+    # again; what is left is the zero-set check, F's block, the two flow
+    # subsystems and the first block of each of the three deformations
+    forms, _ = _run_work("cubic_pair")
+    assert len(forms) == 26
+    assert len(set(forms)) == len(forms)
+
+
+def test_no_table_survives_a_run():
+    first = _run_work("cubic_pair")
+    assert _run_work("cubic_pair") == first
+
+
+_KINDS = dict(_BLOCKS,
+              # q' = p' = 0: two one-coordinate components, no balance
+              zero=((1, 1), lambda q, p, a, b: (q * 0, p * 0)),
+              # q' = a p, p' = b q^3: rational balances only when 2/(ab) is
+              # a square, else Newton's
+              newton=((1, 2), lambda q, p, a, b: (p * a, q ** 3 * b)))
+
+_BLOCK = st.tuples(st.sampled_from(sorted(_KINDS)), props.NONZERO_Q,
+                   props.NONZERO_Q)
+
+
+def _blocks_field(blocks, prefix):
+    """Uncoupled blocks [(kind, c0, c1), ...] on {prefix}q0, {prefix}p0, ..."""
+    names = tuple(f"{prefix}{c}{k}" for k in range(len(blocks)) for c in "qp")
+    comps, weights = [], []
+    for k, (kind, c0, c1) in enumerate(blocks):
+        block_weights, components = _KINDS[kind]
+        q, p = (MultiPoly.variable(f"{prefix}{c}{k}", names) for c in "qp")
+        comps += components(q, p, c0, c1)
+        weights += block_weights
+    return VectorField(names, tuple(comps)), WeightCertificate(tuple(weights), 1)
+
+
+@st.composite
+def _sharing_fields(draw):
+    """Two fields of uncoupled blocks, the first with repeated blocks, the
+    second, under other names, with some of the first's blocks as they
+    are, some deformed (a new second coefficient) and some new."""
+    first = draw(st.lists(_BLOCK, min_size=1, max_size=3))
+    first += draw(st.lists(st.sampled_from(first), max_size=1))
+    second = []
+    for kind, c0, c1 in first:
+        fate = draw(st.sampled_from(["keep", "deform", "drop"]))
+        if fate == "keep":
+            second.append((kind, c0, c1))
+        elif fate == "deform":
+            second.append((kind, c0, draw(props.NONZERO_Q.filter(
+                lambda c, c1=c1: c != c1))))
+    second += draw(st.lists(_BLOCK, min_size=0 if second else 1, max_size=1))
+    return (_blocks_field(first, ""),
+            _blocks_field(draw(st.permutations(second)), "y"))
+
+
+@given(_sharing_fields())
+@settings(max_examples=30, deadline=None)
+def test_a_shared_table_gives_the_fresh_results(fields):
+    table = kovalevskaya._ComponentTable()
+    for field, cert in fields:
+        try:
+            fresh = kovalevskaya.find_loci(field, cert)
+        except kovalevskaya.NoLocusFound:
+            with pytest.raises(kovalevskaya.NoLocusFound):
+                kovalevskaya.find_loci(field, cert, table=table)
+            continue
+        shared = kovalevskaya.find_loci(field, cert, table=table)
+        assert shared == fresh
+        assert (kovalevskaya.spectra(field, cert, shared.loci, table=table)
+                == kovalevskaya.spectra(field, cert, fresh.loci))
+
+
+def test_a_newton_component_runs_newton_in_every_field():
+    # q' = p, p' = q^3 balances at (+-sqrt 2, -+sqrt 2), which only Newton
+    # finds: its search is never stored, alone, after a cubic block, or
+    # twice in one field
+    twice = parse_problem("variables = [q1:1, p1:2, q2:1, p2:2]\n"
+                          'F.1 = "p1"\nF.2 = "q1^3"\n'
+                          'F.3 = "p2"\nF.4 = "q2^3"\n')
+    fields = [_split_quartic(False), _split_quartic(True),
+              _split_quartic(False),
+              (fields_from_problem(twice)[0],
+               WeightCertificate(twice.weights, 1))]
+    table = kovalevskaya._ComponentTable()
+    for (field, cert), runs in zip(fields, [1, 1, 1, 2]):
+        with mock.patch.object(kovalevskaya, "_newton_refine",
+                               wraps=kovalevskaya._newton_refine) as newton:
+            search = kovalevskaya.find_loci(field, cert, table=table)
+        assert newton.call_count == runs
+        assert search == kovalevskaya.find_loci(field, cert)
+        assert any(not locus.is_exact for locus in search.loci)
+
+
+def test_exact_loci_sort_on_their_fractions():
+    # ten distinct cubic blocks, balances (6/b, -12/b) for b = 6..15
+    field, cert = _uncoupled([("cubic", 1, 6 + k) for k in range(10)])
+    with mock.patch.object(Fraction, "__complex__", autospec=True,
+                           side_effect=Fraction.__complex__) as to_complex:
+        loci = kovalevskaya.find_loci(field, cert).loci
+    assert to_complex.call_count == 0
+    assert len(loci) == 2 ** 10 - 1
+    points = [locus.point for locus in loci]
+    assert points == sorted(points)
+
+
+def test_a_component_form_holds_its_weights_and_degree():
+    # x' = 0 has the indicial equation a x = 0 at every degree, but its
+    # block of K(c) is a / degree: next to the cubic block of degree 1
+    # (weights 2, 3) and of degree 2 (weights 4, 6) it is 1 and 1/2, and
+    # with weight 2 it is 2
+    table = kovalevskaya._ComponentTable()
+    for x_weight, degree, exponent in [(1, 1, 1), (1, 2, Fraction(1, 2)),
+                                       (2, 1, 2)]:
+        names = ("x", "q", "p")
+        x, q, p = (MultiPoly.variable(v, names) for v in names)
+        field = VectorField(names, (x * 0, p, q * q * 6))
+        cert = WeightCertificate((x_weight, 2 * degree, 3 * degree), degree)
+        search = kovalevskaya.find_loci(field, cert, table=table)
+        assert search == kovalevskaya.find_loci(field, cert)
+        [(locus, report)] = kovalevskaya.spectra(field, cert, search.loci,
+                                                 table=table)
+        assert locus.point[0] == 0
+        assert exponent in dict(report.exponents.rational_roots)
+        assert report == kovalevskaya.k_exponents(field, cert, locus)
