@@ -163,7 +163,7 @@ def _value(v):
     if isinstance(v, bool) or v is None:
         return v
     if isinstance(v, (int, Fraction)):
-        return str(Fraction(v))
+        return str(v)
     return _num(v)
 
 
@@ -324,8 +324,9 @@ def _locus_stage(field, cert, spec, search, lines, violations):
     pairs = spectra(field, cert, loci, table=search["table"])
     entries = []
     for locus, spectrum in pairs:
+        point = _point_json(locus.point)
         entry: dict = {
-            "point": _point_json(locus.point),
+            "point": point,
             "exactness": locus.exactness,
             "source": locus.source,
         }
@@ -335,13 +336,13 @@ def _locus_stage(field, cert, spec, search, lines, violations):
             entry["eigenpair_verified"] = spectrum.eigenpair_verified
             entry["semisimple_at_resonances"] = spectrum.semisimple_at_resonances
             entry["has_zero_exponent"] = spectrum.has_zero_exponent
-            lines.append(f"locus {_fmt_point(locus.point)}  "
-                         f"[exact, {locus.source}]")
+            # an exact coordinate's JSON string is its text as well
+            text = "(" + ", ".join(point) + ")"
+            lines.append(f"locus {text}  [exact, {locus.source}]")
             lines.append(f"  exponents: {_spectrum_text(spectrum.exponents)}")
             lines.append(f"  spectrum classification: {spectrum.classification}")
             if not spectrum.eigenpair_verified:
-                violations.append(
-                    f"universal eigenpair fails at {_fmt_point(locus.point)}")
+                violations.append(f"universal eigenpair fails at {text}")
         else:
             entry["numeric_spectrum"] = [_num(v) for v in spectrum]
             lines.append(f"locus {_fmt_point(locus.point)}  "

@@ -13,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import (
@@ -189,13 +189,90 @@ class _Component:
     """What a component table knows of one component: its nonzero exact
     points in its own coordinates (None until a search has settled every
     zero pattern exactly) and its _Block at each local point computed so
-    far."""
+    far.
 
-    __slots__ = ("points", "blocks")
+    A component that may serve its class under scalar multiplication
+    holds the class (``_scalar_class``).  A multiple of the class's
+    reference, a settled component met earlier, holds that reference and
+    the factors mu^(a_j) that take the reference's local points to its
+    own; its points are mapped when it is made.
+    """
 
-    def __init__(self):
+    __slots__ = ("points", "blocks", "scalar_class", "reference", "scale")
+
+    def __init__(self, scalar_class=None, reference: _Component | None = None,
+                 scale: tuple[Fraction, ...] = ()):
         self.points: tuple[tuple[Fraction, ...], ...] | None = None
         self.blocks: dict[tuple[Fraction, ...], _Block] = {}
+        self.scalar_class = scalar_class
+        self.reference = reference
+        self.scale = scale
+        if reference is not None:
+            self.points = tuple(tuple(map(operator.mul, scale, local))
+                                for local in reference.points)
+
+    def block(self, coords: tuple[Fraction, ...], compute) -> _Block:
+        """The _Block at the local point coords.  A multiple's is its
+        reference's at coords / scale; compute(coords) runs only where
+        neither knows it, and then both do."""
+        block = self.blocks.get(coords)
+        if block is None:
+            if self.reference is None:
+                block = compute(coords)
+            else:
+                known = self.reference.blocks
+                at = tuple(map(operator.truediv, coords, self.scale))
+                block = known.get(at)
+                if block is None:
+                    block = known[at] = compute(coords)
+            self.blocks[coords] = block
+        return block
+
+
+def _scalar_class(eqs: Sequence[MultiPoly], component: Sequence[int],
+                  certificate: WeightCertificate):
+    """(class key, lam) of a degree-1 component, or None.
+
+    The key is the f-part of the component's indicial equations (each
+    equation minus its a_i x_i term, in the component's own coordinates)
+    divided by lam, the coefficient of its first term (lowest local
+    equation index, then lowest local exponent tuple), with the
+    component's weights.  Two components of one class have f-parts
+    lam * h and lam' * h.  If y solves lam h(y) + a * y = 0, then
+    c = mu^a * y with mu = lam / lam' solves lam' h(c) + a * c = 0, since
+    every term of h_i has weighted degree a_i + 1: lam' h_i(c) =
+    lam' mu^(a_i + 1) h_i(y) = mu^(a_i) lam h_i(y).  The map keeps zero
+    patterns and is one to one, so it takes all points to all points.
+    And K(c) = D K(y) D^-1 with D = diag(mu^a), so the block spectrum,
+    the eigenpair check (its vector at c is D times the one at y) and the
+    semisimplicity are y's.  None when the degree is not 1
+    (mu = lam^(-1/degree) may be irrational), when a term breaks the
+    weight law, when an equation's own linear term is not exactly
+    a_i x_i, or when the f-part is zero.
+    """
+    if certificate.degree != 1:
+        return None
+    weights = tuple(certificate.weights[i] for i in component)
+    parts = []
+    for k, i in enumerate(component):
+        own, linear, part = weights[k] + 1, None, {}
+        unit = tuple(int(j == k) for j in range(len(component)))
+        for exps, c in eqs[i].terms.items():
+            local = tuple(exps[j] for j in component)
+            if sum(map(operator.mul, weights, local)) == own:
+                part[local] = c
+            elif local == unit:
+                linear = c
+            else:
+                return None
+        if linear != weights[k]:
+            return None
+        parts.append(part)
+    lam = next((part[min(part)] for part in parts if part), None)
+    if lam is None:
+        return None
+    return (tuple(frozenset((e, c / lam) for e, c in part.items())
+                  for part in parts), weights), lam
 
 
 class _ComponentTable:
@@ -213,6 +290,15 @@ class _ComponentTable:
     Newton's floats depend on the compiled system of the field searched,
     so a component that needed Newton is searched afresh in every field.
 
+    A form met for the first time is looked up again by its class under
+    scalar multiplication (``_scalar_class``, degree 1 only).  When a
+    settled component of the run is a multiple of it, the new entry maps
+    that reference's points, c = mu^a * y, and reads its blocks at y,
+    instead of being searched: the deformed fields F + G/(eps + k1) of a
+    G made of F's block energies carry multiples of F's blocks.  The key
+    of the class is built only on a miss of the form, and the reference
+    itself keeps its points as found.
+
     ``analyze`` makes one table per run and hands it to every search of
     the run; a call that passes none gets a fresh one, so identical
     components within one field are still searched once.
@@ -220,12 +306,15 @@ class _ComponentTable:
 
     def __init__(self):
         self._entries: dict[tuple, _Component] = {}
+        # class key -> the first settled component of the class
+        self._references: dict[tuple, _Component] = {}
 
     def entry(self, eqs: Sequence[MultiPoly], component: Sequence[int],
               certificate: WeightCertificate) -> _Component:
         """The entry of the component of eqs (the indicial system) on the
-        coordinates ``component``, made empty on first use.  Each equation
-        of a component reads only the component's coordinates."""
+        coordinates ``component``, made on first use: a multiple of a
+        settled reference, else empty.  Each equation of a component
+        reads only the component's coordinates."""
         key = (tuple(frozenset((tuple(exps[j] for j in component), c)
                                for exps, c in eqs[i].terms.items())
                      for i in component),
@@ -233,8 +322,25 @@ class _ComponentTable:
                certificate.degree)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = _Component()
+            scalar_class = _scalar_class(eqs, component, certificate)
+            reference = (None if scalar_class is None
+                         else self._references.get(scalar_class[0]))
+            if reference is None:
+                entry = _Component(scalar_class)
+            else:
+                mu = reference.scalar_class[1] / scalar_class[1]
+                entry = _Component(reference=reference,
+                                   scale=tuple(mu ** a for a in key[1]))
+            self._entries[key] = entry
         return entry
+
+    def settle(self, entry: _Component,
+               points: tuple[tuple[Fraction, ...], ...]) -> None:
+        """Store the points of a component the exact solver settled; the
+        first settled component of its class is the class's reference."""
+        entry.points = points
+        if entry.scalar_class is not None:
+            self._references.setdefault(entry.scalar_class[0], entry)
 
 
 def _reports(field: VectorField, certificate: WeightCertificate,
@@ -246,27 +352,26 @@ def _reports(field: VectorField, certificate: WeightCertificate,
     occurs in the row's indicial equation, so K(c) is block-diagonal over
     the components of eqs (``_components``), and each block depends only
     on the component's own coordinates of c.  A block is computed once per
-    distinct (component form, local coordinates) in the table.  The
-    spectrum is roots_of_product of the blocks' rational stages, and its
-    numeric roots are those of the whole characteristic polynomial.  The
-    eigenpair holds on K(c) exactly when it holds on every block, and
-    geometric equals algebraic multiplicity on K(c) exactly when it does
-    on every block.
+    distinct (component form, local coordinates) in the table, and a
+    scalar multiple of a settled component reads its reference's block
+    (``_Component.block``).  The spectrum is roots_of_product of the
+    blocks' rational stages, and its numeric roots are those of the whole
+    characteristic polynomial.  The eigenpair holds on K(c) exactly when
+    it holds on every block, and geometric equals algebraic multiplicity
+    on K(c) exactly when it does on every block.
     """
-    components = [(component,
-                   table.entry(eqs, component, certificate).blocks)
+    components = [(component, table.entry(eqs, component, certificate),
+                   partial(_block, field, certificate, component))
                   for component in _components(eqs)]
     weights, gamma = certificate.weights, certificate.degree
 
     def report(point: tuple[Fraction, ...]) -> KExponentReport:
         blocks = []
-        for component, known in components:
+        for component, entry, compute in components:
             coords = tuple(point[i] for i in component)
-            block = known.get(coords)
-            if block is None:
-                block = known[coords] = _block(field, certificate, component,
-                                               coords)
-            blocks.append(block)
+            block = entry.blocks.get(coords)
+            blocks.append(entry.block(coords, compute) if block is None
+                          else block)
         roots = roots_of_product([block.exact_roots for block in blocks])
         vector = tuple(Fraction(a) * c for a, c in zip(weights, point))
         semisimple = all(block.semisimple for block in blocks)
@@ -326,7 +431,9 @@ def spectra(field: VectorField, certificate: WeightCertificate,
     per distinct point of each distinct component, plus the merge of the
     blocks' roots and the O(m) eigenvector per locus; a connected field is
     one block.  Blocks already in the table, from an earlier call on a
-    field with a component of the same form, are not computed again.  An
+    field with a component of the same form, are not computed again, and
+    a component that find_loci mapped from a settled one it is a scalar
+    multiple of reads that one's blocks at the unmapped points.  An
     exact locus is taken as certified and its indicial equations are not
     evaluated again: only find_loci makes exact loci, each from a point it
     has checked exactly.  K(c) itself comes from kovalevskaya_matrix.
@@ -424,15 +531,23 @@ def _snap_point(z: Sequence[complex]) -> tuple[Fraction, ...] | None:
     return tuple(snapped)
 
 
-def _divide_out_monomial(poly: MultiPoly) -> MultiPoly:
-    """poly divided by the largest monomial that divides it."""
-    if not poly:
-        return poly
-    low = tuple(map(min, zip(*poly.terms)))
-    if not any(low):
-        return poly
-    return MultiPoly(poly.vars, {tuple(map(operator.sub, e, low)): c
-                                 for e, c in poly.terms.items()})
+def _clamp(poly: MultiPoly, free: Sequence[int],
+           free_vars: tuple[str, ...]) -> MultiPoly:
+    """poly with every coordinate outside free set to zero, on free_vars
+    (the variables at free), divided by the largest monomial that divides
+    it.  The terms keep their order; a term with a clamped exponent drops
+    out, and no two others meet, so no coefficient is touched."""
+    terms = {}
+    for exps, c in poly.terms.items():
+        local = tuple(exps[j] for j in free)
+        if sum(local) == sum(exps):
+            terms[local] = c
+    if terms:
+        low = tuple(map(min, zip(*terms)))
+        if any(low):
+            terms = {tuple(map(operator.sub, e, low)): c
+                     for e, c in terms.items()}
+    return MultiPoly._trusted(free_vars, terms)
 
 
 def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:
@@ -575,16 +690,20 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        an earlier component of this field or of another field searched
        with the same table, takes its points from there: only a component
        the exact solver settled completely is stored, and its points are
-       a function of that form.  Every other component runs steps 3 and 4.
+       a function of that form.  So does a degree-1 component that is a
+       scalar multiple lam * f of a settled one, f: its points are f's
+       mapped by c = mu^a * y, mu = 1 / lam (see ``_scalar_class``).  Every
+       other component runs steps 3 and 4.
     3. Structured search: per zero pattern of the component (a choice of
        its coordinates clamped to zero, the others nonzero; the all-zero
        pattern is skipped, since the component's zero point always solves
-       a field without constant term), each clamped equation is divided
-       by the largest monomial in the free coordinates that divides it
-       (the saturation by the coordinate monomials, so ``q + u q^2 + 2v
-       pq`` becomes ``1 + u q + 2v p``), and the saturated system is handed
-       to the exact solver, which certifies every point it returns against
-       that system.  No point is checked again: a clamped equation is a
+       a field without constant term), each equation keeps its terms
+       without a clamped coordinate, on the free coordinates, and is
+       divided by the largest monomial in them that divides it (the
+       saturation by the coordinate monomials, so ``q + u q^2 + 2v pq``
+       becomes ``1 + u q + 2v p``; ``_clamp``), and the saturated system is
+       handed to the exact solver, which certifies every point it returns
+       against that system.  No point is checked again: a clamped equation is a
        monomial times its saturated one, and the other components'
        equations read only their own coordinates, all zero, where they
        vanish by the rule of step 2.  A solution with a free coordinate at
@@ -619,7 +738,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     A connected field is one component, so its patterns, its starts and
     its loci are those of a search over every zero pattern of the field;
     a split field costs the sum of 2^(m_b) - 1 exact solves over its
-    distinct components not yet in table, instead of 2^m - 1.  A complete
+    distinct components not yet in table, nor multiples of a settled one
+    there, instead of 2^m - 1.  A complete
     exact solve has listed every complex solution of its saturated system,
     all rational and already recorded, so Newton could only approximate
     recorded points again and such a pattern gets no Newton run.  A point
@@ -673,14 +793,12 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         incomplete: list[tuple[int, list[int]]] = []
         for index, pattern in enumerate(patterns):
             free = [i for i, z in zip(component, pattern) if not z]
-            free_vars = [field.variables[i] for i in free]
+            free_vars = tuple(field.variables[i] for i in free)
             # the variables outside the component do not occur in its
             # equations; clamping them too leaves only the free ones
-            zeroed = {v: 0 for v in field.variables if v not in free_vars}
-            clamped = [_divide_out_monomial(
-                eqs[i].substitute(zeroed) if zeroed else eqs[i])
-                for i in component]
-            result = solve_poly_system(clamped, free_vars)
+            result = solve_poly_system(
+                [_clamp(eqs[i], free, free_vars) for i in component],
+                free_vars)
             if not result.complete:
                 incomplete.append((index, free))
             for partial in result.points:
@@ -689,8 +807,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                                      for v in field.variables),
                                "structured_search")
         if not incomplete:
-            entry.points = tuple(tuple(locus.point[i] for i in component)
-                                 for locus in part.loci)
+            table.settle(entry, tuple(tuple(locus.point[i] for i in component)
+                                      for locus in part.loci))
         elif newton_starts > 0:
             if "newton" not in strategies:
                 strategies.append("newton")

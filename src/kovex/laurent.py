@@ -333,7 +333,9 @@ class _PrefixSeries:
     the pole-stripped _IntPoly coefficient list of y_l; the caller may
     append to it between orders.  Every prefix keeps its coefficients,
     leaves included, so a second field added later (add, then extend)
-    reads every prefix the first one had instead of recomputing it.
+    reads every prefix the first one had instead of recomputing it.  The
+    coefficients of a lone variable's prefix y_l are series[l] itself, so
+    neither extend nor settle computes them.
     """
 
     def __init__(self, dim: int, series: Sequence[Sequence[_IntPoly]]):
@@ -364,7 +366,8 @@ class _PrefixSeries:
                 if child not in self.links:
                     self.links[child] = (parent, l)
                     self.parents.add(parent)
-                    self.history[child] = []
+                    self.history[child] = (self.series[l]
+                                           if parent is self.root else [])
                 parent = child
         return parent
 
@@ -386,12 +389,18 @@ class _PrefixSeries:
         to series.  Coefficient j of a prefix P = Q y_l is linear in d_j:
         P_j - P_j|_{d_j=0} = Q_0 d_{l,j} + (Q_j - Q_j|_{d_j=0}) c_l.
         Only a parent's change is kept for its children; a leaf's is
-        summed with its old coefficient in the same _dot.
+        summed with its old coefficient in the same _dot.  A lone
+        variable's prefix is series[l], which holds d_{l,j} already, and
+        d_{l,j} is its change.
         """
         history, series, parents = self.history, self.series, self.parents
-        delta = {self.root: _ZERO}
+        root = self.root
+        delta = {}
         for key, (parent, l) in self.links.items():
             right = series[l]
+            if parent is root:
+                delta[key] = right[j]
+                continue
             pairs = []
             if history[parent][0].terms and right[j].terms:
                 pairs.append((history[parent][0], right[j]))
@@ -412,10 +421,14 @@ class _PrefixSeries:
 
         Coefficients of y missing from series count as zero, so with
         series ending at order j-1, extend(j + 1) gives order j with the
-        unknown d_j taken as 0 (settle adds its part afterwards).
+        unknown d_j taken as 0 (settle adds its part afterwards).  A lone
+        variable's prefix is series[l] and is skipped.
         """
         history, series, cauchy = self.history, self.series, self._cauchy
+        root = self.root
         for key, (parent, l) in self.links.items():
+            if parent is root:
+                continue
             values = history[key]
             for k in range(len(values), count):
                 values.append(cauchy(history[parent], series[l], k))

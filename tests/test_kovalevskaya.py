@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -196,6 +197,40 @@ class TestPuiseuxVariant:
             assert any(r == -1 for r, _ in report.exponents.rational_roots)
 
 
+def _saturated(eq, zeroed, free_vars):
+    """Oracle: eq with the variables of zeroed clamped, by substitution,
+    divided by the largest monomial that divides it, embedded in
+    free_vars."""
+    poly = eq.substitute(zeroed) if zeroed else eq
+    if poly:
+        low = tuple(map(min, zip(*poly.terms)))
+        if any(low):
+            poly = MultiPoly(poly.vars, {
+                tuple(map(operator.sub, e, low)): c
+                for e, c in poly.terms.items()})
+    return poly.embed(free_vars)
+
+
+_CLAMP_NAMES = ("q1", "p1", "q2", "p2")
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), props.NONZERO_Q,
+                       max_size=6),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_clamp_is_substitute_then_embed(terms, pattern):
+    # the names are not in sorted order, so substitute's sorted variables
+    # and the free variables differ, and the old route had to embed
+    eq = MultiPoly(_CLAMP_NAMES, terms)
+    free = [i for i, z in enumerate(pattern) if not z]
+    free_vars = tuple(_CLAMP_NAMES[i] for i in free)
+    zeroed = {v: 0 for v, z in zip(_CLAMP_NAMES, pattern) if z}
+    clamped = kovalevskaya._clamp(eq, free, free_vars)
+    oracle = _saturated(eq, zeroed, free_vars)
+    assert clamped.vars == oracle.vars == free_vars
+    assert list(clamped.terms.items()) == list(oracle.terms.items())
+
+
 def _search_all_patterns(field, cert, *, newton_starts=64, rng_seed=0,
                          tolerance=DEFAULT_TOL):
     """Oracle: the locus search over every zero pattern of the whole field,
@@ -236,9 +271,8 @@ def _search_all_patterns(field, cert, *, newton_starts=64, rng_seed=0,
     solved = []
     for pattern in patterns:
         zeroed = {v: 0 for v, z in zip(field.variables, pattern) if z}
-        clamped = [kovalevskaya._divide_out_monomial(
-            eq.substitute(zeroed) if zeroed else eq) for eq in eqs]
         free_vars = [v for v, z in zip(field.variables, pattern) if not z]
+        clamped = [_saturated(eq, zeroed, free_vars) for eq in eqs]
         result = exactalg.solve_poly_system(clamped, free_vars)
         solved.append(result.complete)
         for partial in result.points:
@@ -458,9 +492,8 @@ def _pattern_starts(field, cert, *, newton_starts=64, rng_seed=0):
             free = [i for i, z in zip(component, pattern) if not z]
             free_vars = [field.variables[i] for i in free]
             zeroed = {v: 0 for v in field.variables if v not in free_vars}
-            clamped = [kovalevskaya._divide_out_monomial(
-                eqs[i].substitute(zeroed) if zeroed else eqs[i])
-                for i in component]
+            clamped = [_saturated(eqs[i], zeroed, free_vars)
+                       for i in component]
             if exactalg.solve_poly_system(clamped, free_vars).complete:
                 continue
             rng = np.random.default_rng([rng_seed, index])

@@ -12,6 +12,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -509,3 +510,21 @@ class TestPrefixTreeHandOff:
         assert sol == copy
         assert repr(sol) == repr(copy)
         assert "_prefixes" not in repr(sol)
+
+
+def test_lone_variable_prefixes_are_the_series(pair4d_deg3):
+    # the prefix y_l is series[l] itself: extend completes it by no
+    # _cauchy and settle takes d_{l,j} as its change by no _dot.  With
+    # each lone prefix recomputed as 1 * y_l, the series and G's
+    # expansion at N = 32 made 495 _cauchy and 959 _dot calls
+    field, g_field, cert = pair4d_deg3
+    with mock.patch.object(laurent._PrefixSeries, "_cauchy",
+                           wraps=laurent._PrefixSeries._cauchy) as cauchy, \
+            mock.patch.object(laurent, "_dot", wraps=laurent._dot) as dot:
+        sol = build_series(field, cert, (1, 1, 1, -1), truncation=32)
+        tree = sol._prefixes
+        g_expansion(g_field, sol)
+    assert (cauchy.call_count, dot.call_count) == (363, 839)
+    for l in range(field.dim):
+        lone = tuple(int(k == l) for k in range(field.dim))
+        assert tree.history[lone] is tree.series[l]

@@ -222,10 +222,12 @@ def _system_form(eqs, variables):
     return tuple(form)
 
 
-def _run_work(stem):
+def _run_work(stem, text=None):
     """The system forms solve_poly_system is handed, in order, and the
-    number of charpoly calls, in one analyze of a bundled problem."""
-    text = (PROBLEMS / f"{stem}.kov").read_text(encoding="utf-8")
+    number of charpoly calls, in one analyze of a bundled problem, or of
+    the problem text."""
+    if text is None:
+        text = (PROBLEMS / f"{stem}.kov").read_text(encoding="utf-8")
     forms = []
 
     def counted(eqs, variables):
@@ -244,11 +246,36 @@ def _run_work(stem):
 def test_analyze_solves_each_system_once():
     # 51 calls when each search had its own table: F's two blocks are one
     # form, and each of the six deformed fields searched F's second block
-    # again; what is left is the zero-set check, F's block, the two flow
-    # subsystems and the first block of each of the three deformations
-    forms, _ = _run_work("cubic_pair")
-    assert len(forms) == 26
+    # again.  26 when the table shared only identical forms: the degree-1
+    # flow subsystem is -F1 and each deformed field's first block is a
+    # multiple of F1, so they now map F1's points and read its blocks.
+    # What is left is the zero-set check and F's block's three patterns,
+    # and F1's blocks at its zero and its balance plus the subsystem's
+    # one-coordinate block alpha3' = 0 (16 charpolys before)
+    forms, charpolys = _run_work("cubic_pair")
+    assert len(forms) == 5
     assert len(set(forms)) == len(forms)
+    assert charpolys == 3
+
+
+def _four_block_pair():
+    """H_F = sum (p_b^2/2 - 2 q_b^3) over four blocks of weights (2, 3),
+    and H_G the same sum with the factors 1, 2, 3, 5."""
+    names = [(f"q{b}", f"p{b}") for b in range(1, 5)]
+    h_f = " + ".join(f"1/2*{p}^2 - 2*{q}^3" for q, p in names)
+    h_g = " + ".join(f"{c}/2*{p}^2 - {2 * c}*{q}^3"
+                     for c, (q, p) in zip((1, 2, 3, 5), names))
+    return ("variables = [" + ", ".join(f"{q}:2, {p}:3" for q, p in names)
+            + f']\nH_F = "{h_f}"\nH_G = "{h_g}"\n')
+
+
+def test_a_pair_of_block_energies_solves_f_alone():
+    # every block of every deformed field F + G/(eps + k1) is a multiple
+    # of F's block, and so is every degree-1 flow subsystem: what is left
+    # is the zero-set check and F's block's three patterns, against 164
+    # solves when only identical forms were shared
+    forms, _ = _run_work("four_blocks", _four_block_pair())
+    assert len(forms) == 5
 
 
 def test_no_table_survives_a_run():
@@ -267,14 +294,16 @@ _BLOCK = st.tuples(st.sampled_from(sorted(_KINDS)), props.NONZERO_Q,
                    props.NONZERO_Q)
 
 
-def _blocks_field(blocks, prefix):
-    """Uncoupled blocks [(kind, c0, c1), ...] on {prefix}q0, {prefix}p0, ..."""
+def _blocks_field(blocks, prefix, scales=None):
+    """Uncoupled blocks [(kind, c0, c1), ...] on {prefix}q0, {prefix}p0, ...,
+    block k multiplied by scales[k] if scales are given."""
     names = tuple(f"{prefix}{c}{k}" for k in range(len(blocks)) for c in "qp")
     comps, weights = [], []
     for k, (kind, c0, c1) in enumerate(blocks):
         block_weights, components = _KINDS[kind]
         q, p = (MultiPoly.variable(f"{prefix}{c}{k}", names) for c in "qp")
-        comps += components(q, p, c0, c1)
+        block = components(q, p, c0, c1)
+        comps += block if scales is None else [c * scales[k] for c in block]
         weights += block_weights
     return VectorField(names, tuple(comps)), WeightCertificate(tuple(weights), 1)
 
@@ -299,10 +328,7 @@ def _sharing_fields(draw):
             _blocks_field(draw(st.permutations(second)), "y"))
 
 
-@given(_sharing_fields())
-@settings(max_examples=30, deadline=None)
-def test_a_shared_table_gives_the_fresh_results(fields):
-    table = kovalevskaya._ComponentTable()
+def _assert_shared_is_fresh(fields, table):
     for field, cert in fields:
         try:
             fresh = kovalevskaya.find_loci(field, cert)
@@ -314,6 +340,106 @@ def test_a_shared_table_gives_the_fresh_results(fields):
         assert shared == fresh
         assert (kovalevskaya.spectra(field, cert, shared.loci, table=table)
                 == kovalevskaya.spectra(field, cert, fresh.loci))
+
+
+@given(_sharing_fields())
+@settings(max_examples=30, deadline=None)
+def test_a_shared_table_gives_the_fresh_results(fields):
+    _assert_shared_is_fresh(fields, kovalevskaya._ComponentTable())
+
+
+@st.composite
+def _multiple_fields(draw):
+    """A field of uncoupled blocks and, under other names, a field of
+    nonzero rational multiples of some of its blocks, in any order,
+    negative multiples included; with the second field's blocks."""
+    first = draw(st.lists(_BLOCK, min_size=1, max_size=3))
+    second = draw(st.lists(st.sampled_from(first), min_size=1, max_size=3))
+    scales = draw(st.lists(props.NONZERO_Q, min_size=len(second),
+                           max_size=len(second)))
+    return second, (_blocks_field(first, ""),
+                    _blocks_field(second, "y", scales))
+
+
+@given(_multiple_fields())
+@settings(max_examples=40, deadline=None)
+def test_scalar_multiples_give_the_fresh_results(case):
+    # every block kind but newton is settled by the exact solver, so once
+    # the first field is searched, the second one's blocks, multiples of
+    # settled ones, take no solve
+    second, fields = case
+    table = kovalevskaya._ComponentTable()
+    _assert_shared_is_fresh(fields[:1], table)
+    with mock.patch.object(kovalevskaya, "solve_poly_system",
+                           wraps=exactalg.solve_poly_system) as solves:
+        try:
+            kovalevskaya.find_loci(*fields[1], table=table)
+        except kovalevskaya.NoLocusFound:
+            pass
+    if all(kind != "newton" for kind, _, _ in second):
+        assert solves.call_count == 0
+    _assert_shared_is_fresh(fields[1:], table)
+
+
+def _searched_with(table, field, cert):
+    """find_loci with table, and the number of exact solves it made."""
+    with mock.patch.object(kovalevskaya, "solve_poly_system",
+                           wraps=exactalg.solve_poly_system) as solves:
+        search = kovalevskaya.find_loci(field, cert, table=table)
+    return search, solves.call_count
+
+
+def test_a_negated_block_maps_its_balance():
+    # lam = -1, so mu = -1 takes the balance (1, -2) of q' = p, p' = 6 q^2
+    # to (mu^2 * 1, mu^3 * -2) = (1, 2), the balance of q' = -p,
+    # p' = -6 q^2, and K(1, 2) = D K(1, -2) D^-1 with D = diag(1, -1)
+    table = kovalevskaya._ComponentTable()
+    field, cert = _blocks_field([("cubic", 1, 6)], "")
+    negated, _ = _blocks_field([("cubic", -1, -6)], "y")
+    search, solves = _searched_with(table, field, cert)
+    assert [locus.point for locus in search.loci] == [(1, -2)]
+    assert solves == 3
+    search, solves = _searched_with(table, negated, cert)
+    assert [locus.point for locus in search.loci] == [(1, 2)]
+    assert solves == 0
+    assert search == kovalevskaya.find_loci(negated, cert)
+    [(_, report)] = kovalevskaya.spectra(negated, cert, search.loci,
+                                         table=table)
+    assert report == kovalevskaya.k_exponents(negated, cert, (1, 2))
+    assert report.exponents.multiset() == (-1, 6)
+
+
+def test_a_degree_two_multiple_is_searched_again():
+    # at degree 2, mu = lam^(-1/2) need not be rational, so 3F is not
+    # mapped from F; it is searched, with the fresh result
+    names = ("q", "p")
+    q, p = (MultiPoly.variable(v, names) for v in names)
+    cert = WeightCertificate((4, 6), 2)
+    table = kovalevskaya._ComponentTable()
+    for scale in (1, 3):
+        field = VectorField(names, (p * scale, q * q * (6 * scale)))
+        search, solves = _searched_with(table, field, cert)
+        assert solves == 3
+        assert search == kovalevskaya.find_loci(field, cert)
+        assert (kovalevskaya.spectra(field, cert, search.loci, table=table)
+                == kovalevskaya.spectra(field, cert, search.loci))
+
+
+@pytest.mark.parametrize("first", ["p + q^2", "p - 3*q"])
+def test_an_off_law_component_is_never_matched(first):
+    # with weights (2, 3) the term q^2 has weight 4, not 3, and -3q turns
+    # the indicial term 2q into -q: the scaled points would not solve the
+    # multiple, which is searched instead
+    table = kovalevskaya._ComponentTable()
+    for scale in (1, 2, -1):
+        spec = parse_problem(f'variables = [q:2, p:3]\n'
+                             f'F.1 = "{scale}*({first})"\n'
+                             f'F.2 = "{6 * scale}*q^2"\n')
+        field, _ = fields_from_problem(spec)
+        cert = WeightCertificate((2, 3), 1)
+        search, solves = _searched_with(table, field, cert)
+        assert solves == 3
+        assert search == kovalevskaya.find_loci(field, cert)
 
 
 def test_a_newton_component_runs_newton_in_every_field():
