@@ -73,8 +73,9 @@ class AnalysisError(Exception):
 class Analysis:
     """One run: the report ``--json`` writes, the text summary and the exact
     objects behind them.  loci pairs each locus of F with its spectrum
-    (kovalevskaya.spectra), series maps a locus index to its LaurentSolution,
-    pool is F's lower_spectra (None when the locus stage did not run)."""
+    (kovalevskaya's spectra(find_loci(F, certificate))), series maps a
+    locus index to its LaurentSolution, pool is F's lower_spectra (None
+    when the locus stage did not run)."""
 
     report: dict
     lines: tuple[str, ...]
@@ -318,10 +319,9 @@ def _assumptions(field, g_field, cert, lines, violations):
 def _locus_stage(field, cert, spec, search, lines, violations):
     """Returns (loci entries of the report, (locus, spectrum) pairs)."""
     try:
-        loci = find_loci(field, cert, seeds=spec.seeds, **search).loci
+        pairs = spectra(find_loci(field, cert, seeds=spec.seeds, **search))
     except NoLocusFound:
-        loci = ()
-    pairs = spectra(field, cert, loci, table=search["table"])
+        pairs = ()
     entries = []
     for locus, spectrum in pairs:
         point = _point_json(locus.point)

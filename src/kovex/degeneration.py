@@ -403,10 +403,9 @@ def _contains(values, target, radius: float) -> bool:
 def lower_spectra(pairs: Sequence[tuple]) -> tuple:
     """(point, exponent multiset) for every lower locus of the ambient field.
 
-    pairs are the (locus, spectrum) pairs of kovalevskaya.spectra for F's
-    loci.  Exact loci are kept only when classified lower; numeric loci go
-    in unfiltered since a principal multiset can never collide with a
-    lower prediction anyway.
+    pairs are kovalevskaya.spectra of F's locus search.  Exact loci are
+    kept only when classified lower; numeric loci go in unfiltered since a
+    principal multiset can never collide with a lower prediction anyway.
     """
     pool = []
     for locus, spectrum in pairs:
@@ -437,14 +436,14 @@ def _matches(predicted, pool: tuple, radius: float) -> tuple[tuple, ...]:
                  if _multisets_match(predicted, multiset, radius))
 
 
-def _loci(field: VectorField, certificate: WeightCertificate, rng_seed: int,
-          tolerance: float, table: _ComponentTable | None) -> tuple:
-    """Loci of a flow subsystem or deformed field, () when none is found."""
+def _search(field: VectorField, certificate: WeightCertificate, rng_seed: int,
+            tolerance: float, table: _ComponentTable | None):
+    """find_loci on a flow subsystem or deformed field, or None."""
     try:
         return find_loci(field, certificate, rng_seed=rng_seed,
-                         tolerance=tolerance, table=table).loci
+                         tolerance=tolerance, table=table)
     except NoLocusFound:
-        return ()
+        return None
 
 
 def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
@@ -459,8 +458,8 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     the extra -1 coming from the pole direction itself.  The predictions
     are matched against pool, the ambient field's lower_spectra.
     rng_seed, tolerance and table (kovalevskaya's component table, fresh
-    when None) go to the subsystem's locus search and spectra, and float
-    exponents match within _merge_radius(tolerance).
+    when None) go to the subsystem's locus search, whose spectra give the
+    multisets, and float exponents match within _merge_radius(tolerance).
     """
     if flow.gamma != 1:
         raise ValueError("this route needs a degree-1 commuting flow")
@@ -468,8 +467,8 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     sub_cert = WeightCertificate(flow.kappa, 1)
     radius = _merge_radius(tolerance)
     predictions = []
-    loci = _loci(sub, sub_cert, rng_seed, tolerance, table)
-    for locus, spectrum in spectra(sub, sub_cert, loci, table=table):
+    search = _search(sub, sub_cert, rng_seed, tolerance, table)
+    for locus, spectrum in spectra(search) if search else ():
         if locus.is_exact:
             vals, pole = spectrum.exponents.multiset(), Fraction(-1)
             diag = {"universal_eigenpair": spectrum.eigenpair_verified}
@@ -593,7 +592,8 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
     pole, pole_cert = flow.pole_field()
-    for locus in _loci(sub, sub_cert, rng_seed, tolerance, table):
+    search = _search(sub, sub_cert, rng_seed, tolerance, table)
+    for locus in search.loci if search else ():
         g0_value = flow.ghat0.evaluate(dict(zip(params, locus.point)))
         if (g0_value == 0 if locus.is_exact
                 else abs(complex(g0_value)) <= _MATCH_TOL):
@@ -670,8 +670,9 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
     rng_seed and tolerance go to each deformed field's locus search, and
     float exponents match within _merge_radius(tolerance).
 
-    Every deformed field is searched and its spectra computed with table,
-    kovalevskaya's component table (one for the whole call when None).
+    Every deformed field is searched with table, kovalevskaya's component
+    table (one for the whole call when None), and the spectra of its
+    exact loci are read from the search.
     G/(eps + k1) changes only the components where G is nonzero, so a
     component it leaves unchanged, the same at every epsilon and the
     same as F's, is read from the table: its points are searched once, and
@@ -704,12 +705,11 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
             field.variables,
             tuple(f + g * scale
                   for f, g in zip(field.components, g_field.components)))
-        exact = [locus for locus in _loci(deformed, certificate, rng_seed,
-                                          tolerance, table) if locus.is_exact]
+        search = _search(deformed, certificate, rng_seed, tolerance, table)
         collected = sorted(
             (report.exponents.multiset()
-             for _, report in spectra(deformed, certificate, exact,
-                                      table=table)),
+             for locus, report in (spectra(search) if search else ())
+             if locus.is_exact),
             key=lambda ms: tuple((complex(v).real, complex(v).imag)
                                  for v in ms))
         per_eps.append(tuple(collected))

@@ -9,6 +9,7 @@ through x* can carry a full set of free parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 from dataclasses import dataclass
@@ -65,8 +66,15 @@ class IndicialLocus:
 
 @dataclass(frozen=True)
 class LocusSearch:
+    """find_loci's loci and strategies, with the field, certificate and
+    (component, table entry) pairs it searched, kept for spectra."""
+
     loci: tuple[IndicialLocus, ...]
     strategies: tuple[str, ...]
+    _field: VectorField = dataclasses.field(compare=False, repr=False)
+    _certificate: WeightCertificate = dataclasses.field(compare=False,
+                                                        repr=False)
+    _split: tuple = dataclasses.field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def _scalar_class(eqs: Sequence[MultiPoly], component: Sequence[int],
 
 class _ComponentTable:
     """Locus search results and block spectra of components, shared by
-    every search and spectra call that is handed the same table.
+    every search that is handed the same table and by its spectra.
 
     A component is keyed by its canonical form: its indicial equations
     re-indexed to its own coordinates 0..k-1, its weights and the degree.
@@ -343,16 +351,28 @@ class _ComponentTable:
             self._references.setdefault(entry.scalar_class[0], entry)
 
 
-def _reports(field: VectorField, certificate: WeightCertificate,
-             eqs: Sequence[MultiPoly], table: _ComponentTable):
+def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
+           table: _ComponentTable):
+    """Each component of the indicial system eqs (``_components``; one of
+    all coordinates when an equation has a constant term, see find_loci)
+    with its table entry, made when reached, so that a component settled
+    before can be the reference of a multiple."""
+    constant = any(eq.constant_term() for eq in eqs)
+    components = [list(range(len(eqs)))] if constant else _components(eqs)
+    for component in components:
+        yield component, table.entry(eqs, component, certificate)
+
+
+def _reports(field: VectorField, certificate: WeightCertificate, split):
     """The function mapping an exact point of the field to its
-    KExponentReport, assembled from the blocks of the field's components.
+    KExponentReport, assembled from the blocks of the field's (component,
+    table entry) pairs, split (``_split``).
 
     An entry of Df off the diagonal is nonzero only where its variable
     occurs in the row's indicial equation, so K(c) is block-diagonal over
-    the components of eqs (``_components``), and each block depends only
-    on the component's own coordinates of c.  A block is computed once per
-    distinct (component form, local coordinates) in the table, and a
+    the components, and each block depends only on the component's own
+    coordinates of c.  A block is computed once per distinct (component
+    form, local coordinates) in the table, and a
     scalar multiple of a settled component reads its reference's block
     (``_Component.block``).  The spectrum is roots_of_product of the
     blocks' rational stages, and its numeric roots are those of the whole
@@ -360,9 +380,9 @@ def _reports(field: VectorField, certificate: WeightCertificate,
     it holds on every block, and geometric equals algebraic multiplicity
     on K(c) exactly when it does on every block.
     """
-    components = [(component, table.entry(eqs, component, certificate),
+    components = [(component, entry,
                    partial(_block, field, certificate, component))
-                  for component in _components(eqs)]
+                  for component, entry in split]
     weights, gamma = certificate.weights, certificate.degree
 
     def report(point: tuple[Fraction, ...]) -> KExponentReport:
@@ -397,16 +417,17 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     its integer resolvent, with the rational ones extracted exactly, so
     integrality questions are decided without floating-point doubt.  The
     universal eigenpair (eigenvalue -1, eigenvector (a_i x_i)) is
-    re-verified by an exact matrix-vector product.  This is spectra at one
-    locus: the same blocks, the same assembly, after one exact check that
-    the point solves the indicial equations (ValueError if not).  K(c)
-    itself is kovalevskaya_matrix.
+    re-verified by an exact matrix-vector product.  This is spectra at a
+    bare point, on a fresh table, after one exact check that the point
+    solves the indicial equations (ValueError if not).  K(c) itself is
+    kovalevskaya_matrix.
     """
     point = exact_point(locus)
     eqs = indicial_system(field, certificate)
     if not _vanishes(eqs, field.variables, point):
         raise ValueError("point does not satisfy the indicial equations")
-    return _reports(field, certificate, eqs, _ComponentTable())(point)
+    return _reports(field, certificate,
+                    _split(eqs, certificate, _ComponentTable()))(point)
 
 
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
@@ -420,30 +441,24 @@ def numeric_exponents(field: VectorField, certificate: WeightCertificate,
                         key=lambda z: (z.real, z.imag)))
 
 
-def spectra(field: VectorField, certificate: WeightCertificate,
-            loci: Sequence[IndicialLocus], *,
-            table: _ComponentTable | None = None) -> tuple[tuple, ...]:
-    """(locus, spectrum) pairs: the k_exponents report at an exact locus,
-    the numeric_exponents at a numeric one.
+def spectra(search: LocusSearch) -> tuple[tuple, ...]:
+    """(locus, spectrum) pairs for the loci of a find_loci search: the
+    k_exponents report at an exact locus, the numeric_exponents at a
+    numeric one.
 
-    The exact reports read their blocks from table (a fresh one when none
-    is given), so a field split into components costs one block spectrum
-    per distinct point of each distinct component, plus the merge of the
-    blocks' roots and the O(m) eigenvector per locus; a connected field is
-    one block.  Blocks already in the table, from an earlier call on a
-    field with a component of the same form, are not computed again, and
-    a component that find_loci mapped from a settled one it is a scalar
-    multiple of reads that one's blocks at the unmapped points.  An
-    exact locus is taken as certified and its indicial equations are not
-    evaluated again: only find_loci makes exact loci, each from a point it
-    has checked exactly.  K(c) itself comes from kovalevskaya_matrix.
+    The exact reports are assembled (``_reports``) on the components the
+    search split its field into, from the blocks of the table entries it
+    kept, so spectra builds no indicial system, no split and no table
+    key.  An exact locus is taken as certified: find_loci made it from a
+    point it has checked exactly.  K(c) itself comes from
+    kovalevskaya_matrix.
     """
-    report = _reports(field, certificate, indicial_system(field, certificate),
-                      _ComponentTable() if table is None else table)
+    field, certificate = search._field, search._certificate
+    report = _reports(field, certificate, search._split)
     return tuple(
         (locus, report(exact_point(locus)) if locus.is_exact
          else numeric_exponents(field, certificate, locus.point))
-        for locus in loci)
+        for locus in search.loci)
 
 
 def _compile_system(polys: Sequence[MultiPoly]):
@@ -680,75 +695,58 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     1. User seeds are snapped to rationals and verified exactly; failing
        that they start a Newton run on the whole field.
     2. The variables are split into the connected components of the
-       indicial system (``_components``): two variables are linked when
-       one occurs in the other's equation.  The system is then the
-       product of its components' systems, and each component is searched
-       on its own, in steps 3 and 4.  The product needs every indicial
-       equation to vanish at the origin, so a field with a constant term
-       is searched as one component.  A component whose form (equations
-       in its own coordinates, weights, degree) is already in table, from
-       an earlier component of this field or of another field searched
-       with the same table, takes its points from there: only a component
-       the exact solver settled completely is stored, and its points are
-       a function of that form.  So does a degree-1 component that is a
-       scalar multiple lam * f of a settled one, f: its points are f's
-       mapped by c = mu^a * y, mu = 1 / lam (see ``_scalar_class``).  Every
-       other component runs steps 3 and 4.
+       indicial system (``_split``): two variables are linked when one
+       occurs in the other's equation.  The system is then the product of
+       its components' systems, which needs every equation to vanish at
+       the origin, so a field with a constant term is one component.  A
+       component whose form (equations in its own coordinates, weights,
+       degree) table holds settled, or a degree-1 scalar multiple of one
+       it holds settled, takes its points from there
+       (``_ComponentTable``).  Every other component runs steps 3 and 4.
     3. Structured search: per zero pattern of the component (a choice of
        its coordinates clamped to zero, the others nonzero; the all-zero
        pattern is skipped, since the component's zero point always solves
-       a field without constant term), each equation keeps its terms
-       without a clamped coordinate, on the free coordinates, and is
-       divided by the largest monomial in them that divides it (the
-       saturation by the coordinate monomials, so ``q + u q^2 + 2v pq``
-       becomes ``1 + u q + 2v p``; ``_clamp``), and the saturated system is
-       handed to the exact solver, which certifies every point it returns
-       against that system.  No point is checked again: a clamped equation is a
-       monomial times its saturated one, and the other components'
-       equations read only their own coordinates, all zero, where they
-       vanish by the rule of step 2.  A solution with a free coordinate at
-       zero is kept (painleve1_coupled_4d's (3, 27, 0, -3) comes from the
-       all-free pattern); only the origin is dropped.
-    4. Newton multistart, only on the component's patterns the exact
-       solver left incomplete: ``newton_starts`` pseudo-random complex
-       starts each on the pattern's free coordinates, refined until the
-       residual is below ``tolerance``, then snapped and re-verified
-       exactly.  Pattern p of a component (p = 0 leaves every coordinate
-       free) draws from ``np.random.default_rng([rng_seed, p])``, so its
-       starts depend neither on the components before it nor on which
-       patterns the exact solver settled.  The Newton machinery (the
-       compiled system and Jacobian, numpy) is built only once a pattern
-       or a user seed needs it (``_Newton``), so a search the exact solver
-       settles entirely compiles nothing and draws nothing.
-    5. The loci are the products of the component results, read from the
-       table or searched: a choice of zero or one found point per
-       component, the origin excluded.  Each indicial equation reads only
-       its own component's coordinates and vanishes where they are all
-       zero (step 2), so each part solves its
-       component's equations at its own coordinates and every other
-       component's at zero.  So a product of exact points is exact, and a
-       product with a numeric part has the largest of its parts'
-       residuals; both are added as they stand, a numeric one unless it is
-       within the merge radius of a known locus.  The source is ``newton``
-       if any part came from Newton, else ``structured_search``.  The
-       exact loci come first, in the lexicographic order of their
-       coordinates, then the numeric ones by (re, im) of theirs, so the
-       order does not depend on the order of the parts.
+       a field without constant term), the saturated system (``_clamp``:
+       ``q + u q^2 + 2v pq`` becomes ``1 + u q + 2v p``) is handed to the
+       exact solver, which certifies every point it returns against it.
+       No point is checked again: a clamped equation is a monomial times
+       its saturated one, and the other components' equations read only
+       their own coordinates, all zero, where they vanish by the rule of
+       step 2.  A solution with a free coordinate at zero is kept
+       (painleve1_coupled_4d's (3, 27, 0, -3) comes from the all-free
+       pattern); only the origin is dropped.
+    4. Newton multistart (``_Newton``, built on first use), only on the
+       component's patterns the exact solver left incomplete:
+       ``newton_starts`` pseudo-random complex starts each on the
+       pattern's free coordinates, refined until the residual is below
+       ``tolerance``, then snapped and re-verified exactly.  Pattern p of
+       a component (p = 0 leaves every coordinate free) draws from
+       ``np.random.default_rng([rng_seed, p])``, so its starts depend
+       neither on the components before it nor on which patterns the
+       exact solver settled.
+    5. The loci are the products of the component results: a choice of
+       zero or one found point per component, the origin excluded.  By
+       step 2 each part solves the whole system, so a product of exact
+       points is exact, and a product with a numeric part has the largest
+       of its parts' residuals; both are added as they stand, a numeric
+       one unless it is within the merge radius of a known locus.  The
+       source is ``newton`` if any part came from Newton, else
+       ``structured_search``.  The exact loci come first, in the
+       lexicographic order of their coordinates, then the numeric ones by
+       (re, im) of theirs, so the order does not depend on the parts'.
 
     A connected field is one component, so its patterns, its starts and
     its loci are those of a search over every zero pattern of the field;
     a split field costs the sum of 2^(m_b) - 1 exact solves over its
-    distinct components not yet in table, nor multiples of a settled one
-    there, instead of 2^m - 1.  A complete
-    exact solve has listed every complex solution of its saturated system,
-    all rational and already recorded, so Newton could only approximate
-    recorded points again and such a pattern gets no Newton run.  A point
-    is recorded with the first strategy that finds it, so an exact locus
-    that both the structured search and Newton reach is reported as
-    ``structured_search``.  Numeric loci that snap and verify are upgraded
-    to exact.  No claim of completeness is made; the strategies that ran
-    are listed in the result, ``newton`` only when it ran on at least one
-    pattern.
+    components not taken from table, instead of 2^m - 1.  A complete
+    exact solve has listed every complex solution of its saturated
+    system, so such a pattern gets no Newton run.  A point is recorded
+    with the first strategy that finds it, and numeric loci that snap and
+    verify are upgraded to exact.  No claim of completeness is made; the
+    strategies that ran are listed in the result, ``newton`` only when it
+    ran on at least one pattern.  The result also keeps the field, the
+    certificate and the (component, table entry) pairs searched, from
+    which spectra(search) reads the loci's spectra.
     """
     m = field.dim
     eqs = indicial_system(field, certificate)
@@ -774,13 +772,11 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
 
     strategies.append("structured_search")
     table = _ComponentTable() if table is None else table
-    components = ([list(range(m))] if any(eq.constant_term() for eq in eqs)
-                  else _components(eqs))
-    owner = {i: b for b, component in enumerate(components) for i in component}
     zero = Fraction(0)
+    split: list[tuple[list[int], _Component]] = []
     parts: list[list[IndicialLocus]] = []
-    for component in components:
-        entry = table.entry(eqs, component, certificate)
+    for component, entry in _split(eqs, certificate, table):
+        split.append((component, entry))
         if entry.points is not None:
             parts.append([IndicialLocus(_embed(local, component, m),
                                         "exact", "structured_search")
@@ -816,6 +812,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 newton.refine(part, newton.starts(free, index), free, "newton")
         parts.append(part.loci)
 
+    owner = {i: b for b, (component, _) in enumerate(split) for i in component}
     for choice in itertools.product(*([None] + loci for loci in parts)):
         chosen = [locus for locus in choice if locus is not None]
         if not chosen:
@@ -836,4 +833,5 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                                            for x in loc.point)))
     if not loci:
         raise NoLocusFound("no indicial locus found by any strategy")
-    return LocusSearch(tuple(loci), tuple(strategies))
+    return LocusSearch(tuple(loci), tuple(strategies), field, certificate,
+                       tuple(split))

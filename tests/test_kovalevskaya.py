@@ -628,14 +628,15 @@ def _whole_matrix_report(field, cert, point):
 def _assert_spectra_match_whole_matrix(field, cert):
     """spectra at every exact locus equals the oracle, field by field;
     returns the exact loci."""
-    exact = [loc for loc in find_loci(field, cert, newton_starts=0).loci
-             if loc.is_exact]
-    for locus, report in spectra(field, cert, exact):
+    pairs = [(locus, report) for locus, report
+             in spectra(find_loci(field, cert, newton_starts=0))
+             if locus.is_exact]
+    for locus, report in pairs:
         oracle = _whole_matrix_report(field, cert, locus.point)
         for name in (f.name for f in dataclasses.fields(report)):
             assert getattr(report, name) == getattr(oracle, name), (
                 locus.point, name)
-    return exact
+    return [locus for locus, _ in pairs]
 
 
 class TestBlockSpectra:
@@ -668,16 +669,33 @@ class TestBlockSpectra:
         assert not report.semisimple_at_resonances
         assert report.classification == "non_painleve"
 
+    def test_a_field_with_a_constant_term_is_one_block(self):
+        # x' = x^2, y' = 2 - y^2: the constant term keeps the search from
+        # splitting the field, and the spectra read the same single block
+        names = ("x", "y")
+        x, y = (MultiPoly.variable(v, names) for v in names)
+        field = VectorField(names, (x * x, 2 - y * y))
+        cert = WeightCertificate((1, 1), 1)
+        search = find_loci(field, cert, newton_starts=0)
+        assert [component for component, _ in search._split] == [[0, 1]]
+        pairs = spectra(search)
+        assert [locus.point for locus, _ in pairs] == [
+            (-1, -1), (-1, 2), (0, -1), (0, 2)]
+        assert [report.classification for _, report in pairs] == [
+            "principal", "lower", "non_painleve", "non_painleve"]
+        for locus, report in pairs:
+            assert report == _whole_matrix_report(field, cert, locus.point)
+
     @staticmethod
     def _charpolys(blocks):
         """The charpoly calls of spectra at every locus of the uncoupled
         blocks; each block is at its zero or at its balance."""
         field, cert = _uncoupled(blocks)
-        loci = find_loci(field, cert).loci
-        assert len(loci) == 2 ** len(blocks) - 1
+        search = find_loci(field, cert)
+        assert len(search.loci) == 2 ** len(blocks) - 1
         with mock.patch.object(ExactMatrix, "charpoly", autospec=True,
                                side_effect=ExactMatrix.charpoly) as charpoly:
-            pairs = spectra(field, cert, loci)
+            pairs = spectra(search)
         assert all(report.classification == (
             "principal" if sum(map(bool, locus.point)) == 2 else "lower")
             for locus, report in pairs)

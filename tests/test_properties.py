@@ -19,14 +19,12 @@ from kovex import kovalevskaya
 from kovex.degeneration import g_expansion
 from kovex.exactalg import MultiPoly, as_fraction
 from kovex.kovalevskaya import (
-    IndicialLocus,
     NoLocusFound,
     exact_point,
     find_loci,
     indicial_system,
     k_exponents,
     kovalevskaya_matrix,
-    spectra,
 )
 from kovex.laurent import (
     _field_orders,
@@ -526,15 +524,11 @@ def test_spectra_survive_non_integer_rescaling(case, raw_lambdas):
     field, cert, loci = case
     lambdas = tuple(raw_lambdas[:field.dim])
     rescaled = _scaled(field, lambdas)
-    pairs = zip(
-        spectra(field, cert, [IndicialLocus(tuple(map(Fraction, point)),
-                                            "exact", "user_seed")
-                              for point in loci]),
-        spectra(rescaled, cert, [
-            IndicialLocus(tuple(Fraction(c) / lam
-                                for c, lam in zip(point, lambdas)),
-                          "exact", "user_seed") for point in loci]))
-    for (_, before), (_, after) in pairs:
+    for point in loci:
+        before = k_exponents(field, cert, tuple(map(Fraction, point)))
+        after = k_exponents(rescaled, cert,
+                            tuple(Fraction(c) / lam
+                                  for c, lam in zip(point, lambdas)))
         assert after.exponents == before.exponents
         assert after.classification == before.classification
         assert after.eigenpair_verified == before.eigenpair_verified

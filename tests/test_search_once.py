@@ -71,6 +71,24 @@ def test_find_loci_builds_the_indicial_system_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_spectra_read_the_split_of_their_search():
+    # one cubic_pair analyze searches 9 fields (F, the two flow subsystems
+    # and six deformed fields) of 2 components each; the spectra of each
+    # read the search's split, so nothing is built twice (18 indicial
+    # systems, 18 splits and 36 entry lookups when spectra split again).
+    # laurent's build_series calls indicial_system through its own import
+    text = (PROBLEMS / "cubic_pair.kov").read_text(encoding="utf-8")
+    table = kovalevskaya._ComponentTable
+    with mock.patch.object(kovalevskaya, "indicial_system",
+                           wraps=kovalevskaya.indicial_system) as built, \
+            mock.patch.object(kovalevskaya, "_components",
+                              wraps=kovalevskaya._components) as split, \
+            mock.patch.object(table, "entry", autospec=True,
+                              side_effect=table.entry) as entry:
+        cli.analyze(text, "cubic_pair.kov")
+    assert (built.call_count, split.call_count, entry.call_count) == (9, 9, 18)
+
+
 @pytest.mark.parametrize("extra", [[], ["--tolerance", "1e-10"]])
 @pytest.mark.parametrize("stem", ["cubic_pair", "painleve1_coupled_4d"])
 def test_lower_spectra_are_the_reported_lower_loci(stem, extra, tmp_path):
@@ -338,8 +356,7 @@ def _assert_shared_is_fresh(fields, table):
             continue
         shared = kovalevskaya.find_loci(field, cert, table=table)
         assert shared == fresh
-        assert (kovalevskaya.spectra(field, cert, shared.loci, table=table)
-                == kovalevskaya.spectra(field, cert, fresh.loci))
+        assert kovalevskaya.spectra(shared) == kovalevskaya.spectra(fresh)
 
 
 @given(_sharing_fields())
@@ -403,8 +420,7 @@ def test_a_negated_block_maps_its_balance():
     assert [locus.point for locus in search.loci] == [(1, 2)]
     assert solves == 0
     assert search == kovalevskaya.find_loci(negated, cert)
-    [(_, report)] = kovalevskaya.spectra(negated, cert, search.loci,
-                                         table=table)
+    [(_, report)] = kovalevskaya.spectra(search)
     assert report == kovalevskaya.k_exponents(negated, cert, (1, 2))
     assert report.exponents.multiset() == (-1, 6)
 
@@ -420,9 +436,9 @@ def test_a_degree_two_multiple_is_searched_again():
         field = VectorField(names, (p * scale, q * q * (6 * scale)))
         search, solves = _searched_with(table, field, cert)
         assert solves == 3
-        assert search == kovalevskaya.find_loci(field, cert)
-        assert (kovalevskaya.spectra(field, cert, search.loci, table=table)
-                == kovalevskaya.spectra(field, cert, search.loci))
+        fresh = kovalevskaya.find_loci(field, cert)
+        assert search == fresh
+        assert kovalevskaya.spectra(search) == kovalevskaya.spectra(fresh)
 
 
 @pytest.mark.parametrize("first", ["p + q^2", "p - 3*q"])
@@ -489,8 +505,7 @@ def test_a_component_form_holds_its_weights_and_degree():
         cert = WeightCertificate((x_weight, 2 * degree, 3 * degree), degree)
         search = kovalevskaya.find_loci(field, cert, table=table)
         assert search == kovalevskaya.find_loci(field, cert)
-        [(locus, report)] = kovalevskaya.spectra(field, cert, search.loci,
-                                                 table=table)
+        [(locus, report)] = kovalevskaya.spectra(search)
         assert locus.point[0] == 0
         assert exponent in dict(report.exponents.rational_roots)
         assert report == kovalevskaya.k_exponents(field, cert, locus)
