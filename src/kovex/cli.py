@@ -19,6 +19,9 @@ sorted, every rational is a "num/den" string, complex numbers are
 Exit codes: 0 clean, 1 input error (nothing analyzable; message on
 stderr, never a stack trace), 2 when any assumption violation or series
 obstruction was detected.  A report is still written in the last case.
+A reader that closes standard output early (``| head``) changes neither:
+the rest of the summary is dropped without a message, after the
+``--json`` report has been written.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -692,7 +696,15 @@ def main(argv=None) -> int:
             Path(args.json).write_text(payload, encoding="utf-8")
         except OSError as exc:
             return _fail(f"cannot write {args.json}: {exc.strerror or exc}")
-    print("\n".join(result.lines))
+    try:
+        print("\n".join(result.lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not fail on the same pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 2 if result.report["violations"] else 0
 
 

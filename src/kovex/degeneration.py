@@ -24,6 +24,7 @@ against the ambient field's lower loci (lower_spectra) already in place.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,19 @@ from .kovalevskaya import (
     numeric_exponents,
     spectra,
 )
-from .laurent import LaurentSolution, _expand_along, classify
+from .laurent import (
+    LaurentSolution,
+    _diff,
+    _dot,
+    _expand_along,
+    _IntPoly,
+    _key_weight,
+    _ONE,
+    _pack,
+    _PackedExpansion,
+    _unpacker,
+    classify,
+)
 from .vfmodel import VectorField, WeightCertificate, field_degree, off_weight
 
 __all__ = [
@@ -74,6 +87,8 @@ __all__ = [
 
 # a shift rate at a numeric locus at most this large counts as zero
 _MATCH_TOL = 1e-8
+
+_MINUS_ONE = -_ONE
 
 
 class TruncationTooShort(ValueError):
@@ -104,6 +119,11 @@ class GExpansion:
 
     vectors: tuple[tuple[MultiPoly, ...], ...]
     gamma: int
+    # the packed form g_expansion computed the vectors in, for the flow
+    # identities; not part of the value, and neither a hand-built
+    # expansion nor a dataclasses.replace copy has one
+    _packed: _PackedExpansion | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -138,7 +158,52 @@ def g_expansion(g_field: VectorField, sol: LaurentSolution,
             f"expansion through order {count - 1} needs the series "
             f"authoritative through that order (it stops at "
             f"{sol.authoritative_through})")
-    return GExpansion(vectors=_expand_along(g_field, sol, count), gamma=gamma)
+    vectors, packed = _expand_along(g_field, sol, count)
+    expansion = GExpansion(vectors=vectors, gamma=gamma)
+    object.__setattr__(expansion, "_packed", packed)
+    return expansion
+
+
+def _largest(polys) -> int:
+    """The largest exponent in any of the MultiPolys."""
+    return max((e for p in polys for exps in p.terms for e in exps),
+               default=0)
+
+
+def _operands(expansion: GExpansion, sol: LaurentSolution | None = None,
+              factors: Sequence[MultiPoly] = ()) -> tuple:
+    """(names, width, vectors, series): the expansion's vectors and, given
+    sol, its coefficients (series[i][j] is d_{i,j}) as _IntPoly, each
+    parameter in names with a field of width bits.
+
+    factors are the MultiPolys the caller packs over names and multiplies
+    with series coefficients, so the width leaves room for their largest
+    exponent.  The packed form g_expansion kept serves when it belongs to
+    sol (or no sol is asked for) and has that room.  Anything else (a
+    hand-built or replaced expansion, another solution, a factor past the
+    room) is packed here, over the sorted variables of every input, at a
+    width read off their largest exponents.
+    """
+    packed = expansion._packed
+    room = _largest(factors)
+    if packed is not None and (sol is None or (
+            packed.solution is sol
+            and packed.largest + room < 1 << packed.width
+            and all(v in packed.names for p in factors for v in p.vars))):
+        return packed.names, packed.width, packed.vectors, packed.series
+    polys = [p for vec in expansion.vectors for p in vec]
+    coeffs = ([] if sol is None
+              else [p for row in sol.coefficients for p in row])
+    names = tuple(sorted({v for p in polys + coeffs + list(factors)
+                          for v in p.vars}))
+    width = max(_largest(coeffs) + room, _largest(polys)).bit_length()
+    shift = {v: k * width for k, v in enumerate(names)}
+    vectors = tuple(tuple(_pack(p, shift) for p in vec)
+                    for vec in expansion.vectors)
+    series = (None if sol is None
+              else [[_pack(p, shift) for p in row]
+                    for row in sol.coefficients])
+    return names, width, vectors, series
 
 
 def expansion_support_check(expansion: GExpansion,
@@ -147,13 +212,24 @@ def expansion_support_check(expansion: GExpansion,
 
     Weighing a parameter by its resonance order, every monomial of
     vectors[k][i] must weigh exactly k.  Violations come back as
-    (component, order, exponent) triples; empty means the law holds.
+    (component, order, exponent) triples, the exponents over the sorted
+    parameter names; empty means the law holds.  Each weight is read off a
+    packed monomial of the expansion; only a violating monomial is
+    unpacked.
     """
     kappa = {r.parameter: r.order for r in sol.resonances}
-    return tuple((i, k, exps)
-                 for k, vec in enumerate(expansion.vectors)
-                 for i, poly in enumerate(vec)
-                 for exps in off_weight(poly, kappa, k))
+    names, width, vectors, _ = _operands(expansion)
+    weights = [kappa[v] for v in names]
+    unpack = _unpacker(names, width)
+    violations = []
+    for k, vec in enumerate(vectors):
+        for i, poly in enumerate(vec):
+            off = {key: 1 for key in poly.terms
+                   if _key_weight(key, weights, width) != k}
+            if off:
+                exps = sorted(unpack(_IntPoly(off)).terms)
+                violations.extend((i, k, e) for e in exps)
+    return tuple(violations)
 
 
 def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
@@ -163,7 +239,8 @@ def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
     For k below gamma the order-k vector must satisfy
     (K(c) + (gamma-k) I) G_k = 0 identically in the parameters: the
     expansion of a commuting field starts inside eigenspaces of the
-    exponent matrix.  Returns one bool per k in 0..gamma-1.
+    exponent matrix.  Returns one bool per k in 0..gamma-1.  Each row of
+    each identity is one scalar _dot over the packed expansion.
     """
     gamma = expansion.gamma
     if expansion.count < gamma:
@@ -171,20 +248,15 @@ def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
             f"kernel identities need orders 0..{gamma - 1}, expansion has "
             f"{expansion.count}")
     matrix = kovalevskaya_matrix(field, certificate, locus)
-    m = field.dim
+    _, _, vectors, _ = _operands(expansion)
     results = []
     for k in range(gamma):
-        vec = expansion.vector(k)
-        ok = True
-        for i in range(m):
-            acc = vec[i] * (gamma - k)
-            for j in range(m):
-                if matrix.data[i][j]:
-                    acc = acc + vec[j] * matrix.data[i][j]
-            if acc:
-                ok = False
-                break
-        results.append(ok)
+        vec = vectors[k]
+        results.append(not any(
+            _dot([(_IntPoly.constant(entry + (gamma - k if i == j else 0)),
+                   vec[j])
+                  for j, entry in enumerate(row) if vec[j]])
+            for i, row in enumerate(matrix.data)))
     return tuple(results)
 
 
@@ -232,6 +304,9 @@ def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
 
         ghat_l = g_{i, kappa_l + gamma}
                  - (a_i - 1 - kappa_l) d_{i, kappa_l + 1} ghat0.
+
+    Every step runs on the packed expansion and series; ghat0 and the
+    ghat_l are unpacked once, for the ParamFlow.
     """
     verdict = classify(sol)
     if verdict.kind != "principal":
@@ -248,25 +323,26 @@ def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
             f"expansion has {expansion.count}")
 
     weights = sol.weights
-    leading = expansion.vector(gamma - 1)
+    # ghat0 has the leading vector's monomials, and multiplies the series
+    names, width, vectors, series = _operands(
+        expansion, sol, expansion.vector(gamma - 1))
+    leading = vectors[gamma - 1]
     scales = [Fraction(a) * c for a, c in zip(weights, sol.locus)]
     ghat0 = None
     for i, scale in enumerate(scales):
         if scale:
-            ghat0 = leading[i] / scale
+            ghat0 = leading[i] * (1 / scale)
             break
-    if ghat0 is None:
-        if any(leading):
-            raise InconsistentG0(
-                "leading expansion order is nonzero at the zero locus")
-        ghat0 = MultiPoly.zero()
+    if ghat0 is None and any(leading):
+        raise InconsistentG0(
+            "leading expansion order is nonzero at the zero locus")
     for i, scale in enumerate(scales):
         if scale == 0:
             if leading[i]:
                 raise InconsistentG0(
                     f"component {i + 1}: leading order nonzero where the "
                     f"eigenvector (a_i c_i) vanishes")
-        elif leading[i] != ghat0 * scale:
+        elif leading[i] - ghat0 * scale:
             raise InconsistentG0(
                 f"component {i + 1}: leading order is not a consistent "
                 f"multiple of the eigenvector (a_i c_i)")
@@ -275,12 +351,14 @@ def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
     for rec in sol.resonances:
         i = rec.anchor
         factor = weights[i] - 1 - rec.order
-        g = expansion.vector(rec.order + gamma)[i]
-        g = g - sol.coefficient(i, rec.order + 1) * ghat0 * factor
-        ghat.append(g)
+        pairs = [(vectors[rec.order + gamma][i], _ONE)]
+        if ghat0 is not None:
+            pairs.append((series[i][rec.order + 1], ghat0 * -factor))
+        ghat.append(_dot(pairs))
+    unpack = _unpacker(names, width)
     return ParamFlow(
-        ghat0=ghat0,
-        ghat=tuple(ghat),
+        ghat0=MultiPoly.zero() if ghat0 is None else unpack(ghat0),
+        ghat=tuple(unpack(g) for g in ghat),
         kappa=kappa,
         gamma=gamma,
         parameters=sol.parameters,
@@ -299,20 +377,37 @@ def flow_ladder_check(expansion: GExpansion, sol: LaurentSolution,
 
     at every component and order.  Checking it everywhere is therefore a
     heavily overdetermined exact test of the whole construction; None
-    means no defect anywhere the expansion reaches.
+    means no defect anywhere the expansion reaches.  Each (component,
+    order) is one _dot over the packed series, flow and expansion, the
+    right-hand side entering times -1, that must vanish; the flow is
+    packed on entry, at a width with room for its largest exponent.
     """
     weights = sol.weights
     gamma = expansion.gamma
     top = min(expansion.count - gamma, sol.truncation)
+    names, width, vectors, series = _operands(
+        expansion, sol, (flow.ghat0,) + tuple(flow.ghat))
+    shift = {v: k * width for k, v in enumerate(names)}
+    ghat0 = _pack(flow.ghat0, shift)
+    velocities = [(names.index(name), _pack(g, shift))
+                  for name, g in zip(flow.parameters, flow.ghat)
+                  if name in shift and g]
+    # ghat0 times a_i - j - 1, by that factor
+    scaled = {}
     for i in range(sol.dim):
         a_i = weights[i]
+        row = series[i]
         for j in range(top):
-            lhs = sol.coefficient(i, j + 1) * flow.ghat0 * (a_i - j - 1)
-            d_ij = sol.coefficient(i, j)
-            for name, g in zip(flow.parameters, flow.ghat):
-                if name in d_ij.vars:
-                    lhs = lhs + d_ij.diff(name) * g
-            if lhs != expansion.vector(j + gamma)[i]:
+            factor = a_i - j - 1
+            if factor not in scaled:
+                scaled[factor] = ghat0 * factor
+            pairs = [(vectors[j + gamma][i], _MINUS_ONE),
+                     (row[j + 1], scaled[factor])]
+            for k, g in velocities:
+                partial = _diff(row[j], k, width)
+                if partial:
+                    pairs.append((partial, g))
+            if _dot(pairs):
                 return (i, j)
     return None
 

@@ -56,7 +56,11 @@ the locus and the field coefficients enter as constants, solve_singular
 takes the _IntPoly right-hand side as it is, and the finished
 coefficients and expansion vectors leave as MultiPoly over the sorted
 parameter names, each packed monomial decoded once per series or
-expansion.
+expansion.  The expansion also keeps its packed form (_PackedExpansion:
+the vectors, the packed series they were expanded along and its
+solution, the parameter order, the width), and the flow identities in
+degeneration run on it with _dot, _diff and _key_weight; the parameter
+flow's ghat0 and ghat are the one thing they unpack, once, in param_flow.
 
 residual_order deliberately keeps the from-scratch MultiPoly expansion
 (_field_orders): it is the oracle that checks the recursion, so it must
@@ -447,24 +451,77 @@ class _PrefixSeries:
         return out
 
 
-def _expand_along(field: VectorField, sol: LaurentSolution,
-                  count: int) -> tuple[tuple[MultiPoly, ...], ...]:
-    """Orders 0..count-1 of each component of field along the family sol.
+def _diff(poly: _IntPoly, k: int, width: int) -> _IntPoly:
+    """d poly / d (parameter k) on packed monomials."""
+    shift = k * width
+    mask, one = (1 << width) - 1, 1 << shift
+    terms = {}
+    for key, v in poly.terms.items():
+        e = (key >> shift) & mask
+        if e:
+            terms[key - one] = v * e
+    if not terms:
+        return _ZERO
+    # no numerator is zero, but the exponents can share a factor with den
+    den = poly.den
+    g = gcd(den, *terms.values()) if den != 1 else 1
+    if g != 1:
+        return _IntPoly({key: v // g for key, v in terms.items()}, den // g)
+    return _IntPoly(terms, den)
+
+
+def _key_weight(key: int, weights: Sequence[int], width: int) -> int:
+    """The weight of a packed monomial, parameter k weighing weights[k]."""
+    mask = (1 << width) - 1
+    total = 0
+    for w in weights:
+        total += (key & mask) * w
+        key >>= width
+    return total
+
+
+@dataclass(frozen=True, eq=False)
+class _PackedExpansion:
+    """An expansion as _expand_along computed it, on _IntPoly.
+
+    vectors[k][i] is the packed order-k coefficient of component i, and
+    series[i][j] the packed d_{i,j} of solution, the family expanded
+    along; both give each parameter in names, in that order, a field of
+    width bits.  largest bounds every exponent of series, so a product of
+    a series coefficient and a polynomial with exponents at most e cannot
+    carry while largest + e < 2**width.
+    """
+
+    vectors: tuple[tuple[_IntPoly, ...], ...]
+    series: Sequence[Sequence[_IntPoly]]
+    solution: LaurentSolution
+    names: tuple[str, ...]
+    width: int
+    largest: int
+
+
+def _expand_along(field: VectorField, sol: LaurentSolution, count: int
+                  ) -> tuple[tuple[tuple[MultiPoly, ...], ...],
+                             _PackedExpansion]:
+    """Orders 0..count-1 of each component of field along the family sol,
+    unpacked, and the packed expansion they were read off.
 
     The first call along a build_series result takes over its prefix tree
-    and adds field's monomials to it, at the series' own width.  Without
-    a tree the series is packed once: a prefix of degree at most the
-    field's largest monomial degree multiplies that many coefficients, so
-    its exponents stay at most that degree times the series' largest
-    exponent, which sets the field width.
+    and adds field's monomials to it, at the series' own width; an order-j
+    coefficient has total degree at most j, so the truncation bounds its
+    exponents.  Without a tree the series is packed once: a prefix of
+    degree at most the field's largest monomial degree multiplies that
+    many coefficients, so its exponents stay at most that degree times the
+    series' largest exponent, which sets the field width.
     """
     names = sol.parameters
     prefixes = sol._prefixes
     if prefixes is not None:
         # hand-off: the solution drops the tree, which then lives no
-        # longer than this call
+        # longer than this call; only its series stays, on the result
         object.__setattr__(sol, "_prefixes", None)
         width = sol.truncation.bit_length()
+        largest = sol.truncation
     else:
         largest = max((e for row in sol.coefficients for p in row
                        for exps in p.terms for e in exps), default=0)
@@ -476,9 +533,11 @@ def _expand_along(field: VectorField, sol: LaurentSolution,
                                              for row in sol.coefficients])
     rows = prefixes.add(field)
     prefixes.extend(count)
+    vectors = tuple(tuple(prefixes.sums(rows, k)) for k in range(count))
     unpack = _unpacker(names, width)
-    return tuple(tuple(unpack(p) for p in prefixes.sums(rows, k))
-                 for k in range(count))
+    return (tuple(tuple(unpack(p) for p in vec) for vec in vectors),
+            _PackedExpansion(vectors, prefixes.series, sol, names, width,
+                             largest))
 
 
 def _mul_trunc(a: list, b: list, cap: int) -> list:

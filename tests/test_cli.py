@@ -181,6 +181,31 @@ def test_flow_subcommand_prints_the_parameter_flow(tmp_path):
     assert routes.count("flow_direct") == 3
 
 
+def test_closed_stdout_ends_the_run_quietly(tmp_path):
+    # the ten distinct cubic blocks of the CI step print about 230 kB, far
+    # more than a pipe holds, so the write meets the closed pipe; the JSON
+    # report is written before the summary and stays whole
+    names = [(f"q{k}", f"p{k}") for k in range(1, 11)]
+    lines = ["variables = [" + ", ".join(f"{q}:2, {p}:3" for q, p in names)
+             + "]"]
+    for k, (q, p) in enumerate(names, 1):
+        lines += [f'F.{2 * k - 1} = "{p}"', f'F.{2 * k} = "{6 + k}*{q}^2"']
+    prob, out = tmp_path / "blocks.kov", tmp_path / "loci.json"
+    prob.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with subprocess.Popen(
+            [sys.executable, "-m", "kovex", "loci", str(prob),
+             "--json", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"problem: blocks.kov\n"
+    assert stderr == b""
+    assert code == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["loci"]) == 1023
+
+
 _NUMPY_PROBE = """
 import sys
 from pathlib import Path
