@@ -55,8 +55,10 @@ from .laurent import (
     _expand_along,
     _IntPoly,
     _key_weight,
+    _largest,
     _ONE,
     _pack,
+    _pack_all,
     _PackedExpansion,
     _unpacker,
     classify,
@@ -164,46 +166,36 @@ def g_expansion(g_field: VectorField, sol: LaurentSolution,
     return expansion
 
 
-def _largest(polys) -> int:
-    """The largest exponent in any of the MultiPolys."""
-    return max((e for p in polys for exps in p.terms for e in exps),
-               default=0)
-
-
 def _operands(expansion: GExpansion, sol: LaurentSolution | None = None,
               factors: Sequence[MultiPoly] = ()) -> tuple:
-    """(names, width, vectors, series): the expansion's vectors and, given
-    sol, its coefficients (series[i][j] is d_{i,j}) as _IntPoly, each
-    parameter in names with a field of width bits.
+    """(shift, width, vectors, series): the expansion's vectors and, given
+    sol, its coefficients (series[i][j] is d_{i,j}) as _IntPoly, parameter
+    v a field of width bits starting at bit shift[v].
 
-    factors are the MultiPolys the caller packs over names and multiplies
+    factors are the MultiPolys the caller packs with shift and multiplies
     with series coefficients, so the width leaves room for their largest
     exponent.  The packed form g_expansion kept serves when it belongs to
     sol (or no sol is asked for) and has that room.  Anything else (a
     hand-built or replaced expansion, another solution, a factor past the
-    room) is packed here, over the sorted variables of every input, at a
-    width read off their largest exponents.
+    room) is packed here by _pack_all, over the sorted variables of every
+    input.
     """
     packed = expansion._packed
-    room = _largest(factors)
+    room = _largest((factors,))
     if packed is not None and (sol is None or (
             packed.solution is sol
             and packed.largest + room < 1 << packed.width
-            and all(v in packed.names for p in factors for v in p.vars))):
-        return packed.names, packed.width, packed.vectors, packed.series
-    polys = [p for vec in expansion.vectors for p in vec]
-    coeffs = ([] if sol is None
-              else [p for row in sol.coefficients for p in row])
-    names = tuple(sorted({v for p in polys + coeffs + list(factors)
-                          for v in p.vars}))
-    width = max(_largest(coeffs) + room, _largest(polys)).bit_length()
-    shift = {v: k * width for k, v in enumerate(names)}
-    vectors = tuple(tuple(_pack(p, shift) for p in vec)
-                    for vec in expansion.vectors)
-    series = (None if sol is None
-              else [[_pack(p, shift) for p in row]
-                    for row in sol.coefficients])
-    return names, width, vectors, series
+            and all(v in packed.shift for p in factors for v in p.vars))):
+        return packed.shift, packed.width, packed.vectors, packed.series
+    rows = list(expansion.vectors)
+    if sol is not None:
+        rows.extend(sol.coefficients)
+    names = sorted({v for row in rows + [factors] for p in row
+                    for v in p.vars})
+    width, shift, packed_rows = _pack_all(names, rows,
+                                          _largest(rows) + room)
+    count = expansion.count
+    return shift, width, packed_rows[:count], packed_rows[count:]
 
 
 def expansion_support_check(expansion: GExpansion,
@@ -212,23 +204,22 @@ def expansion_support_check(expansion: GExpansion,
 
     Weighing a parameter by its resonance order, every monomial of
     vectors[k][i] must weigh exactly k.  Violations come back as
-    (component, order, exponent) triples, the exponents over the sorted
-    parameter names; empty means the law holds.  Each weight is read off a
-    packed monomial of the expansion; only a violating monomial is
-    unpacked.
+    (component, order, exponent) triples, each exponent tuple over the
+    variables of its polynomial; empty means the law holds.  Each weight
+    is read off a packed monomial of the expansion; only a polynomial
+    that breaks the law is read again, unpacked, for its violations.
     """
     kappa = {r.parameter: r.order for r in sol.resonances}
-    names, width, vectors, _ = _operands(expansion)
-    weights = [kappa[v] for v in names]
-    unpack = _unpacker(names, width)
+    shift, width, vectors, _ = _operands(expansion)
+    weights = [kappa[v] for v in shift]
     violations = []
     for k, vec in enumerate(vectors):
         for i, poly in enumerate(vec):
-            off = {key: 1 for key in poly.terms
-                   if _key_weight(key, weights, width) != k}
-            if off:
-                exps = sorted(unpack(_IntPoly(off)).terms)
-                violations.extend((i, k, e) for e in exps)
+            if any(_key_weight(key, weights, width) != k
+                   for key in poly.terms):
+                violations.extend(
+                    (i, k, exps) for exps in off_weight(
+                        expansion.vectors[k][i], kappa, k))
     return tuple(violations)
 
 
@@ -324,7 +315,7 @@ def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
 
     weights = sol.weights
     # ghat0 has the leading vector's monomials, and multiplies the series
-    names, width, vectors, series = _operands(
+    shift, width, vectors, series = _operands(
         expansion, sol, expansion.vector(gamma - 1))
     leading = vectors[gamma - 1]
     scales = [Fraction(a) * c for a, c in zip(weights, sol.locus)]
@@ -355,7 +346,7 @@ def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
         if ghat0 is not None:
             pairs.append((series[i][rec.order + 1], ghat0 * -factor))
         ghat.append(_dot(pairs))
-    unpack = _unpacker(names, width)
+    unpack = _unpacker(tuple(shift), width)
     return ParamFlow(
         ghat0=MultiPoly.zero() if ghat0 is None else unpack(ghat0),
         ghat=tuple(unpack(g) for g in ghat),
@@ -385,11 +376,10 @@ def flow_ladder_check(expansion: GExpansion, sol: LaurentSolution,
     weights = sol.weights
     gamma = expansion.gamma
     top = min(expansion.count - gamma, sol.truncation)
-    names, width, vectors, series = _operands(
+    shift, width, vectors, series = _operands(
         expansion, sol, (flow.ghat0,) + tuple(flow.ghat))
-    shift = {v: k * width for k, v in enumerate(names)}
     ghat0 = _pack(flow.ghat0, shift)
-    velocities = [(names.index(name), _pack(g, shift))
+    velocities = [(shift[name], _pack(g, shift))
                   for name, g in zip(flow.parameters, flow.ghat)
                   if name in shift and g]
     # ghat0 times a_i - j - 1, by that factor
@@ -403,8 +393,8 @@ def flow_ladder_check(expansion: GExpansion, sol: LaurentSolution,
                 scaled[factor] = ghat0 * factor
             pairs = [(vectors[j + gamma][i], _MINUS_ONE),
                      (row[j + 1], scaled[factor])]
-            for k, g in velocities:
-                partial = _diff(row[j], k, width)
+            for low, g in velocities:
+                partial = _diff(row[j], low, width)
                 if partial:
                     pairs.append((partial, g))
             if _dot(pairs):

@@ -58,9 +58,11 @@ coefficients and expansion vectors leave as MultiPoly over the sorted
 parameter names, each packed monomial decoded once per series or
 expansion.  The expansion also keeps its packed form (_PackedExpansion:
 the vectors, the packed series they were expanded along and its
-solution, the parameter order, the width), and the flow identities in
+solution, the parameter layout, the width), and the flow identities in
 degeneration run on it with _dot, _diff and _key_weight; the parameter
 flow's ghat0 and ghat are the one thing they unpack, once, in param_flow.
+An input with no packed form is packed on entry by _pack_all, as
+_expand_along packs a series without a tree.
 
 residual_order deliberately keeps the from-scratch MultiPoly expansion
 (_field_orders): it is the oracle that checks the recursion, so it must
@@ -74,7 +76,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactalg import ExactMatrix, MultiPoly, _exact_roots
 from .kovalevskaya import (
@@ -451,13 +453,12 @@ class _PrefixSeries:
         return out
 
 
-def _diff(poly: _IntPoly, k: int, width: int) -> _IntPoly:
-    """d poly / d (parameter k) on packed monomials."""
-    shift = k * width
-    mask, one = (1 << width) - 1, 1 << shift
+def _diff(poly: _IntPoly, low: int, width: int) -> _IntPoly:
+    """d poly / d (the parameter whose field starts at bit low)."""
+    mask, one = (1 << width) - 1, 1 << low
     terms = {}
     for key, v in poly.terms.items():
-        e = (key >> shift) & mask
+        e = (key >> low) & mask
         if e:
             terms[key - one] = v * e
     if not terms:
@@ -480,14 +481,33 @@ def _key_weight(key: int, weights: Sequence[int], width: int) -> int:
     return total
 
 
+def _largest(rows: Iterable[Iterable[MultiPoly]]) -> int:
+    """The largest exponent in rows of MultiPolys."""
+    return max((e for row in rows for p in row for exps in p.terms
+                for e in exps), default=0)
+
+
+def _pack_all(names: Sequence[str], rows: Sequence[Sequence[MultiPoly]],
+              top: int) -> tuple[int, dict[str, int], list[list[_IntPoly]]]:
+    """(width, shift, packed rows): rows of MultiPolys in names packed as
+    _IntPoly, each parameter a field of width bits starting at bit
+    shift[v], in the order of names.  The width holds exponents up to top,
+    the largest exponent the caller builds from them, so no product it
+    forms carries into the next field.
+    """
+    width = top.bit_length()
+    shift = {v: k * width for k, v in enumerate(names)}
+    return width, shift, [[_pack(p, shift) for p in row] for row in rows]
+
+
 @dataclass(frozen=True, eq=False)
 class _PackedExpansion:
     """An expansion as _expand_along computed it, on _IntPoly.
 
     vectors[k][i] is the packed order-k coefficient of component i, and
     series[i][j] the packed d_{i,j} of solution, the family expanded
-    along; both give each parameter in names, in that order, a field of
-    width bits.  largest bounds every exponent of series, so a product of
+    along; both give parameter v a field of width bits starting at bit
+    shift[v].  largest bounds every exponent of series, so a product of
     a series coefficient and a polynomial with exponents at most e cannot
     carry while largest + e < 2**width.
     """
@@ -495,7 +515,7 @@ class _PackedExpansion:
     vectors: tuple[tuple[_IntPoly, ...], ...]
     series: Sequence[Sequence[_IntPoly]]
     solution: LaurentSolution
-    names: tuple[str, ...]
+    shift: Mapping[str, int]
     width: int
     largest: int
 
@@ -520,23 +540,22 @@ def _expand_along(field: VectorField, sol: LaurentSolution, count: int
         # hand-off: the solution drops the tree, which then lives no
         # longer than this call; only its series stays, on the result
         object.__setattr__(sol, "_prefixes", None)
-        width = sol.truncation.bit_length()
         largest = sol.truncation
+        # the tree is packed already; only its layout is read here
+        width, shift, _ = _pack_all(names, (), largest)
     else:
-        largest = max((e for row in sol.coefficients for p in row
-                       for exps in p.terms for e in exps), default=0)
+        largest = _largest(sol.coefficients)
         degree = max((sum(exps) for comp in field.components
                       for exps in comp.terms), default=0)
-        width = (degree * largest).bit_length()
-        shift = {v: k * width for k, v in enumerate(names)}
-        prefixes = _PrefixSeries(field.dim, [[_pack(p, shift) for p in row]
-                                             for row in sol.coefficients])
+        width, shift, series = _pack_all(names, sol.coefficients,
+                                         degree * largest)
+        prefixes = _PrefixSeries(field.dim, series)
     rows = prefixes.add(field)
     prefixes.extend(count)
     vectors = tuple(tuple(prefixes.sums(rows, k)) for k in range(count))
     unpack = _unpacker(names, width)
     return (tuple(tuple(unpack(p) for p in vec) for vec in vectors),
-            _PackedExpansion(vectors, prefixes.series, sol, names, width,
+            _PackedExpansion(vectors, prefixes.series, sol, shift, width,
                              largest))
 
 

@@ -128,10 +128,20 @@ def doctored_term(draw, poly, names):
     return poly + MultiPoly(tuple(sorted(names)), {exps: coefficient})
 
 
+def own_vars(poly, order):
+    """poly over only the variables it uses, taken in the given order."""
+    at = {v: k for k, v in enumerate(poly.vars)}
+    used = tuple(v for v in order if v in at
+                 and any(exps[at[v]] for exps in poly.terms))
+    return MultiPoly(used, {tuple(exps[at[v]] for v in used): c
+                            for exps, c in poly.terms.items()})
+
+
 @st.composite
 def doctored_flows(draw):
     """A golden flow with one term added or removed in an expansion
-    vector, a series coefficient or a velocity."""
+    vector, a series coefficient or a velocity, its expansion sometimes
+    rebuilt by hand with each vector over its own variables."""
     field, cert, sol, expansion, flow = golden(*draw(st.sampled_from(GOLDEN)))
     names = sol.parameters
     where = draw(st.sampled_from(("vector", "series", "velocity")))
@@ -156,6 +166,12 @@ def doctored_flows(draw):
             ghat = list(flow.ghat)
             ghat[l - 1] = draw(doctored_term(ghat[l - 1], names))
             flow = dataclasses.replace(flow, ghat=tuple(ghat))
+    if draw(st.booleans()):
+        order = draw(st.permutations(names))
+        expansion = dg.GExpansion(
+            vectors=tuple(tuple(own_vars(p, order) for p in vec)
+                          for vec in expansion.vectors),
+            gamma=expansion.gamma)
     return field, cert, sol, expansion, flow
 
 
@@ -179,6 +195,43 @@ def test_golden_flows_pass_on_the_kept_packed_form():
         assert all(dg.kernel_identity_check(field, cert, sol.locus, expansion))
 
 
+def test_violations_are_listed_over_each_polynomials_own_variables():
+    # a hand-built expansion has no packed form and is packed on entry
+    # over the union of its variables; a violation still lists its
+    # exponents over the variables of the polynomial it sits in
+    field, cert, sol, expansion, flow = golden(*GOLDEN[2])
+    a2 = MultiPoly.variable("alpha2")
+    vectors = _replace_at(expansion.vectors, 1, 0, MultiPoly.constant(3))
+    vectors = _replace_at(vectors, 2, 1, a2 ** 5)
+    doctored = dg.GExpansion(vectors=vectors, gamma=expansion.gamma)
+    violations = dg.expansion_support_check(doctored, sol)
+    assert violations == support_oracle(doctored, sol)
+    assert (0, 1, ()) in violations
+    assert (1, 2, (5,)) in violations
+    assert_agree(field, cert, sol, doctored, flow)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_partial_derivatives_match_multipoly(data):
+    names = ("alpha1", "alpha2", "alpha3")
+    terms = data.draw(st.dictionaries(
+        st.tuples(*(st.integers(0, 6) for _ in names)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        max_size=6))
+    poly = MultiPoly(names, terms)
+    width, shift, (row,) = laurent._pack_all(names, ((poly,),), 6)
+    for v in names:
+        packed = laurent._diff(row[0], shift[v], width)
+        expected = laurent._pack(poly.diff(v), shift)
+        assert (packed.terms, packed.den) == (expected.terms, expected.den)
+    weights = (1, 2, 3)
+    for key in row[0].terms:
+        exps = tuple((key >> shift[v]) & ((1 << width) - 1) for v in names)
+        assert laurent._key_weight(key, weights, width) == sum(
+            w * e for w, e in zip(weights, exps))
+
+
 def test_a_copy_carries_no_packed_form():
     # the tests doctor vectors with replace, so a copy must never hold a
     # packed form that could disagree with its vectors
@@ -194,17 +247,22 @@ def test_velocity_exponents_past_the_tree_width_do_not_carry():
     # at truncation 16 the tree packs each parameter in 5 bits, so a
     # velocity term in alpha1^35 packed at that width would carry into
     # alpha2's field and read as the genuine 42*alpha1^3*alpha2 of
-    # alpha3' (and alpha1^40 as alpha1^8*alpha2); the ladder packs the flow
-    # at a width with room for its largest exponent, and sees the change
+    # alpha3' (and alpha1^40 as alpha1^8*alpha2).  Such a flow is packed
+    # on entry with the expansion and series instead, whose exponents stay
+    # at most 8: at their own 4 bits alpha1^19 would carry the same way,
+    # so the width must leave room for the flow's exponents too
     field, cert, sol, expansion, flow = golden(*GOLDEN[2], truncation=16)
     assert expansion._packed.width == 5
+    assert laurent._largest(expansion.vectors + sol.coefficients) == 8
     a1 = MultiPoly.variable("alpha1", sol.parameters)
     a2 = MultiPoly.variable("alpha2", sol.parameters)
-    shift = {v: 5 * k for k, v in enumerate(sol.parameters)}
-    assert (laurent._pack(a1 ** 35, shift).terms
-            == laurent._pack(a1 ** 3 * a2, shift).terms)
+    for width, power in ((5, 35), (4, 19)):
+        shift = {v: width * k for k, v in enumerate(sol.parameters)}
+        assert (laurent._pack(a1 ** power, shift).terms
+                == laurent._pack(a1 ** 3 * a2, shift).terms)
     assert flow.ghat[2] == a1 ** 3 * a2 * 42
     for ghat in ((flow.ghat[0], flow.ghat[1], a1 ** 35 * 42),
+                 (flow.ghat[0], flow.ghat[1], a1 ** 19 * 42),
                  (flow.ghat[0] + a1 ** 40, flow.ghat[1], flow.ghat[2])):
         bad = dataclasses.replace(flow, ghat=ghat)
         expected = ladder_oracle(expansion, sol, bad)
