@@ -761,10 +761,8 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
     G/(eps + k1) changes only the components where G is nonzero, so a
     component it leaves unchanged, the same at every epsilon and the
     same as F's, is read from the table: its points are searched once, and
-    its block spectra computed once, per table.  Where G is a multiple of
-    F on a component (G a sum of F's block energies), the deformed
-    component is (1 + c / (eps + k1)) times F's, and the table maps F's
-    points and reads F's blocks for it instead of searching it.
+    its block spectra computed once, per table.  A component that G
+    changes is searched unless the table already holds its form.
     """
     if flow.gamma != 1:
         raise ValueError("deformation check needs a degree-1 commuting flow")

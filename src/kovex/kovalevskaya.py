@@ -14,7 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import (
@@ -197,90 +197,13 @@ class _Component:
     """What a component table knows of one component: its nonzero exact
     points in its own coordinates (None until a search has settled every
     zero pattern exactly) and its _Block at each local point computed so
-    far.
+    far."""
 
-    A component that may serve its class under scalar multiplication
-    holds the class (``_scalar_class``).  A multiple of the class's
-    reference, a settled component met earlier, holds that reference and
-    the factors mu^(a_j) that take the reference's local points to its
-    own; its points are mapped when it is made.
-    """
+    __slots__ = ("points", "blocks")
 
-    __slots__ = ("points", "blocks", "scalar_class", "reference", "scale")
-
-    def __init__(self, scalar_class=None, reference: _Component | None = None,
-                 scale: tuple[Fraction, ...] = ()):
+    def __init__(self):
         self.points: tuple[tuple[Fraction, ...], ...] | None = None
         self.blocks: dict[tuple[Fraction, ...], _Block] = {}
-        self.scalar_class = scalar_class
-        self.reference = reference
-        self.scale = scale
-        if reference is not None:
-            self.points = tuple(tuple(map(operator.mul, scale, local))
-                                for local in reference.points)
-
-    def block(self, coords: tuple[Fraction, ...], compute) -> _Block:
-        """The _Block at the local point coords.  A multiple's is its
-        reference's at coords / scale; compute(coords) runs only where
-        neither knows it, and then both do."""
-        block = self.blocks.get(coords)
-        if block is None:
-            if self.reference is None:
-                block = compute(coords)
-            else:
-                known = self.reference.blocks
-                at = tuple(map(operator.truediv, coords, self.scale))
-                block = known.get(at)
-                if block is None:
-                    block = known[at] = compute(coords)
-            self.blocks[coords] = block
-        return block
-
-
-def _scalar_class(eqs: Sequence[MultiPoly], component: Sequence[int],
-                  certificate: WeightCertificate):
-    """(class key, lam) of a degree-1 component, or None.
-
-    The key is the f-part of the component's indicial equations (each
-    equation minus its a_i x_i term, in the component's own coordinates)
-    divided by lam, the coefficient of its first term (lowest local
-    equation index, then lowest local exponent tuple), with the
-    component's weights.  Two components of one class have f-parts
-    lam * h and lam' * h.  If y solves lam h(y) + a * y = 0, then
-    c = mu^a * y with mu = lam / lam' solves lam' h(c) + a * c = 0, since
-    every term of h_i has weighted degree a_i + 1: lam' h_i(c) =
-    lam' mu^(a_i + 1) h_i(y) = mu^(a_i) lam h_i(y).  The map keeps zero
-    patterns and is one to one, so it takes all points to all points.
-    And K(c) = D K(y) D^-1 with D = diag(mu^a), so the block spectrum,
-    the eigenpair check (its vector at c is D times the one at y) and the
-    semisimplicity are y's.  None when the degree is not 1
-    (mu = lam^(-1/degree) may be irrational), when a term breaks the
-    weight law, when an equation's own linear term is not exactly
-    a_i x_i, or when the f-part is zero.
-    """
-    if certificate.degree != 1:
-        return None
-    weights = tuple(certificate.weights[i] for i in component)
-    parts = []
-    for k, i in enumerate(component):
-        own, linear, part = weights[k] + 1, None, {}
-        unit = tuple(int(j == k) for j in range(len(component)))
-        for exps, c in eqs[i].terms.items():
-            local = tuple(exps[j] for j in component)
-            if sum(map(operator.mul, weights, local)) == own:
-                part[local] = c
-            elif local == unit:
-                linear = c
-            else:
-                return None
-        if linear != weights[k]:
-            return None
-        parts.append(part)
-    lam = next((part[min(part)] for part in parts if part), None)
-    if lam is None:
-        return None
-    return (tuple(frozenset((e, c / lam) for e, c in part.items())
-                  for part in parts), weights), lam
 
 
 class _ComponentTable:
@@ -298,15 +221,6 @@ class _ComponentTable:
     Newton's floats depend on the compiled system of the field searched,
     so a component that needed Newton is searched afresh in every field.
 
-    A form met for the first time is looked up again by its class under
-    scalar multiplication (``_scalar_class``, degree 1 only).  When a
-    settled component of the run is a multiple of it, the new entry maps
-    that reference's points, c = mu^a * y, and reads its blocks at y,
-    instead of being searched: the deformed fields F + G/(eps + k1) of a
-    G made of F's block energies carry multiples of F's blocks.  The key
-    of the class is built only on a miss of the form, and the reference
-    itself keeps its points as found.
-
     ``analyze`` makes one table per run and hands it to every search of
     the run; a call that passes none gets a fresh one, so identical
     components within one field are still searched once.
@@ -314,15 +228,12 @@ class _ComponentTable:
 
     def __init__(self):
         self._entries: dict[tuple, _Component] = {}
-        # class key -> the first settled component of the class
-        self._references: dict[tuple, _Component] = {}
 
     def entry(self, eqs: Sequence[MultiPoly], component: Sequence[int],
               certificate: WeightCertificate) -> _Component:
         """The entry of the component of eqs (the indicial system) on the
-        coordinates ``component``, made on first use: a multiple of a
-        settled reference, else empty.  Each equation of a component
-        reads only the component's coordinates."""
+        coordinates ``component``, made empty on first use.  Each equation
+        of a component reads only the component's coordinates."""
         key = (tuple(frozenset((tuple(exps[j] for j in component), c)
                                for exps, c in eqs[i].terms.items())
                      for i in component),
@@ -330,37 +241,19 @@ class _ComponentTable:
                certificate.degree)
         entry = self._entries.get(key)
         if entry is None:
-            scalar_class = _scalar_class(eqs, component, certificate)
-            reference = (None if scalar_class is None
-                         else self._references.get(scalar_class[0]))
-            if reference is None:
-                entry = _Component(scalar_class)
-            else:
-                mu = reference.scalar_class[1] / scalar_class[1]
-                entry = _Component(reference=reference,
-                                   scale=tuple(mu ** a for a in key[1]))
-            self._entries[key] = entry
+            entry = self._entries[key] = _Component()
         return entry
-
-    def settle(self, entry: _Component,
-               points: tuple[tuple[Fraction, ...], ...]) -> None:
-        """Store the points of a component the exact solver settled; the
-        first settled component of its class is the class's reference."""
-        entry.points = points
-        if entry.scalar_class is not None:
-            self._references.setdefault(entry.scalar_class[0], entry)
 
 
 def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
-           table: _ComponentTable):
+           table: _ComponentTable) -> list[tuple[list[int], _Component]]:
     """Each component of the indicial system eqs (``_components``; one of
     all coordinates when an equation has a constant term, see find_loci)
-    with its table entry, made when reached, so that a component settled
-    before can be the reference of a multiple."""
+    with its table entry."""
     constant = any(eq.constant_term() for eq in eqs)
     components = [list(range(len(eqs)))] if constant else _components(eqs)
-    for component in components:
-        yield component, table.entry(eqs, component, certificate)
+    return [(component, table.entry(eqs, component, certificate))
+            for component in components]
 
 
 def _reports(field: VectorField, certificate: WeightCertificate, split):
@@ -372,26 +265,23 @@ def _reports(field: VectorField, certificate: WeightCertificate, split):
     occurs in the row's indicial equation, so K(c) is block-diagonal over
     the components, and each block depends only on the component's own
     coordinates of c.  A block is computed once per distinct (component
-    form, local coordinates) in the table, and a
-    scalar multiple of a settled component reads its reference's block
-    (``_Component.block``).  The spectrum is roots_of_product of the
-    blocks' rational stages, and its numeric roots are those of the whole
-    characteristic polynomial.  The eigenpair holds on K(c) exactly when
-    it holds on every block, and geometric equals algebraic multiplicity
-    on K(c) exactly when it does on every block.
+    form, local coordinates) in the table.  The spectrum is
+    roots_of_product of the blocks' rational stages, and its numeric roots
+    are those of the whole characteristic polynomial.  The eigenpair holds
+    on K(c) exactly when it holds on every block, and geometric equals
+    algebraic multiplicity on K(c) exactly when it does on every block.
     """
-    components = [(component, entry,
-                   partial(_block, field, certificate, component))
-                  for component, entry in split]
     weights, gamma = certificate.weights, certificate.degree
 
     def report(point: tuple[Fraction, ...]) -> KExponentReport:
         blocks = []
-        for component, entry, compute in components:
+        for component, entry in split:
             coords = tuple(point[i] for i in component)
             block = entry.blocks.get(coords)
-            blocks.append(entry.block(coords, compute) if block is None
-                          else block)
+            if block is None:
+                block = entry.blocks[coords] = _block(field, certificate,
+                                                      component, coords)
+            blocks.append(block)
         roots = roots_of_product([block.exact_roots for block in blocks])
         vector = tuple(Fraction(a) * c for a, c in zip(weights, point))
         semisimple = all(block.semisimple for block in blocks)
@@ -700,15 +590,18 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        its components' systems, which needs every equation to vanish at
        the origin, so a field with a constant term is one component.  A
        component whose form (equations in its own coordinates, weights,
-       degree) table holds settled, or a degree-1 scalar multiple of one
-       it holds settled, takes its points from there
+       degree) table holds settled takes its points from there
        (``_ComponentTable``).  Every other component runs steps 3 and 4.
     3. Structured search: per zero pattern of the component (a choice of
        its coordinates clamped to zero, the others nonzero; the all-zero
        pattern is skipped, since the component's zero point always solves
-       a field without constant term), the saturated system (``_clamp``:
-       ``q + u q^2 + 2v pq`` becomes ``1 + u q + 2v p``) is handed to the
-       exact solver, which certifies every point it returns against it.
+       a field without constant term).  The support rule skips a pattern
+       in which some equation keeps exactly one term, all of whose
+       variables are free: that equation cannot vanish where they are
+       nonzero, and its saturation is a nonzero constant.  Each other
+       pattern's saturated system (``_clamp``: ``q + u q^2 + 2v pq``
+       becomes ``1 + u q + 2v p``) is handed to the exact solver, which
+       certifies every point it returns against it.
        No point is checked again: a clamped equation is a monomial times
        its saturated one, and the other components' equations read only
        their own coordinates, all zero, where they vanish by the rule of
@@ -720,7 +613,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        ``newton_starts`` pseudo-random complex starts each on the
        pattern's free coordinates, refined until the residual is below
        ``tolerance``, then snapped and re-verified exactly.  Pattern p of
-       a component (p = 0 leaves every coordinate free) draws from
+       a component (its clamped coordinates read as a binary number, the
+       first coordinate the highest bit, so p = 0 leaves every coordinate
+       free) draws from
        ``np.random.default_rng([rng_seed, p])``, so its starts depend
        neither on the components before it nor on which patterns the
        exact solver settled.
@@ -736,13 +631,16 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        (re, im) of theirs, so the order does not depend on the parts'.
 
     A connected field is one component, so its patterns, its starts and
-    its loci are those of a search over every zero pattern of the field;
-    a split field costs the sum of 2^(m_b) - 1 exact solves over its
-    components not taken from table, instead of 2^m - 1.  A complete
-    exact solve has listed every complex solution of its saturated
-    system, so such a pattern gets no Newton run.  A point is recorded
-    with the first strategy that finds it, and numeric loci that snap and
-    verify are upgraded to exact.  No claim of completeness is made; the
+    its loci are those of a search over every zero pattern of the field.
+    The search costs one exact solve per surviving support of each
+    component not taken from table: at most 2^(m_b) - 1 for a component
+    of m_b coordinates, and one for an uncoupled cubic block or each
+    suffix of blocks of a coupled chain.  The rule itself still visits
+    every pattern once.  A complete exact solve has listed every complex
+    solution of its saturated system, so such a pattern gets no Newton
+    run.  A point is recorded with the first strategy that finds it, and
+    numeric loci that snap and verify are upgraded to exact.  No claim of
+    completeness is made; the
     strategies that ran are listed in the result, ``newton`` only when it
     ran on at least one pattern.  The result also keeps the field, the
     certificate and the (component, table entry) pairs searched, from
@@ -773,22 +671,28 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     strategies.append("structured_search")
     table = _ComponentTable() if table is None else table
     zero = Fraction(0)
-    split: list[tuple[list[int], _Component]] = []
+    split = _split(eqs, certificate, table)
     parts: list[list[IndicialLocus]] = []
-    for component, entry in _split(eqs, certificate, table):
-        split.append((component, entry))
+    for component, entry in split:
         if entry.points is not None:
             parts.append([IndicialLocus(_embed(local, component, m),
                                         "exact", "structured_search")
                           for local in entry.points])
             continue
-        patterns = [p for p in itertools.product((False, True),
-                                                 repeat=len(component))
-                    if not all(p)]
+        # bit n-1-k of a pattern's index clamps the component's coordinate
+        # k, the order of itertools.product((False, True), repeat=n)
+        n = len(component)
+        bits = [1 << (n - 1 - k) for k in range(n)]
+        supports = [[sum(b for b, j in zip(bits, component) if exps[j])
+                     for exps in eqs[i].terms] for i in component]
         part = _Found(radius)
         incomplete: list[tuple[int, list[int]]] = []
-        for index, pattern in enumerate(patterns):
-            free = [i for i, z in zip(component, pattern) if not z]
+        for index in range(2 ** n - 1):
+            # the support rule of step 3
+            if any([s & index for s in support].count(0) == 1
+                   for support in supports):
+                continue
+            free = [i for b, i in zip(bits, component) if not index & b]
             free_vars = tuple(field.variables[i] for i in free)
             # the variables outside the component do not occur in its
             # equations; clamping them too leaves only the free ones
@@ -803,8 +707,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                                      for v in field.variables),
                                "structured_search")
         if not incomplete:
-            table.settle(entry, tuple(tuple(locus.point[i] for i in component)
-                                      for locus in part.loci))
+            entry.points = tuple(tuple(locus.point[i] for i in component)
+                                 for locus in part.loci)
         elif newton_starts > 0:
             if "newton" not in strategies:
                 strategies.append("newton")

@@ -363,15 +363,18 @@ class TestComponents:
         assert all(loc.is_exact and props.verify_locus(field, cert, loc.point)
                    for loc in found.loci)
 
-    def test_six_cubic_blocks_solve_three_patterns_each(self):
+    def test_six_cubic_blocks_solve_one_pattern_each(self):
         # the search over every zero pattern makes 2^12 - 1 = 4095 solves;
         # q' = p, p' = b q^2 with weights (2, 3) balances at (6/b, -12/b),
-        # and six different b make six distinct blocks
+        # and six different b make six distinct blocks.  Clamping q leaves
+        # p + 2q with p alone, clamping p leaves it with 2q alone, so the
+        # support rule leaves each block its all-free pattern (3 solves
+        # each before the rule)
         field, cert = _uncoupled([("cubic", 1, 6 + k) for k in range(6)])
         assert len(kovalevskaya._components(indicial_system(field, cert))) == 6
         with _counted_solves() as solves:
             search = find_loci(field, cert)
-        assert solves.call_count == 6 * 3
+        assert solves.call_count == 6
         assert len(search.loci) == 2 ** 6 - 1
         assert {loc.source for loc in search.loci} == {"structured_search"}
         assert {loc.point for loc in search.loci} == {
@@ -379,13 +382,14 @@ class TestComponents:
                 *[[(0, 0), (Fraction(6, 6 + k), Fraction(-12, 6 + k))]
                   for k in range(6)]) if any(sum(block, ()))}
 
-    def test_six_identical_cubic_blocks_solve_three_patterns_in_all(self):
-        # the six blocks have one form: it is searched once, and the other
-        # five read its points from the search's component table
+    def test_six_identical_cubic_blocks_solve_one_pattern_in_all(self):
+        # the six blocks have one form: it is searched once, with one
+        # solve (3 before the support rule), and the other five read its
+        # points from the search's component table
         field, cert = _uncoupled([("cubic", 1, 6)] * 6)
         with _counted_solves() as solves:
             search = find_loci(field, cert)
-        assert solves.call_count == 3
+        assert solves.call_count == 1
         assert {loc.source for loc in search.loci} == {"structured_search"}
         assert {loc.point for loc in search.loci} == {
             sum(block, ()) for block in itertools.product(
@@ -395,7 +399,9 @@ class TestComponents:
         # block B (cubic) gains p1^2 - q1^4, which lies in the ideal of
         # block A's (quartic) indicial equations p1 + q1, 2 q1^3 + 2 p1:
         # it vanishes at A's balances (1, -1), (-1, 1) and at A = 0, so the
-        # loci stay the products, but B's equation now holds q1 and p1
+        # loci stay the products, but B's equation now holds q1 and p1.
+        # The support rule leaves the supports A, B and both (15 solves
+        # before it)
         names = ("q1", "p1", "q2", "p2")
         q1, p1, q2, p2 = (MultiPoly.variable(v, names) for v in names)
         field = VectorField(names, (p1, q1 ** 3 * 2, p2,
@@ -405,7 +411,7 @@ class TestComponents:
             [0, 1, 2, 3]]
         with _counted_solves() as solves:
             search = find_loci(field, cert)
-        assert solves.call_count == 2 ** 4 - 1
+        assert solves.call_count == 3
         assert {loc.point for loc in search.loci} == {
             a + b for a in [(0, 0), (1, -1), (-1, 1)]
             for b in [(0, 0), (1, -2)] if any(a + b)}
@@ -588,6 +594,74 @@ class TestNewtonOnDemand:
             search = find_loci(field, cert)
         assert len(search.loci) == 2 * 4 * 2 - 1
         assert "newton" not in search.strategies
+
+
+@st.composite
+def _coupled_chains(draw):
+    """Block i is q_i' = p_i, p_i' = a_i q_i^2 + b_i q_(i-1)^2 with weights
+    (2, 3) and random nonzero a_i, b_i, for k <= 3 blocks: one component."""
+    k = draw(st.integers(1, 3))
+    names = tuple(f"{c}{i}" for i in range(1, k + 1) for c in "qp")
+    q = [MultiPoly.variable(f"q{i}", names) for i in range(1, k + 1)]
+    p = [MultiPoly.variable(f"p{i}", names) for i in range(1, k + 1)]
+    comps = []
+    for i in range(k):
+        force = q[i] * q[i] * draw(props.NONZERO_Q)
+        if i:
+            force = force + q[i - 1] * q[i - 1] * draw(props.NONZERO_Q)
+        comps += [p[i], force]
+    return VectorField(names, tuple(comps)), WeightCertificate((2, 3) * k, 1)
+
+
+@st.composite
+def _constant_fields(draw):
+    """x' = a x^2 + b y^2, y' = c - d y^2 with weights (1, 1): the constant
+    c breaks the weight law and keeps the field one component, and its
+    monomial is alive under every pattern."""
+    names = ("x", "y")
+    x, y = (MultiPoly.variable(v, names) for v in names)
+    a, b, c, d = (draw(props.NONZERO_Q) for _ in range(4))
+    field = VectorField(names, (x * x * a + y * y * b, y * y * -d + c))
+    return field, WeightCertificate((1, 1), 1)
+
+
+def _one_component(case):
+    field, cert = case[:2]
+    return len(kovalevskaya._split(indicial_system(field, cert), cert,
+                                   kovalevskaya._ComponentTable())) == 1
+
+
+class TestSupportRule:
+    """A pattern in which some equation keeps one term, all of its
+    variables free, is never solved: that equation cannot vanish where the
+    free coordinates are all nonzero."""
+
+    @given(st.one_of(props.graded_fields().filter(_one_component),
+                     _coupled_chains(), _constant_fields()))
+    @settings(max_examples=60, deadline=None)
+    def test_skipped_supports_hold_no_locus(self, case):
+        # on one component the search's patterns, starts and loci are
+        # those of the search over every pattern, skipped ones included
+        field, cert = case[:2]
+        try:
+            loci = find_loci(field, cert).loci
+        except NoLocusFound:
+            loci = ()
+        assert loci == _search_all_patterns(field, cert)
+
+    def test_the_chain_solves_one_support_per_suffix(self):
+        # of the chain's 2^14 - 1 = 16,383 patterns at k = 7 (each solved
+        # before the rule), only the supports of the 7 suffixes of blocks
+        # survive: p_i + 2 q_i keeps one term unless block i is clamped or
+        # free as a whole, and a free block i leaves
+        # 6 q_(i+1)^2 + q_i^2 + 3 p_(i+1) with q_i^2 alone unless block
+        # i + 1 is free too
+        field, cert = _chain(7)
+        with _counted_solves() as solves:
+            search = find_loci(field, cert)
+        assert [call.args[1] for call in solves.call_args_list] == [
+            field.variables[2 * j:] for j in range(7)]
+        assert any(locus.is_exact for locus in search.loci)
 
 
 def _whole_matrix_report(field, cert, point):

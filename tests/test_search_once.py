@@ -264,16 +264,18 @@ def _run_work(stem, text=None):
 def test_analyze_solves_each_system_once():
     # 51 calls when each search had its own table: F's two blocks are one
     # form, and each of the six deformed fields searched F's second block
-    # again.  26 when the table shared only identical forms: the degree-1
-    # flow subsystem is -F1 and each deformed field's first block is a
-    # multiple of F1, so they now map F1's points and read its blocks.
-    # What is left is the zero-set check and F's block's three patterns,
-    # and F1's blocks at its zero and its balance plus the subsystem's
-    # one-coordinate block alpha3' = 0 (16 charpolys before)
+    # again.  The support rule leaves each block form one pattern, its
+    # all-free one, so what is left is the zero-set check and one solve
+    # for each of F's block, the degree-1 flow subsystem's block -F1 and
+    # the six deformed fields' first blocks, multiples of F1.  Each of
+    # those forms takes its blocks at its zero and its balance, and the
+    # subsystem's one-coordinate block alpha3' = 0 one more: 16 charpolys
+    # (5 solves and 3 charpolys when a multiple mapped F1's points and
+    # read its blocks)
     forms, charpolys = _run_work("cubic_pair")
-    assert len(forms) == 5
+    assert len(forms) == 9
     assert len(set(forms)) == len(forms)
-    assert charpolys == 3
+    assert charpolys == 16
 
 
 def _four_block_pair():
@@ -287,13 +289,16 @@ def _four_block_pair():
             + f']\nH_F = "{h_f}"\nH_G = "{h_g}"\n')
 
 
-def test_a_pair_of_block_energies_solves_f_alone():
+def test_a_pair_of_block_energies_solves_each_block_form_once():
     # every block of every deformed field F + G/(eps + k1) is a multiple
-    # of F's block, and so is every degree-1 flow subsystem: what is left
-    # is the zero-set check and F's block's three patterns, against 164
-    # solves when only identical forms were shared
+    # of F's block, and so is every degree-1 flow subsystem: the run
+    # solves the zero-set check and the all-free pattern of each of the 54
+    # distinct block forms, the one pattern the support rule leaves (164
+    # solves when only identical forms were shared and every pattern was
+    # solved, 5 when a multiple mapped F's block's points)
     forms, _ = _run_work("four_blocks", _four_block_pair())
-    assert len(forms) == 5
+    assert len(forms) == 55
+    assert len(set(forms)) == len(forms)
 
 
 def test_no_table_survives_a_run():
@@ -369,33 +374,20 @@ def test_a_shared_table_gives_the_fresh_results(fields):
 def _multiple_fields(draw):
     """A field of uncoupled blocks and, under other names, a field of
     nonzero rational multiples of some of its blocks, in any order,
-    negative multiples included; with the second field's blocks."""
+    negative multiples included."""
     first = draw(st.lists(_BLOCK, min_size=1, max_size=3))
     second = draw(st.lists(st.sampled_from(first), min_size=1, max_size=3))
     scales = draw(st.lists(props.NONZERO_Q, min_size=len(second),
                            max_size=len(second)))
-    return second, (_blocks_field(first, ""),
-                    _blocks_field(second, "y", scales))
+    return _blocks_field(first, ""), _blocks_field(second, "y", scales)
 
 
 @given(_multiple_fields())
 @settings(max_examples=40, deadline=None)
-def test_scalar_multiples_give_the_fresh_results(case):
-    # every block kind but newton is settled by the exact solver, so once
-    # the first field is searched, the second one's blocks, multiples of
-    # settled ones, take no solve
-    second, fields = case
-    table = kovalevskaya._ComponentTable()
-    _assert_shared_is_fresh(fields[:1], table)
-    with mock.patch.object(kovalevskaya, "solve_poly_system",
-                           wraps=exactalg.solve_poly_system) as solves:
-        try:
-            kovalevskaya.find_loci(*fields[1], table=table)
-        except kovalevskaya.NoLocusFound:
-            pass
-    if all(kind != "newton" for kind, _, _ in second):
-        assert solves.call_count == 0
-    _assert_shared_is_fresh(fields[1:], table)
+def test_scalar_multiples_give_the_fresh_results(fields):
+    # a multiple of a searched block, with the table that holds the
+    # block, gives what a search of its own gives
+    _assert_shared_is_fresh(fields, kovalevskaya._ComponentTable())
 
 
 def _searched_with(table, field, cert):
@@ -406,19 +398,22 @@ def _searched_with(table, field, cert):
     return search, solves.call_count
 
 
-def test_a_negated_block_maps_its_balance():
-    # lam = -1, so mu = -1 takes the balance (1, -2) of q' = p, p' = 6 q^2
-    # to (mu^2 * 1, mu^3 * -2) = (1, 2), the balance of q' = -p,
-    # p' = -6 q^2, and K(1, 2) = D K(1, -2) D^-1 with D = diag(1, -1)
+def test_a_negated_block_balances_at_the_scaled_point():
+    # mu = -1 takes the balance (1, -2) of q' = p, p' = 6 q^2 to
+    # (mu^2 * 1, mu^3 * -2) = (1, 2), the balance of q' = -p, p' = -6 q^2,
+    # and K(1, 2) = D K(1, -2) D^-1 with D = diag(1, -1).  The negated
+    # block is a form of its own, searched with one solve, the one
+    # pattern the support rule leaves (3 and 0 solves when it mapped the
+    # first block's balance)
     table = kovalevskaya._ComponentTable()
     field, cert = _blocks_field([("cubic", 1, 6)], "")
     negated, _ = _blocks_field([("cubic", -1, -6)], "y")
     search, solves = _searched_with(table, field, cert)
     assert [locus.point for locus in search.loci] == [(1, -2)]
-    assert solves == 3
+    assert solves == 1
     search, solves = _searched_with(table, negated, cert)
     assert [locus.point for locus in search.loci] == [(1, 2)]
-    assert solves == 0
+    assert solves == 1
     assert search == kovalevskaya.find_loci(negated, cert)
     [(_, report)] = kovalevskaya.spectra(search)
     assert report == kovalevskaya.k_exponents(negated, cert, (1, 2))
@@ -426,8 +421,8 @@ def test_a_negated_block_maps_its_balance():
 
 
 def test_a_degree_two_multiple_is_searched_again():
-    # at degree 2, mu = lam^(-1/2) need not be rational, so 3F is not
-    # mapped from F; it is searched, with the fresh result
+    # 3F is a form of its own: it is searched, with one solve (3 before
+    # the support rule), and gives the fresh result
     names = ("q", "p")
     q, p = (MultiPoly.variable(v, names) for v in names)
     cert = WeightCertificate((4, 6), 2)
@@ -435,7 +430,7 @@ def test_a_degree_two_multiple_is_searched_again():
     for scale in (1, 3):
         field = VectorField(names, (p * scale, q * q * (6 * scale)))
         search, solves = _searched_with(table, field, cert)
-        assert solves == 3
+        assert solves == 1
         fresh = kovalevskaya.find_loci(field, cert)
         assert search == fresh
         assert kovalevskaya.spectra(search) == kovalevskaya.spectra(fresh)
@@ -445,7 +440,8 @@ def test_a_degree_two_multiple_is_searched_again():
 def test_an_off_law_component_is_never_matched(first):
     # with weights (2, 3) the term q^2 has weight 4, not 3, and -3q turns
     # the indicial term 2q into -q: the scaled points would not solve the
-    # multiple, which is searched instead
+    # multiple.  Each multiple is a form of its own, searched with one
+    # solve (3 before the support rule)
     table = kovalevskaya._ComponentTable()
     for scale in (1, 2, -1):
         spec = parse_problem(f'variables = [q:2, p:3]\n'
@@ -454,7 +450,7 @@ def test_an_off_law_component_is_never_matched(first):
         field, _ = fields_from_problem(spec)
         cert = WeightCertificate((2, 3), 1)
         search, solves = _searched_with(table, field, cert)
-        assert solves == 3
+        assert solves == 1
         assert search == kovalevskaya.find_loci(field, cert)
 
 
