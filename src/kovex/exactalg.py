@@ -914,18 +914,38 @@ def roots_of_product(factors: Sequence[tuple]) -> RootSet:
 
 
 @dataclass(frozen=True)
-class ExactSolveResult:
-    """Concrete rational solutions of a polynomial system.
+class Leaf:
+    """The solutions of a system at the roots of one irrational factor.
 
-    complete is True only when the branching provably enumerated every
-    solution.  Branches ending with leftover freedom contribute a witness
-    point (free coordinates set to 1) and force complete=False, as does an
-    irrational residual in any univariate branching step.
+    factor is a monic squarefree polynomial over Q without rational roots
+    (descending coefficients, degree >= 2).  coordinates gives each
+    variable, in the order solved for, as a polynomial over Q in a root t
+    of factor, reduced modulo it (descending; (r,) for a rational r).
+    Each root t gives one solution, deg(factor) in all.
+    """
+
+    factor: tuple[Fraction, ...]
+    coordinates: tuple[tuple[Fraction, ...], ...]
+
+
+@dataclass(frozen=True)
+class ExactSolveResult:
+    """Concrete rational solutions of a polynomial system, and its leaves.
+
+    complete is True only when the rational points alone provably list
+    every solution.  Branches ending with leftover freedom contribute a
+    witness point (free coordinates set to 1) and force complete=False, as
+    does an irrational residual in any univariate branching step.  When
+    that residual is the last step of its branch (no variable is left) it
+    becomes a Leaf; leaves lists them only when the points and the leaves
+    together provably list every solution, and is empty otherwise.  Every
+    point and every leaf is checked exactly against the system.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
     complete: bool
     has_free_parameters: bool
+    leaves: tuple[Leaf, ...]
 
 
 def _univariate_profile(poly: MultiPoly) -> str | None:
@@ -972,26 +992,44 @@ def _linear_constant_coefficient(poly: MultiPoly, var: str) -> tuple[Fraction, M
     return coeff.constant_term(), MultiPoly(poly.vars, rest_terms)
 
 
+def _at_leaf(poly: MultiPoly, values: Mapping[str, Sequence[Fraction]],
+             factor: Sequence[Fraction]) -> list[Fraction]:
+    """poly at coordinates that are polynomials in a root of factor
+    (descending coefficients), reduced modulo factor."""
+    total = [Fraction(0)]
+    for exps, c in poly.terms.items():
+        term: Sequence[Fraction] = [c]
+        for v, e in zip(poly.vars, exps):
+            for _ in range(e):
+                term = _poly_divmod(_poly_mul(term, values[v]), factor)[1]
+        total = _trim([a + b for a, b in _padded(total, term)])
+    return total
+
+
 def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
-                  budget: list[int]) -> tuple[list[dict[str, Fraction]], bool, bool]:
-    """Returns (solutions over remaining vars, complete, saw free parameters)."""
+                  budget: list[int]) -> tuple[list[dict[str, Fraction]], list,
+                                              bool, bool]:
+    """Returns (solutions over remaining vars, leaves, complete, saw free
+    parameters).  A leaf is a pair (factor, coordinates) with each
+    coordinate a polynomial in a root of factor; complete means that the
+    solutions and the leaves list every solution."""
     live: list[MultiPoly] = []
     for eq in eqs:
         if not eq:
             continue
         if eq.total_degree() == 0:
-            return [], True, False  # a nonzero constant: no solutions, provably
+            return [], [], True, False  # a nonzero constant: no solutions, provably
         live.append(eq)
 
     if not live:
         if not remaining:
-            return [{}], True, False
+            return [{}], [], True, False
         # a positive-dimensional family: witness with every free variable at 1
-        return [{v: Fraction(1) for v in remaining}], False, True
+        return [{v: Fraction(1) for v in remaining}], [], False, True
 
     budget[0] -= 1
     if budget[0] < 0:
-        return [], False, False
+        return [], [], False, False
 
     # prefer a univariate equation: branching on its exact rational roots
     for eq in live:
@@ -1001,21 +1039,37 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
         rational, residual = _exact_roots(_coeff_list(eq, var))
         others = tuple(v for v in remaining if v != var)
         solutions: list[dict[str, Fraction]] = []
-        complete = len(residual) == 1
+        leaves: list = []
+        complete = len(residual) == 1 or not others
         saw_free = False
+        if len(residual) > 1 and not others:
+            # the last variable: the irrational roots every equation
+            # shares are those of a squarefree factor, kept as a leaf
+            factor = _poly_divmod(list(residual), _poly_gcd(
+                residual, poly_derivative(residual)))[0]
+            for e in live:
+                if e is not eq:
+                    factor = _poly_gcd(factor, _coeff_list(e, var))
+            if len(factor) > 1:
+                leaves.append((tuple(factor),
+                               {var: (Fraction(1), Fraction(0))}))
         for root, _mult in rational:
             reduced = [
                 e.substitute({var: root}) if var in e.vars else e
                 for e in live
                 if e is not eq
             ]
-            sub_solutions, sub_complete, sub_free = _solve_branch(reduced, others, budget)
+            sub_solutions, sub_leaves, sub_complete, sub_free = _solve_branch(
+                reduced, others, budget)
             complete = complete and sub_complete
             saw_free = saw_free or sub_free
             for s in sub_solutions:
                 s[var] = root
                 solutions.append(s)
-        return solutions, complete, saw_free
+            for _, values in sub_leaves:
+                values[var] = (root,)
+            leaves += sub_leaves
+        return solutions, leaves, complete, saw_free
 
     # otherwise eliminate a variable that appears linearly with constant coefficient
     for eq in live:
@@ -1033,12 +1087,15 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
                 for e in live
                 if e is not eq
             ]
-            sub_solutions, sub_complete, sub_free = _solve_branch(reduced, others, budget)
+            sub_solutions, sub_leaves, sub_complete, sub_free = _solve_branch(
+                reduced, others, budget)
             for s in sub_solutions:
                 s[var] = expr.evaluate(s)
-            return sub_solutions, sub_complete, sub_free
+            for factor, values in sub_leaves:
+                values[var] = tuple(_at_leaf(expr, values, factor))
+            return sub_solutions, sub_leaves, sub_complete, sub_free
 
-    return [], False, False  # no handle on this system; numeric routes take over
+    return [], [], False, False  # no handle on this system; numeric routes take over
 
 
 def solve_poly_system(eqs: Sequence[MultiPoly],
@@ -1047,21 +1104,30 @@ def solve_poly_system(eqs: Sequence[MultiPoly],
 
     The strategy alternates two moves: branch on the complete set of rational
     roots of a univariate equation, and eliminate a variable appearing
-    linearly with a constant coefficient.  Systems that offer neither move are
-    left to the numeric pipeline; the completeness flag records whether the
-    enumeration is provably exhaustive.
+    linearly with a constant coefficient.  An irrational residual in the
+    last variable of a branch is kept as a Leaf, the other coordinates
+    composed into polynomials in its root; no floating point is used.
+    Systems that offer neither move are left to the numeric pipeline; the
+    completeness flag records whether the rational points alone are
+    provably exhaustive.
     """
     vars_t = tuple(variables)
     normalized = [eq.embed(vars_t) if eq.vars != vars_t else eq for eq in eqs]
     budget = [_MAX_BRANCHES]
-    raw, complete, has_free = _solve_branch(list(normalized), vars_t, budget)
+    raw, raw_leaves, complete, has_free = _solve_branch(list(normalized),
+                                                        vars_t, budget)
 
     points: list[tuple[Fraction, ...]] = []
     for solution in raw:
         point = tuple(solution[v] for v in vars_t)
         if all(eq.evaluate(solution) == 0 for eq in normalized) and point not in points:
             points.append(point)
-    return ExactSolveResult(tuple(points), complete, has_free)
+    leaves = tuple(Leaf(factor, tuple(tuple(values[v]) for v in vars_t))
+                   for factor, values in raw_leaves
+                   if all(_at_leaf(eq, values, factor) == [0]
+                          for eq in normalized))
+    return ExactSolveResult(tuple(points), complete and not raw_leaves,
+                            has_free, leaves if complete else ())
 
 
 def snap_rational(value) -> Fraction | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +21,13 @@ from typing import TYPE_CHECKING, Sequence
 from .exactalg import (
     DEFAULT_TOL,
     ExactMatrix,
+    Leaf,
     MultiPoly,
+    NumericNonConvergence,
     RootSet,
     _exact_roots,
     as_fraction,
+    poly_eval,
     roots_of_product,
     snap_rational,
     solve_poly_system,
@@ -52,7 +56,8 @@ class IndicialLocus:
 
     exactness is "exact" (rational coordinates, zero residual) or "numeric"
     (complex coordinates, residual below tolerance).  source records which
-    strategy produced it: "user_seed", "newton" or "structured_search".
+    strategy produced it: "user_seed", "newton" or "structured_search" (an
+    exact solver's point, or a rooted point of one of its leaves).
     """
 
     point: tuple
@@ -217,9 +222,10 @@ class _ComponentTable:
     and its rows and columns of K(c) = Df(c) + diag(a_i / degree), so an
     exact solve of a pattern, which is positional in the equations and the
     free coordinates, and a block spectrum are functions of the key.  Only
-    a search in which the exact solver settled every pattern is stored:
-    Newton's floats depend on the compiled system of the field searched,
-    so a component that needed Newton is searched afresh in every field.
+    a search whose points are all exact is stored: a component with
+    numeric points, from a leaf or from Newton (whose floats depend on the
+    compiled system of the field searched), is searched afresh in every
+    field.
 
     ``analyze`` makes one table per run and hands it to every search of
     the run; a call that passes none gets a fresh one, so identical
@@ -498,6 +504,40 @@ def _merge_radius(tolerance: float) -> float:
     return max(_DEDUP_TOL, tolerance ** 0.5)
 
 
+def _leaf_points(leaves: Sequence[Leaf], eqs: Sequence[MultiPoly],
+                 free: Sequence[int], m: int,
+                 tolerance: float) -> list[tuple[complex, ...]] | None:
+    """The points of a pattern's leaves in the field's m coordinates (zero
+    outside free), or None when their numerics fail.
+
+    Each root of a leaf's factor comes from roots_of_product, which
+    certifies its backward error, and the coordinates are the leaf's
+    polynomials at it.  The numerics fail when roots_of_product raises
+    NumericNonConvergence, or when a point leaves some equation of eqs
+    above tolerance relative to the sum of the sizes of its terms (or that
+    sum overflows).
+    """
+    points = []
+    for leaf in leaves:
+        try:
+            roots = roots_of_product([((), leaf.factor)]).numeric_roots
+        except NumericNonConvergence:
+            return None
+        for t, _, _ in roots:
+            point = [0j] * m
+            for i, coeffs in zip(free, leaf.coordinates):
+                point[i] = poly_eval([complex(c) for c in coeffs], t)
+            for eq in eqs:
+                terms = [complex(c) * math.prod(z ** e for z, e
+                                                in zip(point, exps) if e)
+                         for exps, c in eq.terms.items()]
+                size = sum(map(abs, terms))
+                if not abs(sum(terms)) <= tolerance * size < math.inf:
+                    return None
+            points.append(tuple(point))
+    return points
+
+
 class _Found:
     """Loci in the order found: an exact point once, with the source that
     found it first, and a numeric point unless one is already within
@@ -601,18 +641,33 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        nonzero, and its saturation is a nonzero constant.  Each other
        pattern's saturated system (``_clamp``: ``q + u q^2 + 2v pq``
        becomes ``1 + u q + 2v p``) is handed to the exact solver, which
-       certifies every point it returns against it.
+       certifies every point and every leaf it returns against it.
        No point is checked again: a clamped equation is a monomial times
        its saturated one, and the other components' equations read only
        their own coordinates, all zero, where they vanish by the rule of
        step 2.  A solution with a free coordinate at zero is kept
        (painleve1_coupled_4d's (3, 27, 0, -3) comes from the all-free
-       pattern); only the origin is dropped.
+       pattern); only the origin is dropped.  When the pattern's only
+       open branches are leaves (an irrational factor in the last
+       variable of a branch, the other coordinates polynomials in its
+       root), the leaves are rooted (``_leaf_points``): each root of a
+       factor comes from roots_of_product, which certifies its backward
+       error, the coordinates are evaluated there, and a point is kept if
+       its residual on the component's equations is below ``tolerance``
+       relative to the size of their terms.  The points are numeric loci
+       with source ``structured_search``; painleve1_coupled_4d's gamma = 3
+       flow subsystem ends in the leaf a2^3 - 64/3^11, with a1 = 9 a2 / 4
+       and a3 = -7 a2 / 108.
     4. Newton multistart (``_Newton``, built on first use), only on the
-       component's patterns the exact solver left incomplete:
+       component's patterns the exact solver left open and on a leaf
+       pattern whose numerics fail (roots_of_product raises
+       NumericNonConvergence, or a point fails its residual check):
        ``newton_starts`` pseudo-random complex starts each on the
        pattern's free coordinates, refined until the residual is below
-       ``tolerance``, then snapped and re-verified exactly.  Pattern p of
+       ``tolerance``, then snapped and re-verified exactly.  A pattern is
+       left open by an irrational factor with variables still to solve
+       over it (the coupled chain's all-free pattern at k >= 3), by free
+       coordinates, by no handle, or by the branch budget.  Pattern p of
        a component (its clamped coordinates read as a binary number, the
        first coordinate the highest bit, so p = 0 leaves every coordinate
        free) draws from
@@ -637,8 +692,10 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     of m_b coordinates, and one for an uncoupled cubic block or each
     suffix of blocks of a coupled chain.  The rule itself still visits
     every pattern once.  A complete exact solve has listed every complex
-    solution of its saturated system, so such a pattern gets no Newton
-    run.  A point is recorded with the first strategy that finds it, and
+    solution of its saturated system, and with its leaves so has a
+    settled one, so such a pattern gets no Newton run.  A component with
+    a numeric point is not stored in table.  A point is recorded with the
+    first strategy that finds it, and
     numeric loci that snap and verify are upgraded to exact.  No claim of
     completeness is made; the
     strategies that ran are listed in the result, ``newton`` only when it
@@ -683,8 +740,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         # k, the order of itertools.product((False, True), repeat=n)
         n = len(component)
         bits = [1 << (n - 1 - k) for k in range(n)]
+        local_eqs = [eqs[i] for i in component]
         supports = [[sum(b for b, j in zip(bits, component) if exps[j])
-                     for exps in eqs[i].terms] for i in component]
+                     for exps in eq.terms] for eq in local_eqs]
         part = _Found(radius)
         incomplete: list[tuple[int, list[int]]] = []
         for index in range(2 ** n - 1):
@@ -697,18 +755,24 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             # the variables outside the component do not occur in its
             # equations; clamping them too leaves only the free ones
             result = solve_poly_system(
-                [_clamp(eqs[i], free, free_vars) for i in component],
-                free_vars)
-            if not result.complete:
-                incomplete.append((index, free))
+                [_clamp(eq, free, free_vars) for eq in local_eqs], free_vars)
             for partial in result.points:
                 filled = dict(zip(free_vars, partial))
                 part.add_exact(tuple(filled.get(v, zero)
                                      for v in field.variables),
                                "structured_search")
+            rooted = _leaf_points(result.leaves, local_eqs, free, m,
+                                  tolerance)
+            if rooted is None or not (result.complete or result.leaves):
+                incomplete.append((index, free))
+                continue
+            for point in rooted:
+                part.add_numeric(point, "structured_search")
         if not incomplete:
-            entry.points = tuple(tuple(locus.point[i] for i in component)
-                                 for locus in part.loci)
+            # a leaf's points are floats: only exact results are shared
+            if all(locus.is_exact for locus in part.loci):
+                entry.points = tuple(tuple(locus.point[i] for i in component)
+                                     for locus in part.loci)
         elif newton_starts > 0:
             if "newton" not in strategies:
                 strategies.append("newton")

@@ -221,7 +221,8 @@ def test_only_a_newton_run_imports_numpy():
     # the exact solver settles every locus search of these five problems,
     # so their analyses compile no float system and load no numpy;
     # painleve1_coupled_4d's gamma = 3 flow subsystem has irrational
-    # balances, and its Newton run brings numpy in
+    # balances, the points of a leaf, and their float spectra bring numpy
+    # in
     exact_only = ["weierstrass", "cubic_pair", "painleve1_auto",
                   "painleve2_auto", "painleve4_auto"]
     result = subprocess.run(
@@ -232,6 +233,34 @@ def test_only_a_newton_run_imports_numpy():
     assert result.stdout.split("\n")[:-1] == (
         [f"{stem} False" for stem in exact_only]
         + ["painleve1_coupled_4d True"])
+
+
+SCALED_QUARTIC = ('variables = [q:1, p:2]\nF.1 = "3/10^30*p"\n'
+                  'F.2 = "10^30/3*q^3"\n')
+
+
+def test_scaled_quartic_reports_its_two_balances(tmp_path, capsys):
+    # q' = (3/10^30) p, p' = (10^30/3) q^3 balances at q = +-sqrt 2,
+    # p = -+sqrt 2 * 10^30 / 3: the roots of the leaf p^2 - 2 * 10^60 / 9.
+    # Newton from unit-size starts never reached them, and the report
+    # said "no indicial loci found" with exit 0
+    prob = tmp_path / "scaled.kov"
+    prob.write_text(SCALED_QUARTIC, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(prob), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "no indicial loci found" not in text
+    assert text.count("[numeric, structured_search]") == 2
+    loci = json.loads(out.read_text(encoding="utf-8"))["loci"]
+    assert [(locus["exactness"], locus["source"]) for locus in loci] == [
+        ("numeric", "structured_search")] * 2
+    root = 2 ** 0.5
+    for locus, sign in zip(loci, (-1, 1)):
+        q, p = (complex(*z) for z in locus["point"])
+        assert q == pytest.approx(sign * root, rel=1e-15)
+        assert p == pytest.approx(-sign * root * 10 ** 30 / 3, rel=1e-15)
+        assert [complex(*z) for z in locus["numeric_spectrum"]] == (
+            pytest.approx([-1, 4], abs=1e-12))
 
 
 def test_check_subcommand_stops_at_assumptions(capsys):

@@ -679,6 +679,55 @@ class TestRoots:
         assert result.complete is False
 
 
+class TestLeaves:
+    """An irrational factor in the last variable of a branch is kept as a
+    leaf: its squarefree part, cut down by the other equations, with each
+    other coordinate a polynomial in its root.  No floating point runs."""
+
+    def test_linear_eliminations_compose_into_the_root(self):
+        # q + a p = 0, b q^3 + 2p = 0: q := -a p leaves -a^3 b p^3 + 2p,
+        # whose root 0 is rational and whose p^2 = 2 / (a^3 b) is a leaf
+        # with q = -a p
+        names = ("q", "p")
+        q, p = (MultiPoly.variable(v, names) for v in names)
+        a, b = F(3, 10 ** 30), F(10 ** 30, 3)
+        with mock.patch.object(exactalg, "_aberth",
+                               side_effect=AssertionError):
+            result = solve_poly_system([p * a + q, q ** 3 * b + p * 2],
+                                       names)
+        assert result.points == ((0, 0),)
+        assert result.complete is False
+        assert result.leaves == (exactalg.Leaf(
+            (1, 0, -2 / (a ** 3 * b)), ((-a, 0), (1, 0))),)
+
+    def test_the_factor_is_squarefree_and_shared(self):
+        x = MultiPoly.variable("x")
+        result = solve_poly_system(
+            [(x * x - 2) ** 2 * (x - 1), (x * x - 2) * (x * x - 3)], ("x",))
+        assert result.points == ()
+        assert [leaf.factor for leaf in result.leaves] == [(1, 0, -2)]
+        # no root of x^2 - 2 solves x^2 - 3: provably no solution at all
+        result = solve_poly_system([x * x - 2, x * x - 3], ("x",))
+        assert result == exactalg.ExactSolveResult((), True, False, ())
+
+    def test_rational_roots_above_a_leaf_are_constants(self):
+        # x = 1 or 2, then y^2 = x + 1: the leaves y^2 - 2 and y^2 - 3
+        # with x constant
+        names = ("x", "y")
+        x, y = (MultiPoly.variable(v, names) for v in names)
+        result = solve_poly_system([(x - 1) * (x - 2), y * y - x - 1], names)
+        assert result.points == ()
+        assert result.leaves == (exactalg.Leaf((1, 0, -2), ((1,), (1, 0))),
+                                 exactalg.Leaf((1, 0, -3), ((2,), (1, 0))))
+
+    def test_an_irrational_factor_with_a_variable_left_is_no_leaf(self):
+        # q^2 = 2 with p still to solve over it is a tower, left open
+        names = ("q", "p")
+        q, p = (MultiPoly.variable(v, names) for v in names)
+        result = solve_poly_system([q * q - 2, p * p - q], names)
+        assert result == exactalg.ExactSolveResult((), False, False, ())
+
+
 @settings(max_examples=100)
 @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
                 min_size=1, max_size=5))

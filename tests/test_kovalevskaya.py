@@ -42,6 +42,11 @@ def _rational_spectrum(report):
     return sorted(out)
 
 
+def _garbage_roots(coeffs, max_iter):
+    """An _aberth whose every root is 7i, which fails its certificate."""
+    return [7j] * (len(coeffs) - 1)
+
+
 class TestCubic2d:
     def test_structured_search_finds_unique_locus(self, cubic2d):
         field, cert = cubic2d
@@ -91,11 +96,27 @@ class TestOneDimensional:
         assert report.classification == "principal"
 
     def test_cubic_without_rational_balance(self):
-        # 2x^3 + x = 0 has only the origin over Q; the exact strategies
-        # come back empty and must say so.
+        # 2x^3 + x = 0 has only the origin over Q; the exact solver keeps
+        # the factor x^2 + 1/2 as a leaf, and its roots +-i/sqrt 2 are the
+        # balances, with no Newton start
         field = VectorField(("x",), (MultiPoly.variable("x") ** 3,))
         cert = WeightCertificate((1,), 2)
-        with pytest.raises(NoLocusFound):
+        search = find_loci(field, cert, newton_starts=0)
+        assert search.strategies == ("structured_search",)
+        assert [(loc.exactness, loc.source) for loc in search.loci] == [
+            ("numeric", "structured_search")] * 2
+        assert sorted(complex(loc.point[0]).imag for loc in search.loci) == (
+            pytest.approx([-0.5 ** 0.5, 0.5 ** 0.5], abs=1e-15))
+        assert all(abs(complex(loc.point[0]).real) < 1e-15
+                   for loc in search.loci)
+
+    def test_cubic_without_rational_balance_when_its_numerics_fail(self):
+        # with no certified root of the leaf and no Newton start, the
+        # search comes back empty and must say so
+        field = VectorField(("x",), (MultiPoly.variable("x") ** 3,))
+        cert = WeightCertificate((1,), 2)
+        with mock.patch.object(exactalg, "_aberth", _garbage_roots), \
+                pytest.raises(NoLocusFound):
             find_loci(field, cert, newton_starts=0)
 
 
@@ -231,11 +252,23 @@ def test_clamp_is_substitute_then_embed(terms, pattern):
     assert list(clamped.terms.items()) == list(oracle.terms.items())
 
 
+def _rooted_leaves(result, eqs, variables, free_vars, tolerance=DEFAULT_TOL):
+    """The points of a pattern's leaves (none when the solve was complete),
+    or None when the pattern is left to Newton: the solve is incomplete
+    without leaves, or their numerics fail."""
+    if not (result.complete or result.leaves):
+        return None
+    free = [variables.index(v) for v in free_vars]
+    return kovalevskaya._leaf_points(result.leaves, eqs, free, len(variables),
+                                     tolerance)
+
+
 def _search_all_patterns(field, cert, *, newton_starts=64, rng_seed=0,
                          tolerance=DEFAULT_TOL):
     """Oracle: the locus search over every zero pattern of the whole field,
     2^m - 1 exact solves, as find_loci ran before it split the field into
-    components.  No user seeds."""
+    components, with the points of each pattern's leaves.  No user
+    seeds."""
     m = field.dim
     eqs = indicial_system(field, cert)
     eval_f = kovalevskaya._compile_system(eqs)
@@ -260,7 +293,9 @@ def _search_all_patterns(field, cert, *, newton_starts=64, rng_seed=0,
         scale = max(1.0, float(np.max(np.abs(z))) ** degree)
         if float(np.max(np.abs(eval_f(z)))) > tolerance * scale:
             return
-        point = tuple(complex(v) for v in z)
+        register_point(tuple(complex(v) for v in z), source)
+
+    def register_point(point, source):
         known = [p for p, _ in exact] + [p for p, _ in numeric]
         if not any(max(abs(x - complex(y)) for x, y in zip(point, p)) <= radius
                    for p in known):
@@ -274,12 +309,18 @@ def _search_all_patterns(field, cert, *, newton_starts=64, rng_seed=0,
         free_vars = [v for v, z in zip(field.variables, pattern) if not z]
         clamped = [_saturated(eq, zeroed, free_vars) for eq in eqs]
         result = exactalg.solve_poly_system(clamped, free_vars)
-        solved.append(result.complete)
         for partial in result.points:
             filled = dict(zip(free_vars, partial))
             point = tuple(filled.get(v, Fraction(0)) for v in field.variables)
             if kovalevskaya._vanishes(eqs, field.variables, point):
                 register_exact(point, "structured_search")
+        # a pattern settled by its leaves takes their rooted points; one
+        # whose numerics fail goes to Newton
+        rooted = _rooted_leaves(result, eqs, field.variables, free_vars,
+                                tolerance)
+        solved.append(rooted is not None)
+        for point in rooted or ():
+            register_point(point, "structured_search")
     for index, (pattern, complete) in enumerate(
             zip(patterns if newton_starts else (), solved)):
         free = np.array([i for i, z in enumerate(pattern) if not z])
@@ -321,9 +362,10 @@ _BLOCKS_3D = {
 }
 
 
-def _uncoupled(blocks):
-    """The field of uncoupled blocks [(kind, c0, c1), ...] on q1, p1, q2, ...;
-    a kind of _BLOCKS_3D ignores c0 and c1 and takes q_k, p_k, r_k."""
+def _uncoupled(blocks, kinds=_BLOCKS):
+    """The field of uncoupled blocks [(kind, c0, c1), ...] of kinds on q1,
+    p1, q2, ...; a kind of _BLOCKS_3D ignores c0 and c1 and takes q_k, p_k,
+    r_k."""
     sizes = [3 if kind in _BLOCKS_3D else 2 for kind, _, _ in blocks]
     names = tuple(f"{c}{k + 1}" for k, size in enumerate(sizes)
                   for c in "qpr"[:size])
@@ -335,7 +377,7 @@ def _uncoupled(blocks):
             comps += _BLOCKS_3D[kind](*variables)
             weights += (1, 1, 1)
         else:
-            block_weights, components = _BLOCKS[kind]
+            block_weights, components = kinds[kind]
             comps += components(*variables, c0, c1)
             weights += block_weights
     return VectorField(names, tuple(comps)), WeightCertificate(tuple(weights), 1)
@@ -417,26 +459,28 @@ class TestComponents:
             for b in [(0, 0), (1, -2)] if any(a + b)}
         assert search.loci == _search_all_patterns(field, cert)
 
-    @pytest.mark.parametrize("case", ["quartic", "pair_deg3_g"])
+    @pytest.mark.parametrize("case", ["quartic", "pair_deg3_g", "chain"])
     def test_connected_field_keeps_every_locus_and_start(self, pair4d_deg3,
                                                          case):
-        # both searches leave patterns to Newton, and the quartic's
-        # balances (+-sqrt 2, -+sqrt 2) are numeric: the starts and the
-        # points they reach are those of the search over every pattern
+        # the quartic's balances (+-sqrt 2, -+sqrt 2) are the points of a
+        # leaf; the other two searches leave patterns to Newton (the
+        # chain's q2 is irrational with block 3 still to solve): the
+        # starts and the points they reach are those of the search over
+        # every pattern
         if case == "quartic":
-            spec = parse_problem('variables = [q:1, p:2]\nF.1 = "p"\n'
-                                 'F.2 = "q^3"\n')
-            field, _ = fields_from_problem(spec)
-            cert = WeightCertificate(spec.weights, 1)
+            field, cert = _split_quartic(False)
+        elif case == "chain":
+            field, cert = _chain(3)
         else:
             _, field, _ = pair4d_deg3
             cert = WeightCertificate((2, 5, 4, 3), 3)
         assert len(kovalevskaya._components(indicial_system(field, cert))) == 1
         search = find_loci(field, cert, rng_seed=5)
-        assert "newton" in search.strategies
+        assert ("newton" in search.strategies) == (case != "quartic")
         assert search.loci == _search_all_patterns(field, cert, rng_seed=5)
         if case == "quartic":
-            assert [loc.exactness for loc in search.loci] == ["numeric"] * 2
+            assert [(loc.exactness, loc.source) for loc in search.loci] == [
+                ("numeric", "structured_search")] * 2
 
     def test_constant_term_keeps_the_field_whole(self):
         # x' = x^2, y' = 4 - y^2: the indicial equations x^2 + x and
@@ -461,7 +505,8 @@ class TestComponents:
 
     def test_newton_only_blocks_multiply_with_exact_zeros(self):
         # two quartic blocks with balances (+-sqrt 2, -+sqrt 2) around a
-        # cubic one: the search over every pattern found 14 of the 17 loci,
+        # cubic one (Newton's points before the exact solver kept their
+        # leaves): the search over every pattern found 14 of the 17 loci,
         # some with 1e-15 where a block is zero
         spec = parse_problem(
             "variables = [q1:1, p1:2, q2:2, p2:3, q3:1, p3:2]\n"
@@ -500,7 +545,9 @@ def _pattern_starts(field, cert, *, newton_starts=64, rng_seed=0):
             zeroed = {v: 0 for v in field.variables if v not in free_vars}
             clamped = [_saturated(eqs[i], zeroed, free_vars)
                        for i in component]
-            if exactalg.solve_poly_system(clamped, free_vars).complete:
+            result = exactalg.solve_poly_system(clamped, free_vars)
+            if _rooted_leaves(result, [eqs[i] for i in component],
+                              field.variables, free_vars) is not None:
                 continue
             rng = np.random.default_rng([rng_seed, index])
             starts = np.zeros((newton_starts, field.dim), dtype=np.complex128)
@@ -512,8 +559,8 @@ def _pattern_starts(field, cert, *, newton_starts=64, rng_seed=0):
 
 
 def _split_quartic(cubic: bool):
-    """q' = p, p' = q^3 (balances (+-sqrt 2, -+sqrt 2), found by Newton
-    only), after the cubic block q1' = p1, p1' = 6 q1^2 if cubic."""
+    """q' = p, p' = q^3 (balances (+-sqrt 2, -+sqrt 2), the points of one
+    leaf), after the cubic block q1' = p1, p1' = 6 q1^2 if cubic."""
     if cubic:
         text = ("variables = [q1:2, p1:3, q2:1, p2:2]\n"
                 'F.1 = "p1"\nF.2 = "6*q1^2"\nF.3 = "p2"\nF.4 = "q2^3"\n')
@@ -523,16 +570,33 @@ def _split_quartic(cubic: bool):
     return fields_from_problem(spec)[0], WeightCertificate(spec.weights, 1)
 
 
-def _chain(k):
-    """Block i is q_i' = p_i, p_i' = 6 q_i^2 + q_(i-1)^2, weights (2, 3):
-    one component with 2^k - 1 balances, most of them irrational."""
-    lines = ["variables = [" + ", ".join(f"q{i}:2, p{i}:3"
-                                        for i in range(1, k + 1)) + "]"]
+def _chain_blocks(k, q="q", p="p"):
+    """The declarations and right-hand sides of the chain: block i is
+    q_i' = p_i, p_i' = 6 q_i^2 + q_(i-1)^2, weights (2, 3)."""
+    decls, forces = [], []
     for i in range(1, k + 1):
-        extra = f" + q{i - 1}^2" if i > 1 else ""
-        lines += [f'F.{2 * i - 1} = "p{i}"', f'F.{2 * i} = "6*q{i}^2{extra}"']
+        extra = f" + {q}{i - 1}^2" if i > 1 else ""
+        decls.append(f"{q}{i}:2, {p}{i}:3")
+        forces += [f"{p}{i}", f"6*{q}{i}^2{extra}"]
+    return decls, forces
+
+
+def _field_of_blocks(decls, forces):
+    lines = ["variables = [" + ", ".join(decls) + "]"]
+    lines += [f'F.{j} = "{force}"' for j, force in enumerate(forces, 1)]
     spec = parse_problem("\n".join(lines) + "\n")
     return fields_from_problem(spec)[0], WeightCertificate(spec.weights, 1)
+
+
+def _chain(k, cubic=False):
+    """The chain of k blocks, one component with 2^k - 1 balances, most of
+    them irrational, after the cubic block u' = v, v' = 6 u^2 if cubic.
+    At k = 3 the all-free pattern needs Newton: q2 is a root of
+    6x^2 - 6x + 1 and block 3 is left to solve over it."""
+    decls, forces = _chain_blocks(k)
+    if cubic:
+        decls, forces = ["u:2, v:3"] + decls, ["v", "6*u^2"] + forces
+    return _field_of_blocks(decls, forces)
 
 
 class TestNewtonOnDemand:
@@ -542,11 +606,11 @@ class TestNewtonOnDemand:
     @pytest.mark.parametrize("rng_seed", range(4))
     @pytest.mark.parametrize("case", ["split", "chain"])
     def test_starts_are_the_pattern_draws(self, case, rng_seed):
-        # split: the cubic block's three patterns are settled exactly, and
-        # the quartic's all-free pattern (balances +-sqrt 2) needs starts;
-        # chain: one component whose incomplete patterns lie between
-        # settled ones, at indices other than 0
-        field, cert = _split_quartic(True) if case == "split" else _chain(3)
+        # split: the cubic block's patterns are settled exactly, and the
+        # chain at k = 3, a second component, needs starts on its
+        # all-free pattern; chain: one component whose incomplete
+        # patterns lie between settled ones
+        field, cert = _chain(3, cubic=case == "split")
         expected = _pattern_starts(field, cert, rng_seed=rng_seed)
         with mock.patch.object(kovalevskaya, "_newton_refine",
                                wraps=kovalevskaya._newton_refine) as newton:
@@ -558,20 +622,20 @@ class TestNewtonOnDemand:
 
     @pytest.mark.parametrize("rng_seed", range(4))
     def test_a_component_searches_as_if_it_stood_alone(self, rng_seed):
-        # the quartic gets the same starts and the same points alone and
-        # after a cubic block, and the split field gets all 5 products
+        # the chain gets the same starts and the same points alone and
+        # after a cubic block, and the split field gets every product
         loci, starts = {}, {}
         for cubic in (False, True):
-            field, cert = _split_quartic(cubic)
+            field, cert = _chain(3, cubic)
             with mock.patch.object(kovalevskaya, "_newton_refine",
                                    wraps=kovalevskaya._newton_refine) as newton:
                 loci[cubic] = find_loci(field, cert, rng_seed=rng_seed).loci
-            starts[cubic] = [call.args[2][:, -2:]
+            starts[cubic] = [call.args[2][:, -6:]
                              for call in newton.call_args_list]
         assert len(starts[True]) == len(starts[False]) > 0
         assert all(np.array_equal(a, b)
                    for a, b in zip(starts[True], starts[False]))
-        assert len(loci[True]) == 5
+        assert len(loci[True]) == 2 * (len(loci[False]) + 1) - 1
         alone = [loc for loc in loci[True] if not any(loc.point[:2])]
         assert [loc.exactness for loc in alone] == [
             loc.exactness for loc in loci[False]]

@@ -5,14 +5,17 @@ degeneration predictions are matched against Analysis.pool, built from
 exactly those, so no later stage searches F again, and one search builds its
 indicial system once.  Within a search, each zero pattern is saturated by
 its nonzero coordinates, and Newton runs only on the patterns the exact
-solver could not settle completely.  The searches and spectra of one run
+solver could not settle completely, with its rational points and the
+rooted points of its leaves.  The searches and spectra of one run
 share a component table, so a component of a given form (F's second cubic_pair
 block, unchanged in every deformed field) is searched once per run.
 """
 
+import cmath
 import dataclasses
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_properties as props
-from test_kovalevskaya import _BLOCKS, _split_quartic, _uncoupled
+from test_kovalevskaya import (
+    _BLOCKS,
+    _chain,
+    _chain_blocks,
+    _field_of_blocks,
+    _garbage_roots,
+    _split_quartic,
+    _uncoupled,
+)
 from kovex import cli, degeneration, exactalg, kovalevskaya, vfmodel
 from kovex.cli import main
 from kovex.exactalg import ExactMatrix, MultiPoly
@@ -108,14 +119,17 @@ def test_lower_spectra_are_the_reported_lower_loci(stem, extra, tmp_path):
 
 
 @pytest.mark.parametrize("stem, batches", [("cubic_pair", 0),
-                                           ("painleve1_coupled_4d", 1),
+                                           ("painleve1_coupled_4d", 0),
                                            ("painleve4_auto", 0)])
 def test_newton_runs_only_on_incomplete_patterns(stem, batches, monkeypatch,
                                                  tmp_path):
     # every search of cubic_pair (F, two flow subsystems, six deformed
     # fields) is solved completely by the exact route; Newton once ran
     # 119 batches there and 22 on painleve1_coupled_4d, then 2 there and
-    # 1 on painleve4_auto before the zero patterns were saturated
+    # 1 on painleve4_auto before the zero patterns were saturated, and 1
+    # on painleve1_coupled_4d (its gamma = 3 flow subsystem's cubic
+    # 243 a1^3 - 1) before the exact solver kept its last irrational
+    # factor as a leaf
     calls = []
     original = kovalevskaya._newton_refine
 
@@ -132,12 +146,12 @@ def test_newton_runs_only_on_incomplete_patterns(stem, batches, monkeypatch,
 
 def _reported_incomplete(*args, **kwargs):
     result = exactalg.solve_poly_system(*args, **kwargs)
-    return dataclasses.replace(result, complete=False)
+    return dataclasses.replace(result, complete=False, leaves=())
 
 
 def _newton_everywhere(field, cert):
     """The search with Newton on every zero pattern, as before the exact
-    solve could excuse one."""
+    solve or its leaves could excuse one."""
     with mock.patch.object(kovalevskaya, "solve_poly_system",
                            side_effect=_reported_incomplete):
         search = kovalevskaya.find_loci(field, cert)
@@ -162,6 +176,92 @@ def test_bundled_loci_match_newton_everywhere(stem):
     cert = WeightCertificate(spec.weights, 1)
     assert (kovalevskaya.find_loci(field, cert).loci
             == _newton_everywhere(field, cert).loci)
+
+
+@pytest.mark.parametrize("failure", ["roots", "residual"])
+def test_failed_leaf_numerics_fall_back_to_newton(failure):
+    # q' = p, p' = q^3 after a cubic block: the quartic's all-free pattern
+    # ends in the leaf p^2 - 2.  With Aberth returning garbage,
+    # roots_of_product raises NumericNonConvergence; with its coordinates
+    # evaluated to garbage, a point fails its residual check.  Either way
+    # Newton runs on that pattern alone, and the search returns the loci
+    # it returned before the solver kept leaves
+    field, cert = _split_quartic(True)
+    broken = (mock.patch.object(exactalg, "_aberth", _garbage_roots)
+              if failure == "roots" else
+              mock.patch.object(kovalevskaya, "poly_eval",
+                                lambda coeffs, x: 7.0))
+    with broken, mock.patch.object(
+            kovalevskaya, "_newton_refine",
+            wraps=kovalevskaya._newton_refine) as newton:
+        search = kovalevskaya.find_loci(field, cert)
+    assert [list(call.args[3]) for call in newton.call_args_list] == [[2, 3]]
+    assert search.loci == _newton_everywhere(field, cert).loci
+    assert {locus.source for locus in search.loci
+            if not locus.is_exact} == {"newton"}
+
+
+# a quartic block q' = a p, p' = b q^3 balances at q^2 = 2 / (a b), p =
+# -q / a: irrational unless 2 / (a b) is a rational square
+_LEAF_BLOCKS = {"cubic": _BLOCKS["cubic"],
+                "quartic": ((1, 2), lambda q, p, a, b: (p * a, q ** 3 * b))}
+
+
+def _leaf_block_balances(kind, a, b):
+    """A block's balances in closed form: the cubic's (6 / (a b),
+    -12 / (a^2 b)), the quartic's q = +-sqrt(2 / (a b)), p = -q / a."""
+    if kind == "cubic":
+        return [(6 / (a * b), -12 / (a * a * b))]
+    q = cmath.sqrt(2 / (a * b))
+    return [(q, -q / a), (-q, q / a)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(_LEAF_BLOCKS)),
+                          props.NONZERO_Q, props.NONZERO_Q),
+                min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_leaf_points_are_the_points_newton_finds(blocks):
+    # no pattern of these blocks needs Newton: a quartic's irrational
+    # balances are its leaf's points.  The loci are the closed-form
+    # products, each within the merge radius, every point Newton finds
+    # on every pattern is one of them (Newton from unit-size starts can
+    # miss some: at a = 1, b = 1/4 it finds q = 2 sqrt 2 and not
+    # -2 sqrt 2, at a = b = 1/3 neither of q = +-3 sqrt 2), and each
+    # numeric locus leaves every indicial equation below the tolerance
+    # relative to the size of its terms
+    field, cert = _uncoupled(blocks, _LEAF_BLOCKS)
+    search = kovalevskaya.find_loci(field, cert)
+    assert "newton" not in search.strategies
+    radius = kovalevskaya._merge_radius(exactalg.DEFAULT_TOL)
+
+    def near(a, b):
+        return max(abs(complex(x) - complex(y))
+                   for x, y in zip(a, b)) <= radius
+
+    expected = [sum(choice, ()) for choice in itertools.product(
+        *[[(0, 0)] + _leaf_block_balances(*block) for block in blocks])][1:]
+    assert len(search.loci) == len(expected)
+    assert all(sum(near(locus.point, point) for locus in search.loci) == 1
+               for point in expected)
+    try:
+        newton = _newton_everywhere(field, cert).loci
+    except kovalevskaya.NoLocusFound:
+        newton = ()
+    assert all(any(near(locus.point, other.point)
+                   and locus.exactness == other.exactness
+                   for locus in search.loci)
+               for other in newton)
+    eqs = kovalevskaya.indicial_system(field, cert)
+    for locus in search.loci:
+        if locus.is_exact:
+            continue
+        assert locus.source == "structured_search"
+        for eq in eqs:
+            terms = [complex(c) * math.prod(complex(x) ** e
+                                            for x, e in zip(locus.point, exps))
+                     for exps, c in eq.terms.items()]
+            assert (abs(sum(terms))
+                    <= exactalg.DEFAULT_TOL * sum(map(abs, terms)))
 
 
 def _p4_blocks(params):
@@ -455,16 +555,13 @@ def test_an_off_law_component_is_never_matched(first):
 
 
 def test_a_newton_component_runs_newton_in_every_field():
-    # q' = p, p' = q^3 balances at (+-sqrt 2, -+sqrt 2), which only Newton
-    # finds: its search is never stored, alone, after a cubic block, or
-    # twice in one field
-    twice = parse_problem("variables = [q1:1, p1:2, q2:1, p2:2]\n"
-                          'F.1 = "p1"\nF.2 = "q1^3"\n'
-                          'F.3 = "p2"\nF.4 = "q2^3"\n')
-    fields = [_split_quartic(False), _split_quartic(True),
-              _split_quartic(False),
-              (fields_from_problem(twice)[0],
-               WeightCertificate(twice.weights, 1))]
+    # the chain at k = 3 leaves its all-free pattern to Newton (q2 is
+    # irrational with block 3 still to solve): its search is never
+    # stored, alone, after a cubic block, or twice in one field
+    twice = [a + b for a, b in zip(_chain_blocks(3),
+                                   _chain_blocks(3, "r", "s"))]
+    fields = [_chain(3), _chain(3, cubic=True), _chain(3),
+              _field_of_blocks(*twice)]
     table = kovalevskaya._ComponentTable()
     for (field, cert), runs in zip(fields, [1, 1, 1, 2]):
         with mock.patch.object(kovalevskaya, "_newton_refine",
