@@ -3,8 +3,8 @@
 Five subcommands slice the same pipeline at different depths: ``check``
 stops after assumption verification, ``loci`` after the balance search,
 ``series`` after the Laurent construction, ``flow`` and ``analyze`` run
-the commuting-field machinery too (``analyze`` is ``flow`` plus the
-assumption checks on one pass).
+every stage, the commuting-field machinery included (``flow`` differs
+only in requiring a commuting field).
 
 ``analyze`` writes the report in one pass.  Each stage appends to the
 run's text lines and violations as it goes and returns only what a later
@@ -205,7 +205,7 @@ def _fmt_scalar(v) -> str:
     if isinstance(v, (int, Fraction)):
         return str(Fraction(v))
     z = complex(v)
-    if abs(z.imag) < 1e-12:
+    if abs(z.imag) < 1e-12 * max(1.0, abs(z)):
         return f"{z.real:.6g}"
     return f"{z.real:.6g}{z.imag:+.6g}i"
 

@@ -13,10 +13,10 @@ The prediction is computed along two independent routes and both are
 reported: an exact route on rescaled parameter coordinates, where the
 indicial system clears to a polynomial system over Q and the exponent
 matrix has a closed form, and a direct route that hunts the flow's own
-indicial loci and reads the multiset off the Kovalevskaya matrix of the
-pole field (ParamFlow.pole_field, the flow with the pole position as an
-extra coordinate).  The routes see different coordinates, so agreement
-is a genuine cross-check, not a replay.
+indicial loci and reads each multiset off kovalevskaya.spectra of that
+search, with the pole position's -1/gamma added.  The routes see
+different coordinates, so agreement is a genuine cross-check, not a
+replay.
 
 Each route returns one Prediction per flow locus, built with its matches
 against the ambient field's lower loci (lower_spectra) already in place.
@@ -45,7 +45,6 @@ from .kovalevskaya import (
     _merge_radius,
     find_loci,
     kovalevskaya_matrix,
-    numeric_exponents,
     spectra,
 )
 from .laurent import (
@@ -259,7 +258,10 @@ class ParamFlow:
     drives alpha_l.  On the parameters alone the flow is again a
     quasi-homogeneous field: weights kappa (the resonance orders) and
     degree gamma, which subsystem_field() packages for reuse by the locus
-    and exponent machinery; pole_field() adds the pole position.
+    and exponent machinery.  No ghat depends on alpha0, so with alpha0
+    (weight -1) prepended the exponent matrix is block upper triangular,
+    [[-1/gamma, grad ghat0], [0, K_sub]]: the pole row adds -1/gamma to
+    the subsystem's spectrum.
     """
 
     ghat0: MultiPoly
@@ -270,16 +272,6 @@ class ParamFlow:
 
     def subsystem_field(self) -> VectorField:
         return VectorField(self.parameters, self.ghat)
-
-    def pole_field(self) -> tuple[VectorField, WeightCertificate]:
-        """The flow with the pole position alpha0 (weight -1) prepended.
-
-        Its Kovalevskaya matrix at (0,) + xi, for a subsystem locus xi, is
-        the flow's full exponent matrix, pole row included.
-        """
-        return (VectorField(("alpha0",) + self.parameters,
-                            (self.ghat0,) + self.ghat),
-                WeightCertificate((-1,) + self.kappa, self.gamma))
 
 
 def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
@@ -498,7 +490,7 @@ def lower_spectra(pairs: Sequence[tuple]) -> tuple:
             if spectrum.classification == "lower":
                 pool.append((locus.point, spectrum.exponents.multiset()))
         else:
-            pool.append((locus.point, _sorted_multiset(spectrum)))
+            pool.append((locus.point, spectrum))
     return tuple(pool)
 
 
@@ -521,14 +513,16 @@ def _matches(predicted, pool: tuple, radius: float) -> tuple[tuple, ...]:
                  if _multisets_match(predicted, multiset, radius))
 
 
-def _search(field: VectorField, certificate: WeightCertificate, rng_seed: int,
-            tolerance: float, table: _ComponentTable | None):
-    """find_loci on a flow subsystem or deformed field, or None."""
+def _spectra(field: VectorField, certificate: WeightCertificate,
+             rng_seed: int, tolerance: float,
+             table: _ComponentTable | None) -> tuple[tuple, ...]:
+    """spectra of find_loci on a flow subsystem or deformed field, () when
+    it finds no locus."""
     try:
-        return find_loci(field, certificate, rng_seed=rng_seed,
-                         tolerance=tolerance, table=table)
+        return spectra(find_loci(field, certificate, rng_seed=rng_seed,
+                                 tolerance=tolerance, table=table))
     except NoLocusFound:
-        return None
+        return ()
 
 
 def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
@@ -552,8 +546,7 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     sub_cert = WeightCertificate(flow.kappa, 1)
     radius = _merge_radius(tolerance)
     predictions = []
-    search = _search(sub, sub_cert, rng_seed, tolerance, table)
-    for locus, spectrum in spectra(search) if search else ():
+    for locus, spectrum in _spectra(sub, sub_cert, rng_seed, tolerance, table):
         if locus.is_exact:
             vals, pole = spectrum.exponents.multiset(), Fraction(-1)
             diag = {"universal_eigenpair": spectrum.eigenpair_verified}
@@ -637,13 +630,13 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     solution with nonvanishing ghat0 yields the closed-form exponent
     matrix and the prediction spec union {-gamma}.  Then the direct
     route: the subsystem's own indicial loci (typically irrational, found
-    numerically), the pole field's Kovalevskaya matrix there (pole row
-    included), and the prediction gamma times its spectrum.  Both routes
-    land in the same tuple, matched against pool, the ambient field's
-    lower_spectra; neither is allowed to stand in for the other.  rng_seed,
-    tolerance and table (kovalevskaya's component table, fresh when None)
-    go to the subsystem's locus search, and float exponents match within
-    _merge_radius(tolerance).
+    numerically) and their spectra, read from kovalevskaya.spectra; the
+    pole row adds -1/gamma (ParamFlow), and the prediction is gamma times
+    that multiset.  Both routes land in the same tuple, matched against
+    pool, the ambient field's lower_spectra; neither is allowed to stand
+    in for the other.  rng_seed, tolerance and table (kovalevskaya's
+    component table, fresh when None) go to the subsystem's locus search,
+    and float exponents match within _merge_radius(tolerance).
     """
     gamma = flow.gamma
     if gamma < 2:
@@ -676,9 +669,8 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
 
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
-    pole, pole_cert = flow.pole_field()
-    search = _search(sub, sub_cert, rng_seed, tolerance, table)
-    for locus in search.loci if search else ():
+    for locus, spectrum in _spectra(sub, sub_cert, rng_seed, tolerance,
+                                    table):
         g0_value = flow.ghat0.evaluate(dict(zip(params, locus.point)))
         if (g0_value == 0 if locus.is_exact
                 else abs(complex(g0_value)) <= _MATCH_TOL):
@@ -687,15 +679,14 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
                 "the direct route",
                 UnrescalableLocus, stacklevel=2)
             continue
-        at_pole = (0,) + locus.point
         shift = gamma * g0_value
         rescaled = tuple(shift ** k * x
                          for k, x in zip(flow.kappa, locus.point))
+        # the pole row's -1/gamma, then the subsystem's spectrum
         if locus.is_exact:
-            matrix = kovalevskaya_matrix(pole, pole_cert, at_pole)
-            vals = roots_exact_first(matrix.charpoly()).multiset()
+            vals = (Fraction(-1, gamma),) + spectrum.exponents.multiset()
         else:
-            vals = numeric_exponents(pole, pole_cert, at_pole)
+            vals = (complex(-1 / gamma),) + spectrum
             snapped = tuple(snap_rational(x) for x in rescaled)
             if all(s is not None for s in snapped):
                 rescaled = snapped
@@ -788,10 +779,10 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
             field.variables,
             tuple(f + g * scale
                   for f, g in zip(field.components, g_field.components)))
-        search = _search(deformed, certificate, rng_seed, tolerance, table)
         collected = sorted(
             (report.exponents.multiset()
-             for locus, report in (spectra(search) if search else ())
+             for locus, report in _spectra(deformed, certificate, rng_seed,
+                                           tolerance, table)
              if locus.is_exact),
             key=lambda ms: tuple((complex(v).real, complex(v).imag)
                                  for v in ms))

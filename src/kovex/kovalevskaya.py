@@ -757,10 +757,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             result = solve_poly_system(
                 [_clamp(eq, free, free_vars) for eq in local_eqs], free_vars)
             for partial in result.points:
-                filled = dict(zip(free_vars, partial))
-                part.add_exact(tuple(filled.get(v, zero)
-                                     for v in field.variables),
-                               "structured_search")
+                part.add_exact(_embed(partial, free, m), "structured_search")
             rooted = _leaf_points(result.leaves, local_eqs, free, m,
                                   tolerance)
             if rooted is None or not (result.complete or result.leaves):

@@ -251,6 +251,11 @@ def test_scaled_quartic_reports_its_two_balances(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "no indicial loci found" not in text
     assert text.count("[numeric, structured_search]") == 2
+    # float noise of relative size 1e-37 on p is no imaginary part
+    locus_lines = [line for line in text.splitlines()
+                   if line.startswith("locus (")]
+    assert len(locus_lines) == 2
+    assert not any("i)" in line or "i," in line for line in locus_lines)
     loci = json.loads(out.read_text(encoding="utf-8"))["loci"]
     assert [(locus["exactness"], locus["source"]) for locus in loci] == [
         ("numeric", "structured_search")] * 2

@@ -12,16 +12,22 @@ to the flow, so a single doctored entry anywhere breaks it.
 """
 
 import dataclasses
+import itertools
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
 from kovex import analyze
 from kovex import degeneration as dg
-from kovex.exactalg import ExactMatrix, MultiPoly
-from kovex.kovalevskaya import k_exponents, kovalevskaya_matrix
+from kovex.exactalg import ExactMatrix, MultiPoly, roots_exact_first
+from kovex.kovalevskaya import (
+    k_exponents,
+    kovalevskaya_matrix,
+    numeric_exponents,
+)
 from kovex.laurent import build_series
 from kovex.vfmodel import VectorField, WeightCertificate
 from test_properties import hamiltonian_pairing_check
@@ -470,6 +476,18 @@ class TestRescaleRoutes:
             dg.degenerate_gamma_ge2((), flow)
 
 
+def pole_field(flow):
+    """The flow with the pole position alpha0 (weight -1) prepended.
+
+    Its Kovalevskaya matrix at (0,) + xi, for a subsystem locus xi, is the
+    flow's full exponent matrix, pole row included, whose spectrum the
+    direct route of degenerate_gamma_ge2 reports.
+    """
+    return (VectorField(("alpha0",) + flow.parameters,
+                        (flow.ghat0,) + flow.ghat),
+            WeightCertificate((-1,) + flow.kappa, flow.gamma))
+
+
 class TestExactDirectRoute:
     """The direct route at rational flow loci, checked by hand.
 
@@ -486,10 +504,16 @@ class TestExactDirectRoute:
                             gamma=2, parameters=("alpha1",))
 
     def test_pole_field_matrix(self, flow):
-        field, cert = flow.pole_field()
+        field, cert = pole_field(flow)
+        matrix = ExactMatrix([[F(-1, 2), F(1)], [F(0), F(-1)]])
         for xi in (-1, 1):
-            assert kovalevskaya_matrix(field, cert, (0, xi)) == ExactMatrix(
-                [[F(-1, 2), F(1)], [F(0), F(-1)]])
+            assert kovalevskaya_matrix(field, cert, (0, xi)) == matrix
+        direct = [p for p in dg.degenerate_gamma_ge2((), flow)
+                  if p.route == "flow_direct"]
+        assert [p.locus for p in direct] == [(-1,), (1,)]
+        for prediction in direct:
+            assert prediction.exponents == (
+                roots_exact_first(matrix.charpoly()).multiset())
 
     def test_both_routes(self, flow):
         predictions = dg.degenerate_gamma_ge2((), flow)
@@ -528,6 +552,73 @@ class TestExactDirectRoute:
             assert prediction.diagnostics["rescaled_point"] == (
                 F(2, 10 ** 9),)
             assert prediction.diagnostics["matches_rescaled_exact"] is True
+
+
+def _monomials(kappa, weight):
+    """Exponent tuples of weight sum kappa_l e_l equal to weight."""
+    return [exps for exps in itertools.product(
+                *(range(weight // k + 1) for k in kappa))
+            if sum(k * e for k, e in zip(kappa, exps)) == weight]
+
+
+SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def random_flows(draw):
+    """A quasi-homogeneous flow of degree 2 or 3 on one or two parameters:
+    ghat0 nonzero of weight gamma - 1, ghat_l of weight kappa_l + gamma."""
+    gamma = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 2))
+    kappa = draw(st.tuples(*[st.sampled_from((1, 2))] * n).filter(
+        lambda kappa: _monomials(kappa, gamma - 1)))
+    names = tuple(f"alpha{l + 1}" for l in range(n))
+
+    def poly(weight):
+        return MultiPoly(names, {exps: draw(SMALL_Q)
+                                 for exps in _monomials(kappa, weight)})
+
+    ghat0 = poly(gamma - 1)
+    if not ghat0:
+        exps = draw(st.sampled_from(_monomials(kappa, gamma - 1)))
+        ghat0 = MultiPoly(names, {exps: F(1)})
+    return dg.ParamFlow(ghat0=ghat0,
+                        ghat=tuple(poly(k + gamma) for k in kappa),
+                        kappa=kappa, gamma=gamma, parameters=names)
+
+
+def _within(a, b, tol):
+    """Multisets a and b pair off, each value within tol of its partner."""
+    rest = [complex(w) for w in b]
+    for v in a:
+        near = [j for j, w in enumerate(rest)
+                if abs(complex(v) - w) <= tol * max(1.0, abs(w))]
+        if not near:
+            return False
+        del rest[near[0]]
+    return not rest
+
+
+@given(random_flows())
+@settings(max_examples=100, deadline=None)
+def test_direct_route_exponents_are_the_pole_field_spectrum(flow):
+    # the direct route reads -1/gamma plus the subsystem's spectrum; the
+    # pole field's own (n+1) x (n+1) matrix must have that spectrum
+    field, cert = pole_field(flow)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dg.UnrescalableLocus)
+        predictions = dg.degenerate_gamma_ge2((), flow)
+    for prediction in predictions:
+        if prediction.route != "flow_direct":
+            continue
+        at = (0,) + prediction.locus
+        if any(isinstance(x, complex) for x in prediction.locus):
+            assert _within(prediction.exponents,
+                           numeric_exponents(field, cert, at), 1e-9)
+        else:
+            matrix = kovalevskaya_matrix(field, cert, at)
+            assert prediction.exponents == (
+                roots_exact_first(matrix.charpoly()).multiset())
 
 
 class TestUnrescalableLocus:
