@@ -150,30 +150,30 @@ def kovalevskaya_matrix(field: VectorField, certificate: WeightCertificate,
     return ExactMatrix(_k_rows(field, certificate, range(field.dim), values))
 
 
-def _classify(roots: RootSet, gamma: int, semisimple: bool) -> str:
-    if not roots.is_fully_rational:
-        return "non_painleve"
-    if any((r * gamma).denominator != 1 for r, _ in roots.rational_roots):
-        return "non_painleve"
-    minus_one = sum(mult for r, mult in roots.rational_roots if r == -1)
-    if minus_one == 0:
-        return "non_painleve"
-    others_nonneg = all(r >= 0 for r, _ in roots.rational_roots if r != -1)
-    if minus_one == 1 and others_nonneg:
-        return "principal" if semisimple else "non_painleve"
-    return "lower"
-
-
 @dataclass(frozen=True)
 class _Block:
-    """One component's share of K(c): the rational stage of the
-    characteristic polynomial of its rows and columns (ExactMatrix.charpoly,
-    read off the block's integer resolvent), and the exact checks on
-    them."""
+    """One component's share of K(c) at one point, summarised once for
+    every locus it is a part of.
+
+    exact_roots is the rational stage of the characteristic polynomial of
+    its rows and columns (ExactMatrix.charpoly, read off the block's
+    integer resolvent) and vector its share (a_i c_i) of the -1
+    eigenvector.  eigenpair and semisimple are the exact checks on the
+    block.  The rest are the facts the classification reads from its
+    rational roots: minus_one, the multiplicity of -1; others_nonneg,
+    whether every other root is >= 0; integral, whether the roots are all
+    rational (residual of length 1) and multiples of 1/degree; zero_root,
+    whether 0 is a root.
+    """
 
     exact_roots: tuple
+    vector: tuple[Fraction, ...]
     eigenpair: bool
     semisimple: bool
+    minus_one: int
+    others_nonneg: bool
+    integral: bool
+    zero_root: bool
 
 
 def _block(field: VectorField, certificate: WeightCertificate,
@@ -181,21 +181,42 @@ def _block(field: VectorField, certificate: WeightCertificate,
     """K(c)'s block on the component's rows and columns, where its
     coordinates of c are coords: its rational roots, from ``_exact_roots``
     of its characteristic polynomial (charpoly, the integer
-    Faddeev-LeVerrier recurrence of ExactMatrix.resolvent), the universal
-    eigenpair and the semisimplicity at its positive resonances.  The point
-    is taken as a locus: its callers have certified it."""
+    Faddeev-LeVerrier recurrence of ExactMatrix.resolvent), its share of
+    the -1 eigenvector, the universal eigenpair, the semisimplicity at its
+    positive resonances and the facts of its roots _classify reads.  The
+    point is taken as a locus: its callers have certified it."""
     values = {field.variables[i]: c for i, c in zip(component, coords)}
     matrix = ExactMatrix(_k_rows(field, certificate, component, values))
     exact = _exact_roots(matrix.charpoly())
+    rational, residual = exact
     vector = tuple(Fraction(certificate.weights[i]) * c
                    for i, c in zip(component, coords))
     gamma = certificate.degree
     return _Block(
         exact,
+        vector,
         matrix.matvec(vector) == tuple(-v for v in vector),
         all(mult == 1 or len(matrix.shifted(r).kernel()) == mult
-            for r, mult in exact[0]
-            if r > 0 and (r * gamma).denominator == 1))
+            for r, mult in rational
+            if r > 0 and (r * gamma).denominator == 1),
+        sum(mult for r, mult in rational if r == -1),
+        all(r >= 0 for r, _ in rational if r != -1),
+        len(residual) == 1 and all((r * gamma).denominator == 1
+                                   for r, _ in rational),
+        any(r == 0 for r, _ in rational))
+
+
+def _classify(blocks: Sequence[_Block], semisimple: bool) -> str:
+    """The classical test on the spectrum of K(c), read off the summaries
+    of its blocks (``_Block``)."""
+    if not all(block.integral for block in blocks):
+        return "non_painleve"
+    minus_one = sum(block.minus_one for block in blocks)
+    if minus_one == 0:
+        return "non_painleve"
+    if minus_one == 1 and all(block.others_nonneg for block in blocks):
+        return "principal" if semisimple else "non_painleve"
+    return "lower"
 
 
 class _Component:
@@ -271,13 +292,20 @@ def _reports(field: VectorField, certificate: WeightCertificate, split):
     occurs in the row's indicial equation, so K(c) is block-diagonal over
     the components, and each block depends only on the component's own
     coordinates of c.  A block is computed once per distinct (component
-    form, local coordinates) in the table.  The spectrum is
-    roots_of_product of the blocks' rational stages, and its numeric roots
-    are those of the whole characteristic polynomial.  The eigenpair holds
-    on K(c) exactly when it holds on every block, and geometric equals
-    algebraic multiplicity on K(c) exactly when it does on every block.
+    form, local coordinates) in the table, and a locus only adds up its
+    blocks' summaries (``_Block``).  The spectrum is roots_of_product of
+    the blocks' rational stages, and its numeric roots are those of the
+    whole characteristic polynomial.  The -1 eigenvector is the blocks'
+    shares put in place.  The eigenpair holds on K(c) exactly when it
+    holds on every block, and geometric equals algebraic multiplicity on
+    K(c) exactly when it does on every block.  For _classify a locus sums
+    its blocks' multiplicities of -1; its other roots are all >= 0, and
+    its roots all rational multiples of 1/degree, when that holds on every
+    block; 0 is a root when it is a root of some block.
     """
-    weights, gamma = certificate.weights, certificate.degree
+    # position[i] is coordinate i's place in the blocks' shares, joined
+    order = [i for component, _ in split for i in component]
+    position = sorted(range(len(order)), key=order.__getitem__)
 
     def report(point: tuple[Fraction, ...]) -> KExponentReport:
         blocks = []
@@ -288,18 +316,19 @@ def _reports(field: VectorField, certificate: WeightCertificate, split):
                 block = entry.blocks[coords] = _block(field, certificate,
                                                       component, coords)
             blocks.append(block)
-        roots = roots_of_product([block.exact_roots for block in blocks])
-        vector = tuple(Fraction(a) * c for a, c in zip(weights, point))
+        shares = [v for block in blocks for v in block.vector]
+        vector = tuple(map(shares.__getitem__, position))
         semisimple = all(block.semisimple for block in blocks)
         return KExponentReport(
-            exponents=roots,
+            exponents=roots_of_product([block.exact_roots
+                                        for block in blocks]),
             minus_one_eigenvector=vector,
             eigenpair_verified=(any(vector)
                                 and all(block.eigenpair for block in blocks)),
-            has_zero_exponent=any(r == 0 for r, _ in roots.rational_roots),
-            classification=_classify(roots, gamma, semisimple),
+            has_zero_exponent=any(block.zero_root for block in blocks),
+            classification=_classify(blocks, semisimple),
             semisimple_at_resonances=semisimple,
-            degree=gamma,
+            degree=certificate.degree,
         )
 
     return report

@@ -449,7 +449,7 @@ class _PrefixSeries:
                 values = history[key]
                 if k < len(values) and values[k].terms:
                     pairs.append((values[k], c))
-            out.append(_dot(pairs))
+            out.append(_dot(pairs) if pairs else _ZERO)
         return out
 
 

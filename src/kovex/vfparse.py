@@ -83,56 +83,32 @@ class _Token:
     col: int
 
 
-_DIGIT = re.compile(r"[0-9]")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT_BODY = re.compile(r"[A-Za-z0-9_]")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one alternative per token kind, tried in this order; a newline, blanks
+# and any other character (an error) are the last three
+_TOKEN = re.compile(rf"(?P<NUMBER>[0-9]+)|(?P<IDENT>{_IDENT.pattern})"
+                    r"|(?P<OP>[-+*/^])|(?P<LPAREN>\()|(?P<RPAREN>\))"
+                    r"|(?P<NEWLINE>\n)|(?P<BLANK>[ \t\r]+)|(?P<OTHER>.)")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, each at its 1-based line and column, ending in
+    END; ExpressionSyntaxError at a character no token starts with."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if _DIGIT.match(ch):
-            j = i
-            while j < n and _DIGIT.match(text[j]):
-                j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _IDENT_START.match(ch):
-            j = i
-            while j < n and _IDENT_BODY.match(text[j]):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("OP", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, line, start_col))
-        else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", line, start_col)
-        i += 1
-        col += 1
-    tokens.append(_Token("END", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "OTHER":
+            raise ExpressionSyntaxError(
+                f"unexpected character {match.group()!r}", line,
+                match.start() - line_start + 1)
+        elif kind != "BLANK":
+            tokens.append(_Token(kind, match.group(), line,
+                                 match.start() - line_start + 1))
+    tokens.append(_Token("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -222,11 +198,16 @@ class _ExprParser:
     def atom(self) -> MultiPoly:
         tok = self.take()
         if tok.kind == "NUMBER":
-            return MultiPoly.constant(int(tok.text), self.vars)
+            value = int(tok.text)
+            return MultiPoly._trusted(
+                self.vars, {(0,) * len(self.vars): Fraction(value)} if value
+                else {})
         if tok.kind == "IDENT":
             if tok.text not in self.vars:
                 raise UnknownVariableError(tok.text, tok.line, tok.col)
-            return MultiPoly.variable(tok.text, self.vars)
+            return MultiPoly._trusted(
+                self.vars, {tuple(int(v == tok.text) for v in self.vars):
+                            Fraction(1)})
         if tok.kind == "LPAREN":
             inner = self.expr()
             closing = self.take()
@@ -241,6 +222,9 @@ class _ExprParser:
 def parse_expression(text: str, variables: Sequence[str]) -> MultiPoly:
     """Parse a polynomial expression over the given variables."""
     vars_t = tuple(variables)
+    # the parser's atoms are built unchecked (MultiPoly._trusted)
+    if len(set(vars_t)) != len(vars_t):
+        raise ValueError(f"duplicate variable names in {vars_t!r}")
     parser = _ExprParser(_tokenize(text), vars_t)
     result = parser.expr()
     trailing = parser.peek()
@@ -316,8 +300,7 @@ def _parse_variables(value: str, line_no: int) -> tuple[tuple[str, ...], tuple[i
         elif weighted != this_weighted:
             raise ProblemFormatError(
                 "either all variables carry weights or none do", line_no, 1)
-        if not name or not _IDENT_START.match(name[0]) \
-                or not all(_IDENT_BODY.match(c) for c in name):
+        if not _IDENT.fullmatch(name):
             raise ProblemFormatError(f"bad variable name {item!r}", line_no, 1)
         if name in names:
             raise DuplicateVariableError(f"variable {name!r} declared twice", line_no, 1)

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kovex import AnalysisError, analyze, cli, degeneration
 from kovex.cli import main
@@ -51,6 +53,29 @@ def test_analyze_text_matches_golden_byte_for_byte(stem, capsys):
 def test_golden_reports_round_trip(stem):
     raw = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
+
+
+_TEXT = st.text(st.one_of(st.sampled_from(list('"\\/\b\f\n\r\t\x00\x7f'
+                                              '\u00e9\u2028\U0001d11e')),
+                          st.characters()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _TEXT,
+              st.integers(), st.integers(-2 ** 300, 2 ** 300),
+              st.floats(), st.sampled_from([float("nan"), float("inf"),
+                                            float("-inf"), -0.0, 0.0])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_is_json_dumps(value):
+    # cli._dumps writes what json.dumps(..., indent=2, sort_keys=True)
+    # does, byte for byte, empty containers, escapes and non-finite
+    # floats included
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_analyze_returns_what_the_cli_prints(capsys):

@@ -807,6 +807,20 @@ class TestBlockSpectra:
         assert not report.semisimple_at_resonances
         assert report.classification == "non_painleve"
 
+    def test_interleaved_components_put_their_shares_in_place(self):
+        # the components [q, p], [u] and [v] list the blocks' shares of
+        # the -1 eigenvector in the order q, p, u, v; the report's vector
+        # is in the field's order q, u, v, p
+        spec = parse_problem('variables = [q:2, u:1, v:1, p:3]\n'
+                             'F.1 = "p"\nF.2 = "u^2"\nF.3 = "2*v^2"\n'
+                             'F.4 = "6*q^2"\n')
+        field, _ = fields_from_problem(spec)
+        cert = WeightCertificate(spec.weights, 1)
+        exact = _assert_spectra_match_whole_matrix(field, cert)
+        assert len(exact) == 7
+        report = k_exponents(field, cert, (1, -1, Fraction(-1, 2), -2))
+        assert report.minus_one_eigenvector == (2, -1, Fraction(-1, 2), -6)
+
     def test_a_field_with_a_constant_term_is_one_block(self):
         # x' = x^2, y' = 2 - y^2: the constant term keeps the search from
         # splitting the field, and the spectra read the same single block

@@ -17,6 +17,7 @@ from kovex.vfparse import (
     ParseError,
     ProblemFormatError,
     UnknownVariableError,
+    _tokenize,
     parse_expression,
     parse_problem,
 )
@@ -378,3 +379,53 @@ def test_fuzz_never_raises_unstructured(data):
         parse_problem(text)
     except ParseError:
         pass
+
+
+def _tokenize_by_character(text):
+    """The character loop the tokenizer replaced: the oracle of the
+    property below, as (kind, text, line, col) tuples."""
+    tokens, line, col, i, n = [], 1, 1, 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        for kind, first, body in (("NUMBER", "[0-9]", "[0-9]"),
+                                  ("IDENT", "[A-Za-z_]", "[A-Za-z0-9_]")):
+            if re.match(first, ch):
+                j = i
+                while j < n and re.match(body, text[j]):
+                    j += 1
+                tokens.append((kind, text[i:j], line, col))
+                col, i = col + j - i, j
+                break
+        else:
+            kind = {"(": "LPAREN", ")": "RPAREN"}.get(
+                ch, "OP" if ch in "+-*/^" else None)
+            if kind is None:
+                raise ExpressionSyntaxError(f"unexpected character {ch!r}",
+                                            line, col)
+            tokens.append((kind, ch, line, col))
+            i, col = i + 1, col + 1
+    return tokens + [("END", "", line, col)]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(t) if isinstance(t, tuple)
+                else (t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ExpressionSyntaxError as err:
+        return ("error", err.message, err.line, err.col, str(err))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.one_of(
+    st.sampled_from(list("xy_Az09+-*/^() \t\r\n#$\u0663\u00b2.,\"")),
+    st.characters()), max_size=30))
+def test_tokenizer_matches_the_character_loop(text):
+    # every token with its (line, col), or the same error at the same place
+    assert (_tokens_or_error(_tokenize, text)
+            == _tokens_or_error(_tokenize_by_character, text))
