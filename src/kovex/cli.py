@@ -6,9 +6,9 @@ stops after assumption verification, ``loci`` after the balance search,
 every stage, the commuting-field machinery included (``flow`` differs
 only in requiring a commuting field).
 
-``analyze`` writes the report in one pass.  Each stage appends to the
-run's text lines and violations as it goes and returns only what a later
-stage needs; the stages run in the order their lines appear.
+``analyze`` builds the report in one pass: each stage returns its section
+and appends to the run's violations.  ``_render`` then builds the text
+summary from that report alone, so it shows nothing the report lacks.
 
 Two output layers: a plain-text summary on standard output and, with
 ``--json``, a complete machine-readable report.  The JSON is
@@ -75,11 +75,11 @@ class AnalysisError(Exception):
 
 @dataclass(frozen=True)
 class Analysis:
-    """One run: the report ``--json`` writes, the text summary and the exact
-    objects behind them.  loci pairs each locus of F with its spectrum
-    (kovalevskaya's spectra(find_loci(F, certificate))), series maps a
-    locus index to its LaurentSolution, pool is F's lower_spectra (None
-    when the locus stage did not run)."""
+    """One run: the report ``--json`` writes, the text summary rendered from
+    it and the exact objects behind them.  loci pairs each locus of F with
+    its spectrum (kovalevskaya's spectra(find_loci(F, certificate))), series
+    maps a locus index to its LaurentSolution, pool is F's lower_spectra
+    (None when the locus stage did not run)."""
 
     report: dict
     lines: tuple[str, ...]
@@ -187,16 +187,6 @@ def _rootset_json(roots) -> dict:
     }
 
 
-def _diag_json(diag: dict) -> dict:
-    out = {}
-    for key, v in diag.items():
-        if isinstance(v, tuple):
-            out[key] = _point_json(v)
-        else:
-            out[key] = _value(v)
-    return out
-
-
 def _dumps(value) -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte.
 
@@ -252,129 +242,215 @@ def _write(value, newline: str, emit) -> None:
 
 
 # ---------------------------------------------------------------------------
-# text helpers
+# the text summary: a view of the report
 
 
-def _fmt_scalar(v) -> str:
-    if isinstance(v, (int, Fraction)):
-        return str(Fraction(v))
-    z = complex(v)
+def _text(value) -> str:
+    """A report value as text: an exact value's string is its text; a float
+    [re, im] pair prints to 6 significant digits, real if im is noise."""
+    if isinstance(value, str):
+        return value
+    z = complex(*value)
     if abs(z.imag) < 1e-12 * max(1.0, abs(z)):
         return f"{z.real:.6g}"
     return f"{z.real:.6g}{z.imag:+.6g}i"
 
 
-def _fmt_point(point) -> str:
-    return "(" + ", ".join(_fmt_scalar(x) for x in point) + ")"
+def _point_text(point) -> str:
+    return "(" + ", ".join(map(_text, point)) + ")"
 
 
-def _fmt_values(values) -> str:
-    return ", ".join(_fmt_scalar(v) for v in values)
+def _flow_ready(assumptions: dict) -> bool:
+    """G commutes with F and has a degree of at least 1 under F's weights."""
+    return (assumptions["commutation"] == "ok"
+            and (assumptions["commuting_degree"] or 0) >= 1)
 
 
-def _spectrum_text(roots) -> str:
-    parts = [str(r) for r, m in roots.rational_roots for _ in range(m)]
-    parts += [_fmt_scalar(z) for z, m, _ in roots.numeric_roots
-              for _ in range(m)]
-    return ", ".join(parts)
+def _render(report: dict) -> list[str]:
+    """The text summary, built from the report alone."""
+    weights = report["weights"]
+    lines = [f"problem: {report['input']['file']}",
+             f"variables: {', '.join(report['input']['variables'])}",
+             f"weights: {tuple(weights['weights'])}  degree "
+             f"{weights['degree']}  [{weights['source']}]"]
+    usable = weights["monomial_law"] == "ok"   # a certificate was issued
+    assumptions = report.get("assumptions")
+    if assumptions is not None:
+        lines.append(f"zero set: {assumptions['zero_set']}")
+        commutation = assumptions["commutation"]
+        gamma = assumptions["commuting_degree"]
+        if commutation == "absent":
+            lines.append("commuting field: none")
+        else:
+            lines.append("commutation: "
+                         + ("ok" if commutation == "ok" else "VIOLATED"))
+        if commutation != "absent" and usable:
+            lines.append(f"commuting degree: {gamma}" if gamma is not None
+                         else "commuting degree: none (not quasi-homogeneous)")
+    if not usable:
+        lines.append("analysis skipped: no usable weight certificate")
+    loci = report.get("loci")
+    for entry in loci or ():
+        lines.append(f"locus {_point_text(entry['point'])}  "
+                     f"[{entry['exactness']}, {entry['source']}]")
+        if "exponents" in entry:
+            spectrum = [root["value"] for kind in ("rational", "numeric")
+                        for root in entry["exponents"][kind]
+                        for _ in range(root["multiplicity"])]
+        else:
+            spectrum = entry["numeric_spectrum"]
+        lines.append(f"  exponents: {', '.join(map(_text, spectrum))}")
+        if "classification" in entry:
+            lines.append(f"  spectrum classification: "
+                         f"{entry['classification']}")
+    if loci == []:
+        lines.append("no indicial loci found")
+    for entry in loci or ():
+        series = entry.get("series")
+        if series is not None:
+            lines.append(f"series at {_point_text(entry['point'])}: "
+                         f"{series['classification']}; parameters: "
+                         f"{', '.join(series['parameters']) or 'none'}; "
+                         f"authoritative through "
+                         f"{series['authoritative_through']}")
+    flow = report.get("flow")
+    if flow == []:
+        lines.append("no principal balance; flow analysis skipped"
+                     if _flow_ready(assumptions) else "flow analysis skipped "
+                     "(needs a commuting quasi-homogeneous field)")
+    for section in flow or ():
+        lines.extend(_render_flow(section))
+
+    if report["violations"]:
+        lines.append("violations detected:")
+        lines.extend(f"  - {v}" for v in report["violations"])
+    else:
+        lines.append("no violations detected")
+    return lines
+
+
+def _render_flow(section: dict) -> list[str]:
+    """The text of one principal balance's flow section."""
+    point = _point_text(section["locus"])
+    if "gamma" not in section:
+        return [f"flow at {point}: unavailable ({section['error']})"]
+    kernel = ("ok" if ok else "FAIL" for ok in section["kernel_identities"])
+    support = "ok" if section["expansion_support"] == "ok" else "FAIL"
+    lines = [f"flow at locus {point}  [gamma {section['gamma']}]",
+             f"  expansion support: {support}",
+             f"  kernel identities: {' '.join(kernel)}"]
+    if "error" in section:
+        return lines + [f"  parameter flow unavailable: {section['error']}"]
+    lines.append(f"  alpha0' = {section['shift_rate']['text']}")
+    lines += [f"  {velocity['parameter']}' = {velocity['text']}"
+              for velocity in section["velocities"]]
+    for name, key in (("ladder identity", "ladder"),
+                      ("velocity support", "velocity_support")):
+        lines.append(f"  {name}: {'ok' if section[key] == 'ok' else 'FAIL'}")
+    certificate = section["shift_rate_certificate"]
+    if certificate != "contradiction":
+        lines.append(f"  shift-rate certificate: {certificate}")
+    deg = section["degeneration"]
+    if "error" in deg:
+        return lines + [f"  degeneration unavailable: {deg['error']}"]
+    for entry in deg["entries"]:
+        matches = ", ".join(map(_point_text, entry["matched_lower_loci"]))
+        predicted = ", ".join(map(_text, entry["predicted_lower_exponents"]))
+        lines.append(f"  degeneration [{entry['route']}] locus "
+                     f"{_point_text(entry['locus'])}: predicted {predicted} -> "
+                     + (f"matches {matches}" if matches
+                        else "no matching lower locus"))
+    if deg["unmatched_indices"]:
+        lines.append(f"  note: {len(deg['unmatched_indices'])} prediction(s) "
+                     f"without a matching lower locus")
+    if deg["gamma"] == 1 and all(velocity["text"] == "0"
+                                 for velocity in section["velocities"]):
+        lines.append("  parameter flow is trivial; no lower predictions")
+
+    deformation = section.get("deformation")
+    if deformation is not None and "error" not in deformation:
+        lines.append(f"  deformation check: k1 = {_text(deformation['k1'])}, "
+                     f"{'stable' if deformation['stable'] else 'UNSTABLE'}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages
 
 
-def _resolve_weights(field, spec, max_weight: int, lines, violations):
+def _resolve_weights(field, spec, max_weight: int, violations):
     """Returns (certificate or None, weights section)."""
     if spec.weights is not None:
         cert = WeightCertificate(spec.weights, 1)
-        law = verify_weight(field, cert)
-        # by Euler's theorem the differential form of the law fails in
-        # exactly the components with a monomial off the law
-        bad = sorted({i for i, _ in law.violations})
+        off_law = verify_weight(field, cert).violations
+        section: dict = {"source": "declared"}
+    else:
+        inference = infer_weights(field, max_weight=max_weight)
+        if inference.degenerate:
+            raise AnalysisError("the field is identically zero; every weight "
+                                "vector fits and there is nothing to analyze")
+        candidates = [member
+                      for family in inference.families
+                      for member in family.members if member.degree == 1]
+        if not candidates:
+            raise AnalysisError(
+                f"weight inference failed: no weight vector with entries up "
+                f"to {max_weight} makes the field quasi-homogeneous of "
+                f"degree 1; declare weights in the problem file or raise "
+                f"--max-weight")
+        cert = min(candidates, key=lambda c: (sum(c.weights), c.weights))
+        off_law = ()
         section = {
-            "source": "declared",
-            "weights": list(spec.weights),
-            "degree": 1,
-            "monomial_law": "ok" if law.ok else [
-                {"component": i, "exponents": list(e)}
-                for i, e in law.violations],
-            "euler_identity": "ok" if law.ok else bad,
+            "source": "inferred",
+            "families": [{"primitive": list(f.primitive),
+                          "degrees": sorted({m.degree for m in f.members})}
+                         for f in inference.families],
         }
-        lines.append(f"weights: {tuple(spec.weights)}  degree 1  [declared]")
-        if not law.ok:
-            actual = field_degree(field, spec.weights)
-            hint = (f"; the field is uniform of degree {actual} instead"
-                    if actual is not None else "")
-            violations.append(
-                f"declared weights {tuple(spec.weights)} fail the monomial "
-                f"law in component(s) {', '.join(str(i) for i in bad)}{hint}")
-            cert = None
+    # by Euler's theorem the differential form of the law fails in exactly
+    # the components with a monomial off the law
+    bad = sorted({i for i, _ in off_law})
+    section.update(weights=list(cert.weights), degree=1,
+                   monomial_law=[{"component": i, "exponents": list(e)}
+                                 for i, e in off_law] or "ok",
+                   euler_identity=bad or "ok")
+    if not off_law:
         return cert, section
-
-    inference = infer_weights(field, max_weight=max_weight)
-    if inference.degenerate:
-        raise AnalysisError("the field is identically zero; every weight "
-                            "vector fits and there is nothing to analyze")
-    candidates = [member
-                  for family in inference.families
-                  for member in family.members if member.degree == 1]
-    if not candidates:
-        raise AnalysisError(
-            f"weight inference failed: no weight vector with entries up to "
-            f"{max_weight} makes the field quasi-homogeneous of degree 1; "
-            f"declare weights in the problem file or raise --max-weight")
-    cert = min(candidates, key=lambda c: (sum(c.weights), c.weights))
-    section = {
-        "source": "inferred",
-        "weights": list(cert.weights),
-        "degree": 1,
-        "families": [{"primitive": list(f.primitive),
-                      "degrees": sorted({m.degree for m in f.members})}
-                     for f in inference.families],
-        "monomial_law": "ok",
-        "euler_identity": "ok",
-    }
-    lines.append(f"weights: {cert.weights}  degree 1  [inferred]")
-    return cert, section
+    actual = field_degree(field, cert.weights)
+    hint = (f"; the field is uniform of degree {actual} instead"
+            if actual is not None else "")
+    violations.append(
+        f"declared weights {tuple(cert.weights)} fail the monomial law in "
+        f"component(s) {', '.join(str(i) for i in bad)}{hint}")
+    return None, section   # declared weights off the law certify nothing
 
 
-def _assumptions(field, g_field, cert, lines, violations):
-    """Returns (assumptions section, G's degree or None)."""
+def _assumptions(field, g_field, cert, violations) -> dict:
+    """Returns the assumptions section."""
     zero = check_zero_set(field)
-    section: dict = {"zero_set": zero.status}
-    lines.append(f"zero set: {zero.status}")
+    section: dict = {"zero_set": zero.status, "commuting_degree": None}
     if zero.status == "counterexample":
         section["zero_witness"] = _point_json(zero.witness)
         violations.append(
-            f"the field vanishes at {_fmt_point(zero.witness)}, "
+            f"the field vanishes at {_point_text(section['zero_witness'])}, "
             f"away from the origin")
-    gamma = None
     if g_field is None:
         section["commutation"] = "absent"
-        section["commuting_degree"] = None
-        lines.append("commuting field: none")
-    else:
-        ok = commutes(field, g_field)
-        section["commutation"] = "ok" if ok else "violated"
-        lines.append(f"commutation: {'ok' if ok else 'VIOLATED'}")
-        if not ok:
-            violations.append("the declared pair does not commute: [F, G] != 0")
-        if cert is not None:
-            gamma = field_degree(g_field, cert.weights)
-            section["commuting_degree"] = gamma
-            if gamma is None:
-                violations.append(
-                    f"the commuting field has no uniform degree for weights "
-                    f"{cert.weights}")
-                lines.append("commuting degree: none (not quasi-homogeneous)")
-            else:
-                lines.append(f"commuting degree: {gamma}")
-        else:
-            section["commuting_degree"] = None
-    return section, gamma
+        return section
+    ok = commutes(field, g_field)
+    section["commutation"] = "ok" if ok else "violated"
+    if not ok:
+        violations.append("the declared pair does not commute: [F, G] != 0")
+    if cert is not None:
+        gamma = field_degree(g_field, cert.weights)
+        section["commuting_degree"] = gamma
+        if gamma is None:
+            violations.append(
+                f"the commuting field has no uniform degree for weights "
+                f"{cert.weights}")
+    return section
 
 
-def _locus_stage(field, cert, spec, search, lines, violations):
+def _locus_stage(field, cert, spec, search, violations):
     """Returns (loci entries of the report, (locus, spectrum) pairs)."""
     try:
         pairs = spectra(find_loci(field, cert, seeds=spec.seeds, **search))
@@ -382,37 +458,24 @@ def _locus_stage(field, cert, spec, search, lines, violations):
         pairs = ()
     entries = []
     for locus, spectrum in pairs:
-        point = _point_json(locus.point)
-        entry: dict = {
-            "point": point,
-            "exactness": locus.exactness,
-            "source": locus.source,
-        }
+        entry: dict = {"point": _point_json(locus.point),
+                       "exactness": locus.exactness, "source": locus.source}
         if locus.is_exact:
             entry["exponents"] = _rootset_json(spectrum.exponents)
             entry["classification"] = spectrum.classification
             entry["eigenpair_verified"] = spectrum.eigenpair_verified
             entry["semisimple_at_resonances"] = spectrum.semisimple_at_resonances
             entry["has_zero_exponent"] = spectrum.has_zero_exponent
-            # an exact coordinate's JSON string is its text as well
-            text = "(" + ", ".join(point) + ")"
-            lines.append(f"locus {text}  [exact, {locus.source}]")
-            lines.append(f"  exponents: {_spectrum_text(spectrum.exponents)}")
-            lines.append(f"  spectrum classification: {spectrum.classification}")
             if not spectrum.eigenpair_verified:
-                violations.append(f"universal eigenpair fails at {text}")
+                violations.append(f"universal eigenpair fails at "
+                                  f"{_point_text(entry['point'])}")
         else:
             entry["numeric_spectrum"] = [_num(v) for v in spectrum]
-            lines.append(f"locus {_fmt_point(locus.point)}  "
-                         f"[numeric, {locus.source}]")
-            lines.append(f"  exponents: {_fmt_values(spectrum)}")
         entries.append(entry)
-    if not entries:
-        lines.append("no indicial loci found")
     return entries, pairs
 
 
-def _series_stage(field, cert, loci, entries, truncation, lines, violations):
+def _series_stage(field, cert, loci, entries, truncation, violations):
     """Adds each exact locus's series to its entry; returns them by index."""
     solutions: dict[int, object] = {}
     for idx, (locus, _) in enumerate(loci):
@@ -442,33 +505,25 @@ def _series_stage(field, cert, loci, entries, truncation, lines, violations):
         if notes:
             section["warnings"] = notes
         entries[idx]["series"] = section
-        detail = f"parameters: {', '.join(sol.parameters) or 'none'}"
-        lines.append(f"series at {_fmt_point(locus.point)}: {verdict}; "
-                     f"{detail}; authoritative through "
-                     f"{sol.authoritative_through}")
         if sol.obstructions:
             violations.append(
-                f"series at {_fmt_point(locus.point)} obstructed at order "
-                f"{sol.obstructions[0]}")
+                f"series at {_point_text(entries[idx]['point'])} obstructed "
+                f"at order {sol.obstructions[0]}")
     return solutions
 
 
-def _flow_locus_report(field, g_field, cert, sol, pool, search, lines,
-                       violations):
+def _flow_locus_report(field, g_field, cert, sol, pool, search, violations):
     """Returns the flow section for one principal balance.  pool is F's
     lower_spectra, shared by every principal balance; search holds the
     numeric search options and the run's component table."""
-    point = sol.locus
-    section: dict = {"locus": _point_json(point)}
+    section: dict = {"locus": _point_json(sol.locus)}
+    point = _point_text(section["locus"])
     try:
         expansion = degeneration.g_expansion(g_field, sol)
     except ValueError as exc:
         section["error"] = str(exc)
-        lines.append(f"flow at {_fmt_point(point)}: unavailable ({exc})")
         return section
-    section["gamma"] = expansion.gamma
-    section["expansion_orders"] = expansion.count
-    lines.append(f"flow at locus {_fmt_point(point)}  [gamma {expansion.gamma}]")
+    section.update(gamma=expansion.gamma, expansion_orders=expansion.count)
 
     support = degeneration.expansion_support_check(expansion, sol)
     section["expansion_support"] = "ok" if not support else [
@@ -476,117 +531,86 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search, lines,
         for i, k, e in support]
     if support:
         violations.append(
-            f"expansion support violation at {_fmt_point(point)}: component "
+            f"expansion support violation at {point}: component "
             f"{support[0][0] + 1}, order {support[0][1]}")
-    lines.append(f"  expansion support: {'ok' if not support else 'FAIL'}")
 
-    kernel = degeneration.kernel_identity_check(field, cert, point, expansion)
+    kernel = degeneration.kernel_identity_check(field, cert, sol.locus,
+                                                expansion)
     section["kernel_identities"] = list(kernel)
     if not all(kernel):
         bad = [str(k) for k, ok in enumerate(kernel) if not ok]
         violations.append(
-            f"kernel identity fails at {_fmt_point(point)} for order(s) "
-            + ", ".join(bad))
-    lines.append(f"  kernel identities: "
-                 f"{' '.join('ok' if ok else 'FAIL' for ok in kernel)}")
+            f"kernel identity fails at {point} for order(s) " + ", ".join(bad))
 
     try:
         flow = degeneration.param_flow(expansion, sol)
     except ValueError as exc:
         if isinstance(exc, degeneration.InconsistentG0):
             violations.append(
-                f"leading expansion block at {_fmt_point(point)} is not a "
-                f"multiple of the universal eigenvector: {exc}")
+                f"leading expansion block at {point} is not a multiple of "
+                f"the universal eigenvector: {exc}")
         section["error"] = str(exc)
-        lines.append(f"  parameter flow unavailable: {exc}")
         return section
 
     position = {v: k for k, v in enumerate(flow.parameters)}
-    section["shift_rate"] = {
-        "text": str(flow.ghat0),
-        "polynomial": poly_json(flow.ghat0, position),
-    }
+    section["shift_rate"] = {"text": str(flow.ghat0),
+                             "polynomial": poly_json(flow.ghat0, position)}
     section["velocities"] = [
         {"parameter": name, "kappa": kappa, "text": str(g),
          "polynomial": poly_json(g, position)}
         for name, kappa, g in zip(flow.parameters, flow.kappa, flow.ghat)]
-    lines.append(f"  alpha0' = {flow.ghat0}")
-    for name, g in zip(flow.parameters, flow.ghat):
-        lines.append(f"  {name}' = {g}")
 
     ladder = degeneration.flow_ladder_check(expansion, sol, flow)
     section["ladder"] = "ok" if ladder is None else {
         "component": ladder[0] + 1, "order": ladder[1]}
     if ladder is not None:
         violations.append(
-            f"flow ladder identity fails at {_fmt_point(point)}: component "
+            f"flow ladder identity fails at {point}: component "
             f"{ladder[0] + 1}, order {ladder[1]}")
-    lines.append(f"  ladder identity: "
-                 f"{'ok' if ladder is None else 'FAIL'}")
 
     vsupport = degeneration.flow_support_check(flow)
     section["velocity_support"] = "ok" if not vsupport else [
         {"velocity": label, "exponents": list(e)} for label, e in vsupport]
     if vsupport:
-        violations.append(
-            f"velocity support violation at {_fmt_point(point)}")
-    lines.append(f"  velocity support: {'ok' if not vsupport else 'FAIL'}")
+        violations.append(f"velocity support violation at {point}")
 
     try:
-        certificate = degeneration.g0_nonzero_certificate(g_field, sol, flow)
-        section["shift_rate_certificate"] = certificate
-        lines.append(f"  shift-rate certificate: {certificate}")
+        section["shift_rate_certificate"] = (
+            degeneration.g0_nonzero_certificate(g_field, sol, flow))
     except RuntimeError as exc:
         section["shift_rate_certificate"] = "contradiction"
         violations.append(
-            f"shift-rate certificate contradiction at {_fmt_point(point)}: "
-            f"{exc}")
+            f"shift-rate certificate contradiction at {point}: {exc}")
 
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if flow.gamma == 1:
-                predictions = degeneration.degenerate_gamma1(
-                    pool, flow, **search)
-            else:
-                predictions = degeneration.degenerate_gamma_ge2(
-                    pool, flow, **search)
+            degenerate = (degeneration.degenerate_gamma1 if flow.gamma == 1
+                          else degeneration.degenerate_gamma_ge2)
+            predictions = degenerate(pool, flow, **search)
     except degeneration.G0IdenticallyZero as exc:
         section["degeneration"] = {"error": str(exc)}
-        lines.append(f"  degeneration unavailable: {exc}")
         return section
 
-    deg: dict = {"gamma": flow.gamma, "entries": []}
+    deg: dict = {"gamma": flow.gamma, "entries": [{
+        "route": pred.route,
+        "locus": _point_json(pred.locus),
+        "exponents": [_value(v) for v in pred.exponents],
+        "predicted_lower_exponents": [_value(v) for v in pred.predicted],
+        "matched_lower_loci": [_point_json(p) for p in pred.matches],
+        "diagnostics": {key: _point_json(v) if isinstance(v, tuple)
+                        else _value(v) for key, v in pred.diagnostics.items()},
+    } for pred in predictions]}
     skipped = sorted({str(w.message) for w in caught
                       if isinstance(w.message, degeneration.UnrescalableLocus)})
     if skipped:
         deg["skipped_loci"] = skipped
-    for pred in predictions:
-        deg["entries"].append({
-            "route": pred.route,
-            "locus": _point_json(pred.locus),
-            "exponents": [_value(v) for v in pred.exponents],
-            "predicted_lower_exponents": [_value(v) for v in pred.predicted],
-            "matched_lower_loci": [_point_json(p) for p in pred.matches],
-            "diagnostics": _diag_json(pred.diagnostics),
-        })
-        tail = (" -> matches " + ", ".join(_fmt_point(p) for p in pred.matches)
-                if pred.matches else " -> no matching lower locus")
-        lines.append(
-            f"  degeneration [{pred.route}] locus {_fmt_point(pred.locus)}: "
-            f"predicted {_fmt_values(pred.predicted)}{tail}")
-    unmatched = [k for k, pred in enumerate(predictions) if not pred.matches]
-    deg["unmatched_indices"] = unmatched
+    deg["unmatched_indices"] = [
+        k for k, pred in enumerate(predictions) if not pred.matches]
     deg["lower_spectra"] = [
         {"point": _point_json(p), "exponents": [_value(v) for v in ms]}
         for p, ms in pool]
-    if unmatched:
-        lines.append(f"  note: {len(unmatched)} prediction(s) without a "
-                     f"matching lower locus")
     section["degeneration"] = deg
-
-    if flow.gamma == 1 and not any(flow.ghat):
-        lines.append("  parameter flow is trivial; no lower predictions")
 
     if flow.gamma == 1:
         predicted = predictions[0].predicted if len(predictions) == 1 else None
@@ -596,7 +620,7 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search, lines,
         except ValueError as exc:
             section["deformation"] = {"error": str(exc)}
         else:
-            deformation = {
+            section["deformation"] = {
                 "epsilons": [str(e) for e in check.epsilons],
                 "k1": _value(check.k1),
                 "stable": check.stable,
@@ -606,18 +630,13 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search, lines,
                     [[_value(v) for v in ms] for ms in collection]
                     for collection in check.multisets],
             }
-            section["deformation"] = deformation
-            lines.append(
-                f"  deformation check: k1 = {_fmt_scalar(check.k1)}, "
-                f"{'stable' if check.stable else 'UNSTABLE'}")
             if not check.stable:
                 violations.append(
-                    f"deformed-field exponents vary with epsilon at "
-                    f"{_fmt_point(point)}")
+                    f"deformed-field exponents vary with epsilon at {point}")
             if check.realized is not None and not all(check.realized):
                 violations.append(
                     f"deformed field does not realize the predicted "
-                    f"exponents at {_fmt_point(point)}")
+                    f"exponents at {point}")
     return section
 
 
@@ -628,9 +647,13 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
 
     name labels the input in the report and in error messages; the
     keywords are the CLI's flags.  Raises AnalysisError when there is
-    nothing to analyze, or for a truncation below 1, a negative seed or a
-    tolerance that is not a positive finite number.
+    nothing to analyze, or for an unknown command, a truncation or
+    max_weight below 1, a negative seed or a tolerance that is not a
+    positive finite number.
     """
+    if command not in _STAGES:
+        raise AnalysisError(f"command must be one of {', '.join(_STAGES)}, "
+                            f"got {command!r}")
     stages = _STAGES[command]
     if truncation is not None and truncation < 1:
         raise AnalysisError(f"truncation must be positive, got {truncation}")
@@ -639,6 +662,8 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
     if tolerance is not None and not 0 < tolerance < math.inf:
         raise AnalysisError(
             f"tolerance must be a positive finite number, got {tolerance}")
+    if max_weight < 1:
+        raise AnalysisError(f"max_weight must be positive, got {max_weight}")
     try:
         spec = parse_problem(text)
     except ParseError as exc:
@@ -654,8 +679,6 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
         search["tolerance"] = tolerance
 
     violations: list[str] = []
-    lines: list[str] = [f"problem: {Path(name).name}",
-                        f"variables: {', '.join(spec.variables)}"]
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -676,55 +699,37 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
     }
 
     cert, report["weights"] = _resolve_weights(field, spec, max_weight,
-                                               lines, violations)
-    gamma = None
+                                               violations)
     if "assumptions" in stages:
-        report["assumptions"], gamma = _assumptions(field, g_field, cert,
-                                                    lines, violations)
+        report["assumptions"] = _assumptions(field, g_field, cert, violations)
 
     loci, solutions, pool = (), {}, None
     if cert is not None and "loci" in stages:
-        entries, loci = _locus_stage(field, cert, spec, search, lines,
-                                     violations)
+        report["loci"], loci = _locus_stage(field, cert, spec, search,
+                                            violations)
         pool = degeneration.lower_spectra(loci)
-        report["loci"] = entries
 
         if "series" in stages:
             # truncation wins over the problem file's truncation = N
             solutions = _series_stage(
-                field, cert, loci, entries,
+                field, cert, loci, report["loci"],
                 truncation if truncation is not None else spec.truncation,
-                lines, violations)
+                violations)
 
         if "flow" in stages and g_field is not None:
-            flow_ok = (report.get("assumptions", {}).get("commutation") == "ok"
-                       and gamma is not None and gamma >= 1)
-            if not flow_ok:
-                report["flow"] = []
-                lines.append("flow analysis skipped "
-                             "(needs a commuting quasi-homogeneous field)")
-            else:
-                report["flow"] = [
-                    _flow_locus_report(field, g_field, cert, sol, pool,
-                                       search, lines, violations)
-                    for _, sol in sorted(solutions.items())
-                    if classify(sol).kind == "principal"]
-                if not report["flow"]:
-                    lines.append("no principal balance; flow analysis skipped")
+            ready = _flow_ready(report["assumptions"])
+            report["flow"] = [
+                _flow_locus_report(field, g_field, cert, sol, pool, search,
+                                   violations)
+                for _, sol in sorted(solutions.items())
+                if ready and classify(sol).kind == "principal"]
         # the flow stage has taken over every prefix tree it continues; the
         # rest would live as long as the result
         for sol in solutions.values():
             object.__setattr__(sol, "_prefixes", None)
-    elif cert is None:
-        lines.append("analysis skipped: no usable weight certificate")
 
     report["violations"] = violations
-    if violations:
-        lines.append("violations detected:")
-        lines.extend(f"  - {v}" for v in violations)
-    else:
-        lines.append("no violations detected")
-    return Analysis(report, tuple(lines), cert, loci, solutions, pool)
+    return Analysis(report, tuple(_render(report)), cert, loci, solutions, pool)
 
 
 def _fail(message: str) -> int:

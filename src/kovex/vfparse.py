@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import MultiPoly
 
@@ -75,8 +75,9 @@ class OddVariableCountError(ParseError):
 # expression tokenizer / parser
 
 
-@dataclass(frozen=True)
-class _Token:
+# a NamedTuple, not a frozen dataclass, whose generated __init__ more than
+# doubled the tokenizer's time
+class _Token(NamedTuple):
     kind: str  # NUMBER, IDENT, OP, LPAREN, RPAREN, END
     text: str
     line: int

@@ -78,6 +78,14 @@ def test_json_writer_is_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize("stem", ["weierstrass", "cubic_pair",
+                                  "painleve1_coupled_4d"])
+def test_golden_text_is_the_render_of_the_golden_report(stem):
+    report = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+    assert ("\n".join(cli._render(report)) + "\n"
+            == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8"))
+
+
 def test_analyze_returns_what_the_cli_prints(capsys):
     text = (PROBLEMS / "cubic_pair.kov").read_text(encoding="utf-8")
     result = analyze(text, "cubic_pair.kov")
@@ -85,6 +93,8 @@ def test_analyze_returns_what_the_cli_prints(capsys):
             == (GOLDEN / "cubic_pair.json").read_text(encoding="utf-8"))
     assert main(["analyze", str(PROBLEMS / "cubic_pair.kov")]) == 0
     assert capsys.readouterr().out == "\n".join(result.lines) + "\n"
+    assert cli._render(json.loads(cli._dumps(result.report))) == list(
+        result.lines)
     assert [locus.point for locus, _ in result.loci] == [
         tuple(Fraction(c) for c in entry["point"])
         for entry in result.report["loci"]]
@@ -93,6 +103,35 @@ def test_analyze_returns_what_the_cli_prints(capsys):
     with pytest.raises(AnalysisError, match="^x.kov: no commuting field"):
         analyze((PROBLEMS / "weierstrass.kov").read_text(), "x.kov",
                 command="flow")
+
+
+_WEIERSTRASS_F = 'variables = [x:2, y:3]\nF.1 = "y"\nF.2 = "6*x^2"\n'
+
+
+@pytest.mark.parametrize("text, options, line", [
+    ('variables = [q:1, p:2]\nF.1 = "p"\nF.2 = "q^3"\n', {},
+     "locus (-1.41421, 1.41421)  [numeric, structured_search]"),
+    ('variables = [x:1, y:1]\nF.1 = "x^2 + y"\nF.2 = "x"\n', {},
+     "analysis skipped: no usable weight certificate"),
+    (_WEIERSTRASS_F + 'G.1 = "y"\nG.2 = "x^2"\n', {},
+     "flow analysis skipped (needs a commuting quasi-homogeneous field)"),
+    (_WEIERSTRASS_F + 'G.1 = "y"\nG.2 = "6*x^2"\n', {},
+     "  parameter flow is trivial; no lower predictions"),
+    ((PROBLEMS / "painleve1_coupled_4d.kov").read_text(encoding="utf-8"),
+     {"command": "check"}, "commuting degree: 3"),
+    ((PROBLEMS / "painleve1_coupled_4d.kov").read_text(encoding="utf-8"),
+     {"tolerance": 1e-6},
+     "  degeneration [flow_direct] locus (0.16025, 0.0712222, -0.00461625): "
+     "predicted -3, -1, 8, 10 -> matches (3, 27, 0, -3)"),
+], ids=["numeric_loci", "failing_declared_weights", "non_commuting_pair",
+        "trivial_flow", "check", "coupled_4d_loose_tolerance"])
+def test_text_is_the_render_of_the_report(text, options, line):
+    # the summary shows nothing the report lacks: rendering the written
+    # --json report gives the same lines, on paths the goldens miss
+    result = analyze(text, "probe.kov", **options)
+    assert cli._render(json.loads(cli._dumps(result.report))) == list(
+        result.lines)
+    assert line in result.lines
 
 
 @pytest.mark.parametrize("stem", sorted(p.stem for p in PROBLEMS.glob("*.kov")))
@@ -417,6 +456,23 @@ def test_overflowing_seed_is_dropped_quietly(body, tmp_path):
                             capture_output=True, text=True, cwd=ROOT)
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+def test_unknown_command_is_an_analysis_error():
+    text = (PROBLEMS / "weierstrass.kov").read_text(encoding="utf-8")
+    with pytest.raises(AnalysisError) as exc:
+        analyze(text, command="bogus")
+    assert str(exc.value) == ("command must be one of check, loci, series, "
+                              "flow, analyze, got 'bogus'")
+
+
+def test_nonpositive_max_weight_is_an_input_error(capsys):
+    code = main(["analyze", str(PROBLEMS / "painleve1_auto.kov"),
+                 "--max-weight=-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: max_weight must be positive, got -3\n"
+    assert captured.out == ""
 
 
 def test_unweightable_field_fails_with_guidance(tmp_path, capsys):
