@@ -443,7 +443,11 @@ def _assumptions(field, g_field, cert, violations) -> dict:
     if cert is not None:
         gamma = field_degree(g_field, cert.weights)
         section["commuting_degree"] = gamma
-        if gamma is None:
+        if not any(g_field.components):
+            # the zero field commutes with F and has every degree
+            violations.append("the commuting field is identically zero; "
+                              "there is no flow to analyze")
+        elif gamma is None:
             violations.append(
                 f"the commuting field has no uniform degree for weights "
                 f"{cert.weights}")

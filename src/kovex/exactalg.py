@@ -823,15 +823,22 @@ class RootSet:
                                                 complex(v).imag)))
 
 
-def _exact_roots(coeffs: Sequence[Scalar]) -> tuple[tuple[tuple[Fraction, int], ...],
-                                                     tuple[Fraction, ...]]:
+def _exact_roots(coeffs: Sequence[Scalar], candidates: Sequence[Scalar] = ()
+                 ) -> tuple[tuple[tuple[Fraction, int], ...],
+                            tuple[Fraction, ...]]:
     """The rational stage of roots_exact_first, with no floating point.
 
     Returns the sorted (rational root, multiplicity) pairs and the monic
-    residual left after dividing them out.  It runs once on the primitive
-    integer part f: trailing zero coefficients count the root 0,
-    _positive_rational_roots finds every rational root of f(x) and f(-x),
-    and exact division by q x - p counts the multiplicity of each root p/q.
+    residual left after dividing them out.  It runs on the primitive
+    integer part f: trailing zero coefficients count the root 0, and exact
+    division by q x - p counts the multiplicity of each root p/q.  The
+    candidates, roots the caller's theory predicts, are divided out first,
+    each as often as it divides; one that is not a root costs one failed
+    division and changes nothing, so the result is the same for any
+    candidates.  What is left is searched only while it has degree >= 2:
+    _positive_rational_roots finds the rational roots of f(x), then of
+    f(-x) on the quotient, and a quotient of degree 1 gives its root
+    directly.
     """
     exact = [as_fraction(c) for c in coeffs]
     if not exact or exact[0] == 0:
@@ -842,17 +849,28 @@ def _exact_roots(coeffs: Sequence[Scalar]) -> tuple[tuple[tuple[Fraction, int], 
         while ints[-1] == 0:
             ints.pop()
         rational[Fraction(0)] = len(exact) - len(ints)
-    ascending = ints[::-1]
-    mirrored = [-c if i % 2 else c for i, c in enumerate(ascending)]
-    lead = abs(ints[0])
-    for sign, poly in ((1, ascending), (-1, mirrored)):
-        for root in _positive_rational_roots(poly, lead):
-            p, q = sign * root.numerator, root.denominator
-            multiplicity = 0
-            while (quotient := _divide_linear(ints, p, q)) is not None:
-                ints = quotient
-                multiplicity += 1
-            rational[Fraction(p, q)] = multiplicity
+
+    def divide_out(root: Fraction) -> None:
+        nonlocal ints
+        p, q = root.numerator, root.denominator
+        multiplicity = 0
+        while (quotient := _divide_linear(ints, p, q)) is not None:
+            ints = quotient
+            multiplicity += 1
+        if multiplicity:
+            rational[root] = rational.get(root, 0) + multiplicity
+
+    for candidate in candidates:
+        divide_out(as_fraction(candidate))
+    for sign in (1, -1):
+        if len(ints) == 2:
+            divide_out(Fraction(-ints[1], ints[0]))
+        if len(ints) <= 2:
+            break
+        ascending = ints[::-1] if sign > 0 else [
+            -c if i % 2 else c for i, c in enumerate(reversed(ints))]
+        for root in _positive_rational_roots(ascending, abs(ints[0])):
+            divide_out(sign * root)
     return (tuple(sorted(rational.items())),
             tuple(Fraction(c, ints[0]) for c in ints))
 

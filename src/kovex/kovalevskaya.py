@@ -184,14 +184,22 @@ def _block(field: VectorField, certificate: WeightCertificate,
     Faddeev-LeVerrier recurrence of ExactMatrix.resolvent), its share of
     the -1 eigenvector, the universal eigenpair, the semisimplicity at its
     positive resonances and the facts of its roots _classify reads.  The
-    point is taken as a locus: its callers have certified it."""
+    point is taken as a locus: its callers have certified it.
+
+    The exponents the theory predicts are handed to _exact_roots as
+    candidates, which it divides out before any search: -1 where coords
+    are not all zero (the universal eigenpair), and the weights a_i /
+    degree at the zero point, where the block is Df_b(0) + diag(a_i /
+    degree), triangular in weight order."""
     values = {field.variables[i]: c for i, c in zip(component, coords)}
     matrix = ExactMatrix(_k_rows(field, certificate, component, values))
-    exact = _exact_roots(matrix.charpoly())
+    gamma = certificate.degree
+    candidates = ((-1,) if any(coords) else
+                  [Fraction(certificate.weights[i], gamma) for i in component])
+    exact = _exact_roots(matrix.charpoly(), candidates)
     rational, residual = exact
     vector = tuple(Fraction(certificate.weights[i]) * c
                    for i, c in zip(component, coords))
-    gamma = certificate.degree
     return _Block(
         exact,
         vector,

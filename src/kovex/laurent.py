@@ -606,7 +606,10 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     The locus is checked against the indicial equations exactly, and
     K(c)'s resolvent is built once, before the truncation is chosen: the
     rational stage _exact_roots of its chi gives the resonant orders that
-    set the default truncation (twice the largest) and the warning.  Each
+    set the default truncation (twice the largest) and the warning.  chi
+    is det(tI - sK(c)), so -s (the exponent -1 of every balance) and s a_i
+    for each coordinate with c_i = 0 (its weight, an exponent of a block
+    at zero) are tried as roots before any search.  Each
     order is one exact solve of (K(c) - jI) d_j = -N_j with the
     polynomial right-hand side taken whole: by the series' resolvent
     where its exact integer chi(sj) is nonzero (_regular_solve), by
@@ -631,8 +634,10 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     # chi's roots are s times K(c)'s eigenvalues
     resolvent = matrix.resolvent()
     s, chi, _ = resolvent
+    candidates = [-s] + [s * a for a, c in zip(certificate.weights, point)
+                         if c == 0]
     resonant_orders = sorted(
-        int(r / s) for r, _ in _exact_roots(chi)[0]
+        int(r / s) for r, _ in _exact_roots(chi, candidates)[0]
         if r > 0 and (r / s).denominator == 1)
     if truncation is None:
         truncation = (2 * max(resonant_orders) if resonant_orders

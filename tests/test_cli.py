@@ -492,6 +492,22 @@ def test_flow_without_commuting_field_is_an_input_error(capsys):
     assert "no commuting field" in captured.err
 
 
+def test_identically_zero_commuting_field_is_named_so(tmp_path, capsys):
+    # the zero field commutes with F and has every degree: the defect is
+    # that there is no flow, not a missing degree
+    prob = tmp_path / "zero_g.kov"
+    prob.write_text('variables = [x:2, y:3]\nF.1 = "y"\nF.2 = "6*x^2"\n'
+                    'G.1 = "0"\nG.2 = "0"\n', encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(["analyze", str(prob), "--json", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["violations"] == [
+        "the commuting field is identically zero; there is no flow to analyze"]
+    assert "no uniform degree" not in captured.out
+
+
 def test_bad_usage_exits_with_input_error_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

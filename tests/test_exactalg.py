@@ -837,7 +837,36 @@ def test_rational_roots_match_trial_division(roots, rootless, lead):
         c / coeffs[0] for c in coeffs]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RATIONALS, max_size=5), st.lists(ROOTLESS, max_size=1),
+       st.fractions(min_value=-7, max_value=7, max_denominator=3).filter(bool),
+       st.data())
+def test_candidates_never_change_the_roots(roots, rootless, lead, data):
+    # a candidate is tested by exact division, never assumed: true roots,
+    # non-roots, 0, repeats and near misses all leave the result as it is
+    coeffs = _expand(lead, [[F(1), -r] for r in roots] + rootless)
+    near = F(1, 10 ** 30)
+    candidate = st.one_of(
+        RATIONALS, st.just(F(0)),
+        *([st.sampled_from(roots),
+           st.sampled_from(roots).map(lambda r: r + near),
+           st.sampled_from(roots).map(lambda r: r - near)] if roots else []))
+    candidates = data.draw(st.lists(candidate, max_size=6))
+    assert (exactalg._exact_roots(coeffs, candidates)
+            == exactalg._exact_roots(coeffs))
+
+
 class TestRationalRoots:
+    def test_linear_root_is_read_off(self):
+        # 60-digit coefficients: the root of a degree-1 polynomial is read
+        # off exactly, with no search
+        a = 10 ** 59 + 151
+        b = -(7 * 10 ** 59 + 33)
+        with mock.patch.object(exactalg, "_positive_rational_roots") as search:
+            assert exactalg._exact_roots([a, b]) == (((F(-b, a), 1),), (F(1),))
+        assert search.call_count == 0
+
+
     @pytest.mark.parametrize("roots", [
         [F(1, 2)],                          # the first bisection point
         [F(1), F(2), F(4), F(64)],          # dyadic points at every scale

@@ -861,3 +861,43 @@ class TestBlockSpectra:
         # eight equal blocks have one form, whose two block spectra the
         # component table computes once
         assert self._charpolys([("cubic", 1, 6)] * 8) == 2
+
+    @staticmethod
+    def _searches():
+        return mock.patch.object(exactalg, "_positive_rational_roots",
+                                 wraps=exactalg._positive_rational_roots)
+
+    def test_ten_distinct_cubic_blocks_search_no_root(self):
+        # at a balance -1 divides out and leaves 6 to read off; at zero the
+        # weights 2 and 3 divide out: no block searches
+        field, cert = _uncoupled([("cubic", 1, 6 + k) for k in range(1, 11)])
+        search = find_loci(field, cert)
+        with self._searches() as searches:
+            pairs = spectra(search)
+        assert len(pairs) == 1023
+        assert searches.call_count == 0
+        assert {report.exponents.multiset() for _, report in pairs} == {
+            (-1,) * n + (2,) * (10 - n) + (3,) * (10 - n) + (6,) * n
+            for n in range(1, 11)}
+
+    def test_coupled_block_searches_the_cubic_left_after_minus_one(
+            self, pair4d_deg3):
+        field, _, cert = pair4d_deg3
+        with self._searches() as searches:
+            block = kovalevskaya._block(field, cert, [0, 1, 2, 3],
+                                        (1, 1, 1, -1))
+        assert block.exact_roots == (((-1, 1), (2, 1), (5, 1), (8, 1)), (1,))
+        # (t - 2)(t - 5)(t - 8), ascending
+        assert [call.args for call in searches.call_args_list] == [
+            ([-80, 66, -15, 1], 1)]
+
+    def test_failed_eigenpair_keeps_the_exact_spectrum(self):
+        # (1/2, 7) is no balance of q' = p, p' = 6 q^2: K = [[2, 1], [6, 3]]
+        # has the spectrum {0, 5}, so the candidate -1 does not divide
+        field, cert = _uncoupled([("cubic", 1, 6)])
+        point = (Fraction(1, 2), Fraction(7))
+        block = kovalevskaya._block(field, cert, [0, 1], point)
+        assert not block.eigenpair
+        assert block.exact_roots == exactalg._exact_roots(
+            kovalevskaya_matrix(field, cert, point).charpoly())
+        assert block.exact_roots == (((0, 1), (5, 1)), (1,))
