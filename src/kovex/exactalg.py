@@ -1056,6 +1056,13 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
             continue
         rational, residual = _exact_roots(_coeff_list(eq, var))
         others = tuple(v for v in remaining if v != var)
+        if len(residual) > 1 and others:
+            # branching would lose the irrational factor; a linear
+            # elimination first can leave it to the last variable of the
+            # branch, a leaf
+            eliminated = _eliminate_linear(live, remaining, budget)
+            if eliminated is not None:
+                return eliminated
         solutions: list[dict[str, Fraction]] = []
         leaves: list = []
         complete = len(residual) == 1 or not others
@@ -1089,7 +1096,16 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
             leaves += sub_leaves
         return solutions, leaves, complete, saw_free
 
-    # otherwise eliminate a variable that appears linearly with constant coefficient
+    # otherwise eliminate a variable that appears linearly with constant
+    # coefficient; with neither move, numeric routes take over
+    return (_eliminate_linear(live, remaining, budget)
+            or ([], [], False, False))
+
+
+def _eliminate_linear(live: list[MultiPoly], remaining: tuple[str, ...],
+                      budget: list[int]):
+    """_solve_branch after eliminating the first variable that appears
+    linearly with a constant coefficient, or None if none does."""
     for eq in live:
         for var in remaining:
             split = _linear_constant_coefficient(eq, var)
@@ -1112,8 +1128,7 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
             for factor, values in sub_leaves:
                 values[var] = tuple(_at_leaf(expr, values, factor))
             return sub_solutions, sub_leaves, sub_complete, sub_free
-
-    return [], [], False, False  # no handle on this system; numeric routes take over
+    return None
 
 
 def solve_poly_system(eqs: Sequence[MultiPoly],
@@ -1122,7 +1137,9 @@ def solve_poly_system(eqs: Sequence[MultiPoly],
 
     The strategy alternates two moves: branch on the complete set of rational
     roots of a univariate equation, and eliminate a variable appearing
-    linearly with a constant coefficient.  An irrational residual in the
+    linearly with a constant coefficient, which goes first where the
+    univariate equation has an irrational residual and other variables
+    are left (branching would lose it).  An irrational residual in the
     last variable of a branch is kept as a Leaf, the other coordinates
     composed into polynomials in its root; no floating point is used.
     Systems that offer neither move are left to the numeric pipeline; the

@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import (
@@ -522,6 +522,54 @@ def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _surviving_patterns(supports: Sequence[Sequence[int]], n: int):
+    """The zero patterns of n coordinates that the support rule leaves, in
+    increasing index order, the all-zero pattern left out.
+
+    supports lists each equation's terms as bit masks of the coordinates
+    they read (coordinate k is bit n-1-k), and a pattern's index is the
+    mask of its clamped coordinates.  The rule rejects a pattern in which
+    some equation keeps exactly one term, all of whose coordinates are
+    free.  A depth-first search assigns the coordinates in order, free
+    before clamped, so a subtree holds a run of consecutive indices.  At
+    each node a term is dead (it reads a clamped coordinate), alive (every
+    coordinate it reads is free) or undecided.  A node is cut when some
+    equation keeps one non-dead term and that term is alive; when that one
+    term has a single undecided coordinate, the coordinate is clamped, or
+    the term would come alive.
+    """
+    def propagate(free: int, clamped: int) -> int | None:
+        """clamped with every forced coordinate added, or None if cut."""
+        while True:
+            forced = 0
+            for support in supports:
+                live = [s for s in support if not s & clamped]
+                if len(live) == 1:
+                    undecided = live[0] & ~free
+                    if not undecided:
+                        return None
+                    if not undecided & (undecided - 1):
+                        forced |= undecided
+            if not forced:
+                return clamped
+            clamped |= forced
+
+    full = (1 << n) - 1
+    stack = [(0, 0)]
+    while stack:
+        free, clamped = stack.pop()
+        clamped = propagate(free, clamped)
+        if clamped is None:
+            continue
+        undecided = full & ~(free | clamped)
+        if undecided:
+            # the first undecided coordinate; free is popped first
+            bit = 1 << (undecided.bit_length() - 1)
+            stack += [(free, clamped | bit), (free | bit, clamped)]
+        elif clamped != full:
+            yield clamped
+
+
 def _embed(local: Sequence[Fraction], component: Sequence[int],
            m: int) -> tuple[Fraction, ...]:
     """A component's point in the field's m coordinates, zero elsewhere."""
@@ -675,7 +723,10 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        a field without constant term).  The support rule skips a pattern
        in which some equation keeps exactly one term, all of whose
        variables are free: that equation cannot vanish where they are
-       nonzero, and its saturation is a nonzero constant.  Each other
+       nonzero, and its saturation is a nonzero constant.  The patterns
+       it leaves are enumerated, in increasing index order, by a
+       depth-first search with unit propagation over the equations' terms
+       (``_surviving_patterns``), which never visits the others.  Each
        pattern's saturated system (``_clamp``: ``q + u q^2 + 2v pq``
        becomes ``1 + u q + 2v p``) is handed to the exact solver, which
        certifies every point and every leaf it returns against it.
@@ -694,7 +745,12 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        relative to the size of their terms.  The points are numeric loci
        with source ``structured_search``; painleve1_coupled_4d's gamma = 3
        flow subsystem ends in the leaf a2^3 - 64/3^11, with a1 = 9 a2 / 4
-       and a3 = -7 a2 / 108.
+       and a3 = -7 a2 / 108.  The all-free pattern comes first.  When no
+       coordinate divides every term of one of the component's equations,
+       _clamp divides nothing out of it, and its system is the
+       component's own: once its solve settles (complete, or leaves whose
+       numerics hold) it has listed every balance of the component, zero
+       coordinates included, and no other pattern is solved.
     4. Newton multistart (``_Newton``, built on first use), only on the
        component's patterns the exact solver left open and on a leaf
        pattern whose numerics fail (roots_of_product raises
@@ -727,8 +783,15 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     The search costs one exact solve per surviving support of each
     component not taken from table: at most 2^(m_b) - 1 for a component
     of m_b coordinates, and one for an uncoupled cubic block or each
-    suffix of blocks of a coupled chain.  The rule itself still visits
-    every pattern once.  A complete exact solve has listed every complex
+    suffix of blocks of a coupled chain; a component whose whole system
+    settles takes one solve (painleve1_coupled_4d).  The enumeration, too,
+    scales with the surviving supports and not with the 2^(m_b)
+    patterns: each node it visits costs a pass over the component's
+    terms per round of propagation, and the coupled chain at k = 12
+    (m_b = 24, 16.7 M patterns) takes 313 nodes for its 12 supports.  Unit propagation is not a
+    complete test, so a field whose supports defeat it can still make the
+    search walk branches with no surviving support below them; no bound
+    is proved for that.  A complete exact solve has listed every complex
     solution of its saturated system, and with its leaves so has a
     settled one, so such a pattern gets no Newton run.  A component with
     a numeric point is not stored in table.  A point is recorded with the
@@ -780,13 +843,14 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         local_eqs = [eqs[i] for i in component]
         supports = [[sum(b for b, j in zip(bits, component) if exps[j])
                      for exps in eq.terms] for eq in local_eqs]
+        # _clamp divides no monomial out of the all-free pattern's system,
+        # which is then the component's own, when no coordinate occurs in
+        # every term of an equation
+        whole = not any(reduce(operator.and_, support, 2 ** n - 1)
+                        for support in supports)
         part = _Found(radius)
         incomplete: list[tuple[int, list[int]]] = []
-        for index in range(2 ** n - 1):
-            # the support rule of step 3
-            if any([s & index for s in support].count(0) == 1
-                   for support in supports):
-                continue
+        for index in _surviving_patterns(supports, n):
             free = [i for b, i in zip(bits, component) if not index & b]
             free_vars = tuple(field.variables[i] for i in free)
             # the variables outside the component do not occur in its
@@ -802,6 +866,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 continue
             for point in rooted:
                 part.add_numeric(point, "structured_search")
+            if index == 0 and whole:
+                # every balance of the component is listed
+                break
         if not incomplete:
             # a leaf's points are floats: only exact results are shared
             if all(locus.is_exact for locus in part.loci):

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: frozen oracles plus algebraic invariants."""
 
+import cmath
 import math
 from fractions import Fraction
 from unittest import mock
@@ -721,11 +722,49 @@ class TestLeaves:
                                  exactalg.Leaf((1, 0, -3), ((2,), (1, 0))))
 
     def test_an_irrational_factor_with_a_variable_left_is_no_leaf(self):
-        # q^2 = 2 with p still to solve over it is a tower, left open
+        # q^2 = 2 with p still to solve over it and no linear elimination
+        # (p^2 - q p - 1 has no variable with a constant coefficient) is a
+        # tower, left open
+        names = ("q", "p")
+        q, p = (MultiPoly.variable(v, names) for v in names)
+        result = solve_poly_system([q * q - 2, p * p - q * p - 1], names)
+        assert result == exactalg.ExactSolveResult((), False, False, ())
+
+    @pytest.mark.parametrize("names", [("q", "p"), ("p", "q")])
+    @pytest.mark.parametrize("a, b", [(3, 5), (F(-1, 2), 7), (1, 1)])
+    def test_an_elimination_goes_before_an_irrational_branch(self, names,
+                                                             a, b):
+        # b q^2 + 2 is univariate with an irrational residual and p left,
+        # so branching on it loses the factor; eliminating q := -a p (or
+        # p := -q / a) first leaves it in the last variable, a leaf whose
+        # two roots are the system's two solutions
+        q, p = (MultiPoly.variable(v, names) for v in ("q", "p"))
+        eqs = [p * a + q, q * q * b + 2]
+        result = solve_poly_system(eqs, names)
+        assert result.points == () and not result.has_free_parameters
+        (leaf,) = result.leaves
+        assert len(leaf.factor) == 3 and leaf.factor[1] == 0
+        values = dict(zip(names, leaf.coordinates))
+        assert all(exactalg._at_leaf(eq, values, leaf.factor) == [0]
+                   for eq in eqs)
+        # its roots +-t give q = +-sqrt(-2 / b), p = -q / a, both solutions
+        t = cmath.sqrt(-leaf.factor[2])
+        points = {tuple(complex(exactalg.poly_eval(values[v], s)) for v in
+                        ("q", "p")) for s in (t, -t)}
+        root = cmath.sqrt(F(-2) / b)
+        assert len(points) == 2
+        for want in ((root, -root / a), (-root, root / a)):
+            assert any(max(abs(x - complex(y)) for x, y in zip(got, want))
+                       < 1e-12 for got in points)
+
+    def test_an_elimination_keeps_a_tower_as_a_leaf(self):
+        # q^2 = 2 and p^2 = q: q := p^2 leaves p^4 - 2, a leaf of four
+        # solutions with q = p^2
         names = ("q", "p")
         q, p = (MultiPoly.variable(v, names) for v in names)
         result = solve_poly_system([q * q - 2, p * p - q], names)
-        assert result == exactalg.ExactSolveResult((), False, False, ())
+        assert result == exactalg.ExactSolveResult((), False, False, (
+            exactalg.Leaf((1, 0, 0, 0, -2), ((1, 0, 0), (1, 0))),))
 
 
 @settings(max_examples=100)

@@ -442,8 +442,10 @@ class TestComponents:
         # block A's (quartic) indicial equations p1 + q1, 2 q1^3 + 2 p1:
         # it vanishes at A's balances (1, -1), (-1, 1) and at A = 0, so the
         # loci stay the products, but B's equation now holds q1 and p1.
-        # The support rule leaves the supports A, B and both (15 solves
-        # before it)
+        # The support rule leaves the supports A, B and both, and the
+        # first, the all-free one, is the whole system: its complete solve
+        # lists every balance, and the other two are not solved (3 solves
+        # before, 15 before the support rule)
         names = ("q1", "p1", "q2", "p2")
         q1, p1, q2, p2 = (MultiPoly.variable(v, names) for v in names)
         field = VectorField(names, (p1, q1 ** 3 * 2, p2,
@@ -453,7 +455,7 @@ class TestComponents:
             [0, 1, 2, 3]]
         with _counted_solves() as solves:
             search = find_loci(field, cert)
-        assert solves.call_count == 3
+        assert solves.call_count == 1
         assert {loc.point for loc in search.loci} == {
             a + b for a in [(0, 0), (1, -1), (-1, 1)]
             for b in [(0, 0), (1, -2)] if any(a + b)}
@@ -689,6 +691,41 @@ def _constant_fields(draw):
     return field, WeightCertificate((1, 1), 1)
 
 
+@st.composite
+def _p4_and_chains(draw):
+    """Products of up to three parts, each a p4 block (weights 1, 1; a
+    component the rule leaves three patterns) or a chain of up to three
+    blocks with random coefficients, as in _coupled_chains."""
+    parts = draw(st.lists(st.one_of(
+        st.tuples(st.just("p4"), props.NONZERO_Q, props.NONZERO_Q),
+        st.tuples(st.just("chain"), st.lists(
+            st.tuples(props.NONZERO_Q, props.NONZERO_Q),
+            min_size=1, max_size=3))), min_size=1, max_size=3))
+    sizes = [2 if kind == "p4" else 2 * len(args[0])
+             for kind, *args in parts]
+    names = tuple(f"x{j}" for j in range(sum(sizes)))
+    x = [MultiPoly.variable(v, names) for v in names]
+    comps, weights, start = [], [], 0
+    for (kind, *args), size in zip(parts, sizes):
+        if kind == "p4":
+            q, p = x[start:start + 2]
+            u, v = args
+            comps += [q * q * u + q * p * (2 * v),
+                      p * q * (-2 * u) - p * p * v]
+            weights += [1, 1]
+        else:
+            for i, (a, b) in enumerate(args[0]):
+                q, p = x[start + 2 * i:start + 2 * i + 2]
+                force = q * q * a
+                if i:
+                    force = force + x[start + 2 * i - 2] ** 2 * b
+                comps += [p, force]
+                weights += [2, 3]
+        start += size
+    return VectorField(names, tuple(comps)), WeightCertificate(tuple(weights),
+                                                               1)
+
+
 def _one_component(case):
     field, cert = case[:2]
     return len(kovalevskaya._split(indicial_system(field, cert), cert,
@@ -714,18 +751,124 @@ class TestSupportRule:
         assert loci == _search_all_patterns(field, cert)
 
     def test_the_chain_solves_one_support_per_suffix(self):
-        # of the chain's 2^14 - 1 = 16,383 patterns at k = 7 (each solved
-        # before the rule), only the supports of the 7 suffixes of blocks
+        # of the chain's 2^16 - 1 = 65,535 patterns at k = 8 (each solved
+        # before the rule), only the supports of the 8 suffixes of blocks
         # survive: p_i + 2 q_i keeps one term unless block i is clamped or
         # free as a whole, and a free block i leaves
         # 6 q_(i+1)^2 + q_i^2 + 3 p_(i+1) with q_i^2 alone unless block
         # i + 1 is free too
-        field, cert = _chain(7)
+        field, cert = _chain(8)
         with _counted_solves() as solves:
             search = find_loci(field, cert)
         assert [call.args[1] for call in solves.call_args_list] == [
-            field.variables[2 * j:] for j in range(7)]
+            field.variables[2 * j:] for j in range(8)]
         assert any(locus.is_exact for locus in search.loci)
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.integers(0, 2 ** n - 1),
+                                      max_size=4), min_size=1, max_size=8))))
+    @settings(max_examples=300, deadline=None)
+    def test_the_enumeration_is_the_rule_on_every_index(self, case):
+        n, supports = case
+        assert (list(kovalevskaya._surviving_patterns(supports, n))
+                == _rule_patterns(supports, n))
+
+    @given(st.one_of(props.scaled_problems(), _p4_and_chains()))
+    @settings(max_examples=30, deadline=None)
+    def test_the_search_is_every_rule_pattern_solved(self, case):
+        # the settled whole system that ends a component and the
+        # enumeration of its supports leave the loci, their order and
+        # their sources those of a solve of every pattern the rule leaves
+        field, cert = case[:2]
+        try:
+            loci = find_loci(field, cert).loci
+        except NoLocusFound:
+            loci = ()
+        assert loci == _rule_search(field, cert)[0]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_newton_draws_with_the_rule_index(self, k):
+        # each open pattern of the chain draws its starts from the
+        # generator of its index among all 2^(2k) patterns: the all-free
+        # one at k = 3, and at k = 4 also the suffix of blocks 2 to 4,
+        # index 0b11000000 = 192
+        field, cert = _chain(k)
+        with mock.patch.object(kovalevskaya._Newton, "starts", autospec=True,
+                               side_effect=kovalevskaya._Newton.starts) as drawn:
+            find_loci(field, cert)
+        opened = _rule_search(field, cert)[1]
+        assert [index for _, index in opened] == [0, 192][:k - 2]
+        assert [(list(call.args[1]), call.args[2])
+                for call in drawn.call_args_list] == opened
+
+
+def _rule_patterns(supports, n):
+    """Oracle: every pattern index of n coordinates but the all-zero one
+    that the support rule leaves, tested one by one."""
+    return [index for index in range(2 ** n - 1)
+            if not any([s & index for s in support].count(0) == 1
+                       for support in supports)]
+
+
+def _rule_search(field, cert, rng_seed=0, tolerance=DEFAULT_TOL):
+    """Oracle: the loci of the search that solves, on each component,
+    every pattern the support rule leaves (_rule_patterns), and the (free
+    coordinates, index) of each pattern it hands to Newton, in order."""
+    m = field.dim
+    eqs = indicial_system(field, cert)
+    newton = kovalevskaya._Newton(eqs, field.variables, 64, rng_seed,
+                                  tolerance)
+    radius = kovalevskaya._merge_radius(tolerance)
+    split = kovalevskaya._split(eqs, cert, kovalevskaya._ComponentTable())
+    parts, opened = [], []
+    for component, _ in split:
+        n = len(component)
+        local = [eqs[i] for i in component]
+        supports = [[sum(1 << (n - 1 - k) for k, j in enumerate(component)
+                         if exps[j]) for exps in eq.terms] for eq in local]
+        part = kovalevskaya._Found(radius)
+        incomplete = []
+        for index in _rule_patterns(supports, n):
+            free = [j for k, j in enumerate(component)
+                    if not index >> (n - 1 - k) & 1]
+            free_vars = tuple(field.variables[j] for j in free)
+            result = exactalg.solve_poly_system(
+                [kovalevskaya._clamp(eq, free, free_vars) for eq in local],
+                free_vars)
+            for point in result.points:
+                part.add_exact(kovalevskaya._embed(point, free, m),
+                               "structured_search")
+            rooted = kovalevskaya._leaf_points(result.leaves, local, free, m,
+                                               tolerance)
+            if rooted is None or not (result.complete or result.leaves):
+                incomplete.append((free, index))
+                continue
+            for point in rooted:
+                part.add_numeric(point, "structured_search")
+        for free, index in incomplete:
+            newton.refine(part, newton.starts(free, index), free, "newton")
+        opened += incomplete
+        parts.append(part.loci)
+    found = kovalevskaya._Found(radius)
+    for choice in itertools.product(*([None] + loci for loci in parts)):
+        chosen = [locus for locus in choice if locus is not None]
+        if not chosen:
+            continue
+        point = [Fraction(0)] * m
+        for locus in chosen:
+            point = [x if x != 0 else y for x, y in zip(point, locus.point)]
+        source = ("newton" if any(locus.source == "newton"
+                                  for locus in chosen)
+                  else "structured_search")
+        if all(locus.is_exact for locus in chosen):
+            found.add_exact(tuple(point), source)
+        else:
+            found.add_numeric(tuple(map(complex, point)), source)
+    loci = sorted(found.loci, key=lambda loc: (
+        not loc.is_exact,
+        loc.point if loc.is_exact else
+        tuple((complex(x).real, complex(x).imag) for x in loc.point)))
+    return tuple(loci), opened
 
 
 def _whole_matrix_report(field, cert, point):

@@ -498,6 +498,22 @@ def _searched_with(table, field, cert):
     return search, solves.call_count
 
 
+def test_a_settled_whole_system_ends_its_component():
+    # painleve1_coupled_4d is one component, and no coordinate divides
+    # every term of one of its indicial equations: its all-free pattern is
+    # the whole system, whose complete solve lists both balances, the one
+    # at q2 = 0 too.  The patterns q2 = 0 and p1 = 0, which the support
+    # rule also leaves, are not solved (3 solves before)
+    spec, field = _problem("painleve1_coupled_4d")
+    cert = WeightCertificate(spec.weights, 1)
+    search, solves = _searched_with(kovalevskaya._ComponentTable(), field,
+                                    cert)
+    assert solves == 1
+    assert [locus.point for locus in search.loci] == [(1, 1, 1, -1),
+                                                      (3, 27, 0, -3)]
+    assert "newton" not in search.strategies
+
+
 def test_a_negated_block_balances_at_the_scaled_point():
     # mu = -1 takes the balance (1, -2) of q' = p, p' = 6 q^2 to
     # (mu^2 * 1, mu^3 * -2) = (1, 2), the balance of q' = -p, p' = -6 q^2,
