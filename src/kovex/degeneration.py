@@ -34,10 +34,10 @@ from .exactalg import (
     DEFAULT_TOL,
     ExactMatrix,
     MultiPoly,
+    _component_points,
     as_fraction,
     roots_exact_first,
     snap_rational,
-    solve_poly_system,
 )
 from .kovalevskaya import (
     NoLocusFound,
@@ -626,8 +626,9 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
     """Lower-family prediction for commuting degree two or more, dual route.
 
     Exact route first: in rescaled coordinates the flow's indicial system
-    becomes ghat_l + kappa_l alpha_l ghat0 = 0, solved over Q; each
-    solution with nonvanishing ghat0 yields the closed-form exponent
+    becomes ghat_l + kappa_l alpha_l ghat0 = 0, solved over Q by
+    find_loci's exact search on one component (``_component_points``);
+    each solution with nonvanishing ghat0 yields the closed-form exponent
     matrix and the prediction spec union {-gamma}.  Then the direct
     route: the subsystem's own indicial loci (typically irrational, found
     numerically) and their spectra, read from kovalevskaya.spectra; the
@@ -651,8 +652,8 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
 
     cleared = [g + MultiPoly.variable(v, params) * flow.ghat0 * k
                for g, v, k in zip(flow.ghat, params, flow.kappa)]
-    solved = solve_poly_system(list(cleared), params)
-    for point in solved.points:
+    points, complete = _component_points(cleared, range(len(params)), params)
+    for point in points:
         value = flow.ghat0.evaluate(dict(zip(params, point)))
         if value == 0:
             continue
@@ -662,7 +663,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
         diag = {
             "g0_value": value,
             "minus_one_present": _contains(vals, Fraction(-1), radius),
-            "search_complete": solved.complete,
+            "search_complete": complete,
         }
         predictions.append(Prediction("rescale_exact", point, vals, predicted,
                                       _matches(predicted, pool, radius), diag))

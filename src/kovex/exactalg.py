@@ -21,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -1163,6 +1164,158 @@ def solve_poly_system(eqs: Sequence[MultiPoly],
                           for eq in normalized))
     return ExactSolveResult(tuple(points), complete and not raw_leaves,
                             has_free, leaves if complete else ())
+
+
+def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:
+    """Connected components of the square system eqs, by union-find.
+
+    Coordinate i is linked with every coordinate that occurs in eqs[i].
+    Each component lists its indices in increasing order, and the
+    components come in the order of their first index.  The system's
+    zeros are the products of its components' only when every equation
+    vanishes at the origin, so a constant term makes one component.
+    """
+    if any(eq.constant_term() for eq in eqs):
+        return [list(range(len(eqs)))]
+    parent = list(range(len(eqs)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, eq in enumerate(eqs):
+        for j in {j for exps in eq.terms for j, e in enumerate(exps) if e}:
+            parent[root(j)] = root(i)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(eqs)):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def _surviving_patterns(supports: Sequence[Sequence[int]], n: int):
+    """The zero patterns of n coordinates that the support rule leaves, in
+    increasing index order, the all-zero pattern left out.
+
+    supports lists each equation's terms as bit masks of the coordinates
+    they read (coordinate k is bit n-1-k), and a pattern's index is the
+    mask of its clamped coordinates.  The rule rejects a pattern in which
+    some equation keeps exactly one term, all of whose coordinates are
+    free.  A depth-first search assigns the coordinates in order, free
+    before clamped, so a subtree holds a run of consecutive indices.  At
+    each node a term is dead (it reads a clamped coordinate), alive (every
+    coordinate it reads is free) or undecided.  A node is cut when some
+    equation keeps one non-dead term and that term is alive; when that one
+    term has a single undecided coordinate, the coordinate is clamped, or
+    the term would come alive.
+    """
+    def propagate(free: int, clamped: int) -> int | None:
+        """clamped with every forced coordinate added, or None if cut."""
+        while True:
+            forced = 0
+            for support in supports:
+                live = [s for s in support if not s & clamped]
+                if len(live) == 1:
+                    undecided = live[0] & ~free
+                    if not undecided:
+                        return None
+                    if not undecided & (undecided - 1):
+                        forced |= undecided
+            if not forced:
+                return clamped
+            clamped |= forced
+
+    full = (1 << n) - 1
+    stack = [(0, 0)]
+    while stack:
+        free, clamped = stack.pop()
+        clamped = propagate(free, clamped)
+        if clamped is None:
+            continue
+        undecided = full & ~(free | clamped)
+        if undecided:
+            # the first undecided coordinate; free is popped first
+            bit = 1 << (undecided.bit_length() - 1)
+            stack += [(free, clamped | bit), (free | bit, clamped)]
+        elif clamped != full:
+            yield clamped
+
+
+def _clamp(poly: MultiPoly, free: Sequence[int],
+           free_vars: tuple[str, ...]) -> MultiPoly:
+    """poly with every coordinate outside free set to zero, on free_vars
+    (the variables at free), divided by the largest monomial that divides
+    it.  The terms keep their order; a term with a clamped exponent drops
+    out, and no two others meet, so no coefficient is touched."""
+    terms = {}
+    for exps, c in poly.terms.items():
+        local = tuple(exps[j] for j in free)
+        if sum(local) == sum(exps):
+            terms[local] = c
+    if terms:
+        low = tuple(map(min, zip(*terms)))
+        if any(low):
+            terms = {tuple(map(operator.sub, e, low)): c
+                     for e, c in terms.items()}
+    return MultiPoly._trusted(free_vars, terms)
+
+
+def _embed(local: Sequence[Fraction], coords: Sequence[int],
+           m: int) -> tuple[Fraction, ...]:
+    """A point on the coordinates coords in all m, zero elsewhere."""
+    point = [Fraction(0)] * m
+    for i, x in zip(coords, local):
+        point[i] = x
+    return tuple(point)
+
+
+def _pattern_solves(eqs: Sequence[MultiPoly], component: Sequence[int],
+                    variables: Sequence[str]):
+    """The exact search of one component of the square system eqs
+    (``_components``): (index, free, result, whole) for each zero pattern
+    the support rule leaves (``_surviving_patterns``), solved as drawn.
+
+    Bit n-1-k of index clamps the component's coordinate k to zero, free
+    lists the others, and result is solve_poly_system of the pattern's
+    saturated system (``_clamp``: ``q + u q^2 + 2v pq`` becomes ``1 + u q
+    + 2v p``) on the variables at free, which holds every zero of the
+    component nonzero just at free.  whole says that system is the
+    component's own: the all-free one, when no coordinate divides every
+    term of an equation.
+    """
+    n = len(component)
+    bits = [1 << (n - 1 - k) for k in range(n)]
+    local_eqs = [eqs[i].embed(variables) for i in component]
+    supports = [[sum(b for b, j in zip(bits, component) if exps[j])
+                 for exps in eq.terms] for eq in local_eqs]
+    whole = not any(reduce(operator.and_, support, 2 ** n - 1)
+                    for support in supports)
+    for index in _surviving_patterns(supports, n):
+        free = [i for b, i in zip(bits, component) if not index & b]
+        free_vars = tuple(variables[i] for i in free)
+        yield index, free, solve_poly_system(
+            [_clamp(eq, free, free_vars) for eq in local_eqs],
+            free_vars), whole and index == 0
+
+
+def _component_points(eqs: Sequence[MultiPoly], component: Sequence[int],
+                      variables: Sequence[str]) -> tuple[list, bool]:
+    """The exact points of a component's pattern solves
+    (``_pattern_solves``), once each, zero off the component, and whether
+    every solve was complete (then they hold all its zeros but the
+    origin).  A complete solve of the whole system ends the search."""
+    points: list[tuple[Fraction, ...]] = []
+    complete = True
+    for _, free, result, whole in _pattern_solves(eqs, component, variables):
+        for partial in result.points:
+            point = _embed(partial, free, len(variables))
+            if point not in points:
+                points.append(point)
+        complete = complete and result.complete
+        if whole and result.complete:
+            break
+    return points, complete
 
 
 def snap_rational(value) -> Fraction | None:

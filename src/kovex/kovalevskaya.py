@@ -12,10 +12,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import (
@@ -25,12 +24,14 @@ from .exactalg import (
     MultiPoly,
     NumericNonConvergence,
     RootSet,
+    _components,
+    _embed,
     _exact_roots,
+    _pattern_solves,
     as_fraction,
     poly_eval,
     roots_of_product,
     snap_rational,
-    solve_poly_system,
 )
 from .vfmodel import VectorField, WeightCertificate
 
@@ -93,12 +94,10 @@ class KExponentReport:
     """
 
     exponents: RootSet
-    minus_one_eigenvector: tuple[Fraction, ...]
     eigenpair_verified: bool
     has_zero_exponent: bool
     classification: str
     semisimple_at_resonances: bool
-    degree: int
 
 
 def indicial_system(field: VectorField,
@@ -157,8 +156,8 @@ class _Block:
 
     exact_roots is the rational stage of the characteristic polynomial of
     its rows and columns (ExactMatrix.charpoly, read off the block's
-    integer resolvent) and vector its share (a_i c_i) of the -1
-    eigenvector.  eigenpair and semisimple are the exact checks on the
+    integer resolvent).  eigenpair (its share (a_i c_i) of the -1
+    eigenvector is one) and semisimple are the exact checks on the
     block.  The rest are the facts the classification reads from its
     rational roots: minus_one, the multiplicity of -1; others_nonneg,
     whether every other root is >= 0; integral, whether the roots are all
@@ -167,7 +166,6 @@ class _Block:
     """
 
     exact_roots: tuple
-    vector: tuple[Fraction, ...]
     eigenpair: bool
     semisimple: bool
     minus_one: int
@@ -181,8 +179,8 @@ def _block(field: VectorField, certificate: WeightCertificate,
     """K(c)'s block on the component's rows and columns, where its
     coordinates of c are coords: its rational roots, from ``_exact_roots``
     of its characteristic polynomial (charpoly, the integer
-    Faddeev-LeVerrier recurrence of ExactMatrix.resolvent), its share of
-    the -1 eigenvector, the universal eigenpair, the semisimplicity at its
+    Faddeev-LeVerrier recurrence of ExactMatrix.resolvent), the universal
+    eigenpair on its share of the -1 eigenvector, the semisimplicity at its
     positive resonances and the facts of its roots _classify reads.  The
     point is taken as a locus: its callers have certified it.
 
@@ -202,7 +200,6 @@ def _block(field: VectorField, certificate: WeightCertificate,
                    for i, c in zip(component, coords))
     return _Block(
         exact,
-        vector,
         matrix.matvec(vector) == tuple(-v for v in vector),
         all(mult == 1 or len(matrix.shifted(r).kernel()) == mult
             for r, mult in rational
@@ -282,13 +279,10 @@ class _ComponentTable:
 
 def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
            table: _ComponentTable) -> list[tuple[list[int], _Component]]:
-    """Each component of the indicial system eqs (``_components``; one of
-    all coordinates when an equation has a constant term, see find_loci)
-    with its table entry."""
-    constant = any(eq.constant_term() for eq in eqs)
-    components = [list(range(len(eqs)))] if constant else _components(eqs)
+    """Each component of the indicial system eqs (``_components``) with its
+    table entry."""
     return [(component, table.entry(eqs, component, certificate))
-            for component in components]
+            for component in _components(eqs)]
 
 
 def _reports(field: VectorField, certificate: WeightCertificate, split):
@@ -303,18 +297,14 @@ def _reports(field: VectorField, certificate: WeightCertificate, split):
     form, local coordinates) in the table, and a locus only adds up its
     blocks' summaries (``_Block``).  The spectrum is roots_of_product of
     the blocks' rational stages, and its numeric roots are those of the
-    whole characteristic polynomial.  The -1 eigenvector is the blocks'
-    shares put in place.  The eigenpair holds on K(c) exactly when it
-    holds on every block, and geometric equals algebraic multiplicity on
-    K(c) exactly when it does on every block.  For _classify a locus sums
-    its blocks' multiplicities of -1; its other roots are all >= 0, and
-    its roots all rational multiples of 1/degree, when that holds on every
-    block; 0 is a root when it is a root of some block.
+    whole characteristic polynomial.  The eigenpair holds on K(c) exactly
+    when some a_i c_i is nonzero and it holds on every block, and
+    geometric equals algebraic multiplicity on K(c) exactly when it does
+    on every block.  For _classify a locus sums its blocks' multiplicities
+    of -1; its other roots are all >= 0, and its roots all rational
+    multiples of 1/degree, when that holds on every block; 0 is a root
+    when it is a root of some block.
     """
-    # position[i] is coordinate i's place in the blocks' shares, joined
-    order = [i for component, _ in split for i in component]
-    position = sorted(range(len(order)), key=order.__getitem__)
-
     def report(point: tuple[Fraction, ...]) -> KExponentReport:
         blocks = []
         for component, entry in split:
@@ -324,19 +314,16 @@ def _reports(field: VectorField, certificate: WeightCertificate, split):
                 block = entry.blocks[coords] = _block(field, certificate,
                                                       component, coords)
             blocks.append(block)
-        shares = [v for block in blocks for v in block.vector]
-        vector = tuple(map(shares.__getitem__, position))
         semisimple = all(block.semisimple for block in blocks)
         return KExponentReport(
             exponents=roots_of_product([block.exact_roots
                                         for block in blocks]),
-            minus_one_eigenvector=vector,
-            eigenpair_verified=(any(vector)
-                                and all(block.eigenpair for block in blocks)),
+            eigenpair_verified=(
+                any(c for a, c in zip(certificate.weights, point) if a)
+                and all(block.eigenpair for block in blocks)),
             has_zero_exponent=any(block.zero_root for block in blocks),
             classification=_classify(blocks, semisimple),
             semisimple_at_resonances=semisimple,
-            degree=certificate.degree,
         )
 
     return report
@@ -479,106 +466,6 @@ def _snap_point(z: Sequence[complex]) -> tuple[Fraction, ...] | None:
     return tuple(snapped)
 
 
-def _clamp(poly: MultiPoly, free: Sequence[int],
-           free_vars: tuple[str, ...]) -> MultiPoly:
-    """poly with every coordinate outside free set to zero, on free_vars
-    (the variables at free), divided by the largest monomial that divides
-    it.  The terms keep their order; a term with a clamped exponent drops
-    out, and no two others meet, so no coefficient is touched."""
-    terms = {}
-    for exps, c in poly.terms.items():
-        local = tuple(exps[j] for j in free)
-        if sum(local) == sum(exps):
-            terms[local] = c
-    if terms:
-        low = tuple(map(min, zip(*terms)))
-        if any(low):
-            terms = {tuple(map(operator.sub, e, low)): c
-                     for e, c in terms.items()}
-    return MultiPoly._trusted(free_vars, terms)
-
-
-def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:
-    """Connected components of the variable-interaction graph, by union-find.
-
-    Variable i is linked with every variable that occurs in eqs[i].  Each
-    component lists its indices in increasing order, and the components
-    come in the order of their first index.
-    """
-    parent = list(range(len(eqs)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, eq in enumerate(eqs):
-        for j in {j for exps in eq.terms for j, e in enumerate(exps) if e}:
-            parent[root(j)] = root(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(eqs)):
-        groups.setdefault(root(i), []).append(i)
-    return list(groups.values())
-
-
-def _surviving_patterns(supports: Sequence[Sequence[int]], n: int):
-    """The zero patterns of n coordinates that the support rule leaves, in
-    increasing index order, the all-zero pattern left out.
-
-    supports lists each equation's terms as bit masks of the coordinates
-    they read (coordinate k is bit n-1-k), and a pattern's index is the
-    mask of its clamped coordinates.  The rule rejects a pattern in which
-    some equation keeps exactly one term, all of whose coordinates are
-    free.  A depth-first search assigns the coordinates in order, free
-    before clamped, so a subtree holds a run of consecutive indices.  At
-    each node a term is dead (it reads a clamped coordinate), alive (every
-    coordinate it reads is free) or undecided.  A node is cut when some
-    equation keeps one non-dead term and that term is alive; when that one
-    term has a single undecided coordinate, the coordinate is clamped, or
-    the term would come alive.
-    """
-    def propagate(free: int, clamped: int) -> int | None:
-        """clamped with every forced coordinate added, or None if cut."""
-        while True:
-            forced = 0
-            for support in supports:
-                live = [s for s in support if not s & clamped]
-                if len(live) == 1:
-                    undecided = live[0] & ~free
-                    if not undecided:
-                        return None
-                    if not undecided & (undecided - 1):
-                        forced |= undecided
-            if not forced:
-                return clamped
-            clamped |= forced
-
-    full = (1 << n) - 1
-    stack = [(0, 0)]
-    while stack:
-        free, clamped = stack.pop()
-        clamped = propagate(free, clamped)
-        if clamped is None:
-            continue
-        undecided = full & ~(free | clamped)
-        if undecided:
-            # the first undecided coordinate; free is popped first
-            bit = 1 << (undecided.bit_length() - 1)
-            stack += [(free, clamped | bit), (free | bit, clamped)]
-        elif clamped != full:
-            yield clamped
-
-
-def _embed(local: Sequence[Fraction], component: Sequence[int],
-           m: int) -> tuple[Fraction, ...]:
-    """A component's point in the field's m coordinates, zero elsewhere."""
-    point = [Fraction(0)] * m
-    for i, x in zip(component, local):
-        point[i] = x
-    return tuple(point)
-
-
 def _merge_radius(tolerance: float) -> float:
     """The distance within which numeric points merge and, relative to
     their size, float exponents match.
@@ -710,98 +597,59 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     1. User seeds are snapped to rationals and verified exactly; failing
        that they start a Newton run on the whole field.
     2. The variables are split into the connected components of the
-       indicial system (``_split``): two variables are linked when one
-       occurs in the other's equation.  The system is then the product of
-       its components' systems, which needs every equation to vanish at
-       the origin, so a field with a constant term is one component.  A
-       component whose form (equations in its own coordinates, weights,
-       degree) table holds settled takes its points from there
-       (``_ComponentTable``).  Every other component runs steps 3 and 4.
-    3. Structured search: per zero pattern of the component (a choice of
-       its coordinates clamped to zero, the others nonzero; the all-zero
-       pattern is skipped, since the component's zero point always solves
-       a field without constant term).  The support rule skips a pattern
-       in which some equation keeps exactly one term, all of whose
-       variables are free: that equation cannot vanish where they are
-       nonzero, and its saturation is a nonzero constant.  The patterns
-       it leaves are enumerated, in increasing index order, by a
-       depth-first search with unit propagation over the equations' terms
-       (``_surviving_patterns``), which never visits the others.  Each
-       pattern's saturated system (``_clamp``: ``q + u q^2 + 2v pq``
-       becomes ``1 + u q + 2v p``) is handed to the exact solver, which
-       certifies every point and every leaf it returns against it.
-       No point is checked again: a clamped equation is a monomial times
-       its saturated one, and the other components' equations read only
-       their own coordinates, all zero, where they vanish by the rule of
-       step 2.  A solution with a free coordinate at zero is kept
+       indicial system (``_split``, ``exactalg._components``): two
+       variables are linked when one occurs in the other's equation, and
+       a field with a constant term is one component.  A component whose
+       form (equations in its own coordinates, weights, degree) table
+       holds settled takes its points from there (``_ComponentTable``).
+       Every other component runs steps 3 and 4.
+    3. Structured search, the one exact search, which the zero-set check
+       and the gamma >= 2 exact route run too: the exact solve of each
+       zero pattern of the component that the support rule leaves
+       (``exactalg._pattern_solves``).  Its points are certified by the
+       solver, and the other components' equations vanish at their zero.
+       A solution with a free coordinate at zero is kept
        (painleve1_coupled_4d's (3, 27, 0, -3) comes from the all-free
-       pattern); only the origin is dropped.  When the pattern's only
-       open branches are leaves (an irrational factor in the last
-       variable of a branch, the other coordinates polynomials in its
-       root), the leaves are rooted (``_leaf_points``): each root of a
-       factor comes from roots_of_product, which certifies its backward
-       error, the coordinates are evaluated there, and a point is kept if
-       its residual on the component's equations is below ``tolerance``
-       relative to the size of their terms.  The points are numeric loci
-       with source ``structured_search``; painleve1_coupled_4d's gamma = 3
-       flow subsystem ends in the leaf a2^3 - 64/3^11, with a1 = 9 a2 / 4
-       and a3 = -7 a2 / 108.  The all-free pattern comes first.  When no
-       coordinate divides every term of one of the component's equations,
-       _clamp divides nothing out of it, and its system is the
-       component's own: once its solve settles (complete, or leaves whose
-       numerics hold) it has listed every balance of the component, zero
-       coordinates included, and no other pattern is solved.
+       pattern); only the origin is dropped.  When the pattern's only open
+       branches are leaves, they are rooted (``_leaf_points``) into
+       numeric loci with source ``structured_search`` (painleve1_coupled_4d's
+       gamma = 3 flow subsystem ends in the leaf a2^3 - 64/3^11).  Once
+       the solve of the whole system settles (complete, or leaves whose
+       numerics hold) it has listed every balance of the component, and no
+       other pattern is solved.
     4. Newton multistart (``_Newton``, built on first use), only on the
-       component's patterns the exact solver left open and on a leaf
-       pattern whose numerics fail (roots_of_product raises
-       NumericNonConvergence, or a point fails its residual check):
+       patterns the exact solver left open (an irrational factor with
+       variables still to solve over it, as in the coupled chain's
+       all-free pattern at k >= 3, free coordinates, no handle, or the
+       branch budget) and on a leaf pattern whose numerics fail:
        ``newton_starts`` pseudo-random complex starts each on the
        pattern's free coordinates, refined until the residual is below
-       ``tolerance``, then snapped and re-verified exactly.  A pattern is
-       left open by an irrational factor with variables still to solve
-       over it (the coupled chain's all-free pattern at k >= 3), by free
-       coordinates, by no handle, or by the branch budget.  Pattern p of
-       a component (its clamped coordinates read as a binary number, the
-       first coordinate the highest bit, so p = 0 leaves every coordinate
-       free) draws from
-       ``np.random.default_rng([rng_seed, p])``, so its starts depend
-       neither on the components before it nor on which patterns the
-       exact solver settled.
+       ``tolerance``, then snapped and re-verified exactly.  Pattern p
+       (its index) draws from ``np.random.default_rng([rng_seed, p])``,
+       so its starts depend neither on the components before it nor on
+       which patterns the exact solver settled.
     5. The loci are the products of the component results: a choice of
        zero or one found point per component, the origin excluded.  By
        step 2 each part solves the whole system, so a product of exact
        points is exact, and a product with a numeric part has the largest
-       of its parts' residuals; both are added as they stand, a numeric
-       one unless it is within the merge radius of a known locus.  The
-       source is ``newton`` if any part came from Newton, else
-       ``structured_search``.  The exact loci come first, in the
-       lexicographic order of their coordinates, then the numeric ones by
-       (re, im) of theirs, so the order does not depend on the parts'.
+       of its parts' residuals; a numeric one is added unless a known
+       locus is within the merge radius.  The source is ``newton`` if any
+       part came from Newton, else ``structured_search``.  Exact loci come
+       first, in lexicographic order, then numeric ones by (re, im).
 
-    A connected field is one component, so its patterns, its starts and
-    its loci are those of a search over every zero pattern of the field.
     The search costs one exact solve per surviving support of each
-    component not taken from table: at most 2^(m_b) - 1 for a component
-    of m_b coordinates, and one for an uncoupled cubic block or each
-    suffix of blocks of a coupled chain; a component whose whole system
-    settles takes one solve (painleve1_coupled_4d).  The enumeration, too,
-    scales with the surviving supports and not with the 2^(m_b)
-    patterns: each node it visits costs a pass over the component's
-    terms per round of propagation, and the coupled chain at k = 12
-    (m_b = 24, 16.7 M patterns) takes 313 nodes for its 12 supports.  Unit propagation is not a
-    complete test, so a field whose supports defeat it can still make the
-    search walk branches with no surviving support below them; no bound
-    is proved for that.  A complete exact solve has listed every complex
-    solution of its saturated system, and with its leaves so has a
-    settled one, so such a pattern gets no Newton run.  A component with
-    a numeric point is not stored in table.  A point is recorded with the
-    first strategy that finds it, and
-    numeric loci that snap and verify are upgraded to exact.  No claim of
-    completeness is made; the
-    strategies that ran are listed in the result, ``newton`` only when it
-    ran on at least one pattern.  The result also keeps the field, the
-    certificate and the (component, table entry) pairs searched, from
-    which spectra(search) reads the loci's spectra.
+    component not taken from table (one per suffix of blocks of a coupled
+    chain), or one when its whole system settles (painleve1_coupled_4d).
+    The enumeration scales with the surviving supports too, but unit
+    propagation is not a complete test, so no bound is proved for a field
+    whose supports defeat it.  A component with a numeric point is not
+    stored in table.  A point is recorded with the first strategy
+    that finds it, and numeric loci that snap and verify are upgraded to
+    exact.  No claim of completeness is made; the strategies that ran are
+    listed in the result, ``newton`` only when it ran on at least one
+    pattern.  The result also keeps the field, the certificate and the
+    (component, table entry) pairs searched, from which spectra(search)
+    reads the loci's spectra.
     """
     m = field.dim
     eqs = indicial_system(field, certificate)
@@ -836,27 +684,11 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                                         "exact", "structured_search")
                           for local in entry.points])
             continue
-        # bit n-1-k of a pattern's index clamps the component's coordinate
-        # k, the order of itertools.product((False, True), repeat=n)
-        n = len(component)
-        bits = [1 << (n - 1 - k) for k in range(n)]
         local_eqs = [eqs[i] for i in component]
-        supports = [[sum(b for b, j in zip(bits, component) if exps[j])
-                     for exps in eq.terms] for eq in local_eqs]
-        # _clamp divides no monomial out of the all-free pattern's system,
-        # which is then the component's own, when no coordinate occurs in
-        # every term of an equation
-        whole = not any(reduce(operator.and_, support, 2 ** n - 1)
-                        for support in supports)
         part = _Found(radius)
         incomplete: list[tuple[int, list[int]]] = []
-        for index in _surviving_patterns(supports, n):
-            free = [i for b, i in zip(bits, component) if not index & b]
-            free_vars = tuple(field.variables[i] for i in free)
-            # the variables outside the component do not occur in its
-            # equations; clamping them too leaves only the free ones
-            result = solve_poly_system(
-                [_clamp(eq, free, free_vars) for eq in local_eqs], free_vars)
+        for index, free, result, whole in _pattern_solves(eqs, component,
+                                                          field.variables):
             for partial in result.points:
                 part.add_exact(_embed(partial, free, m), "structured_search")
             rooted = _leaf_points(result.leaves, local_eqs, free, m,
@@ -866,7 +698,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
                 continue
             for point in rooted:
                 part.add_numeric(point, "structured_search")
-            if index == 0 and whole:
+            if whole:
                 # every balance of the component is listed
                 break
         if not incomplete:

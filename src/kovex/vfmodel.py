@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 from typing import Mapping, Sequence
 
-from .exactalg import ExactMatrix, MultiPoly, solve_poly_system
+from .exactalg import ExactMatrix, MultiPoly, _component_points, _components
 from .vfparse import ProblemSpec
 
 
@@ -238,7 +238,7 @@ class ZeroSetCheck:
     """Is the origin the only zero of the field?
 
     status is "ok" (certified), "counterexample" (witness holds a nonzero
-    exact zero of the field), or "undecided" (the exact solver could not
+    exact zero of the field), or "undecided" (the exact search could not
     enumerate the zero set completely).
     """
 
@@ -247,14 +247,27 @@ class ZeroSetCheck:
 
 
 def check_zero_set(field: VectorField) -> ZeroSetCheck:
-    result = solve_poly_system(field.components, field.variables)
-    zero = tuple([Fraction(0)] * field.dim)
-    nonzero = sorted(p for p in result.points if p != zero)
+    """Whether the origin is F's only zero, by find_loci's exact search on
+    each component of F (``exactalg._components``, ``_component_points``).
+
+    A component's equations read only its coordinates and vanish at its
+    zero, so a nonzero point of one component, the others at zero, is a
+    zero of F: the smallest is the counterexample witness.  A nonzero
+    zero of F is nonzero on some component and solves there the saturated
+    system of its zero pattern, which the support rule leaves (a pruned
+    pattern has an equation with one term nonzero on its torus).  So when
+    every surviving pattern's solve is complete and none has a nonzero
+    point, the status is "ok".  Anything else (an open solve, free
+    parameters, or leaves: irrational zeros) is "undecided".
+    """
+    eqs = field.components
+    searches = [_component_points(eqs, component, field.variables)
+                for component in _components(eqs)]
+    nonzero = [p for points, _ in searches for p in points if any(p)]
     if nonzero:
-        return ZeroSetCheck("counterexample", nonzero[0])
-    if result.complete and not result.has_free_parameters:
-        return ZeroSetCheck("ok")
-    return ZeroSetCheck("undecided")
+        return ZeroSetCheck("counterexample", min(nonzero))
+    complete = all(complete for _, complete in searches)
+    return ZeroSetCheck("ok" if complete else "undecided")
 
 
 def fields_from_problem(spec: ProblemSpec) -> tuple[VectorField, VectorField | None]:

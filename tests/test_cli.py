@@ -540,6 +540,32 @@ def test_obstruction_is_exit_two_with_report(tmp_path):
     assert by_point[("1", "0", "0")]["series"]["obstructions"] == [2]
 
 
+def test_a_line_of_zeros_is_a_violation(tmp_path):
+    # x' = x(x + y), y' = y(x + y) vanishes on the line x + y = 0: the
+    # saturated system of its all-free pattern is x + y = 0 twice, whose
+    # solve gives the witness; one solve of the whole system gave no point
+    # and the zero set was left undecided, with exit 0
+    prob = tmp_path / "line.kov"
+    prob.write_text('variables = [x:1, y:1]\nF.1 = "x*(x+y)"\n'
+                    'F.2 = "y*(x+y)"\n', encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(prob), "--json", str(out)]) == 2
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["assumptions"]["zero_set"] == "counterexample"
+    assert report["assumptions"]["zero_witness"] == ["-1", "1"]
+    assert report["violations"] == [
+        "the field vanishes at (-1, 1), away from the origin"]
+
+
+def test_painleve4_auto_certifies_its_zero_set():
+    # q' = q (2p - q), p' = p (2q - p): the support rule leaves only the
+    # all-free pattern, whose saturated system 2p - q = 2q - p = 0 has
+    # the origin alone
+    text = (PROBLEMS / "painleve4_auto.kov").read_text(encoding="utf-8")
+    report = analyze(text, "painleve4_auto.kov").report
+    assert report["assumptions"]["zero_set"] == "ok"
+
+
 def test_exact_values_survive_the_json(tmp_path):
     out = tmp_path / "report.json"
     assert main(["analyze", str(PROBLEMS / "cubic_pair.kov"),

@@ -72,7 +72,6 @@ class TestCubic2d:
         assert report.classification == "principal"
         assert report.eigenpair_verified
         assert not report.has_zero_exponent
-        assert report.minus_one_eigenvector == (2, -6)
 
     def test_rejects_non_locus(self, cubic2d):
         field, cert = cubic2d
@@ -246,7 +245,7 @@ def test_clamp_is_substitute_then_embed(terms, pattern):
     free = [i for i, z in enumerate(pattern) if not z]
     free_vars = tuple(_CLAMP_NAMES[i] for i in free)
     zeroed = {v: 0 for v, z in zip(_CLAMP_NAMES, pattern) if z}
-    clamped = kovalevskaya._clamp(eq, free, free_vars)
+    clamped = exactalg._clamp(eq, free, free_vars)
     oracle = _saturated(eq, zeroed, free_vars)
     assert clamped.vars == oracle.vars == free_vars
     assert list(clamped.terms.items()) == list(oracle.terms.items())
@@ -384,7 +383,7 @@ def _uncoupled(blocks, kinds=_BLOCKS):
 
 
 def _counted_solves():
-    return mock.patch.object(kovalevskaya, "solve_poly_system",
+    return mock.patch.object(exactalg, "solve_poly_system",
                              wraps=exactalg.solve_poly_system)
 
 
@@ -488,14 +487,14 @@ class TestComponents:
         # x' = x^2, y' = 4 - y^2: the indicial equations x^2 + x and
         # -y^2 + y + 4 share no variable, but the second does not vanish
         # at y = 0, so x = -1 alone is no balance and the search may not
-        # multiply components; it finds x in {-1, 0} with each root of
-        # y^2 - y - 4
+        # multiply components: _components keeps the field one component.
+        # It finds x in {-1, 0} with each root of y^2 - y - 4
         names = ("x", "y")
         x, y = (MultiPoly.variable(v, names) for v in names)
         field = VectorField(names, (x * x, 4 - y * y))
         cert = WeightCertificate((1, 1), 1)
         assert kovalevskaya._components(indicial_system(field, cert)) == [
-            [0], [1]]
+            [0, 1]]
         search = find_loci(field, cert)
         assert [loc.exactness for loc in search.loci] == ["numeric"] * 4
         root = 17 ** 0.5
@@ -770,7 +769,7 @@ class TestSupportRule:
     @settings(max_examples=300, deadline=None)
     def test_the_enumeration_is_the_rule_on_every_index(self, case):
         n, supports = case
-        assert (list(kovalevskaya._surviving_patterns(supports, n))
+        assert (list(exactalg._surviving_patterns(supports, n))
                 == _rule_patterns(supports, n))
 
     @given(st.one_of(props.scaled_problems(), _p4_and_chains()))
@@ -833,10 +832,10 @@ def _rule_search(field, cert, rng_seed=0, tolerance=DEFAULT_TOL):
                     if not index >> (n - 1 - k) & 1]
             free_vars = tuple(field.variables[j] for j in free)
             result = exactalg.solve_poly_system(
-                [kovalevskaya._clamp(eq, free, free_vars) for eq in local],
+                [exactalg._clamp(eq, free, free_vars) for eq in local],
                 free_vars)
             for point in result.points:
-                part.add_exact(kovalevskaya._embed(point, free, m),
+                part.add_exact(exactalg._embed(point, free, m),
                                "structured_search")
             rooted = kovalevskaya._leaf_points(result.leaves, local, free, m,
                                                tolerance)
@@ -897,12 +896,10 @@ def _whole_matrix_report(field, cert, point):
         classification = "lower"
     return kovalevskaya.KExponentReport(
         exponents=roots,
-        minus_one_eigenvector=vector,
         eigenpair_verified=verified,
         has_zero_exponent=any(r == 0 for r, _ in roots.rational_roots),
         classification=classification,
         semisimple_at_resonances=semisimple,
-        degree=gamma,
     )
 
 
@@ -951,9 +948,9 @@ class TestBlockSpectra:
         assert report.classification == "non_painleve"
 
     def test_interleaved_components_put_their_shares_in_place(self):
-        # the components [q, p], [u] and [v] list the blocks' shares of
-        # the -1 eigenvector in the order q, p, u, v; the report's vector
-        # is in the field's order q, u, v, p
+        # the components [q, p], [u] and [v] are interleaved in the
+        # field's order q, u, v, p, and each locus's report is that of the
+        # whole matrix
         spec = parse_problem('variables = [q:2, u:1, v:1, p:3]\n'
                              'F.1 = "p"\nF.2 = "u^2"\nF.3 = "2*v^2"\n'
                              'F.4 = "6*q^2"\n')
@@ -961,8 +958,6 @@ class TestBlockSpectra:
         cert = WeightCertificate(spec.weights, 1)
         exact = _assert_spectra_match_whole_matrix(field, cert)
         assert len(exact) == 7
-        report = k_exponents(field, cert, (1, -1, Fraction(-1, 2), -2))
-        assert report.minus_one_eigenvector == (2, -1, Fraction(-1, 2), -6)
 
     def test_a_field_with_a_constant_term_is_one_block(self):
         # x' = x^2, y' = 2 - y^2: the constant term keeps the search from

@@ -35,7 +35,7 @@ from test_kovalevskaya import (
     _split_quartic,
     _uncoupled,
 )
-from kovex import cli, degeneration, exactalg, kovalevskaya, vfmodel
+from kovex import cli, degeneration, exactalg, kovalevskaya
 from kovex.cli import main
 from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.vfmodel import VectorField, WeightCertificate, fields_from_problem
@@ -87,7 +87,9 @@ def test_spectra_read_the_split_of_their_search():
     # and six deformed fields) of 2 components each; the spectra of each
     # read the search's split, so nothing is built twice (18 indicial
     # systems, 18 splits and 36 entry lookups when spectra split again).
-    # laurent's build_series calls indicial_system through its own import
+    # laurent's build_series calls indicial_system through its own import,
+    # and the zero-set check splits F through vfmodel's binding of
+    # exactalg._components, so neither is counted here
     text = (PROBLEMS / "cubic_pair.kov").read_text(encoding="utf-8")
     table = kovalevskaya._ComponentTable
     with mock.patch.object(kovalevskaya, "indicial_system",
@@ -144,15 +146,20 @@ def test_newton_runs_only_on_incomplete_patterns(stem, batches, monkeypatch,
     assert len(calls) == batches
 
 
+# the exact solver itself, for the stand-ins patched over it: every exact
+# search solves through this one binding (exactalg._pattern_solves)
+_solve = exactalg.solve_poly_system
+
+
 def _reported_incomplete(*args, **kwargs):
-    result = exactalg.solve_poly_system(*args, **kwargs)
+    result = _solve(*args, **kwargs)
     return dataclasses.replace(result, complete=False, leaves=())
 
 
 def _newton_everywhere(field, cert):
     """The search with Newton on every zero pattern, as before the exact
     solve or its leaves could excuse one."""
-    with mock.patch.object(kovalevskaya, "solve_poly_system",
+    with mock.patch.object(exactalg, "solve_poly_system",
                            side_effect=_reported_incomplete):
         search = kovalevskaya.find_loci(field, cert)
     assert "newton" in search.strategies
@@ -350,11 +357,9 @@ def _run_work(stem, text=None):
 
     def counted(eqs, variables):
         forms.append(_system_form(eqs, variables))
-        return exactalg.solve_poly_system(eqs, variables)
+        return _solve(eqs, variables)
 
-    with mock.patch.object(kovalevskaya, "solve_poly_system", counted), \
-            mock.patch.object(degeneration, "solve_poly_system", counted), \
-            mock.patch.object(vfmodel, "solve_poly_system", counted), \
+    with mock.patch.object(exactalg, "solve_poly_system", counted), \
             mock.patch.object(ExactMatrix, "charpoly", autospec=True,
                               side_effect=ExactMatrix.charpoly) as charpoly:
         cli.analyze(text, f"{stem}.kov")
@@ -365,15 +370,17 @@ def test_analyze_solves_each_system_once():
     # 51 calls when each search had its own table: F's two blocks are one
     # form, and each of the six deformed fields searched F's second block
     # again.  The support rule leaves each block form one pattern, its
-    # all-free one, so what is left is the zero-set check and one solve
-    # for each of F's block, the degree-1 flow subsystem's block -F1 and
-    # the six deformed fields' first blocks, multiples of F1.  Each of
+    # all-free one, so what is left is one solve for each of F's block,
+    # the degree-1 flow subsystem's block -F1 and the six deformed fields'
+    # first blocks, multiples of F1.  The zero-set check runs the same
+    # search on F's blocks, q' = p, p' = 6 q^2, where the rule leaves no
+    # pattern at all (9 solves while it solved F whole).  Each of
     # those forms takes its blocks at its zero and its balance, and the
     # subsystem's one-coordinate block alpha3' = 0 one more: 16 charpolys
     # (5 solves and 3 charpolys when a multiple mapped F1's points and
     # read its blocks)
     forms, charpolys = _run_work("cubic_pair")
-    assert len(forms) == 9
+    assert len(forms) == 8
     assert len(set(forms)) == len(forms)
     assert charpolys == 16
 
@@ -392,12 +399,13 @@ def _four_block_pair():
 def test_a_pair_of_block_energies_solves_each_block_form_once():
     # every block of every deformed field F + G/(eps + k1) is a multiple
     # of F's block, and so is every degree-1 flow subsystem: the run
-    # solves the zero-set check and the all-free pattern of each of the 54
-    # distinct block forms, the one pattern the support rule leaves (164
-    # solves when only identical forms were shared and every pattern was
-    # solved, 5 when a multiple mapped F's block's points)
+    # solves the all-free pattern of each of the 54 distinct block forms,
+    # the one pattern the support rule leaves, and the zero-set check's
+    # search of F's blocks solves nothing (55 solves while it solved F
+    # whole, 164 when only identical forms were shared and every pattern
+    # was solved, 5 when a multiple mapped F's block's points)
     forms, _ = _run_work("four_blocks", _four_block_pair())
-    assert len(forms) == 55
+    assert len(forms) == 54
     assert len(set(forms)) == len(forms)
 
 
@@ -492,8 +500,8 @@ def test_scalar_multiples_give_the_fresh_results(fields):
 
 def _searched_with(table, field, cert):
     """find_loci with table, and the number of exact solves it made."""
-    with mock.patch.object(kovalevskaya, "solve_poly_system",
-                           wraps=exactalg.solve_poly_system) as solves:
+    with mock.patch.object(exactalg, "solve_poly_system",
+                           wraps=_solve) as solves:
         search = kovalevskaya.find_loci(field, cert, table=table)
     return search, solves.call_count
 

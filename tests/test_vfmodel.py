@@ -1,5 +1,6 @@
 """Vector-field layer: Hamiltonian lifting, weights, brackets, zero sets."""
 
+import itertools
 import time
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kovex import analyze
+from kovex import analyze, exactalg
 from kovex.exactalg import MultiPoly
 from kovex.vfmodel import (
     DimensionMismatchError,
@@ -24,7 +25,8 @@ from kovex.vfmodel import (
     verify_weight,
 )
 from kovex.vfparse import parse_expression, parse_problem
-from test_properties import euler_identity_check
+from test_kovalevskaya import _BLOCKS, _BLOCKS_3D, _uncoupled
+from test_properties import NONZERO_Q, euler_identity_check
 
 
 def mk_field(variables, *exprs):
@@ -185,6 +187,34 @@ def test_bracket_bilinear_in_scalars(a, b):
     assert left.components == right
 
 
+def _whole_field_check(field):
+    """Oracle: the zero-set check as one exact solve of the whole field."""
+    result = exactalg.solve_poly_system(field.components, field.variables)
+    if any(any(point) for point in result.points):
+        return "counterexample"
+    if result.complete and not result.has_free_parameters:
+        return "ok"
+    return "undecided"
+
+
+@st.composite
+def _quasi_homogeneous_fields(draw):
+    """Up to three monomials of weight a_i + degree in each component, on
+    2-4 variables of weights 1-3 and degree 1 or 2."""
+    m = draw(st.integers(2, 4))
+    names = tuple(f"x{k + 1}" for k in range(m))
+    weights = [draw(st.integers(1, 3)) for _ in names]
+    degree = draw(st.integers(1, 2))
+    grid = list(itertools.product(range(4), repeat=m))
+    comps = []
+    for a in weights:
+        law = [e for e in grid
+               if sum(w * x for w, x in zip(weights, e)) == a + degree]
+        picks = draw(st.lists(st.sampled_from(law), max_size=3)) if law else []
+        comps.append(MultiPoly(names, {e: draw(NONZERO_Q) for e in picks}))
+    return VectorField(names, tuple(comps))
+
+
 class TestZeroSet:
     def test_certified_origin_only(self, cubic2d):
         field, _ = cubic2d
@@ -198,8 +228,61 @@ class TestZeroSet:
         assert any(result.witness)
 
     def test_undecided(self):
-        field = mk_field(("x", "y"), "x^2 + x*y", "y^2 + x*y")
+        # the zero set is the irrational pair of lines x = +-sqrt 2 y: the
+        # all-free pattern's x^2 - 2y^2 = 0 has no rational point and no
+        # handle for the exact solver, and the rule prunes the others
+        field = mk_field(("x", "y"), "x^2 - 2*y^2", "0")
         assert check_zero_set(field).status == "undecided"
+
+    def test_a_line_of_zeros_is_a_counterexample(self):
+        # x(x + y) and y(x + y) saturate to x + y twice on the all-free
+        # pattern; one solve of the whole system returned no point
+        field = mk_field(("x", "y"), "x^2 + x*y", "y^2 + x*y")
+        result = check_zero_set(field)
+        assert result.status == "counterexample"
+        assert result.witness == (-1, 1)
+        assert sum(result.witness) == 0
+
+    def test_an_open_whole_system_leaves_the_other_patterns(self):
+        # the whole system gives the solver no handle, so the search goes
+        # on: the pattern x = y = 0 leaves no term, and its solve gives
+        # the z axis
+        field = mk_field(("x", "y", "z"), "x^2 + y*z", "y^2 + x*z",
+                         "x^2 + y^2")
+        result = check_zero_set(field)
+        assert (result.status, result.witness) == ("counterexample", (0, 0, 1))
+
+    def test_the_witness_is_the_smallest_zero(self):
+        # each component gives one nonzero zero, (1, 0) and (0, 1)
+        field = mk_field(("x", "y"), "x^2 - x", "y^2 - y")
+        assert check_zero_set(field).witness == (0, 1)
+
+    def test_painleve4_auto_is_certified(self):
+        # q (2p - q) and p (2q - p): the whole system gave the solver no
+        # handle, the saturated 2p - q = 2q - p = 0 has the origin alone
+        field = mk_field(("q", "p"), "-q^2 + 2*p*q", "2*p*q - p^2")
+        assert check_zero_set(field).status == "ok"
+
+    @given(st.one_of(
+        _quasi_homogeneous_fields(),
+        st.lists(st.tuples(st.sampled_from(sorted(_BLOCKS)
+                                           + sorted(_BLOCKS_3D)),
+                           NONZERO_Q, NONZERO_Q),
+                 min_size=1, max_size=3).map(lambda b: _uncoupled(b)[0])))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_one_solve_of_the_whole_field(self, field):
+        # wherever one exact solve of the whole field decides, the search
+        # of each component's surviving zero patterns decides the same,
+        # and its witness is a nonzero exact zero of the field
+        result = check_zero_set(field)
+        old = _whole_field_check(field)
+        if old != "undecided":
+            assert result.status == old
+        if result.status == "counterexample":
+            assert any(result.witness)
+            assert not any(evaluate(field, result.witness))
+        else:
+            assert result.witness is None
 
     def test_four_dimensional_ok(self, pair4d_deg3):
         f, _, _ = pair4d_deg3
