@@ -513,6 +513,27 @@ def _matches(predicted, pool: tuple, radius: float) -> tuple[tuple, ...]:
                  if _multisets_match(predicted, multiset, radius))
 
 
+def _matcher(pool: tuple, radius: float):
+    """The function mapping a prediction to its _matches in pool: a lookup
+    in an index of the pool's all-rational multisets by their sorted values
+    and a scan of the rest, or a scan of the whole pool for a float one."""
+    index, scan = {}, []
+    for position, (_, multiset) in enumerate(pool):
+        if _all_rational(multiset):
+            index.setdefault(tuple(sorted(multiset)), []).append(position)
+        else:
+            scan.append(position)
+
+    def matches(predicted) -> tuple[tuple, ...]:
+        if not _all_rational(predicted):
+            return _matches(predicted, pool, radius)
+        hits = index.get(tuple(sorted(predicted)), []) + [
+            i for i in scan if _multisets_match(predicted, pool[i][1], radius)]
+        return tuple(pool[i][0] for i in sorted(hits))
+
+    return matches
+
+
 def _spectra(field: VectorField, certificate: WeightCertificate,
              rng_seed: int, tolerance: float,
              table: _ComponentTable | None) -> tuple[tuple, ...]:
@@ -544,7 +565,7 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
         raise ValueError("this route needs a degree-1 commuting flow")
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, 1)
-    radius = _merge_radius(tolerance)
+    matches = _matcher(pool, _merge_radius(tolerance))
     predictions = []
     for locus, spectrum in _spectra(sub, sub_cert, rng_seed, tolerance, table):
         if locus.is_exact:
@@ -554,7 +575,7 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             vals, pole, diag = spectrum, complex(-1), {}
         predicted = _sorted_multiset((pole,) + vals)
         predictions.append(Prediction("pole_shift", locus.point, vals, predicted,
-                                      _matches(predicted, pool, radius), diag))
+                                      matches(predicted), diag))
     return tuple(predictions)
 
 
@@ -648,6 +669,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "does not exist")
     params = flow.parameters
     radius = _merge_radius(tolerance)
+    matches = _matcher(pool, radius)
     predictions = []
 
     cleared = [g + MultiPoly.variable(v, params) * flow.ghat0 * k
@@ -666,7 +688,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "search_complete": complete,
         }
         predictions.append(Prediction("rescale_exact", point, vals, predicted,
-                                      _matches(predicted, pool, radius), diag))
+                                      matches(predicted), diag))
 
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
@@ -707,7 +729,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
         }
         predictions.append(Prediction("flow_direct", locus.point,
                                       _sorted_multiset(vals), predicted,
-                                      _matches(predicted, pool, radius), diag))
+                                      matches(predicted), diag))
     return tuple(predictions)
 
 
@@ -754,7 +776,8 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
     component it leaves unchanged, the same at every epsilon and the
     same as F's, is read from the table: its points are searched once, and
     its block spectra computed once, per table.  A component that G
-    changes is searched unless the table already holds its form.
+    changes is searched unless the table holds its normalized form: where
+    G = c F on it, it is a multiple of F's (``_ComponentTable``).
     """
     if flow.gamma != 1:
         raise ValueError("deformation check needs a degree-1 commuting flow")

@@ -963,7 +963,6 @@ class ExactSolveResult:
 
     points: tuple[tuple[Fraction, ...], ...]
     complete: bool
-    has_free_parameters: bool
     leaves: tuple[Leaf, ...]
 
 
@@ -1027,28 +1026,28 @@ def _at_leaf(poly: MultiPoly, values: Mapping[str, Sequence[Fraction]],
 
 def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
                   budget: list[int]) -> tuple[list[dict[str, Fraction]], list,
-                                              bool, bool]:
-    """Returns (solutions over remaining vars, leaves, complete, saw free
-    parameters).  A leaf is a pair (factor, coordinates) with each
-    coordinate a polynomial in a root of factor; complete means that the
-    solutions and the leaves list every solution."""
+                                              bool]:
+    """Returns (solutions over remaining vars, leaves, complete).  A leaf
+    is a pair (factor, coordinates) with each coordinate a polynomial in a
+    root of factor; complete means that the solutions and the leaves list
+    every solution."""
     live: list[MultiPoly] = []
     for eq in eqs:
         if not eq:
             continue
         if eq.total_degree() == 0:
-            return [], [], True, False  # a nonzero constant: no solutions, provably
+            return [], [], True  # a nonzero constant: no solutions, provably
         live.append(eq)
 
     if not live:
         if not remaining:
-            return [{}], [], True, False
+            return [{}], [], True
         # a positive-dimensional family: witness with every free variable at 1
-        return [{v: Fraction(1) for v in remaining}], [], False, True
+        return [{v: Fraction(1) for v in remaining}], [], False
 
     budget[0] -= 1
     if budget[0] < 0:
-        return [], [], False, False
+        return [], [], False
 
     # prefer a univariate equation: branching on its exact rational roots
     for eq in live:
@@ -1067,7 +1066,6 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
         solutions: list[dict[str, Fraction]] = []
         leaves: list = []
         complete = len(residual) == 1 or not others
-        saw_free = False
         if len(residual) > 1 and not others:
             # the last variable: the irrational roots every equation
             # shares are those of a squarefree factor, kept as a leaf
@@ -1085,22 +1083,21 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
                 for e in live
                 if e is not eq
             ]
-            sub_solutions, sub_leaves, sub_complete, sub_free = _solve_branch(
+            sub_solutions, sub_leaves, sub_complete = _solve_branch(
                 reduced, others, budget)
             complete = complete and sub_complete
-            saw_free = saw_free or sub_free
             for s in sub_solutions:
                 s[var] = root
                 solutions.append(s)
             for _, values in sub_leaves:
                 values[var] = (root,)
             leaves += sub_leaves
-        return solutions, leaves, complete, saw_free
+        return solutions, leaves, complete
 
     # otherwise eliminate a variable that appears linearly with constant
     # coefficient; with neither move, numeric routes take over
     return (_eliminate_linear(live, remaining, budget)
-            or ([], [], False, False))
+            or ([], [], False))
 
 
 def _eliminate_linear(live: list[MultiPoly], remaining: tuple[str, ...],
@@ -1122,13 +1119,13 @@ def _eliminate_linear(live: list[MultiPoly], remaining: tuple[str, ...],
                 for e in live
                 if e is not eq
             ]
-            sub_solutions, sub_leaves, sub_complete, sub_free = _solve_branch(
+            sub_solutions, sub_leaves, sub_complete = _solve_branch(
                 reduced, others, budget)
             for s in sub_solutions:
                 s[var] = expr.evaluate(s)
             for factor, values in sub_leaves:
                 values[var] = tuple(_at_leaf(expr, values, factor))
-            return sub_solutions, sub_leaves, sub_complete, sub_free
+            return sub_solutions, sub_leaves, sub_complete
     return None
 
 
@@ -1150,8 +1147,8 @@ def solve_poly_system(eqs: Sequence[MultiPoly],
     vars_t = tuple(variables)
     normalized = [eq.embed(vars_t) if eq.vars != vars_t else eq for eq in eqs]
     budget = [_MAX_BRANCHES]
-    raw, raw_leaves, complete, has_free = _solve_branch(list(normalized),
-                                                        vars_t, budget)
+    raw, raw_leaves, complete = _solve_branch(list(normalized), vars_t,
+                                              budget)
 
     points: list[tuple[Fraction, ...]] = []
     for solution in raw:
@@ -1163,7 +1160,7 @@ def solve_poly_system(eqs: Sequence[MultiPoly],
                    if all(_at_leaf(eq, values, factor) == [0]
                           for eq in normalized))
     return ExactSolveResult(tuple(points), complete and not raw_leaves,
-                            has_free, leaves if complete else ())
+                            leaves if complete else ())
 
 
 def _components(eqs: Sequence[MultiPoly]) -> list[list[int]]:

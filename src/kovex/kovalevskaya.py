@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import (
@@ -33,7 +34,7 @@ from .exactalg import (
     roots_of_product,
     snap_rational,
 )
-from .vfmodel import VectorField, WeightCertificate
+from .vfmodel import VectorField, WeightCertificate, _weight
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,7 +74,7 @@ class IndicialLocus:
 @dataclass(frozen=True)
 class LocusSearch:
     """find_loci's loci and strategies, with the field, certificate and
-    (component, table entry) pairs it searched, kept for spectra."""
+    split (``_split``) it searched, kept for spectra."""
 
     loci: tuple[IndicialLocus, ...]
     strategies: tuple[str, ...]
@@ -225,10 +226,10 @@ def _classify(blocks: Sequence[_Block], semisimple: bool) -> str:
 
 
 class _Component:
-    """What a component table knows of one component: its nonzero exact
-    points in its own coordinates (None until a search has settled every
-    zero pattern exactly) and its _Block at each local point computed so
-    far."""
+    """What a component table knows of one component form: its nonzero
+    exact points (None until a search has settled every zero pattern
+    exactly) and its _Block at each point computed so far, both in the
+    form's normalized coordinates (``_ComponentTable``)."""
 
     __slots__ = ("points", "blocks")
 
@@ -241,17 +242,18 @@ class _ComponentTable:
     """Locus search results and block spectra of components, shared by
     every search that is handed the same table and by its spectra.
 
-    A component is keyed by its canonical form: its indicial equations
-    re-indexed to its own coordinates 0..k-1, its weights and the degree.
-    Two components with the same form, in one field or in two, under any
-    variable names, are one entry.  The form fixes the component's system
-    and its rows and columns of K(c) = Df(c) + diag(a_i / degree), so an
-    exact solve of a pattern, which is positional in the equations and the
-    free coordinates, and a block spectrum are functions of the key.  Only
-    a search whose points are all exact is stored: a component with
-    numeric points, from a leaf or from Newton (whose floats depend on the
-    compiled system of the field searched), is searched afresh in every
-    field.
+    A component is keyed by its normalized form: its indicial equations in
+    its own coordinates 0..k-1, with their f-part (all but the terms
+    a_i x_i) divided by lam, its weights and the degree.  lam is the
+    f-part's first coefficient (lowest equation, then exponent tuple) at
+    degree 1 where every term keeps the weight law and each linear term is
+    exactly a_i x_i, else 1.  Then lam h_i(c) + a_i c_i = lam^(-a_i) (h_i(y)
+    + a_i y_i) at y = lam^a c, and K(c) = D^-1 K_h(y) D with D = diag(lam^a),
+    so the nonzero rational multiples of a component are one entry, which
+    keeps their points and blocks at y.  Only a search whose points are all
+    exact is stored: a component with numeric points, from a leaf or from
+    Newton (whose floats depend on the compiled system of the field
+    searched), is searched afresh in every field.
 
     ``analyze`` makes one table per run and hands it to every search of
     the run; a call that passes none gets a fresh one, so identical
@@ -262,25 +264,33 @@ class _ComponentTable:
         self._entries: dict[tuple, _Component] = {}
 
     def entry(self, eqs: Sequence[MultiPoly], component: Sequence[int],
-              certificate: WeightCertificate) -> _Component:
+              certificate: WeightCertificate
+              ) -> tuple[_Component, tuple[Fraction, ...] | None]:
         """The entry of the component of eqs (the indicial system) on the
-        coordinates ``component``, made empty on first use.  Each equation
-        of a component reads only the component's coordinates."""
-        key = (tuple(frozenset((tuple(exps[j] for j in component), c)
-                               for exps, c in eqs[i].terms.items())
-                     for i in component),
-               tuple(certificate.weights[i] for i in component),
-               certificate.degree)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = _Component()
-        return entry
+        coordinates ``component``, whose equations read only those, made
+        empty on first use, and lam^a (None when lam = 1)."""
+        weights = tuple(certificate.weights[i] for i in component)
+        parts = [{tuple(exps[j] for j in component): c
+                  for exps, c in eqs[i].terms.items()} for i in component]
+        linear = tuple(part.pop(tuple(int(j == k) for j in component), 0)
+                       for k, part in zip(component, parts))
+        lam = Fraction(1)
+        if certificate.degree == 1 and linear == weights and all(
+                _weight(weights, e) == a + 1
+                for part, a in zip(parts, weights) for e in part):
+            lam = next((part[min(part)] for part in parts if part), lam)
+        if lam != 1:
+            parts = [{e: c / lam for e, c in part.items()} for part in parts]
+        key = (tuple(frozenset(part.items()) for part in parts), linear,
+               weights, certificate.degree)
+        return (self._entries.setdefault(key, _Component()),
+                None if lam == 1 else tuple(lam ** a for a in weights))
 
 
 def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
-           table: _ComponentTable) -> list[tuple[list[int], _Component]]:
+           table: _ComponentTable) -> list[tuple[list[int], tuple]]:
     """Each component of the indicial system eqs (``_components``) with its
-    table entry."""
+    table entry and scale (``_ComponentTable.entry``)."""
     return [(component, table.entry(eqs, component, certificate))
             for component in _components(eqs)]
 
@@ -288,31 +298,35 @@ def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
 def _reports(field: VectorField, certificate: WeightCertificate, split):
     """The function mapping an exact point of the field to its
     KExponentReport, assembled from the blocks of the field's (component,
-    table entry) pairs, split (``_split``).
+    (table entry, scale)) pairs, split (``_split``).
 
     An entry of Df off the diagonal is nonzero only where its variable
     occurs in the row's indicial equation, so K(c) is block-diagonal over
     the components, and each block depends only on the component's own
-    coordinates of c.  A block is computed once per distinct (component
-    form, local coordinates) in the table, and a locus only adds up its
-    blocks' summaries (``_Block``).  The spectrum is roots_of_product of
-    the blocks' rational stages, and its numeric roots are those of the
-    whole characteristic polynomial.  The eigenpair holds on K(c) exactly
-    when some a_i c_i is nonzero and it holds on every block, and
-    geometric equals algebraic multiplicity on K(c) exactly when it does
-    on every block.  For _classify a locus sums its blocks' multiplicities
-    of -1; its other roots are all >= 0, and its roots all rational
-    multiples of 1/degree, when that holds on every block; 0 is a root
-    when it is a root of some block.
+    coordinates of c.  A block is computed once per entry and local point
+    y = lam^a c (``_ComponentTable``; c is mapped once per call), and a
+    locus only adds up its blocks' summaries (``_Block``).  The spectrum is
+    roots_of_product of the blocks' rational stages, and its numeric roots
+    are those of the whole characteristic polynomial.  The eigenpair holds
+    on K(c) exactly when some a_i c_i is nonzero and it holds on every
+    block, and geometric equals algebraic multiplicity on K(c) exactly when
+    it does on every block.  For _classify a locus sums its blocks'
+    multiplicities of -1; its other roots are all >= 0, and its roots all
+    rational multiples of 1/degree, when that holds on every block; 0 is a
+    root when it is a root of some block.
     """
+    seen = [{} for _ in split]
+
     def report(point: tuple[Fraction, ...]) -> KExponentReport:
         blocks = []
-        for component, entry in split:
+        for (component, (entry, scale)), known in zip(split, seen):
             coords = tuple(point[i] for i in component)
-            block = entry.blocks.get(coords)
+            block = known.get(coords)
             if block is None:
-                block = entry.blocks[coords] = _block(field, certificate,
-                                                      component, coords)
+                at = tuple(map(mul, scale, coords)) if scale else coords
+                block = entry.blocks.get(at) or _block(field, certificate,
+                                                       component, coords)
+                known[coords] = entry.blocks[at] = block
             blocks.append(block)
         semisimple = all(block.semisimple for block in blocks)
         return KExponentReport(
@@ -600,9 +614,9 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
        indicial system (``_split``, ``exactalg._components``): two
        variables are linked when one occurs in the other's equation, and
        a field with a constant term is one component.  A component whose
-       form (equations in its own coordinates, weights, degree) table
-       holds settled takes its points from there (``_ComponentTable``).
-       Every other component runs steps 3 and 4.
+       normalized form table holds settled takes its points c = lam^(-a) y
+       from there (``_ComponentTable``), checked exactly where lam is not
+       1 (RuntimeError if one fails).  Other components run steps 3 and 4.
     3. Structured search, the one exact search, which the zero-set check
        and the gamma >= 2 exact route run too: the exact solve of each
        zero pattern of the component that the support rule leaves
@@ -648,8 +662,8 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     exact.  No claim of completeness is made; the strategies that ran are
     listed in the result, ``newton`` only when it ran on at least one
     pattern.  The result also keeps the field, the certificate and the
-    (component, table entry) pairs searched, from which spectra(search)
-    reads the loci's spectra.
+    (component, (table entry, scale)) pairs searched, from which
+    spectra(search) reads the loci's spectra.
     """
     m = field.dim
     eqs = indicial_system(field, certificate)
@@ -678,13 +692,17 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     zero = Fraction(0)
     split = _split(eqs, certificate, table)
     parts: list[list[IndicialLocus]] = []
-    for component, entry in split:
-        if entry.points is not None:
-            parts.append([IndicialLocus(_embed(local, component, m),
-                                        "exact", "structured_search")
-                          for local in entry.points])
-            continue
+    for component, (entry, scale) in split:
         local_eqs = [eqs[i] for i in component]
+        if entry.points is not None:
+            points = [_embed(tuple(map(truediv, y, scale)) if scale else y,
+                             component, m) for y in entry.points]
+            if scale and not all(_vanishes(local_eqs, field.variables, c)
+                                 for c in points):
+                raise RuntimeError("mapped table point fails its exact check")
+            parts.append([IndicialLocus(c, "exact", "structured_search")
+                          for c in points])
+            continue
         part = _Found(radius)
         incomplete: list[tuple[int, list[int]]] = []
         for index, free, result, whole in _pattern_solves(eqs, component,
@@ -704,8 +722,10 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
         if not incomplete:
             # a leaf's points are floats: only exact results are shared
             if all(locus.is_exact for locus in part.loci):
-                entry.points = tuple(tuple(locus.point[i] for i in component)
-                                     for locus in part.loci)
+                local = (tuple(locus.point[i] for i in component)
+                         for locus in part.loci)
+                entry.points = tuple(tuple(map(mul, scale, c)) if scale else c
+                                     for c in local)
         elif newton_starts > 0:
             if "newton" not in strategies:
                 strategies.append("newton")

@@ -621,6 +621,41 @@ def test_direct_route_exponents_are_the_pole_field_spectrum(flow):
                 roots_exact_first(matrix.charpoly()).multiset())
 
 
+_EXPONENT = st.sampled_from([Fraction(k, 2) for k in range(-4, 9)])
+
+
+@st.composite
+def _exponent_multisets(draw, size):
+    """A multiset of size values: exact (Fractions), irrational (an exact
+    multiset from a spectrum with numeric roots: Fractions and complex) or
+    float (all complex, each a small exponent moved by 0 to 1e-6)."""
+    values = draw(st.lists(_EXPONENT, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["exact", "irrational", "float"]))
+    if kind == "exact":
+        return tuple(values)
+    if kind == "irrational":
+        return values[1:] + [complex(draw(st.sampled_from([2, 3, 5]))) ** 0.5]
+    return tuple(complex(v) + draw(st.sampled_from([0, 1e-12, 1e-6]))
+                 for v in values)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_indexed_matches_are_the_full_scan(data):
+    # _matcher indexes the pool's exact multisets; each prediction's
+    # matches, exact or float, are _matches's scan of the whole pool, in
+    # pool order
+    size = data.draw(st.integers(1, 3))
+    pool = tuple(((k,), data.draw(_exponent_multisets(
+        data.draw(st.sampled_from([size, size + 1])))))
+                 for k in range(data.draw(st.integers(0, 12))))
+    radius = dg._merge_radius(data.draw(st.sampled_from([1e-14, 1e-10])))
+    matches = dg._matcher(pool, radius)
+    for _ in range(5):
+        predicted = data.draw(_exponent_multisets(size))
+        assert matches(predicted) == dg._matches(predicted, pool, radius)
+
+
 class TestUnrescalableLocus:
     def test_flow_loci_killing_the_shift_rate_are_skipped(self):
         # hand-built degree-2 flow whose shift rate alpha2 vanishes on the

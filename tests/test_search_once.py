@@ -7,8 +7,9 @@ indicial system once.  Within a search, each zero pattern is saturated by
 its nonzero coordinates, and Newton runs only on the patterns the exact
 solver could not settle completely, with its rational points and the
 rooted points of its leaves.  The searches and spectra of one run
-share a component table, so a component of a given form (F's second cubic_pair
-block, unchanged in every deformed field) is searched once per run.
+share a component table, so a component of a given form, or at degree 1
+any nonzero rational multiple of it (F's cubic_pair blocks, kept or
+multiplied in every deformed field), is searched once per run.
 """
 
 import cmath
@@ -369,20 +370,18 @@ def _run_work(stem, text=None):
 def test_analyze_solves_each_system_once():
     # 51 calls when each search had its own table: F's two blocks are one
     # form, and each of the six deformed fields searched F's second block
-    # again.  The support rule leaves each block form one pattern, its
-    # all-free one, so what is left is one solve for each of F's block,
-    # the degree-1 flow subsystem's block -F1 and the six deformed fields'
-    # first blocks, multiples of F1.  The zero-set check runs the same
-    # search on F's blocks, q' = p, p' = 6 q^2, where the rule leaves no
-    # pattern at all (9 solves while it solved F whole).  Each of
-    # those forms takes its blocks at its zero and its balance, and the
-    # subsystem's one-coordinate block alpha3' = 0 one more: 16 charpolys
-    # (5 solves and 3 charpolys when a multiple mapped F1's points and
-    # read its blocks)
+    # again.  Every degree-1 block of the run, F's q' = p, p' = 6 q^2, the
+    # flow subsystem's -F1 and the six deformed fields' first blocks, is a
+    # rational multiple of it, one table entry under its normalized form,
+    # and the support rule leaves that form one pattern, its all-free one:
+    # one solve.  The zero-set check's search of F's blocks is left no
+    # pattern at all.  The entry takes its blocks at its zero and its
+    # balance, and the subsystem's one-coordinate block alpha3' = 0 one
+    # more: 3 charpolys (8 solves and 16 charpolys while each multiple was
+    # a form of its own, 9 solves while the zero-set check solved F whole)
     forms, charpolys = _run_work("cubic_pair")
-    assert len(forms) == 8
-    assert len(set(forms)) == len(forms)
-    assert charpolys == 16
+    assert len(forms) == 1
+    assert charpolys == 3
 
 
 def _four_block_pair():
@@ -398,15 +397,14 @@ def _four_block_pair():
 
 def test_a_pair_of_block_energies_solves_each_block_form_once():
     # every block of every deformed field F + G/(eps + k1) is a multiple
-    # of F's block, and so is every degree-1 flow subsystem: the run
-    # solves the all-free pattern of each of the 54 distinct block forms,
-    # the one pattern the support rule leaves, and the zero-set check's
-    # search of F's blocks solves nothing (55 solves while it solved F
-    # whole, 164 when only identical forms were shared and every pattern
-    # was solved, 5 when a multiple mapped F's block's points)
+    # of F's block, and so is every degree-1 flow subsystem: all are one
+    # normalized form, whose all-free pattern, the one pattern the support
+    # rule leaves, is solved once, and the zero-set check's search of F's
+    # blocks solves nothing (54 solves while each multiple was a form of
+    # its own, 55 while the zero-set check solved F whole, 164 when only
+    # identical forms were shared and every pattern was solved)
     forms, _ = _run_work("four_blocks", _four_block_pair())
-    assert len(forms) == 54
-    assert len(set(forms)) == len(forms)
+    assert len(forms) == 1
 
 
 def test_no_table_survives_a_run():
@@ -526,9 +524,10 @@ def test_a_negated_block_balances_at_the_scaled_point():
     # mu = -1 takes the balance (1, -2) of q' = p, p' = 6 q^2 to
     # (mu^2 * 1, mu^3 * -2) = (1, 2), the balance of q' = -p, p' = -6 q^2,
     # and K(1, 2) = D K(1, -2) D^-1 with D = diag(1, -1).  The negated
-    # block is a form of its own, searched with one solve, the one
-    # pattern the support rule leaves (3 and 0 solves when it mapped the
-    # first block's balance)
+    # block's f-part is lam = -1 times the first block's, so it is the
+    # first block's table entry: it maps the balance and reads the block
+    # there, with no solve (one solve, the one pattern the support rule
+    # leaves, while it was a form of its own)
     table = kovalevskaya._ComponentTable()
     field, cert = _blocks_field([("cubic", 1, 6)], "")
     negated, _ = _blocks_field([("cubic", -1, -6)], "y")
@@ -537,11 +536,47 @@ def test_a_negated_block_balances_at_the_scaled_point():
     assert solves == 1
     search, solves = _searched_with(table, negated, cert)
     assert [locus.point for locus in search.loci] == [(1, 2)]
-    assert solves == 1
+    assert solves == 0
     assert search == kovalevskaya.find_loci(negated, cert)
     [(_, report)] = kovalevskaya.spectra(search)
     assert report == kovalevskaya.k_exponents(negated, cert, (1, 2))
     assert report.exponents.multiset() == (-1, 6)
+
+
+def test_a_multiple_is_stored_at_its_normalized_point():
+    # 3F, q' = 3 p, p' = 18 q^2, has the f-part 3 p, 18 q^2 whose first
+    # term is 3 p: lam = 3, and its balance (1/9, -2/27) is stored, and
+    # its block kept, at y = (3^2 / 9, 3^3 * -2/27) = (1, -2), the balance
+    # of F itself, which then takes both with no solve and no charpoly
+    table = kovalevskaya._ComponentTable()
+    for scale, balance, searched in [(3, (Fraction(1, 9), Fraction(-2, 27)),
+                                      1), (1, (1, -2), 0)]:
+        field, cert = _blocks_field([("cubic", scale, 6 * scale)], "")
+        search, solves = _searched_with(table, field, cert)
+        assert [locus.point for locus in search.loci] == [balance]
+        assert solves == searched
+        with mock.patch.object(ExactMatrix, "charpoly", autospec=True,
+                               side_effect=ExactMatrix.charpoly) as charpoly:
+            [(_, report)] = kovalevskaya.spectra(search)
+        assert charpoly.call_count == searched
+        assert report == kovalevskaya.k_exponents(field, cert, balance)
+        [entry] = table._entries.values()
+        assert entry.points == ((1, -2),)
+        assert set(entry.blocks) == {(1, -2)}
+
+
+def test_a_mapped_point_that_fails_its_check_is_an_error():
+    # the negated block maps the table's points by c = lam^(-a) y and
+    # checks each exactly against its own equations: a point that does
+    # not solve them stops the search instead of becoming a locus
+    table = kovalevskaya._ComponentTable()
+    field, cert = _blocks_field([("cubic", 1, 6)], "")
+    negated, _ = _blocks_field([("cubic", -1, -6)], "y")
+    kovalevskaya.find_loci(field, cert, table=table)
+    [entry] = table._entries.values()
+    entry.points = ((Fraction(1), Fraction(2)),)
+    with pytest.raises(RuntimeError, match="table point"):
+        kovalevskaya.find_loci(negated, cert, table=table)
 
 
 def test_a_degree_two_multiple_is_searched_again():

@@ -192,7 +192,7 @@ def _whole_field_check(field):
     result = exactalg.solve_poly_system(field.components, field.variables)
     if any(any(point) for point in result.points):
         return "counterexample"
-    if result.complete and not result.has_free_parameters:
+    if result.complete:
         return "ok"
     return "undecided"
 
