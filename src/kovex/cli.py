@@ -78,15 +78,15 @@ class Analysis:
     """One run: the report ``--json`` writes, the text summary rendered from
     it and the exact objects behind them.  loci pairs each locus of F with
     its spectrum (kovalevskaya's spectra(find_loci(F, certificate))), series
-    maps a locus index to its LaurentSolution, pool is F's lower_spectra
-    (None when the locus stage did not run)."""
+    maps a locus index to its LaurentSolution, pool is F's lower_spectra,
+    indexed once for every flow (None when the locus stage did not run)."""
 
     report: dict
     lines: tuple[str, ...]
     certificate: WeightCertificate | None
     loci: tuple
     series: dict[int, LaurentSolution]
-    pool: tuple | None
+    pool: degeneration.LowerPool | None
 
 
 class _Parser(argparse.ArgumentParser):

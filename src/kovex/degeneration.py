@@ -34,6 +34,7 @@ from .exactalg import (
     DEFAULT_TOL,
     ExactMatrix,
     MultiPoly,
+    _canonical_key,
     _component_points,
     as_fraction,
     roots_exact_first,
@@ -43,6 +44,7 @@ from .kovalevskaya import (
     NoLocusFound,
     _ComponentTable,
     _merge_radius,
+    _vanishes,
     find_loci,
     kovalevskaya_matrix,
     spectra,
@@ -69,6 +71,7 @@ __all__ = [
     "GExpansion",
     "G0IdenticallyZero",
     "InconsistentG0",
+    "LowerPool",
     "ParamFlow",
     "Prediction",
     "TruncationTooShort",
@@ -443,7 +446,7 @@ def g0_nonzero_certificate(g_field: VectorField, sol: LaurentSolution,
 
 
 def _sorted_multiset(values) -> tuple:
-    return tuple(sorted(values, key=lambda v: (complex(v).real, complex(v).imag)))
+    return tuple(sorted(values, key=_canonical_key))
 
 
 def _all_rational(values) -> bool:
@@ -451,21 +454,19 @@ def _all_rational(values) -> bool:
 
 
 def _multisets_match(a, b, radius: float) -> bool:
+    """Two all-rational multisets, canonical (_sorted_multiset), match as
+    tuples; any others pair off value for value within radius."""
     if len(a) != len(b):
         return False
     if _all_rational(a) and _all_rational(b):
-        return sorted(a) == sorted(b)
+        return tuple(a) == tuple(b)
     remaining = [complex(v) for v in b]
-    for v in a:
-        zv = complex(v)
-        hit = None
-        for idx, w in enumerate(remaining):
-            if abs(zv - w) <= radius * max(1.0, abs(w)):
-                hit = idx
-                break
+    for v in map(complex, a):
+        hit = next((i for i, w in enumerate(remaining)
+                    if abs(v - w) <= radius * max(1.0, abs(w))), None)
         if hit is None:
             return False
-        remaining.pop(hit)
+        del remaining[hit]
     return True
 
 
@@ -477,21 +478,46 @@ def _contains(values, target, radius: float) -> bool:
                for v in values)
 
 
-def lower_spectra(pairs: Sequence[tuple]) -> tuple:
-    """(point, exponent multiset) for every lower locus of the ambient field.
+class LowerPool(tuple):
+    """(point, canonical exponent multiset) pairs, indexed once: index maps
+    each all-rational multiset to its positions, scan lists the others."""
+
+    def __new__(cls, pairs):
+        pool = super().__new__(cls, pairs)
+        pool.index, pool.scan = {}, []
+        for position, (_, multiset) in enumerate(pool):
+            if _all_rational(multiset):
+                pool.index.setdefault(multiset, []).append(position)
+            else:
+                pool.scan.append(position)
+        return pool
+
+    def matches(self, predicted: tuple, radius: float) -> tuple[tuple, ...]:
+        """The points, in pool order, whose multiset matches predicted, a
+        canonical multiset: one lookup and the scan when it is all-rational,
+        else the whole pool."""
+        if not _all_rational(predicted):
+            return tuple(point for point, multiset in self
+                         if _multisets_match(predicted, multiset, radius))
+        hits = self.index.get(predicted, []) + [
+            i for i in self.scan
+            if _multisets_match(predicted, self[i][1], radius)]
+        return tuple(self[i][0] for i in sorted(hits))
+
+
+def lower_spectra(pairs: Sequence[tuple]) -> LowerPool:
+    """(point, exponent multiset) for every lower locus of the ambient
+    field, as the LowerPool the degeneration routes match against.
 
     pairs are kovalevskaya.spectra of F's locus search.  Exact loci are
     kept only when classified lower; numeric loci go in unfiltered since a
     principal multiset can never collide with a lower prediction anyway.
     """
-    pool = []
-    for locus, spectrum in pairs:
-        if locus.is_exact:
-            if spectrum.classification == "lower":
-                pool.append((locus.point, spectrum.exponents.multiset()))
-        else:
-            pool.append((locus.point, spectrum))
-    return tuple(pool)
+    return LowerPool(
+        (locus.point,
+         spectrum.exponents.multiset() if locus.is_exact else spectrum)
+        for locus, spectrum in pairs
+        if not locus.is_exact or spectrum.classification == "lower")
 
 
 @dataclass(frozen=True)
@@ -508,32 +534,6 @@ class Prediction:
     diagnostics: dict
 
 
-def _matches(predicted, pool: tuple, radius: float) -> tuple[tuple, ...]:
-    return tuple(point for point, multiset in pool
-                 if _multisets_match(predicted, multiset, radius))
-
-
-def _matcher(pool: tuple, radius: float):
-    """The function mapping a prediction to its _matches in pool: a lookup
-    in an index of the pool's all-rational multisets by their sorted values
-    and a scan of the rest, or a scan of the whole pool for a float one."""
-    index, scan = {}, []
-    for position, (_, multiset) in enumerate(pool):
-        if _all_rational(multiset):
-            index.setdefault(tuple(sorted(multiset)), []).append(position)
-        else:
-            scan.append(position)
-
-    def matches(predicted) -> tuple[tuple, ...]:
-        if not _all_rational(predicted):
-            return _matches(predicted, pool, radius)
-        hits = index.get(tuple(sorted(predicted)), []) + [
-            i for i in scan if _multisets_match(predicted, pool[i][1], radius)]
-        return tuple(pool[i][0] for i in sorted(hits))
-
-    return matches
-
-
 def _spectra(field: VectorField, certificate: WeightCertificate,
              rng_seed: int, tolerance: float,
              table: _ComponentTable | None) -> tuple[tuple, ...]:
@@ -546,7 +546,7 @@ def _spectra(field: VectorField, certificate: WeightCertificate,
         return ()
 
 
-def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
+def degenerate_gamma1(pool: LowerPool, flow: ParamFlow, *, rng_seed: int = 0,
                       tolerance: float = DEFAULT_TOL,
                       table: _ComponentTable | None = None
                       ) -> tuple[Prediction, ...]:
@@ -565,7 +565,7 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
         raise ValueError("this route needs a degree-1 commuting flow")
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, 1)
-    matches = _matcher(pool, _merge_radius(tolerance))
+    radius = _merge_radius(tolerance)
     predictions = []
     for locus, spectrum in _spectra(sub, sub_cert, rng_seed, tolerance, table):
         if locus.is_exact:
@@ -575,36 +575,22 @@ def degenerate_gamma1(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             vals, pole, diag = spectrum, complex(-1), {}
         predicted = _sorted_multiset((pole,) + vals)
         predictions.append(Prediction("pole_shift", locus.point, vals, predicted,
-                                      matches(predicted), diag))
+                                      pool.matches(predicted, radius), diag))
     return tuple(predictions)
 
 
-def _rescaled_matrix(flow: ParamFlow, point: tuple, g0_value: Fraction) -> ExactMatrix:
+def _rescaled_matrix(cleared: VectorField, point: tuple,
+                     g0_value: Fraction) -> ExactMatrix:
     """Closed-form exponent matrix at a rescaled flow locus, all exact.
 
     Rescaling alpha_i by the kappa_i-th power of the shift rate turns the
-    indicial system of the flow into a polynomial system and the exponent
-    matrix into
-
-        (d ghat_i / d alpha_j + kappa_i xi_i d ghat0 / d alpha_j) / ghat0
-        + kappa_i delta_ij,
-
-    everything evaluated at the rescaled point.
+    flow's indicial system into the cleared polynomial system
+    ghat_i + kappa_i alpha_i ghat0 = 0, and its exponent matrix into the
+    Jacobian of that system over ghat0, both at the rescaled point.
     """
-    params = flow.parameters
-    assign = dict(zip(params, point))
-    grad0 = [flow.ghat0.diff(v).evaluate(assign) for v in params]
-    rows = []
-    for i, g in enumerate(flow.ghat):
-        row = []
-        for j, v in enumerate(params):
-            entry = (g.diff(v).evaluate(assign)
-                     + flow.kappa[i] * point[i] * grad0[j]) / g0_value
-            if i == j:
-                entry += flow.kappa[i]
-            row.append(entry)
-        rows.append(row)
-    return ExactMatrix(rows)
+    assign = dict(zip(cleared.variables, point))
+    return ExactMatrix([[entry.evaluate(assign) / g0_value for entry in row]
+                        for row in cleared.jacobian])
 
 
 def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted,
@@ -640,7 +626,7 @@ def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted,
     return _multisets_match(spectrum, target, radius)
 
 
-def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
+def degenerate_gamma_ge2(pool: LowerPool, flow: ParamFlow, *, rng_seed: int = 0,
                          tolerance: float = DEFAULT_TOL,
                          table: _ComponentTable | None = None
                          ) -> tuple[Prediction, ...]:
@@ -669,17 +655,18 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "does not exist")
     params = flow.parameters
     radius = _merge_radius(tolerance)
-    matches = _matcher(pool, radius)
     predictions = []
 
-    cleared = [g + MultiPoly.variable(v, params) * flow.ghat0 * k
-               for g, v, k in zip(flow.ghat, params, flow.kappa)]
-    points, complete = _component_points(cleared, range(len(params)), params)
+    cleared = VectorField(params, tuple(
+        g + MultiPoly.variable(v, params) * flow.ghat0 * k
+        for g, v, k in zip(flow.ghat, params, flow.kappa)))
+    points, complete = _component_points(cleared.components,
+                                         range(len(params)), params)
     for point in points:
         value = flow.ghat0.evaluate(dict(zip(params, point)))
         if value == 0:
             continue
-        matrix = _rescaled_matrix(flow, point, value)
+        matrix = _rescaled_matrix(cleared, point, value)
         vals = roots_exact_first(matrix.charpoly()).multiset()
         predicted = _sorted_multiset(vals + (Fraction(-gamma),))
         diag = {
@@ -688,7 +675,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
             "search_complete": complete,
         }
         predictions.append(Prediction("rescale_exact", point, vals, predicted,
-                                      matches(predicted), diag))
+                                      pool.matches(predicted, radius), diag))
 
     sub = flow.subsystem_field()
     sub_cert = WeightCertificate(flow.kappa, gamma)
@@ -715,8 +702,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
                 rescaled = snapped
         predicted = _sorted_multiset([gamma * v for v in vals])
         verified = (all(isinstance(x, Fraction) for x in rescaled)
-                    and all(eq.evaluate(dict(zip(params, rescaled))) == 0
-                            for eq in cleared)
+                    and _vanishes(cleared.components, params, rescaled)
                     and flow.ghat0.evaluate(dict(zip(params, rescaled))) != 0)
         diag = {
             "minus_one_present": _contains(vals, Fraction(-1), radius),
@@ -729,7 +715,7 @@ def degenerate_gamma_ge2(pool: tuple, flow: ParamFlow, *, rng_seed: int = 0,
         }
         predictions.append(Prediction("flow_direct", locus.point,
                                       _sorted_multiset(vals), predicted,
-                                      matches(predicted), diag))
+                                      pool.matches(predicted, radius), diag))
     return tuple(predictions)
 
 
@@ -808,8 +794,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
              for locus, report in _spectra(deformed, certificate, rng_seed,
                                            tolerance, table)
              if locus.is_exact),
-            key=lambda ms: tuple((complex(v).real, complex(v).imag)
-                                 for v in ms))
+            key=_canonical_key)
         per_eps.append(tuple(collected))
         if want is not None:
             realized.append(any(_multisets_match(want, ms, radius)

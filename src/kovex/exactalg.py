@@ -42,6 +42,18 @@ def as_fraction(value: object) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+def _canonical_key(value) -> tuple:
+    """The one sort key of exponent multisets and loci: (re, im), exact
+    on an int or Fraction, which leads a tie with a float; a tuple (a
+    point, a multiset, a collection of them) sorts by its entries' keys."""
+    if isinstance(value, tuple):
+        return tuple(map(_canonical_key, value))
+    if isinstance(value, (int, Fraction)):
+        return (value, 0, 0)
+    z = complex(value)
+    return (z.real, z.imag, 1)
+
+
 class NumericNonConvergence(RuntimeError):
     """The numeric root refinement failed to reach the requested tolerance."""
 
@@ -782,7 +794,7 @@ def _aberth(coeffs: list[float], max_iter: int) -> list[complex]:
             shift = max(shift, abs(w))
         if shift < 1e-15 * (1.0 + max(abs(v) for v in z)):
             break
-    return sorted(z, key=lambda v: (v.real, v.imag))
+    return z
 
 
 @dataclass(frozen=True)
@@ -807,11 +819,11 @@ class RootSet:
         return len(self.residual_factor) == 1
 
     def multiset(self) -> tuple:
-        """Every root repeated by multiplicity, sorted by (re, im).
+        """Every root repeated by multiplicity, in _canonical_key order.
 
-        Rational roots stay Fractions and numeric ones stay complex; on a
-        tie the rational root comes first.  Without numeric roots the
-        rational ones, already sorted, are the multiset as they stand.
+        Rational roots stay Fractions and numeric ones stay complex.
+        Without numeric roots the rational ones, already sorted, are the
+        multiset as they stand.
         """
         out: list = []
         for r, m in self.rational_roots:
@@ -820,8 +832,7 @@ class RootSet:
             return tuple(out)
         for z, m, _ in self.numeric_roots:
             out.extend([z] * m)
-        return tuple(sorted(out, key=lambda v: (complex(v).real,
-                                                complex(v).imag)))
+        return tuple(sorted(out, key=_canonical_key))
 
 
 def _exact_roots(coeffs: Sequence[Scalar], candidates: Sequence[Scalar] = ()
@@ -924,7 +935,7 @@ def roots_of_product(factors: Sequence[tuple]) -> RootSet:
     return RootSet(
         rational_roots=tuple(sorted(counts.items())),
         residual_factor=residual,
-        numeric_roots=tuple(sorted(numeric, key=lambda t: (t[0].real, t[0].imag))),
+        numeric_roots=tuple(sorted(numeric, key=lambda t: _canonical_key(t[0]))),
     )
 
 

@@ -25,6 +25,7 @@ from .exactalg import (
     MultiPoly,
     NumericNonConvergence,
     RootSet,
+    _canonical_key,
     _components,
     _embed,
     _exact_roots,
@@ -366,13 +367,12 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
 
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
                       point: Sequence[complex]) -> tuple[complex, ...]:
-    """Floating-point exponents at a numeric locus, sorted by (re, im)."""
+    """Floating-point exponents at a numeric locus, in _canonical_key order."""
     import numpy as np
     values = {v: complex(p) for v, p in zip(field.variables, point)}
     mat = np.array(_k_rows(field, certificate, range(field.dim), values),
                    dtype=np.complex128)
-    return tuple(sorted(np.linalg.eigvals(mat),
-                        key=lambda z: (z.real, z.imag)))
+    return tuple(sorted(np.linalg.eigvals(mat), key=_canonical_key))
 
 
 def spectra(search: LocusSearch) -> tuple[tuple, ...]:
@@ -750,8 +750,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     loci = (sorted((loc for loc in found.loci if loc.is_exact),
                    key=lambda loc: loc.point)
             + sorted((loc for loc in found.loci if not loc.is_exact),
-                     key=lambda loc: tuple((complex(x).real, complex(x).imag)
-                                           for x in loc.point)))
+                     key=lambda loc: _canonical_key(loc.point)))
     if not loci:
         raise NoLocusFound("no indicial locus found by any strategy")
     return LocusSearch(tuple(loci), tuple(strategies), field, certificate,

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
 from kovex import analyze
 from kovex import degeneration as dg
-from kovex.exactalg import ExactMatrix, MultiPoly, roots_exact_first
+from kovex.exactalg import (
+    ExactMatrix,
+    MultiPoly,
+    RootSet,
+    _canonical_key,
+    roots_exact_first,
+)
 from kovex.kovalevskaya import (
     k_exponents,
     kovalevskaya_matrix,
@@ -40,6 +47,9 @@ P3_DEG1 = (F(1), F(-2), F(1), F(-2))
 
 P1_DEG3 = (F(1), F(1), F(1), F(-1))
 P2_DEG3 = (F(3), F(27), F(0), F(-3))
+
+# a flow matched against no lower balance
+EMPTY_POOL = dg.lower_spectra(())
 
 A1 = MultiPoly.variable("alpha1")
 A2 = MultiPoly.variable("alpha2")
@@ -341,7 +351,31 @@ class TestPoleShiftRoute:
     def test_wrong_degree_is_rejected(self, deg3):
         _, _, _, _, _, flow = deg3
         with pytest.raises(ValueError, match="degree-1"):
-            dg.degenerate_gamma1((), flow)
+            dg.degenerate_gamma1(EMPTY_POOL, flow)
+
+
+# two rationals that round to one float, and a complex root past them
+TIE = (F(1, 3), F(1, 3) + F(1, 10 ** 30))
+Z = complex(0.5, 1)
+
+
+def _with_complex_root(*rational):
+    # the roots of (x - r) ... (x^2 - x + 5/4) keeping one of 1/2 +- i
+    return RootSet(rational_roots=tuple((r, 1) for r in rational),
+                   residual_factor=(F(1), F(-1), F(5, 4)),
+                   numeric_roots=((Z, 1, 0.0),))
+
+
+def test_multisets_sort_exactly_at_a_float_tie():
+    # float(1/3) == float(1/3 + 10^-30): a key through complex() ties the
+    # two and keeps them in the order they came in
+    assert float(TIE[0]) == float(TIE[1])
+    assert dg._sorted_multiset((Z, TIE[1], TIE[0])) == TIE + (Z,)
+    assert _with_complex_root(*TIE[::-1]).multiset() == TIE + (Z,)
+    assert _canonical_key(TIE[0]) < _canonical_key(TIE[1])
+    # on an exact tie the rational comes first, whatever the input order
+    assert dg._sorted_multiset((complex(0.5), F(1, 2))) == (F(1, 2), 0.5)
+    assert type(dg._sorted_multiset((complex(0.5), F(1, 2)))[0]) is Fraction
 
 
 class TestDeformedField:
@@ -366,6 +400,27 @@ class TestDeformedField:
             (F(-1), F(2), F(3), F(6)),
         )
         assert check.multisets[0] == check.multisets[1] == check.multisets[2]
+
+    def test_collections_are_stable_at_a_float_tie(self, deg1, monkeypatch):
+        # two deformed fields whose exact loci carry the multisets
+        # {1/3, z} and {1/3 + 10^-30, z}, found in opposite orders: the
+        # two exponents are one float, but the collections are the same
+        field, g_field, cert, _, _, flow = deg1
+        found = [_with_complex_root(value) for value in TIE]
+        calls = []
+
+        def spectra(*args):
+            calls.append(args)
+            order = found if len(calls) % 2 else found[::-1]
+            return tuple((SimpleNamespace(is_exact=True),
+                          SimpleNamespace(exponents=roots))
+                         for roots in order)
+
+        monkeypatch.setattr(dg, "_spectra", spectra)
+        check = dg.deformed_field_check(field, g_field, cert, flow)
+        assert len(calls) == 3
+        assert check.multisets[0] == ((TIE[0], Z), (TIE[1], Z))
+        assert check.stable is True
 
     def test_excluded_epsilon_is_an_error(self, deg1):
         field, g_field, cert, _, _, flow = deg1
@@ -409,7 +464,12 @@ class TestRescaleRoutes:
 
     def test_rescaled_exponent_matrix_in_closed_form(self, deg3):
         _, _, _, _, _, flow = deg3
-        matrix = dg._rescaled_matrix(flow, (F(1, 3), F(4, 9), F(-7, 81)), F(1))
+        params = flow.parameters
+        cleared = VectorField(params, tuple(
+            g + MultiPoly.variable(v, params) * flow.ghat0 * k
+            for g, v, k in zip(flow.ghat, params, flow.kappa)))
+        matrix = dg._rescaled_matrix(cleared, (F(1, 3), F(4, 9), F(-7, 81)),
+                                     F(1))
         assert matrix == ExactMatrix([
             [F(4), F(-3, 2), F(0)],
             [F(-4, 3), F(5), F(18)],
@@ -468,12 +528,12 @@ class TestRescaleRoutes:
         _, _, _, _, _, flow = deg3
         halted = dataclasses.replace(flow, ghat0=MultiPoly.zero())
         with pytest.raises(dg.G0IdenticallyZero):
-            dg.degenerate_gamma_ge2((), halted)
+            dg.degenerate_gamma_ge2(EMPTY_POOL, halted)
 
     def test_wrong_degree_is_rejected(self, deg1):
         _, _, _, _, _, flow = deg1
         with pytest.raises(ValueError, match="at least"):
-            dg.degenerate_gamma_ge2((), flow)
+            dg.degenerate_gamma_ge2(EMPTY_POOL, flow)
 
 
 def pole_field(flow):
@@ -508,7 +568,7 @@ class TestExactDirectRoute:
         matrix = ExactMatrix([[F(-1, 2), F(1)], [F(0), F(-1)]])
         for xi in (-1, 1):
             assert kovalevskaya_matrix(field, cert, (0, xi)) == matrix
-        direct = [p for p in dg.degenerate_gamma_ge2((), flow)
+        direct = [p for p in dg.degenerate_gamma_ge2(EMPTY_POOL, flow)
                   if p.route == "flow_direct"]
         assert [p.locus for p in direct] == [(-1,), (1,)]
         for prediction in direct:
@@ -516,7 +576,7 @@ class TestExactDirectRoute:
                 roots_exact_first(matrix.charpoly()).multiset())
 
     def test_both_routes(self, flow):
-        predictions = dg.degenerate_gamma_ge2((), flow)
+        predictions = dg.degenerate_gamma_ge2(EMPTY_POOL, flow)
         assert tuple(p.route for p in predictions) == (
             "rescale_exact", "flow_direct", "flow_direct")
         assert tuple(p.locus for p in predictions) == ((2,), (-1,), (1,))
@@ -542,7 +602,7 @@ class TestExactDirectRoute:
                             gamma=2, parameters=("alpha1",))
         with warnings.catch_warnings():
             warnings.simplefilter("error", dg.UnrescalableLocus)
-            predictions = dg.degenerate_gamma_ge2((), flow)
+            predictions = dg.degenerate_gamma_ge2(EMPTY_POOL, flow)
         assert tuple(p.route for p in predictions) == (
             "rescale_exact", "flow_direct", "flow_direct")
         assert predictions[0].diagnostics["g0_value"] == F(2, 10 ** 18)
@@ -607,7 +667,7 @@ def test_direct_route_exponents_are_the_pole_field_spectrum(flow):
     field, cert = pole_field(flow)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dg.UnrescalableLocus)
-        predictions = dg.degenerate_gamma_ge2((), flow)
+        predictions = dg.degenerate_gamma_ge2(EMPTY_POOL, flow)
     for prediction in predictions:
         if prediction.route != "flow_direct":
             continue
@@ -639,21 +699,28 @@ def _exponent_multisets(draw, size):
                  for v in values)
 
 
+def _full_scan(predicted, pool, radius):
+    # every pool point whose multiset matches, in pool order
+    return tuple(point for point, multiset in pool
+                 if dg._multisets_match(predicted, multiset, radius))
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_indexed_matches_are_the_full_scan(data):
-    # _matcher indexes the pool's exact multisets; each prediction's
-    # matches, exact or float, are _matches's scan of the whole pool, in
-    # pool order
+    # the pool indexes its exact multisets once; each prediction's
+    # matches, exact or float, are the scan of the whole pool, in pool
+    # order.  Multisets are drawn in random order and made canonical, as
+    # every multiset the pipeline builds is
     size = data.draw(st.integers(1, 3))
-    pool = tuple(((k,), data.draw(_exponent_multisets(
-        data.draw(st.sampled_from([size, size + 1])))))
-                 for k in range(data.draw(st.integers(0, 12))))
+    pool = dg.LowerPool(((k,), dg._sorted_multiset(data.draw(
+        _exponent_multisets(data.draw(st.sampled_from([size, size + 1]))))))
+                        for k in range(data.draw(st.integers(0, 12))))
     radius = dg._merge_radius(data.draw(st.sampled_from([1e-14, 1e-10])))
-    matches = dg._matcher(pool, radius)
     for _ in range(5):
-        predicted = data.draw(_exponent_multisets(size))
-        assert matches(predicted) == dg._matches(predicted, pool, radius)
+        predicted = dg._sorted_multiset(data.draw(_exponent_multisets(size)))
+        assert pool.matches(predicted, radius) == _full_scan(predicted, pool,
+                                                             radius)
 
 
 class TestUnrescalableLocus:

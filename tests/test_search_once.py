@@ -68,6 +68,42 @@ def test_analyze_searches_f_once(stem, monkeypatch, tmp_path):
     assert searched == ["kovex.cli"]
 
 
+def _six_block_pair():
+    # H_F = sum (p_k^2/2 - (k+1) q_k^3), k = 1..6, and H_G the same sum
+    # with the factors 1, 2, 3, 5, 7, 11: 63 loci, 57 of them lower, and
+    # one degree-1 flow per principal locus
+    names = [(f"q{k}", f"p{k}") for k in range(1, 7)]
+    h_f = " + ".join(f"1/2*{p}^2 - {k + 1}*{q}^3"
+                     for k, (q, p) in enumerate(names, 1))
+    h_g = " + ".join(f"{c}/2*{p}^2 - {c * (k + 1)}*{q}^3"
+                     for k, (c, (q, p)) in enumerate(
+                         zip((1, 2, 3, 5, 7, 11), names), 1))
+    return ("variables = [" + ", ".join(f"{q}:2, {p}:3" for q, p in names)
+            + f"]\nH_F = \"{h_f}\"\nH_G = \"{h_g}\"\n")
+
+
+def test_the_pool_is_indexed_once_per_analysis(monkeypatch):
+    # every flow of the six-block pair matches its predictions against
+    # the one LowerPool lower_spectra built (6 indexes, one per flow,
+    # while each degeneration call indexed the pool itself)
+    built = []
+
+    class Counted(degeneration.LowerPool):
+        def __new__(cls, pairs):
+            built.append(cls)
+            return super().__new__(cls, pairs)
+
+    monkeypatch.setattr(degeneration, "LowerPool", Counted)
+    result = cli.analyze(_six_block_pair(), "six_blocks.kov")
+    assert len(built) == 1
+    assert isinstance(result.pool, Counted)
+    assert (len(result.loci), len(result.pool)) == (63, 57)
+    flows = result.report["flow"]
+    assert len(flows) == 6
+    assert all(entry["matched_lower_loci"] for flow in flows
+               for entry in flow["degeneration"]["entries"])
+
+
 def test_find_loci_builds_the_indicial_system_once(monkeypatch):
     spec, field = _problem("cubic_pair")
     built = []
