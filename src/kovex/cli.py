@@ -455,11 +455,14 @@ def _assumptions(field, g_field, cert, violations) -> dict:
 
 
 def _locus_stage(field, cert, spec, search, violations):
-    """Returns (loci entries of the report, (locus, spectrum) pairs)."""
+    """Returns (loci entries of the report, (locus, spectrum) pairs, the
+    LocusSearch or None)."""
     try:
-        pairs = spectra(find_loci(field, cert, seeds=spec.seeds, **search))
+        found = find_loci(field, cert, seeds=spec.seeds, **search)
     except NoLocusFound:
-        pairs = ()
+        found, pairs = None, ()
+    else:
+        pairs = spectra(found)
     entries = []
     for locus, spectrum in pairs:
         entry: dict = {"point": _point_json(locus.point),
@@ -476,18 +479,21 @@ def _locus_stage(field, cert, spec, search, violations):
         else:
             entry["numeric_spectrum"] = [_num(v) for v in spectrum]
         entries.append(entry)
-    return entries, pairs
+    return entries, pairs, found
 
 
-def _series_stage(field, cert, loci, entries, truncation, violations):
-    """Adds each exact locus's series to its entry; returns them by index."""
+def _series_stage(field, cert, found, entries, truncation, violations):
+    """Adds each exact locus's series to its entry; returns them by index.
+    Each series solves on the blocks of K(c) that the locus search found
+    (a LocusSearch, its loci reported by spectra) has read."""
     solutions: dict[int, object] = {}
-    for idx, (locus, _) in enumerate(loci):
+    for idx, locus in enumerate(found.loci if found else ()):
         if not locus.is_exact:
             continue
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sol = build_series(field, cert, locus.point, truncation=truncation)
+            sol = build_series(field, cert, found._certified(locus),
+                               truncation=truncation)
         verdict = classify(sol)
         solutions[idx] = sol
         section = {
@@ -709,14 +715,14 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
 
     loci, solutions, pool = (), {}, None
     if cert is not None and "loci" in stages:
-        report["loci"], loci = _locus_stage(field, cert, spec, search,
-                                            violations)
+        report["loci"], loci, found = _locus_stage(field, cert, spec, search,
+                                                   violations)
         pool = degeneration.lower_spectra(loci)
 
         if "series" in stages:
             # truncation wins over the problem file's truncation = N
             solutions = _series_stage(
-                field, cert, loci, report["loci"],
+                field, cert, found, report["loci"],
                 truncation if truncation is not None else spec.truncation,
                 violations)
 

@@ -45,6 +45,7 @@ from .kovalevskaya import (
     _ComponentTable,
     _merge_radius,
     _vanishes,
+    exact_point,
     find_loci,
     kovalevskaya_matrix,
     spectra,
@@ -233,23 +234,36 @@ def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
     (K(c) + (gamma-k) I) G_k = 0 identically in the parameters: the
     expansion of a commuting field starts inside eigenspaces of the
     exponent matrix.  Returns one bool per k in 0..gamma-1.  Each row of
-    each identity is one scalar _dot over the packed expansion.
+    each identity is one scalar _dot over the packed expansion, on the
+    row's block of K(c): the blocks build_series solved on, where the
+    expansion was computed along a solution at this locus that keeps them,
+    else the whole kovalevskaya_matrix as one block.
     """
     gamma = expansion.gamma
     if expansion.count < gamma:
         raise TruncationTooShort(
             f"kernel identities need orders 0..{gamma - 1}, expansion has "
             f"{expansion.count}")
-    matrix = kovalevskaya_matrix(field, certificate, locus)
+    point = exact_point(locus)
+    packed = expansion._packed
+    sol = packed.solution if packed is not None else None
+    if sol is not None and sol._blocks is not None and sol.locus == point:
+        blocks = [(component, block.matrix)
+                  for component, block in sol._blocks]
+    else:
+        blocks = [(range(field.dim),
+                   kovalevskaya_matrix(field, certificate, point))]
     _, _, vectors, _ = _operands(expansion)
     results = []
     for k in range(gamma):
         vec = vectors[k]
         results.append(not any(
-            _dot([(_IntPoly.constant(entry + (gamma - k if i == j else 0)),
+            _dot([(_IntPoly.constant(entry + (gamma - k if r == c else 0)),
                    vec[j])
-                  for j, entry in enumerate(row) if vec[j]])
-            for i, row in enumerate(matrix.data)))
+                  for c, (j, entry) in enumerate(zip(component, row))
+                  if vec[j]])
+            for component, matrix in blocks
+            for r, row in enumerate(matrix.data)))
     return tuple(results)
 
 

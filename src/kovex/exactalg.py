@@ -521,8 +521,7 @@ class ExactMatrix:
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial needs a square matrix")
-        s, chi, _ = self.resolvent()
-        return [Fraction(c, s ** k) for k, c in enumerate(chi)]
+        return _charpoly(self.resolvent())
 
     def resolvent(self) -> tuple[int, list[int], list[list[list[int]]]]:
         """(tI - A)^{-1} = adj(tI - A) / det(tI - A) as integer polynomials.
@@ -562,6 +561,13 @@ class ExactMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"ExactMatrix[{body}]"
+
+
+def _charpoly(resolvent: tuple) -> list[Fraction]:
+    """The monic det(tI - A) of ExactMatrix.resolvent()'s (s, chi, adj):
+    chi is det(tI - sA), so coefficient k is chi_k / s^k."""
+    s, chi, _ = resolvent
+    return [Fraction(c, s ** k) for k, c in enumerate(chi)]
 
 
 # ---------------------------------------------------------------------------
@@ -902,16 +908,22 @@ def roots_of_product(factors: Sequence[tuple]) -> RootSet:
 
     The rational roots are merged with their multiplicities summed, and
     the residual is the product of the factors' monic residuals: both are
-    what _exact_roots returns on the product itself.  The residual is then
+    what _exact_roots returns on the product itself.  The merge keys each
+    root on its (numerator, denominator), which hashes as two ints, where
+    a Fraction's hash takes a modular inverse.  The residual is then
     split into squarefree factors exactly (Yun), which hands the numeric
     stage only simple roots; each numeric root must have backward error
     <= DEFAULT_TOL or NumericNonConvergence is raised.
     """
-    counts: dict[Fraction, int] = {}
+    counts: dict[tuple[int, int], list] = {}
     residual: tuple[Fraction, ...] = (Fraction(1),)
     for rational, factor in factors:
         for r, multiplicity in rational:
-            counts[r] = counts.get(r, 0) + multiplicity
+            known = counts.get((r.numerator, r.denominator))
+            if known is None:
+                counts[r.numerator, r.denominator] = [r, multiplicity]
+            else:
+                known[1] += multiplicity
         if len(factor) > 1:
             residual = _poly_mul(residual, factor)
     numeric: list[tuple[complex, int, float]] = []
@@ -933,7 +945,8 @@ def roots_of_product(factors: Sequence[tuple]) -> RootSet:
                 f"{_ABERTH_MAX_ITER} iterations")
 
     return RootSet(
-        rational_roots=tuple(sorted(counts.items())),
+        rational_roots=tuple(sorted(map(tuple, counts.values()),
+                                    key=operator.itemgetter(0))),
         residual_factor=residual,
         numeric_roots=tuple(sorted(numeric, key=lambda t: _canonical_key(t[0]))),
     )

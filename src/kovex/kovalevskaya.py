@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,6 +27,7 @@ from .exactalg import (
     NumericNonConvergence,
     RootSet,
     _canonical_key,
+    _charpoly,
     _components,
     _embed,
     _exact_roots,
@@ -75,7 +77,9 @@ class IndicialLocus:
 @dataclass(frozen=True)
 class LocusSearch:
     """find_loci's loci and strategies, with the field, certificate and
-    split (``_split``) it searched, kept for spectra."""
+    split (``_split``) it searched, kept for spectra, and per component the
+    blocks spectra has read, by the component's coordinates of the point
+    (``_reports``), kept for the series (``_certified``)."""
 
     loci: tuple[IndicialLocus, ...]
     strategies: tuple[str, ...]
@@ -83,6 +87,33 @@ class LocusSearch:
     _certificate: WeightCertificate = dataclasses.field(compare=False,
                                                         repr=False)
     _split: tuple = dataclasses.field(compare=False, repr=False)
+    _seen: tuple = dataclasses.field(compare=False, repr=False)
+
+    def _certified(self, locus: IndicialLocus) -> _CertifiedLocus:
+        """An exact locus of this search with K(c)'s blocks, for
+        build_series: each the block spectra reported it from, unless the
+        table shared that block from a multiple at another scale, whose
+        rows differ; that one is built from the field's own rows, once,
+        and replaces it here (``_blocks_at``)."""
+        point = locus.point
+        blocks = _blocks_at(self._field, self._certificate, self._split,
+                            self._seen, point, True)
+        return _CertifiedLocus(
+            point, tuple(zip((component for component, _ in self._split),
+                             blocks)),
+            self._field, self._certificate)
+
+
+@dataclass(frozen=True)
+class _CertifiedLocus:
+    """An exact locus of a search, certified by it, with its (component,
+    _Block) pairs; build_series takes the blocks as K(c) when it is handed
+    the field and certificate they were computed for."""
+
+    point: tuple[Fraction, ...]
+    blocks: tuple
+    field: VectorField
+    certificate: WeightCertificate
 
 
 @dataclass(frozen=True)
@@ -156,35 +187,60 @@ class _Block:
     """One component's share of K(c) at one point, summarised once for
     every locus it is a part of.
 
-    exact_roots is the rational stage of the characteristic polynomial of
-    its rows and columns (ExactMatrix.charpoly, read off the block's
-    integer resolvent).  eigenpair (its share (a_i c_i) of the -1
-    eigenvector is one) and semisimple are the exact checks on the
-    block.  The rest are the facts the classification reads from its
-    rational roots: minus_one, the multiplicity of -1; others_nonneg,
-    whether every other root is >= 0; integral, whether the roots are all
-    rational (residual of length 1) and multiples of 1/degree; zero_root,
-    whether 0 is a root.
+    matrix is the block, on the component's rows and columns in their
+    order, resolvent its ExactMatrix.resolvent(), and scale the lam^a of
+    the component it was built for (``_ComponentTable``; None for lam = 1):
+    a component of the same table entry at the same scale has the same
+    rows.  exact_roots is the rational stage of the characteristic
+    polynomial (read off resolvent).  minus_one, others_nonneg, integral
+    and zero_root are the facts the classification reads from its rational
+    roots: the multiplicity of -1; whether every other root is >= 0;
+    whether the roots are all rational (residual of length 1) and
+    multiples of 1/degree; whether 0 is a root.  eigenpair and semisimple
+    are the exact checks on the block, computed on first use: a series
+    solves on the block and reads neither.
     """
 
+    matrix: ExactMatrix
+    resolvent: tuple
+    scale: tuple[Fraction, ...] | None
     exact_roots: tuple
-    eigenpair: bool
-    semisimple: bool
+    # its share (a_i c_i) of the -1 eigenvector, and the degree
+    vector: tuple[Fraction, ...]
+    degree: int
     minus_one: int
     others_nonneg: bool
     integral: bool
     zero_root: bool
 
+    @cached_property
+    def eigenpair(self) -> bool:
+        """Whether the block maps its share of the -1 eigenvector to its
+        negative."""
+        return self.matrix.matvec(self.vector) == tuple(-v
+                                                        for v in self.vector)
+
+    @cached_property
+    def semisimple(self) -> bool:
+        """Whether geometric equals algebraic multiplicity at each positive
+        resonance (a root that is a positive multiple of 1/degree)."""
+        return all(mult == 1 or len(self.matrix.shifted(r).kernel()) == mult
+                   for r, mult in self.exact_roots[0]
+                   if r > 0 and (r * self.degree).denominator == 1)
+
 
 def _block(field: VectorField, certificate: WeightCertificate,
-           component: Sequence[int], coords: tuple[Fraction, ...]) -> _Block:
+           component: Sequence[int], coords: tuple[Fraction, ...],
+           scale: tuple[Fraction, ...] | None) -> _Block:
     """K(c)'s block on the component's rows and columns, where its
-    coordinates of c are coords: its rational roots, from ``_exact_roots``
-    of its characteristic polynomial (charpoly, the integer
-    Faddeev-LeVerrier recurrence of ExactMatrix.resolvent), the universal
-    eigenpair on its share of the -1 eigenvector, the semisimplicity at its
-    positive resonances and the facts of its roots _classify reads.  The
-    point is taken as a locus: its callers have certified it.
+    coordinates of c are coords, built for a component of scale scale: the
+    matrix, its resolvent (the integer Faddeev-LeVerrier recurrence of
+    ExactMatrix.resolvent), its rational roots, from ``_exact_roots`` of
+    the characteristic polynomial read off that resolvent, and the facts
+    of its roots _classify reads; the universal eigenpair on its share of
+    the -1 eigenvector and the semisimplicity at its positive resonances
+    are checked on first use.  The point is taken as a locus: its callers
+    have certified it.
 
     The exponents the theory predicts are handed to _exact_roots as
     candidates, which it divides out before any search: -1 where coords
@@ -193,19 +249,16 @@ def _block(field: VectorField, certificate: WeightCertificate,
     degree), triangular in weight order."""
     values = {field.variables[i]: c for i, c in zip(component, coords)}
     matrix = ExactMatrix(_k_rows(field, certificate, component, values))
+    resolvent = matrix.resolvent()
     gamma = certificate.degree
     candidates = ((-1,) if any(coords) else
                   [Fraction(certificate.weights[i], gamma) for i in component])
-    exact = _exact_roots(matrix.charpoly(), candidates)
+    exact = _exact_roots(_charpoly(resolvent), candidates)
     rational, residual = exact
     vector = tuple(Fraction(certificate.weights[i]) * c
                    for i, c in zip(component, coords))
     return _Block(
-        exact,
-        matrix.matvec(vector) == tuple(-v for v in vector),
-        all(mult == 1 or len(matrix.shifted(r).kernel()) == mult
-            for r, mult in rational
-            if r > 0 and (r * gamma).denominator == 1),
+        matrix, resolvent, scale, exact, vector, gamma,
         sum(mult for r, mult in rational if r == -1),
         all(r >= 0 for r, _ in rational if r != -1),
         len(residual) == 1 and all((r * gamma).denominator == 1
@@ -296,10 +349,39 @@ def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
             for component in _components(eqs)]
 
 
-def _reports(field: VectorField, certificate: WeightCertificate, split):
+def _blocks_at(field: VectorField, certificate: WeightCertificate, split,
+               seen: Sequence[dict], point: tuple[Fraction, ...],
+               own: bool) -> list[_Block]:
+    """The blocks of K(c) at the exact point c, one per (component, (table
+    entry, scale)) pair of split (``_split``).  seen[b] holds component b's
+    blocks by its coordinates of c; a block missing there is taken from
+    the entry at y = lam^a c, or built and stored in both.  A block the
+    entry shared from a multiple at another scale has the spectrum of this
+    component's block but not its rows: with own, such a block is built
+    from this component's rows and replaces it in seen[b], never in the
+    entry."""
+    blocks = []
+    for (component, (entry, scale)), known in zip(split, seen):
+        coords = tuple(point[i] for i in component)
+        block = known.get(coords)
+        if block is None:
+            at = tuple(map(mul, scale, coords)) if scale else coords
+            block = entry.blocks.get(at) or _block(field, certificate,
+                                                   component, coords, scale)
+            known[coords] = entry.blocks[at] = block
+        if own and block.scale != scale:
+            block = known[coords] = _block(field, certificate, component,
+                                           coords, scale)
+        blocks.append(block)
+    return blocks
+
+
+def _reports(field: VectorField, certificate: WeightCertificate, split,
+             seen: Sequence[dict]):
     """The function mapping an exact point of the field to its
-    KExponentReport, assembled from the blocks of the field's (component,
-    (table entry, scale)) pairs, split (``_split``).
+    KExponentReport, assembled from the blocks (``_blocks_at``) of the
+    field's (component, (table entry, scale)) pairs, split (``_split``),
+    with seen the blocks read so far.
 
     An entry of Df off the diagonal is nonzero only where its variable
     occurs in the row's indicial equation, so K(c) is block-diagonal over
@@ -316,19 +398,8 @@ def _reports(field: VectorField, certificate: WeightCertificate, split):
     rational multiples of 1/degree, when that holds on every block; 0 is a
     root when it is a root of some block.
     """
-    seen = [{} for _ in split]
-
     def report(point: tuple[Fraction, ...]) -> KExponentReport:
-        blocks = []
-        for (component, (entry, scale)), known in zip(split, seen):
-            coords = tuple(point[i] for i in component)
-            block = known.get(coords)
-            if block is None:
-                at = tuple(map(mul, scale, coords)) if scale else coords
-                block = entry.blocks.get(at) or _block(field, certificate,
-                                                       component, coords)
-                known[coords] = entry.blocks[at] = block
-            blocks.append(block)
+        blocks = _blocks_at(field, certificate, split, seen, point, False)
         semisimple = all(block.semisimple for block in blocks)
         return KExponentReport(
             exponents=roots_of_product([block.exact_roots
@@ -361,8 +432,8 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     eqs = indicial_system(field, certificate)
     if not _vanishes(eqs, field.variables, point):
         raise ValueError("point does not satisfy the indicial equations")
-    return _reports(field, certificate,
-                    _split(eqs, certificate, _ComponentTable()))(point)
+    split = _split(eqs, certificate, _ComponentTable())
+    return _reports(field, certificate, split, [{} for _ in split])(point)
 
 
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
@@ -388,7 +459,7 @@ def spectra(search: LocusSearch) -> tuple[tuple, ...]:
     kovalevskaya_matrix.
     """
     field, certificate = search._field, search._certificate
-    report = _reports(field, certificate, search._split)
+    report = _reports(field, certificate, search._split, search._seen)
     return tuple(
         (locus, report(exact_point(locus)) if locus.is_exact
          else numeric_exponents(field, certificate, locus.point))
@@ -527,22 +598,62 @@ def _leaf_points(leaves: Sequence[Leaf], eqs: Sequence[MultiPoly],
 class _Found:
     """Loci in the order found: an exact point once, with the source that
     found it first, and a numeric point unless one is already within
-    radius."""
+    radius (in the max norm, on complex coordinates).
+
+    The first numeric point indexes every locus found (``_buckets``), and
+    each later locus is indexed as it comes: its coordinates, converted to
+    complex once, go in the bucket of its projection P, the sum of the
+    real and imaginary parts, with buckets width = 2 m radius wide (m the
+    dimension).  Two points within radius have projections at most
+    sqrt(2) m radius apart, so a point is compared only with the loci of
+    its own bucket and the two beside it.  Float rounding moves P / width
+    by at most (2m + 1) eps S / width, S the sum of the parts' sizes, so
+    a point with S above width / (8 (2m + 1) eps) (or not finite) is kept
+    under the key None, compared with every point, and compares with
+    every locus: the points kept, and their order, are those of comparing
+    with every locus.
+    """
 
     def __init__(self, radius: float):
         self.radius = radius
         self.loci: list[IndicialLocus] = []
         self._exact: set[tuple] = set()
+        self._buckets: dict | None = None
 
     def add_exact(self, point: tuple[Fraction, ...], source: str) -> None:
         if any(point) and point not in self._exact:
             self._exact.add(point)
             self.loci.append(IndicialLocus(point, "exact", source))
+            if self._buckets is not None:
+                self._index(tuple(map(complex, point)))
 
     def add_numeric(self, point: tuple[complex, ...], source: str) -> None:
-        if not any(max(abs(x - complex(y)) for x, y in zip(point, known.point))
-                   <= self.radius for known in self.loci):
-            self.loci.append(IndicialLocus(point, "numeric", source))
+        if self._buckets is None:
+            self._buckets = {}
+            self._width = 2 * len(point) * self.radius
+            self._bound = self._width / (8 * (2 * len(point) + 1)
+                                         * sys.float_info.epsilon)
+            for known in self.loci:
+                self._index(tuple(map(complex, known.point)))
+        key = self._key(point)
+        keys = ((key - 1, key, key + 1, None) if key is not None
+                else tuple(self._buckets))
+        radius = self.radius
+        for k in keys:
+            for known in self._buckets.get(k, ()):
+                if max(abs(x - y) for x, y in zip(point, known)) <= radius:
+                    return
+        self.loci.append(IndicialLocus(point, "numeric", source))
+        self._index(point)
+
+    def _key(self, z: tuple[complex, ...]) -> int | None:
+        parts = [v for x in z for v in (x.real, x.imag)]
+        if not sum(map(abs, parts)) <= self._bound:
+            return None
+        return math.floor(sum(parts) / self._width)
+
+    def _index(self, z: tuple[complex, ...]) -> None:
+        self._buckets.setdefault(self._key(z), []).append(z)
 
 
 class _Newton:
@@ -754,4 +865,4 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
     if not loci:
         raise NoLocusFound("no indicial locus found by any strategy")
     return LocusSearch(tuple(loci), tuple(strategies), field, certificate,
-                       tuple(split))
+                       tuple(split), tuple({} for _ in split))

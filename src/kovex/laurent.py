@@ -11,17 +11,20 @@ first obstruction is marked non-authoritative).
 
 Everything is exact: coefficients are polynomials over Q in the parameters
 alpha1, alpha2, ... introduced at the resonances, and the pole position
-never appears in them.  K(c) - jI is inverted through one integer
-resolvent per series (ExactMatrix.resolvent: det and adjugate of
-tI - sK(c), with sK(c) integer) evaluated at t = sj, so a regular order
-costs one fused sum of products per component.  The resonant orders,
-which set the default truncation, are the positive integers among the
-rational roots of that same det divided by s, so a series runs no
-floating point.  Only a resonant order, where det(sjI - sK(c)) = 0,
-eliminates K(c) - jI; that solve yields d_j, the alpha-monomials of N_j
-that make the system inconsistent (rows past the rank) and the kernel
-the parameters enter along, which is row-reduced once more, for the
-gauge.
+never appears in them.  K(c) is block-diagonal over the components of
+the indicial system, and each order is solved one block at a time.  A
+block K_b - jI is inverted through the block's integer resolvent
+(ExactMatrix.resolvent: det and adjugate of tI - sK_b, with sK_b
+integer) evaluated at t = sj, so a regular order costs one fused sum of
+products per component.  The resonant orders, which set the default
+truncation, are the positive integers among the blocks' rational roots,
+so a series runs no floating point.  Only a block whose det(sjI - sK_b)
+is 0 eliminates K_b - jI; that solve yields its share of d_j, the
+alpha-monomials of N_j that make its system inconsistent (rows past the
+rank) and the kernel the parameters enter along.  The blocks' kernels,
+embedded in all coordinates, are row-reduced together once more, for the
+gauge.  Inside analyze the blocks are the ones the locus stage computed
+the spectra from.
 
 The recursion is incremental, as in Taylor-series integrators.  Every
 monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
@@ -78,12 +81,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import ExactMatrix, MultiPoly, _exact_roots
+from .exactalg import ExactMatrix, MultiPoly, _components, _embed
 from .kovalevskaya import (
+    _block,
+    _CertifiedLocus,
     _vanishes,
     exact_point,
     indicial_system,
-    kovalevskaya_matrix,
 )
 from .vfmodel import VectorField, WeightCertificate, verify_weight
 
@@ -146,9 +150,12 @@ class LaurentSolution:
     resonances: tuple[ResonanceRecord, ...]
     obstructions: tuple[int, ...]
     # build_series' prefix tree, until the first expansion along this
-    # solution takes it over; not part of the value, and neither a
-    # hand-built solution nor a dataclasses.replace copy has one
+    # solution takes it over, and the (component, kovalevskaya._Block)
+    # pairs of K(locus) it solved on; not part of the value, and neither a
+    # hand-built solution nor a dataclasses.replace copy has them
     _prefixes: _PrefixSeries | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
+    _blocks: tuple | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -603,42 +610,53 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
                  truncation: int | None = None) -> LaurentSolution:
     """Run the order-by-order recursion at an exact locus.
 
-    The locus is checked against the indicial equations exactly, and
-    K(c)'s resolvent is built once, before the truncation is chosen: the
-    rational stage _exact_roots of its chi gives the resonant orders that
-    set the default truncation (twice the largest) and the warning.  chi
-    is det(tI - sK(c)), so -s (the exponent -1 of every balance) and s a_i
-    for each coordinate with c_i = 0 (its weight, an exponent of a block
-    at zero) are tried as roots before any search.  Each
-    order is one exact solve of (K(c) - jI) d_j = -N_j with the
-    polynomial right-hand side taken whole: by the series' resolvent
-    where its exact integer chi(sj) is nonzero (_regular_solve), by
-    ExactMatrix.solve_singular where it is zero and K(c) - jI singular.
-    The residue of that solve names the alpha-monomials whose system is
-    inconsistent: they are dropped from d_j and the order is recorded as
-    an obstruction, and the recursion keeps going so later structure
-    stays visible.  Free parameters enter along that solve's kernel, with
-    the anchor gauge on ResonanceRecord.
+    K(c) is block-diagonal over the components of the indicial system
+    (kovalevskaya._reports), and the recursion runs one block at a time.
+    locus is a bare point or an IndicialLocus, whose point is checked
+    against the indicial equations exactly and whose blocks
+    (kovalevskaya._block) are built once each; or the _CertifiedLocus of a
+    locus search (LocusSearch._certified), whose blocks are taken as they
+    stand, with no check, when field and certificate are the ones they
+    were computed for.  The resonant orders, which set the default
+    truncation (twice the largest) and the warning, are the positive
+    integers among the blocks' rational roots.  Each order is one exact
+    solve of (K(c) - jI) d_j = -N_j per block, with the polynomial
+    right-hand side taken whole: by the block's resolvent where its exact
+    integer chi(sj) is nonzero (_regular_solve), by
+    ExactMatrix.solve_singular on the block where it is zero and the
+    block minus jI singular.  The residues of those solves name the
+    alpha-monomials whose system is inconsistent: they are dropped from
+    d_j and the order is recorded as an obstruction, and the recursion
+    keeps going so later structure stays visible.  Free parameters enter
+    along the blocks' kernels, embedded and row-reduced together for the
+    anchor gauge on ResonanceRecord.  The block solves give what one solve
+    on the whole K(c) gives: the reduced row echelon form of a
+    block-diagonal matrix is made of its blocks', the kernels' reduced
+    basis is canonical, and a monomial is inconsistent exactly when it is
+    in some block.
     """
     if certificate.degree != 1:
         raise ValueError("series construction needs a degree-1 field")
     if not verify_weight(field, certificate).ok:
         raise ValueError("weight certificate does not match the field")
-    point = exact_point(locus)
-    if not _vanishes(indicial_system(field, certificate), field.variables,
-                     point):
-        raise ValueError("point does not satisfy the indicial equations")
-    matrix = kovalevskaya_matrix(field, certificate, point)
+    certified = isinstance(locus, _CertifiedLocus)
+    if (certified and locus.field is field
+            and locus.certificate is certificate):
+        point, blocks = locus.point, locus.blocks
+    else:
+        point = exact_point(locus.point if certified else locus)
+        eqs = indicial_system(field, certificate)
+        if not _vanishes(eqs, field.variables, point):
+            raise ValueError("point does not satisfy the indicial equations")
+        blocks = tuple(
+            (component, _block(field, certificate, component,
+                               tuple(point[i] for i in component), None))
+            for component in _components(eqs))
     m = field.dim
 
-    # chi's roots are s times K(c)'s eigenvalues
-    resolvent = matrix.resolvent()
-    s, chi, _ = resolvent
-    candidates = [-s] + [s * a for a, c in zip(certificate.weights, point)
-                         if c == 0]
-    resonant_orders = sorted(
-        int(r / s) for r, _ in _exact_roots(chi, candidates)[0]
-        if r > 0 and (r / s).denominator == 1)
+    resonant_orders = sorted({int(r) for _, block in blocks
+                              for r, _ in block.exact_roots[0]
+                              if r > 0 and r.denominator == 1})
     if truncation is None:
         truncation = (2 * max(resonant_orders) if resonant_orders
                       else max(certificate.weights) + 1)
@@ -666,10 +684,20 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
         # d_j is not in coeffs yet, so this is N_j: order j with d_j = 0
         prefixes.extend(j + 1)
         rhs = [-n for n in prefixes.sums(rows, j)]
-        d_j = _regular_solve(resolvent, j, rhs)
-        if d_j is None:
-            d_j, residue, kernel = matrix.shifted(j).solve_singular(rhs)
-            inconsistent = set().union(*(r.terms for r in residue))
+        d_j = [_ZERO] * m
+        kernel: list[tuple[Fraction, ...]] = []
+        inconsistent: set[int] = set()
+        for component, block in blocks:
+            local = [rhs[i] for i in component]
+            x = _regular_solve(block.resolvent, j, local)
+            if x is None:
+                x, residue, basis = block.matrix.shifted(j).solve_singular(
+                    local)
+                inconsistent.update(*(r.terms for r in residue))
+                kernel.extend(_embed(v, component, m) for v in basis)
+            for i, v in zip(component, x):
+                d_j[i] = v
+        if kernel:
             if inconsistent:
                 obstructions.append(j)
                 d_j = [p.without(inconsistent) for p in d_j]
@@ -677,7 +705,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
             # gauge directly: each direction is 1 at its own anchor and 0
             # at every other direction's anchor, so each step leaves the
             # bare parameter at its anchor.
-            reduced, anchors = ExactMatrix(list(kernel)).rref()
+            reduced, anchors = ExactMatrix(kernel).rref()
             for anchor, direction in zip(anchors, reduced.data):
                 bit = width * len(resonances)
                 name = f"alpha{len(resonances) + 1}"
@@ -702,6 +730,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
         obstructions=tuple(obstructions),
     )
     object.__setattr__(sol, "_prefixes", prefixes)
+    object.__setattr__(sol, "_blocks", blocks)
     return sol
 
 

@@ -895,6 +895,32 @@ def test_candidates_never_change_the_roots(roots, rootless, lead, data):
             == exactalg._exact_roots(coeffs))
 
 
+def _fraction_keyed_merge(factors):
+    """Reference: the merge of the factors' rational roots keyed on the
+    Fractions themselves."""
+    counts = {}
+    for rational, _ in factors:
+        for r, multiplicity in rational:
+            counts[r] = counts.get(r, 0) + multiplicity
+    return tuple(sorted(counts.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(RATIONALS, max_size=4),
+                          st.lists(ROOTLESS, max_size=1)),
+                min_size=1, max_size=4))
+def test_roots_of_product_is_the_roots_of_the_product(blocks):
+    # each block's root tuple is its _exact_roots, as a spectrum's blocks
+    # hand them over: shared roots, repeats and zero included
+    polys = [_expand(1, [[F(1), -r] for r in roots] + rootless)
+             for roots, rootless in blocks]
+    factors = [exactalg._exact_roots(poly) for poly in polys]
+    merged = exactalg.roots_of_product(factors)
+    assert merged.rational_roots == _fraction_keyed_merge(factors)
+    assert merged == roots_exact_first(
+        _expand(1, [list(poly) for poly in polys]))
+
+
 class TestRationalRoots:
     def test_linear_root_is_read_off(self):
         # 60-digit coefficients: the root of a degree-1 polynomial is read

@@ -661,6 +661,87 @@ class TestNewtonOnDemand:
         assert "newton" not in search.strategies
 
 
+class _QuadraticFound(kovalevskaya._Found):
+    """Reference: a numeric point is compared with every locus found, each
+    converted to complex at every comparison."""
+
+    def add_exact(self, point, source):
+        if any(point) and point not in self._exact:
+            self._exact.add(point)
+            self.loci.append(kovalevskaya.IndicialLocus(point, "exact",
+                                                        source))
+
+    def add_numeric(self, point, source):
+        if not any(max(abs(x - complex(y)) for x, y in zip(point,
+                                                              known.point))
+                   <= self.radius for known in self.loci):
+            self.loci.append(kovalevskaya.IndicialLocus(point, "numeric",
+                                                        source))
+
+
+@st.composite
+def _clouds(draw):
+    """(radius, points): a few base points and, in random order, points
+    within about 1.5 radius of them (merged or not), pairs that straddle a
+    bucket edge of _Found (width 2 m radius, on the sum of the real and
+    imaginary parts), exact points, and base points with one coordinate
+    too large for a bucket or not finite, each followed by its base.  An
+    exact point is a tuple of Fractions, a numeric one of complex."""
+    m = draw(st.integers(1, 4))
+    radius = draw(st.sampled_from([1e-8, 1e-5, 1e-2, 0.5]))
+    width = 2 * m * radius
+    part = st.floats(-4, 4)
+    base = st.tuples(*[st.builds(complex, part, part)] * m)
+    bases = draw(st.lists(base, min_size=1, max_size=4))
+    jitter = st.floats(-1.5 * radius, 1.5 * radius)
+    near = st.floats(-0.7 * radius, 0.7 * radius)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["exact", "base", "near", "edge", "wild"]), min_size=1,
+            max_size=24)):
+        b = draw(st.sampled_from(bases))
+        if kind == "exact":
+            points.append(tuple(Fraction(x.real).limit_denominator(8)
+                                for x in b))
+        elif kind == "base":
+            points.append(b)
+        elif kind == "near":
+            points.append(tuple(complex(x.real + draw(jitter),
+                                        x.imag + draw(jitter)) for x in b))
+        elif kind == "edge":
+            # move b's sum onto the next bucket edge, less a part of the
+            # radius, and add a point within radius on the other side
+            total = sum(x.real + x.imag for x in b)
+            edge = (math.floor(total / width) + 1) * width
+            shift = edge - total - draw(st.floats(0, 0.6)) * radius
+            a = (b[0] + shift,) + b[1:]
+            points.append(a)
+            points.append(tuple(complex(x.real + draw(near),
+                                        x.imag + draw(near)) for x in a))
+        else:
+            # then b again: a nan past the first coordinate is skipped by
+            # max, so that point is within radius of b
+            wild = draw(st.sampled_from([1e300, math.inf, math.nan]))
+            j = draw(st.integers(0, m - 1))
+            points += [b[:j] + (complex(wild, 0),) + b[j + 1:], b]
+    return radius, points
+
+
+@given(_clouds())
+@settings(max_examples=200, deadline=None)
+def test_bucketed_merge_keeps_what_the_quadratic_merge_keeps(cloud):
+    radius, points = cloud
+    found, reference = kovalevskaya._Found(radius), _QuadraticFound(radius)
+    for k, point in enumerate(points):
+        exact = isinstance(point[0], Fraction)
+        for merge in (found, reference):
+            (merge.add_exact if exact else merge.add_numeric)(point, str(k))
+    # the same points, in the same order and the same objects
+    assert len(found.loci) == len(reference.loci)
+    assert all(a.point is b.point and a == b
+               for a, b in zip(found.loci, reference.loci))
+
+
 @st.composite
 def _coupled_chains(draw):
     """Block i is q_i' = p_i, p_i' = a_i q_i^2 + b_i q_(i-1)^2 with weights
@@ -978,13 +1059,14 @@ class TestBlockSpectra:
 
     @staticmethod
     def _charpolys(blocks):
-        """The charpoly calls of spectra at every locus of the uncoupled
-        blocks; each block is at its zero or at its balance."""
+        """The charpolys spectra takes at every locus of the uncoupled
+        blocks, one per ExactMatrix.resolvent call it is read off; each
+        block is at its zero or at its balance."""
         field, cert = _uncoupled(blocks)
         search = find_loci(field, cert)
         assert len(search.loci) == 2 ** len(blocks) - 1
-        with mock.patch.object(ExactMatrix, "charpoly", autospec=True,
-                               side_effect=ExactMatrix.charpoly) as charpoly:
+        with mock.patch.object(ExactMatrix, "resolvent", autospec=True,
+                               side_effect=ExactMatrix.resolvent) as charpoly:
             pairs = spectra(search)
         assert all(report.classification == (
             "principal" if sum(map(bool, locus.point)) == 2 else "lower")
@@ -1023,7 +1105,7 @@ class TestBlockSpectra:
         field, _, cert = pair4d_deg3
         with self._searches() as searches:
             block = kovalevskaya._block(field, cert, [0, 1, 2, 3],
-                                        (1, 1, 1, -1))
+                                        (1, 1, 1, -1), None)
         assert block.exact_roots == (((-1, 1), (2, 1), (5, 1), (8, 1)), (1,))
         # (t - 2)(t - 5)(t - 8), ascending
         assert [call.args for call in searches.call_args_list] == [
@@ -1034,7 +1116,7 @@ class TestBlockSpectra:
         # has the spectrum {0, 5}, so the candidate -1 does not divide
         field, cert = _uncoupled([("cubic", 1, 6)])
         point = (Fraction(1, 2), Fraction(7))
-        block = kovalevskaya._block(field, cert, [0, 1], point)
+        block = kovalevskaya._block(field, cert, [0, 1], point, None)
         assert not block.eigenpair
         assert block.exact_roots == exactalg._exact_roots(
             kovalevskaya_matrix(field, cert, point).charpoly())

@@ -19,6 +19,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -36,7 +37,7 @@ from test_kovalevskaya import (
     _split_quartic,
     _uncoupled,
 )
-from kovex import cli, degeneration, exactalg, kovalevskaya
+from kovex import cli, degeneration, exactalg, kovalevskaya, laurent
 from kovex.cli import main
 from kovex.exactalg import ExactMatrix, MultiPoly
 from kovex.vfmodel import VectorField, WeightCertificate, fields_from_problem
@@ -386,8 +387,8 @@ def _system_form(eqs, variables):
 
 def _run_work(stem, text=None):
     """The system forms solve_poly_system is handed, in order, and the
-    number of charpoly calls, in one analyze of a bundled problem, or of
-    the problem text."""
+    number of charpolys, each read off one ExactMatrix.resolvent call, in
+    one analyze of a bundled problem, or of the problem text."""
     if text is None:
         text = (PROBLEMS / f"{stem}.kov").read_text(encoding="utf-8")
     forms = []
@@ -397,8 +398,8 @@ def _run_work(stem, text=None):
         return _solve(eqs, variables)
 
     with mock.patch.object(exactalg, "solve_poly_system", counted), \
-            mock.patch.object(ExactMatrix, "charpoly", autospec=True,
-                              side_effect=ExactMatrix.charpoly) as charpoly:
+            mock.patch.object(ExactMatrix, "resolvent", autospec=True,
+                              side_effect=ExactMatrix.resolvent) as charpoly:
         cli.analyze(text, f"{stem}.kov")
     return forms, charpoly.call_count
 
@@ -591,8 +592,8 @@ def test_a_multiple_is_stored_at_its_normalized_point():
         search, solves = _searched_with(table, field, cert)
         assert [locus.point for locus in search.loci] == [balance]
         assert solves == searched
-        with mock.patch.object(ExactMatrix, "charpoly", autospec=True,
-                               side_effect=ExactMatrix.charpoly) as charpoly:
+        with mock.patch.object(ExactMatrix, "resolvent", autospec=True,
+                               side_effect=ExactMatrix.resolvent) as charpoly:
             [(_, report)] = kovalevskaya.spectra(search)
         assert charpoly.call_count == searched
         assert report == kovalevskaya.k_exponents(field, cert, balance)
@@ -697,3 +698,108 @@ def test_a_component_form_holds_its_weights_and_degree():
         assert locus.point[0] == 0
         assert exponent in dict(report.exponents.rational_roots)
         assert report == kovalevskaya.k_exponents(field, cert, locus)
+
+
+def _series_work(stem, command):
+    """One analyze of a bundled problem, as far as command: the number of
+    ExactMatrix.resolvent calls, the _vanishes and indicial_system calls of
+    laurent (the series stage's exact check) and the kovalevskaya_matrix
+    calls of kernel_identity_check, and the distinct blocks of F's exact
+    loci, (component form, point, scale) in the search's split."""
+    text = (PROBLEMS / f"{stem}.kov").read_text(encoding="utf-8")
+    with mock.patch.object(ExactMatrix, "resolvent", autospec=True,
+                           side_effect=ExactMatrix.resolvent) as resolvent, \
+            mock.patch.object(laurent, "_vanishes",
+                              wraps=laurent._vanishes) as vanishes, \
+            mock.patch.object(laurent, "indicial_system",
+                              wraps=laurent.indicial_system) as indicial, \
+            mock.patch.object(degeneration, "kovalevskaya_matrix",
+                              wraps=degeneration.kovalevskaya_matrix) as k:
+        result = cli.analyze(text, f"{stem}.kov", command=command)
+    spec, field = _problem(stem)
+    search = kovalevskaya.find_loci(field, WeightCertificate(spec.weights, 1))
+    blocks = {(id(entry), tuple(map(mul, scale, c)) if scale else c, scale)
+              for locus in search.loci if locus.is_exact
+              for component, (entry, scale) in search._split
+              for c in [tuple(locus.point[i] for i in component)]}
+    assert len(result.series) == sum(l.is_exact for l in search.loci) > 0
+    return (resolvent.call_count, vanishes.call_count + indicial.call_count,
+            k.call_count, len(blocks))
+
+
+@pytest.mark.parametrize("stem", ["cubic_pair", "painleve1_coupled_4d"])
+def test_the_series_stage_builds_no_block_again(stem):
+    # F's blocks: cubic_pair's two blocks are one form (lam = 1), at its
+    # zero and its balance; painleve1_coupled_4d is one component at two
+    # balances.  spectra reads one resolvent per distinct block, and the
+    # series solve on those blocks with no exact check of their certified
+    # loci.  The flow adds its own: cubic_pair's subsystem block
+    # alpha3' = 0 and painleve1_coupled_4d's rescaled matrix of the gamma =
+    # 3 exact route.  kernel_identity_check reads K(c) from the blocks the
+    # series kept (each series checked its locus again and built the whole
+    # K(c), its resolvent and its roots, and kernel_identity_check K(c) a
+    # third time)
+    assert _series_work(stem, "series") == (2, 0, 0, 2)
+    assert _series_work(stem, "analyze") == (3, 0, 0, 2)
+
+
+_SERIES_BLOCKS = st.tuples(st.sampled_from(["cubic", "quartic"]),
+                           props.NONZERO_Q, props.NONZERO_Q.map(abs))
+
+
+def _block_text(blocks):
+    """The problem text of uncoupled blocks [(kind, a, b), ...] on q1, p1,
+    q2, ...: q' = a p with p' = b q^2 (cubic, weights 2, 3) or p' = 2 / (a
+    b^2) q^3 (quartic, weights 1, 2, balances q = +-b).  H_G weighs block
+    k's energy by k, so G commutes with F."""
+    decl, lines, h_g = [], [], []
+    for k, (kind, a, b) in enumerate(blocks, 1):
+        weights, power, c = (((2, 3), 2, b) if kind == "cubic"
+                             else ((1, 2), 3, 2 / (a * b * b)))
+        decl += [f"q{k}:{weights[0]}", f"p{k}:{weights[1]}"]
+        lines += [f'F.{2 * k - 1} = "{a}*p{k}"',
+                  f'F.{2 * k} = "{c}*q{k}^{power}"']
+        h_g.append(f"({k * a / 2})*p{k}^2 + ({-k * c / (power + 1)})"
+                   f"*q{k}^{power + 1}")
+    return ("variables = [" + ", ".join(decl) + "]\n" + "\n".join(lines)
+            + f'\nH_G = "{" + ".join(h_g)}"\n')
+
+
+@st.composite
+def _blocks_with_a_multiple(draw):
+    """One to three uncoupled cubic or quartic blocks; from two on, the
+    second is the first times mu != 1, a component of the first's table
+    entry at another scale lam^a."""
+    blocks = [draw(_SERIES_BLOCKS)]
+    count = draw(st.integers(1, 3))
+    if count > 1:
+        kind, a, b = blocks[0]
+        mu = draw(props.NONZERO_Q.filter(lambda mu: mu != 1))
+        blocks.append((kind, mu * a,
+                       mu * b if kind == "cubic" else b / abs(mu)))
+    blocks += draw(st.lists(_SERIES_BLOCKS, min_size=count - len(blocks),
+                            max_size=count - len(blocks)))
+    return draw(st.permutations(blocks))
+
+
+@given(_blocks_with_a_multiple())
+@settings(max_examples=30, deadline=None)
+def test_the_series_on_the_locus_blocks_is_the_bare_series(blocks):
+    # analyze's series solve on the blocks spectra read, a block shared
+    # from a multiple at another scale rebuilt from its own rows; each is
+    # the series of a bare build_series at the locus, satisfies the field
+    # exactly through its truncation, and G's kernel identities hold on
+    # the blocks it keeps
+    text = _block_text(blocks)
+    spec = parse_problem(text)
+    field, g_field = fields_from_problem(spec)
+    cert = WeightCertificate(spec.weights, 1)
+    result = cli.analyze(text, "blocks.kov", command="series")
+    assert len(result.series) == len(result.loci) > 0
+    for idx, sol in result.series.items():
+        locus, _ = result.loci[idx]
+        assert sol == laurent.build_series(field, cert, locus.point)
+        assert laurent.residual_order(field, cert, sol) is None
+        expansion = degeneration.g_expansion(g_field, sol)
+        assert all(degeneration.kernel_identity_check(field, cert, sol.locus,
+                                                      expansion))
