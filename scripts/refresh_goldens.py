@@ -12,7 +12,14 @@ from pathlib import Path
 
 from kovex.cli import main as kovex_main
 
-GOLDEN = ("weierstrass", "cubic_pair", "painleve1_coupled_4d")
+GOLDEN = (
+    "weierstrass",
+    "cubic_pair",
+    "painleve1_coupled_4d",
+    "painleve1_auto",
+    "painleve2_auto",
+    "painleve4_auto",
+)
 
 
 def main() -> int:

@@ -483,19 +483,19 @@ def _locus_stage(field, cert, spec, search, violations):
 
 
 def _series_stage(field, cert, found, entries, truncation, violations):
-    """Adds each exact locus's series to its entry; returns them by index.
-    Each series solves on the blocks of K(c) that the locus search found
-    (a LocusSearch, its loci reported by spectra) has read."""
-    solutions: dict[int, object] = {}
+    """Adds each exact locus's series to its entry; returns (certified
+    locus, series) pairs by index.  Each series solves on the blocks of
+    K(c) that found (a LocusSearch) certified with the locus."""
+    solutions: dict[int, tuple] = {}
     for idx, locus in enumerate(found.loci if found else ()):
         if not locus.is_exact:
             continue
+        certified = found._certified(locus)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sol = build_series(field, cert, found._certified(locus),
-                               truncation=truncation)
+            sol = build_series(field, cert, certified, truncation=truncation)
         verdict = classify(sol)
-        solutions[idx] = sol
+        solutions[idx] = certified, sol
         section = {
             "classification": str(verdict),
             "kind": verdict.kind,
@@ -522,10 +522,11 @@ def _series_stage(field, cert, found, entries, truncation, violations):
     return solutions
 
 
-def _flow_locus_report(field, g_field, cert, sol, pool, search, violations):
-    """Returns the flow section for one principal balance.  pool is F's
-    lower_spectra, shared by every principal balance; search holds the
-    numeric search options and the run's component table."""
+def _flow_locus_report(field, g_field, cert, certified, sol, pool, search,
+                       violations):
+    """Returns the flow section for one principal balance, certified the
+    locus sol was built on.  pool is F's lower_spectra, shared by every
+    principal balance; search holds the search options and table."""
     section: dict = {"locus": _point_json(sol.locus)}
     point = _point_text(section["locus"])
     try:
@@ -544,7 +545,7 @@ def _flow_locus_report(field, g_field, cert, sol, pool, search, violations):
             f"expansion support violation at {point}: component "
             f"{support[0][0] + 1}, order {support[0][1]}")
 
-    kernel = degeneration.kernel_identity_check(field, cert, sol.locus,
+    kernel = degeneration.kernel_identity_check(field, cert, certified,
                                                 expansion)
     section["kernel_identities"] = list(kernel)
     if not all(kernel):
@@ -713,7 +714,7 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
     if "assumptions" in stages:
         report["assumptions"] = _assumptions(field, g_field, cert, violations)
 
-    loci, solutions, pool = (), {}, None
+    loci, series, pool = (), {}, None
     if cert is not None and "loci" in stages:
         report["loci"], loci, found = _locus_stage(field, cert, spec, search,
                                                    violations)
@@ -721,7 +722,7 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
 
         if "series" in stages:
             # truncation wins over the problem file's truncation = N
-            solutions = _series_stage(
+            series = _series_stage(
                 field, cert, found, report["loci"],
                 truncation if truncation is not None else spec.truncation,
                 violations)
@@ -729,15 +730,16 @@ def analyze(text: str, name: str = "<input>", *, command: str = "analyze",
         if "flow" in stages and g_field is not None:
             ready = _flow_ready(report["assumptions"])
             report["flow"] = [
-                _flow_locus_report(field, g_field, cert, sol, pool, search,
-                                   violations)
-                for _, sol in sorted(solutions.items())
+                _flow_locus_report(field, g_field, cert, certified, sol, pool,
+                                   search, violations)
+                for _, (certified, sol) in sorted(series.items())
                 if ready and classify(sol).kind == "principal"]
         # the flow stage has taken over every prefix tree it continues; the
         # rest would live as long as the result
-        for sol in solutions.values():
+        for _, sol in series.values():
             object.__setattr__(sol, "_prefixes", None)
 
+    solutions = {idx: sol for idx, (_, sol) in series.items()}
     report["violations"] = violations
     return Analysis(report, tuple(_render(report)), cert, loci, solutions, pool)
 

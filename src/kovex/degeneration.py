@@ -42,12 +42,11 @@ from .exactalg import (
 )
 from .kovalevskaya import (
     NoLocusFound,
+    _certify,
     _ComponentTable,
     _merge_radius,
     _vanishes,
-    exact_point,
     find_loci,
-    kovalevskaya_matrix,
     spectra,
 )
 from .laurent import (
@@ -235,24 +234,15 @@ def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
     expansion of a commuting field starts inside eigenspaces of the
     exponent matrix.  Returns one bool per k in 0..gamma-1.  Each row of
     each identity is one scalar _dot over the packed expansion, on the
-    row's block of K(c): the blocks build_series solved on, where the
-    expansion was computed along a solution at this locus that keeps them,
-    else the whole kovalevskaya_matrix as one block.
+    row's block of K(c), read off the locus as build_series reads it
+    (kovalevskaya._certify; ValueError at a point that is not a locus).
     """
     gamma = expansion.gamma
     if expansion.count < gamma:
         raise TruncationTooShort(
             f"kernel identities need orders 0..{gamma - 1}, expansion has "
             f"{expansion.count}")
-    point = exact_point(locus)
-    packed = expansion._packed
-    sol = packed.solution if packed is not None else None
-    if sol is not None and sol._blocks is not None and sol.locus == point:
-        blocks = [(component, block.matrix)
-                  for component, block in sol._blocks]
-    else:
-        blocks = [(range(field.dim),
-                   kovalevskaya_matrix(field, certificate, point))]
+    blocks = _certify(field, certificate, locus).blocks
     _, _, vectors, _ = _operands(expansion)
     results = []
     for k in range(gamma):
@@ -262,8 +252,8 @@ def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
                    vec[j])
                   for c, (j, entry) in enumerate(zip(component, row))
                   if vec[j]])
-            for component, matrix in blocks
-            for r, row in enumerate(matrix.data)))
+            for component, block in blocks
+            for r, row in enumerate(block.matrix.data)))
     return tuple(results)
 
 

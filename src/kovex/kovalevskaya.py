@@ -37,7 +37,12 @@ from .exactalg import (
     roots_of_product,
     snap_rational,
 )
-from .vfmodel import VectorField, WeightCertificate, _weight
+from .vfmodel import (
+    DimensionMismatchError,
+    VectorField,
+    WeightCertificate,
+    _weight,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,9 +82,11 @@ class IndicialLocus:
 @dataclass(frozen=True)
 class LocusSearch:
     """find_loci's loci and strategies, with the field, certificate and
-    split (``_split``) it searched, kept for spectra, and per component the
-    blocks spectra has read, by the component's coordinates of the point
-    (``_reports``), kept for the series (``_certified``)."""
+    split (``_split``) it searched, and per component the blocks of K(c)
+    read so far, by the component's coordinates of the point.  It is the
+    one route from an exact point to K(c)'s blocks (``_blocks_at``): for
+    spectra (``_report``), and for build_series, kernel_identity_check and
+    k_exponents through a locus it certified (``_certify``)."""
 
     loci: tuple[IndicialLocus, ...]
     strategies: tuple[str, ...]
@@ -89,31 +96,82 @@ class LocusSearch:
     _split: tuple = dataclasses.field(compare=False, repr=False)
     _seen: tuple = dataclasses.field(compare=False, repr=False)
 
+    def _blocks_at(self, point: tuple[Fraction, ...],
+                   own: bool) -> list[_Block]:
+        """The blocks of K(c) at the exact point c, one per (component,
+        (table entry, scale)) pair of the split.  _seen[b] holds component
+        b's blocks by its coordinates of c; a block missing there is taken
+        from the entry at y = lam^a c, or built (``_block``) and stored in
+        both.  A block the entry shared from a multiple at another scale
+        has the spectrum of this component's block but not its rows: with
+        own, such a block is built from this component's rows and replaces
+        it in _seen[b], never in the entry."""
+        field, certificate = self._field, self._certificate
+        blocks = []
+        for (component, (entry, scale)), known in zip(self._split,
+                                                      self._seen):
+            coords = tuple(point[i] for i in component)
+            block = known.get(coords)
+            if block is None:
+                at = tuple(map(mul, scale, coords)) if scale else coords
+                block = entry.blocks.get(at) or _block(
+                    field, certificate, component, coords, scale)
+                known[coords] = entry.blocks[at] = block
+            if own and block.scale != scale:
+                block = known[coords] = _block(field, certificate, component,
+                                               coords, scale)
+            blocks.append(block)
+        return blocks
+
+    def _report(self, point: tuple[Fraction, ...]) -> KExponentReport:
+        """The KExponentReport at an exact point of the search, assembled
+        from its blocks (``_blocks_at``).
+
+        An entry of Df off the diagonal is nonzero only where its variable
+        occurs in the row's indicial equation, so K(c) is block-diagonal
+        over the components, each block reading only the component's own
+        coordinates of c, and a locus only adds up its blocks' summaries
+        (``_Block``).  The spectrum is roots_of_product of the blocks'
+        rational stages.  The eigenpair holds on K(c) exactly when some
+        a_i c_i is nonzero and it holds on every block, and so does
+        semisimplicity at the resonances.  For _classify a locus sums its
+        blocks' multiplicities of -1; its other roots are all >= 0, and all
+        rational multiples of 1/degree, when that holds on every block.
+        """
+        blocks = self._blocks_at(point, False)
+        semisimple = all(block.semisimple for block in blocks)
+        return KExponentReport(
+            exponents=roots_of_product([block.exact_roots
+                                        for block in blocks]),
+            eigenpair_verified=(
+                any(c for a, c in zip(self._certificate.weights, point) if a)
+                and all(block.eigenpair for block in blocks)),
+            has_zero_exponent=any(block.zero_root for block in blocks),
+            classification=_classify(blocks, semisimple),
+            semisimple_at_resonances=semisimple,
+        )
+
     def _certified(self, locus: IndicialLocus) -> _CertifiedLocus:
-        """An exact locus of this search with K(c)'s blocks, for
-        build_series: each the block spectra reported it from, unless the
-        table shared that block from a multiple at another scale, whose
-        rows differ; that one is built from the field's own rows, once,
-        and replaces it here (``_blocks_at``)."""
+        """An exact locus of this search with its blocks of K(c) on their
+        own rows (``_blocks_at`` with own): the blocks spectra read, one
+        shared from a multiple at another scale rebuilt once."""
         point = locus.point
-        blocks = _blocks_at(self._field, self._certificate, self._split,
-                            self._seen, point, True)
         return _CertifiedLocus(
             point, tuple(zip((component for component, _ in self._split),
-                             blocks)),
-            self._field, self._certificate)
+                             self._blocks_at(point, True))),
+            self)
 
 
 @dataclass(frozen=True)
 class _CertifiedLocus:
-    """An exact locus of a search, certified by it, with its (component,
-    _Block) pairs; build_series takes the blocks as K(c) when it is handed
-    the field and certificate they were computed for."""
+    """An exact locus certified by its search, with the (component,
+    _Block) pairs of K(c) on their own rows (``LocusSearch._certified``),
+    from which build_series, kernel_identity_check and k_exponents read
+    K(c) (``_certify``)."""
 
     point: tuple[Fraction, ...]
     blocks: tuple
-    field: VectorField
-    certificate: WeightCertificate
+    search: LocusSearch
 
 
 @dataclass(frozen=True)
@@ -140,6 +198,8 @@ def indicial_system(field: VectorField,
     For degree g the defining relation -(a_i/g)x_i = f_i(x) is cleared of
     denominators, so the equations are g*f_i(x) + a_i*x_i = 0.
     """
+    if len(certificate.weights) != field.dim:
+        raise DimensionMismatchError("weight vector length mismatches the field")
     gamma = certificate.degree
     out = []
     for i, comp in enumerate(field.components):
@@ -177,8 +237,9 @@ def _k_rows(field: VectorField, certificate: WeightCertificate,
 
 def kovalevskaya_matrix(field: VectorField, certificate: WeightCertificate,
                         locus) -> ExactMatrix:
-    """Df at the locus plus diag(a_i / degree), all entries exact."""
-    values = dict(zip(field.variables, exact_point(locus)))
+    """Df at the locus plus diag(a_i / degree), all entries exact;
+    ValueError unless the locus has field.dim coordinates."""
+    values = dict(zip(field.variables, _point_of(field, locus)))
     return ExactMatrix(_k_rows(field, certificate, range(field.dim), values))
 
 
@@ -239,8 +300,8 @@ def _block(field: VectorField, certificate: WeightCertificate,
     the characteristic polynomial read off that resolvent, and the facts
     of its roots _classify reads; the universal eigenpair on its share of
     the -1 eigenvector and the semisimplicity at its positive resonances
-    are checked on first use.  The point is taken as a locus: its callers
-    have certified it.
+    are checked on first use.  The point is taken as a locus: its one
+    caller, LocusSearch._blocks_at, reads certified points only.
 
     The exponents the theory predicts are handed to _exact_roots as
     candidates, which it divides out before any search: -1 where coords
@@ -349,72 +410,6 @@ def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
             for component in _components(eqs)]
 
 
-def _blocks_at(field: VectorField, certificate: WeightCertificate, split,
-               seen: Sequence[dict], point: tuple[Fraction, ...],
-               own: bool) -> list[_Block]:
-    """The blocks of K(c) at the exact point c, one per (component, (table
-    entry, scale)) pair of split (``_split``).  seen[b] holds component b's
-    blocks by its coordinates of c; a block missing there is taken from
-    the entry at y = lam^a c, or built and stored in both.  A block the
-    entry shared from a multiple at another scale has the spectrum of this
-    component's block but not its rows: with own, such a block is built
-    from this component's rows and replaces it in seen[b], never in the
-    entry."""
-    blocks = []
-    for (component, (entry, scale)), known in zip(split, seen):
-        coords = tuple(point[i] for i in component)
-        block = known.get(coords)
-        if block is None:
-            at = tuple(map(mul, scale, coords)) if scale else coords
-            block = entry.blocks.get(at) or _block(field, certificate,
-                                                   component, coords, scale)
-            known[coords] = entry.blocks[at] = block
-        if own and block.scale != scale:
-            block = known[coords] = _block(field, certificate, component,
-                                           coords, scale)
-        blocks.append(block)
-    return blocks
-
-
-def _reports(field: VectorField, certificate: WeightCertificate, split,
-             seen: Sequence[dict]):
-    """The function mapping an exact point of the field to its
-    KExponentReport, assembled from the blocks (``_blocks_at``) of the
-    field's (component, (table entry, scale)) pairs, split (``_split``),
-    with seen the blocks read so far.
-
-    An entry of Df off the diagonal is nonzero only where its variable
-    occurs in the row's indicial equation, so K(c) is block-diagonal over
-    the components, and each block depends only on the component's own
-    coordinates of c.  A block is computed once per entry and local point
-    y = lam^a c (``_ComponentTable``; c is mapped once per call), and a
-    locus only adds up its blocks' summaries (``_Block``).  The spectrum is
-    roots_of_product of the blocks' rational stages, and its numeric roots
-    are those of the whole characteristic polynomial.  The eigenpair holds
-    on K(c) exactly when some a_i c_i is nonzero and it holds on every
-    block, and geometric equals algebraic multiplicity on K(c) exactly when
-    it does on every block.  For _classify a locus sums its blocks'
-    multiplicities of -1; its other roots are all >= 0, and its roots all
-    rational multiples of 1/degree, when that holds on every block; 0 is a
-    root when it is a root of some block.
-    """
-    def report(point: tuple[Fraction, ...]) -> KExponentReport:
-        blocks = _blocks_at(field, certificate, split, seen, point, False)
-        semisimple = all(block.semisimple for block in blocks)
-        return KExponentReport(
-            exponents=roots_of_product([block.exact_roots
-                                        for block in blocks]),
-            eigenpair_verified=(
-                any(c for a, c in zip(certificate.weights, point) if a)
-                and all(block.eigenpair for block in blocks)),
-            has_zero_exponent=any(block.zero_root for block in blocks),
-            classification=_classify(blocks, semisimple),
-            semisimple_at_resonances=semisimple,
-        )
-
-    return report
-
-
 def k_exponents(field: VectorField, certificate: WeightCertificate,
                 locus) -> KExponentReport:
     """Spectrum of the Kovalevskaya matrix at an exact locus.
@@ -423,17 +418,52 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     its integer resolvent, with the rational ones extracted exactly, so
     integrality questions are decided without floating-point doubt.  The
     universal eigenpair (eigenvalue -1, eigenvector (a_i x_i)) is
-    re-verified by an exact matrix-vector product.  This is spectra at a
-    bare point, on a fresh table, after one exact check that the point
-    solves the indicial equations (ValueError if not).  K(c) itself is
-    kovalevskaya_matrix.
+    re-verified by an exact matrix-vector product.  This is spectra's
+    report, on the blocks ``_certify`` reads off the locus (ValueError at
+    a point that is not a locus).  K(c) itself is kovalevskaya_matrix.
     """
+    certified = _certify(field, certificate, locus)
+    return certified.search._report(certified.point)
+
+
+def _point_of(field: VectorField, locus) -> tuple[Fraction, ...]:
+    """exact_point(locus); ValueError unless it has field.dim coordinates."""
     point = exact_point(locus)
+    if len(point) != field.dim:
+        raise ValueError(
+            f"point has {len(point)} coordinates, field has {field.dim}")
+    return point
+
+
+def _search_at(field: VectorField, certificate: WeightCertificate,
+               point) -> LocusSearch:
+    """The one-locus search of an exact point (a bare point or an
+    IndicialLocus), after its one exact check: ValueError unless it has
+    field.dim coordinates and solves the indicial equations.  Its split is
+    _components' with a fresh entry each and no table key."""
+    point = _point_of(field, point)
     eqs = indicial_system(field, certificate)
     if not _vanishes(eqs, field.variables, point):
         raise ValueError("point does not satisfy the indicial equations")
-    split = _split(eqs, certificate, _ComponentTable())
-    return _reports(field, certificate, split, [{} for _ in split])(point)
+    split = tuple((component, (_Component(), None))
+                  for component in _components(eqs))
+    return LocusSearch((IndicialLocus(point, "exact", "user_seed"),),
+                       ("user_seed",), field, certificate, split,
+                       tuple({} for _ in split))
+
+
+def _certify(field: VectorField, certificate: WeightCertificate,
+             locus) -> _CertifiedLocus:
+    """locus as a certified locus of field and certificate: a
+    _CertifiedLocus as it stands when they are the objects its search
+    searched, any other locus at its point through ``_search_at``."""
+    if isinstance(locus, _CertifiedLocus):
+        search = locus.search
+        if search._field is field and search._certificate is certificate:
+            return locus
+        locus = locus.point
+    search = _search_at(field, certificate, locus)
+    return search._certified(search.loci[0])
 
 
 def numeric_exponents(field: VectorField, certificate: WeightCertificate,
@@ -451,17 +481,16 @@ def spectra(search: LocusSearch) -> tuple[tuple, ...]:
     k_exponents report at an exact locus, the numeric_exponents at a
     numeric one.
 
-    The exact reports are assembled (``_reports``) on the components the
-    search split its field into, from the blocks of the table entries it
-    kept, so spectra builds no indicial system, no split and no table
-    key.  An exact locus is taken as certified: find_loci made it from a
-    point it has checked exactly.  K(c) itself comes from
+    The exact reports are assembled (``LocusSearch._report``) on the
+    components the search split its field into, from the blocks of the
+    table entries it kept, so spectra builds no indicial system, no split
+    and no table key.  An exact locus is taken as certified: find_loci
+    made it from a point it has checked exactly.  K(c) itself comes from
     kovalevskaya_matrix.
     """
     field, certificate = search._field, search._certificate
-    report = _reports(field, certificate, search._split, search._seen)
     return tuple(
-        (locus, report(exact_point(locus)) if locus.is_exact
+        (locus, search._report(exact_point(locus)) if locus.is_exact
          else numeric_exponents(field, certificate, locus.point))
         for locus in search.loci)
 

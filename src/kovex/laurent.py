@@ -23,8 +23,8 @@ is 0 eliminates K_b - jI; that solve yields its share of d_j, the
 alpha-monomials of N_j that make its system inconsistent (rows past the
 rank) and the kernel the parameters enter along.  The blocks' kernels,
 embedded in all coordinates, are row-reduced together once more, for the
-gauge.  Inside analyze the blocks are the ones the locus stage computed
-the spectra from.
+gauge.  The blocks come from a locus search (kovalevskaya._certify):
+inside analyze the ones the locus stage computed the spectra from.
 
 The recursion is incremental, as in Taylor-series integrators.  Every
 monomial of the field is a chain of prefix products (q1, q1^2, q1^2*p2,
@@ -81,14 +81,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import ExactMatrix, MultiPoly, _components, _embed
-from .kovalevskaya import (
-    _block,
-    _CertifiedLocus,
-    _vanishes,
-    exact_point,
-    indicial_system,
-)
+from .exactalg import ExactMatrix, MultiPoly, _embed
+from .kovalevskaya import _certify
 from .vfmodel import VectorField, WeightCertificate, verify_weight
 
 __all__ = [
@@ -150,12 +144,9 @@ class LaurentSolution:
     resonances: tuple[ResonanceRecord, ...]
     obstructions: tuple[int, ...]
     # build_series' prefix tree, until the first expansion along this
-    # solution takes it over, and the (component, kovalevskaya._Block)
-    # pairs of K(locus) it solved on; not part of the value, and neither a
-    # hand-built solution nor a dataclasses.replace copy has them
+    # solution takes it over; not part of the value, and neither a
+    # hand-built solution nor a dataclasses.replace copy has it
     _prefixes: _PrefixSeries | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
-    _blocks: tuple | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -611,47 +602,33 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
     """Run the order-by-order recursion at an exact locus.
 
     K(c) is block-diagonal over the components of the indicial system
-    (kovalevskaya._reports), and the recursion runs one block at a time.
-    locus is a bare point or an IndicialLocus, whose point is checked
-    against the indicial equations exactly and whose blocks
-    (kovalevskaya._block) are built once each; or the _CertifiedLocus of a
-    locus search (LocusSearch._certified), whose blocks are taken as they
-    stand, with no check, when field and certificate are the ones they
-    were computed for.  The resonant orders, which set the default
-    truncation (twice the largest) and the warning, are the positive
+    (LocusSearch._report), and the recursion runs one block at a time, on
+    the blocks kovalevskaya._certify reads off the locus: those of the
+    search's _CertifiedLocus that analyze hands over, or those of the
+    one-locus search of any other point, after its exact check (ValueError
+    at a point that is not a locus).  The resonant orders, which set the
+    default truncation (twice the largest) and the warning, are the positive
     integers among the blocks' rational roots.  Each order is one exact
     solve of (K(c) - jI) d_j = -N_j per block, with the polynomial
     right-hand side taken whole: by the block's resolvent where its exact
     integer chi(sj) is nonzero (_regular_solve), by
-    ExactMatrix.solve_singular on the block where it is zero and the
-    block minus jI singular.  The residues of those solves name the
-    alpha-monomials whose system is inconsistent: they are dropped from
-    d_j and the order is recorded as an obstruction, and the recursion
-    keeps going so later structure stays visible.  Free parameters enter
-    along the blocks' kernels, embedded and row-reduced together for the
-    anchor gauge on ResonanceRecord.  The block solves give what one solve
-    on the whole K(c) gives: the reduced row echelon form of a
-    block-diagonal matrix is made of its blocks', the kernels' reduced
-    basis is canonical, and a monomial is inconsistent exactly when it is
-    in some block.
+    ExactMatrix.solve_singular on the block where it is zero and the block
+    minus jI singular.  The residues of those solves name the
+    alpha-monomials whose system is inconsistent: they are dropped from d_j
+    and the order is recorded as an obstruction, and the recursion keeps
+    going so later structure stays visible.  Free parameters enter along the
+    blocks' kernels, embedded and row-reduced together for the anchor gauge
+    on ResonanceRecord.  The block solves give what one solve on the whole
+    K(c) gives: the reduced row echelon form of a block-diagonal matrix is
+    made of its blocks', the kernels' reduced basis is canonical, and a
+    monomial is inconsistent exactly when it is in some block.
     """
     if certificate.degree != 1:
         raise ValueError("series construction needs a degree-1 field")
     if not verify_weight(field, certificate).ok:
         raise ValueError("weight certificate does not match the field")
-    certified = isinstance(locus, _CertifiedLocus)
-    if (certified and locus.field is field
-            and locus.certificate is certificate):
-        point, blocks = locus.point, locus.blocks
-    else:
-        point = exact_point(locus.point if certified else locus)
-        eqs = indicial_system(field, certificate)
-        if not _vanishes(eqs, field.variables, point):
-            raise ValueError("point does not satisfy the indicial equations")
-        blocks = tuple(
-            (component, _block(field, certificate, component,
-                               tuple(point[i] for i in component), None))
-            for component in _components(eqs))
+    certified = _certify(field, certificate, locus)
+    point, blocks = certified.point, certified.blocks
     m = field.dim
 
     resonant_orders = sorted({int(r) for _, block in blocks
@@ -730,7 +707,6 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
         obstructions=tuple(obstructions),
     )
     object.__setattr__(sol, "_prefixes", prefixes)
-    object.__setattr__(sol, "_blocks", blocks)
     return sol
 
 

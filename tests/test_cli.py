@@ -1,8 +1,9 @@
 """Exit codes, stderr discipline, JSON determinism, and the golden reports.
 
-Golden files pin the complete analyze output for the three bundled
-reference problems.  They are compared byte for byte: any schema or
-numeric drift must be intentional and go through scripts/refresh_goldens.
+Golden files pin the complete analyze output for the bundled problems
+that have one under tests/golden.  They are compared byte for byte: any
+schema or numeric drift must be intentional and go through
+scripts/refresh_goldens.
 """
 
 import json
@@ -21,6 +22,8 @@ from kovex.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the problems whose reports are pinned (scripts/refresh_goldens.py)
+GOLDEN_STEMS = sorted(path.stem for path in GOLDEN.glob("*.json"))
 
 OBSTRUCTED = """
 variables = [x:1, y:1, z:1]
@@ -30,8 +33,7 @@ F.3 = "x*z + y^2"
 """
 
 
-@pytest.mark.parametrize("stem", ["weierstrass", "cubic_pair",
-                                  "painleve1_coupled_4d"])
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
 def test_analyze_matches_golden_byte_for_byte(stem, tmp_path):
     out = tmp_path / "report.json"
     code = main(["analyze", str(PROBLEMS / f"{stem}.kov"),
@@ -40,16 +42,14 @@ def test_analyze_matches_golden_byte_for_byte(stem, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
 
 
-@pytest.mark.parametrize("stem", ["weierstrass", "cubic_pair",
-                                  "painleve1_coupled_4d"])
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
 def test_analyze_text_matches_golden_byte_for_byte(stem, capsys):
     assert main(["analyze", str(PROBLEMS / f"{stem}.kov")]) == 0
     assert (capsys.readouterr().out.encode("utf-8")
             == (GOLDEN / f"{stem}.txt").read_bytes())
 
 
-@pytest.mark.parametrize("stem", ["weierstrass", "cubic_pair",
-                                  "painleve1_coupled_4d"])
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
 def test_golden_reports_round_trip(stem):
     raw = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
@@ -78,8 +78,7 @@ def test_json_writer_is_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("stem", ["weierstrass", "cubic_pair",
-                                  "painleve1_coupled_4d"])
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
 def test_golden_text_is_the_render_of_the_golden_report(stem):
     report = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
     assert ("\n".join(cli._render(report)) + "\n"

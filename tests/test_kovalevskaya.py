@@ -25,7 +25,9 @@ from kovex.kovalevskaya import (
     numeric_exponents,
     spectra,
 )
+from kovex.laurent import build_series
 from kovex.vfmodel import (
+    DimensionMismatchError,
     VectorField,
     WeightCertificate,
     fields_from_problem,
@@ -1121,3 +1123,44 @@ class TestBlockSpectra:
         assert block.exact_roots == exactalg._exact_roots(
             kovalevskaya_matrix(field, cert, point).charpoly())
         assert block.exact_roots == (((0, 1), (5, 1)), (1,))
+
+
+class TestLengths:
+    """A point or a certificate whose length is not the field's dimension
+    is refused by name: it is neither read in part (a longer point, a
+    longer certificate) nor met with a bare KeyError or IndexError."""
+
+    def test_build_series_refuses_a_point_with_a_coordinate_too_many(
+            self, cubic2d):
+        field, cert = cubic2d
+        with pytest.raises(ValueError,
+                           match="^point has 3 coordinates, field has 2$"):
+            build_series(field, cert, (1, -2, 99))
+
+    def test_k_exponents_refuses_a_point_with_a_coordinate_too_few(
+            self, cubic2d):
+        field, cert = cubic2d
+        with pytest.raises(ValueError,
+                           match="^point has 1 coordinates, field has 2$"):
+            k_exponents(field, cert, (1,))
+
+    def test_kovalevskaya_matrix_refuses_a_point_with_a_coordinate_too_few(
+            self, cubic2d):
+        field, cert = cubic2d
+        with pytest.raises(ValueError,
+                           match="^point has 1 coordinates, field has 2$"):
+            kovalevskaya_matrix(field, cert, (1,))
+
+    @pytest.mark.parametrize("weights", [(2,), (2, 3, 5)])
+    def test_a_certificate_of_another_length_is_a_dimension_mismatch(
+            self, cubic2d, weights):
+        # (2, 3, 5) on x' = y, y' = 6 x^2 gave the (1, -2) balance, its
+        # third weight ignored, and (2,) an IndexError
+        field, _ = cubic2d
+        cert = WeightCertificate(weights, 1)
+        with pytest.raises(DimensionMismatchError):
+            indicial_system(field, cert)
+        with pytest.raises(DimensionMismatchError):
+            find_loci(field, cert)
+        with pytest.raises(DimensionMismatchError):
+            k_exponents(field, cert, (1, -2))

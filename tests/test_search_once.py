@@ -702,19 +702,15 @@ def test_a_component_form_holds_its_weights_and_degree():
 
 def _series_work(stem, command):
     """One analyze of a bundled problem, as far as command: the number of
-    ExactMatrix.resolvent calls, the _vanishes and indicial_system calls of
-    laurent (the series stage's exact check) and the kovalevskaya_matrix
-    calls of kernel_identity_check, and the distinct blocks of F's exact
-    loci, (component form, point, scale) in the search's split."""
+    ExactMatrix.resolvent calls, the _search_at calls (a bare point's
+    one-locus search, with its exact check) and the distinct blocks of
+    F's exact loci, (component form, point, scale) in the search's
+    split."""
     text = (PROBLEMS / f"{stem}.kov").read_text(encoding="utf-8")
     with mock.patch.object(ExactMatrix, "resolvent", autospec=True,
                            side_effect=ExactMatrix.resolvent) as resolvent, \
-            mock.patch.object(laurent, "_vanishes",
-                              wraps=laurent._vanishes) as vanishes, \
-            mock.patch.object(laurent, "indicial_system",
-                              wraps=laurent.indicial_system) as indicial, \
-            mock.patch.object(degeneration, "kovalevskaya_matrix",
-                              wraps=degeneration.kovalevskaya_matrix) as k:
+            mock.patch.object(kovalevskaya, "_search_at",
+                              wraps=kovalevskaya._search_at) as search_at:
         result = cli.analyze(text, f"{stem}.kov", command=command)
     spec, field = _problem(stem)
     search = kovalevskaya.find_loci(field, WeightCertificate(spec.weights, 1))
@@ -723,8 +719,7 @@ def _series_work(stem, command):
               for component, (entry, scale) in search._split
               for c in [tuple(locus.point[i] for i in component)]}
     assert len(result.series) == sum(l.is_exact for l in search.loci) > 0
-    return (resolvent.call_count, vanishes.call_count + indicial.call_count,
-            k.call_count, len(blocks))
+    return resolvent.call_count, search_at.call_count, len(blocks)
 
 
 @pytest.mark.parametrize("stem", ["cubic_pair", "painleve1_coupled_4d"])
@@ -732,15 +727,100 @@ def test_the_series_stage_builds_no_block_again(stem):
     # F's blocks: cubic_pair's two blocks are one form (lam = 1), at its
     # zero and its balance; painleve1_coupled_4d is one component at two
     # balances.  spectra reads one resolvent per distinct block, and the
-    # series solve on those blocks with no exact check of their certified
-    # loci.  The flow adds its own: cubic_pair's subsystem block
-    # alpha3' = 0 and painleve1_coupled_4d's rescaled matrix of the gamma =
-    # 3 exact route.  kernel_identity_check reads K(c) from the blocks the
-    # series kept (each series checked its locus again and built the whole
-    # K(c), its resolvent and its roots, and kernel_identity_check K(c) a
-    # third time)
-    assert _series_work(stem, "series") == (2, 0, 0, 2)
-    assert _series_work(stem, "analyze") == (3, 0, 0, 2)
+    # series and the kernel identities read K(c) off the locus search's
+    # certified loci, so no point goes through the one-locus search of a
+    # bare point.  The flow adds its own resolvents: cubic_pair's
+    # subsystem block alpha3' = 0 and painleve1_coupled_4d's rescaled
+    # matrix of the gamma = 3 exact route
+    assert _series_work(stem, "series") == (2, 0, 2)
+    assert _series_work(stem, "analyze") == (3, 0, 2)
+
+
+_NOT_A_LOCUS = "^point does not satisfy the indicial equations$"
+
+
+@pytest.fixture(scope="module")
+def cubic_pair_flow():
+    """cubic_pair's F and certificate, its principal balance c = (1, -2,
+    0, 0), and G's expansions along the series there: the kept one, whose
+    series build_series returned, and one along a hand-built copy."""
+    spec = parse_problem((PROBLEMS / "cubic_pair.kov").read_text(
+        encoding="utf-8"))
+    field, g_field = fields_from_problem(spec)
+    cert = WeightCertificate(spec.weights, 1)
+    point = tuple(map(Fraction, (1, -2, 0, 0)))
+    sol = laurent.build_series(field, cert, point)
+    expansions = {
+        "kept": degeneration.g_expansion(g_field, sol),
+        "hand_built": degeneration.g_expansion(g_field,
+                                               dataclasses.replace(sol))}
+    return field, cert, point, expansions
+
+
+def _double(field):
+    """2F: the same weights, and no balance of F is one of it."""
+    return VectorField(field.variables,
+                       tuple(c * 2 for c in field.components))
+
+
+_ROUTES = ("k_exponents", "build_series", "kernel_identity_check_kept",
+           "kernel_identity_check_hand_built")
+
+
+def _route(name, field, cert, locus, expansions):
+    """The route name at locus; a kernel identity check on the expansion
+    its name ends with."""
+    if name == "k_exponents":
+        return kovalevskaya.k_exponents(field, cert, locus)
+    if name == "build_series":
+        return laurent.build_series(field, cert, locus)
+    expansion = expansions[name.removeprefix("kernel_identity_check_")]
+    return degeneration.kernel_identity_check(field, cert, locus, expansion)
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_a_point_that_is_not_a_balance_raises_on_every_route(
+        route, cubic_pair_flow):
+    field, cert, _, expansions = cubic_pair_flow
+    with pytest.raises(ValueError, match=_NOT_A_LOCUS):
+        _route(route, field, cert, (1, 2, 0, 0), expansions)
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_a_balance_of_f_is_not_one_of_2f_on_any_route(route,
+                                                      cubic_pair_flow):
+    # kernel_identity_check(2F, cert, c, expansion) read F's K(c) off an
+    # expansion whose series kept its blocks and returned (True,), and
+    # 2F's K(c), whole, for a hand-built one and returned (False,)
+    field, cert, point, expansions = cubic_pair_flow
+    with pytest.raises(ValueError, match=_NOT_A_LOCUS):
+        _route(route, _double(field), cert, point, expansions)
+
+
+def test_a_certified_locus_is_checked_against_any_other_field(
+        cubic_pair_flow):
+    # the search's certified locus is passed as it stands only with the
+    # field and certificate its search searched; with any other objects
+    # its point goes through the one-locus search, which checks it
+    field, cert, point, expansions = cubic_pair_flow
+    search = kovalevskaya.find_loci(field, cert)
+    [(locus, report)] = [pair for pair in kovalevskaya.spectra(search)
+                         if pair[0].point == point]
+    certified = search._certified(locus)
+    for route in _ROUTES:
+        with pytest.raises(ValueError, match=_NOT_A_LOCUS):
+            _route(route, _double(field), cert, certified, expansions)
+    again, _ = fields_from_problem(parse_problem(
+        (PROBLEMS / "cubic_pair.kov").read_text(encoding="utf-8")))
+    with mock.patch.object(kovalevskaya, "_search_at",
+                           wraps=kovalevskaya._search_at) as search_at:
+        assert kovalevskaya.k_exponents(field, cert, certified) == report
+        assert (laurent.build_series(again, cert, certified)
+                == laurent.build_series(field, cert, certified))
+        assert kovalevskaya.k_exponents(
+            field, WeightCertificate(cert.weights, 1), certified) == report
+    first, second = search_at.call_args_list
+    assert first.args[0] is again and second.args[1] is not cert
 
 
 _SERIES_BLOCKS = st.tuples(st.sampled_from(["cubic", "quartic"]),
