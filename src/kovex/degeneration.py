@@ -34,8 +34,11 @@ from .exactalg import (
     DEFAULT_TOL,
     ExactMatrix,
     MultiPoly,
+    Scalar,
+    _canonical,
     _canonical_key,
     _component_points,
+    _exact_div,
     as_fraction,
     roots_exact_first,
     snap_rational,
@@ -236,13 +239,24 @@ def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
     each identity is one scalar _dot over the packed expansion, on the
     row's block of K(c), read off the locus as build_series reads it
     (kovalevskaya._certify; ValueError at a point that is not a locus).
+
+    An expansion from g_expansion keeps its packed form, which knows the
+    series it was expanded along: ValueError when that series' locus is
+    not the certified point, where the identities would test a pair that
+    does not belong together.  A hand-built expansion (or a
+    dataclasses.replace copy) has no packed form, so nothing ties it to a
+    locus and this check cannot be made: the caller vouches for the pair.
     """
     gamma = expansion.gamma
     if expansion.count < gamma:
         raise TruncationTooShort(
             f"kernel identities need orders 0..{gamma - 1}, expansion has "
             f"{expansion.count}")
-    blocks = _certify(field, certificate, locus).blocks
+    certified = _certify(field, certificate, locus)
+    packed = expansion._packed
+    if packed is not None and packed.solution.locus != certified.point:
+        raise ValueError(
+            "the expansion was built along the series at another locus")
     _, _, vectors, _ = _operands(expansion)
     results = []
     for k in range(gamma):
@@ -252,7 +266,7 @@ def kernel_identity_check(field: VectorField, certificate: WeightCertificate,
                    vec[j])
                   for c, (j, entry) in enumerate(zip(component, row))
                   if vec[j]])
-            for component, block in blocks
+            for component, block in certified.blocks
             for r, row in enumerate(block.matrix.data)))
     return tuple(results)
 
@@ -317,11 +331,11 @@ def param_flow(expansion: GExpansion, sol: LaurentSolution) -> ParamFlow:
     shift, width, vectors, series = _operands(
         expansion, sol, expansion.vector(gamma - 1))
     leading = vectors[gamma - 1]
-    scales = [Fraction(a) * c for a, c in zip(weights, sol.locus)]
+    scales = [_canonical(a * c) for a, c in zip(weights, sol.locus)]
     ghat0 = None
     for i, scale in enumerate(scales):
         if scale:
-            ghat0 = leading[i] * (1 / scale)
+            ghat0 = leading[i] * _exact_div(1, scale)
             break
     if ghat0 is None and any(leading):
         raise InconsistentG0(
@@ -434,8 +448,7 @@ def g0_nonzero_certificate(g_field: VectorField, sol: LaurentSolution,
     point = dict(zip(g_field.variables, sol.locus))
     jac = g_field.jacobian
     v = sol.resonances[0].direction
-    image = [sum((jac[i][j].evaluate(point) * v[j] for j in range(g_field.dim)),
-                 Fraction(0))
+    image = [sum(jac[i][j].evaluate(point) * v[j] for j in range(g_field.dim))
              for i in range(g_field.dim)]
     verdict = "nonzero_certified" if any(image) else "possibly_zero"
     if flow is not None and verdict == "nonzero_certified" and not flow.ghat0:
@@ -573,7 +586,7 @@ def degenerate_gamma1(pool: LowerPool, flow: ParamFlow, *, rng_seed: int = 0,
     predictions = []
     for locus, spectrum in _spectra(sub, sub_cert, rng_seed, tolerance, table):
         if locus.is_exact:
-            vals, pole = spectrum.exponents.multiset(), Fraction(-1)
+            vals, pole = spectrum.exponents.multiset(), -1
             diag = {"universal_eigenpair": spectrum.eigenpair_verified}
         else:
             vals, pole, diag = spectrum, complex(-1), {}
@@ -584,7 +597,7 @@ def degenerate_gamma1(pool: LowerPool, flow: ParamFlow, *, rng_seed: int = 0,
 
 
 def _rescaled_matrix(cleared: VectorField, point: tuple,
-                     g0_value: Fraction) -> ExactMatrix:
+                     g0_value: Scalar) -> ExactMatrix:
     """Closed-form exponent matrix at a rescaled flow locus, all exact.
 
     Rescaling alpha_i by the kappa_i-th power of the shift rate turns the
@@ -593,8 +606,8 @@ def _rescaled_matrix(cleared: VectorField, point: tuple,
     Jacobian of that system over ghat0, both at the rescaled point.
     """
     assign = dict(zip(cleared.variables, point))
-    return ExactMatrix([[entry.evaluate(assign) / g0_value for entry in row]
-                        for row in cleared.jacobian])
+    return ExactMatrix([[_exact_div(entry.evaluate(assign), g0_value)
+                         for entry in row] for row in cleared.jacobian])
 
 
 def _conjugacy_ok(flow: ParamFlow, point: tuple, g0_value, predicted,
@@ -672,10 +685,10 @@ def degenerate_gamma_ge2(pool: LowerPool, flow: ParamFlow, *, rng_seed: int = 0,
             continue
         matrix = _rescaled_matrix(cleared, point, value)
         vals = roots_exact_first(matrix.charpoly()).multiset()
-        predicted = _sorted_multiset(vals + (Fraction(-gamma),))
+        predicted = _sorted_multiset(vals + (-gamma,))
         diag = {
             "g0_value": value,
-            "minus_one_present": _contains(vals, Fraction(-1), radius),
+            "minus_one_present": _contains(vals, -1, radius),
             "search_complete": complete,
         }
         predictions.append(Prediction("rescale_exact", point, vals, predicted,
@@ -693,23 +706,23 @@ def degenerate_gamma_ge2(pool: LowerPool, flow: ParamFlow, *, rng_seed: int = 0,
                 "the direct route",
                 UnrescalableLocus, stacklevel=2)
             continue
-        shift = gamma * g0_value
-        rescaled = tuple(shift ** k * x
+        shift = _canonical(gamma * g0_value)
+        rescaled = tuple(_canonical(shift ** k * x)
                          for k, x in zip(flow.kappa, locus.point))
         # the pole row's -1/gamma, then the subsystem's spectrum
         if locus.is_exact:
             vals = (Fraction(-1, gamma),) + spectrum.exponents.multiset()
         else:
-            vals = (complex(-1 / gamma),) + spectrum
+            vals = (complex(Fraction(-1, gamma)),) + spectrum
             snapped = tuple(snap_rational(x) for x in rescaled)
             if all(s is not None for s in snapped):
                 rescaled = snapped
-        predicted = _sorted_multiset([gamma * v for v in vals])
-        verified = (all(isinstance(x, Fraction) for x in rescaled)
+        predicted = _sorted_multiset([_canonical(gamma * v) for v in vals])
+        verified = (all(isinstance(x, (int, Fraction)) for x in rescaled)
                     and _vanishes(cleared.components, params, rescaled)
                     and flow.ghat0.evaluate(dict(zip(params, rescaled))) != 0)
         diag = {
-            "minus_one_present": _contains(vals, Fraction(-1), radius),
+            "minus_one_present": _contains(vals, -1, radius),
             "inverse_degree_present": _contains(vals, Fraction(-1, gamma),
                                                 radius),
             "conjugacy_ok": _conjugacy_ok(flow, locus.point, g0_value,
@@ -735,8 +748,8 @@ class DeformationCheck:
     than a coincidence at one parameter value.
     """
 
-    epsilons: tuple[Fraction, ...]
-    k1: Fraction
+    epsilons: tuple[Scalar, ...]
+    k1: Scalar
     multisets: tuple[tuple[tuple, ...], ...]
     realized: tuple[bool, ...] | None
     stable: bool
@@ -788,7 +801,7 @@ def deformed_field_check(field: VectorField, g_field: VectorField,
     realized = [] if predicted is not None else None
     want = _sorted_multiset(predicted) if predicted is not None else None
     for eps in eps_values:
-        scale = Fraction(1) / (eps + k1)
+        scale = _exact_div(1, eps + k1)
         deformed = VectorField(
             field.variables,
             tuple(f + g * scale

@@ -1,8 +1,10 @@
 """Exact rational arithmetic: multivariate polynomials, dense matrices, root isolation.
 
-The analysis pipeline runs on exact rational arithmetic end to end: Fraction,
-or integers over a common denominator where that is cheaper (_eliminate, the
-one fraction-free elimination; ExactMatrix.resolvent, the one
+The analysis pipeline runs on exact rational arithmetic end to end: exact
+scalars in one canonical form (as_fraction: an integral value is an int,
+any other a Fraction in lowest terms, never Fraction(n, 1), a bool or a
+float), or integers over a common denominator where that is cheaper
+(_eliminate, the one fraction-free elimination; ExactMatrix.resolvent, the one
 characteristic-polynomial recurrence, which yields det(tI - A) and the
 adjugate of tI - A as integer polynomials; _exact_roots, the rational roots
 and their multiplicities on the primitive integer part; the series kernel
@@ -33,13 +35,52 @@ _SNAP_MAX_DENOMINATOR = 10 ** 6
 _SNAP_TOL = 1e-9
 
 
-def as_fraction(value: object) -> Fraction:
-    """Coerce an int or Fraction; reject floats so inexactness can't sneak in."""
-    if isinstance(value, Fraction):
+def as_fraction(value: object) -> Scalar:
+    """The canonical exact scalar of an int or Fraction; floats (and any
+    other type) raise TypeError, so inexactness can't sneak in.
+
+    The canonical form is the one every exact value kovex builds takes: an
+    integral value is an int (a bool becomes 0 or 1, an integral Fraction
+    its numerator), any other value a Fraction in lowest terms.  Integer
+    arithmetic then runs as int operations, which are tens of times
+    cheaper than Fraction's, and points and roots hash as ints.  The name
+    predates the canonical form and is kept: callers and the benchmark's
+    tracer (bench/tracing.py leaves it unwrapped by this name) know it.
+    """
+    if value.__class__ is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+
+
+def _canonical(value):
+    """value, the result of exact arithmetic, in canonical form
+    (as_fraction): an integral Fraction becomes its int.  Any other value,
+    an int, a Fraction in lowest terms or a float, is returned as it is."""
+    if value.__class__ is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _canonical_terms(terms: dict) -> dict:
+    """terms with every value in canonical form (_canonical), in place."""
+    for key, value in terms.items():
+        if value.__class__ is Fraction and value.denominator == 1:
+            terms[key] = value.numerator
+    return terms
+
+
+def _exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b for exact scalars, in canonical form: the one division of
+    exact scalars in the package (int / int would be a float).
+    ZeroDivisionError when b is zero."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canonical(a / b)
 
 
 def _canonical_key(value) -> tuple:
@@ -65,8 +106,10 @@ class NumericNonConvergence(RuntimeError):
 class MultiPoly:
     """Polynomial over Q in named variables.
 
-    ``terms`` maps exponent tuples (aligned with ``vars``) to nonzero Fraction
-    coefficients; the zero polynomial has an empty term map.  Instances are
+    ``terms`` maps exponent tuples (aligned with ``vars``) to nonzero exact
+    coefficients in canonical form (as_fraction: an int when integral, else
+    a Fraction); the zero polynomial has an empty term map.  Every method
+    that returns a scalar or a polynomial returns that form.  Instances are
     treated as immutable.  Arithmetic between polynomials with different
     variable tuples merges them into the sorted union.
     """
@@ -78,7 +121,7 @@ class MultiPoly:
         vs = tuple(vars)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable names in {vs!r}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in (terms or {}).items():
             e = tuple(int(x) for x in exps)
             if len(e) != len(vs):
@@ -95,14 +138,14 @@ class MultiPoly:
 
     @classmethod
     def _trusted(cls, vars: tuple[str, ...],
-                 terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+                 terms: dict[tuple[int, ...], Scalar]) -> "MultiPoly":
         """Wrap arithmetic output without re-validating it.
 
         The caller guarantees distinct variable names, exponent tuples of
-        matching length with nonnegative entries, and nonzero Fraction
-        coefficients.  Every arithmetic result below is clean by
-        construction, and revalidating it took about a quarter of the
-        Laurent-series profile.
+        matching length with nonnegative entries, and nonzero coefficients
+        in canonical form (as_fraction).  Every arithmetic result below is
+        clean by construction, and revalidating it took about a quarter of
+        the Laurent-series profile.
         """
         poly = object.__new__(cls)
         poly.vars = vars
@@ -137,7 +180,7 @@ class MultiPoly:
         missing = [v for v in self.vars if v not in pos]
         if missing:
             raise ValueError(f"cannot embed: {missing!r} absent from {nv!r}")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             e = [0] * len(nv)
             for v, x in zip(self.vars, exps):
@@ -174,7 +217,7 @@ class MultiPoly:
                 continue
             s += c
             if s:
-                out[e] = s
+                out[e] = _canonical(s)
             else:
                 del out[e]
         return MultiPoly._trusted(a.vars, out)
@@ -204,10 +247,10 @@ class MultiPoly:
                 return NotImplemented
             if not c:
                 return MultiPoly._trusted(self.vars, {})
-            return MultiPoly._trusted(
-                self.vars, {e: k * c for e, k in self.terms.items()})
+            return MultiPoly._trusted(self.vars, _canonical_terms(
+                {e: k * c for e, k in self.terms.items()}))
         a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 e = tuple(map(operator.add, ea, eb))
@@ -220,7 +263,7 @@ class MultiPoly:
                         out[e] = s
                     else:
                         del out[e]
-        return MultiPoly._trusted(a.vars, out)
+        return MultiPoly._trusted(a.vars, _canonical_terms(out))
 
     __rmul__ = __mul__
 
@@ -228,7 +271,7 @@ class MultiPoly:
         c = as_fraction(other)
         if not c:
             raise ZeroDivisionError("polynomial divided by zero scalar")
-        return self * (Fraction(1) / c)
+        return self * _exact_div(1, c)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -257,22 +300,23 @@ class MultiPoly:
         if var not in self.vars:
             return MultiPoly.zero(self.vars)
         i = self.vars.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             if exps[i] == 0:
                 continue
             e = list(exps)
             e[i] -= 1
             out[tuple(e)] = c * exps[i]
-        # a nonzero Fraction times an exponent >= 1: clean by construction
-        return MultiPoly._trusted(self.vars, out)
+        # a nonzero coefficient times an exponent >= 1: nonzero
+        return MultiPoly._trusted(self.vars, _canonical_terms(out))
 
     def evaluate(self, values: Mapping[str, object]):
-        """Evaluate at a point; exact for Fraction/int inputs, numeric otherwise.
+        """Evaluate at a point; exact (canonical, as_fraction) for exact
+        inputs, numeric otherwise.
 
         Every variable that actually occurs must be assigned, else
-        KeyError.  Returns Fraction(0) for the zero polynomial regardless of
-        input types.
+        KeyError.  Returns 0 for the zero polynomial regardless of input
+        types.  An int coefficient multiplies a complex value natively.
         """
         total = None
         for exps, c in self.terms.items():
@@ -281,7 +325,7 @@ class MultiPoly:
                 if e:
                     term = term * values[v] ** e
             total = term if total is None else total + term
-        return Fraction(0) if total is None else total
+        return 0 if total is None else _canonical(total)
 
     def substitute(self, mapping: Mapping[str, object]) -> "MultiPoly":
         """Substitute polynomials or exact scalars for variables, all at once.
@@ -307,7 +351,7 @@ class MultiPoly:
         vars_t = tuple(sorted(out_vars))
         pos = {v: i for i, v in enumerate(vars_t)}
         powers: dict[tuple[str, int], MultiPoly] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             mono = [0] * len(vars_t)
             factors = []
@@ -330,15 +374,16 @@ class MultiPoly:
                     term = (MultiPoly._trusted(vars_t, term) * factor).terms
                 for e, k in term.items():
                     out[e] = out.get(e, 0) + k
-        return MultiPoly._trusted(vars_t, {e: c for e, c in out.items() if c})
+        return MultiPoly._trusted(vars_t, _canonical_terms(
+            {e: c for e, c in out.items() if c}))
 
     # -- structure queries
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def total_degree(self) -> int | None:
         """Maximum total degree, or None for the zero polynomial."""
@@ -421,16 +466,20 @@ def _kernel(n: int, rows: list, pivots: tuple, last: int) -> tuple:
     for free in range(n):
         if free in pivots:
             continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
+        v = [0] * n
+        v[free] = 1
         for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[free], last)
+            v[pc] = _exact_div(-row[free], last)
         basis.append(tuple(v))
     return tuple(basis)
 
 
 class ExactMatrix:
-    """Dense matrix over Q."""
+    """Dense matrix over Q.
+
+    data holds the rows as tuples of exact scalars in canonical form
+    (as_fraction: an int when integral, else a Fraction), and every exact
+    scalar a method returns takes that form too."""
 
     __slots__ = ("data", "nrows", "ncols")
 
@@ -460,19 +509,20 @@ class ExactMatrix:
 
     __hash__ = None
 
-    def matvec(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    def matvec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         v = [as_fraction(x) for x in vec]
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        return tuple(_canonical(sum(map(operator.mul, row, v)))
+                     for row in self.data)
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns, from _eliminate."""
         rows, pivots, last = _eliminate(self.data, self.ncols)
-        return ExactMatrix([[Fraction(a, last) for a in row]
+        return ExactMatrix([[_exact_div(a, last) for a in row]
                             for row in rows]), pivots
 
-    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
+    def kernel(self) -> tuple[tuple[Scalar, ...], ...]:
         """Basis of the null space; one vector per free column, that entry 1."""
         return _kernel(self.ncols, *_eliminate(self.data, self.ncols))
 
@@ -481,10 +531,11 @@ class ExactMatrix:
 
         Returns (particular, residue, kernel) from one _eliminate of [A | I]
         that pivots in A only; it yields the row transform T that brings A
-        to reduced row echelon form.  Entries of b that are ints become
-        Fractions; any other entry, such as a MultiPoly, needs only sums and
-        multiples by an int or a Fraction.  The pivot rows of T b give the
-        particular solution, free coordinates pinned to zero.  The rows past
+        to reduced row echelon form.  Exact entries of b give exact entries
+        in canonical form (as_fraction); any other entry, such as a
+        MultiPoly, needs only sums and multiples by an int or a Fraction.
+        The pivot rows of T b give the particular solution, free
+        coordinates pinned to zero.  The rows past
         the rank give the residue, one entry per direction of the left
         kernel; the system is consistent exactly when every entry vanishes,
         and for polynomial entries the monomials of the residue are the
@@ -495,25 +546,26 @@ class ExactMatrix:
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
         n = self.ncols
-        b = [Fraction(x) if isinstance(x, int) else x for x in rhs]
-        zero = b[0] * 0
+        zero = 0 if isinstance(rhs[0], (int, Fraction)) else rhs[0] * 0
         rows, pivots, last = _eliminate(
             [row + tuple(int(i == k) for k in range(self.nrows))
              for i, row in enumerate(self.data)], n)
         transformed = []
         for row in rows:
             total = zero
-            for t, value in zip(row[n:], b):
+            for t, value in zip(row[n:], rhs):
                 if t:
                     total = total + value * t
-            transformed.append(total * Fraction(1, last))
+            transformed.append(
+                _exact_div(total, last) if isinstance(total, (int, Fraction))
+                else total * Fraction(1, last))
         x = [zero] * n
         for row, pc in enumerate(pivots):
             x[pc] = transformed[row]
         return (tuple(x), tuple(transformed[len(pivots):]),
                 _kernel(n, rows, pivots, last))
 
-    def charpoly(self) -> list[Fraction]:
+    def charpoly(self) -> list[Scalar]:
         """Monic characteristic polynomial det(tI - A), descending coefficients.
 
         Read off resolvent(): with B = sA, det(tI - A) = s^-n det(stI - B),
@@ -563,11 +615,11 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-def _charpoly(resolvent: tuple) -> list[Fraction]:
+def _charpoly(resolvent: tuple) -> list[Scalar]:
     """The monic det(tI - A) of ExactMatrix.resolvent()'s (s, chi, adj):
     chi is det(tI - sA), so coefficient k is chi_k / s^k."""
     s, chi, _ = resolvent
-    return [Fraction(c, s ** k) for k, c in enumerate(chi)]
+    return [_exact_div(c, s ** k) for k, c in enumerate(chi)]
 
 
 # ---------------------------------------------------------------------------
@@ -582,57 +634,64 @@ def poly_eval(coeffs: Sequence, x):
     return acc
 
 
-def poly_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
+def poly_derivative(coeffs: Sequence[Scalar]) -> list[Scalar]:
     n = len(coeffs) - 1
     if n <= 0:
-        return [Fraction(0)]
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+        return [0]
+    return [_canonical(c * (n - i)) for i, c in enumerate(coeffs[:-1])]
 
 
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
+def _trim(coeffs: list[Scalar]) -> list[Scalar]:
     i = 0
     while i < len(coeffs) - 1 and coeffs[i] == 0:
         i += 1
     return coeffs[i:]
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return tuple(out)
+    return tuple(map(_canonical, out))
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of descending coefficient lists: exact
+    (canonical, by _exact_div) when every coefficient is exact, in floating
+    point otherwise."""
     num = _trim(list(num))
     den = _trim(list(den))
-    if den == [Fraction(0)]:
+    if den == [0]:
         raise ZeroDivisionError("polynomial division by zero")
     if len(num) < len(den):
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+        return [0], num
+    exact = all(isinstance(c, (int, Fraction)) for c in num + den)
+    divide = _exact_div if exact else operator.truediv
+    quot = [0] * (len(num) - len(den) + 1)
     rem = list(num)
     for i in range(len(quot)):
-        q = rem[i] / den[0]
+        q = divide(rem[i], den[0])
         quot[i] = q
         if q:
             for j, d in enumerate(den):
                 rem[i + j] -= q * d
+    if exact:
+        rem = list(map(_canonical, rem))
     return quot, _trim(rem)
 
 
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def _poly_gcd(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
     """Monic gcd over Q."""
     x, y = _trim(list(a)), _trim(list(b))
-    while y != [Fraction(0)]:
+    while y != [0]:
         x, y = y, _poly_divmod(x, y)[1]
     lead = x[0]
-    return [c / lead for c in x] if lead else x
+    return [_exact_div(c, lead) for c in x] if lead else x
 
 
-def _squarefree_factors(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]:
+def _squarefree_factors(coeffs: list[Scalar]) -> list[tuple[list[Scalar], int]]:
     """Yun decomposition of a monic polynomial: [(squarefree factor, multiplicity)]."""
     if len(coeffs) <= 1:
         return []
@@ -640,8 +699,8 @@ def _squarefree_factors(coeffs: list[Fraction]) -> list[tuple[list[Fraction], in
     a = _poly_gcd(coeffs, deriv)
     b = _poly_divmod(coeffs, a)[0]
     c = _poly_divmod(deriv, a)[0]
-    d = [x - y for x, y in _padded(c, poly_derivative(b))]
-    out: list[tuple[list[Fraction], int]] = []
+    d = [_canonical(x - y) for x, y in _padded(c, poly_derivative(b))]
+    out: list[tuple[list[Scalar], int]] = []
     i = 1
     while len(b) > 1:
         factor = _poly_gcd(b, d)
@@ -649,21 +708,21 @@ def _squarefree_factors(coeffs: list[Fraction]) -> list[tuple[list[Fraction], in
             out.append((factor, i))
         b = _poly_divmod(b, factor)[0]
         c = _poly_divmod(d, factor)[0]
-        d = [x - y for x, y in _padded(c, poly_derivative(b))]
+        d = [_canonical(x - y) for x, y in _padded(c, poly_derivative(b))]
         i += 1
     return out
 
 
-def _padded(a: list[Fraction], b: list[Fraction]):
+def _padded(a: list[Scalar], b: list[Scalar]):
     """Zip two descending coefficient lists, aligning at the constant term."""
     la, lb = len(a), len(b)
     n = max(la, lb)
-    pa = [Fraction(0)] * (n - la) + list(a)
-    pb = [Fraction(0)] * (n - lb) + list(b)
+    pa = [0] * (n - la) + list(a)
+    pb = [0] * (n - lb) + list(b)
     return zip(pa, pb)
 
 
-def _integer_part(coeffs: Sequence[Fraction]) -> list[int]:
+def _integer_part(coeffs: Sequence[Scalar]) -> list[int]:
     """The primitive integer multiple of a rational polynomial (same order)."""
     scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (scale // c.denominator) for c in coeffs]
@@ -686,7 +745,7 @@ def _shift_by_one(coeffs: Sequence[int]) -> list[int]:
     return out
 
 
-def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
+def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Scalar]:
     """Positive rational roots of an integer polynomial with p(0) != 0.
 
     coeffs ascend.  Every positive rational root is k/lead for an integer
@@ -719,7 +778,7 @@ def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
             acc = acc * k + c * power
         return acc
 
-    found: list[Fraction] = []
+    found: list[Scalar] = []
     # p(2^bound x) on (0, 1); an entry (q, num, e) stands for the interval
     # 2^bound (num, num + 1) / 2^e, q being p mapped onto (0, 1)
     pending = [([c << (bound * i) for i, c in enumerate(coeffs)], 0, 0)]
@@ -744,13 +803,13 @@ def _positive_rational_roots(coeffs: list[int], lead: int) -> list[Fraction]:
                 else:
                     last = mid
             if value(first) == 0:
-                found.append(Fraction(first, lead))
+                found.append(_exact_div(first, lead))
             continue
         d = len(poly) - 1
         left = [c << (d - i) for i, c in enumerate(poly)]
         right = _shift_by_one(left)
         if right[0] == 0:
-            found.append(Fraction((2 * num + 1) << bound, 1 << (e + 1)))
+            found.append(_exact_div((2 * num + 1) << bound, 1 << (e + 1)))
             while right[0] == 0:
                 right = right[1:]
         pending.append((left, 2 * num, e + 1))
@@ -809,15 +868,17 @@ class RootSet:
 
     rational_roots lists (root, multiplicity) pairs by increasing root.
     residual_factor is the monic rational polynomial left after dividing
-    them out (length 1 means fully factored); numeric_roots approximate
-    its roots as (value, multiplicity, error).  The error is the backward
-    error of the squarefree factor f the root came from: |f(z)| / max(1,
-    sum |f_i| |z|^i), i.e. the relative coefficient perturbation under
-    which z is an exact root.
+    them out (length 1 means fully factored).  Roots and coefficients are
+    exact scalars in canonical form (as_fraction: an int when integral,
+    else a Fraction).  numeric_roots approximate the residual's roots as
+    (value, multiplicity, error).  The error is the backward error of the
+    squarefree factor f the root came from: |f(z)| / max(1, sum |f_i|
+    |z|^i), i.e. the relative coefficient perturbation under which z is an
+    exact root.
     """
 
-    rational_roots: tuple[tuple[Fraction, int], ...]
-    residual_factor: tuple[Fraction, ...]
+    rational_roots: tuple[tuple[Scalar, int], ...]
+    residual_factor: tuple[Scalar, ...]
     numeric_roots: tuple[tuple[complex, int, float], ...]
 
     @property
@@ -827,7 +888,8 @@ class RootSet:
     def multiset(self) -> tuple:
         """Every root repeated by multiplicity, in _canonical_key order.
 
-        Rational roots stay Fractions and numeric ones stay complex.
+        Rational roots stay exact, in canonical form (an int when
+        integral, else a Fraction), and numeric ones stay complex.
         Without numeric roots the rational ones, already sorted, are the
         multiset as they stand.
         """
@@ -842,8 +904,8 @@ class RootSet:
 
 
 def _exact_roots(coeffs: Sequence[Scalar], candidates: Sequence[Scalar] = ()
-                 ) -> tuple[tuple[tuple[Fraction, int], ...],
-                            tuple[Fraction, ...]]:
+                 ) -> tuple[tuple[tuple[Scalar, int], ...],
+                            tuple[Scalar, ...]]:
     """The rational stage of roots_exact_first, with no floating point.
 
     Returns the sorted (rational root, multiplicity) pairs and the monic
@@ -862,13 +924,13 @@ def _exact_roots(coeffs: Sequence[Scalar], candidates: Sequence[Scalar] = ()
     if not exact or exact[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     ints = _integer_part(exact)
-    rational: dict[Fraction, int] = {}
+    rational: dict[Scalar, int] = {}
     if ints[-1] == 0:
         while ints[-1] == 0:
             ints.pop()
-        rational[Fraction(0)] = len(exact) - len(ints)
+        rational[0] = len(exact) - len(ints)
 
-    def divide_out(root: Fraction) -> None:
+    def divide_out(root: Scalar) -> None:
         nonlocal ints
         p, q = root.numerator, root.denominator
         multiplicity = 0
@@ -882,7 +944,7 @@ def _exact_roots(coeffs: Sequence[Scalar], candidates: Sequence[Scalar] = ()
         divide_out(as_fraction(candidate))
     for sign in (1, -1):
         if len(ints) == 2:
-            divide_out(Fraction(-ints[1], ints[0]))
+            divide_out(_exact_div(-ints[1], ints[0]))
         if len(ints) <= 2:
             break
         ascending = ints[::-1] if sign > 0 else [
@@ -890,7 +952,7 @@ def _exact_roots(coeffs: Sequence[Scalar], candidates: Sequence[Scalar] = ()
         for root in _positive_rational_roots(ascending, abs(ints[0])):
             divide_out(sign * root)
     return (tuple(sorted(rational.items())),
-            tuple(Fraction(c, ints[0]) for c in ints))
+            tuple(_exact_div(c, ints[0]) for c in ints))
 
 
 def roots_exact_first(coeffs: Sequence[Scalar]) -> RootSet:
@@ -910,13 +972,11 @@ def roots_of_product(factors: Sequence[tuple]) -> RootSet:
     the residual is the product of the factors' monic residuals: both are
     what _exact_roots returns on the product itself.  The merge keys each
     root on its (numerator, denominator), which hashes as two ints, where
-    a Fraction's hash takes a modular inverse.  The residual is then
-    split into squarefree factors exactly (Yun), which hands the numeric
-    stage only simple roots; each numeric root must have backward error
-    <= DEFAULT_TOL or NumericNonConvergence is raised.
+    a Fraction's hash takes a modular inverse.  The residual's roots
+    come from the numeric stage (_numeric_roots).
     """
     counts: dict[tuple[int, int], list] = {}
-    residual: tuple[Fraction, ...] = (Fraction(1),)
+    residual: tuple[Scalar, ...] = (1,)
     for rational, factor in factors:
         for r, multiplicity in rational:
             known = counts.get((r.numerator, r.denominator))
@@ -926,30 +986,41 @@ def roots_of_product(factors: Sequence[tuple]) -> RootSet:
                 known[1] += multiplicity
         if len(factor) > 1:
             residual = _poly_mul(residual, factor)
-    numeric: list[tuple[complex, int, float]] = []
-    if len(residual) > 1:
-        for factor, multiplicity in _squarefree_factors(list(residual)):
-            approx = _aberth([float(c) for c in factor], _ABERTH_MAX_ITER)
-            for z in approx:
-                scale = 1.0
-                power = 1.0
-                for c in reversed(factor):
-                    scale = max(scale, abs(c) * power)
-                    power *= abs(z)
-                err = abs(poly_eval(factor, z)) / scale
-                numeric.append((z, multiplicity, err))
-        bad = [z for z, _, err in numeric if err > DEFAULT_TOL]
-        if bad:
-            raise NumericNonConvergence(
-                f"numeric roots {bad} exceed tolerance {DEFAULT_TOL} after "
-                f"{_ABERTH_MAX_ITER} iterations")
-
     return RootSet(
         rational_roots=tuple(sorted(map(tuple, counts.values()),
                                     key=operator.itemgetter(0))),
         residual_factor=residual,
-        numeric_roots=tuple(sorted(numeric, key=lambda t: _canonical_key(t[0]))),
+        numeric_roots=_numeric_roots(residual),
     )
+
+
+def _numeric_roots(residual: tuple[Scalar, ...]) -> tuple:
+    """roots_of_product's numeric stage: the roots of the monic residual
+    as (value, multiplicity, backward error), in _canonical_key order.
+
+    The residual is split into squarefree factors exactly (Yun), which
+    hands Aberth's iteration only simple roots; each numeric root must
+    have backward error <= DEFAULT_TOL or NumericNonConvergence is raised.
+    """
+    if len(residual) == 1:
+        return ()
+    numeric: list[tuple[complex, int, float]] = []
+    for factor, multiplicity in _squarefree_factors(list(residual)):
+        approx = _aberth([float(c) for c in factor], _ABERTH_MAX_ITER)
+        for z in approx:
+            scale = 1.0
+            power = 1.0
+            for c in reversed(factor):
+                scale = max(scale, abs(c) * power)
+                power *= abs(z)
+            err = abs(poly_eval(factor, z)) / scale
+            numeric.append((z, multiplicity, err))
+    bad = [z for z, _, err in numeric if err > DEFAULT_TOL]
+    if bad:
+        raise NumericNonConvergence(
+            f"numeric roots {bad} exceed tolerance {DEFAULT_TOL} after "
+            f"{_ABERTH_MAX_ITER} iterations")
+    return tuple(sorted(numeric, key=lambda t: _canonical_key(t[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -967,8 +1038,8 @@ class Leaf:
     Each root t gives one solution, deg(factor) in all.
     """
 
-    factor: tuple[Fraction, ...]
-    coordinates: tuple[tuple[Fraction, ...], ...]
+    factor: tuple[Scalar, ...]
+    coordinates: tuple[tuple[Scalar, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -982,10 +1053,11 @@ class ExactSolveResult:
     that residual is the last step of its branch (no variable is left) it
     becomes a Leaf; leaves lists them only when the points and the leaves
     together provably list every solution, and is empty otherwise.  Every
-    point and every leaf is checked exactly against the system.
+    point and every leaf is checked exactly against the system, and their
+    coordinates are exact scalars in canonical form (as_fraction).
     """
 
-    points: tuple[tuple[Fraction, ...], ...]
+    points: tuple[tuple[Scalar, ...], ...]
     complete: bool
     leaves: tuple[Leaf, ...]
 
@@ -1003,17 +1075,17 @@ def _univariate_profile(poly: MultiPoly) -> str | None:
     return seen
 
 
-def _coeff_list(poly: MultiPoly, var: str) -> list[Fraction]:
+def _coeff_list(poly: MultiPoly, var: str) -> list[Scalar]:
     """Descending coefficients of a univariate polynomial in var."""
     i = poly.vars.index(var)
     degree = max(exps[i] for exps in poly.terms)
-    coeffs = [Fraction(0)] * (degree + 1)
+    coeffs = [0] * (degree + 1)
     for exps, c in poly.terms.items():
         coeffs[degree - exps[i]] += c
     return coeffs
 
 
-def _linear_constant_coefficient(poly: MultiPoly, var: str) -> tuple[Fraction, MultiPoly] | None:
+def _linear_constant_coefficient(poly: MultiPoly, var: str) -> tuple[Scalar, MultiPoly] | None:
     """Split poly as a*var + rest when a is a nonzero constant; else None."""
     if var not in poly.vars:
         return None
@@ -1034,22 +1106,22 @@ def _linear_constant_coefficient(poly: MultiPoly, var: str) -> tuple[Fraction, M
     return coeff.constant_term(), MultiPoly(poly.vars, rest_terms)
 
 
-def _at_leaf(poly: MultiPoly, values: Mapping[str, Sequence[Fraction]],
-             factor: Sequence[Fraction]) -> list[Fraction]:
+def _at_leaf(poly: MultiPoly, values: Mapping[str, Sequence[Scalar]],
+             factor: Sequence[Scalar]) -> list[Scalar]:
     """poly at coordinates that are polynomials in a root of factor
     (descending coefficients), reduced modulo factor."""
-    total = [Fraction(0)]
+    total = [0]
     for exps, c in poly.terms.items():
-        term: Sequence[Fraction] = [c]
+        term: Sequence[Scalar] = [c]
         for v, e in zip(poly.vars, exps):
             for _ in range(e):
                 term = _poly_divmod(_poly_mul(term, values[v]), factor)[1]
-        total = _trim([a + b for a, b in _padded(total, term)])
+        total = _trim([_canonical(a + b) for a, b in _padded(total, term)])
     return total
 
 
 def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
-                  budget: list[int]) -> tuple[list[dict[str, Fraction]], list,
+                  budget: list[int]) -> tuple[list[dict[str, Scalar]], list,
                                               bool]:
     """Returns (solutions over remaining vars, leaves, complete).  A leaf
     is a pair (factor, coordinates) with each coordinate a polynomial in a
@@ -1067,7 +1139,7 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
         if not remaining:
             return [{}], [], True
         # a positive-dimensional family: witness with every free variable at 1
-        return [{v: Fraction(1) for v in remaining}], [], False
+        return [{v: 1 for v in remaining}], [], False
 
     budget[0] -= 1
     if budget[0] < 0:
@@ -1087,7 +1159,7 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
             eliminated = _eliminate_linear(live, remaining, budget)
             if eliminated is not None:
                 return eliminated
-        solutions: list[dict[str, Fraction]] = []
+        solutions: list[dict[str, Scalar]] = []
         leaves: list = []
         complete = len(residual) == 1 or not others
         if len(residual) > 1 and not others:
@@ -1099,8 +1171,7 @@ def _solve_branch(eqs: list[MultiPoly], remaining: tuple[str, ...],
                 if e is not eq:
                     factor = _poly_gcd(factor, _coeff_list(e, var))
             if len(factor) > 1:
-                leaves.append((tuple(factor),
-                               {var: (Fraction(1), Fraction(0))}))
+                leaves.append((tuple(factor), {var: (1, 0)}))
         for root, _mult in rational:
             reduced = [
                 e.substitute({var: root}) if var in e.vars else e
@@ -1136,7 +1207,7 @@ def _eliminate_linear(live: list[MultiPoly], remaining: tuple[str, ...],
             a, rest = split
             if a == 0:
                 continue
-            expr = rest * (Fraction(-1) / a)   # var := expr over the other vars
+            expr = rest * _exact_div(-1, a)   # var := expr over the other vars
             others = tuple(v for v in remaining if v != var)
             reduced = [
                 e.substitute({var: expr}) if var in e.vars else e
@@ -1174,7 +1245,7 @@ def solve_poly_system(eqs: Sequence[MultiPoly],
     raw, raw_leaves, complete = _solve_branch(list(normalized), vars_t,
                                               budget)
 
-    points: list[tuple[Fraction, ...]] = []
+    points: list[tuple[Scalar, ...]] = []
     for solution in raw:
         point = tuple(solution[v] for v in vars_t)
         if all(eq.evaluate(solution) == 0 for eq in normalized) and point not in points:
@@ -1282,10 +1353,10 @@ def _clamp(poly: MultiPoly, free: Sequence[int],
     return MultiPoly._trusted(free_vars, terms)
 
 
-def _embed(local: Sequence[Fraction], coords: Sequence[int],
-           m: int) -> tuple[Fraction, ...]:
+def _embed(local: Sequence[Scalar], coords: Sequence[int],
+           m: int) -> tuple[Scalar, ...]:
     """A point on the coordinates coords in all m, zero elsewhere."""
-    point = [Fraction(0)] * m
+    point = [0] * m
     for i, x in zip(coords, local):
         point[i] = x
     return tuple(point)
@@ -1326,7 +1397,7 @@ def _component_points(eqs: Sequence[MultiPoly], component: Sequence[int],
     (``_pattern_solves``), once each, zero off the component, and whether
     every solve was complete (then they hold all its zeros but the
     origin).  A complete solve of the whole system ends the search."""
-    points: list[tuple[Fraction, ...]] = []
+    points: list[tuple[Scalar, ...]] = []
     complete = True
     for _, free, result, whole in _pattern_solves(eqs, component, variables):
         for partial in result.points:
@@ -1339,8 +1410,9 @@ def _component_points(eqs: Sequence[MultiPoly], component: Sequence[int],
     return points, complete
 
 
-def snap_rational(value) -> Fraction | None:
-    """Closest rational with denominator at most 10^6 within 1e-9, or None.
+def snap_rational(value) -> Scalar | None:
+    """Closest rational with denominator at most 10^6 within 1e-9, or None;
+    an exact scalar in canonical form (as_fraction).
 
     Complex inputs qualify only when the imaginary part is below 1e-9.  Being
     within 1e-9 is not enough on its own: under a denominator cap D every real
@@ -1349,10 +1421,8 @@ def snap_rational(value) -> Fraction | None:
     expected to re-verify the snapped value exactly; this function only
     proposes a candidate.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return as_fraction(value)
     if isinstance(value, complex):
         if abs(value.imag) > _SNAP_TOL:
             return None
@@ -1365,4 +1435,4 @@ def snap_rational(value) -> Fraction | None:
         return None
     if err * 1000 * candidate.denominator ** 2 > 1:
         return None
-    return candidate
+    return _canonical(candidate)

@@ -14,9 +14,8 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from operator import mul, truediv
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import (
@@ -26,10 +25,13 @@ from .exactalg import (
     MultiPoly,
     NumericNonConvergence,
     RootSet,
+    Scalar,
+    _canonical,
     _canonical_key,
     _charpoly,
     _components,
     _embed,
+    _exact_div,
     _exact_roots,
     _pattern_solves,
     as_fraction,
@@ -96,7 +98,7 @@ class LocusSearch:
     _split: tuple = dataclasses.field(compare=False, repr=False)
     _seen: tuple = dataclasses.field(compare=False, repr=False)
 
-    def _blocks_at(self, point: tuple[Fraction, ...],
+    def _blocks_at(self, point: tuple[Scalar, ...],
                    own: bool) -> list[_Block]:
         """The blocks of K(c) at the exact point c, one per (component,
         (table entry, scale)) pair of the split.  _seen[b] holds component
@@ -113,7 +115,7 @@ class LocusSearch:
             coords = tuple(point[i] for i in component)
             block = known.get(coords)
             if block is None:
-                at = tuple(map(mul, scale, coords)) if scale else coords
+                at = _scaled(scale, coords) if scale else coords
                 block = entry.blocks.get(at) or _block(
                     field, certificate, component, coords, scale)
                 known[coords] = entry.blocks[at] = block
@@ -123,7 +125,7 @@ class LocusSearch:
             blocks.append(block)
         return blocks
 
-    def _report(self, point: tuple[Fraction, ...]) -> KExponentReport:
+    def _report(self, point: tuple[Scalar, ...]) -> KExponentReport:
         """The KExponentReport at an exact point of the search, assembled
         from its blocks (``_blocks_at``).
 
@@ -169,7 +171,7 @@ class _CertifiedLocus:
     from which build_series, kernel_identity_check and k_exponents read
     K(c) (``_certify``)."""
 
-    point: tuple[Fraction, ...]
+    point: tuple[Scalar, ...]
     blocks: tuple
     search: LocusSearch
 
@@ -214,8 +216,10 @@ def _vanishes(eqs: Sequence[MultiPoly], variables: Sequence[str],
     return all(eq.evaluate(values) == 0 for eq in eqs)
 
 
-def exact_point(locus) -> tuple[Fraction, ...]:
-    """Rational coordinates of a locus or bare point, or InexactLocusError."""
+def exact_point(locus) -> tuple[Scalar, ...]:
+    """Rational coordinates of a locus or bare point, as exact scalars in
+    canonical form (as_fraction: an int when integral, else a Fraction),
+    or InexactLocusError."""
     point = locus.point if isinstance(locus, IndicialLocus) else tuple(locus)
     try:
         return tuple(as_fraction(x) for x in point)
@@ -227,12 +231,16 @@ def exact_point(locus) -> tuple[Fraction, ...]:
 def _k_rows(field: VectorField, certificate: WeightCertificate,
             indices: Sequence[int], values: dict) -> list[list]:
     """The rows and columns ``indices`` of Df(c) + diag(a_i / degree): exact
-    at rational values, complex at complex ones."""
+    (canonical, as_fraction) at rational values, complex at complex ones,
+    where an int coefficient multiplies a complex value natively."""
     jac = field.jacobian
     gamma = certificate.degree
-    return [[jac[i][j].evaluate(values)
-             + (Fraction(certificate.weights[i], gamma) if i == j else 0)
-             for j in indices] for i in indices]
+    rows = []
+    for k, i in enumerate(indices):
+        row = [jac[i][j].evaluate(values) for j in indices]
+        row[k] = _canonical(row[k] + _exact_div(certificate.weights[i], gamma))
+        rows.append(row)
+    return rows
 
 
 def kovalevskaya_matrix(field: VectorField, certificate: WeightCertificate,
@@ -264,10 +272,10 @@ class _Block:
 
     matrix: ExactMatrix
     resolvent: tuple
-    scale: tuple[Fraction, ...] | None
+    scale: tuple[Scalar, ...] | None
     exact_roots: tuple
     # its share (a_i c_i) of the -1 eigenvector, and the degree
-    vector: tuple[Fraction, ...]
+    vector: tuple[Scalar, ...]
     degree: int
     minus_one: int
     others_nonneg: bool
@@ -291,8 +299,8 @@ class _Block:
 
 
 def _block(field: VectorField, certificate: WeightCertificate,
-           component: Sequence[int], coords: tuple[Fraction, ...],
-           scale: tuple[Fraction, ...] | None) -> _Block:
+           component: Sequence[int], coords: tuple[Scalar, ...],
+           scale: tuple[Scalar, ...] | None) -> _Block:
     """K(c)'s block on the component's rows and columns, where its
     coordinates of c are coords, built for a component of scale scale: the
     matrix, its resolvent (the integer Faddeev-LeVerrier recurrence of
@@ -313,10 +321,11 @@ def _block(field: VectorField, certificate: WeightCertificate,
     resolvent = matrix.resolvent()
     gamma = certificate.degree
     candidates = ((-1,) if any(coords) else
-                  [Fraction(certificate.weights[i], gamma) for i in component])
+                  [_exact_div(certificate.weights[i], gamma)
+                   for i in component])
     exact = _exact_roots(_charpoly(resolvent), candidates)
     rational, residual = exact
-    vector = tuple(Fraction(certificate.weights[i]) * c
+    vector = tuple(_canonical(certificate.weights[i] * c)
                    for i, c in zip(component, coords))
     return _Block(
         matrix, resolvent, scale, exact, vector, gamma,
@@ -349,8 +358,8 @@ class _Component:
     __slots__ = ("points", "blocks")
 
     def __init__(self):
-        self.points: tuple[tuple[Fraction, ...], ...] | None = None
-        self.blocks: dict[tuple[Fraction, ...], _Block] = {}
+        self.points: tuple[tuple[Scalar, ...], ...] | None = None
+        self.blocks: dict[tuple[Scalar, ...], _Block] = {}
 
 
 class _ComponentTable:
@@ -380,7 +389,7 @@ class _ComponentTable:
 
     def entry(self, eqs: Sequence[MultiPoly], component: Sequence[int],
               certificate: WeightCertificate
-              ) -> tuple[_Component, tuple[Fraction, ...] | None]:
+              ) -> tuple[_Component, tuple[Scalar, ...] | None]:
         """The entry of the component of eqs (the indicial system) on the
         coordinates ``component``, whose equations read only those, made
         empty on first use, and lam^a (None when lam = 1)."""
@@ -389,17 +398,26 @@ class _ComponentTable:
                   for exps, c in eqs[i].terms.items()} for i in component]
         linear = tuple(part.pop(tuple(int(j == k) for j in component), 0)
                        for k, part in zip(component, parts))
-        lam = Fraction(1)
+        lam = 1
         if certificate.degree == 1 and linear == weights and all(
                 _weight(weights, e) == a + 1
                 for part, a in zip(parts, weights) for e in part):
             lam = next((part[min(part)] for part in parts if part), lam)
         if lam != 1:
-            parts = [{e: c / lam for e, c in part.items()} for part in parts]
+            parts = [{e: _exact_div(c, lam) for e, c in part.items()}
+                     for part in parts]
         key = (tuple(frozenset(part.items()) for part in parts), linear,
                weights, certificate.degree)
         return (self._entries.setdefault(key, _Component()),
-                None if lam == 1 else tuple(lam ** a for a in weights))
+                None if lam == 1 else tuple(_canonical(lam ** a)
+                                            for a in weights))
+
+
+def _scaled(scale: tuple[Scalar, ...],
+            point: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    """The point y = lam^a c of a component's table entry, from its scale
+    lam^a and its coordinates c, in canonical form."""
+    return tuple(map(_canonical, map(mul, scale, point)))
 
 
 def _split(eqs: Sequence[MultiPoly], certificate: WeightCertificate,
@@ -426,7 +444,7 @@ def k_exponents(field: VectorField, certificate: WeightCertificate,
     return certified.search._report(certified.point)
 
 
-def _point_of(field: VectorField, locus) -> tuple[Fraction, ...]:
+def _point_of(field: VectorField, locus) -> tuple[Scalar, ...]:
     """exact_point(locus); ValueError unless it has field.dim coordinates."""
     point = exact_point(locus)
     if len(point) != field.dim:
@@ -570,7 +588,7 @@ def _newton_refine(eval_f, eval_jac, starts: np.ndarray, free: np.ndarray,
     return converged
 
 
-def _snap_point(z: Sequence[complex]) -> tuple[Fraction, ...] | None:
+def _snap_point(z: Sequence[complex]) -> tuple[Scalar, ...] | None:
     snapped = []
     for value in z:
         candidate = snap_rational(complex(value))
@@ -649,7 +667,7 @@ class _Found:
         self._exact: set[tuple] = set()
         self._buckets: dict | None = None
 
-    def add_exact(self, point: tuple[Fraction, ...], source: str) -> None:
+    def add_exact(self, point: tuple[Scalar, ...], source: str) -> None:
         if any(point) and point not in self._exact:
             self._exact.add(point)
             self.loci.append(IndicialLocus(point, "exact", source))
@@ -829,13 +847,12 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
 
     strategies.append("structured_search")
     table = _ComponentTable() if table is None else table
-    zero = Fraction(0)
     split = _split(eqs, certificate, table)
     parts: list[list[IndicialLocus]] = []
     for component, (entry, scale) in split:
         local_eqs = [eqs[i] for i in component]
         if entry.points is not None:
-            points = [_embed(tuple(map(truediv, y, scale)) if scale else y,
+            points = [_embed(tuple(map(_exact_div, y, scale)) if scale else y,
                              component, m) for y in entry.points]
             if scale and not all(_vanishes(local_eqs, field.variables, c)
                                  for c in points):
@@ -864,7 +881,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             if all(locus.is_exact for locus in part.loci):
                 local = (tuple(locus.point[i] for i in component)
                          for locus in part.loci)
-                entry.points = tuple(tuple(map(mul, scale, c)) if scale else c
+                entry.points = tuple(_scaled(scale, c) if scale else c
                                      for c in local)
         elif newton_starts > 0:
             if "newton" not in strategies:
@@ -880,7 +897,7 @@ def find_loci(field: VectorField, certificate: WeightCertificate,
             continue
         source = ("newton" if any(locus.source == "newton" for locus in chosen)
                   else "structured_search")
-        point = tuple(zero if choice[owner[i]] is None
+        point = tuple(0 if choice[owner[i]] is None
                       else choice[owner[i]].point[i] for i in range(m))
         if all(locus.is_exact for locus in chosen):
             found.add_exact(point, source)

@@ -46,7 +46,7 @@ products, with each monomial packed into one int that holds one bit field
 per parameter, in the order the parameters are introduced.  A product of
 monomials is then one integer addition, and a coefficient one integer
 multiply-add, where MultiPoly builds an exponent tuple and normalizes a
-Fraction per term.  The field width is a degree bound read off the
+Fraction per term that is not integral.  The field width is a degree bound read off the
 inputs, so an exponent can never carry into the next field.  Every
 order-j coefficient of the series, and so of every prefix, has total
 degree at most j, so truncation.bit_length() bits hold any exponent of
@@ -77,11 +77,10 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import ExactMatrix, MultiPoly, _embed
+from .exactalg import ExactMatrix, MultiPoly, Scalar, _embed, _exact_div
 from .kovalevskaya import _certify
 from .vfmodel import VectorField, WeightCertificate, verify_weight
 
@@ -115,7 +114,7 @@ class ResonanceRecord:
     order: int
     parameter: str
     anchor: int
-    direction: tuple[Fraction, ...]
+    direction: tuple[Scalar, ...]
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ class SeriesClass:
 class LaurentSolution:
     """Truncated series y_i = T^{-a_i} sum_{j<=N} d_{i,j} T^j."""
 
-    locus: tuple[Fraction, ...]
+    locus: tuple[Scalar, ...]
     weights: tuple[int, ...]
     truncation: int
     parameters: tuple[str, ...]
@@ -178,7 +177,9 @@ class _IntPoly:
     monomials is a sum of ints as long as no exponent reaches 2**width.
     Instances are treated as immutable.  The arithmetic is what the
     recursion and ExactMatrix.solve_singular use: sums, negation, scalar
-    multiples, and products only through _dot.
+    multiples, and products only through _dot.  A numerator over den 1
+    decodes (_unpacker) to the int itself, the canonical exact scalar
+    (exactalg.as_fraction).
     """
 
     __slots__ = ("terms", "den")
@@ -201,7 +202,7 @@ class _IntPoly:
         return _IntPoly(terms, den)
 
     @staticmethod
-    def constant(value: Fraction) -> "_IntPoly":
+    def constant(value: Scalar) -> "_IntPoly":
         return _IntPoly.reduced({0: value.numerator}, value.denominator)
 
     def __bool__(self) -> bool:
@@ -304,7 +305,9 @@ def _pack(poly: MultiPoly, shift: Mapping[str, int]) -> _IntPoly:
 def _unpacker(names: Sequence[str], width: int):
     """Back to MultiPoly over the sorted parameter names, one decode per
     packed monomial: the returned function memoizes the exponent tuples,
-    so every polynomial of one series or expansion shares them."""
+    so every polynomial of one series or expansion shares them.  Each
+    coefficient numerator / den leaves in canonical form
+    (exactalg.as_fraction): the int numerator itself when den is 1."""
     order = sorted(range(len(names)), key=names.__getitem__)
     sorted_names = tuple(names[k] for k in order)
     shifts = [k * width for k in order]
@@ -319,7 +322,7 @@ def _unpacker(names: Sequence[str], width: int):
             if exps is None:
                 exps = exponents[key] = tuple((key >> s) & mask
                                               for s in shifts)
-            terms[exps] = Fraction(v) if den == 1 else Fraction(v, den)
+            terms[exps] = v if den == 1 else _exact_div(v, den)
         # clean by construction: distinct names, nonnegative exponents of
         # the right length, nonzero coefficients
         return MultiPoly._trusted(sorted_names, terms)
@@ -569,7 +572,7 @@ def _mul_trunc(a: list, b: list, cap: int) -> list:
     return out
 
 
-def _monomial_series(coefficient: Fraction, exps: Sequence[int],
+def _monomial_series(coefficient: Scalar, exps: Sequence[int],
                      partials: list[list], cap: int) -> list:
     """Truncated expansion of coeff * prod_l y_l^{e_l} with poles stripped."""
     acc = [MultiPoly.constant(coefficient)]
@@ -662,7 +665,7 @@ def build_series(field: VectorField, certificate: WeightCertificate, locus,
         prefixes.extend(j + 1)
         rhs = [-n for n in prefixes.sums(rows, j)]
         d_j = [_ZERO] * m
-        kernel: list[tuple[Fraction, ...]] = []
+        kernel: list[tuple[Scalar, ...]] = []
         inconsistent: set[int] = set()
         for component, block in blocks:
             local = [rhs[i] for i in component]
@@ -763,7 +766,7 @@ def poly_json(poly: MultiPoly, position: Mapping[str, int]) -> dict[str, str]:
         for v, e in zip(poly.vars, exps):
             if e:
                 full[position[v]] = e
-        out[",".join(str(e) for e in full)] = str(Fraction(c))
+        out[",".join(str(e) for e in full)] = str(c)
     return out
 
 

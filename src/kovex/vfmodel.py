@@ -11,12 +11,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Mapping, Sequence
 
-from .exactalg import ExactMatrix, MultiPoly, _component_points, _components
+from .exactalg import (ExactMatrix, MultiPoly, Scalar, _component_points,
+                       _components)
 from .vfparse import ProblemSpec
 
 
@@ -243,7 +243,7 @@ class ZeroSetCheck:
     """
 
     status: str
-    witness: tuple[Fraction, ...] | None = None
+    witness: tuple[Scalar, ...] | None = None
 
 
 def check_zero_set(field: VectorField) -> ZeroSetCheck:

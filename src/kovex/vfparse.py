@@ -21,10 +21,9 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, _exact_div
 
 _MAX_NESTING = 100
 _MAX_EXPONENT = 512
@@ -157,7 +156,7 @@ class _ExprParser:
                     "divisor must be a nonzero rational constant", op.line, op.col)
             if divisor == 0:
                 raise NonPolynomialError("division by zero", op.line, op.col)
-            acc = acc * (Fraction(1) / divisor)
+            acc = acc * _exact_div(1, divisor)
         return acc
 
     def factor(self) -> MultiPoly:
@@ -201,14 +200,13 @@ class _ExprParser:
         if tok.kind == "NUMBER":
             value = int(tok.text)
             return MultiPoly._trusted(
-                self.vars, {(0,) * len(self.vars): Fraction(value)} if value
+                self.vars, {(0,) * len(self.vars): value} if value
                 else {})
         if tok.kind == "IDENT":
             if tok.text not in self.vars:
                 raise UnknownVariableError(tok.text, tok.line, tok.col)
             return MultiPoly._trusted(
-                self.vars, {tuple(int(v == tok.text) for v in self.vars):
-                            Fraction(1)})
+                self.vars, {tuple(int(v == tok.text) for v in self.vars): 1})
         if tok.kind == "LPAREN":
             inner = self.expr()
             closing = self.take()

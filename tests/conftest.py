@@ -1,5 +1,7 @@
 """Shared fixtures: the worked systems every suite keeps coming back to."""
 
+from fractions import Fraction
+
 import pytest
 
 from kovex.vfmodel import WeightCertificate, fields_from_problem
@@ -25,6 +27,15 @@ variables = [q1:2, p1:5, q2:4, p2:3]
 H_F = "2*p1*p2 + 3*p2^2*q1 + q1^4 - q1^2*q2 - q2^2"
 H_G = "p1^2 + 2*p1*p2*q1 - q1^5 + p2^2*q2 + 3*q1^3*q2 - 2*q1*q2^2"
 """
+
+
+def canonical(value) -> bool:
+    """Whether value is an exact scalar in kovex's canonical form
+    (exactalg.as_fraction): an int, never a bool, exactly when its
+    denominator is 1, else a Fraction.  A float or complex is not."""
+    if type(value) is int:
+        return True
+    return type(value) is Fraction and value.denominator != 1
 
 
 # session scope is safe: every object handed out here and in the suites'

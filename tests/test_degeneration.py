@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3
+from conftest import CUBIC_2D, PAIR_4D_DEG1, PAIR_4D_DEG3, canonical
 from kovex import analyze
 from kovex import degeneration as dg
 from kovex.exactalg import (
@@ -123,6 +123,18 @@ class TestExpansionDeg1:
         assert expansion.vector(0) == (-2, 6, 0, 0)
         assert dg.kernel_identity_check(
             field, cert, sol.locus, expansion) == (True,)
+
+    def test_an_expansion_built_at_another_locus_is_refused(self, deg1):
+        # G expanded along the series at (1, -2, 0, 0): the check returned
+        # (False,) at (0, 0, 1, -2) and (True,) at (1, -2, 1, -2), each a
+        # verdict on a pair that does not belong together
+        field, _, cert, sol, expansion, _ = deg1
+        assert sol.locus == P1_DEG1
+        for other in (P2_DEG1, P3_DEG1):
+            with pytest.raises(ValueError, match="another locus"):
+                dg.kernel_identity_check(field, cert, other, expansion)
+        assert dg.kernel_identity_check(
+            field, cert, P1_DEG1, expansion) == (True,)
 
     def test_doctored_leading_block_fails_the_identity(self, deg1):
         field, _, cert, sol, expansion, _ = deg1
@@ -588,7 +600,7 @@ class TestExactDirectRoute:
         for prediction in predictions[1:]:
             vals = prediction.exponents
             assert vals == (-1, F(-1, 2))
-            assert all(isinstance(v, Fraction) for v in vals)
+            assert all(canonical(v) for v in vals)
             diag = prediction.diagnostics
             assert diag["rescaled_point"] == (2,)
             assert diag["matches_rescaled_exact"] is True

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import canonical
 from kovex import exactalg
 from kovex.exactalg import (
     ExactMatrix,
@@ -149,12 +150,12 @@ def test_poly_ring_axioms(p, q, r):
        st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_arithmetic_results_are_already_clean(p, q, c):
     # results bypass the validating constructor, so re-validating them
-    # must change nothing: no zero coefficients, exact values, exponent
-    # tuples aligned with vars
+    # must change nothing: no zero coefficients, exact values in canonical
+    # form, exponent tuples aligned with vars
     for r in (p + q, p - q, -p, p * q, p * c, c * p, p.embed(("a", "u", "v"))):
         revalidated = MultiPoly(r.vars, r.terms)
         assert list(revalidated.terms.items()) == list(r.terms.items())
-        assert all(type(v) is Fraction for v in r.terms.values())
+        assert all(canonical(v) for v in r.terms.values())
 
 
 @settings(max_examples=100)
@@ -213,7 +214,7 @@ def test_substitute_matches_evaluating_on_polynomials(p, mapping):
     expected = p.evaluate({v: mapping.get(v, MultiPoly.variable(v, UVW))
                            for v in UVW})
     assert result == expected
-    assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert all(canonical(c) and c for c in result.terms.values())
     assert all(len(e) == len(result.vars) for e in result.terms)
     assert list(result.vars) == sorted(result.vars)
     reachable = {v for v in UVW if v not in mapping}
@@ -347,7 +348,7 @@ def test_root_multiset_matches_trace_and_det(m):
     rs = roots_exact_first(m.charpoly())
     roots = rs.multiset()
     assert len(roots) == m.nrows
-    assert (sum(type(r) is Fraction for r in roots)
+    assert (sum(canonical(r) for r in roots)
             == sum(mult for _, mult in rs.rational_roots))
     assert list(roots) == sorted(roots, key=lambda r: (complex(r).real,
                                                        complex(r).imag))
@@ -411,8 +412,9 @@ def _fraction_rref(m):
     and pivot columns.
 
     Every step divides the pivot row by its pivot and clears the column in
-    Fraction arithmetic; it shares no step with the fraction-free
-    elimination of ExactMatrix.rref.
+    Fraction arithmetic (the entries are canonical, so an int entry is
+    made a Fraction before it is divided); it shares no step with the
+    fraction-free elimination of ExactMatrix.rref.
     """
     rows = [list(r) for r in m.data]
     pivots = []
@@ -425,7 +427,7 @@ def _fraction_rref(m):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [Fraction(x) / pv for x in rows[r]]
         for i in range(m.nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -468,7 +470,7 @@ def rref_matrices(draw):
 def test_rref_matches_fraction_gauss_jordan(m):
     reduced, pivots = m.rref()
     assert (reduced, pivots) == _fraction_rref(m)
-    assert all(type(x) is Fraction for row in reduced.data for x in row)
+    assert all(canonical(x) for row in reduced.data for x in row)
 
 
 @st.composite
@@ -512,7 +514,7 @@ def test_charpoly_matches_elimination_at_n_plus_one_points(m):
     coeffs = m.charpoly()
     assert len(coeffs) == m.nrows + 1 and coeffs[0] == 1
     assert _values_at(coeffs, range(m.nrows + 1)) == _charpoly_values(m)
-    assert all(type(c) is Fraction for c in coeffs)
+    assert all(canonical(c) for c in coeffs)
 
 
 @st.composite
@@ -647,7 +649,7 @@ class TestRoots:
 
     def test_values_order(self):
         # multiset(): roots repeated by multiplicity, sorted by (re, im),
-        # rational ones kept exact
+        # rational ones kept exact, in canonical form
         r2 = math.sqrt(2)
         cases = [
             ([1, -1, -2, 2], [-r2, F(1), r2]),            # (x - 1)(x^2 - 2)
@@ -660,9 +662,9 @@ class TestRoots:
             assert len(values) == len(expected)
             for got, want in zip(values, expected):
                 if isinstance(want, Fraction):
-                    assert type(got) is Fraction and got == want
+                    assert canonical(got) and got == want
                 else:
-                    assert not isinstance(got, Fraction)
+                    assert not isinstance(got, (int, Fraction))
                     assert abs(got - want) < 1e-9
 
     def test_solver_keeps_rational_roots_when_the_numerics_fail(
