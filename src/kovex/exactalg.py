@@ -658,28 +658,23 @@ def _poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
 
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder of descending coefficient lists: exact
-    (canonical, by _exact_div) when every coefficient is exact, in floating
-    point otherwise."""
+    """Quotient and remainder of descending coefficient lists, divided by
+    _exact_div: canonical on exact coefficients, floats on float ones."""
     num = _trim(list(num))
     den = _trim(list(den))
     if den == [0]:
         raise ZeroDivisionError("polynomial division by zero")
     if len(num) < len(den):
         return [0], num
-    exact = all(isinstance(c, (int, Fraction)) for c in num + den)
-    divide = _exact_div if exact else operator.truediv
     quot = [0] * (len(num) - len(den) + 1)
     rem = list(num)
     for i in range(len(quot)):
-        q = divide(rem[i], den[0])
+        q = _exact_div(rem[i], den[0])
         quot[i] = q
         if q:
             for j, d in enumerate(den):
                 rem[i + j] -= q * d
-    if exact:
-        rem = list(map(_canonical, rem))
-    return quot, _trim(rem)
+    return quot, _trim(list(map(_canonical, rem)))
 
 
 def _poly_gcd(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:

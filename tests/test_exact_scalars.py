@@ -23,6 +23,7 @@ from kovex.exactalg import (
     ExactMatrix,
     MultiPoly,
     _exact_div,
+    _poly_divmod,
     as_fraction,
     roots_exact_first,
 )
@@ -181,6 +182,22 @@ def test_as_fraction_and_the_division_helper():
         assert canonical(q) and q == F(a) / F(b)
     with pytest.raises(ZeroDivisionError):
         _exact_div(1, 0)
+
+
+def test_polynomial_division_is_canonical_and_keeps_floats():
+    # (2x^2 + 3x + 1) / (2x + 1) = x + 1 exactly; over 2x - 1 the remainder is 3
+    quot, rem = _poly_divmod([2, 3, 1], [2, 1])
+    assert quot == [1, 1] and rem == [0]
+    quot, rem = _poly_divmod([2, 3, 1], [2, -1])
+    assert quot == [1, 2] and rem == [3]
+    quot, rem = _poly_divmod([F(4, 2), 3, 1], [4, 1])
+    assert quot == [F(1, 2), F(5, 8)] and rem == [F(3, 8)]
+    for c in quot + rem:
+        assert canonical(c)
+    # float coefficients divide as floats
+    quot, rem = _poly_divmod([2.0, 3.0, 1.0], [2, -1])
+    assert quot == [1.0, 2.0] and rem == [3.0]
+    assert all(type(c) is float for c in quot + rem)
 
 
 # ---------------------------------------------------------------------------
